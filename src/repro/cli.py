@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--max-batch-size", type=int, default=64)
-    serve.add_argument("--max-wait-ms", type=float, default=2.0)
     serve.add_argument(
         "--workers",
         type=int,
@@ -155,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
             "pickled pipes (default), shared-memory rings with control "
             "frames on the pipe, or framed localhost TCP sockets"
         ),
-    )
-    serve.add_argument(
-        "--scheduler-threads",
-        type=int,
-        default=1,
-        help="engine-executing threads inside each model's micro-batch scheduler",
     )
     serve.add_argument(
         "--cache-size",
@@ -353,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cluster data plane for the in-process target when --workers > 1",
     )
     loadgen.add_argument("--max-batch-size", type=int, default=64)
-    loadgen.add_argument("--max-wait-ms", type=float, default=2.0)
     loadgen.add_argument(
         "--cache-size",
         type=int,
@@ -819,8 +811,6 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
     app = ServeApp(
         registry,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        num_workers=args.scheduler_threads,
         num_processes=args.workers if args.workers > 1 else 0,
         transport=args.transport,
         cache_size=args.cache_size,
@@ -986,7 +976,13 @@ def command_loadgen(args) -> int:
 
     app = None
     if args.url:
-        target = HTTPTarget(args.url, top_k=args.top_k, deadline_ms=args.deadline_ms)
+        try:
+            target = HTTPTarget(
+                args.url, top_k=args.top_k, deadline_ms=args.deadline_ms
+            )
+        except ValueError as error:
+            print(f"error: bad --url: {error}", file=sys.stderr)
+            return 1
     else:
         from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp
 
@@ -1032,7 +1028,6 @@ def command_loadgen(args) -> int:
         app = ServeApp(
             registry,
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             num_processes=args.workers if args.workers > 1 else 0,
             transport=args.transport,
             cache_size=args.cache_size,
@@ -1073,6 +1068,8 @@ def command_loadgen(args) -> int:
     finally:
         if app is not None:
             app.close()
+        if args.url:
+            target.close()
         if tracer is not None:
             tracer.close()
 

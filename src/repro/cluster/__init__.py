@@ -1,7 +1,7 @@
 """repro.cluster — multiprocess serving with shared-memory model residency.
 
 The GIL caps the single-process serving stack at roughly one core of encode
-throughput no matter how many scheduler threads run.  This subpackage is the
+throughput no matter how many threads run.  This subpackage is the
 scale-out tier that breaks that cap without duplicating the model:
 
 * :mod:`repro.cluster.shared` — :class:`SharedModelStore` publishes packed

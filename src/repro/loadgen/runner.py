@@ -3,7 +3,8 @@
 Targets abstract the wire: :class:`InProcessTarget` calls
 ``ServeApp.predict`` directly (full serving path — cache, micro-batcher,
 cluster dispatcher — minus HTTP framing), :class:`HTTPTarget` POSTs to a
-live ``repro serve`` endpoint over ``urllib`` (stdlib only).  Both raise
+live ``repro serve`` endpoint over keep-alive ``http.client`` connections
+(stdlib only).  Both raise
 :class:`TargetError` on request failure so the runner can count errors
 without aborting the soak.
 
@@ -25,11 +26,11 @@ the retry schedule is as reproducible as the traffic itself.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Union
 
@@ -119,7 +120,15 @@ class InProcessTarget:
 
 
 class HTTPTarget:
-    """POST requests to a live ``repro serve`` HTTP endpoint."""
+    """POST requests to a live ``repro serve`` HTTP endpoint.
+
+    Requests ride persistent connections, as a keep-alive client's do, so
+    socket-level stalls show up in the soak.  Each request takes an idle
+    connection from the target's pool (or opens one) and returns it after,
+    so a run holds at most one connection per concurrent caller.  A
+    connection is dropped after a ``Connection: close`` answer (the server
+    sends one with every status >= 400) or a socket error.
+    """
 
     kind = "http"
 
@@ -137,6 +146,13 @@ class HTTPTarget:
         self.top_k = int(top_k)
         self.timeout = float(timeout)
         self.deadline_ms = None if deadline_ms is None else float(deadline_ms)
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"expected an http://host[:port] URL, got {url!r}")
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._idle: List[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     def send(self, features: np.ndarray, model: Optional[str] = None) -> dict:
         payload = {"features": features.tolist(), "top_k": self.top_k}
@@ -145,50 +161,77 @@ class HTTPTarget:
             payload["model"] = name
         if self.deadline_ms is not None:
             payload["deadline_ms"] = self.deadline_ms
-        request = urllib.request.Request(
-            self.url,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as error:
+            response, body = self._exchange(
+                "POST", "/v1/predict", json.dumps(payload).encode("utf-8")
+            )
+        except (OSError, http.client.HTTPException) as error:
+            raise TargetError(str(error) or type(error).__name__)
+        if not 200 <= response.status < 300:
             # A typed server answer: pull the machine-readable ``code`` out
             # of the JSON error body (absent on non-JSON bodies) and the
             # ``Retry-After`` back-off hint out of the headers.
             code = None
             try:
-                code = json.loads(error.read()).get("code")
-            except Exception:
+                code = json.loads(body).get("code")
+            except (ValueError, AttributeError):
                 pass
             retry_after = None
             try:
-                header = error.headers.get("Retry-After")
-                if header is not None:
-                    retry_after = float(header)
+                retry_after = float(response.getheader("Retry-After"))
             except (TypeError, ValueError):
                 pass
             raise TargetError(
-                f"{error.code}: {error.reason}",
-                status=int(error.code),
+                f"{response.status}: {response.reason}",
+                status=response.status,
                 code=code,
                 retry_after=retry_after,
             )
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as error:
+        try:
+            return json.loads(body)
+        except ValueError as error:
             raise TargetError(str(error))
 
     def metrics_snapshot(self) -> Optional[dict]:
         """Fetch ``GET /v1/metrics``; ``None`` when the endpoint is unreachable
         (a missing snapshot must never fail the soak itself)."""
         try:
-            with urllib.request.urlopen(
-                self.base_url + "/v1/metrics", timeout=self.timeout
-            ) as response:
-                return json.loads(response.read())
-        except (urllib.error.URLError, OSError, json.JSONDecodeError):
+            response, body = self._exchange("GET", "/v1/metrics")
+            return json.loads(body) if response.status == 200 else None
+        except (OSError, http.client.HTTPException, ValueError):
             return None
+
+    def close(self) -> None:
+        """Close the pooled connections; call once no request is in flight."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def _exchange(self, method: str, route: str, body: Optional[bytes] = None):
+        """One request on a pooled connection; returns ``(response, body)``."""
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = http.client.HTTPConnection(self._netloc, timeout=self.timeout)
+        try:
+            connection.request(
+                method,
+                self._prefix + route,
+                body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            payload = response.read()
+        except (OSError, http.client.HTTPException):
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        return response, payload
 
     def describe(self) -> dict:
         return {

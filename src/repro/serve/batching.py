@@ -3,16 +3,18 @@
 A packed engine answers a 64-sample batch in barely more time than a single
 sample — the per-call cost is dominated by Python/NumPy dispatch, not by the
 XOR+popcount arithmetic.  :class:`BatchScheduler` exploits that: concurrent
-callers submit one sample each, a collector thread gathers whatever arrives
-within ``max_wait_ms`` (up to ``max_batch_size``), and a worker pool runs the
-engine once per coalesced batch.
+callers submit one sample each and a collector thread runs the engine once
+per coalesced batch.
 
-The design is deliberately simple and stdlib-only:
+The collector is work-conserving — it never waits on a timer:
 
 * ``submit`` enqueues a request and returns a ``concurrent.futures.Future``;
 * ``predict`` / ``top_k`` are the synchronous conveniences (submit + wait);
-* one collector thread owns the queue; ``num_workers`` pool threads execute
-  engine calls, so collection never blocks behind a slow batch.
+* one collector thread owns the queue: it blocks for the first request,
+  takes whatever else is already queued (up to ``max_batch_size``) and runs
+  that batch itself.  One batch is in flight at a time, so requests that
+  arrive while it runs queue up and form the next batch — a lone request
+  runs at once, and coalescing grows with load.
 
 The engine may be passed directly or as a zero-argument callable resolved per
 batch — the latter is how the server stays correct across registry hot-swaps.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -88,11 +90,6 @@ class BatchScheduler:
         returning one (resolved once per batch; enables hot-swapping).
     max_batch_size:
         Upper bound on samples per coalesced batch.
-    max_wait_ms:
-        How long the collector waits for more requests after the first one
-        before flushing a partial batch.
-    num_workers:
-        Pool threads executing engine calls.
     max_queue_depth:
         Admission bound: when this many requests are already waiting,
         :meth:`submit` raises :class:`SchedulerOverloadedError` instead of
@@ -113,30 +110,20 @@ class BatchScheduler:
         self,
         engine: EngineSource,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
-        num_workers: int = 1,
         max_queue_depth: Optional[int] = None,
         metrics: Optional[ModelMetrics] = None,
         tracer: Optional[Tracer] = None,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if max_queue_depth is not None and max_queue_depth < 0:
             raise ValueError(f"max_queue_depth must be >= 0, got {max_queue_depth}")
         self._resolve_engine = engine if callable(engine) else (lambda: engine)
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_seconds = float(max_wait_ms) / 1e3
         self.max_queue_depth = (
             None if max_queue_depth is None else int(max_queue_depth)
         )
         self._queue: "queue.Queue[Optional[_Request]]" = queue.Queue()
-        self._executor = ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="serve-batch"
-        )
         self._metrics = metrics
         self._tracer = tracer if tracer is not None else get_tracer()
         self._closed = False
@@ -209,11 +196,12 @@ class BatchScheduler:
         return future.result(timeout=timeout)
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Drain the queue, stop the collector, and shut the worker pool.
+        """Run what is queued, then stop the collector.
 
-        Requests already collected are executed; anything still queued when
-        the collector exits (including requests racing a concurrent
-        ``submit``) has its future failed rather than left hanging.
+        Requests queued before the stop are executed; anything the collector
+        has not taken within *timeout* (including requests racing a
+        concurrent ``submit``) has its future failed rather than left
+        hanging.
         """
         if self._closed:
             return
@@ -225,11 +213,14 @@ class BatchScheduler:
                 leftover = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if leftover is not None:
+            if leftover is not None and leftover.future.set_running_or_notify_cancel():
                 leftover.future.set_exception(
                     RuntimeError("BatchScheduler stopped before the request ran")
                 )
-        self._executor.shutdown(wait=True)
+        if self._collector.is_alive():
+            # A batch outlived the timeout and the drain above took the stop
+            # sentinel; hand it back so the collector exits after that batch.
+            self._queue.put(None)
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -239,30 +230,44 @@ class BatchScheduler:
 
     # --------------------------------------------------------------- internals
     def _collect_loop(self) -> None:
-        while True:
+        stopping = False
+        while not stopping:
             request = self._queue.get()
             if request is None:
                 return
             batch = [request]
-            deadline = time.monotonic() + self.max_wait_seconds
             while len(batch) < self.max_batch_size:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is None:
                     # Shutdown requested: run what we have, then exit.
-                    self._executor.submit(self._run_batch, batch)
-                    return
+                    stopping = True
+                    break
                 batch.append(item)
-            self._executor.submit(self._run_batch, batch)
+            # A caller may cancel its future while it queues; the rest can
+            # no longer be cancelled once marked running.
+            batch = [
+                request
+                for request in batch
+                if request.future.set_running_or_notify_cancel()
+            ]
+            if not batch:
+                continue
+            try:
+                self._run_batch(batch)
+            except Exception as error:
+                # Every batch runs on this thread, so it must outlive a
+                # failure outside the engine call (a trace sink's OSError,
+                # say): fail this batch's callers and keep serving.
+                for request in batch:
+                    if not request.future.done():
+                        request.future.set_exception(error)
 
     def _run_batch(self, batch: List[_Request]) -> None:
         started = time.perf_counter()
-        # Queue wait ends when the executor picks the batch up.  Recorded
+        # Queue wait ends when the collector starts the batch.  Recorded
         # exactly once per request (``enqueued`` is consumed), so the
         # per-request retry path below cannot double-count.
         batch_parent: Optional[SpanContext] = None

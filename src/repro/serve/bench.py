@@ -39,7 +39,6 @@ def run_serving_benchmark(
     num_classes: int = 10,
     num_samples: int = 256,
     batch_size: int = 64,
-    max_wait_ms: float = 5.0,
     concurrency: int = 8,
     seed: int = 0,
     include_scheduler: bool = True,
@@ -114,10 +113,7 @@ def run_serving_benchmark(
     if include_scheduler:
         metrics = ModelMetrics()
         with BatchScheduler(
-            engine,
-            max_batch_size=batch_size,
-            max_wait_ms=max_wait_ms,
-            metrics=metrics,
+            engine, max_batch_size=batch_size, metrics=metrics
         ) as scheduler:
 
             def scheduler_run():

@@ -168,8 +168,8 @@ class ServeApp:
         The :class:`ModelRegistry` to resolve model names against.
     metrics:
         Optional shared :class:`MetricsRegistry` (created when omitted).
-    max_batch_size / max_wait_ms / num_workers:
-        Micro-batching configuration applied to every model's scheduler.
+    max_batch_size:
+        Micro-batch cap applied to every model's scheduler.
     num_processes:
         When > 0, batches execute on a :class:`ClusterDispatcher` of this
         many worker processes sharing the packed model bank through
@@ -247,8 +247,6 @@ class ServeApp:
         registry: ModelRegistry,
         metrics: Optional[MetricsRegistry] = None,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
-        num_workers: int = 1,
         num_processes: int = 0,
         transport: str = "pipe",
         cache_size: int = 1024,
@@ -296,8 +294,6 @@ class ServeApp:
         self.slo = SLOEngine(slo_config)
         self._batch_config = dict(
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            num_workers=num_workers,
             max_queue_depth=max_queue_depth,
         )
         self._schedulers: Dict[str, BatchScheduler] = {}
@@ -941,6 +937,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP requests to the :class:`ServeApp` on ``self.server.app``."""
 
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: ``send_response`` flushes the headers and the body
+    #: follows as a second small segment; with Nagle on, that segment waits
+    #: for the client's delayed ACK (~40 ms per keep-alive response).
+    disable_nagle_algorithm = True
     #: Maximum accepted request body (guards against unbounded reads).
     max_body_bytes = 64 * 1024 * 1024
 
@@ -1117,6 +1117,12 @@ class _Handler(BaseHTTPRequestHandler):
         return status
 
 
+class _Server(ThreadingHTTPServer):
+    #: Listen backlog.  The stdlib default of 5 overflows under a burst of
+    #: connects, and each dropped SYN costs the client a ~1 s retransmit.
+    request_queue_size = 128
+
+
 def create_server(
     app: ServeApp,
     host: str = "127.0.0.1",
@@ -1135,7 +1141,7 @@ def create_server(
     plus stdlib HTTP diagnostics as warnings.  ``None`` keeps the server
     silent (the default, and what the benchmarks want).
     """
-    server = ThreadingHTTPServer((host, port), _Handler)
+    server = _Server((host, port), _Handler)
     server.app = app  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
     server.access_logger = None  # type: ignore[attr-defined]

@@ -54,7 +54,6 @@ def test_chaos_soak_degrades_gracefully(trained, transport):
         num_processes=3,
         transport=transport,
         cache_size=0,
-        max_wait_ms=0.5,
         request_timeout=0.75,
         fault_plan=PRESETS["quick"],
     )
@@ -105,7 +104,6 @@ def test_fault_free_path_is_bit_identical_to_single_process(trained):
         registry,
         num_processes=2,
         cache_size=0,
-        max_wait_ms=0.5,
         fault_plan=inert,
     )
     try:
@@ -145,7 +143,6 @@ def test_eviction_churn_is_bit_identical(trained, transport):
         num_processes=2,
         transport=transport,
         cache_size=0,
-        max_wait_ms=0.5,
         fault_plan=plan,
     )
     try:

@@ -64,7 +64,7 @@ def test_serveapp_cluster_parity_and_crash_masking(saved_models, small_problem):
     queries = small_problem["test_features"][:24]
     registry = ModelRegistry()
     registry.register("ens", saved_models["ensemble"])
-    app = ServeApp(registry, num_processes=2, max_wait_ms=0.5, cache_size=0)
+    app = ServeApp(registry, num_processes=2, cache_size=0)
     try:
         engine = registry.get("ens")
         response = app.predict({"features": queries.tolist(), "top_k": 2})
@@ -90,7 +90,7 @@ def test_serveapp_cluster_parity_and_crash_masking(saved_models, small_problem):
 def test_loadgen_soaks_cluster_backed_http_endpoint(saved_models):
     registry = ModelRegistry()
     registry.register("baseline", saved_models["baseline"])
-    app = ServeApp(registry, num_processes=2, max_wait_ms=0.5)
+    app = ServeApp(registry, num_processes=2)
     server = create_server(app, port=0)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)

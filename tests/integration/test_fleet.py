@@ -49,7 +49,6 @@ class TestFleetPaging:
             num_processes=2,
             max_resident_banks=2,
             cache_size=0,
-            max_wait_ms=0.5,
         )
         try:
             for round_robin in range(2):
@@ -79,7 +78,6 @@ class TestFleetPaging:
             num_processes=2,
             max_resident_banks=2,
             cache_size=0,
-            max_wait_ms=0.5,
         )
         failures = []
 
@@ -116,7 +114,6 @@ class TestTenantAdmission:
             _registry(fleet_engine, ["a", "b"]),
             tenant_quotas=quotas,
             cache_size=0,
-            max_wait_ms=0.5,
         )
         try:
             app.predict({"features": queries.tolist(), "model": "a"})
@@ -143,7 +140,6 @@ class TestTenantAdmission:
             _registry(fleet_engine, ["a"]),
             tenant_quotas=quotas,
             cache_size=0,
-            max_wait_ms=0.5,
         )
         try:
             for _ in range(5):  # a leaked lease would 429 on the second call
@@ -169,7 +165,6 @@ class TestCircuitBreaker:
             _registry(fleet_engine, ["a"]),
             num_processes=2,
             cache_size=0,
-            max_wait_ms=0.5,
             cold_load_retries=0,
             breaker_threshold=2,
             breaker_reset_seconds=60.0,
@@ -214,7 +209,6 @@ class TestCircuitBreaker:
             _registry(fleet_engine, ["a"]),
             num_processes=2,
             cache_size=0,
-            max_wait_ms=0.5,
             cold_load_retries=0,
             breaker_threshold=1,
             breaker_reset_seconds=0.05,

@@ -44,7 +44,7 @@ def _traced_app(saved_model, **kwargs):
     sink = MemorySink()
     registry = ModelRegistry()
     registry.register("baseline", saved_model)
-    app = ServeApp(registry, tracer=Tracer(sink), max_wait_ms=0.5, **kwargs)
+    app = ServeApp(registry, tracer=Tracer(sink), **kwargs)
     return app, sink
 
 
@@ -153,7 +153,6 @@ class TestClusterTracePropagation:
             registry,
             tracer=Tracer(sink, sample_rate=0.0),
             num_processes=2,
-            max_wait_ms=0.5,
             cache_size=0,
         )
         try:
@@ -185,7 +184,7 @@ class TestPrometheusEndpoint:
     def test_http_metrics_route(self, saved_model, small_problem):
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
-        app = ServeApp(registry, max_wait_ms=0.5)
+        app = ServeApp(registry)
         server = create_server(app, port=0)
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -208,7 +207,7 @@ class TestAccessLog:
     def test_structured_line_per_request(self, saved_model, caplog):
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
-        app = ServeApp(registry, max_wait_ms=0.5)
+        app = ServeApp(registry)
         server = create_server(app, port=0, log_level="info")
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -239,7 +238,7 @@ class TestAccessLog:
     def test_rejects_unknown_level(self, saved_model):
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
-        app = ServeApp(registry, max_wait_ms=0.5)
+        app = ServeApp(registry)
         try:
             with pytest.raises(ValueError, match="log level"):
                 create_server(app, port=0, log_level="loud")

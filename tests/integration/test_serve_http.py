@@ -6,8 +6,10 @@ particular that ``POST /v1/predict`` returns the same labels as the offline
 ``pipeline.predict`` for the same model.
 """
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +36,7 @@ def served(small_problem, tmp_path_factory):
 
     registry = ModelRegistry()
     registry.register("har", path)
-    app = ServeApp(registry, max_batch_size=16, max_wait_ms=2.0)
+    app = ServeApp(registry, max_batch_size=16)
     server = create_server(app, port=0)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -160,8 +162,6 @@ class TestPredictErrors:
         # Error paths may leave an unread body on a persistent connection;
         # the server must signal Connection: close so the client cannot
         # misparse the leftover bytes as the next request.
-        import http.client
-
         connection = http.client.HTTPConnection("127.0.0.1", served["port"], timeout=10)
         try:
             connection.request(
@@ -195,6 +195,83 @@ class TestPredictErrors:
         assert body["code"] == "not_found"
 
 
+def _keepalive_latencies_ms(port, method, route, bodies):
+    """Send one request per body on a single persistent connection."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    latencies = []
+    try:
+        for body in bodies:
+            started = time.perf_counter()
+            connection.request(
+                method, route, body=body, headers={"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            response.read()
+            latencies.append((time.perf_counter() - started) * 1e3)
+            assert response.status == 200
+            assert not response.will_close
+    finally:
+        connection.close()
+    return latencies
+
+
+class TestSocket:
+    def test_keepalive_posts_do_not_wait_for_delayed_ack(self, served, small_problem):
+        # Without TCP_NODELAY the body segment waits for the client's delayed
+        # ACK of the header segment: ~40 ms on every keep-alive response.
+        bodies = [
+            json.dumps({"features": row.tolist()}).encode("utf-8")
+            for row in small_problem["test_features"][:20]
+        ]
+        latencies = _keepalive_latencies_ms(
+            served["port"], "POST", "/v1/predict", bodies
+        )
+        assert np.median(latencies) < 20.0, latencies
+
+    def test_keepalive_readyz_pair_does_not_wait_for_delayed_ack(self, served):
+        latencies = _keepalive_latencies_ms(
+            served["port"], "GET", "/v1/readyz", [None, None]
+        )
+        assert max(latencies) < 20.0, latencies
+
+    def test_connection_burst_is_not_dropped(self, served, small_problem):
+        # A burst of fresh connections must fit the listen backlog; an
+        # overflowing backlog drops SYNs, which surface as resets or ~1 s
+        # retransmit stalls.
+        clients = 64
+        rows = small_problem["test_features"]
+        barrier = threading.Barrier(clients)
+        latencies, errors = [], []
+
+        def connect_and_post(index):
+            body = json.dumps({"features": rows[index % len(rows)].tolist()})
+            barrier.wait(timeout=30)
+            started = time.perf_counter()
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", served["port"], timeout=10
+            )
+            try:
+                connection.request(
+                    "POST", "/v1/predict", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                latencies.append(time.perf_counter() - started)
+            except OSError as error:
+                errors.append(repr(error))
+            finally:
+                connection.close()
+
+        with ThreadPoolExecutor(max_workers=clients) as pool:
+            for future in [pool.submit(connect_and_post, i) for i in range(clients)]:
+                future.result()
+        assert errors == []
+        assert len(latencies) == clients
+        assert max(latencies) < 1.0, sorted(latencies)[-5:]
+
+
 @pytest.fixture()
 def hardened(small_problem):
     """A server with admission control, deadlines, and the access log on."""
@@ -210,7 +287,6 @@ def hardened(small_problem):
     app = ServeApp(
         registry,
         max_batch_size=16,
-        max_wait_ms=0.5,
         cache_size=0,
         max_concurrent=2,
         max_queue_depth=64,
@@ -232,8 +308,6 @@ def _wait_for_log_line(caplog, *needles, timeout=2.0):
     is sent, so the client can observe the response before the record exists
     — poll briefly instead of asserting immediately.
     """
-    import time
-
     deadline = time.monotonic() + timeout
     while True:
         lines = [record.getMessage() for record in caplog.records]

@@ -60,7 +60,6 @@ class TestFleetPercentileAccuracy:
         app = ServeApp(
             registry,
             tracer=Tracer(sink, sample_rate=1.0),
-            max_wait_ms=0.5,
             num_processes=2,
             cache_size=0,
         )
@@ -111,7 +110,7 @@ class TestServeSLO:
         )
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
-        app = ServeApp(registry, max_wait_ms=0.5, cache_size=0, slo_config=config)
+        app = ServeApp(registry, cache_size=0, slo_config=config)
         try:
             row = small_problem["test_features"][0].tolist()
             for _ in range(10):
@@ -143,7 +142,7 @@ class TestServeSLO:
         config = SLOConfig.from_dict({"default": {"availability": 0.999}})
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
-        app = ServeApp(registry, max_wait_ms=0.5, slo_config=config)
+        app = ServeApp(registry, slo_config=config)
         try:
             # Overload rejections (429) are server-attributed: drive them
             # straight through the engine's SLO hook.
@@ -163,7 +162,7 @@ class TestAccessLogTenantTrace:
         sink = MemorySink()
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
-        app = ServeApp(registry, tracer=Tracer(sink, sample_rate=1.0), max_wait_ms=0.5)
+        app = ServeApp(registry, tracer=Tracer(sink, sample_rate=1.0))
         server = create_server(app, port=0, log_level="info")
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -235,7 +234,6 @@ class TestConsoleAgainstLiveServer:
         registry.register("baseline", saved_model)
         app = ServeApp(
             registry,
-            max_wait_ms=0.5,
             num_processes=2,
             cache_size=0,
             slo_config=SLOConfig(),

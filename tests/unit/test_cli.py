@@ -48,7 +48,6 @@ class TestParser:
         )
         assert args.workers == 4
         assert args.cache_size == 0
-        assert args.scheduler_threads == 1
         multiproc = build_parser().parse_args(
             ["serve", "--model", "m.npz", "--kernel-backend", "multiprocess"]
         )

@@ -282,7 +282,7 @@ class TestHotSwapRace:
         engine, queries = served
         registry = ModelRegistry()
         registry.register("m", engine)
-        app = ServeApp(registry, num_processes=1, max_wait_ms=0.5, cache_size=0)
+        app = ServeApp(registry, num_processes=1, cache_size=0)
         try:
             app.predict({"features": queries[:4].tolist()})  # builds the pool
             app._dispatchers["m"][1].close()

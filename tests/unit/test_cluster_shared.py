@@ -254,7 +254,6 @@ class TestShmHygieneUnderChaos:
             num_processes=2,
             transport="shm",
             cache_size=0,
-            max_wait_ms=0.5,
             fault_plan=plan,
         )
         try:

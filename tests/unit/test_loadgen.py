@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from repro.classifiers.pipeline import HDCPipeline
 from repro.hdc.encoders import RecordEncoder
 from repro.loadgen import (
     ClosedLoop,
+    HTTPTarget,
     InProcessTarget,
     OpenLoop,
     RequestSampler,
@@ -23,7 +27,7 @@ from repro.loadgen import (
     validate_slo_report,
     write_report,
 )
-from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp
+from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp, create_server
 
 
 class TestRequestSampler:
@@ -99,7 +103,7 @@ def loadgen_app():
     pipeline.fit(sampler.train_features, sampler.train_labels)
     registry = ModelRegistry()
     registry.register("ucihar", PackedInferenceEngine(pipeline, name="ucihar"))
-    app = ServeApp(registry, max_wait_ms=0.5, cache_size=0)
+    app = ServeApp(registry, cache_size=0)
     yield app, sampler
     app.close()
 
@@ -162,6 +166,105 @@ class TestRunner:
             run_load_test(
                 target, sampler, ClosedLoop(), num_requests=1, warmup_requests=-1
             )
+
+
+@contextlib.contextmanager
+def _serving(app):
+    """Serve *app* on an ephemeral port; yields the URL and a list that
+    records every TCP connection the server accepts."""
+    server = create_server(app, port=0)
+    accepted = []
+    get_request = server.get_request
+
+    def counting_get_request():
+        connection = get_request()
+        accepted.append(connection[1])
+        return connection
+
+    server.get_request = counting_get_request
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", accepted
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestHTTPTarget:
+    def test_closed_loop_keeps_one_connection_per_client(self, loadgen_app):
+        app, sampler = loadgen_app
+        with _serving(app) as (url, accepted):
+            target = HTTPTarget(url)
+            try:
+                report = run_load_test(
+                    target,
+                    sampler,
+                    ClosedLoop(concurrency=3),
+                    num_requests=60,
+                    warmup_requests=12,
+                )
+            finally:
+                target.close()
+        validate_report(report)
+        assert report["results"]["completed"] == 60
+        assert report["server_metrics_delta"] is not None
+        # Warm-up, measure and both metrics snapshots share the pool.
+        assert 1 <= len(accepted) <= 3
+
+    def test_error_answer_then_success_on_one_thread(self, loadgen_app):
+        app, sampler = loadgen_app
+        (_, row), = sampler.stream(1)
+        with _serving(app) as (url, accepted):
+            target = HTTPTarget(url)
+            try:
+                with pytest.raises(TargetError) as excinfo:
+                    target.send(row, model="nope")
+                body = target.send(row)
+            finally:
+                target.close()
+        assert excinfo.value.status == 404
+        assert excinfo.value.code == "not_found"
+        assert body["model"] == "ucihar"
+        # The 404 answered with Connection: close, so the 200 reconnected.
+        assert len(accepted) == 2
+
+    def test_shed_answer_carries_retry_after(self, loadgen_app):
+        app, sampler = loadgen_app
+        (_, row), = sampler.stream(1)
+        shedding = ServeApp(app.registry, cache_size=0, max_concurrent=1)
+        slot = shedding._admission_slot("ucihar")
+        assert slot.acquire(blocking=False)
+        try:
+            with _serving(shedding) as (url, _):
+                target = HTTPTarget(url)
+                try:
+                    with pytest.raises(TargetError) as excinfo:
+                        target.send(row)
+                finally:
+                    target.close()
+        finally:
+            slot.release()
+            shedding.close()
+        assert excinfo.value.status == 429
+        assert excinfo.value.code == "overloaded"
+        assert excinfo.value.retry_after == 1.0
+
+    def test_unreachable_endpoint_is_an_untyped_error(self):
+        with contextlib.closing(socket.socket()) as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        target = HTTPTarget(f"http://127.0.0.1:{port}", timeout=5.0)
+        with pytest.raises(TargetError) as excinfo:
+            target.send(np.zeros(3))
+        assert excinfo.value.status is None
+        assert target.metrics_snapshot() is None
+
+    def test_rejects_non_http_url(self):
+        with pytest.raises(ValueError, match="URL"):
+            HTTPTarget("localhost:8080")
 
 
 class TestReport:

@@ -23,31 +23,56 @@ def engine(small_problem):
     return PackedInferenceEngine(pipeline, name="batch-test")
 
 
-class _CountingEngine:
-    """Wraps an engine, recording the batch size of every top_k call."""
+class _GatedEngine:
+    """Wraps an engine; every top_k call blocks until ``release`` is set.
+
+    The collector runs one batch at a time, so while the first batch waits
+    here a test can queue exactly the requests it wants behind it.  Batch
+    sizes are recorded, which makes coalescing exact instead of timed.
+    """
 
     def __init__(self, engine):
         self._engine = engine
         self.batch_sizes = []
+        self.release = threading.Event()
         self._lock = threading.Lock()
 
     def top_k(self, features, k):
         with self._lock:
             self.batch_sizes.append(features.shape[0])
+        self.release.wait(timeout=30)
         return self._engine.top_k(features, k=k)
+
+
+def _wait_for_queue(scheduler, depth, timeout=10.0):
+    """Block until *depth* requests wait behind the in-flight batch."""
+    deadline = time.monotonic() + timeout
+    while scheduler.queue_depth < depth:
+        assert time.monotonic() < deadline, f"queue stuck at {scheduler.queue_depth}"
+        time.sleep(0.001)
+
+
+def _hold_first_batch(scheduler, gated, row):
+    """Submit *row* and return its future once the collector is running it."""
+    blocker = scheduler.submit(row)
+    deadline = time.monotonic() + 10.0
+    while not gated.batch_sizes:
+        assert time.monotonic() < deadline, "the first batch never started"
+        time.sleep(0.001)
+    return blocker
 
 
 class TestCorrectness:
     def test_scheduled_predictions_match_engine(self, engine, small_problem):
         queries = small_problem["test_features"][:20]
         expected = engine.predict(queries)
-        with BatchScheduler(engine, max_batch_size=8, max_wait_ms=1.0) as scheduler:
+        with BatchScheduler(engine, max_batch_size=8) as scheduler:
             got = [scheduler.predict(row) for row in queries]
         np.testing.assert_array_equal(got, expected)
 
     def test_top_k_future_payload(self, engine, small_problem):
         row = small_problem["test_features"][0]
-        with BatchScheduler(engine, max_batch_size=4, max_wait_ms=1.0) as scheduler:
+        with BatchScheduler(engine, max_batch_size=4) as scheduler:
             labels, scores = scheduler.top_k(row, k=3)
         expected_labels, expected_scores = engine.top_k(row[None, :], k=3)
         np.testing.assert_array_equal(labels, expected_labels[0])
@@ -55,70 +80,89 @@ class TestCorrectness:
 
     def test_mixed_top_k_in_one_batch(self, engine, small_problem):
         queries = small_problem["test_features"][:6]
-        with BatchScheduler(engine, max_batch_size=8, max_wait_ms=50.0) as scheduler:
+        gated = _GatedEngine(engine)
+        with BatchScheduler(gated, max_batch_size=8) as scheduler:
+            _hold_first_batch(scheduler, gated, queries[0])
             futures = [
                 scheduler.submit(row, top_k=k)
                 for row, k in zip(queries, [1, 2, 3, 1, 4, 2])
             ]
+            gated.release.set()
             results = [future.result(timeout=10) for future in futures]
-        for (labels, scores), k in zip(results, [1, 2, 3, 1, 4, 2]):
+        assert gated.batch_sizes == [1, 6]
+        expected, _ = engine.top_k(queries, k=4)
+        for row, ((labels, scores), k) in enumerate(zip(results, [1, 2, 3, 1, 4, 2])):
             assert labels.shape == (k,)
             assert scores.shape == (k,)
+            np.testing.assert_array_equal(labels, expected[row, :k])
 
 
 class TestCoalescing:
     def test_concurrent_submits_coalesce(self, engine, small_problem):
-        counting = _CountingEngine(engine)
-        queries = small_problem["test_features"][:32]
-        with BatchScheduler(counting, max_batch_size=16, max_wait_ms=50.0) as scheduler:
-            futures = [scheduler.submit(row) for row in queries]
-            for future in futures:
-                future.result(timeout=10)
-        assert max(counting.batch_sizes) > 1
-        assert sum(counting.batch_sizes) == 32
+        gated = _GatedEngine(engine)
+        queries = small_problem["test_features"][:33]
+        with BatchScheduler(gated, max_batch_size=16) as scheduler:
+            blocker = _hold_first_batch(scheduler, gated, queries[0])
+            futures = [blocker] + [scheduler.submit(row) for row in queries[1:]]
+            gated.release.set()
+            got = [future.result(timeout=10)[0][0] for future in futures]
+        # Requests queued behind the in-flight batch form full batches.
+        assert gated.batch_sizes == [1, 16, 16]
+        np.testing.assert_array_equal(got, engine.predict(queries))
 
     def test_max_batch_size_respected(self, engine, small_problem):
-        counting = _CountingEngine(engine)
-        queries = small_problem["test_features"][:20]
-        with BatchScheduler(counting, max_batch_size=4, max_wait_ms=50.0) as scheduler:
-            futures = [scheduler.submit(row) for row in queries]
+        gated = _GatedEngine(engine)
+        queries = small_problem["test_features"][:21]
+        with BatchScheduler(gated, max_batch_size=4) as scheduler:
+            _hold_first_batch(scheduler, gated, queries[0])
+            futures = [scheduler.submit(row) for row in queries[1:]]
+            gated.release.set()
             for future in futures:
                 future.result(timeout=10)
-        assert max(counting.batch_sizes) <= 4
+        assert gated.batch_sizes == [1, 4, 4, 4, 4, 4]
 
-    def test_max_wait_flushes_partial_batch(self, engine, small_problem):
-        # One lone request must not wait for a full batch: with a large
-        # max_batch_size and a short max_wait the result arrives promptly.
-        with BatchScheduler(engine, max_batch_size=1024, max_wait_ms=5.0) as scheduler:
+    def test_lone_request_runs_at_once(self, engine, small_problem):
+        # No timer: a request that finds the collector idle is a batch of
+        # one, started as soon as it is queued.
+        gated = _GatedEngine(engine)
+        gated.release.set()
+        with BatchScheduler(gated, max_batch_size=1024) as scheduler:
             started = time.monotonic()
             scheduler.predict(small_problem["test_features"][0], timeout=10)
             elapsed = time.monotonic() - started
-        assert elapsed < 5.0  # far below any full-batch wait
+        assert gated.batch_sizes == [1]
+        assert elapsed < 1.0
 
     def test_concurrent_callers_under_thread_pool(self, engine, small_problem):
         queries = small_problem["test_features"][:40]
         expected = engine.predict(queries)
         metrics = ModelMetrics()
-        with BatchScheduler(
-            engine, max_batch_size=8, max_wait_ms=20.0, num_workers=2, metrics=metrics
-        ) as scheduler:
+        gated = _GatedEngine(engine)
+        with BatchScheduler(gated, max_batch_size=4, metrics=metrics) as scheduler:
+            blocker = _hold_first_batch(scheduler, gated, queries[0])
             with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(scheduler.predict, queries))
+                results = pool.map(scheduler.predict, queries)
+                # Each of the eight callers has one request queued behind
+                # the held batch.
+                _wait_for_queue(scheduler, 8)
+                gated.release.set()
+                got = list(results)
+            blocker.result(timeout=10)
         np.testing.assert_array_equal(got, expected)
+        assert gated.batch_sizes[:2] == [1, 4]
         distribution = metrics.batch_size_distribution
-        assert sum(size * count for size, count in distribution.items()) == 40
-        assert max(distribution) > 1
+        assert sum(size * count for size, count in distribution.items()) == 41
 
 
 class TestLifecycleAndErrors:
     def test_submit_after_stop_raises(self, engine, small_problem):
-        scheduler = BatchScheduler(engine, max_batch_size=4, max_wait_ms=1.0)
+        scheduler = BatchScheduler(engine, max_batch_size=4)
         scheduler.stop()
         with pytest.raises(RuntimeError):
             scheduler.submit(small_problem["test_features"][0])
 
     def test_stop_is_idempotent(self, engine):
-        scheduler = BatchScheduler(engine, max_batch_size=4, max_wait_ms=1.0)
+        scheduler = BatchScheduler(engine, max_batch_size=4)
         scheduler.stop()
         scheduler.stop()
 
@@ -128,9 +172,7 @@ class TestLifecycleAndErrors:
                 raise RuntimeError("engine exploded")
 
         metrics = ModelMetrics()
-        scheduler = BatchScheduler(
-            Broken(), max_batch_size=4, max_wait_ms=1.0, metrics=metrics
-        )
+        scheduler = BatchScheduler(Broken(), max_batch_size=4, metrics=metrics)
         try:
             future = scheduler.submit(small_problem["test_features"][0])
             with pytest.raises(RuntimeError, match="engine exploded"):
@@ -144,9 +186,14 @@ class TestLifecycleAndErrors:
         # the valid requests in the same batch still get answers.
         good_rows = small_problem["test_features"][:3]
         bad_row = np.zeros(5)  # model expects 24 features
-        with BatchScheduler(engine, max_batch_size=8, max_wait_ms=100.0) as scheduler:
+        gated = _GatedEngine(engine)
+        with BatchScheduler(gated, max_batch_size=8) as scheduler:
+            _hold_first_batch(scheduler, gated, good_rows[0])
             futures = [scheduler.submit(row) for row in good_rows]
             bad_future = scheduler.submit(bad_row)
+            # All four wait behind the held batch, so they form the next one.
+            assert scheduler.queue_depth == 4
+            gated.release.set()
             results = [future.result(timeout=10) for future in futures]
             with pytest.raises(ValueError):
                 bad_future.result(timeout=10)
@@ -161,7 +208,7 @@ class TestLifecycleAndErrors:
                 time.sleep(0.05)
                 return engine.top_k(features, k=k)
 
-        scheduler = BatchScheduler(Slow(), max_batch_size=1, max_wait_ms=0.0)
+        scheduler = BatchScheduler(Slow(), max_batch_size=1)
         futures = [
             scheduler.submit(row) for row in small_problem["test_features"][:10]
         ]
@@ -173,12 +220,58 @@ class TestLifecycleAndErrors:
             except RuntimeError as error:
                 assert "stopped" in str(error)
 
+    def test_stop_timeout_fails_requests_behind_a_stuck_batch(
+        self, engine, small_problem
+    ):
+        rows = small_problem["test_features"][:3]
+        gated = _GatedEngine(engine)
+        scheduler = BatchScheduler(gated, max_batch_size=4)
+        blocker = _hold_first_batch(scheduler, gated, rows[0])
+        queued = [scheduler.submit(row) for row in rows[1:]]
+        scheduler.stop(timeout=0.05)
+        for future in queued:
+            with pytest.raises(RuntimeError, match="stopped"):
+                future.result(timeout=10)
+        # The in-flight batch still answers, and the collector then exits.
+        gated.release.set()
+        assert blocker.result(timeout=10)[0].shape == (1,)
+        scheduler._collector.join(timeout=10)
+        assert not scheduler._collector.is_alive()
+        assert gated.batch_sizes == [1]
+
+    def test_cancelled_request_is_skipped(self, engine, small_problem):
+        rows = small_problem["test_features"][:3]
+        gated = _GatedEngine(engine)
+        with BatchScheduler(gated, max_batch_size=4) as scheduler:
+            _hold_first_batch(scheduler, gated, rows[0])
+            cancelled = scheduler.submit(rows[1])
+            kept = scheduler.submit(rows[2])
+            assert cancelled.cancel()
+            gated.release.set()
+            labels, _ = kept.result(timeout=10)
+        assert gated.batch_sizes == [1, 1]
+        assert labels[0] == engine.predict(rows[2:3])[0]
+
+    def test_collector_survives_a_failing_batch(self, engine, small_problem):
+        class FailOnce(ModelMetrics):
+            failed = False
+
+            def record_stage(self, stage, seconds):
+                if not self.failed:
+                    self.failed = True
+                    raise OSError("disk full")
+                super().record_stage(stage, seconds)
+
+        row = small_problem["test_features"][0]
+        with BatchScheduler(engine, max_batch_size=4, metrics=FailOnce()) as scheduler:
+            with pytest.raises(OSError, match="disk full"):
+                scheduler.submit(row).result(timeout=10)
+            assert scheduler.predict(row, timeout=10) == engine.predict(row[None, :])[0]
+
     def test_rejects_bad_arguments(self, engine, small_problem):
         with pytest.raises(ValueError):
             BatchScheduler(engine, max_batch_size=0)
-        with pytest.raises(ValueError):
-            BatchScheduler(engine, max_wait_ms=-1)
-        with BatchScheduler(engine, max_batch_size=2, max_wait_ms=1.0) as scheduler:
+        with BatchScheduler(engine, max_batch_size=2) as scheduler:
             with pytest.raises(ValueError):
                 scheduler.submit(small_problem["test_features"][:2])  # 2-D
             with pytest.raises(ValueError):
@@ -192,7 +285,7 @@ class TestConcurrentSubmitters:
         # drops, or hangs — across enough rounds to shuffle batch formation.
         queries = small_problem["test_features"][:32]
         expected = engine.predict(queries)
-        with BatchScheduler(engine, max_batch_size=8, max_wait_ms=1.0) as scheduler:
+        with BatchScheduler(engine, max_batch_size=8) as scheduler:
             def one_client(index):
                 results = []
                 for _ in range(5):
@@ -210,7 +303,7 @@ class TestConcurrentSubmitters:
     def test_concurrent_mixed_top_k(self, engine, small_problem):
         queries = small_problem["test_features"][:16]
         labels_k3, _ = engine.top_k(queries, k=3)
-        with BatchScheduler(engine, max_batch_size=4, max_wait_ms=1.0) as scheduler:
+        with BatchScheduler(engine, max_batch_size=4) as scheduler:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [
                     pool.submit(scheduler.top_k, queries[index], 1 + index % 3)
@@ -223,27 +316,13 @@ class TestConcurrentSubmitters:
                     assert np.array_equal(labels, labels_k3[index, :k])
 
 
-class _StallEngine:
-    """An engine whose top_k blocks until released (to back the queue up)."""
-
-    def __init__(self, engine):
-        self._engine = engine
-        self.release = threading.Event()
-
-    def top_k(self, features, k):
-        self.release.wait(timeout=30)
-        return self._engine.top_k(features, k=k)
-
-
 class TestOverloadAndDeadlines:
     def test_bounded_queue_sheds_when_full(self, engine, small_problem):
         from repro.serve.batching import SchedulerOverloadedError
 
         queries = small_problem["test_features"]
-        stall = _StallEngine(engine)
-        scheduler = BatchScheduler(
-            stall, max_batch_size=4, max_wait_ms=1.0, max_queue_depth=3
-        )
+        stall = _GatedEngine(engine)
+        scheduler = BatchScheduler(stall, max_batch_size=4, max_queue_depth=3)
         try:
             futures = []
             # Fill the (stalled) queue past its bound; the excess must shed
@@ -264,8 +343,8 @@ class TestOverloadAndDeadlines:
         from repro.cluster.errors import DeadlineExceededError
 
         row = small_problem["test_features"][0]
-        stall = _StallEngine(engine)
-        scheduler = BatchScheduler(stall, max_batch_size=4, max_wait_ms=1.0)
+        stall = _GatedEngine(engine)
+        scheduler = BatchScheduler(stall, max_batch_size=4)
         try:
             # The first submit occupies the batch loop; the second's deadline
             # expires while it waits behind the stalled batch.
@@ -282,7 +361,7 @@ class TestOverloadAndDeadlines:
 
     def test_live_deadline_scores_normally(self, engine, small_problem):
         row = small_problem["test_features"][0]
-        with BatchScheduler(engine, max_batch_size=4, max_wait_ms=1.0) as scheduler:
+        with BatchScheduler(engine, max_batch_size=4) as scheduler:
             labels, _ = scheduler.top_k(row, k=1, deadline=time.monotonic() + 30.0)
         expected, _ = engine.top_k(row[None, :], k=1)
         np.testing.assert_array_equal(labels, expected[0])

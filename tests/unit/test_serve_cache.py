@@ -36,7 +36,7 @@ def app(small_problem):
     pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
     registry = ModelRegistry()
     registry.register("m", PackedInferenceEngine(pipeline, name="m"))
-    app = ServeApp(registry, max_wait_ms=0.5, cache_size=8)
+    app = ServeApp(registry, cache_size=8)
     yield app, pipeline, small_problem["test_features"]
     app.close()
 
@@ -92,7 +92,7 @@ class TestServeCache:
         _, pipeline, queries = app
         registry = ModelRegistry()
         registry.register("m", PackedInferenceEngine(pipeline, name="m"))
-        uncached = ServeApp(registry, max_wait_ms=0.5, cache_size=0)
+        uncached = ServeApp(registry, cache_size=0)
         try:
             payload = {"features": queries[0].tolist()}
             uncached.predict(payload)
