@@ -1,35 +1,23 @@
-"""Cluster scaling: throughput vs transport × ``--workers {1,2,4}``.
+"""Cluster scaling: throughput vs ``--workers {1,2,4}``.
 
 The multiprocess tier exists to beat the GIL on multi-core hosts, but its
 *correctness* contract — merged scores bit-identical to the single-process
-engine on every transport (pipe, shm, tcp), including the ensemble
-max-over-bank reduction — must hold on any machine.  So this harness always
-asserts parity, and gates the scaling assertions on the host actually having
-more than one core: single-core CI still runs everything and records honest
-numbers (annotated as dispatch overhead), it just skips the throughput
-comparisons, which would only measure fork + carriage overhead there.
-
-The dispatch micro-benchmark is the transport tier's headline claim and is
-asserted unconditionally: the shared-memory ring must move at least 10x
-fewer bytes through pipes per dispatch than the pipe transport at serving
-scale (D=4000, batch 64).  Its full result is committed as JSON next to the
-scaling table so the numbers backing the claim are inspectable.
+engine, including the ensemble max-over-bank reduction — must hold on any
+machine.  So this harness always asserts parity, and gates the scaling
+assertions on the host actually having more than one core: single-core CI
+still runs everything and records honest numbers (annotated as dispatch
+overhead), it just skips the throughput comparisons, which would only
+measure fork + pipe overhead there.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, print_report
-from repro.cluster.bench import (
-    format_microbench_rows,
-    format_scaling_rows,
-    run_cluster_scaling_benchmark,
-    run_dispatch_microbench,
-)
+from benchmarks.conftest import print_report
+from repro.cluster.bench import format_scaling_rows, run_cluster_scaling_benchmark
 from repro.eval.tables import format_table
 
 #: On a multi-core host the sharded cluster must not fall off a cliff vs the
@@ -37,16 +25,12 @@ from repro.eval.tables import format_table
 #: regressions in the dispatch path still trip this).
 MIN_MULTICORE_RELATIVE_RATE = 0.8
 
-#: With two workers pinned to distinct CPUs the shm cluster must actually
-#: scale — the whole point of the transport tier (only asserted when two
-#: CPUs exist to pin to).
+#: With two workers pinned to distinct CPUs the cluster must actually scale
+#: — the whole point of the worker pool (only asserted when two CPUs exist
+#: to pin to).
 MIN_PINNED_TWO_WORKER_SPEEDUP = 1.5
 
-#: The committed shm claim: ≥10x fewer pipe bytes per dispatch than pipe.
-MIN_SHM_PIPE_BYTE_REDUCTION = 10.0
-
 WORKER_COUNTS = (1, 2, 4)
-TRANSPORTS = ("pipe", "shm", "tcp")
 
 
 @pytest.fixture(scope="module")
@@ -58,21 +42,7 @@ def scaling_result():
         num_samples=256,
         batch_size=64,
         worker_counts=WORKER_COUNTS,
-        transports=TRANSPORTS,
         cpu_affinity="auto",
-        seed=0,
-    )
-
-
-@pytest.fixture(scope="module")
-def microbench_result():
-    return run_dispatch_microbench(
-        dimension=4000,
-        num_features=64,
-        num_classes=10,
-        batch_size=64,
-        k=10,
-        transports=TRANSPORTS,
         seed=0,
     )
 
@@ -104,67 +74,19 @@ def test_cluster_scaling_report(scaling_result):
 
 
 def test_merged_scores_are_bit_identical(scaling_result):
-    """Parity holds on every transport × worker count + the ensemble merge."""
+    """Parity holds for every worker count + the ensemble merge."""
     parity = scaling_result["parity"]
-    for transport in TRANSPORTS:
-        for count in WORKER_COUNTS:
-            key = f"{transport}:workers-{count}"
-            assert parity[key], f"score mismatch for {key}"
-        assert parity[f"ensemble:{transport}-workers-2"], (
-            f"ensemble max-over-bank merge mismatch on {transport}"
-        )
-
-
-def test_dispatch_microbench_report(microbench_result):
-    """Persist the per-dispatch cost table + the raw JSON behind the claim."""
-    config = microbench_result["config"]
-    body = format_table(
-        [
-            "transport",
-            "us/dispatch",
-            "pipe B/disp",
-            "shm B/disp",
-            "socket B/disp",
-            "frames/disp",
-            "pipe-byte cut",
-        ],
-        format_microbench_rows(microbench_result),
-    )
-    body += f"\nhost cpu count: {microbench_result['cpu_count']}"
-    title = (
-        f"Cluster dispatch micro-benchmark (D={config['dimension']}, "
-        f"batch={config['batch_size']}, k={config['k']})"
-    )
-    print_report(title, body)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(
-        RESULTS_DIR,
-        f"cluster_dispatch_microbench_d_{config['dimension']}"
-        f"_batch_{config['batch_size']}.json",
-    )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(microbench_result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def test_shm_ring_cuts_pipe_bytes_10x(microbench_result):
-    """The shm ring moves ≥10x fewer bytes through pipes than pipe transport."""
-    reduction = microbench_result["pipe_byte_reduction"]["shm"]
-    assert reduction >= MIN_SHM_PIPE_BYTE_REDUCTION, (
-        f"shm transport only cut pipe bytes by {reduction:.1f}x "
-        f"(need >= {MIN_SHM_PIPE_BYTE_REDUCTION:.0f}x)"
-    )
+    for count in WORKER_COUNTS:
+        key = f"workers-{count}"
+        assert parity[key], f"score mismatch for {key}"
+    assert parity["ensemble:workers-2"], "ensemble max-over-bank merge mismatch"
 
 
 def test_multicore_scaling(scaling_result):
     """On multi-core hosts the cluster must hold its own against one process."""
     if (os.cpu_count() or 1) < 2:
         pytest.skip("single-core host: cluster scaling is not expected to pay off")
-    best = max(
-        scaling_result["rates"][f"{transport}:workers-{count}"]
-        for transport in TRANSPORTS
-        for count in WORKER_COUNTS
-    )
+    best = max(scaling_result["rates"][f"workers-{count}"] for count in WORKER_COUNTS)
     floor = MIN_MULTICORE_RELATIVE_RATE * scaling_result["rates"]["single-process"]
     assert best >= floor, (
         f"best cluster rate {best:.0f}/s fell below "
@@ -173,16 +95,13 @@ def test_multicore_scaling(scaling_result):
 
 
 def test_two_pinned_workers_speed_up(scaling_result):
-    """With ≥2 CPUs, two pinned shm workers must clear 1.5x single-process."""
+    """With ≥2 CPUs, two pinned workers must clear 1.5x single-process."""
     if scaling_result["cpu_count"] < 2:
         pytest.skip(
             "single-CPU host: pinning cannot create parallelism "
             f"(recorded honestly: {scaling_result['scaling_note']})"
         )
-    best = max(
-        scaling_result["speedups"][f"{transport}:workers-2"]
-        for transport in TRANSPORTS
-    )
+    best = scaling_result["speedups"]["workers-2"]
     assert best >= MIN_PINNED_TWO_WORKER_SPEEDUP, (
         f"best 2-pinned-worker speedup {best:.2f}x fell below "
         f"{MIN_PINNED_TWO_WORKER_SPEEDUP}x despite {scaling_result['cpu_count']} CPUs"

@@ -15,8 +15,7 @@ regenerated without writing any Python:
 * ``python -m repro serve --model model.npz --port 8080`` — serve saved
   models over JSON/HTTP with micro-batched packed inference
   (``--workers N`` adds the multiprocess tier: N worker processes sharing
-  the packed model bank through shared memory, with ``--transport
-  {pipe,shm,tcp}`` choosing the shard data plane; ``--trace FILE`` writes
+  the packed model bank through shared memory; ``--trace FILE`` writes
   JSONL request traces, ``--log-level info`` enables the access log, and
   ``GET /metrics`` exposes Prometheus text format);
 * ``python -m repro loadgen --url http://host:8080`` — soak-test a serving
@@ -32,10 +31,6 @@ regenerated without writing any Python:
   utilisation, fleet paging, breakers; ``--once --json`` for scripts;
 * ``python -m repro bench-serve`` — the serving throughput comparison
   (single-sample vs micro-batched, dense vs packed);
-* ``python -m repro bench-dispatch`` — the cluster-transport micro-benchmark
-  (per-dispatch wall time and exact bytes moved through pipe vs
-  shared-memory ring vs TCP socket, parity asserted bit-identical before
-  any timing); ``--quick`` for CI smoke;
 * ``python -m repro bench-kernels`` — the kernel-layer benchmark (fused
   encode vs the seed loop, packed XOR+popcount predict vs dense dot,
   float32-policy training vs forced float64); ``--quick`` for CI smoke;
@@ -146,16 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--transport",
-        default="pipe",
-        choices=["pipe", "shm", "tcp"],
-        help=(
-            "cluster data plane for shard payloads when --workers > 1: "
-            "pickled pipes (default), shared-memory rings with control "
-            "frames on the pipe, or framed localhost TCP sockets"
-        ),
-    )
-    serve.add_argument(
         "--cache-size",
         type=int,
         default=1024,
@@ -163,15 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-resident", type=int, default=4, help="LRU cap on in-memory engines"
-    )
-    serve.add_argument(
-        "--kernel-backend",
-        default=None,
-        choices=["numpy", "threaded", "multiprocess"],
-        help=(
-            "kernel backend for the inference workers (overrides the "
-            "REPRO_KERNEL_BACKEND environment variable; default: env, then numpy)"
-        ),
     )
     serve.add_argument(
         "--max-queue-depth",
@@ -338,12 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the in-process target (1 = single process)",
-    )
-    loadgen.add_argument(
-        "--transport",
-        default="pipe",
-        choices=["pipe", "shm", "tcp"],
-        help="cluster data plane for the in-process target when --workers > 1",
     )
     loadgen.add_argument("--max-batch-size", type=int, default=64)
     loadgen.add_argument(
@@ -555,34 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--concurrency", type=int, default=8)
     bench_serve.add_argument("--seed", type=int, default=0)
 
-    bench_dispatch = subparsers.add_parser(
-        "bench-dispatch",
-        help=(
-            "per-dispatch transport micro-benchmark: bytes by carriage "
-            "(pipe/shm/socket), frames, wall time; parity asserted first"
-        ),
-    )
-    bench_dispatch.add_argument("--dimension", type=int, default=4000)
-    bench_dispatch.add_argument("--features", type=int, default=64)
-    bench_dispatch.add_argument("--classes", type=int, default=10)
-    bench_dispatch.add_argument("--batch-size", type=int, default=64)
-    bench_dispatch.add_argument("--top-k", type=int, default=10)
-    bench_dispatch.add_argument("--repeats", type=int, default=30)
-    bench_dispatch.add_argument(
-        "--transports",
-        nargs="+",
-        default=["pipe", "shm", "tcp"],
-        choices=["pipe", "shm", "tcp"],
-        help="transports to measure (default: all three)",
-    )
-    bench_dispatch.add_argument("--seed", type=int, default=0)
-    bench_dispatch.add_argument(
-        "--quick", action="store_true", help="shrink sizes for a CI smoke run"
-    )
-    bench_dispatch.add_argument(
-        "--json", default=None, metavar="PATH", help="also write the results as JSON"
-    )
-
     bench_kernels = subparsers.add_parser(
         "bench-kernels",
         help="kernel-layer benchmark: fused encode, packed predict, dtype policy",
@@ -759,16 +701,11 @@ def command_predict(args) -> int:
 
 
 def command_serve(args) -> int:  # pragma: no cover - blocking server loop
-    from repro.kernels.dispatch import set_backend
     from repro.serve import ModelRegistry, ServeApp
     from repro.serve.server import run_server
 
     from pathlib import Path
 
-    if args.kernel_backend is not None:
-        # Process-wide: the scheduler's inference worker threads all resolve
-        # kernels through the dispatch registry, so one call covers them.
-        set_backend(args.kernel_backend)
     registry = ModelRegistry(max_resident=args.max_resident)
     for spec in args.model:
         # NAME=PATH syntax; a bare PATH takes the file stem as its name.
@@ -812,7 +749,6 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
         registry,
         max_batch_size=args.max_batch_size,
         num_processes=args.workers if args.workers > 1 else 0,
-        transport=args.transport,
         cache_size=args.cache_size,
         max_queue_depth=args.max_queue_depth,
         max_concurrent=args.max_concurrent,
@@ -1029,7 +965,6 @@ def command_loadgen(args) -> int:
             registry,
             max_batch_size=args.max_batch_size,
             num_processes=args.workers if args.workers > 1 else 0,
-            transport=args.transport,
             cache_size=args.cache_size,
             max_queue_depth=args.max_queue_depth,
             max_concurrent=args.max_concurrent,
@@ -1045,7 +980,7 @@ def command_loadgen(args) -> int:
 
     # Chaos and fleet runs also audit shm hygiene: every segment the soak
     # creates must be gone once the app closes (a leak means a crashed
-    # worker, a missed unlink, or an eviction that never reached close()).
+    # worker, a missed unlink, or an evicted pool that never reached close()).
     audit_shm = fault_plan is not None or (args.models > 1 and args.workers > 1)
     shm_before = _list_shm_segments() if audit_shm else None
 
@@ -1117,11 +1052,8 @@ def command_loadgen(args) -> int:
                 "respawns",
                 "hangs",
                 "shard_retries",
-                "transport_errors",
                 "worker_faults",
-                "bank_faults",
                 "bank_evictions",
-                "bank_restores",
             )
         )
         if not injected:
@@ -1260,59 +1192,6 @@ def command_bench_serve(args) -> int:
     return 0
 
 
-def command_bench_dispatch(args) -> int:
-    import json
-
-    from repro.cluster.bench import format_microbench_rows, run_dispatch_microbench
-
-    result = run_dispatch_microbench(
-        dimension=500 if args.quick else args.dimension,
-        num_features=args.features,
-        num_classes=args.classes,
-        batch_size=min(args.batch_size, 32) if args.quick else args.batch_size,
-        k=args.top_k,
-        repeats=5 if args.quick else args.repeats,
-        transports=args.transports,
-        seed=args.seed,
-    )
-    config = result["config"]
-    print(
-        format_table(
-            [
-                "transport",
-                "us/dispatch",
-                "pipe B/disp",
-                "shm B/disp",
-                "socket B/disp",
-                "frames/disp",
-                "pipe-byte cut",
-            ],
-            format_microbench_rows(result),
-            title=(
-                f"Dispatch micro-benchmark (D={config['dimension']}, "
-                f"batch={config['batch_size']}, k={config['k']})"
-            ),
-        )
-    )
-    print(f"host cpu count: {result['cpu_count']}")
-    if args.quick:
-        # Parity is asserted inside the harness before timing; the smoke
-        # additionally pins the headline byte claim when shm was measured.
-        reduction = result["pipe_byte_reduction"].get("shm")
-        if reduction is not None and reduction < 10.0:
-            print(
-                f"error: shm pipe-byte reduction {reduction:.1f}x < 10x",
-                file=sys.stderr,
-            )
-            return 1
-        print("quick-mode checks passed: parity exact on every transport")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2)
-        print(f"results written to {args.json}")
-    return 0
-
-
 def command_bench_kernels(args) -> int:
     import json
 
@@ -1384,8 +1263,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return command_top(args)
     if args.command == "bench-serve":
         return command_bench_serve(args)
-    if args.command == "bench-dispatch":
-        return command_bench_dispatch(args)
     if args.command == "bench-kernels":
         return command_bench_kernels(args)
     if args.command == "bench-train":

@@ -10,12 +10,8 @@ scale-out tier that breaks that cap without duplicating the model:
   :class:`SharedBankHandle` / :class:`WorkerModelSpec` and the worker-side
   :func:`build_worker_engine` that reconstructs a
   :class:`~repro.serve.engine.PackedInferenceEngine` over the mapped words;
-* :mod:`repro.cluster.transport` — the pluggable data plane: one
-  request/reply protocol behind three carriages (``pipe`` pickling, ``shm``
-  shared-memory rings with control frames on the pipe, ``tcp`` framed
-  localhost sockets), each with exact byte accounting;
-* :mod:`repro.cluster.worker` — the worker process loop (the tiny
-  request/reply protocol over its transport endpoint);
+* :mod:`repro.cluster.worker` — the worker process loop (a tiny
+  request/reply protocol of pickled frames over its duplex pipe);
 * :mod:`repro.cluster.dispatcher` — :class:`ClusterDispatcher` validates +
   packs each batch once, shards the packed words across the pool, merges
   scores bit-identically (including the ensemble max-over-bank reduction),
@@ -26,16 +22,12 @@ scale-out tier that breaks that cap without duplicating the model:
   to status codes.
 
 Wired into serving as ``ServeApp(..., num_processes=N)`` /
-``repro serve --workers N``, and complemented on the kernel side by the
-``multiprocess`` dispatch backend (``REPRO_KERNEL_BACKEND=multiprocess``)
-which shards ``packed.bit_differences`` across a process pool.
+``repro serve --workers N``.
 """
 
 from repro.cluster.affinity import available_cpus, build_pin_map, pin_process
 from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.errors import (
-    BankEvictedError,
-    BankUnavailableError,
     ClusterError,
     DeadlineExceededError,
     DispatcherClosedError,
@@ -43,10 +35,8 @@ from repro.cluster.errors import (
     WorkerFaultError,
     WorkerStartupError,
 )
-from repro.cluster.transport import TRANSPORT_NAMES, Transport, TransportError
 from repro.cluster.shared import (
     AttachedBank,
-    BankLease,
     SharedBankHandle,
     SharedModelStore,
     WorkerModelSpec,
@@ -57,18 +47,12 @@ from repro.cluster.shared import (
 
 __all__ = [
     "AttachedBank",
-    "BankEvictedError",
-    "BankLease",
-    "BankUnavailableError",
     "ClusterDispatcher",
     "ClusterError",
     "DeadlineExceededError",
     "DispatcherClosedError",
     "SharedBankHandle",
     "SharedModelStore",
-    "TRANSPORT_NAMES",
-    "Transport",
-    "TransportError",
     "WorkerCrashedError",
     "WorkerFaultError",
     "WorkerModelSpec",

@@ -1,33 +1,20 @@
-"""Cluster benchmarks: dispatch micro-costs and scaling, parity always.
+"""Cluster scaling benchmark: throughput vs worker count, parity always.
 
-Shared by ``benchmarks/bench_cluster_scaling.py`` and ``repro
-bench-dispatch``.  Two harnesses over one trained model at serving scale
-(D=4000 by default):
+Used by ``benchmarks/bench_cluster_scaling.py``.
+:func:`run_cluster_scaling_benchmark` measures samples/second of the sharded
+cluster vs the single-process engine over one trained model at serving
+scale (D=4000 by default), swept over worker count, with workers pinned
+round-robin via ``sched_setaffinity`` where the platform allows it.
 
-* :func:`run_dispatch_microbench` — the per-dispatch cost of each transport
-  (pipe / shm / tcp) with one worker, so the number isolates carriage
-  overhead rather than parallelism: wall time per dispatch, exact bytes by
-  carriage (pipe vs shared-memory slab vs socket) from the endpoints' own
-  counters, and an estimated syscall count (two per frame: one write, one
-  read).  The headline claim — the shm ring moves an order of magnitude
-  fewer bytes through pipes than the pipe baseline — is read straight off
-  ``pipe_bytes_per_dispatch``.
-* :func:`run_cluster_scaling_benchmark` — samples/second of the sharded
-  cluster vs the single-process engine, swept over transport × worker count
-  (and optionally batch size), with workers pinned round-robin via
-  ``sched_setaffinity`` where the platform allows it.
-
-Both harnesses assert bit-identical parity against the single-process
-engine *before* any timing is reported, and both record ``cpu_count``, the
+Bit-identical parity against the single-process engine is checked for
+every configuration, and the result records ``cpu_count``, the
 available-CPU mask, and the per-worker pin map — on a single-CPU host the
 scaling result carries an explicit note that speedup is not claimed there
-(the cluster pays fork + carriage overhead for no parallelism), instead of
-silently benchmarking workers below single-process as the pre-transport
-harness did.
+(the cluster pays fork + pipe overhead for no parallelism).
 
-An ensemble (``MultiModelHDC``) parity check rides along on every transport
-so the max-over-bank merge path is exercised at benchmark scale, not just
-in the unit tests.
+An ensemble (``MultiModelHDC``) parity check rides along so the
+max-over-bank merge path is exercised at benchmark scale, not just in the
+unit tests.
 """
 
 from __future__ import annotations
@@ -43,7 +30,6 @@ from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.cluster.affinity import available_cpus
 from repro.cluster.dispatcher import ClusterDispatcher
-from repro.cluster.transport import TRANSPORT_NAMES
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.hdc.encoders import RecordEncoder
 from repro.serve.engine import PackedInferenceEngine
@@ -83,100 +69,6 @@ def _build_engine(
     return engine, train_features, train_labels, test_features[:num_samples]
 
 
-# ------------------------------------------------------------- micro-bench
-def run_dispatch_microbench(
-    dimension: int = 4000,
-    num_features: int = 64,
-    num_classes: int = 10,
-    batch_size: int = 64,
-    k: int = 10,
-    repeats: int = 30,
-    transports: Sequence[str] = TRANSPORT_NAMES,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Per-dispatch transport cost with one worker: bytes, frames, wall time.
-
-    Parity against the single-process engine is asserted (bit-identical
-    labels *and* scores) before a single timed dispatch; the byte counters
-    come from the parent endpoints themselves, so ``pipe_bytes_per_dispatch``
-    is exact, not estimated.  Returns per-transport cost dictionaries plus
-    ``pipe_byte_reduction`` (pipe-transport pipe bytes ÷ each transport's
-    pipe bytes — the committed ≥10x claim for ``shm``).
-    """
-    engine, _, _, queries = _build_engine(
-        dimension, num_features, num_classes, max(batch_size, 64), seed
-    )
-    batch = queries[:batch_size]
-    expected_labels, expected_scores = engine.top_k(batch, k=k)
-
-    costs: Dict[str, Dict[str, float]] = {}
-    for transport in transports:
-        with ClusterDispatcher(
-            engine, num_workers=1, transport=transport, name=f"micro-{transport}"
-        ) as dispatcher:
-            labels, scores = dispatcher.top_k(batch, k=k)
-            if not (
-                np.array_equal(labels, expected_labels)
-                and np.array_equal(scores, expected_scores)
-            ):
-                raise AssertionError(
-                    f"{transport} transport broke top-k parity; refusing to time it"
-                )
-            dispatcher.top_k(batch, k=k)  # warm the slabs / socket buffers
-            before = dispatcher.transport_stats()["totals"]
-            started = time.perf_counter()
-            for _ in range(repeats):
-                dispatcher.top_k(batch, k=k)
-            elapsed = time.perf_counter() - started
-            after = dispatcher.transport_stats()["totals"]
-        delta = {key: after[key] - before[key] for key in after}
-        frames = delta["frames_sent"] + delta["frames_received"]
-        costs[transport] = {
-            "wall_seconds_per_dispatch": elapsed / repeats,
-            "samples_per_second": batch_size * repeats / elapsed,
-            "pipe_bytes_per_dispatch": delta["pipe_bytes"] / repeats,
-            "shm_bytes_per_dispatch": delta["shm_bytes"] / repeats,
-            "socket_bytes_per_dispatch": delta["socket_bytes"] / repeats,
-            "payload_bytes_per_dispatch": delta["payload_bytes"] / repeats,
-            "bytes_avoided_per_dispatch": delta["bytes_avoided"] / repeats,
-            "frames_per_dispatch": frames / repeats,
-            # One write + one read per frame; raw-byte carriages add their
-            # own send/recv pairs but never scale with payload size the way
-            # pickled pipe traffic does.
-            "estimated_syscalls_per_dispatch": 2 * frames / repeats,
-            "inline_fallbacks": float(delta["inline_fallbacks"]),
-            "slab_grows": float(delta["slab_grows"]),
-        }
-
-    pipe_bytes = costs.get("pipe", {}).get("pipe_bytes_per_dispatch", 0.0)
-    # ``None`` (not inf) when a transport uses no pipe at all — the committed
-    # JSON stays strictly parseable.
-    reduction = {
-        transport: (
-            pipe_bytes / cost["pipe_bytes_per_dispatch"]
-            if cost["pipe_bytes_per_dispatch"] > 0
-            else None
-        )
-        for transport, cost in costs.items()
-    }
-    return {
-        "config": {
-            "dimension": dimension,
-            "num_features": num_features,
-            "num_classes": num_classes,
-            "batch_size": batch_size,
-            "k": k,
-            "repeats": repeats,
-            "transports": list(transports),
-        },
-        "cpu_count": os.cpu_count() or 1,
-        "available_cpus": available_cpus(),
-        "parity": {transport: True for transport in transports},
-        "transports": costs,
-        "pipe_byte_reduction": reduction,
-    }
-
-
 # ----------------------------------------------------------- scaling bench
 def run_cluster_scaling_benchmark(
     dimension: int = 4000,
@@ -186,15 +78,14 @@ def run_cluster_scaling_benchmark(
     batch_size: int = 64,
     worker_counts: Sequence[int] = (1, 2, 4),
     ensemble_models_per_class: int = 8,
-    transports: Sequence[str] = TRANSPORT_NAMES,
     cpu_affinity: Optional[str] = "auto",
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Measure cluster throughput per transport × worker count; verify parity.
+    """Measure cluster throughput per worker count; verify parity.
 
     Returns ``{config, cpu_count, available_cpus, pin_maps, rates, speedups,
-    parity, transport_totals, scaling_note}`` where ``rates`` maps
-    ``"single-process"`` and ``"<transport>:workers-N"`` to samples/second,
+    parity, scaling_note}`` where ``rates`` maps ``"single-process"`` and
+    ``"workers-N"`` to samples/second,
     ``speedups`` normalises by the single-process rate, ``pin_maps`` records
     the per-worker CPU assignment actually applied (``None`` entries mean
     the pin was skipped or refused), and ``scaling_note`` is a non-empty
@@ -215,32 +106,20 @@ def run_cluster_scaling_benchmark(
     }
     parity: Dict[str, bool] = {"single-process": True}
     pin_maps: Dict[str, object] = {}
-    transport_totals: Dict[str, Dict[str, int]] = {}
 
-    for transport in transports:
-        for count in worker_counts:
-            key = f"{transport}:workers-{count}"
-            with ClusterDispatcher(
-                engine,
-                num_workers=count,
-                transport=transport,
-                cpu_affinity=cpu_affinity,
-                name=key,
-            ) as dispatcher:
-                parity[key] = bool(
-                    np.array_equal(
-                        dispatcher.decision_scores(queries), reference_scores
-                    )
-                )
-                rates[key] = _throughput(
-                    lambda: run_batches(dispatcher.top_k), num_samples
-                )
-                pin_maps[key] = dispatcher.info()["pin_map"]
-                transport_totals[key] = dispatcher.transport_stats()["totals"]
+    for count in worker_counts:
+        key = f"workers-{count}"
+        with ClusterDispatcher(
+            engine, num_workers=count, cpu_affinity=cpu_affinity, name=key
+        ) as dispatcher:
+            parity[key] = bool(
+                np.array_equal(dispatcher.decision_scores(queries), reference_scores)
+            )
+            rates[key] = _throughput(lambda: run_batches(dispatcher.top_k), num_samples)
+            pin_maps[key] = dispatcher.info()["pin_map"]
 
-    # Ensemble max-over-bank merge parity at benchmark dimension, on every
-    # transport (the merge happens worker-side; each carriage must preserve
-    # it bit for bit).
+    # Ensemble max-over-bank merge parity at benchmark dimension (the merge
+    # happens worker-side and must survive the pipe bit for bit).
     ensemble_encoder = RecordEncoder(
         dimension=dimension, num_levels=16, tie_break="positive", seed=seed + 1
     )
@@ -254,15 +133,12 @@ def run_cluster_scaling_benchmark(
     ensemble_engine = PackedInferenceEngine(ensemble_pipeline, name="scaling-ens")
     ensemble_queries = queries[: min(64, num_samples)]
     ensemble_expected = ensemble_engine.decision_scores(ensemble_queries)
-    for transport in transports:
-        with ClusterDispatcher(
-            ensemble_engine, num_workers=2, transport=transport
-        ) as dispatcher:
-            parity[f"ensemble:{transport}-workers-2"] = bool(
-                np.array_equal(
-                    dispatcher.decision_scores(ensemble_queries), ensemble_expected
-                )
+    with ClusterDispatcher(ensemble_engine, num_workers=2) as dispatcher:
+        parity["ensemble:workers-2"] = bool(
+            np.array_equal(
+                dispatcher.decision_scores(ensemble_queries), ensemble_expected
             )
+        )
 
     cpu_count = os.cpu_count() or 1
     baseline_rate = rates["single-process"]
@@ -274,7 +150,6 @@ def run_cluster_scaling_benchmark(
             "num_samples": num_samples,
             "batch_size": batch_size,
             "worker_counts": list(worker_counts),
-            "transports": list(transports),
             "cpu_affinity": cpu_affinity,
             "ensemble_models_per_class": ensemble_models_per_class,
         },
@@ -284,7 +159,6 @@ def run_cluster_scaling_benchmark(
         "rates": rates,
         "speedups": {mode: rate / baseline_rate for mode, rate in rates.items()},
         "parity": parity,
-        "transport_totals": transport_totals,
         "scaling_note": (
             "cpu_count == 1: no parallelism is available, so worker rates "
             "measure dispatch overhead only and no speedup is claimed"
@@ -319,31 +193,4 @@ def format_scaling_rows(result: Dict[str, object]):
     return rows
 
 
-def format_microbench_rows(result: Dict[str, object]):
-    """Rows for the per-dispatch transport cost table."""
-    costs: Dict[str, Dict[str, float]] = result["transports"]  # type: ignore
-    reduction: Dict[str, float] = result["pipe_byte_reduction"]  # type: ignore
-    rows = []
-    for transport, cost in costs.items():
-        rows.append(
-            [
-                transport,
-                f"{cost['wall_seconds_per_dispatch'] * 1e6:.0f}",
-                f"{cost['pipe_bytes_per_dispatch']:.0f}",
-                f"{cost['shm_bytes_per_dispatch']:.0f}",
-                f"{cost['socket_bytes_per_dispatch']:.0f}",
-                f"{cost['frames_per_dispatch']:.1f}",
-                f"{reduction[transport]:.1f}x"
-                if reduction[transport] is not None
-                else "no pipe bytes",
-            ]
-        )
-    return rows
-
-
-__all__ = [
-    "format_microbench_rows",
-    "format_scaling_rows",
-    "run_cluster_scaling_benchmark",
-    "run_dispatch_microbench",
-]
+__all__ = ["format_scaling_rows", "run_cluster_scaling_benchmark"]

@@ -13,30 +13,28 @@ changes of its own.  Per batch it:
    ``uint64`` words (one ``ceil(D/64)``-word row per sample), not float
    features re-encoded per worker;
 2. splits the rows into contiguous shards, one per worker (a batch smaller
-   than the pool goes to the next worker round-robin), and scatters them
-   over per-worker transport endpoints — pipe, shared-memory ring, or TCP
-   socket, chosen at construction (see :mod:`repro.cluster.transport`);
+   than the pool goes to the next worker round-robin), and sends each shard
+   as one pickled ``(header, arrays)`` frame over that worker's duplex pipe;
 3. concatenates the per-shard results in shard order — row sharding keeps
    the merged output *bit-identical* to a single-process engine call,
    including the ensemble's max-over-bank reduction, which each worker
    applies to its own rows before replying.
 
-Failure semantics are transport-independent: a request-level exception
-inside a worker is re-raised in the caller with its original type preserved
-for ``ValueError`` so the HTTP layer still answers 400 (feature-width errors
-on the packed path raise parent-side, before any dispatch).  A worker
-*crash* is detected as a broken transport or silent process death; a *hang*
+A request-level exception inside a worker is re-raised in the caller with
+its original type preserved for ``ValueError`` so the HTTP layer still
+answers 400 (feature-width errors on the packed path raise parent-side,
+before any dispatch).  A worker *crash* is detected as a broken pipe or
+silent process death; a *hang*
 (alive but unresponsive past ``request_timeout``) is detected by the
 receive watchdog and the wedged process is forcibly retired (SIGTERM, then
 SIGKILL).  Either way the dispatcher retires the slot (infallible, so every
 other worker's pending reply is still drained and no channel ever
 desynchronises) and **retries the failed shards exactly once** on the lazily
 respawned pool — only a second consecutive failure surfaces
-:class:`~repro.cluster.errors.WorkerCrashedError` (HTTP 503).  Torn reply
-frames (``TransportError``) and transient worker faults
-(:class:`~repro.cluster.errors.WorkerFaultError`) are retried the same way
-without retiring the worker, since the channel realigns on the next
-request.
+:class:`~repro.cluster.errors.WorkerCrashedError` (HTTP 503).  Transient
+worker faults (:class:`~repro.cluster.errors.WorkerFaultError`) are retried
+the same way without retiring the worker, since the pipe realigns on the
+next request.
 
 Requests may carry an absolute monotonic *deadline*: it rides the op
 control frame so workers refuse to score expired shards, the receive
@@ -68,8 +66,6 @@ import numpy as np
 
 from repro.cluster.affinity import build_pin_map, pin_process
 from repro.cluster.errors import (
-    BankEvictedError,
-    BankUnavailableError,
     DeadlineExceededError,
     DispatcherClosedError,
     WorkerCrashedError,
@@ -77,15 +73,8 @@ from repro.cluster.errors import (
     WorkerStartupError,
 )
 from repro.cluster.shared import SharedModelStore, make_worker_spec
-from repro.cluster.transport import (
-    ParentEndpoint,
-    Transport,
-    TransportCounters,
-    TransportError,
-    make_transport,
-)
 from repro.cluster.worker import worker_main
-from repro.faults import PARENT_INDEX, PARENT_KINDS, FaultPlan
+from repro.faults import FaultPlan
 from repro.obs.shm_metrics import (
     WorkerStatsSlab,
     merge_worker_stats,
@@ -93,8 +82,6 @@ from repro.obs.shm_metrics import (
     worker_summary,
 )
 from repro.obs.trace import NULL_SPAN, Tracer, get_tracer
-
-_ROW_BYTES = 8  # labels/scores elements and packed words are 8-byte lanes
 
 #: Process-wide guard around the fork-critical window of a worker spawn.
 #: With the ``fork`` start method, two dispatchers spawning concurrently
@@ -116,8 +103,8 @@ def _reset_tracker_lock_after_fork() -> None:
 
     ``multiprocessing.resource_tracker`` guards its pipe with an ordinary
     ``threading`` lock and never re-initialises it after a fork.  In a busy
-    multi-tenant parent *any* thread — a shm publish, an eviction unlink —
-    may hold that lock at the fork moment; the child then deadlocks on its
+    multi-tenant parent *any* thread — a shm publish, a bank unlink — may
+    hold that lock at the fork moment; the child then deadlocks on its
     very first shared-memory attach (``register`` → ``ensure_running``),
     never reaches the ready handshake, and silently eats the whole startup
     timeout while ``is_alive()`` stays true.  ``_SPAWN_LOCK`` cannot help:
@@ -143,23 +130,19 @@ def _default_start_method() -> str:
 
 
 class _Worker:
-    __slots__ = ("process", "connection", "endpoint", "generation")
+    __slots__ = ("process", "connection")
 
-    def __init__(
-        self, process, connection, endpoint: ParentEndpoint, generation: int
-    ):
+    def __init__(self, process, connection):
         self.process = process
         self.connection = connection
-        self.endpoint = endpoint
-        # Generation of the bank segment this worker has attached.  Request
-        # headers only carry a (re-)attach handle when the leased bank has
-        # moved past this, so steady-state traffic pays zero header bytes
-        # for the fleet-paging protocol.
-        self.generation = generation
+
+    def send(self, header: dict, arrays: Sequence[np.ndarray] = ()) -> None:
+        """One pickled ``(header, arrays)`` request frame down the pipe."""
+        self.connection.send((header, list(arrays)))
 
 
 class _WorkerCrash(Exception):
-    """Internal marker: the transport broke or the process died mid-request."""
+    """Internal marker: the pipe broke or the process died mid-request."""
 
 
 class _WorkerHang(_WorkerCrash):
@@ -198,11 +181,6 @@ class ClusterDispatcher:
     name:
         Bank key in the store; defaults to the engine name.  Give versioned
         keys (``"model@v3"``) when hot-swapping so old and new banks coexist.
-    transport:
-        ``"pipe"`` (default), ``"shm"``, ``"tcp"``, or a pre-configured
-        :class:`~repro.cluster.transport.Transport` (tests use the latter to
-        shrink initial slab sizes and force growth).  See
-        :mod:`repro.cluster.transport` for the three data planes.
     cpu_affinity:
         ``None`` (no pinning, the default), ``"auto"`` (round-robin workers
         over the available CPUs via ``sched_setaffinity``), or an explicit
@@ -221,7 +199,7 @@ class ClusterDispatcher:
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When the calling thread
         has a sampled span open, each batch gets a ``dispatch`` span whose
-        context rides the worker transports; workers reply with finished
+        context rides the request frames; workers reply with finished
         ``worker:score`` span records that are stitched into the parent
         trace here.  Defaults to the process-wide tracer.
     metrics:
@@ -235,7 +213,6 @@ class ClusterDispatcher:
         num_workers: int = 2,
         store: Optional[SharedModelStore] = None,
         name: Optional[str] = None,
-        transport: Union[str, Transport] = "pipe",
         cpu_affinity: Union[None, str, Sequence[int]] = None,
         start_method: Optional[str] = None,
         startup_timeout: float = 60.0,
@@ -258,16 +235,6 @@ class ClusterDispatcher:
         self.startup_timeout = float(startup_timeout)
         self.request_timeout = float(request_timeout)
         self._fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
-        # Parent-side chaos cursor: the eviction-targeted kinds fire here,
-        # once per dispatch, under a pseudo worker index so their schedule is
-        # seed-stable and disjoint from every real worker's.
-        self._parent_injector = (
-            None
-            if self._fault_plan is None
-            else self._fault_plan.injector(PARENT_INDEX, kinds=PARENT_KINDS)
-        )
-        self._transport = make_transport(transport)
-        self.transport = self._transport.name
         self.cpu_count = os.cpu_count() or 1
         if cpu_affinity is None:
             self._pin_map: Dict[int, int] = {}
@@ -306,11 +273,8 @@ class ClusterDispatcher:
         self.respawns = 0
         self.hangs = 0
         self.shard_retries = 0
-        self.transport_errors = 0
         self.worker_faults = 0
         self.deadline_skips = 0
-        self.bank_restores = 0
-        self.bank_faults = 0
         self._started_monotonic = time.monotonic()
         # One stats slab per worker *slot*, owned by the dispatcher for its
         # whole lifetime: respawned workers inherit their slot's slab, so the
@@ -320,18 +284,8 @@ class ClusterDispatcher:
         try:
             for _ in range(self.num_workers):
                 self._slabs.append(WorkerStatsSlab.create())
-            # Pin the bank while the initial pool attaches.  Without a lease,
-            # a concurrent publish under the fleet residency cap can pick the
-            # brand-new segment as its LRU victim between our publish above
-            # and the workers' attach, and every worker then fails startup
-            # with FileNotFoundError.  The lease also restores the bank (and
-            # re-specs the handle) if that race already happened.
-            startup_lease = self._acquire_bank_lease()
-            try:
-                for index in range(self.num_workers):
-                    self._workers[index] = self._spawn(index)
-            finally:
-                startup_lease.release()
+            for index in range(self.num_workers):
+                self._workers[index] = self._spawn(index)
         except BaseException:
             self.close()
             raise
@@ -380,7 +334,7 @@ class ClusterDispatcher:
             for index in range(self.num_workers):
                 try:
                     worker = self._ensure_worker(index)
-                    worker.endpoint.send_request({"op": "ping"}, [])
+                    worker.send({"op": "ping"})
                     pids.append(self._receive(worker)[0])
                 except (_WorkerCrash, BrokenPipeError, EOFError, OSError):
                     self._retire_worker(index)
@@ -396,14 +350,13 @@ class ClusterDispatcher:
         The armed worker acknowledges, then hard-exits when the next batch
         shard reaches it — deterministically exercising the mid-batch crash
         path (:class:`WorkerCrashedError` + respawn) that a random ``kill``
-        can only hit by lucky timing.  The arming frame rides the active
-        transport, so the drill covers the shm/tcp crash paths too.
+        can only hit by lucky timing.
         """
         with self._lock:
             self._check_open()
             worker = self._ensure_worker(index)
             try:
-                worker.endpoint.send_request({"op": "poison"}, [])
+                worker.send({"op": "poison"})
                 self._receive(worker)
             except (_WorkerCrash, BrokenPipeError, EOFError, OSError):
                 self._retire_worker(index)
@@ -423,10 +376,9 @@ class ClusterDispatcher:
             if worker is None:
                 continue
             try:
-                worker.endpoint.send_request({"op": "stop"}, [])
+                worker.send({"op": "stop"})
             except (BrokenPipeError, EOFError, OSError):
                 pass
-            worker.endpoint.close()
             worker.connection.close()
         for worker in workers:
             if worker is None:
@@ -467,17 +419,13 @@ class ClusterDispatcher:
                 "failures": {
                     "hangs": self.hangs,
                     "shard_retries": self.shard_retries,
-                    "transport_errors": self.transport_errors,
                     "worker_faults": self.worker_faults,
                     "deadline_skips": self.deadline_skips,
-                    "bank_faults": self.bank_faults,
                 },
-                "bank_restores": self.bank_restores,
                 "fault_plan": (
                     self._fault_plan.describe() if self._fault_plan else None
                 ),
                 "start_method": self._context.get_start_method(),
-                "transport": self.transport,
                 "ships_packed_queries": self._ship_packed,
                 "cpu_count": self.cpu_count,
                 "pin_map": [
@@ -494,7 +442,6 @@ class ClusterDispatcher:
                 ],
                 "uptime_seconds": time.monotonic() - self._started_monotonic,
                 "workers": self.fleet_stats(),
-                "transport_stats": self.transport_stats(),
             }
 
     def fleet_stats(self) -> dict:
@@ -515,62 +462,10 @@ class ClusterDispatcher:
             "fleet": stats_summary(merged, uptime_seconds=uptime),
         }
 
-    def transport_stats(self) -> dict:
-        """Per-worker transport accounting (bytes by carriage, frame counts,
-        slab occupancy) plus fleet totals — the raw numbers behind the
-        ``bytes_avoided`` / ring-occupancy series in ``/v1/metrics``."""
-        per_worker: List[Optional[dict]] = []
-        totals = TransportCounters().snapshot()
-        for worker in self._workers:
-            if worker is None:
-                per_worker.append(None)
-                continue
-            stats = worker.endpoint.stats()
-            per_worker.append(stats)
-            for key in totals:
-                value = stats.get(key)
-                if isinstance(value, (int, float)):
-                    totals[key] += value
-        return {
-            "transport": self.transport,
-            "per_worker": per_worker,
-            "totals": totals,
-        }
-
     # -------------------------------------------------------------- internals
     def _check_open(self) -> None:
         if self._closed:
             raise DispatcherClosedError("ClusterDispatcher is closed")
-
-    def _restore_bank(self, slow: bool = False):
-        """Bring an evicted bank back from the parent engine (cold restore).
-
-        The parent engine keeps the packed words resident, so a restore is a
-        copy into a fresh segment — no disk load.  The worker spec is updated
-        in place so respawned workers attach the current generation.
-        """
-        if slow and self._fault_plan is not None:
-            time.sleep(self._fault_plan.slow_seconds)
-        handle = self._store.restore(self._bank_key, self._engine.packed_bank)
-        if handle.generation != self._spec.bank_handle.generation:
-            self.bank_restores += 1
-            self._spec.bank_handle = handle
-        return handle
-
-    def _acquire_bank_lease(self, slow: bool = False):
-        """Pin the bank for one dispatch, cold-restoring it if paged out."""
-        for _ in range(3):
-            try:
-                return self._store.lease(self._bank_key)
-            except BankEvictedError:
-                self._restore_bank(slow=slow)
-                slow = False  # the injected slow cold-load sleeps once
-        return self._store.lease(self._bank_key)
-
-    def _refresh_bank_lease(self, lease):
-        """Re-pin after a bank-stale retry signal (segment may be gone)."""
-        lease.release()
-        return self._acquire_bank_lease()
 
     def _child_span(self, name: str, attrs=None):
         """A recording span only when the calling thread is already inside a
@@ -592,11 +487,6 @@ class ClusterDispatcher:
                 # never has to launch a tracker of its own mid-bootstrap.
                 _resource_tracker.ensure_running()
             parent_connection, child_connection = self._context.Pipe(duplex=True)
-            endpoint = self._transport.create_endpoint(parent_connection)
-            # The child attaches whatever handle the spec carries at fork
-            # time; remember its generation so request headers can skip the
-            # re-attach handle while the worker is already current.
-            spawn_generation = self._spec.bank_handle.generation
             process = None
             try:
                 process = self._context.Process(
@@ -606,7 +496,6 @@ class ClusterDispatcher:
                         child_connection,
                         self._slabs[index].name,
                         index,
-                        endpoint.worker_spec(),
                         self._fault_plan,
                     ),
                     name=f"repro-cluster-{self.name}-{index}",
@@ -614,18 +503,12 @@ class ClusterDispatcher:
                 )
                 process.start()
             except BaseException:
-                endpoint.close()
                 parent_connection.close()
                 child_connection.close()
                 raise
         try:
             child_connection.close()
             deadline = time.monotonic() + self.startup_timeout
-            # TCP endpoints accept the worker's connection here; pipe/shm
-            # endpoints have nothing to do.  Either way the ready handshake
-            # below stays a plain-pipe exchange that strictly precedes any
-            # transport frame.
-            endpoint.bind(process, deadline)
             while not parent_connection.poll(0.05):
                 if not process.is_alive() or time.monotonic() > deadline:
                     raise WorkerStartupError(
@@ -645,7 +528,6 @@ class ClusterDispatcher:
                     f"{reply[1]}"
                 )
         except BaseException:
-            endpoint.close()
             parent_connection.close()
             if process is not None and process.is_alive():
                 process.terminate()
@@ -653,7 +535,7 @@ class ClusterDispatcher:
         cpu = self._pin_map.get(index)
         if cpu is not None:
             self._pinned[index] = cpu if pin_process(process.pid, cpu) else None
-        return _Worker(process, parent_connection, endpoint, spawn_generation)
+        return _Worker(process, parent_connection)
 
     def _ensure_worker(self, index: int) -> _Worker:
         """The live worker at *index*, respawning a retired/dead one.
@@ -684,7 +566,6 @@ class ClusterDispatcher:
         if worker is None:
             return
         self._workers[index] = None
-        worker.endpoint.close()
         worker.connection.close()
         if worker.process.is_alive():
             worker.process.terminate()
@@ -695,7 +576,7 @@ class ClusterDispatcher:
 
     def _receive(self, worker: _Worker, deadline: Optional[float] = None):
         timeout_at = time.monotonic() + self.request_timeout
-        while not worker.endpoint.poll(0.05):
+        while not worker.connection.poll(0.05):
             now = time.monotonic()
             if not worker.process.is_alive():
                 raise _WorkerCrash()
@@ -704,7 +585,7 @@ class ClusterDispatcher:
             if now >= timeout_at:
                 raise _WorkerHang(deadline_hit=False)
         try:
-            reply = worker.endpoint.recv_reply()
+            reply = worker.connection.recv()
         except (EOFError, OSError):
             raise _WorkerCrash()
         if reply[0] == "error":
@@ -715,12 +596,8 @@ class ClusterDispatcher:
                 raise ValueError(message)
             if kind == "DeadlineExceededError":
                 raise DeadlineExceededError(message)
-            if kind == "TransportError":
-                raise TransportError(message)
             if kind == "InjectedFaultError":
                 raise WorkerFaultError(message)
-            if kind == "BankUnavailableError":
-                raise BankUnavailableError(message)
             raise RuntimeError(f"worker error ({kind}): {message}")
         # ``("ok", scalar, arrays, spans)`` — scalar carries ping/poison
         # results, arrays carry scoring results (1 array = scores, 2 = the
@@ -733,14 +610,6 @@ class ClusterDispatcher:
         if len(arrays) == 1:
             return arrays[0], spans
         return tuple(arrays), spans
-
-    def _reply_nbytes_hint(self, op: tuple, rows: int) -> int:
-        """Upper-bound reply payload size, so the shm transport pre-grows
-        each worker's response slab instead of round-tripping a growth."""
-        if op[0] == "top_k":
-            k = min(int(op[1]), self.num_classes)
-            return rows * k * 2 * _ROW_BYTES  # labels + scores
-        return rows * self.num_classes * _ROW_BYTES
 
     def _run_shards(
         self,
@@ -757,9 +626,9 @@ class ClusterDispatcher:
         """One scatter/drain round over the given shard indices.
 
         Fills ``results[shard_index]`` for every shard that scores and
-        returns the indices that failed *retryably* — crash, hang, torn or
-        dropped frame, transient worker fault.  Non-retryable failures land
-        in *state* (``request_error`` / ``deadline_error`` / ``spawn_error``;
+        returns the indices that failed *retryably* — crash, hang, dropped
+        pipe, transient worker fault.  Non-retryable failures land in
+        *state* (``request_error`` / ``deadline_error`` / ``spawn_error``;
         ``retry_error`` remembers the last retryable exception so a
         double-failure re-raises something meaningful).
 
@@ -785,41 +654,22 @@ class ClusterDispatcher:
             try:
                 worker = self._ensure_worker(index)
             except WorkerStartupError as error:
-                # A respawn may have failed because its bank segment was
-                # yanked mid-churn; flag the bank stale so the retry round
-                # re-pins (and if needed restores) it before respawning.
                 state["spawn_error"] = state["spawn_error"] or error
                 state["retry_error"] = None
-                state["bank_stale"] = True
                 retry.append(shard_index)
                 continue
-            bank = state.get("bank")
-            if bank is not None and bank.generation == worker.generation:
-                # The worker already holds this materialisation: omit the
-                # handle so steady-state headers stay handle-free (the shm
-                # control channel is byte-budgeted).
-                bank = None
-            header = {
-                "op": op[0],
-                "kind": kind,
-                "ctx": ctx,
-                "deadline": deadline,
-                "bank": bank,
-                "reply_nbytes_hint": self._reply_nbytes_hint(
-                    op, int(shard.shape[0])
-                ),
-            }
+            header = {"op": op[0], "kind": kind, "ctx": ctx, "deadline": deadline}
             if op[0] == "top_k":
                 header["k"] = int(op[1])
             try:
-                worker.endpoint.send_request(header, [shard])
+                worker.send(header, [shard])
             except (BrokenPipeError, EOFError, OSError):
                 self._retire_worker(index)
                 state["retry_error"] = None
                 retry.append(shard_index)
                 continue
-            assignments.append((shard_index, index, worker, bank))
-        for shard_index, index, worker, sent_bank in assignments:
+            assignments.append((shard_index, index, worker))
+        for shard_index, index, worker in assignments:
             try:
                 payload, worker_spans = self._receive(worker, deadline)
             except _WorkerHang as hang:
@@ -849,36 +699,14 @@ class ClusterDispatcher:
                 self.deadline_skips += 1
                 state["deadline_error"] = state["deadline_error"] or error
                 continue
-            except TransportError as error:
-                # Torn/stale reply frame: the payload is untrusted but the
-                # frame was consumed and the worker is alive — retry the
-                # shard without retiring anything.
-                self.transport_errors += 1
-                state["retry_error"] = error
-                retry.append(shard_index)
-                continue
             except WorkerFaultError as error:
                 self.worker_faults += 1
                 state["retry_error"] = error
                 retry.append(shard_index)
                 continue
-            except BankUnavailableError as error:
-                # The worker lost the unlink-vs-attach race: the segment we
-                # addressed vanished before it could map it.  The reply was
-                # consumed and the worker is alive; retry after restoring
-                # the bank to a fresh segment.
-                self.bank_faults += 1
-                state["retry_error"] = error
-                state["bank_stale"] = True
-                retry.append(shard_index)
-                continue
             except (ValueError, RuntimeError) as error:
                 state["request_error"] = state["request_error"] or error
                 continue
-            if sent_bank is not None:
-                # A successful reply proves the worker followed the handle
-                # and re-attached; later headers can drop it again.
-                worker.generation = sent_bank.generation
             results[shard_index] = payload
             for record in worker_spans:
                 self._tracer.emit_record(record)
@@ -891,7 +719,7 @@ class ClusterDispatcher:
 
         Serialised under the dispatcher lock: concurrent callers (scheduler
         pool threads, direct 2-D requests) take turns, which keeps each
-        transport channel a strict request/reply channel.  Shards that fail
+        worker pipe a strict request/reply channel.  Shards that fail
         retryably are re-dispatched exactly once (to the respawned pool when
         the failure retired a worker) before any error surfaces.
         """
@@ -903,93 +731,63 @@ class ClusterDispatcher:
             "dispatch", attrs={"op": op[0], "rows": int(features.shape[0])}
         ) as span:
             self._check_open()
-            # Parent-side chaos: the eviction-targeted kinds page our own
-            # bank out right here, so the lease acquisition below exercises
-            # the cold-restore path mid-stream.  "unlink" force-unlinks even
-            # under other dispatchers' leases; after the restore it yanks
-            # the fresh segment too, racing the workers' attach.
-            fault = (
-                self._parent_injector.draw()
-                if self._parent_injector is not None
-                else None
+            if self._ship_packed:
+                # Validate + encode + pack exactly once, parent-side: a bad
+                # feature width raises here (same ValueError/400 as the
+                # engine), and every frame then carries 1-bit-per-dimension
+                # words instead of float rows.
+                validated = self._engine._validate(features)
+                rows = self._engine._encode_packed(validated).words
+                kind = "packed"
+            else:
+                rows = features
+                kind = "dense"
+            # The span context (None when unsampled) rides each request
+            # header; workers reply with finished ``worker:score`` records
+            # that we stitch into the parent trace below — the worker never
+            # touches the trace file, so there is exactly one writer.
+            ctx = span.context
+            num_shards = max(1, min(self.num_workers, rows.shape[0]))
+            offset = self._round_robin
+            self._round_robin = (offset + num_shards) % self.num_workers
+            shards = np.array_split(rows, num_shards, axis=0)
+            span.set("shards", num_shards)
+            span.set("kind", kind)
+            results: list = [None] * num_shards
+            state: dict = {
+                "spawn_error": None,
+                "request_error": None,
+                "deadline_error": None,
+                "retry_error": None,
+            }
+            retry = self._run_shards(
+                op, kind, ctx, shards, range(num_shards), offset,
+                deadline, results, state,
             )
-            if fault is not None:
-                self._store.evict(self._bank_key, force=(fault == "unlink"))
-            lease = self._acquire_bank_lease(slow=(fault == "slow_load"))
-            try:
-                if fault == "unlink":
-                    self._store.evict(self._bank_key, force=True)
-                if self._ship_packed:
-                    # Validate + encode + pack exactly once, parent-side: a
-                    # bad feature width raises here (same ValueError/400 as
-                    # the engine), and every transport then carries 1-bit-
-                    # per-dimension words instead of float rows.
-                    validated = self._engine._validate(features)
-                    rows = self._engine._encode_packed(validated).words
-                    kind = "packed"
+            if retry and state["deadline_error"] is None:
+                if deadline is not None and time.monotonic() >= deadline:
+                    state["deadline_error"] = DeadlineExceededError(
+                        f"deadline expired before shard retry on {self.name!r}"
+                    )
                 else:
-                    rows = features
-                    kind = "dense"
-                # The span context (None when unsampled) rides each request
-                # header; workers reply with finished ``worker:score``
-                # records that we stitch into the parent trace below — the
-                # worker never touches the trace file, so there is exactly
-                # one writer.
-                ctx = span.context
-                num_shards = max(1, min(self.num_workers, rows.shape[0]))
-                offset = self._round_robin
-                self._round_robin = (offset + num_shards) % self.num_workers
-                shards = np.array_split(rows, num_shards, axis=0)
-                span.set("shards", num_shards)
-                span.set("kind", kind)
-                results: list = [None] * num_shards
-                state: dict = {
-                    "spawn_error": None,
-                    "request_error": None,
-                    "deadline_error": None,
-                    "retry_error": None,
-                    "bank": lease.handle,
-                    "bank_stale": False,
-                }
-                retry = self._run_shards(
-                    op, kind, ctx, shards, range(num_shards), offset,
-                    deadline, results, state,
-                )
-                if retry and state["deadline_error"] is None:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        state["deadline_error"] = DeadlineExceededError(
-                            f"deadline expired before shard retry on "
-                            f"{self.name!r}"
-                        )
-                    else:
-                        self.shard_retries += len(retry)
-                        span.set("retried_shards", len(retry))
-                        if state["bank_stale"]:
-                            # The segment the first round addressed is gone
-                            # (eviction churn won an unlink race); restore
-                            # before the retry so the respawned/re-attaching
-                            # workers find live words.
-                            lease = self._refresh_bank_lease(lease)
-                            state["bank"] = lease.handle
-                            state["bank_stale"] = False
-                        retry = self._run_shards(
-                            op, kind, ctx, shards, retry, offset, deadline,
-                            results, state,
-                        )
-                if state["deadline_error"] is not None:
-                    raise state["deadline_error"]
-                if retry:
-                    error = state["retry_error"]
-                    if error is not None:
-                        raise error
-                    raise WorkerCrashedError(
-                        f"shard(s) {sorted(retry)} of {self.name!r} failed "
-                        "twice (workers respawning on next use)"
-                    ) from state["spawn_error"]
-                if state["request_error"] is not None:
-                    raise state["request_error"]
-            finally:
-                lease.release()
+                    self.shard_retries += len(retry)
+                    span.set("retried_shards", len(retry))
+                    retry = self._run_shards(
+                        op, kind, ctx, shards, retry, offset, deadline,
+                        results, state,
+                    )
+            if state["deadline_error"] is not None:
+                raise state["deadline_error"]
+            if retry:
+                error = state["retry_error"]
+                if error is not None:
+                    raise error
+                raise WorkerCrashedError(
+                    f"shard(s) {sorted(retry)} of {self.name!r} failed "
+                    "twice (workers respawning on next use)"
+                ) from state["spawn_error"]
+            if state["request_error"] is not None:
+                raise state["request_error"]
         if self._metrics is not None:
             self._metrics.record_stage("dispatch", time.perf_counter() - started)
         return results

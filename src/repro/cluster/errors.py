@@ -45,31 +45,11 @@ class WorkerFaultError(ClusterError):
     """
 
 
-class BankEvictedError(ClusterError):
-    """The shared bank for this key was paged out under the residency cap.
-
-    Raised by :meth:`SharedModelStore.lease` when the key is still published
-    (a dispatcher holds a refcount) but its segment was evicted.  The caller
-    recovers by calling :meth:`SharedModelStore.restore` with the packed
-    words — a bank-level cold load — and leasing again.
-    """
-
-
-class BankUnavailableError(ClusterError):
-    """A worker could not attach the shared bank a dispatch addressed.
-
-    The unlink-vs-attach race: the segment named in the op header was
-    unlinked between the parent's send and the worker's attach (eviction
-    churn, or injected chaos).  Retryable — the dispatcher restores the bank
-    to a fresh segment and re-runs the shard.
-    """
-
-
 class DeadlineExceededError(ClusterError):
     """The request's deadline expired before scoring completed.
 
     Deadlines are absolute ``time.monotonic()`` instants that ride the HTTP
-    request into the op control frame; workers refuse to score expired
+    request into the request frame; workers refuse to score expired
     shards and the dispatcher abandons shards whose deadline passes while a
     worker holds them.  The HTTP layer answers 504 — the work is dead, not
     retryable.
@@ -77,8 +57,6 @@ class DeadlineExceededError(ClusterError):
 
 
 __all__ = [
-    "BankEvictedError",
-    "BankUnavailableError",
     "ClusterError",
     "DeadlineExceededError",
     "DispatcherClosedError",

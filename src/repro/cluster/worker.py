@@ -1,16 +1,13 @@
-"""The inference worker process: one engine view, one transport endpoint.
+"""The inference worker process: one engine view, one duplex pipe.
 
 Each worker rebuilds a full :class:`~repro.serve.engine.PackedInferenceEngine`
 from a :class:`~repro.cluster.shared.WorkerModelSpec` — encoder tables private,
 packed model bank mapped zero-copy from the parent's shared segment — then
-answers a tiny request protocol over its transport endpoint
-(:func:`repro.cluster.transport.build_worker_endpoint` turns the dispatcher's
-picklable transport spec into the matching pipe / shared-memory-ring / TCP
-implementation; the duplex pipe always remains open for control frames and
-the startup handshake).
+answers a tiny request protocol over the duplex pipe the dispatcher handed
+it.  Every request and every reply is one pickled frame.
 
-Requests are ``(header, arrays)`` pairs; replies are ``send_ok(scalar,
-arrays, spans)`` or ``send_error(kind, message)``:
+Requests are ``(header, arrays)`` pairs; replies are ``("ok", scalar,
+arrays, spans)`` or ``("error", kind, message)``:
 
 =====================================  =======================================
 request header (+ arrays)              ok-reply payload
@@ -47,20 +44,15 @@ lock-free channel behind the fleet-wide utilisation view in ``/v1/metrics``.
 
 ``poison`` arms a hard ``os._exit`` on the *next* request, which is how the
 crash-recovery tests (and chaos drills) provoke a deterministic mid-batch
-worker death — the dispatcher's send succeeds, the reply never comes.  The
-arming frame travels whatever transport is active, so the chaos drill
-exercises the shm/tcp crash paths too.
+worker death — the dispatcher's send succeeds, the reply never comes.
 
 Request-level Python exceptions (for example a feature-width mismatch on the
 dense path) are caught and shipped back as ``("error", type_name, message)``
-so one bad request never takes the process down; a torn shared-memory read
-(generation mismatch) likewise becomes a ``TransportError`` reply rather than
-scoring stale bytes.  Only a genuine crash (segfault, kill, OOM) breaks the
-transport, which the dispatcher detects and handles by respawning.  A
-``("ready", pid)`` handshake is sent on the pipe once the engine is compiled
-so the dispatcher can distinguish slow startup from startup failure; the
-worker connects its transport *before* the engine build so a TCP dispatcher
-never waits out the engine compile in ``accept``.
+so one bad request never takes the process down.  Only a genuine crash
+(segfault, kill, OOM) breaks the pipe, which the dispatcher detects and
+handles by respawning.  A ``("ready", pid)`` handshake is sent once the
+engine is compiled so the dispatcher can distinguish slow startup from
+startup failure.
 """
 
 from __future__ import annotations
@@ -73,36 +65,22 @@ def worker_main(
     connection,
     stats_slab_name=None,
     worker_index: int = 0,
-    transport_spec=None,
     fault_plan=None,
 ) -> None:
-    """Process entry point: build the endpoint + engine, serve until EOF."""
+    """Process entry point: build the engine, serve until EOF."""
     import os
     import time
 
     import numpy as np
 
     from repro.classifiers.base import top_k_from_scores
-    from repro.cluster.shared import attach_bank
-    from repro.cluster.transport import TransportError, build_worker_endpoint
-    from repro.faults import WORKER_KINDS
     from repro.kernels.packed import PackedHypervectors
     from repro.obs.shm_metrics import WorkerStatsSlab
     from repro.obs.trace import span_record
 
-    # Only the worker-side kinds: the eviction-targeted kinds in the same
-    # plan fire in the dispatcher, never here.
-    injector = (
-        None
-        if fault_plan is None
-        else fault_plan.injector(worker_index, kinds=WORKER_KINDS)
-    )
+    injector = None if fault_plan is None else fault_plan.injector(worker_index)
     stats = None
-    endpoint = None
     try:
-        # Transport first (a TCP connect is instant; the engine build is
-        # not), so the dispatcher's accept never waits on compilation.
-        endpoint = build_worker_endpoint(transport_spec, connection)
         attached, engine = build_worker_engine(spec)
         engine.warmup()
         if stats_slab_name is not None:
@@ -111,33 +89,15 @@ def worker_main(
         try:
             connection.send(("failed", f"{type(error).__name__}: {error}"))
         finally:
-            if endpoint is not None:
-                endpoint.close()
             connection.close()
         return
     connection.send(("ready", os.getpid()))
 
-    def _maybe_reattach(header):
-        """Follow the bank across evictions: when the op header carries a
-        newer generation than the mapped segment, re-attach and adopt.
+    def send_ok(scalar, arrays, spans):
+        connection.send(("ok", scalar, list(arrays), spans))
 
-        The old mapping stays valid even after its segment was unlinked
-        (POSIX keeps the pages alive until the last map drops), so a worker
-        that merely *holds* a superseded generation keeps scoring correctly;
-        this hook is what lets it catch up to the restored segment instead
-        of crashing.  Raises ``FileNotFoundError`` if the new segment lost
-        an unlink race — the caller turns that into a typed, retryable
-        ``BankUnavailableError`` reply.
-        """
-        nonlocal attached
-        handle = header.get("bank")
-        if handle is None or handle.generation == attached.handle.generation:
-            return
-        fresh = attach_bank(handle)
-        stale, attached = attached, fresh
-        engine.classifier.adopt_packed_bank(fresh.packed)
-        engine._packed_classes = engine.classifier.packed_inference_bank()
-        stale.close()
+    def send_error(kind, message):
+        connection.send(("error", kind, message))
 
     def _score(header, arrays):
         """Run one scoring op; returns ``(arrays, spans)`` + records stats."""
@@ -190,14 +150,9 @@ def worker_main(
     try:
         while True:
             try:
-                header, arrays = endpoint.recv()
+                header, arrays = connection.recv()
             except (EOFError, OSError):
                 break
-            except TransportError as error:
-                # A torn/stale slab read: refuse to score the bytes, tell
-                # the dispatcher exactly why, and stay alive.
-                endpoint.send_error("TransportError", str(error))
-                continue
             op = header["op"]
             if op == "stop":
                 break
@@ -206,20 +161,19 @@ def worker_main(
             try:
                 if op == "poison":
                     poisoned = True
-                    endpoint.send_ok(None, [], [])
+                    send_ok(None, [], [])
                 elif op in ("top_k", "scores"):
                     # Deterministic chaos: consult the fault plan once per
                     # scoring request.  Crash/drop never reply (the parent
-                    # sees process death / a broken transport); hang holds
-                    # the shard past the dispatcher's watchdog; the rest
-                    # reply — wrongly, slowly, or torn.
+                    # sees process death / a broken pipe); hang holds the
+                    # shard past the dispatcher's watchdog; the rest reply —
+                    # wrongly or slowly.
                     action = injector.draw() if injector is not None else None
                     if action == "crash":
                         os._exit(17)
                     if action == "drop":
-                        # A dropped/reset connection as seen from the parent:
-                        # tear the transport down mid-request and vanish.
-                        endpoint.close()
+                        # A dropped connection as seen from the parent:
+                        # close the pipe mid-request and vanish.
                         connection.close()
                         os._exit(18)
                     if action in ("hang", "slow"):
@@ -232,47 +186,25 @@ def worker_main(
                     if deadline is not None and time.monotonic() >= deadline:
                         # The shard is already dead — refuse to score it so
                         # the dispatcher can answer 504 without waiting.
-                        endpoint.send_error(
+                        send_error(
                             "DeadlineExceededError",
                             "shard deadline expired before scoring",
                         )
                         continue
                     if action == "error":
-                        endpoint.send_error(
-                            "InjectedFaultError", "injected error-reply fault"
-                        )
-                        continue
-                    try:
-                        _maybe_reattach(header)
-                    except FileNotFoundError:
-                        bank = header.get("bank")
-                        endpoint.send_error(
-                            "BankUnavailableError",
-                            f"bank segment {getattr(bank, 'segment', '?')} "
-                            "vanished before attach",
-                        )
+                        send_error("InjectedFaultError", "injected error-reply fault")
                         continue
                     payload, spans = _score(header, arrays)
-                    if action == "torn":
-                        if hasattr(endpoint, "skew_generation"):
-                            endpoint.skew_generation()
-                        else:
-                            # No shared-memory generation to tear on this
-                            # transport — degrade to a dropped connection.
-                            endpoint.close()
-                            connection.close()
-                            os._exit(19)
-                    endpoint.send_ok(None, payload, spans)
+                    send_ok(None, payload, spans)
                 elif op == "ping":
-                    endpoint.send_ok(os.getpid(), [], [])
+                    send_ok(os.getpid(), [], [])
                 else:
-                    endpoint.send_error("ValueError", f"unknown op {op!r}")
+                    send_error("ValueError", f"unknown op {op!r}")
             except Exception as error:
                 if stats is not None:
                     stats.record_error()
-                endpoint.send_error(type(error).__name__, str(error))
+                send_error(type(error).__name__, str(error))
     finally:
-        endpoint.close()
         connection.close()
         if stats is not None:
             stats.close()

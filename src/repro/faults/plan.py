@@ -23,29 +23,9 @@ Fault kinds (the taxonomy is documented in ``docs/robustness.md``):
 ``error``
     Reply with a typed error frame instead of scores (maps to
     :class:`~repro.cluster.errors.WorkerFaultError`; retryable).
-``torn``
-    Skew the shared-memory ring's generation counter before replying so the
-    parent's torn-write detector trips (``TransportError``).  On transports
-    without a ring to tear this degrades to ``drop``.
 ``drop``
-    Close the transport endpoint and exit without replying — a TCP
-    reset / dropped socket as seen from the parent.
-
-Three further kinds target the fleet pager and fire in the *parent* (the
-dispatcher consults its own injector once per dispatch, as pseudo-worker
-index :data:`PARENT_INDEX`; worker-side injectors skip them):
-
-``evict``
-    Page the dispatcher's own bank out right before the dispatch — the
-    eviction-during-dispatch race.  The dispatch cold-restores the bank to
-    a fresh segment/generation and every worker re-attaches mid-stream.
-``unlink``
-    Force-unlink the restored segment before the scatter — the
-    unlink-vs-attach race.  Workers answer a typed ``BankUnavailableError``
-    and the retry round restores the bank again.
-``slow_load``
-    Like ``evict``, but the cold restore also sleeps ``slow_seconds`` —
-    a slow cold-load while requests queue behind the single-flight lock.
+    Close the pipe and exit without replying — a dropped connection as
+    seen from the parent.
 
 Rules trigger in one of three deterministic modes: ``at`` (fire exactly when
 this process's request count equals ``at``), ``every``/``after`` (fire
@@ -63,18 +43,8 @@ import json
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
-#: Worker-side kinds, injected inside ``worker_main`` per scoring request.
-WORKER_KINDS = ("crash", "hang", "slow", "error", "torn", "drop")
-
-#: Parent-side kinds, injected by the dispatcher per dispatch — they target
-#: the shared-bank pager, which only the parent can reach.
-PARENT_KINDS = ("evict", "unlink", "slow_load")
-
-FAULT_KINDS = WORKER_KINDS + PARENT_KINDS
-
-#: The pseudo worker index the dispatcher's own injector draws under, so
-#: parent-side schedules are seed-stable and disjoint from every real worker.
-PARENT_INDEX = -1
+#: Every kind is injected inside ``worker_main``, once per scoring request.
+FAULT_KINDS = ("crash", "hang", "slow", "error", "drop")
 
 ENV_VAR = "REPRO_FAULTS"
 ENV_SEED_VAR = "REPRO_FAULTS_SEED"
@@ -144,10 +114,8 @@ class FaultPlan:
     hang_seconds: float = 30.0
     slow_seconds: float = 0.05
 
-    def injector(
-        self, worker_index: int, kinds: Optional[Tuple[str, ...]] = None
-    ) -> "FaultInjector":
-        return FaultInjector(self, worker_index, kinds=kinds)
+    def injector(self, worker_index: int) -> "FaultInjector":
+        return FaultInjector(self, worker_index)
 
     # -- serialisation -----------------------------------------------------
 
@@ -293,31 +261,17 @@ class FaultInjector:
     ``draw()`` advances the request count and returns the fault kind to
     inject for this request (or ``None``).  Purely local state — no locks,
     no clock, no RNG object — so two runs of the same plan are identical.
-
-    ``kinds`` restricts which fault kinds this cursor may return: workers
-    pass :data:`WORKER_KINDS` and the dispatcher passes :data:`PARENT_KINDS`
-    (under :data:`PARENT_INDEX`), so one plan string drives both sides
-    without either injecting a fault it cannot express.  Skipped rules still
-    advance the count, keeping the schedule stable across restrictions.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        worker_index: int,
-        kinds: Optional[Tuple[str, ...]] = None,
-    ):
+    def __init__(self, plan: FaultPlan, worker_index: int):
         self.plan = plan
         self.worker_index = worker_index
-        self.kinds = None if kinds is None else tuple(kinds)
         self.count = 0
         self.injected: Dict[str, int] = {}
 
     def draw(self) -> Optional[str]:
         self.count += 1
         for rule in self.plan.rules:
-            if self.kinds is not None and rule.kind not in self.kinds:
-                continue
             if rule.fires(self.count, self.worker_index, self.plan.seed):
                 self.injected[rule.kind] = self.injected.get(rule.kind, 0) + 1
                 return rule.kind
@@ -332,13 +286,12 @@ def _preset(spec_rules: Iterable[FaultRule], seed: int = 0) -> FaultPlan:
 #: smoke.  A worker's request count resets when it is respawned, so on any
 #: one worker only the *earliest* lethal fault ever fires (later fire points
 #: are never reached) — which is why the lethal kinds are partitioned across
-#: worker indices: worker 0 crashes, worker 1 hangs, worker 2 tears/drops
-#: frames (run the smoke with at least 3 workers to exercise all three).
-#: The non-lethal kinds (slow, error — and torn on the shm transport, where
-#: it skews a ring generation instead of killing the worker) fire on every
-#: worker before its first kill point.  Against a ~30-ops-per-worker soak
-#: each worker dies and respawns 2–3 times while the dispatcher's retry-once
-#: keeps availability above the 95% floor.
+#: worker indices: worker 0 crashes, worker 1 hangs, worker 2 drops its pipe
+#: (run the smoke with at least 3 workers to exercise all three).  The
+#: non-lethal kinds (slow, error) fire on every worker before its first kill
+#: point.  Against a ~30-ops-per-worker soak each worker dies and respawns
+#: 2–3 times while the dispatcher's retry-once keeps availability above the
+#: 95% floor.
 PRESETS: Dict[str, FaultPlan] = {
     "quick": _preset(
         [
@@ -346,32 +299,16 @@ PRESETS: Dict[str, FaultPlan] = {
             FaultRule(kind="error", every=17, after=9),
             FaultRule(kind="crash", every=23, after=11, workers=(0,)),
             FaultRule(kind="hang", every=23, after=11, workers=(1,)),
-            FaultRule(kind="torn", every=23, after=11, workers=(2,)),
-            FaultRule(kind="drop", every=29, after=17, workers=(2,)),
+            FaultRule(kind="drop", every=23, after=11, workers=(2,)),
         ]
     ),
     "soak": _preset(
         [
             FaultRule(kind="crash", rate=0.01),
             FaultRule(kind="hang", rate=0.005),
-            FaultRule(kind="torn", rate=0.01),
-            FaultRule(kind="drop", rate=0.005),
+            FaultRule(kind="drop", rate=0.015),
             FaultRule(kind="error", rate=0.02),
             FaultRule(kind="slow", rate=0.05),
-        ]
-    ),
-    # Fleet-pager churn for the multi-tenant smoke: the parent-side kinds
-    # fire per *dispatch* (pseudo-worker -1), so every few batches a bank is
-    # paged out mid-stream, force-unlinked under an attach, or restored
-    # slowly — while a light worker-side error/slow mix keeps the ordinary
-    # retry machinery honest at the same time.
-    "evict-churn": _preset(
-        [
-            FaultRule(kind="evict", every=7, after=3),
-            FaultRule(kind="unlink", every=13, after=6),
-            FaultRule(kind="slow_load", every=17, after=9),
-            FaultRule(kind="error", every=19, after=8),
-            FaultRule(kind="slow", every=23, after=10),
         ]
     ),
 }
@@ -381,9 +318,6 @@ __all__ = [
     "ENV_SEED_VAR",
     "ENV_VAR",
     "FAULT_KINDS",
-    "PARENT_INDEX",
-    "PARENT_KINDS",
-    "WORKER_KINDS",
     "FaultInjector",
     "FaultPlan",
     "FaultRule",

@@ -19,15 +19,10 @@ See ``docs/architecture.md`` for the full data-flow.
 from repro.kernels.dispatch import (
     active_backend,
     available_backends,
-    enable_kernel_profiling,
     float_dtype,
     get_kernel,
-    kernel_profile_snapshot,
-    kernel_profiling_enabled,
     list_kernels,
-    profile_kernels,
     register_kernel,
-    reset_kernel_profile,
     set_backend,
     set_float_dtype,
     use_backend,
@@ -76,17 +71,12 @@ __all__ = [
     "bit_differences_words",
     "build_accumulator",
     "bundle_packed",
-    "enable_kernel_profiling",
     "flip_fraction_packed",
     "flip_score_delta",
     "float_dtype",
     "get_kernel",
-    "kernel_profile_snapshot",
-    "kernel_profiling_enabled",
     "list_kernels",
     "matmul",
-    "profile_kernels",
-    "reset_kernel_profile",
     "pack_bipolar",
     "pack_bits",
     "pack_flip_mask",

@@ -33,12 +33,7 @@ from repro.core.configs import DEFAULT_CONFIG
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.hdc.encoders import NGramEncoder, RecordEncoder
 from repro.hdc.hypervector import dot_similarity, sign_with_ties
-from repro.kernels.dispatch import (
-    kernel_profile_snapshot,
-    profile_kernels,
-    reset_kernel_profile,
-    use_float_dtype,
-)
+from repro.kernels.dispatch import use_float_dtype
 from repro.kernels.packed import pack_bits
 
 
@@ -230,17 +225,6 @@ def run_kernel_benchmark(
         "speedup": time_f64 / time_f32,
     }
 
-    # ---- per-kernel profile: where the kernels-side time actually went -----
-    # One profiled re-run of each measured path (profiling hooks in at
-    # get_kernel resolution, so the timed sections above stay unwrapped).
-    reset_kernel_profile()
-    with profile_kernels():
-        encoder.encode(test_features)
-        ngram_encoder._accumulate(ngram_levels)
-        packed_predict()
-        one_epoch("float32")
-    results["kernel_profile"] = kernel_profile_snapshot()
-
     return results
 
 
@@ -265,15 +249,6 @@ def format_report(results: Dict[str, object]) -> str:
             f"{section:<14} {entry[before_key]:>15.5f} "
             f"{entry[after_key]:>12.5f} {entry['speedup']:>7.2f}x"
         )
-    profile = results.get("kernel_profile")
-    if profile:
-        lines.append("")
-        lines.append(f"{'kernel':<36} {'calls':>6} {'total (ms)':>11} {'mean (ms)':>10}")
-        for key, entry in profile.items():
-            lines.append(
-                f"{key:<36} {entry['calls']:>6} "
-                f"{entry['total_ms']:>11.3f} {entry['mean_ms']:>10.4f}"
-            )
     return "\n".join(lines)
 
 

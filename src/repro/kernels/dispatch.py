@@ -4,8 +4,8 @@ Every hot-path computation in this code base (packed Hamming scoring, fused
 encoder accumulation, float matmuls) is published here under a stable name
 with one implementation per *backend*.  Call sites resolve through
 :func:`get_kernel`, so swapping the execution strategy — for example the
-threaded/sharded backend on a multi-core host — is a configuration change,
-not a code change.  This mirrors the plug-in-estimator discipline hardware
+threaded backend on a multi-core host — is a configuration change, not a
+code change.  This mirrors the plug-in-estimator discipline hardware
 HDC stacks use for their compute kernels: the algorithm is fixed, the
 executor is swappable.
 
@@ -18,17 +18,10 @@ Backends
     Shards the batch (row) axis of large kernels across a thread pool.
     Useful on multi-core hosts where the underlying ufuncs release the GIL;
     harmless (just extra dispatch) on single-core machines.
-``multiprocess``
-    Shards the batch (row) axis across a process pool, sidestepping the GIL
-    entirely.  Each task ships its operand shards through pickle, so it only
-    pays off for large batches on genuinely multi-core hosts; on a
-    single-core machine (or for small inputs) it degrades to the direct
-    in-process call, which keeps it parity-safe everywhere.  The worker
-    count comes from ``REPRO_KERNEL_PROCS`` (default: CPU count, capped
-    at 4).
 
 Selection order: an explicit :func:`set_backend` / :func:`use_backend` wins,
-then the ``REPRO_KERNEL_BACKEND`` environment variable, then ``numpy``.
+then the ``REPRO_KERNEL_BACKEND`` environment variable, then ``numpy``.  An
+unknown name raises instead of silently running ``numpy``.
 
 Float dtype policy
 ------------------
@@ -43,12 +36,10 @@ point are never silently up- or down-cast.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
-import time
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -63,7 +54,7 @@ _ACTIVE_BACKEND: Optional[str] = None
 #: Dtype forced via set_float_dtype/use_float_dtype; None defers to the env.
 _FLOAT_DTYPE: Optional[np.dtype] = None
 
-_KNOWN_BACKENDS = ("numpy", "threaded", "multiprocess")
+_KNOWN_BACKENDS = ("numpy", "threaded")
 
 
 # ------------------------------------------------------------------ backends
@@ -96,8 +87,6 @@ def get_kernel(name: str, backend: Optional[str] = None) -> Callable:
         implementation = implementations.get(DEFAULT_BACKEND)
     if implementation is None:  # pragma: no cover - registration bug
         raise KeyError(f"kernel {name!r} has no {backend!r} or numpy implementation")
-    if _PROFILE_ENABLED:
-        return _profiled_kernel(name, backend, implementation)
     return implementation
 
 
@@ -234,182 +223,6 @@ def run_sharded_sum(compute, num_rows: int):
     return total
 
 
-def num_procs() -> int:
-    """Worker count for the multiprocess backend (``REPRO_KERNEL_PROCS``)."""
-    value = os.environ.get("REPRO_KERNEL_PROCS")
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_KERNEL_PROCS must be an integer, got {value!r}"
-            ) from None
-    return max(1, min(4, os.cpu_count() or 1))
-
-
-_PROCESS_EXECUTOR = None
-_PROCESS_EXECUTOR_LOCK = threading.Lock()
-
-
-def _process_executor():
-    """The process pool for sharded kernels (created on first use).
-
-    The worker count is captured at creation; changing ``REPRO_KERNEL_PROCS``
-    afterwards does not resize the pool.  The ``fork`` start method is
-    preferred (no re-import, no operand re-pickling at startup) and ``spawn``
-    is the portable fallback.
-    """
-    global _PROCESS_EXECUTOR
-    with _PROCESS_EXECUTOR_LOCK:
-        if _PROCESS_EXECUTOR is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            _PROCESS_EXECUTOR = ProcessPoolExecutor(
-                max_workers=num_procs(), mp_context=context
-            )
-    return _PROCESS_EXECUTOR
-
-
-def shutdown_process_pool() -> None:
-    """Tear down the multiprocess backend's pool (tests; end-of-run cleanup)."""
-    global _PROCESS_EXECUTOR
-    with _PROCESS_EXECUTOR_LOCK:
-        executor, _PROCESS_EXECUTOR = _PROCESS_EXECUTOR, None
-    if executor is not None:
-        executor.shutdown(wait=True)
-
-
-def run_sharded_processes(function, sharded: np.ndarray, *args):
-    """Run ``function(shard, *args)`` over row shards in worker processes.
-
-    The process twin of :func:`run_sharded`: ``function`` must be a picklable
-    top-level callable returning the result rows for the shard it is handed;
-    results are concatenated in shard order, so the output is bit-identical
-    to one direct ``function(sharded, *args)`` call.  Falls back to that
-    direct call whenever sharding cannot pay off: a single configured worker,
-    fewer than two rows per worker, or execution inside a daemonic process
-    (which may not spawn children).
-
-    A pool worker dying mid-task (OOM kill, signal) marks the whole
-    ``ProcessPoolExecutor`` broken; the broken pool is torn down so the next
-    call builds a fresh one, and *this* call completes on the direct path —
-    a crashed backend degrades to single-process speed, never to errors.
-    """
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool
-
-    num_rows = sharded.shape[0]
-    workers = num_procs()
-    if (
-        workers <= 1
-        or num_rows < 2 * workers
-        or multiprocessing.current_process().daemon
-    ):
-        return function(sharded, *args)
-    shard = (num_rows + workers - 1) // workers
-    executor = _process_executor()
-    try:
-        futures = [
-            executor.submit(function, sharded[start : start + shard], *args)
-            for start in range(0, num_rows, shard)
-        ]
-        return np.concatenate([future.result() for future in futures], axis=0)
-    except BrokenProcessPool:
-        shutdown_process_pool()
-        return function(sharded, *args)
-
-
-# ------------------------------------------------------------------ profiling
-#: (kernel name, backend) -> [calls, total seconds]; guarded by _PROFILE_LOCK.
-_PROFILE: Dict[Tuple[str, str], List] = {}
-_PROFILE_LOCK = threading.Lock()
-_PROFILE_ENABLED = False
-#: Stable wrapper per (name, backend, implementation) so repeated resolution
-#: while profiling does not stack timers.
-_PROFILE_WRAPPERS: Dict[Tuple[str, str, Callable], Callable] = {}
-
-
-def enable_kernel_profiling(enabled: bool = True) -> None:
-    """Turn per-kernel call-count/time accounting on or off.
-
-    Profiling hooks in at *resolution* time: while enabled,
-    :func:`get_kernel` hands out a timing wrapper; while disabled it returns
-    the raw implementation, so the serving hot path (which resolves once and
-    caches) pays nothing.  Call sites that cached a kernel before profiling
-    was enabled keep their unwrapped reference — re-resolve to profile them.
-    """
-    global _PROFILE_ENABLED
-    _PROFILE_ENABLED = bool(enabled)
-
-
-def kernel_profiling_enabled() -> bool:
-    return _PROFILE_ENABLED
-
-
-@contextmanager
-def profile_kernels():
-    """Enable profiling within a ``with`` block (restores the prior state)."""
-    previous = _PROFILE_ENABLED
-    enable_kernel_profiling(True)
-    try:
-        yield
-    finally:
-        enable_kernel_profiling(previous)
-
-
-def reset_kernel_profile() -> None:
-    """Zero all accumulated per-kernel counters."""
-    with _PROFILE_LOCK:
-        _PROFILE.clear()
-
-
-def kernel_profile_snapshot() -> Dict[str, Dict[str, object]]:
-    """JSON-ready ``{"name[backend]": {calls, total_ms, mean_ms}}`` view."""
-    with _PROFILE_LOCK:
-        entries = {key: list(value) for key, value in _PROFILE.items()}
-    snapshot = {}
-    for (name, backend), (calls, seconds) in sorted(entries.items()):
-        snapshot[f"{name}[{backend}]"] = {
-            "kernel": name,
-            "backend": backend,
-            "calls": calls,
-            "total_ms": seconds * 1e3,
-            "mean_ms": (seconds / calls * 1e3) if calls else 0.0,
-        }
-    return snapshot
-
-
-def _profiled_kernel(name: str, backend: str, function: Callable) -> Callable:
-    cache_key = (name, backend, function)
-    wrapper = _PROFILE_WRAPPERS.get(cache_key)
-    if wrapper is not None:
-        return wrapper
-    profile_key = (name, backend)
-
-    @functools.wraps(function)
-    def timed(*args, **kwargs):
-        started = time.perf_counter()
-        try:
-            return function(*args, **kwargs)
-        finally:
-            elapsed = time.perf_counter() - started
-            with _PROFILE_LOCK:
-                entry = _PROFILE.get(profile_key)
-                if entry is None:
-                    entry = _PROFILE[profile_key] = [0, 0.0]
-                entry[0] += 1
-                entry[1] += elapsed
-
-    with _PROFILE_LOCK:
-        wrapper = _PROFILE_WRAPPERS.setdefault(cache_key, timed)
-    return wrapper
-
-
 # --------------------------------------------------------------- dtype policy
 def float_dtype() -> np.dtype:
     """The dtype used when floats are introduced (init, int->float casts)."""
@@ -446,22 +259,14 @@ __all__ = [
     "DEFAULT_BACKEND",
     "active_backend",
     "available_backends",
-    "enable_kernel_profiling",
     "float_dtype",
     "get_kernel",
-    "kernel_profile_snapshot",
-    "kernel_profiling_enabled",
     "list_kernels",
-    "num_procs",
     "num_threads",
-    "profile_kernels",
     "register_kernel",
-    "reset_kernel_profile",
     "run_sharded",
-    "run_sharded_processes",
     "run_sharded_sum",
     "set_backend",
-    "shutdown_process_pool",
     "set_float_dtype",
     "use_backend",
     "use_float_dtype",

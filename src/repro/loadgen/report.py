@@ -65,8 +65,6 @@ def server_metrics_delta(before: dict, after: dict) -> dict:
         fleet = snapshot.get("fleet") or {}
         return {
             "bank_evictions": fleet.get("evictions", 0),
-            "bank_restores": fleet.get("restores", 0)
-            + fleet.get("bank_restores", 0),
             "cold_loads": fleet.get("cold_loads", 0),
         }
 
@@ -88,8 +86,7 @@ def server_metrics_delta(before: dict, after: dict) -> dict:
         fleet_after = after["fleet"]
         delta["fleet_after"] = {
             "resident_banks": fleet_after.get("resident_banks", 0),
-            "peak_resident_banks": fleet_after.get("peak_resident_banks", 0),
-            "max_resident": fleet_after.get("max_resident"),
+            "max_resident_banks": fleet_after.get("max_resident_banks"),
             "dispatchers": fleet_after.get("dispatchers", 0),
         }
     if "tenancy" in after:
@@ -340,8 +337,8 @@ def validate_fleet_report(
     report: dict, max_resident_banks: Optional[int] = None
 ) -> None:
     """Raise ``ValueError`` unless a multi-tenant soak actually exercised the
-    fleet pager: cold loads happened, banks were evicted (the residency cap
-    bit), and the post-run residency stayed at or under the cap.
+    fleet residency cap: cold loads happened, worker pools were evicted (the
+    cap bit), and the post-run residency stayed at or under the cap.
 
     A capped Zipf soak that records zero evictions was either uncapped or
     never left the hot set — a vacuous pass either way — so this gate is
@@ -453,7 +450,6 @@ def format_report(report: dict) -> str:
                 "respawns",
                 "hangs",
                 "shard_retries",
-                "transport_errors",
                 "worker_faults",
                 "deadline_skips",
             )
@@ -468,21 +464,19 @@ def format_report(report: dict) -> str:
             )
         fleet_after = delta.get("fleet_after")
         if fleet_after is not None:
-            cap = fleet_after.get("max_resident")
+            cap = fleet_after.get("max_resident_banks")
             rows.append(
                 [
                     "fleet paging",
                     f"+{delta.get('cold_loads', 0)} cold loads, "
-                    f"+{delta.get('bank_evictions', 0)} evictions, "
-                    f"+{delta.get('bank_restores', 0)} restores",
+                    f"+{delta.get('bank_evictions', 0)} evictions",
                 ]
             )
             rows.append(
                 [
                     "fleet residency",
                     f"{fleet_after.get('resident_banks', 0)} resident "
-                    f"(peak {fleet_after.get('peak_resident_banks', 0)}, "
-                    f"cap {'∞' if cap is None else cap})",
+                    f"(cap {'∞' if cap is None else cap})",
                 ]
             )
         shed = {

@@ -3,10 +3,9 @@
 A stdlib-only terminal dashboard over the serving tier: it polls ``GET
 /v1/metrics`` on an interval and renders one screen per poll — per-tenant
 traffic (QPS, p50/p99, queue depth), the SLO error-budget/burn-rate block,
-worker-pool health (utilisation, respawns), fleet residency/paging, circuit
-breakers, and the transport byte counters.  ``repro top --once --json``
-emits a single machine-readable view instead, which is what the CI smoke
-uses.
+worker-pool health (utilisation, respawns), fleet residency/evictions, and
+circuit breakers.  ``repro top --once --json`` emits a single
+machine-readable view instead, which is what the CI smoke uses.
 
 Everything here is pure over the ``/v1/metrics`` JSON snapshot:
 :func:`build_view` turns one (plus optionally the previous poll, for QPS
@@ -23,7 +22,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 #: Seconds between polls when ``--interval`` is not given.
 DEFAULT_INTERVAL = 2.0
@@ -98,7 +97,6 @@ def build_view(
         )
 
     workers = []
-    transport_totals: Dict[str, int] = {}
     for name in sorted(snapshot.get("cluster", {})):
         info = snapshot["cluster"][name]
         fleet_stats = info.get("workers", {}).get("fleet", {})
@@ -106,17 +104,12 @@ def build_view(
             {
                 "dispatcher": name,
                 "workers": info.get("num_workers"),
-                "transport": info.get("transport"),
                 "respawns": int(info.get("respawns", 0)),
                 "utilization": fleet_stats.get("utilization"),
                 "scoring_p50_ms": fleet_stats.get("scoring_p50_ms"),
                 "scoring_p99_ms": fleet_stats.get("scoring_p99_ms"),
             }
         )
-        totals = info.get("transport_stats", {}).get("totals", {})
-        for key, value in totals.items():
-            if isinstance(value, (int, float)):
-                transport_totals[key] = transport_totals.get(key, 0) + int(value)
 
     fleet = snapshot.get("fleet")
     breakers = {}
@@ -131,7 +124,6 @@ def build_view(
         "workers": workers,
         "fleet": fleet,
         "breakers": breakers,
-        "transport": transport_totals or None,
         "alert_burn_rate": snapshot.get("slo", {}).get("alert_burn_rate"),
     }
 
@@ -181,7 +173,7 @@ def render_view(view: dict, color: bool = True) -> str:
         lines.append("")
         lines.append(
             paint(
-                f"{'DISPATCHER':<16} {'WORKERS':>7} {'TRANSPORT':>9} "
+                f"{'DISPATCHER':<16} {'WORKERS':>7} "
                 f"{'UTIL':>6} {'RESPAWNS':>8} {'SCORE P50':>10} {'SCORE P99':>10}",
                 _DIM,
             )
@@ -190,7 +182,6 @@ def render_view(view: dict, color: bool = True) -> str:
             util = row["utilization"]
             lines.append(
                 f"{row['dispatcher']:<16} {row['workers'] or '-':>7} "
-                f"{row['transport'] or '-':>9} "
                 f"{_fmt(util, '{:.0%}'):>6} {row['respawns']:>8} "
                 f"{_fmt(row['scoring_p50_ms'], '{:.2f}'):>10} "
                 f"{_fmt(row['scoring_p99_ms'], '{:.2f}'):>10}"
@@ -199,14 +190,13 @@ def render_view(view: dict, color: bool = True) -> str:
     fleet = view.get("fleet")
     if fleet:
         lines.append("")
-        cap = fleet.get("max_resident")
+        cap = fleet.get("max_resident_banks")
         resident = f"{fleet.get('resident_banks', 0)}"
         if cap:
             resident += f"/{cap}"
         lines.append(
             paint("FLEET  ", _DIM)
             + f"banks={resident} evictions={fleet.get('evictions', 0)} "
-            f"restores={fleet.get('restores', 0)} "
             f"cold_loads={fleet.get('cold_loads', 0)} "
             f"dispatchers={fleet.get('dispatchers', 0)}"
         )
@@ -221,16 +211,6 @@ def render_view(view: dict, color: bool = True) -> str:
                 paint("BREAKERS  ", _DIM)
                 + paint(states, _RED if open_breakers else _GREEN)
             )
-
-    transport = view.get("transport")
-    if transport:
-        lines.append(
-            paint("TRANSPORT  ", _DIM)
-            + f"frames={transport.get('frames_sent', 0)} "
-            f"payload_mb={transport.get('payload_bytes', 0) / 1e6:.1f} "
-            f"avoided_mb={transport.get('bytes_avoided', 0) / 1e6:.1f} "
-            f"inline_fallbacks={transport.get('inline_fallbacks', 0)}"
-        )
 
     if view.get("alert_burn_rate") is not None:
         lines.append("")

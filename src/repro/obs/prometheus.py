@@ -15,11 +15,9 @@ Conventions:
   carry their raw cumulative bucket counts);
 * per-model series carry a ``model`` label, per-stage histograms add
   ``stage``, cluster-worker series carry ``dispatcher`` and ``worker``;
-  transport byte/frame counters add ``transport`` and the ring gauges add
-  ``ring`` (``request_slab`` / ``response_slab``);
 * fleet-wide residency series are ``repro_fleet_*`` (resident banks,
-  evictions, restores, cold loads, leases) and per-tenant admission
-  counters are ``repro_tenant_*`` with a ``tenant`` label;
+  dispatchers, evictions, cold loads) and per-tenant admission counters
+  are ``repro_tenant_*`` with a ``tenant`` label;
 * per-tenant SLO series are ``repro_slo_error_budget_remaining`` and
   ``repro_slo_burn_rate`` (``window="fast"|"slow"``), from the ``slo``
   snapshot block;
@@ -33,7 +31,7 @@ Conventions:
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -220,7 +218,6 @@ def render_prometheus(snapshot: Dict) -> str:
         failure_help = {
             "hangs": "Worker hangs detected by the request-timeout watchdog.",
             "shard_retries": "Shards retried once after a worker fault.",
-            "transport_errors": "Transport-level faults (torn frames, drops).",
             "worker_faults": "Request-level faults reported by workers.",
             "deadline_skips": "Shards abandoned because their deadline expired.",
         }
@@ -265,70 +262,6 @@ def render_prometheus(snapshot: Dict) -> str:
                 dispatcher=dispatcher,
                 worker=index,
             )
-        transport_stats = info.get("transport_stats") or {}
-        transport = transport_stats.get("transport", "pipe")
-        for index, endpoint in enumerate(transport_stats.get("per_worker", [])):
-            if endpoint is None:
-                continue
-            for field, help_text in (
-                ("pipe_bytes", "Bytes moved through worker pipes (frames)."),
-                ("shm_bytes", "Array bytes staged in shared-memory rings."),
-                ("socket_bytes", "Bytes moved through transport sockets."),
-                (
-                    "bytes_avoided",
-                    "Array bytes kept out of the pipes vs the pipe baseline.",
-                ),
-                ("inline_fallbacks", "Replies that outgrew their ring slab."),
-            ):
-                name = f"repro_transport_{field}_total"
-                writer.declare(name, "counter", help_text)
-                writer.sample(
-                    name,
-                    endpoint.get(field, 0),
-                    dispatcher=dispatcher,
-                    worker=index,
-                    transport=transport,
-                )
-            writer.declare(
-                "repro_transport_frames_total",
-                "counter",
-                "Control/request frames exchanged with each worker.",
-            )
-            writer.sample(
-                "repro_transport_frames_total",
-                endpoint.get("frames_sent", 0) + endpoint.get("frames_received", 0),
-                dispatcher=dispatcher,
-                worker=index,
-                transport=transport,
-            )
-            for ring in ("request_slab", "response_slab"):
-                slab = endpoint.get(ring)
-                if slab is None:
-                    continue
-                writer.declare(
-                    "repro_transport_ring_capacity_bytes",
-                    "gauge",
-                    "Current capacity of each worker's shared-memory ring.",
-                )
-                writer.sample(
-                    "repro_transport_ring_capacity_bytes",
-                    slab["capacity_bytes"],
-                    dispatcher=dispatcher,
-                    worker=index,
-                    ring=ring,
-                )
-                writer.declare(
-                    "repro_transport_ring_occupancy",
-                    "gauge",
-                    "Last payload's fraction of its ring's capacity.",
-                )
-                writer.sample(
-                    "repro_transport_ring_occupancy",
-                    slab["occupancy"],
-                    dispatcher=dispatcher,
-                    worker=index,
-                    ring=ring,
-                )
 
     fleet = snapshot.get("fleet")
     if fleet is not None:
@@ -340,18 +273,6 @@ def render_prometheus(snapshot: Dict) -> str:
                 "Shared model banks currently resident.",
             ),
             (
-                "repro_fleet_peak_resident_banks",
-                "gauge",
-                "peak_resident_banks",
-                "High-water mark of resident shared banks.",
-            ),
-            (
-                "repro_fleet_leases",
-                "gauge",
-                "leases",
-                "Bank leases held by in-flight dispatches.",
-            ),
-            (
                 "repro_fleet_dispatchers",
                 "gauge",
                 "dispatchers",
@@ -361,13 +282,7 @@ def render_prometheus(snapshot: Dict) -> str:
                 "repro_fleet_evictions_total",
                 "counter",
                 "evictions",
-                "Bank segments paged out of shared memory.",
-            ),
-            (
-                "repro_fleet_restores_total",
-                "counter",
-                "restores",
-                "Paged-out banks re-materialised on demand.",
+                "Worker pools (and their banks) closed by the residency cap.",
             ),
             (
                 "repro_fleet_cold_loads_total",

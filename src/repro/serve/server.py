@@ -175,11 +175,6 @@ class ServeApp:
         many worker processes sharing the packed model bank through
         ``multiprocessing.shared_memory`` (one dispatcher per promoted
         model version; dense-mode models transparently stay in-process).
-    transport:
-        Cluster data plane for shard payloads — ``"pipe"`` (default),
-        ``"shm"`` (shared-memory rings; pipes carry only control frames),
-        or ``"tcp"`` (framed localhost sockets).  Ignored when
-        ``num_processes == 0``.  See :mod:`repro.cluster.transport`.
     cache_size:
         Entry cap for the request-level LRU prediction cache keyed by
         ``(model, version, top_k, payload hash)``; ``0`` disables caching.
@@ -198,12 +193,12 @@ class ServeApp:
     max_resident_banks:
         Fleet residency cap: at most this many cluster dispatchers (each
         owning one shared packed bank plus its worker pool) stay live; the
-        least-recently-used one is closed when a cold load would exceed the
-        cap, and the shared store is created with the same ``max_resident``
-        so bank segments page out under the identical bound.  ``None``
-        (default) keeps every dispatcher resident.  Re-building an evicted
-        model on its next request is a *cold load*: timed into the
-        ``cold_load`` stage histogram and counted in the fleet metrics.
+        least-recently-used one is closed — an *eviction*, which releases
+        its bank and reaps its workers — when a cold load would exceed the
+        cap.  ``None`` (default) keeps every dispatcher resident.
+        Re-building an evicted model on its next request is a *cold load*:
+        timed into the ``cold_load`` stage histogram and counted, with the
+        evictions, in the fleet metrics.
     cold_load_retries:
         Transient cold-load failures (worker startup races, ...) are
         retried this many times with capped exponential backoff before the
@@ -248,7 +243,6 @@ class ServeApp:
         metrics: Optional[MetricsRegistry] = None,
         max_batch_size: int = 64,
         num_processes: int = 0,
-        transport: str = "pipe",
         cache_size: int = 1024,
         max_queue_depth: Optional[int] = None,
         max_concurrent: Optional[int] = None,
@@ -279,7 +273,6 @@ class ServeApp:
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.num_processes = int(num_processes)
-        self.transport = transport
         self.max_concurrent = max_concurrent
         self.tenant_quotas = tenant_quotas
         self.max_resident_banks = (
@@ -311,6 +304,7 @@ class ServeApp:
         self._dispatcher_clock = itertools.count(1)
         self._dispatcher_last_used: Dict[str, int] = {}
         self._cold_loads = 0
+        self._evictions = 0
         self._draining = False
         self._inflight = 0
         self._inflight_cv = threading.Condition()
@@ -348,6 +342,7 @@ class ServeApp:
             dispatchers = [d for _, d in self._dispatchers.values() if d is not None]
             store = self._store
             cold_loads = self._cold_loads
+            evictions = self._evictions
             breakers = {
                 name: breaker.snapshot() for name, breaker in self._breakers.items()
             }
@@ -359,11 +354,13 @@ class ServeApp:
                 "resident_bytes": store.resident_bytes,
                 "stats_slabs": sum(d.num_workers for d in dispatchers),
             }
-            fleet = dict(store.stats())
-            fleet["cold_loads"] = cold_loads
-            fleet["dispatchers"] = len(dispatchers)
-            fleet["max_resident_banks"] = self.max_resident_banks
-            fleet["bank_restores"] = sum(d.bank_restores for d in dispatchers)
+            fleet = {
+                "resident_banks": len(store),
+                "dispatchers": len(dispatchers),
+                "cold_loads": cold_loads,
+                "evictions": evictions,
+                "max_resident_banks": self.max_resident_banks,
+            }
             if breakers:
                 fleet["breakers"] = breakers
             snapshot["fleet"] = fleet
@@ -649,7 +646,7 @@ class ServeApp:
                 503, "model version was swapped mid-request; retry", code="model_swapped"
             )
         except ClusterError as error:
-            # Residual cluster-tier failures (double transport faults, ...):
+            # Residual cluster-tier failures (repeated worker faults, ...):
             # the pool heals on the next request, so they are retryable.
             model_metrics.record_error()
             raise RequestError(
@@ -752,9 +749,7 @@ class ServeApp:
                 dispatcher = entry[1]
                 return dispatcher if dispatcher is not None else engine
             if self._store is None:
-                self._store = SharedModelStore(
-                    max_resident=self.max_resident_banks
-                )
+                self._store = SharedModelStore()
             store = self._store
             build_lock = self._build_locks.setdefault(name, threading.Lock())
             breaker = self._breakers.get(name)
@@ -823,7 +818,6 @@ class ServeApp:
                     num_workers=self.num_processes,
                     store=store,
                     name=f"{name}@v{version}",
-                    transport=self.transport,
                     # Cold loads sit in the request path: a worker that is
                     # not up within 10s is pathological — fail the attempt
                     # (typed, retried) rather than stall the tenant's whole
@@ -857,10 +851,11 @@ class ServeApp:
         """LRU dispatchers to close so live pools fit ``max_resident_banks``.
 
         Called under ``_cluster_lock``; pops the victims from the map (so no
-        new request resolves them) and returns them for the caller to close
-        *outside* the lock.  Closing releases the victim's shared bank (the
-        store unlinks it at refcount zero) and reaps its workers, which is
-        what actually bounds fleet memory.  The entry being installed
+        new request resolves them), counts them as evictions, and returns
+        them for the caller to close *outside* the lock.  Closing releases
+        the victim's shared bank (the store unlinks it at refcount zero) and
+        reaps its workers, which is what actually bounds fleet memory.  The
+        entry being installed
         (``keep``) is never a victim; dense fallbacks hold no bank and never
         count.
         """
@@ -882,6 +877,7 @@ class ServeApp:
             _, dispatcher = self._dispatchers.pop(key)
             self._dispatcher_last_used.pop(key, None)
             evicted.append(dispatcher)
+        self._evictions += len(evicted)
         return evicted
 
     # ------------------------------------------------------------------- drain

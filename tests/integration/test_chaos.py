@@ -1,11 +1,11 @@
 """Integration chaos soak: fault-injected serving degrades gracefully.
 
 The acceptance criterion for the robustness tier: with a seeded plan
-injecting hangs, crashes, and torn/dropped frames, every failure the client
-sees is a typed 429/503/504, availability stays at or above 95%, nothing
-leaks a shared-memory segment, and the fault-free path stays bit-identical
-to single-process scoring.  One short soak per transport keeps the suite
-honest without turning CI into a stress test.
+injecting hangs, crashes, and dropped pipes, every failure the client sees
+is a typed 429/503/504, availability stays at or above 95%, nothing leaks a
+shared-memory segment, and the fault-free path stays bit-identical to
+single-process scoring.  One short soak keeps the suite honest without
+turning CI into a stress test.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ def trained():
     return sampler, PackedInferenceEngine(pipeline, name="ucihar")
 
 
-@pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
-def test_chaos_soak_degrades_gracefully(trained, transport):
+def test_chaos_soak_degrades_gracefully(trained):
     sampler, engine = trained
     before = _shm_names()
     registry = ModelRegistry()
@@ -52,7 +51,6 @@ def test_chaos_soak_degrades_gracefully(trained, transport):
     app = ServeApp(
         registry,
         num_processes=3,
-        transport=transport,
         cache_size=0,
         request_timeout=0.75,
         fault_plan=PRESETS["quick"],
@@ -83,7 +81,6 @@ def test_chaos_soak_degrades_gracefully(trained, transport):
         delta.get("respawns", 0)
         + delta.get("hangs", 0)
         + delta.get("shard_retries", 0)
-        + delta.get("transport_errors", 0)
         + delta.get("worker_faults", 0)
     )
     assert survived > 0, delta
@@ -113,27 +110,26 @@ def test_fault_free_path_is_bit_identical_to_single_process(trained):
     np.testing.assert_array_equal(response["labels"], engine.predict(queries))
 
 
-@pytest.mark.parametrize("transport", ["pipe", "shm", "tcp"])
-def test_eviction_churn_is_bit_identical(trained, transport):
-    """Evict-during-dispatch and unlink-vs-attach races change nothing.
+def test_eviction_churn_is_bit_identical(trained):
+    """Pool-cap evictions under worker faults change no answer.
 
-    A plan that pages the bank out on a cadence (``evict``), force-unlinks
-    it under the live lease (``unlink``), and slows a cold restore
-    (``slow_load``) exercises the lease/generation protocol mid-stream; the
-    answers must stay bit-identical to single-process scoring on every
-    transport, and the restores must actually have happened.
+    Three tenants share a one-pool residency cap, so every switch of tenant
+    evicts the live pool (closing its workers and unlinking its bank) and
+    cold-loads the next one, while each pool's workers inject error replies
+    and slow replies from their second request on.  The answers must stay
+    bit-identical to single-process scoring and nothing may leak.
     """
     sampler, engine = trained
-    queries = sampler.features[:48]
+    queries = np.asarray(sampler.features[:64], dtype=np.float64)
     expected = engine.predict(queries)
     before = _shm_names()
     registry = ModelRegistry()
-    registry.register("ucihar", engine)
+    for name in ("a", "b", "c"):
+        registry.register(name, engine)
     plan = FaultPlan(
         rules=(
-            FaultRule(kind="evict", every=3),
-            FaultRule(kind="unlink", every=7, after=4),
-            FaultRule(kind="slow_load", every=11, after=6),
+            FaultRule(kind="error", every=3, after=2),
+            FaultRule(kind="slow", every=3, after=3),
         ),
         seed=1,
         slow_seconds=0.01,
@@ -141,18 +137,26 @@ def test_eviction_churn_is_bit_identical(trained, transport):
     app = ServeApp(
         registry,
         num_processes=2,
-        transport=transport,
+        max_resident_banks=1,
         cache_size=0,
         fault_plan=plan,
     )
     try:
-        for start in range(0, len(queries), 4):
-            chunk = queries[start : start + 4]
-            answer = app.predict({"features": chunk.tolist()})
-            assert answer["labels"] == expected[start : start + 4].tolist()
-        fleet = app.metrics_snapshot()["fleet"]
-        assert fleet["evictions"] > 0
-        assert fleet["restores"] + fleet["bank_restores"] > 0
+        # Eight visits (a b c a b c a b) of four two-row requests each, so
+        # every pool's workers reach the faults before it is evicted.
+        for visit, start in enumerate(range(0, len(queries), 8)):
+            tenant = "abc"[visit % 3]
+            for offset in range(start, start + 8, 2):
+                chunk = queries[offset : offset + 2]
+                answer = app.predict({"features": chunk.tolist(), "model": tenant})
+                assert answer["labels"] == expected[offset : offset + 2].tolist()
+        snapshot = app.metrics_snapshot()
+        fleet = snapshot["fleet"]
+        assert fleet["cold_loads"] == 8
+        assert fleet["evictions"] == 7
+        assert fleet["resident_banks"] == 1
+        (live,) = snapshot["cluster"].values()
+        assert live["failures"]["worker_faults"] > 0
     finally:
         app.begin_drain()
         app.drain(grace_seconds=10.0)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import threading
 import time
+from multiprocessing import shared_memory
 
+import numpy as np
 import pytest
 
 from repro.classifiers.baseline import BaselineHDC
@@ -35,6 +37,24 @@ def _registry(engine, tenants):
     for name in tenants:
         registry.register(name, engine)
     return registry
+
+
+def _segment_exists(name: str) -> bool:
+    try:
+        segment = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return False
+    segment.close()
+    return True
+
+
+def _live_pools(app) -> dict:
+    """Tenant name -> its live dispatcher (the pools the cap bounds)."""
+    return {
+        name: dispatcher
+        for name, (_, dispatcher) in app._dispatchers.items()
+        if dispatcher is not None
+    }
 
 
 class TestFleetPaging:
@@ -101,6 +121,178 @@ class TestFleetPaging:
             for thread in threads:
                 thread.join()
             assert failures == []
+        finally:
+            app.begin_drain()
+            app.drain(grace_seconds=10.0)
+
+
+class TestPoolResidencyCap:
+    """``max_resident_banks`` is one LRU over live worker pools."""
+
+    def test_cap_evicts_the_least_recently_used_pool(
+        self, fleet_engine, small_problem
+    ):
+        queries = small_problem["test_features"][:4]
+        expected = fleet_engine.predict(queries).tolist()
+        app = ServeApp(
+            _registry(fleet_engine, ["a", "b", "c"]),
+            num_processes=1,
+            max_resident_banks=2,
+            cache_size=0,
+        )
+        try:
+            for name in ("a", "b"):
+                app.predict({"features": queries.tolist(), "model": name})
+            victim = _live_pools(app)["b"]
+            victim_segment = victim._spec.bank_handle.segment
+            victim_process = victim._workers[0].process
+            # Touching "a" makes "b" the least recently used pool.
+            app.predict({"features": queries.tolist(), "model": "a"})
+            answer = app.predict({"features": queries.tolist(), "model": "c"})
+            assert answer["labels"] == expected
+            assert set(_live_pools(app)) == {"a", "c"}
+            # Evicting closes the pool: its bank is unlinked, its worker reaped.
+            assert not _segment_exists(victim_segment)
+            assert not victim_process.is_alive()
+            fleet = app.metrics_snapshot()["fleet"]
+            assert fleet["evictions"] == 1
+            assert fleet["cold_loads"] == 3
+            assert fleet["resident_banks"] == 2
+        finally:
+            app.begin_drain()
+            app.drain(grace_seconds=10.0)
+
+    def test_evicted_tenant_cold_loads_again_bit_identical(
+        self, fleet_engine, small_problem
+    ):
+        queries = small_problem["test_features"][:6]
+        expected = fleet_engine.predict(queries).tolist()
+        app = ServeApp(
+            _registry(fleet_engine, ["a", "b"]),
+            num_processes=2,
+            max_resident_banks=1,
+            cache_size=0,
+        )
+        try:
+            for name in ("a", "b", "a", "b"):
+                answer = app.predict({"features": queries.tolist(), "model": name})
+                assert answer["labels"] == expected
+                assert list(_live_pools(app)) == [name]
+            fleet = app.metrics_snapshot()["fleet"]
+            assert fleet["cold_loads"] == 4
+            assert fleet["evictions"] == 3
+            assert fleet["resident_banks"] == 1
+        finally:
+            app.begin_drain()
+            app.drain(grace_seconds=10.0)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_zipf_stream_never_exceeds_the_cap(
+        self, fleet_engine, small_problem, cap
+    ):
+        tenants = [f"t{i}" for i in range(5)]
+        queries = small_problem["test_features"][:3]
+        expected = fleet_engine.predict(queries).tolist()
+        weights = 1.0 / np.arange(1, len(tenants) + 1) ** 1.1
+        stream = np.random.default_rng(cap).choice(
+            len(tenants), size=24, p=weights / weights.sum()
+        )
+        app = ServeApp(
+            _registry(fleet_engine, tenants),
+            num_processes=1,
+            max_resident_banks=cap,
+            cache_size=0,
+        )
+        try:
+            for index in stream:
+                answer = app.predict(
+                    {"features": queries.tolist(), "model": tenants[index]}
+                )
+                assert answer["labels"] == expected
+                assert len(_live_pools(app)) <= cap
+            fleet = app.metrics_snapshot()["fleet"]
+            assert fleet["resident_banks"] == len(_live_pools(app)) <= cap
+            # With no hot-swaps and no failed loads, every cold load is
+            # either still resident or was evicted exactly once.
+            assert fleet["cold_loads"] == fleet["resident_banks"] + fleet["evictions"]
+            assert fleet["cold_loads"] >= len(set(stream.tolist()))
+        finally:
+            app.begin_drain()
+            app.drain(grace_seconds=10.0)
+
+    def test_fleet_block_reports_the_one_cap(self, fleet_engine, small_problem):
+        queries = small_problem["test_features"][:2]
+        app = ServeApp(
+            _registry(fleet_engine, ["a"]),
+            num_processes=1,
+            max_resident_banks=3,
+            cache_size=0,
+        )
+        try:
+            app.predict({"features": queries.tolist(), "model": "a"})
+            fleet = app.metrics_snapshot()["fleet"]
+            assert set(fleet) == {
+                "resident_banks",
+                "dispatchers",
+                "cold_loads",
+                "evictions",
+                "max_resident_banks",
+                "breakers",
+            }
+            assert fleet["max_resident_banks"] == 3
+            assert fleet["breakers"]["a"]["state"] == "closed"
+        finally:
+            app.begin_drain()
+            app.drain(grace_seconds=10.0)
+
+    def test_uncapped_app_keeps_every_pool(self, fleet_engine, small_problem):
+        tenants = ["a", "b", "c"]
+        queries = small_problem["test_features"][:2]
+        app = ServeApp(
+            _registry(fleet_engine, tenants),
+            num_processes=1,
+            cache_size=0,
+        )
+        try:
+            for _ in range(2):
+                for name in tenants:
+                    app.predict({"features": queries.tolist(), "model": name})
+            fleet = app.metrics_snapshot()["fleet"]
+            assert fleet["max_resident_banks"] is None
+            assert fleet["evictions"] == 0
+            assert fleet["cold_loads"] == 3
+            assert fleet["resident_banks"] == fleet["dispatchers"] == 3
+        finally:
+            app.begin_drain()
+            app.drain(grace_seconds=10.0)
+
+    @pytest.mark.parametrize("cap", [0, -2])
+    def test_cap_must_be_positive(self, fleet_engine, cap):
+        with pytest.raises(ValueError, match="max_resident_banks"):
+            ServeApp(_registry(fleet_engine, ["a"]), max_resident_banks=cap)
+
+    def test_hot_swap_releases_the_old_bank_without_an_eviction(
+        self, fleet_engine, small_problem
+    ):
+        queries = small_problem["test_features"][:4]
+        expected = fleet_engine.predict(queries).tolist()
+        registry = _registry(fleet_engine, ["a"])
+        app = ServeApp(
+            registry, num_processes=1, max_resident_banks=1, cache_size=0
+        )
+        try:
+            app.predict({"features": queries.tolist(), "model": "a"})
+            old_segment = _live_pools(app)["a"]._spec.bank_handle.segment
+            registry.register("a", fleet_engine)  # promote version 2
+            answer = app.predict({"features": queries.tolist(), "model": "a"})
+            assert answer["labels"] == expected
+            assert _live_pools(app)["a"].name == "a@v2"
+            assert not _segment_exists(old_segment)
+            fleet = app.metrics_snapshot()["fleet"]
+            # A superseded version is closed, not evicted.
+            assert fleet["evictions"] == 0
+            assert fleet["cold_loads"] == 2
+            assert fleet["resident_banks"] == 1
         finally:
             app.begin_drain()
             app.drain(grace_seconds=10.0)

@@ -27,31 +27,36 @@ class TestParser:
         assert args.quick is False
         assert args.json is None
 
-    def test_serve_kernel_backend_choices(self):
-        args = build_parser().parse_args(
-            ["serve", "--model", "m.npz", "--kernel-backend", "threaded"]
-        )
-        assert args.kernel_backend == "threaded"
-        # Default defers to REPRO_KERNEL_BACKEND / numpy.
-        assert (
-            build_parser().parse_args(["serve", "--model", "m.npz"]).kernel_backend
-            is None
-        )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve", "--model", "m.npz", "--kernel-backend", "cuda"]
-            )
-
     def test_serve_multiprocess_flags(self):
         args = build_parser().parse_args(
             ["serve", "--model", "m.npz", "--workers", "4", "--cache-size", "0"]
         )
         assert args.workers == 4
         assert args.cache_size == 0
-        multiproc = build_parser().parse_args(
-            ["serve", "--model", "m.npz", "--kernel-backend", "multiprocess"]
-        )
-        assert multiproc.kernel_backend == "multiprocess"
+
+    @pytest.mark.parametrize(
+        "argv, retired",
+        [
+            (
+                ["serve", "--model", "m.npz", "--workers", "2", "--transport", "shm"],
+                "--transport",
+            ),
+            (["loadgen", "--workers", "2", "--transport", "tcp"], "--transport"),
+            (
+                ["serve", "--model", "m.npz", "--kernel-backend", "threaded"],
+                "--kernel-backend",
+            ),
+            (["bench-dispatch", "--quick"], "bench-dispatch"),
+        ],
+        ids=["serve-transport", "loadgen-transport", "kernel-backend", "bench-dispatch"],
+    )
+    def test_retired_flags_and_commands_are_rejected(self, argv, retired, capsys):
+        # Workers talk over one pipe each and the kernel backend is chosen
+        # by REPRO_KERNEL_BACKEND alone: a stale script fails at parse time.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert retired in capsys.readouterr().err
 
     def test_loadgen_defaults_and_target_exclusivity(self):
         args = build_parser().parse_args(["loadgen"])

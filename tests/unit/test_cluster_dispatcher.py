@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from multiprocessing import shared_memory
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.classifiers.baseline import BaselineHDC
+from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.cluster import (
     ClusterDispatcher,
@@ -16,6 +19,7 @@ from repro.cluster import (
     SharedModelStore,
     WorkerCrashedError,
 )
+from repro.cluster.affinity import available_cpus, build_pin_map
 from repro.faults import FaultPlan, FaultRule
 from repro.hdc.encoders import RecordEncoder
 from repro.serve.engine import PackedInferenceEngine
@@ -37,6 +41,17 @@ def served(small_problem):
     pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
     engine = PackedInferenceEngine(pipeline, name="disp")
     return engine, small_problem["test_features"]
+
+
+@pytest.fixture(scope="module")
+def ensemble_served(small_problem):
+    encoder = RecordEncoder(dimension=192, num_levels=8, tie_break="positive", seed=9)
+    pipeline = HDCPipeline(
+        encoder, MultiModelHDC(models_per_class=4, iterations=1, seed=9)
+    )
+    pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
+    engine = PackedInferenceEngine(pipeline, name="disp-ens")
+    return engine, small_problem["test_features"][:32]
 
 
 @pytest.fixture()
@@ -78,11 +93,45 @@ class TestDispatch:
             assert labels.shape == (1, 1)
             assert labels[0, 0] == engine.predict(row[None, :])[0]
 
-    def test_worker_value_error_propagates(self, dispatcher):
+    @pytest.mark.parametrize("num_workers", [1, 2, 3])
+    def test_ensemble_max_over_bank_merge(self, ensemble_served, num_workers):
+        engine, queries = ensemble_served
+        with ClusterDispatcher(engine, num_workers=num_workers) as d:
+            assert np.array_equal(
+                d.decision_scores(queries), engine.decision_scores(queries)
+            )
+            labels, scores = d.top_k(queries, k=2)
+            expected_labels, expected_scores = engine.top_k(queries, k=2)
+            assert np.array_equal(labels, expected_labels)
+            assert np.array_equal(scores, expected_scores)
+
+    def test_worker_value_error_propagates(self, dispatcher, served):
+        engine, queries = served
         with pytest.raises(ValueError, match="columns"):
             dispatcher.top_k(np.zeros((4, 3)), k=1)
-        # The pool survives a request-level error.
+        # The pool survives a request-level error and keeps scoring exactly.
         assert dispatcher.ping()
+        labels, _ = dispatcher.top_k(queries, k=1)
+        assert np.array_equal(labels, engine.top_k(queries, k=1)[0])
+        assert dispatcher.respawns == 0
+
+    def test_ships_packed_words_not_float_rows(self, served):
+        engine, queries = served
+        batch = np.ascontiguousarray(queries[:16])
+        packed_words = engine._encode_packed(engine._validate(batch)).words
+        with ClusterDispatcher(engine, num_workers=1) as d:
+            assert d.info()["ships_packed_queries"] is True
+            connection = d._workers[0].connection
+            frames = []
+            send = connection.send
+            connection.send = lambda frame: (frames.append(frame), send(frame))[1]
+            d.decision_scores(batch)
+            ((header, arrays),) = frames
+            assert header["kind"] == "packed"
+            # The request frame carries the packed words (32x smaller than
+            # float64 rows at D=256/F=24), not the float rows.
+            assert np.array_equal(arrays[0], packed_words)
+            assert arrays[0].nbytes < batch.nbytes
 
     def test_ping_reports_distinct_pids(self, dispatcher):
         pids = dispatcher.ping()
@@ -90,11 +139,67 @@ class TestDispatch:
         assert len(set(pids)) == 2
 
 
+class TestParity:
+    """Sharding over the pipe never changes an answer, whatever the split."""
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("num_workers", [1, 2, 3])
+    def test_top_k_scores_and_predict_match_single_process(
+        self, served, num_workers, k
+    ):
+        engine, queries = served
+        expected_labels, expected_scores = engine.top_k(queries, k=k)
+        with ClusterDispatcher(engine, num_workers=num_workers) as d:
+            labels, scores = d.top_k(queries, k=k)
+            assert np.array_equal(labels, expected_labels)
+            assert np.array_equal(scores, expected_scores)
+            assert np.array_equal(
+                d.decision_scores(queries), engine.decision_scores(queries)
+            )
+            assert np.array_equal(d.predict(queries), engine.predict(queries))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 17])
+    def test_uneven_and_tiny_batches_merge_in_row_order(self, served, rows):
+        # Fewer rows than workers, one row per worker, and splits that leave
+        # the shards unequal: the merge must restore the caller's row order.
+        engine, queries = served
+        batch = queries[:rows]
+        with ClusterDispatcher(engine, num_workers=3) as d:
+            for _ in range(2):  # a second call starts at another worker
+                labels, scores = d.top_k(batch, k=2)
+                expected_labels, expected_scores = engine.top_k(batch, k=2)
+                assert np.array_equal(labels, expected_labels)
+                assert np.array_equal(scores, expected_scores)
+                assert np.array_equal(
+                    d.decision_scores(batch), engine.decision_scores(batch)
+                )
+
+    @pytest.mark.parametrize("kind", ["packed", "dense"])
+    def test_value_error_propagates_and_pool_survives(self, served, kind):
+        # "packed" validates parent-side before the scatter; "dense" ships
+        # the float rows, so the worker raises and replies with an error
+        # frame.  Either way the caller sees the ValueError and the pool
+        # keeps answering exactly, without a respawn.
+        engine, queries = served
+        with ClusterDispatcher(engine, num_workers=2) as d:
+            d._ship_packed = kind == "packed"
+            with pytest.raises(ValueError, match="columns"):
+                d.top_k(np.zeros((4, 3)), k=1)
+            labels, scores = d.top_k(queries, k=2)
+            expected_labels, expected_scores = engine.top_k(queries, k=2)
+            assert np.array_equal(labels, expected_labels)
+            assert np.array_equal(scores, expected_scores)
+            assert len(d.ping()) == 2
+            assert d.respawns == 0
+            assert d.shard_retries == 0
+
+
 class TestCrashRecovery:
-    def test_mid_batch_crash_is_masked_by_shard_retry(self, served):
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_mid_batch_crash_is_masked_by_shard_retry(self, served, victim):
         engine, queries = served
         with ClusterDispatcher(engine, num_workers=2) as dispatcher:
-            dispatcher.poison_worker(0)
+            dispatcher.poison_worker(victim)
             # The poisoned worker dies mid-batch; the dispatcher retires the
             # slot, respawns it, and retries the shard once — so the request
             # itself succeeds, bit-identical, with the crash visible only in
@@ -103,6 +208,10 @@ class TestCrashRecovery:
             assert np.array_equal(labels, engine.top_k(queries, k=1)[0])
             assert dispatcher.respawns == 1
             assert dispatcher.shard_retries == 1
+            # The respawned pool keeps answering exactly.
+            assert np.array_equal(
+                dispatcher.decision_scores(queries), engine.decision_scores(queries)
+            )
 
     def test_dead_worker_found_at_send_is_respawned_transparently(self, served):
         engine, queries = served
@@ -112,6 +221,42 @@ class TestCrashRecovery:
             labels, _ = dispatcher.top_k(queries, k=1)
             assert np.array_equal(labels, engine.top_k(queries, k=1)[0])
             assert dispatcher.respawns == 1
+
+    def test_sigkill_while_worker_holds_the_shard_is_masked(self, served):
+        engine, queries = served
+        # Worker 0 sits on its second shard (a 5 s slow reply) and is
+        # SIGKILLed once the shard is on its pipe, just as the dispatcher
+        # starts waiting for the reply: the reply never comes, the dead
+        # process is noticed, and the shard is retried once on the respawned
+        # worker (whose request count restarts below the slow rule) long
+        # before the slow reply would have arrived.
+        plan = FaultPlan(
+            rules=(FaultRule(kind="slow", at=2, workers=(0,)),),
+            seed=0,
+            slow_seconds=5.0,
+        )
+        with ClusterDispatcher(engine, num_workers=2, fault_plan=plan) as dispatcher:
+            dispatcher.top_k(queries[:4], k=1)  # count 1 on both workers
+            victim = dispatcher._workers[0]
+            victim_pid = victim.process.pid
+            receive = dispatcher._receive
+
+            def kill_then_receive(worker, deadline=None):
+                if worker is victim and victim.process.is_alive():
+                    os.kill(victim_pid, signal.SIGKILL)
+                return receive(worker, deadline)
+
+            dispatcher._receive = kill_then_receive
+            started = time.monotonic()
+            labels, scores = dispatcher.top_k(queries, k=3)
+            elapsed = time.monotonic() - started
+            expected_labels, expected_scores = engine.top_k(queries, k=3)
+            assert np.array_equal(labels, expected_labels)
+            assert np.array_equal(scores, expected_scores)
+            assert dispatcher.respawns == 1
+            assert dispatcher.shard_retries == 1
+            assert elapsed < 4.0
+            assert victim_pid not in dispatcher.ping()
 
 
 class TestCleanup:
@@ -148,6 +293,43 @@ class TestCleanup:
         assert info["num_workers"] == 2
         assert info["shared_bank_bytes"] > 0
         assert len(info["worker_pids"]) == 2
+
+    def test_info_keys_are_the_pool_surface(self, dispatcher):
+        # One pickled frame over one pipe per worker: there is no transport
+        # to name and no per-transport byte counters to report.
+        assert set(dispatcher.info()) == {
+            "name",
+            "num_workers",
+            "respawns",
+            "request_timeout",
+            "failures",
+            "fault_plan",
+            "start_method",
+            "ships_packed_queries",
+            "cpu_count",
+            "pin_map",
+            "shared_bank_bytes",
+            "worker_pids",
+            "uptime_seconds",
+            "workers",
+        }
+
+
+class TestAffinity:
+    def test_info_records_cpu_count_and_pin_map(self, served):
+        engine, queries = served
+        with ClusterDispatcher(engine, num_workers=2, cpu_affinity="auto") as d:
+            d.top_k(queries[:8], k=1)
+            info = d.info()
+            assert info["cpu_count"] == (os.cpu_count() or 1)
+            assert len(info["pin_map"]) == 2
+
+    def test_affinity_helpers(self):
+        cpus = available_cpus()
+        assert cpus and all(isinstance(cpu, int) for cpu in cpus)
+        pin_map = build_pin_map(4, cpus=[0, 1])
+        assert pin_map == {0: 0, 1: 1, 2: 0, 3: 1}
+        assert build_pin_map(2, cpus=[]) == {}
 
 
 def _plan(*rules: FaultRule, hang_seconds: float = 30.0) -> FaultPlan:
@@ -205,25 +387,44 @@ class TestFaultInjection:
             assert dispatcher.shard_retries == 1
             assert dispatcher.respawns == 0
 
-    def test_torn_shm_frame_is_retried_and_heals(self, served):
+    def test_slow_reply_within_timeout_is_not_retried(self, served):
         engine, queries = served
-        plan = _plan(FaultRule(kind="torn", at=1, workers=(0,)))
+        plan = FaultPlan(
+            rules=(FaultRule(kind="slow", at=1, workers=(1,)),),
+            seed=0,
+            slow_seconds=0.2,
+        )
         with ClusterDispatcher(
-            engine, num_workers=2, transport="shm", fault_plan=plan
+            engine, num_workers=2, request_timeout=5.0, fault_plan=plan
         ) as dispatcher:
+            started = time.monotonic()
             labels, _ = dispatcher.top_k(queries, k=1)
+            assert time.monotonic() - started >= 0.2
             assert np.array_equal(labels, engine.top_k(queries, k=1)[0])
-            assert dispatcher.transport_errors == 1
+            # Slow is not sick: no watchdog, no retry, no respawn.
+            assert dispatcher.hangs == 0
+            assert dispatcher.shard_retries == 0
             assert dispatcher.respawns == 0
-            # The ring generation re-syncs on the next request: no residue.
-            labels, _ = dispatcher.top_k(queries[:8], k=1)
-            assert np.array_equal(labels, engine.top_k(queries[:8], k=1)[0])
 
-    def test_dropped_tcp_socket_is_masked(self, served):
+    def test_injected_crash_is_masked(self, served):
+        engine, queries = served
+        plan = _plan(FaultRule(kind="crash", at=2, workers=(1,)))
+        with ClusterDispatcher(
+            engine, num_workers=2, fault_plan=plan
+        ) as dispatcher:
+            dispatcher.top_k(queries[:4], k=1)
+            labels, scores = dispatcher.top_k(queries, k=3)
+            expected_labels, expected_scores = engine.top_k(queries, k=3)
+            assert np.array_equal(labels, expected_labels)
+            assert np.array_equal(scores, expected_scores)
+            assert dispatcher.respawns == 1
+            assert dispatcher.shard_retries == 1
+
+    def test_dropped_pipe_is_masked(self, served):
         engine, queries = served
         plan = _plan(FaultRule(kind="drop", at=2, workers=(0,)))
         with ClusterDispatcher(
-            engine, num_workers=2, transport="tcp", fault_plan=plan
+            engine, num_workers=2, fault_plan=plan
         ) as dispatcher:
             dispatcher.top_k(queries[:4], k=1)
             labels, _ = dispatcher.top_k(queries, k=1)
@@ -263,10 +464,8 @@ class TestFaultInjection:
             assert set(info["failures"]) == {
                 "hangs",
                 "shard_retries",
-                "transport_errors",
                 "worker_faults",
                 "deadline_skips",
-                "bank_faults",
             }
             assert info["request_timeout"] == dispatcher.request_timeout
 

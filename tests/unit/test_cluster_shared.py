@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -10,7 +12,6 @@ import pytest
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.pipeline import HDCPipeline
-from repro.cluster.errors import BankEvictedError
 from repro.cluster.shared import (
     SharedModelStore,
     attach_bank,
@@ -34,6 +35,13 @@ def _segment_exists(name: str) -> bool:
         return False
     segment.close()
     return True
+
+
+def _child_reads_bank(handle, connection):
+    """Child-process body: attach the bank and send back a copy of its words."""
+    with attach_bank(handle) as attached:
+        connection.send(np.array(attached.packed.words))
+    connection.close()
 
 
 @pytest.fixture()
@@ -109,6 +117,82 @@ class TestSharedModelStore:
             assert store.handle("a") == handle
             assert "a" in store and "b" not in store
             assert store.keys() == ["a"]
+
+    def test_handle_of_unknown_key_raises(self):
+        with SharedModelStore() as store:
+            with pytest.raises(KeyError, match="nope"):
+                store.handle("nope")
+
+    @pytest.mark.parametrize("references", [1, 2, 5])
+    def test_only_the_last_release_unlinks(self, rng, references):
+        packed = _random_packed(rng)
+        with SharedModelStore() as store:
+            handles = {store.publish("m@v1", packed) for _ in range(references)}
+            (handle,) = handles  # every publish of one key shares one segment
+            for _ in range(references - 1):
+                assert store.release("m@v1") is False
+                assert _segment_exists(handle.segment)
+                with attach_bank(handle) as attached:
+                    assert np.array_equal(attached.packed.words, packed.words)
+            assert store.release("m@v1") is True
+            assert not _segment_exists(handle.segment)
+            assert "m@v1" not in store
+
+    def test_republish_after_full_release_gets_a_fresh_segment(self, rng):
+        first_bank = _random_packed(rng)
+        second_bank = _random_packed(rng)
+        with SharedModelStore() as store:
+            first = store.publish("m@v1", first_bank)
+            store.release("m@v1")
+            # Released to zero, the key is free: the next publish copies the
+            # words it is given into a new segment, not the stale ones.
+            second = store.publish("m@v1", second_bank)
+            assert second.segment != first.segment
+            with attach_bank(second) as attached:
+                assert np.array_equal(attached.packed.words, second_bank.words)
+
+    def test_keys_and_resident_bytes_track_publish_and_release(self, rng):
+        small = _random_packed(rng, rows=2)
+        large = _random_packed(rng, rows=9)
+        with SharedModelStore() as store:
+            a = store.publish("a@v1", small)
+            b = store.publish("b@v1", large)
+            assert a.segment != b.segment
+            assert store.keys() == ["a@v1", "b@v1"]
+            assert store.resident_bytes == small.words.nbytes + large.words.nbytes
+            store.release("a@v1")
+            assert store.keys() == ["b@v1"]
+            assert store.resident_bytes == large.words.nbytes
+            assert _segment_exists(b.segment)
+
+    def test_handle_pickles_to_the_same_address(self, rng):
+        with SharedModelStore() as store:
+            handle = store.publish("m@v1", _random_packed(rng))
+            clone = pickle.loads(pickle.dumps(handle))
+            assert clone == handle
+            assert clone.nbytes == handle.nbytes
+
+    def test_child_process_attaches_the_published_words(self, rng):
+        packed = _random_packed(rng, rows=5)
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
+        with SharedModelStore() as store:
+            handle = store.publish("m@v1", packed)
+            parent_end, child_end = context.Pipe(duplex=False)
+            child = context.Process(target=_child_reads_bank, args=(handle, child_end))
+            child.start()
+            child_end.close()
+            try:
+                assert parent_end.poll(30.0)
+                words = parent_end.recv()
+            finally:
+                child.join(timeout=30.0)
+                parent_end.close()
+            assert child.exitcode == 0
+            assert np.array_equal(words, packed.words)
+            # The child only attached: the segment is still the store's.
+            assert _segment_exists(handle.segment)
 
 
 class TestWorkerSpec:
@@ -214,15 +298,13 @@ class TestShmHygieneUnderChaos:
         plan = FaultPlan(
             rules=(FaultRule(kind="crash", at=2, workers=(0,)),), seed=0
         )
-        dispatcher = ClusterDispatcher(
-            fitted_engine, num_workers=2, transport="shm", fault_plan=plan
-        )
+        dispatcher = ClusterDispatcher(fitted_engine, num_workers=2, fault_plan=plan)
         try:
             dispatcher.top_k(queries[:4], k=1)  # healthy warm call
             dispatcher.top_k(queries[:8], k=1)  # worker 0 crashes, masked
             assert dispatcher.respawns == 1
             # A worker dies again right as the pool shuts down: close() must
-            # still unlink the bank, the ring slabs, and the stats slab.
+            # still unlink the bank and the stats slabs.
             dispatcher._workers[0].process.kill()
             dispatcher._workers[0].process.join(timeout=5.0)
         finally:
@@ -249,13 +331,7 @@ class TestShmHygieneUnderChaos:
         plan = FaultPlan(
             rules=(FaultRule(kind="crash", at=2, workers=(0,)),), seed=0
         )
-        app = ServeApp(
-            registry,
-            num_processes=2,
-            transport="shm",
-            cache_size=0,
-            fault_plan=plan,
-        )
+        app = ServeApp(registry, num_processes=2, cache_size=0, fault_plan=plan)
         try:
             app.predict({"features": queries[:4].tolist()})
             app.predict({"features": queries[:4].tolist()})  # crash masked
@@ -265,74 +341,13 @@ class TestShmHygieneUnderChaos:
         assert _shm_names() - before == set()
 
 
-class TestFleetPaging:
-    """Residency cap, lease/generation protocol, and eviction races."""
-
-    def test_residency_cap_evicts_lru_unleased(self, rng):
-        with SharedModelStore(max_resident=2) as store:
-            first = store.publish("a@v1", _random_packed(rng))
-            store.publish("b@v1", _random_packed(rng))
-            store.publish("c@v1", _random_packed(rng))  # evicts "a" (LRU)
-            stats = store.stats()
-            assert stats["resident_banks"] == 2
-            assert stats["evictions"] == 1
-            assert stats["peak_resident_banks"] == 2
-            assert not _segment_exists(first.segment)
-            with pytest.raises(BankEvictedError):
-                store.lease("a@v1")
-
-    def test_lease_pins_against_cap_eviction(self, rng):
-        with SharedModelStore(max_resident=2, evict_wait_seconds=0.2) as store:
-            store.publish("a@v1", _random_packed(rng))
-            store.publish("b@v1", _random_packed(rng))
-            with store.lease("a@v1"), store.lease("b@v1"):
-                # Every resident bank is pinned: a third publish must wait
-                # for a lease to drop, then give up — never unlink a leased
-                # segment.
-                with pytest.raises(RuntimeError, match="cap"):
-                    store.publish("c@v1", _random_packed(rng))
-            assert store.stats()["resident_banks"] == 2
-
-    def test_evict_defers_until_last_lease_drops(self, rng):
-        with SharedModelStore() as store:
-            handle = store.publish("a@v1", _random_packed(rng))
-            lease = store.lease("a@v1")
-            assert store.evict("a@v1") is False  # deferred, not unlinked
-            assert _segment_exists(handle.segment)
-            with pytest.raises(BankEvictedError):
-                store.lease("a@v1")  # draining: no new pins
-            lease.release()
-            assert not _segment_exists(handle.segment)
-
-    def test_restore_bumps_generation_and_counts(self, rng):
-        with SharedModelStore() as store:
-            packed = _random_packed(rng)
-            handle = store.publish("a@v1", packed)
-            store.evict("a@v1")
-            restored = store.restore("a@v1", packed)
-            assert restored.generation > handle.generation
-            assert store.stats()["restores"] == 1
-            with attach_bank(restored) as bank:
-                np.testing.assert_array_equal(bank.packed.words, packed.words)
-
-    def test_release_while_leased_defers_unlink(self, rng):
-        with SharedModelStore() as store:
-            handle = store.publish("a@v1", _random_packed(rng))
-            lease = store.lease("a@v1")
-            assert store.release("a@v1") is False  # deferred on the lease
-            assert _segment_exists(handle.segment)
-            with attach_bank(handle) as bank:
-                assert bank.packed.words.shape == (6, 3)
-            lease.release()
-            assert not _segment_exists(handle.segment)
-            assert len(store) == 0
-
+class TestConcurrentPublishRelease:
     def test_parallel_publish_release_is_consistent(self, rng):
         import threading
 
         before = _shm_names()
         packs = [_random_packed(rng) for _ in range(4)]
-        with SharedModelStore(max_resident=2) as store:
+        with SharedModelStore() as store:
             barrier = threading.Barrier(8)
             errors = []
 
@@ -342,12 +357,6 @@ class TestFleetPaging:
                 try:
                     for _ in range(25):
                         store.publish(key, packs[index % 4])
-                        try:
-                            lease = store.lease(key)
-                        except BankEvictedError:
-                            store.restore(key, packs[index % 4])
-                        else:
-                            lease.release()
                         store.release(key)
                 except Exception as error:  # pragma: no cover - failure path
                     errors.append(error)
@@ -360,7 +369,41 @@ class TestFleetPaging:
             for thread in threads:
                 thread.join()
             assert errors == []
-            stats = store.stats()
-            assert stats["leases"] == 0
-            assert stats["resident_banks"] <= 2
+            # Every publish was matched by a release: nothing stays published.
+            assert len(store) == 0
+        assert _shm_names() - before == set()
+
+    def test_segment_lives_while_any_holder_remains(self, rng):
+        import threading
+
+        before = _shm_names()
+        packed = _random_packed(rng)
+        holders = 8
+        with SharedModelStore() as store:
+            published = threading.Barrier(holders)
+            handles, errors = [], []
+
+            def hold(index):
+                try:
+                    handles.append(store.publish("m@v1", packed))
+                    published.wait(timeout=30.0)
+                    # Holders release one by one; the others still attach.
+                    if index % 2:
+                        with attach_bank(handles[-1]) as attached:
+                            assert np.array_equal(attached.packed.words, packed.words)
+                    store.release("m@v1")
+                except Exception as error:  # pragma: no cover - failure path
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=hold, args=(i,)) for i in range(holders)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            assert len({handle.segment for handle in handles}) == 1
+            assert len(store) == 0
+            assert not _segment_exists(handles[0].segment)
         assert _shm_names() - before == set()

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.faults import FAULT_KINDS, PRESETS, FaultInjector, FaultPlan, FaultRule
+from repro.faults import FAULT_KINDS, PRESETS, FaultPlan, FaultRule
 
 
 class TestFaultRule:
@@ -19,6 +19,16 @@ class TestFaultRule:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             FaultRule(kind="gremlin", at=1)
+
+    @pytest.mark.parametrize("kind", ["torn", "evict", "unlink", "slow_load"])
+    def test_retired_kinds_fail_loudly(self, kind):
+        # Torn frames needed the shm ring, and evict/unlink/slow_load needed
+        # store-level bank paging; a stale spec naming them must not parse
+        # into a plan that silently injects nothing.
+        with pytest.raises(ValueError, match="kind"):
+            FaultRule(kind=kind, at=1)
+        with pytest.raises(ValueError, match="kind"):
+            FaultPlan.from_spec(f"{kind}:every=3")
 
     def test_at_fires_exactly_once(self):
         rule = FaultRule(kind="crash", at=3)
@@ -103,20 +113,39 @@ class TestFaultPlan:
         assert seeded.seed == 42
 
     def test_presets_cover_every_kind(self):
-        from repro.faults import PARENT_KINDS, WORKER_KINDS
+        # Each named preset exercises the whole fault taxonomy.
+        for name, plan in PRESETS.items():
+            kinds = {rule.kind for rule in plan.rules}
+            assert kinds == set(FAULT_KINDS), name
 
-        # The worker-chaos presets cover the whole worker taxonomy and the
-        # fleet-churn preset covers the whole parent taxonomy; together the
-        # named presets exercise every kind.
-        for name in ("quick", "soak"):
-            kinds = {rule.kind for rule in PRESETS[name].rules}
-            assert kinds == set(WORKER_KINDS), name
-        churn_kinds = {rule.kind for rule in PRESETS["evict-churn"].rules}
-        assert set(PARENT_KINDS) <= churn_kinds
-        all_kinds = {
-            rule.kind for plan in PRESETS.values() for rule in plan.rules
-        }
-        assert all_kinds == set(FAULT_KINDS)
+    def test_quick_preset_kills_each_lethal_worker_at_its_eleventh_request(self):
+        # A respawn resets the count, so only the first lethal draw per
+        # worker is ever reached: worker 0 crashes, 1 hangs, 2 drops.
+        for worker, kind in enumerate(("crash", "hang", "drop")):
+            injector = PRESETS["quick"].injector(worker)
+            draws = [injector.draw() for _ in range(11)]
+            lethal = [d for d in draws if d in ("crash", "hang", "drop")]
+            assert lethal == [kind], worker
+            assert draws[-1] == kind, worker
+
+    def test_evict_churn_is_not_a_preset(self):
+        assert "evict-churn" not in PRESETS
+        with pytest.raises(ValueError, match="kind"):
+            FaultPlan.from_spec("evict-churn")
+        with pytest.raises(ValueError, match="kind"):
+            FaultPlan.resolve("evict-churn")
+
+    def test_fleet_smoke_spec_injects_only_worker_side_kinds(self):
+        plan = FaultPlan.from_spec("error:every=19:after=8;slow:every=23:after=10")
+        assert [(r.kind, r.every, r.after) for r in plan.rules] == [
+            ("error", 19, 8),
+            ("slow", 23, 10),
+        ]
+        injector = plan.injector(0)
+        draws = [injector.draw() for _ in range(200)]
+        assert set(draws) == {None, "error", "slow"}
+        assert draws[7] == "error" and draws[9] == "slow"
+        assert draws.index("error") == 7 and draws.index("slow") == 9
 
     def test_describe_short_is_one_line(self):
         text = PRESETS["quick"].describe_short()

@@ -1,5 +1,7 @@
 """Unit tests for the kernel registry, backend selection, and dtype policy."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,24 @@ class TestRegistry:
         assert "numpy" in listing["packed.bit_differences"]
         assert "threaded" in listing["packed.bit_differences"]
 
+    def test_available_backends_are_numpy_and_threaded(self):
+        assert dispatch.available_backends() == ["numpy", "threaded"]
+
+    def test_threaded_override_wins_for_threaded_backend(self):
+        @dispatch.register_kernel("test.both")
+        def both_numpy():
+            return "numpy"
+
+        @dispatch.register_kernel("test.both", backend="threaded")
+        def both_threaded():
+            return "threaded"
+
+        assert dispatch.get_kernel("test.both", backend="numpy") is both_numpy
+        assert dispatch.get_kernel("test.both", backend="threaded") is both_threaded
+        with dispatch.use_backend("threaded"):
+            assert dispatch.get_kernel("test.both")() == "threaded"
+        assert dispatch.get_kernel("test.both")() == "numpy"
+
 
 class TestBackendSelection:
     def test_default_backend(self, monkeypatch):
@@ -56,6 +76,17 @@ class TestBackendSelection:
     def test_set_backend_validates(self):
         with pytest.raises(ValueError, match="unknown backend"):
             dispatch.set_backend("gpu")
+
+    def test_set_backend_none_defers_to_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "threaded")
+        dispatch.set_backend("numpy")
+        try:
+            assert dispatch.active_backend() == "numpy"  # explicit wins
+        finally:
+            dispatch.set_backend(None)
+        assert dispatch.active_backend() == "threaded"
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
+        assert dispatch.active_backend() == "numpy"
 
     def test_num_threads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
@@ -88,10 +119,13 @@ class TestFloatDtypePolicy:
 
 class TestEnvironmentValidation:
     def test_unknown_env_backend_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "thread")  # typo of "threaded"
         dispatch.set_backend(None)
-        with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
-            dispatch.active_backend()
+        # A typo of "threaded", and a process-pool backend no kernel provides:
+        # a stale setting must fail loudly instead of silently running numpy.
+        for backend in ("thread", "multiprocess"):
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+            with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
+                dispatch.active_backend()
         monkeypatch.delenv("REPRO_KERNEL_BACKEND")
 
     def test_non_integer_thread_count_raises(self, monkeypatch):
@@ -108,139 +142,39 @@ class TestEnvironmentValidation:
         monkeypatch.delenv("REPRO_KERNEL_THREADS")
 
 
-class TestMultiprocessBackend:
-    def test_backend_is_registered_for_bit_differences(self):
-        kernels = dispatch.list_kernels()
-        assert "multiprocess" in kernels["packed.bit_differences"]
-        assert "multiprocess" in dispatch.available_backends()
+class TestRunSharded:
+    def test_small_input_runs_inline(self, monkeypatch):
+        # Below two rows per thread the direct call is used: one call over
+        # the whole range, no executor round trip.
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
+        calls = []
+        data = np.arange(14.0).reshape(7, 2)
 
-    def test_num_procs_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "3")
-        assert dispatch.num_procs() == 3
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "zero")
-        with pytest.raises(ValueError, match="REPRO_KERNEL_PROCS"):
-            dispatch.num_procs()
+        def compute(start, stop):
+            calls.append((start, stop))
+            return data[start:stop] * 2
 
-    def test_run_sharded_processes_small_input_runs_inline(self, monkeypatch):
-        # Below two rows per worker the direct call is used: no pool, no
-        # pickling, bit-identical output.
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "4")
-        data = np.arange(6.0).reshape(3, 2)
-        result = dispatch.run_sharded_processes(_double_rows, data)
-        np.testing.assert_array_equal(result, data * 2)
+        np.testing.assert_array_equal(dispatch.run_sharded(compute, 7), data * 2)
+        assert calls == [(0, 7)]
 
-    def test_run_sharded_processes_matches_direct(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "2")
-        dispatch.shutdown_process_pool()  # force a 2-worker pool
-        try:
-            data = np.arange(40.0).reshape(20, 2)
-            result = dispatch.run_sharded_processes(_double_rows, data)
-            np.testing.assert_array_equal(result, data * 2)
-        finally:
-            dispatch.shutdown_process_pool()
+    @pytest.mark.parametrize("num_rows", [6, 7, 10, 31])
+    def test_shards_tile_the_rows_and_concatenate_in_order(
+        self, monkeypatch, num_rows
+    ):
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
+        calls = []
+        lock = threading.Lock()
+        data = np.arange(num_rows * 3.0).reshape(num_rows, 3)
 
-    def test_multiprocess_bit_differences_parity(self, monkeypatch):
-        from repro.kernels import packed
+        def compute(start, stop):
+            with lock:
+                calls.append((start, stop))
+            return data[start:stop] + 1
 
-        rng = np.random.default_rng(11)
-        a = rng.integers(0, 2**63, size=(24, 4), dtype=np.uint64)
-        b = rng.integers(0, 2**63, size=(7, 4), dtype=np.uint64)
-        expected = packed.bit_differences_words(a, b)
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "2")
-        dispatch.shutdown_process_pool()
-        try:
-            with dispatch.use_backend("multiprocess"):
-                np.testing.assert_array_equal(
-                    packed.bit_differences_words(a, b), expected
-                )
-        finally:
-            dispatch.shutdown_process_pool()
-
-
-def _double_rows(rows):
-    return rows * 2
-
-
-class TestBrokenPoolRecovery:
-    def test_killed_pool_worker_degrades_to_direct_call(self, monkeypatch):
-        # A worker dying mid-task breaks the whole ProcessPoolExecutor; the
-        # backend must answer this call on the direct path, drop the broken
-        # pool, and build a fresh one next time — never error out.
-        monkeypatch.setenv("REPRO_KERNEL_PROCS", "2")
-        dispatch.shutdown_process_pool()
-        try:
-            executor = dispatch._process_executor()
-            data = np.arange(40.0).reshape(20, 2)
-            np.testing.assert_array_equal(
-                dispatch.run_sharded_processes(_double_rows, data), data * 2
-            )
-            for process in executor._processes.values():
-                process.kill()
-            for process in executor._processes.values():
-                process.join(timeout=10)
-            np.testing.assert_array_equal(
-                dispatch.run_sharded_processes(_double_rows, data), data * 2
-            )
-            # The broken pool was discarded: the next call rebuilds one.
-            assert dispatch._process_executor() is not executor
-            np.testing.assert_array_equal(
-                dispatch.run_sharded_processes(_double_rows, data), data * 2
-            )
-        finally:
-            dispatch.shutdown_process_pool()
-
-
-class TestKernelProfiling:
-    def test_disabled_by_default_and_unwrapped(self):
-        assert dispatch.kernel_profiling_enabled() is False
-        kernel = dispatch.get_kernel("linear.matmul")
-        # Off the profiling path, get_kernel returns the raw implementation.
-        assert not hasattr(kernel, "__wrapped__")
-
-    def test_profiled_calls_are_counted_and_timed(self):
-        dispatch.reset_kernel_profile()
-        a = np.ones((4, 3), dtype=np.float32)
-        b = np.ones((3, 2), dtype=np.float32)
-        with dispatch.profile_kernels():
-            kernel = dispatch.get_kernel("linear.matmul")
-            kernel(a, b)
-            kernel(a, b)
-        snapshot = dispatch.kernel_profile_snapshot()
-        entry = snapshot["linear.matmul[numpy]"]
-        assert entry["calls"] == 2
-        assert entry["total_ms"] >= 0.0
-        assert entry["mean_ms"] == pytest.approx(entry["total_ms"] / 2)
-        assert entry["kernel"] == "linear.matmul"
-        assert entry["backend"] == "numpy"
-
-    def test_wrapper_is_stable_across_resolutions(self):
-        with dispatch.profile_kernels():
-            first = dispatch.get_kernel("linear.matmul")
-            second = dispatch.get_kernel("linear.matmul")
-        assert first is second
-
-    def test_context_restores_prior_state(self):
-        assert dispatch.kernel_profiling_enabled() is False
-        with dispatch.profile_kernels():
-            assert dispatch.kernel_profiling_enabled() is True
-            with dispatch.profile_kernels():
-                pass
-            # The inner exit restores the outer enabled state, not False.
-            assert dispatch.kernel_profiling_enabled() is True
-        assert dispatch.kernel_profiling_enabled() is False
-
-    def test_reset_clears_counters(self):
-        a = np.ones((2, 2), dtype=np.float32)
-        with dispatch.profile_kernels():
-            dispatch.get_kernel("linear.matmul")(a, a)
-        dispatch.reset_kernel_profile()
-        assert dispatch.kernel_profile_snapshot() == {}
-
-    def test_failing_kernel_still_counted(self):
-        dispatch.reset_kernel_profile()
-        with dispatch.profile_kernels():
-            kernel = dispatch.get_kernel("linear.matmul")
-            with pytest.raises(ValueError):
-                kernel(np.ones((2, 3)), np.ones((5, 2)))  # shape mismatch
-        snapshot = dispatch.kernel_profile_snapshot()
-        assert snapshot["linear.matmul[numpy]"]["calls"] == 1
+        result = dispatch.run_sharded(compute, num_rows)
+        np.testing.assert_array_equal(result, data + 1)
+        bounds = sorted(calls)
+        assert len(bounds) == 3
+        assert bounds[0][0] == 0 and bounds[-1][1] == num_rows
+        for (_, stop), (start, _) in zip(bounds, bounds[1:]):
+            assert stop == start  # contiguous, no gaps, no overlap

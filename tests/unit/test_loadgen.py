@@ -571,11 +571,8 @@ class TestFleetReport:
             "fleet": {
                 "cold_loads": 0,
                 "evictions": 0,
-                "restores": 0,
-                "bank_restores": 0,
                 "resident_banks": 0,
-                "peak_resident_banks": 0,
-                "max_resident": cap,
+                "max_resident_banks": cap,
                 "dispatchers": 0,
             },
         }
@@ -584,11 +581,8 @@ class TestFleetReport:
             "fleet": {
                 "cold_loads": cold_loads,
                 "evictions": evictions,
-                "restores": 1,
-                "bank_restores": 0,
                 "resident_banks": resident,
-                "peak_resident_banks": max(resident, cap),
-                "max_resident": cap,
+                "max_resident_banks": cap,
                 "dispatchers": resident,
             },
         }

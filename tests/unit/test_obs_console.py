@@ -21,7 +21,6 @@ def _snapshot(requests=100):
         "cluster": {
             "har": {
                 "num_workers": 2,
-                "transport": "shm",
                 "respawns": 1,
                 "workers": {
                     "fleet": {
@@ -30,21 +29,12 @@ def _snapshot(requests=100):
                         "scoring_p99_ms": 8.0,
                     },
                 },
-                "transport_stats": {
-                    "totals": {
-                        "frames_sent": 40,
-                        "payload_bytes": 2_000_000,
-                        "bytes_avoided": 1_500_000,
-                        "inline_fallbacks": 1,
-                    },
-                },
             },
         },
         "fleet": {
             "resident_banks": 1,
-            "max_resident": 2,
+            "max_resident_banks": 2,
             "evictions": 3,
-            "restores": 2,
             "cold_loads": 5,
             "dispatchers": 1,
             "breakers": {"har": {"state": "closed"}},
@@ -91,15 +81,13 @@ class TestBuildView:
         )
         assert view["tenants"][0]["qps"] == 0.0
 
-    def test_workers_fleet_and_transport_sections(self):
+    def test_workers_and_fleet_sections(self):
         view = build_view(_snapshot())
         (worker,) = view["workers"]
         assert worker["dispatcher"] == "har"
-        assert worker["transport"] == "shm"
         assert worker["utilization"] == 0.25
         assert view["fleet"]["evictions"] == 3
         assert view["breakers"] == {"har": "closed"}
-        assert view["transport"]["bytes_avoided"] == 1_500_000
 
     def test_slo_only_tenant_still_listed(self):
         # A tenant that has only shed (429) requests never reaches the model
@@ -118,7 +106,6 @@ class TestBuildView:
         view = build_view({})
         assert view["tenants"] == []
         assert view["workers"] == []
-        assert view["transport"] is None
 
 
 class TestRenderView:
@@ -131,7 +118,6 @@ class TestRenderView:
         assert "banks=1/2" in text
         assert "evictions=3" in text
         assert "har=closed" in text
-        assert "avoided_mb=1.5" in text
         assert "\x1b[" not in text  # color off ⇒ no ANSI escapes
 
     def test_color_marks_verdict(self):
