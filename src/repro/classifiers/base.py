@@ -189,25 +189,5 @@ class HDCClassifierBase(RngMixin, abc.ABC):
         """
         return self.packed_class_hypervectors()
 
-    def adopt_packed_bank(self, packed: PackedHypervectors) -> None:
-        """Install an externally held packed bank as this model's scoring words.
-
-        ``repro.cluster`` publishes the packed inference bank into a shared
-        memory segment; worker processes hand the attached zero-copy view back
-        through this method so :meth:`packed_inference_bank` (and therefore
-        every packed scoring call) reads the shared words instead of
-        re-packing a private copy.  The bank must match the fitted model's
-        shape; only the packed cache is replaced, the dense hypervectors are
-        untouched.
-        """
-        check_fitted(self, "class_hypervectors_")
-        num_rows, dimension = self.class_hypervectors_.shape
-        if packed.dimension != dimension or len(packed) != num_rows:
-            raise ValueError(
-                f"packed bank is {len(packed)} x D={packed.dimension}, expected "
-                f"{num_rows} x D={dimension}"
-            )
-        self._packed_classes_cache = (self.class_hypervectors_, packed)
-
 
 __all__ = ["HDCClassifierBase", "top_k_from_scores"]

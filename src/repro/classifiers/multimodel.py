@@ -478,24 +478,6 @@ class MultiModelHDC(HDCClassifierBase):
             self._packed_bank_cache = cache
         return cache[1]
 
-    def adopt_packed_bank(self, packed: PackedHypervectors) -> None:
-        """Install a shared flat ``(K * N, ceil(D/64))`` bank (see base class).
-
-        The ensemble's resident words are the flat model bank, not the
-        per-class majority vectors, so the shape check and the cache this
-        method installs both differ from the base implementation.
-        """
-        check_fitted(self, "model_hypervectors_")
-        num_classes, models_per_class, dimension = self.model_hypervectors_.shape
-        if packed.dimension != dimension or (
-            len(packed) != num_classes * models_per_class
-        ):
-            raise ValueError(
-                f"packed bank is {len(packed)} x D={packed.dimension}, expected "
-                f"{num_classes * models_per_class} x D={dimension}"
-            )
-        self._packed_bank_cache = (self.model_hypervectors_, packed)
-
     def _score_bank(self) -> np.ndarray:
         """The transposed int32 model bank for the dense scoring path, cached."""
         cache = self._score_bank_cache

@@ -13,11 +13,10 @@ regenerated without writing any Python:
 * ``python -m repro predict --model model.npz --dataset ucihar`` — load a
   saved model and evaluate it on a dataset's test split;
 * ``python -m repro serve --model model.npz --port 8080`` — serve saved
-  models over JSON/HTTP with micro-batched packed inference
-  (``--workers N`` adds the multiprocess tier: N worker processes sharing
-  the packed model bank through shared memory; ``--trace FILE`` writes
-  JSONL request traces, ``--log-level info`` enables the access log, and
-  ``GET /metrics`` exposes Prometheus text format);
+  models over JSON/HTTP with micro-batched packed inference in one process
+  (``--trace FILE`` writes JSONL request traces, ``--log-level info``
+  enables the access log, and ``GET /metrics`` exposes Prometheus text
+  format);
 * ``python -m repro loadgen --url http://host:8080`` — soak-test a serving
   endpoint (or an in-process app) with seeded, reproducible traffic:
   open-loop Poisson or closed-loop, warm-up + measure phases, exact latency
@@ -27,8 +26,8 @@ regenerated without writing any Python:
   breakdown (count/p50/p95/max per span name) of a recorded trace file;
   ``--exemplars K`` lists the K slowest request traces by ID;
 * ``python -m repro top --url http://host:8080`` — live terminal dashboard
-  over ``/v1/metrics``: per-tenant QPS/percentiles/SLO budgets, worker
-  utilisation, fleet paging, breakers; ``--once --json`` for scripts;
+  over ``/v1/metrics``: per-tenant QPS/percentiles/queue depth and SLO
+  budgets; ``--once --json`` for scripts;
 * ``python -m repro bench-serve`` — the serving throughput comparison
   (single-sample vs micro-batched, dense vs packed);
 * ``python -m repro bench-kernels`` — the kernel-layer benchmark (fused
@@ -132,22 +131,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--max-batch-size", type=int, default=64)
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "inference worker processes sharing the packed model bank via "
-            "shared memory (1 = single-process serving)"
-        ),
-    )
-    serve.add_argument(
         "--cache-size",
         type=int,
         default=1024,
         help="request-level LRU prediction cache entries (0 disables)",
     )
     serve.add_argument(
-        "--max-resident", type=int, default=4, help="LRU cap on in-memory engines"
+        "--max-resident",
+        type=int,
+        default=4,
+        help=(
+            "LRU cap on loaded model engines; the least-recently-used one "
+            "is dropped and reloaded from its file on next use"
+        ),
     )
     serve.add_argument(
         "--max-queue-depth",
@@ -165,17 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "per-model cap on concurrently admitted requests; excess load "
             "sheds as 429 + Retry-After (default: unlimited)"
-        ),
-    )
-    serve.add_argument(
-        "--max-resident-banks",
-        type=int,
-        default=None,
-        help=(
-            "fleet-wide cap on resident shared-memory model banks when "
-            "--workers > 1; the least-recently-used tenant's bank (and its "
-            "worker pool) is paged out, to be cold-loaded on next use "
-            "(default: unbounded)"
         ),
     )
     serve.add_argument(
@@ -220,25 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
             "default per-request deadline in milliseconds (requests may "
             "override via the deadline_ms payload field); expired requests "
             "answer 504 instead of being scored"
-        ),
-    )
-    serve.add_argument(
-        "--request-timeout",
-        type=float,
-        default=60.0,
-        help=(
-            "seconds the dispatcher waits for one worker shard before the "
-            "hung-worker watchdog terminates and respawns it (default 60)"
-        ),
-    )
-    serve.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN",
-        help=(
-            "inject deterministic worker faults from PLAN — a preset name "
-            "(quick, soak), a 'kind:key=value;...' spec, or a JSON plan; "
-            "also honoured via REPRO_FAULTS (chaos testing only)"
         ),
     )
     serve.add_argument("--verbose", action="store_true", help="log HTTP requests")
@@ -309,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--dimension", type=int, default=2000, help="D for the trained default model"
     )
-    loadgen.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the in-process target (1 = single process)",
-    )
     loadgen.add_argument("--max-batch-size", type=int, default=64)
     loadgen.add_argument(
         "--cache-size",
@@ -355,15 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Zipf exponent for the tenant distribution (default 1.1)",
     )
     loadgen.add_argument(
-        "--max-resident-banks",
-        type=int,
-        default=None,
-        help=(
-            "fleet-wide cap on resident shared-memory banks for the "
-            "in-process target (LRU paging; requires --workers >= 2)"
-        ),
-    )
-    loadgen.add_argument(
         "--tenant-rps",
         type=float,
         default=None,
@@ -394,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "client-side retries of typed 429/503 answers, honouring "
             "Retry-After with capped deterministic backoff (default: 3 when "
-            "the soak is multi-tenant or fault-injected, else 0)"
+            "the soak is multi-tenant, else 0)"
         ),
     )
     loadgen.add_argument(
@@ -408,29 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     loadgen.add_argument(
-        "--request-timeout",
-        type=float,
-        default=60.0,
-        help="hung-worker watchdog timeout for the in-process target (seconds)",
-    )
-    loadgen.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN",
-        help=(
-            "chaos soak: inject deterministic worker faults into the "
-            "in-process target from PLAN (preset name, 'kind:key=value;...' "
-            "spec, or JSON) and assert graceful degradation — requires "
-            "--workers >= 2"
-        ),
-    )
-    loadgen.add_argument(
-        "--min-availability",
-        type=float,
-        default=0.95,
-        help="availability floor the chaos report must clear (default 0.95)",
-    )
-    loadgen.add_argument(
         "--json", default=None, metavar="PATH", help="also write the report as JSON"
     )
     loadgen.add_argument(
@@ -439,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "JSONL request-trace file for the in-process target (with --quick "
-            "the file is also parsed and checked after the run); for --url "
-            "targets pass --trace to the server side instead"
+            "the file is also parsed and its span trees checked after the "
+            "run); for --url targets pass --trace to the server side instead"
         ),
     )
     loadgen.add_argument(
@@ -722,19 +650,6 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
 
         tracer = configure_tracing(args.trace, sample_rate=args.trace_sample)
         print(f"tracing to {args.trace} (sample rate {args.trace_sample:g})")
-    fault_plan = None
-    if args.faults:
-        from repro.faults import FaultPlan
-
-        if args.workers < 2:
-            print("error: --faults requires --workers >= 2", file=sys.stderr)
-            return 1
-        try:
-            fault_plan = FaultPlan.resolve(args.faults)
-        except ValueError as error:
-            print(f"error: bad --faults plan: {error}", file=sys.stderr)
-            return 1
-        print(f"chaos mode: injecting faults ({fault_plan.describe_short()})")
     try:
         tenant_quotas = _build_tenant_quotas(args)
     except (OSError, ValueError) as error:
@@ -748,15 +663,11 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
     app = ServeApp(
         registry,
         max_batch_size=args.max_batch_size,
-        num_processes=args.workers if args.workers > 1 else 0,
         cache_size=args.cache_size,
         max_queue_depth=args.max_queue_depth,
         max_concurrent=args.max_concurrent,
         default_deadline_ms=args.deadline_ms,
-        request_timeout=args.request_timeout,
-        fault_plan=fault_plan,
         tenant_quotas=tenant_quotas,
-        max_resident_banks=args.max_resident_banks,
         slo_config=slo_config,
     )
     try:
@@ -805,20 +716,6 @@ def _build_tenant_quotas(args):
     return TenantQuotas(**overrides)
 
 
-def _list_shm_segments() -> set:
-    """Names of the POSIX shared-memory segments currently alive.
-
-    Linux exposes them as files under ``/dev/shm``; elsewhere the check
-    degrades to an empty set (the leak audit then passes vacuously).
-    """
-    from pathlib import Path
-
-    shm_root = Path("/dev/shm")
-    if not shm_root.is_dir():
-        return set()
-    return {entry.name for entry in shm_root.iterdir()}
-
-
 def command_loadgen(args) -> int:
     from pathlib import Path
 
@@ -830,9 +727,7 @@ def command_loadgen(args) -> int:
         RequestSampler,
         format_report,
         run_load_test,
-        validate_fleet_report,
         validate_report,
-        validate_resilience_report,
         validate_slo_report,
         write_report,
     )
@@ -851,14 +746,6 @@ def command_loadgen(args) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.max_resident_banks is not None and args.workers < 2:
-        print(
-            "error: --max-resident-banks requires --workers >= 2 "
-            "(bank paging is a fleet feature)",
-            file=sys.stderr,
-        )
-        return 1
-
     if args.slo_config and args.url:
         print(
             "error: --slo-config drives the in-process target; start the "
@@ -866,28 +753,6 @@ def command_loadgen(args) -> int:
             file=sys.stderr,
         )
         return 1
-
-    fault_plan = None
-    if args.faults:
-        from repro.faults import FaultPlan
-
-        if args.url:
-            print(
-                "error: --faults drives the in-process target; start the "
-                "server with --faults instead for --url soaks",
-                file=sys.stderr,
-            )
-            return 1
-        if args.workers < 2:
-            print("error: --faults requires --workers >= 2", file=sys.stderr)
-            return 1
-        try:
-            fault_plan = FaultPlan.resolve(args.faults)
-        except ValueError as error:
-            print(f"error: bad --faults plan: {error}", file=sys.stderr)
-            return 1
-        if fault_plan is not None:
-            print(f"chaos soak: {fault_plan.describe_short()}")
 
     tracer = None
     if args.trace:
@@ -945,10 +810,10 @@ def command_loadgen(args) -> int:
             if tenant_names is None:
                 registry.register(args.dataset, engine)
             else:
-                # Fleet soak: every tenant serves the same trained model
-                # (pinned, so registering N names costs one training run);
-                # banks and worker pools are still per-tenant, which is what
-                # the Zipf traffic pages in and out.
+                # Multi-tenant soak: every tenant serves the same trained
+                # model (pinned, so registering N names costs one training
+                # run); schedulers, cache keys, quotas and SLOs are still
+                # per tenant.
                 for tenant in tenant_names:
                     registry.register(tenant, engine)
         try:
@@ -964,31 +829,21 @@ def command_loadgen(args) -> int:
         app = ServeApp(
             registry,
             max_batch_size=args.max_batch_size,
-            num_processes=args.workers if args.workers > 1 else 0,
             cache_size=args.cache_size,
             max_queue_depth=args.max_queue_depth,
             max_concurrent=args.max_concurrent,
-            request_timeout=args.request_timeout,
-            fault_plan=fault_plan,
             tenant_quotas=tenant_quotas,
-            max_resident_banks=args.max_resident_banks,
             slo_config=slo_config,
         )
         target = InProcessTarget(
             app, top_k=args.top_k, deadline_ms=args.deadline_ms
         )
 
-    # Chaos and fleet runs also audit shm hygiene: every segment the soak
-    # creates must be gone once the app closes (a leak means a crashed
-    # worker, a missed unlink, or an evicted pool that never reached close()).
-    audit_shm = fault_plan is not None or (args.models > 1 and args.workers > 1)
-    shm_before = _list_shm_segments() if audit_shm else None
-
     retries = args.retries
     if retries is None:
-        # Multi-tenant and chaos soaks shed/fail requests by design; the
-        # client's job is to retry the typed answers, so default those on.
-        retries = 3 if (args.models > 1 or fault_plan is not None) else 0
+        # Multi-tenant soaks shed requests by design; the client's job is to
+        # retry the typed answers, so default those on.
+        retries = 3 if args.models > 1 else 0
 
     try:
         report = run_load_test(
@@ -997,7 +852,6 @@ def command_loadgen(args) -> int:
             traffic,
             num_requests=num_requests,
             warmup_requests=warmup,
-            fault_plan=fault_plan,
             max_retries=retries,
         )
     finally:
@@ -1008,69 +862,10 @@ def command_loadgen(args) -> int:
         if tracer is not None:
             tracer.close()
 
-    leaked = []
-    if shm_before is not None:
-        leaked = sorted(_list_shm_segments() - shm_before)
-
     print(format_report(report))
     if args.json:
         destination = write_report(args.json, report)
         print(f"report written to {destination}")
-    if leaked:
-        print(f"error: leaked shm segments after soak: {leaked}", file=sys.stderr)
-        return 1
-    if args.models > 1 and args.workers > 1:
-        try:
-            validate_resilience_report(report, min_availability=args.min_availability)
-            validate_fleet_report(
-                report, max_resident_banks=args.max_resident_banks
-            )
-        except ValueError as error:
-            print(f"error: fleet soak failed: {error}", file=sys.stderr)
-            return 1
-        delta = report.get("server_metrics_delta") or {}
-        fleet_after = delta.get("fleet_after") or {}
-        print(
-            "fleet soak validated: availability "
-            f"{report['resilience']['availability']:.2%}, "
-            f"{delta.get('cold_loads', 0)} cold loads, "
-            f"{delta.get('bank_evictions', 0)} evictions, "
-            f"{fleet_after.get('resident_banks', 0)} resident banks "
-            f"(cap {args.max_resident_banks or 'none'}), "
-            "zero leaked shm segments"
-        )
-    if fault_plan is not None:
-        try:
-            validate_resilience_report(report, min_availability=args.min_availability)
-        except ValueError as error:
-            print(f"error: chaos soak failed: {error}", file=sys.stderr)
-            return 1
-        delta = report.get("server_metrics_delta") or {}
-        injected = sum(
-            delta.get(name, 0)
-            for name in (
-                "respawns",
-                "hangs",
-                "shard_retries",
-                "worker_faults",
-                "bank_evictions",
-            )
-        )
-        if not injected:
-            print(
-                "error: chaos soak injected no faults (vacuous pass) — "
-                "raise --requests or use more workers",
-                file=sys.stderr,
-            )
-            return 1
-        resilience = report["resilience"]
-        print(
-            "chaos soak validated: availability "
-            f"{resilience['availability']:.2%} (floor {args.min_availability:.0%}), "
-            f"errors by status {resilience['errors_by_status'] or '{}'}, "
-            "zero untyped errors, zero deadline violations, zero leaked "
-            "shm segments"
-        )
     if not args.url and (args.slo_config or args.quick):
         # The soak's SLO verdict block is part of the CI contract: every
         # tenant evaluated, verdicts well-formed, and — when tracing — at
@@ -1089,35 +884,40 @@ def command_loadgen(args) -> int:
             f"slo verdicts validated: {verdicts} "
             f"({exemplar_count} trace exemplars)"
         )
-    if args.quick and fault_plan is None and args.models == 1:
+    if args.quick and args.models == 1:
         validate_report(report)
         print(
             "quick-mode report validated: non-zero throughput, "
             "monotone percentiles, zero errors"
         )
         if args.trace and not args.url:
-            # The CI tracing smoke: the file must parse strictly, cover the
-            # run, and — with a worker pool — contain worker-side spans that
-            # stitched across the process boundary.
-            from repro.obs import parse_trace_file
+            # The CI tracing smoke: the file must parse strictly, carry the
+            # scheduler's spans, and stitch into whole trees — the queue_wait
+            # and batch_execute spans are written by the collector thread and
+            # reach their request only through the handed-over context.
+            from repro.obs import parse_trace_file, summarize_spans
 
             spans = parse_trace_file(args.trace)
-            if not spans:
-                print("error: trace file is empty", file=sys.stderr)
-                return 1
-            names = {span["name"] for span in spans}
-            if "request" not in names:
-                print(f"error: no request spans in trace ({sorted(names)})", file=sys.stderr)
-                return 1
-            if args.workers > 1 and "worker:score" not in names:
+            summary = summarize_spans(spans)
+            missing = {"request", "queue_wait", "batch_execute"} - set(summary["stages"])
+            if missing:
                 print(
-                    f"error: no worker-side spans in trace ({sorted(names)})",
+                    f"error: trace has no {', '.join(sorted(missing))} spans "
+                    f"(stages: {sorted(summary['stages'])})",
+                    file=sys.stderr,
+                )
+                return 1
+            if summary["orphans"]:
+                print(
+                    f"error: {summary['orphans']} orphan spans in trace "
+                    "(a parent span never reached the file)",
                     file=sys.stderr,
                 )
                 return 1
             print(
-                f"trace validated: {len(spans)} spans, "
-                f"stages {', '.join(sorted(names))}"
+                f"trace validated: {summary['traces']} traces, "
+                f"{summary['spans']} spans, 0 orphans, "
+                f"stages {', '.join(sorted(summary['stages']))}"
             )
     return 0
 

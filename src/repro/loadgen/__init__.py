@@ -25,9 +25,7 @@ smoke mode (in-process target, fixed seed, report well-formedness asserted).
 from repro.loadgen.report import (
     build_report,
     format_report,
-    validate_fleet_report,
     validate_report,
-    validate_resilience_report,
     validate_slo_report,
     write_report,
 )
@@ -52,9 +50,7 @@ __all__ = [
     "build_report",
     "format_report",
     "run_load_test",
-    "validate_fleet_report",
     "validate_report",
-    "validate_resilience_report",
     "validate_slo_report",
     "write_report",
 ]

@@ -26,8 +26,8 @@ def server_metrics_delta(before: dict, after: dict) -> dict:
     snapshots taken around the measure phase.
 
     The counters say what the *server* did for this load — requests answered,
-    samples scored, cache hits, coalesced batches, worker busy seconds —
-    which the client-side latency numbers cannot distinguish (e.g. a 100%
+    samples scored, cache hits, coalesced batches, tenant sheds — which the
+    client-side latency numbers cannot distinguish (e.g. a 100%
     cache-hit soak and a real scoring soak look identical from outside).
     """
 
@@ -50,24 +50,6 @@ def server_metrics_delta(before: dict, after: dict) -> dict:
             out["batches"] += model.get("batches", 0)
         return out
 
-    def worker_totals(snapshot: dict) -> dict:
-        out = {"worker_requests": 0, "worker_busy_seconds": 0.0, "respawns": 0}
-        for info in snapshot.get("cluster", {}).values():
-            fleet = info.get("workers", {}).get("fleet", {})
-            out["worker_requests"] += fleet.get("requests", 0)
-            out["worker_busy_seconds"] += fleet.get("busy_seconds", 0.0)
-            out["respawns"] += info.get("respawns", 0)
-            for name, count in (info.get("failures") or {}).items():
-                out[name] = out.get(name, 0) + count
-        return out
-
-    def fleet_totals(snapshot: dict) -> dict:
-        fleet = snapshot.get("fleet") or {}
-        return {
-            "bank_evictions": fleet.get("evictions", 0),
-            "cold_loads": fleet.get("cold_loads", 0),
-        }
-
     def tenant_totals(snapshot: dict) -> dict:
         out = {"tenant_rate_limited": 0, "tenant_quota_exceeded": 0}
         tenants = (snapshot.get("tenancy") or {}).get("tenants", {})
@@ -78,17 +60,6 @@ def server_metrics_delta(before: dict, after: dict) -> dict:
 
     first, last = totals(before), totals(after)
     delta = {key: last[key] - first[key] for key in last}
-    first_w, last_w = worker_totals(before), worker_totals(after)
-    delta.update({key: last_w[key] - first_w.get(key, 0) for key in last_w})
-    if "fleet" in after:
-        first_f, last_f = fleet_totals(before), fleet_totals(after)
-        delta.update({key: last_f[key] - first_f[key] for key in last_f})
-        fleet_after = after["fleet"]
-        delta["fleet_after"] = {
-            "resident_banks": fleet_after.get("resident_banks", 0),
-            "max_resident_banks": fleet_after.get("max_resident_banks"),
-            "dispatchers": fleet_after.get("dispatchers", 0),
-        }
     if "tenancy" in after:
         first_t, last_t = tenant_totals(before), tenant_totals(after)
         delta.update({key: last_t[key] - first_t[key] for key in last_t})
@@ -115,7 +86,6 @@ def build_report(
     errors_by_code: Optional[dict] = None,
     untyped_errors: int = 0,
     deadline_violations: int = 0,
-    fault_plan: Optional[dict] = None,
     retries: int = 0,
     retries_by_status: Optional[dict] = None,
     retry_policy: Optional[dict] = None,
@@ -178,8 +148,6 @@ def build_report(
             sorted((retries_by_status or {}).items(), key=lambda kv: kv[0])
         ),
     }
-    if fault_plan is not None:
-        report["config"]["fault_plan"] = fault_plan
     if retry_policy is not None:
         report["config"]["retry_policy"] = retry_policy
     models = getattr(sampler, "models", None)
@@ -225,54 +193,6 @@ def validate_report(report: dict) -> None:
         raise ValueError(f"latency percentiles are not monotone: {points}")
     if not len(report["stream_digest"]) == 64:
         raise ValueError("stream digest is not a sha256 hex string")
-
-
-#: The only statuses a hardened server may answer a failed request with:
-#: 429 (shed by admission control), 503 (transient cluster fault), 504
-#: (deadline exceeded).  Anything else under chaos is a bug.
-TYPED_FAILURE_STATUSES = frozenset({"429", "503", "504"})
-
-
-def validate_resilience_report(report: dict, min_availability: float = 0.95) -> None:
-    """Raise ``ValueError`` unless a chaos soak's report shows graceful
-    degradation: availability at or above *min_availability*, zero untyped
-    errors, zero successful responses outliving their deadline, and every
-    failure carrying one of the typed overload/fault statuses.
-
-    This is the CI chaos-smoke assertion — unlike :func:`validate_report`
-    it tolerates (typed) errors, because a fault-injected run is *supposed*
-    to shed and fail some requests; what it must never do is hang, crash
-    untyped, or answer dead work.
-    """
-    resilience = report.get("resilience")
-    if resilience is None:
-        raise ValueError("report has no resilience block")
-    availability = resilience.get("availability", 0.0)
-    if availability < min_availability:
-        raise ValueError(
-            f"availability {availability:.3f} is below the "
-            f"{min_availability:.2f} floor"
-        )
-    if resilience.get("untyped_errors", 0):
-        raise ValueError(
-            f"{resilience['untyped_errors']} untyped errors "
-            "(transport failures or non-JSON bodies) — every failure must "
-            "be a typed 429/503/504"
-        )
-    if resilience.get("deadline_violations", 0):
-        raise ValueError(
-            f"{resilience['deadline_violations']} successful responses "
-            "outlived their deadline — the server answered dead work"
-        )
-    rogue = {
-        status: count
-        for status, count in resilience.get("errors_by_status", {}).items()
-        if status not in TYPED_FAILURE_STATUSES and count
-    }
-    if rogue:
-        raise ValueError(f"failures with non-overload statuses: {rogue}")
-    if report.get("results", {}).get("completed", 0) < 1:
-        raise ValueError("report recorded no completed requests")
 
 
 #: Verdicts the SLO engine may hand a tenant.
@@ -333,43 +253,6 @@ def validate_slo_report(report: dict, require_exemplar: bool = False) -> None:
                 raise ValueError(f"exemplar without a trace_id: {exemplar}")
 
 
-def validate_fleet_report(
-    report: dict, max_resident_banks: Optional[int] = None
-) -> None:
-    """Raise ``ValueError`` unless a multi-tenant soak actually exercised the
-    fleet residency cap: cold loads happened, worker pools were evicted (the
-    cap bit), and the post-run residency stayed at or under the cap.
-
-    A capped Zipf soak that records zero evictions was either uncapped or
-    never left the hot set — a vacuous pass either way — so this gate is
-    what makes the CI fleet-smoke meaningful.
-    """
-    delta = report.get("server_metrics_delta")
-    if delta is None:
-        raise ValueError("report has no server_metrics_delta block")
-    fleet_after = delta.get("fleet_after")
-    if fleet_after is None:
-        raise ValueError(
-            "server metrics have no fleet block — the target is not a "
-            "multi-process fleet"
-        )
-    if delta.get("cold_loads", 0) < 1:
-        raise ValueError("fleet soak recorded no cold loads")
-    if delta.get("bank_evictions", 0) < 1:
-        raise ValueError(
-            "fleet soak recorded no bank evictions — the residency cap "
-            "never engaged (cap too high for the tenant count?)"
-        )
-    if max_resident_banks is not None:
-        for gauge in ("resident_banks", "dispatchers"):
-            value = fleet_after.get(gauge, 0)
-            if value > max_resident_banks:
-                raise ValueError(
-                    f"{gauge} is {value}, above the residency cap "
-                    f"{max_resident_banks}"
-                )
-
-
 def format_report(report: dict) -> str:
     """Human-readable summary table of one report."""
     from repro.eval.tables import format_table
@@ -397,9 +280,7 @@ def format_report(report: dict) -> str:
         ["stream digest", report["stream_digest"][:16] + "…"],
     ]
     resilience = report.get("resilience")
-    if resilience is not None and (
-        results["errors"] or config.get("fault_plan") is not None
-    ):
+    if resilience is not None and results["errors"]:
         rows.append(["availability", f"{resilience['availability']:.2%}"])
         breakdown = ", ".join(
             f"{status}×{count}"
@@ -421,11 +302,6 @@ def format_report(report: dict) -> str:
             for status, count in resilience["retries_by_status"].items()
         )
         rows.append(["client retries", f"{resilience['retries']} ({breakdown})"])
-    plan = config.get("fault_plan")
-    if plan is not None:
-        rows.append(
-            ["fault plan", f"seed={plan['seed']} rules={len(plan['rules'])}"]
-        )
     delta = report.get("server_metrics_delta")
     if delta is not None:
         lookups = delta["cache_hits"] + delta["cache_misses"]
@@ -436,49 +312,6 @@ def format_report(report: dict) -> str:
             ["server cache", f"+{delta['cache_hits']} hits ({hit_rate:.0%})"]
         )
         rows.append(["server batches", f"+{delta['batches']}"])
-        if delta.get("worker_requests"):
-            rows.append(
-                [
-                    "worker shards",
-                    f"+{delta['worker_requests']} "
-                    f"({delta['worker_busy_seconds']:.2f} s busy)",
-                ]
-            )
-        survived = {
-            name: delta[name]
-            for name in (
-                "respawns",
-                "hangs",
-                "shard_retries",
-                "worker_faults",
-                "deadline_skips",
-            )
-            if delta.get(name)
-        }
-        if survived:
-            rows.append(
-                [
-                    "faults survived",
-                    ", ".join(f"{name}+{count}" for name, count in survived.items()),
-                ]
-            )
-        fleet_after = delta.get("fleet_after")
-        if fleet_after is not None:
-            cap = fleet_after.get("max_resident_banks")
-            rows.append(
-                [
-                    "fleet paging",
-                    f"+{delta.get('cold_loads', 0)} cold loads, "
-                    f"+{delta.get('bank_evictions', 0)} evictions",
-                ]
-            )
-            rows.append(
-                [
-                    "fleet residency",
-                    f"{fleet_after.get('resident_banks', 0)} resident "
-                    f"(cap {'∞' if cap is None else cap})",
-                ]
-            )
         shed = {
             name: delta[name]
             for name in ("tenant_rate_limited", "tenant_quota_exceeded")
@@ -532,13 +365,10 @@ __all__ = [
     "PERCENTILES",
     "REPORT_VERSION",
     "SLO_VERDICTS",
-    "TYPED_FAILURE_STATUSES",
     "build_report",
     "format_report",
     "server_metrics_delta",
-    "validate_fleet_report",
     "validate_report",
-    "validate_resilience_report",
     "validate_slo_report",
     "write_report",
 ]

@@ -2,7 +2,7 @@
 
 Targets abstract the wire: :class:`InProcessTarget` calls
 ``ServeApp.predict`` directly (full serving path — cache, micro-batcher,
-cluster dispatcher — minus HTTP framing), :class:`HTTPTarget` POSTs to a
+engine — minus HTTP framing), :class:`HTTPTarget` POSTs to a
 live ``repro serve`` endpoint over keep-alive ``http.client`` connections
 (stdlib only).  Both raise
 :class:`TargetError` on request failure so the runner can count errors
@@ -50,7 +50,7 @@ class TargetError(RuntimeError):
     server answer; ``code`` carries the machine-readable error code from the
     response body.  Both stay ``None`` for transport-level failures (socket
     resets, malformed bodies) — the resilience report counts those as
-    *untyped* errors, which a chaos soak requires to be zero.
+    *untyped* errors.
 
     ``retry_after`` carries the server's back-off hint in seconds (from the
     ``Retry-After`` header or the in-process error object) when one was
@@ -264,7 +264,7 @@ class RetryPolicy:
     ``max_backoff_seconds``.  The sleep is jittered by a factor in
     ``[0.5, 1.0)`` derived from ``sha256(seed, request index, attempt)`` —
     no randomness, so a soak's retry schedule replays exactly from its
-    seed, which keeps multi-tenant chaos reports comparable run to run.
+    seed, which keeps multi-tenant reports comparable run to run.
     """
 
     def __init__(
@@ -316,8 +316,8 @@ class _Phase:
 
     Besides the raw latencies, the phase buckets every failure by HTTP
     status and by machine-readable error code — that breakdown is the heart
-    of the resilience report (a chaos soak passes only when every failure is
-    a *typed* 429/503/504, never a hang or a stack trace).
+    of the resilience report (every failure should be a *typed*
+    429/503/504, never a hang or a stack trace).
     """
 
     def __init__(self):
@@ -530,15 +530,14 @@ def run_load_test(
     traffic: TrafficModel,
     num_requests: int = 200,
     warmup_requests: int = 20,
-    fault_plan=None,
     max_retries: int = 0,
     retry_backoff_seconds: float = 0.05,
 ) -> dict:
     """Run warm-up then measure phases; return a JSON-ready report.
 
     The sampler stream covers ``warmup_requests + num_requests`` rows; the
-    warm-up prefix exercises the target (cache fill, LUT page-in, worker
-    spin-up) but contributes nothing to the statistics.  Closed-loop warm-up
+    warm-up prefix exercises the target (cache fill, LUT page-in) but
+    contributes nothing to the statistics.  Closed-loop warm-up
     runs at the same concurrency as the measure phase; open-loop warm-up
     runs closed at the outstanding-request cap (warming at the Poisson rate
     would just prolong the test).
@@ -587,7 +586,7 @@ def run_load_test(
 
     # Server-side view: snapshot the target's metrics around the measure
     # phase so the report can say what the *server* saw (cache hits, batch
-    # coalescing, worker busy time) — not just what the clients felt.
+    # coalescing) — not just what the clients felt.
     metrics_before = _safe_metrics(target)
 
     measure_phase = _Phase()
@@ -635,7 +634,6 @@ def run_load_test(
         errors_by_code=measure_phase.errors_by_code,
         untyped_errors=measure_phase.untyped_errors,
         deadline_violations=measure_phase.deadline_violations,
-        fault_plan=None if fault_plan is None else fault_plan.describe(),
         retries=measure_phase.retries,
         retries_by_status=measure_phase.retries_by_status,
         retry_policy=None if retry is None else retry.describe(),

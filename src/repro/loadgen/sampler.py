@@ -36,8 +36,8 @@ class RequestSampler:
     models:
         Optional tenant (model-name) list for multi-tenant soaks: each
         request is additionally assigned a tenant, Zipf-distributed so the
-        first names are hot and the tail is cold — the traffic shape that
-        actually exercises a fleet's bank paging.  ``None`` (default)
+        first names are hot and the tail is cold, the traffic shape that
+        exercises a model registry's LRU residency cap.  ``None`` (default)
         leaves requests tenant-less.
     zipf_s:
         Zipf exponent for the tenant distribution; larger is more skewed

@@ -1,21 +1,15 @@
-"""repro.obs — end-to-end observability for the serving/cluster stack.
+"""repro.obs — end-to-end observability for the serving stack.
 
 Capabilities, each usable on its own and composed by the serving layer:
 
 * :mod:`repro.obs.trace` — request-scoped tracing: every sampled request
   gets a trace ID and a span tree (validate → cache lookup → queue wait →
-  dispatch → per-worker scoring → merge → respond) written as JSONL by a
-  single writer; span context is a picklable tuple, so it rides the
-  dispatcher's pipes and worker-side spans stitch back into the parent
-  trace;
+  batch execute → respond) written as JSONL by a single writer; span
+  context is a small tuple handed explicitly to the micro-batch collector
+  thread, so its spans stitch back into the request's trace;
 * :mod:`repro.obs.sketch` — a DDSketch-style mergeable quantile sketch with
   a bounded relative error and fixed memory; it backs every latency
-  percentile in the stack and merges exactly across workers (the fleet
-  p99 is the pooled stream's p99, never an average of per-worker p99s);
-* :mod:`repro.obs.shm_metrics` — lock-free per-worker counter slabs (plus
-  one sketch row each) in ``multiprocessing.shared_memory``, merged by the
-  dispatcher into a fleet-wide utilisation/latency view without touching
-  the request path;
+  percentile in the stack;
 * :mod:`repro.obs.slo` — declarative per-tenant SLOs (availability +
   latency objective) evaluated with multiwindow burn rates; structured
   alerts on the ``repro.serve.slo`` logger, verdicts in ``/v1/metrics``;
@@ -28,19 +22,13 @@ Capabilities, each usable on its own and composed by the serving layer:
 * :mod:`repro.obs.console` — the ``repro top`` live terminal dashboard
   over a serving endpoint's ``/v1/metrics``.
 
-This package deliberately imports nothing from :mod:`repro.serve` or
-:mod:`repro.cluster` — it is a leaf those layers build on.
+This package deliberately imports nothing from :mod:`repro.serve` — it is
+a leaf that layer builds on.
 """
 
 from repro.obs.console import build_view, render_view, run_console
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus, validate_exposition
-from repro.obs.shm_metrics import (
-    WorkerStatsSlab,
-    merge_worker_stats,
-    stats_summary,
-    worker_summary,
-)
-from repro.obs.sketch import QuantileSketch, merge_rows, sketch_row_length
+from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import SLOConfig, SLOEngine, SLOSpec
 from repro.obs.trace import (
     JsonlSink,
@@ -52,7 +40,6 @@ from repro.obs.trace import (
     get_tracer,
     parse_trace_file,
     set_tracer,
-    span_record,
 )
 from repro.obs.summary import (
     format_trace_summary,
@@ -72,24 +59,17 @@ __all__ = [
     "Span",
     "SpanContext",
     "Tracer",
-    "WorkerStatsSlab",
     "build_view",
     "configure_tracing",
     "format_trace_summary",
     "get_tracer",
-    "merge_rows",
-    "merge_worker_stats",
     "parse_trace_file",
     "render_prometheus",
     "render_view",
     "run_console",
     "set_tracer",
-    "sketch_row_length",
     "slowest_exemplars",
-    "span_record",
-    "stats_summary",
     "summarize_spans",
     "summarize_trace_file",
     "validate_exposition",
-    "worker_summary",
 ]

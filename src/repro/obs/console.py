@@ -2,10 +2,9 @@
 
 A stdlib-only terminal dashboard over the serving tier: it polls ``GET
 /v1/metrics`` on an interval and renders one screen per poll — per-tenant
-traffic (QPS, p50/p99, queue depth), the SLO error-budget/burn-rate block,
-worker-pool health (utilisation, respawns), fleet residency/evictions, and
-circuit breakers.  ``repro top --once --json`` emits a single
-machine-readable view instead, which is what the CI smoke uses.
+traffic (QPS, p50/p99, queue depth) and the SLO error-budget/burn-rate
+block.  ``repro top --once --json`` emits a single machine-readable view
+instead, which is what the CI smoke uses.
 
 Everything here is pure over the ``/v1/metrics`` JSON snapshot:
 :func:`build_view` turns one (plus optionally the previous poll, for QPS
@@ -61,8 +60,8 @@ def build_view(
 
     ``previous``/``elapsed`` (the prior poll and the seconds between them)
     enable the QPS column — a single snapshot only carries cumulative
-    counters, so rates need two.  Missing blocks (no cluster, no traffic
-    yet) simply produce empty sections; the console renders what exists.
+    counters, so rates need two.  Missing blocks (no traffic yet) simply
+    produce empty sections; the console renders what exists.
     """
     models = snapshot.get("models", {})
     slo_tenants = snapshot.get("slo", {}).get("tenants", {})
@@ -96,34 +95,8 @@ def build_view(
             }
         )
 
-    workers = []
-    for name in sorted(snapshot.get("cluster", {})):
-        info = snapshot["cluster"][name]
-        fleet_stats = info.get("workers", {}).get("fleet", {})
-        workers.append(
-            {
-                "dispatcher": name,
-                "workers": info.get("num_workers"),
-                "respawns": int(info.get("respawns", 0)),
-                "utilization": fleet_stats.get("utilization"),
-                "scoring_p50_ms": fleet_stats.get("scoring_p50_ms"),
-                "scoring_p99_ms": fleet_stats.get("scoring_p99_ms"),
-            }
-        )
-
-    fleet = snapshot.get("fleet")
-    breakers = {}
-    if fleet:
-        breakers = {
-            name: state.get("state")
-            for name, state in fleet.get("breakers", {}).items()
-        }
-
     return {
         "tenants": tenants,
-        "workers": workers,
-        "fleet": fleet,
-        "breakers": breakers,
         "alert_burn_rate": snapshot.get("slo", {}).get("alert_burn_rate"),
     }
 
@@ -168,49 +141,6 @@ def render_view(view: dict, color: bool = True) -> str:
             f"{_fmt(budget, '{:.3f}'):>7} {burn:>11} "
         )
         lines.append(line + paint(verdict, _VERDICT_COLORS.get(verdict, _DIM)))
-
-    if view["workers"]:
-        lines.append("")
-        lines.append(
-            paint(
-                f"{'DISPATCHER':<16} {'WORKERS':>7} "
-                f"{'UTIL':>6} {'RESPAWNS':>8} {'SCORE P50':>10} {'SCORE P99':>10}",
-                _DIM,
-            )
-        )
-        for row in view["workers"]:
-            util = row["utilization"]
-            lines.append(
-                f"{row['dispatcher']:<16} {row['workers'] or '-':>7} "
-                f"{_fmt(util, '{:.0%}'):>6} {row['respawns']:>8} "
-                f"{_fmt(row['scoring_p50_ms'], '{:.2f}'):>10} "
-                f"{_fmt(row['scoring_p99_ms'], '{:.2f}'):>10}"
-            )
-
-    fleet = view.get("fleet")
-    if fleet:
-        lines.append("")
-        cap = fleet.get("max_resident_banks")
-        resident = f"{fleet.get('resident_banks', 0)}"
-        if cap:
-            resident += f"/{cap}"
-        lines.append(
-            paint("FLEET  ", _DIM)
-            + f"banks={resident} evictions={fleet.get('evictions', 0)} "
-            f"cold_loads={fleet.get('cold_loads', 0)} "
-            f"dispatchers={fleet.get('dispatchers', 0)}"
-        )
-        if view["breakers"]:
-            states = " ".join(
-                f"{name}={state}" for name, state in sorted(view["breakers"].items())
-            )
-            open_breakers = any(
-                state != "closed" for state in view["breakers"].values()
-            )
-            lines.append(
-                paint("BREAKERS  ", _DIM)
-                + paint(states, _RED if open_breakers else _GREEN)
-            )
 
     if view.get("alert_burn_rate") is not None:
         lines.append("")

@@ -14,10 +14,9 @@ Conventions:
   (which is why :class:`~repro.serve.metrics.LatencyHistogram` snapshots
   carry their raw cumulative bucket counts);
 * per-model series carry a ``model`` label, per-stage histograms add
-  ``stage``, cluster-worker series carry ``dispatcher`` and ``worker``;
-* fleet-wide residency series are ``repro_fleet_*`` (resident banks,
-  dispatchers, evictions, cold loads) and per-tenant admission counters
-  are ``repro_tenant_*`` with a ``tenant`` label;
+  ``stage``;
+* per-tenant admission counters are ``repro_tenant_*`` with a ``tenant``
+  label;
 * per-tenant SLO series are ``repro_slo_error_budget_remaining`` and
   ``repro_slo_burn_rate`` (``window="fast"|"slow"``), from the ``slo``
   snapshot block;
@@ -170,7 +169,7 @@ def render_prometheus(snapshot: Dict) -> str:
             _render_histogram(
                 writer,
                 "repro_stage_latency_seconds",
-                "Per-stage latency (validate, queue_wait, dispatch, ...).",
+                "Per-stage latency (validate, queue_wait, batch_execute, ...).",
                 latency,
                 model=model,
                 stage=stage,
@@ -192,115 +191,6 @@ def render_prometheus(snapshot: Dict) -> str:
             "repro_prediction_cache_entries", "gauge", "Resident LRU cache entries."
         )
         writer.sample("repro_prediction_cache_entries", cache["entries"])
-
-    shm = snapshot.get("shared_memory")
-    if shm is not None:
-        writer.declare(
-            "repro_shm_segments", "gauge", "Published shared-memory segments."
-        )
-        writer.sample("repro_shm_segments", shm["segments"])
-        writer.declare(
-            "repro_shm_resident_bytes",
-            "gauge",
-            "Bytes of packed model banks resident in shared memory.",
-        )
-        writer.sample("repro_shm_resident_bytes", shm["resident_bytes"])
-
-    for dispatcher, info in sorted(snapshot.get("cluster", {}).items()):
-        writer.declare(
-            "repro_cluster_respawns_total", "counter", "Worker respawns after crashes."
-        )
-        writer.sample(
-            "repro_cluster_respawns_total",
-            info.get("respawns", 0),
-            dispatcher=dispatcher,
-        )
-        failure_help = {
-            "hangs": "Worker hangs detected by the request-timeout watchdog.",
-            "shard_retries": "Shards retried once after a worker fault.",
-            "worker_faults": "Request-level faults reported by workers.",
-            "deadline_skips": "Shards abandoned because their deadline expired.",
-        }
-        for field, count in sorted((info.get("failures") or {}).items()):
-            name = f"repro_cluster_{field}_total"
-            writer.declare(
-                name, "counter", failure_help.get(field, "Cluster fault counter.")
-            )
-            writer.sample(name, count, dispatcher=dispatcher)
-        uptime = float(info.get("uptime_seconds", 0.0))
-        for index, worker in enumerate(info.get("workers", {}).get("per_worker", [])):
-            writer.declare(
-                "repro_worker_requests_total",
-                "counter",
-                "Shards answered by each cluster worker.",
-            )
-            writer.sample(
-                "repro_worker_requests_total",
-                worker["requests"],
-                dispatcher=dispatcher,
-                worker=index,
-            )
-            writer.declare(
-                "repro_worker_busy_seconds_total",
-                "counter",
-                "Cumulative scoring time inside each worker.",
-            )
-            writer.sample(
-                "repro_worker_busy_seconds_total",
-                worker["busy_seconds"],
-                dispatcher=dispatcher,
-                worker=index,
-            )
-            writer.declare(
-                "repro_worker_utilization",
-                "gauge",
-                "Worker busy fraction since the dispatcher started.",
-            )
-            writer.sample(
-                "repro_worker_utilization",
-                worker["busy_seconds"] / uptime if uptime > 0 else 0.0,
-                dispatcher=dispatcher,
-                worker=index,
-            )
-
-    fleet = snapshot.get("fleet")
-    if fleet is not None:
-        for name, kind, field, help_text in (
-            (
-                "repro_fleet_resident_banks",
-                "gauge",
-                "resident_banks",
-                "Shared model banks currently resident.",
-            ),
-            (
-                "repro_fleet_dispatchers",
-                "gauge",
-                "dispatchers",
-                "Live cluster dispatchers (worker pools).",
-            ),
-            (
-                "repro_fleet_evictions_total",
-                "counter",
-                "evictions",
-                "Worker pools (and their banks) closed by the residency cap.",
-            ),
-            (
-                "repro_fleet_cold_loads_total",
-                "counter",
-                "cold_loads",
-                "Dispatcher cold loads (evicted models rebuilt).",
-            ),
-        ):
-            writer.declare(name, kind, help_text)
-            writer.sample(name, fleet.get(field, 0))
-        for model, breaker in sorted((fleet.get("breakers") or {}).items()):
-            writer.declare(
-                "repro_model_breaker_open",
-                "gauge",
-                "Cold-load circuit breaker (1 open, 0.5 half-open, 0 closed).",
-            )
-            state = {"open": 1.0, "half_open": 0.5}.get(breaker.get("state"), 0.0)
-            writer.sample("repro_model_breaker_open", state, model=model)
 
     tenancy = snapshot.get("tenancy")
     if tenancy is not None:

@@ -1,14 +1,11 @@
 """Mergeable quantile sketches with a bounded relative error.
 
-The serving layer needs percentiles in three places that a classic
+The serving layer needs percentiles in two places that a classic
 fixed-bucket histogram serves badly:
 
 * per-model request latency in :class:`repro.serve.metrics.LatencyHistogram`,
   where the old bucket-upper-bound estimate could be off by the full bucket
   width (the coarse 5/10/20-per-decade grid means up to 2x);
-* per-worker scoring latency published through shared-memory slabs
-  (:mod:`repro.obs.shm_metrics`), where per-worker summaries could not be
-  combined into a true fleet percentile;
 * per-tenant SLO latency objectives (:mod:`repro.obs.slo`), which need "is
   tenant X's p99 above 250 ms" answered cheaply and continuously.
 
@@ -18,15 +15,12 @@ relative accuracy ``a``, so *any* quantile estimate ``x̂`` of a true sample
 value ``x`` within the tracked range satisfies ``|x̂ - x| <= a * x``.  Three
 properties matter here:
 
-* **mergeable** — bucket counts are additive, so merging sketches from N
-  workers yields exactly the sketch of the pooled stream (merge is
-  associative and commutative);
+* **mergeable** — bucket counts are additive, so merging N sketches yields
+  exactly the sketch of the pooled stream (merge is associative and
+  commutative);
 * **fixed memory** — the tracked value range is fixed up front, so the
   bucket array never grows and the whole sketch *is* a constant-length
-  float64 row (``[count, sum, min, max, bucket_0, ...]``) that drops
-  straight into a shared-memory worker slab: :meth:`attach_row` turns a
-  slab slice into a live sketch recording in place, lock-free, with one
-  writer per slot;
+  float64 row (``[count, sum, min, max, bucket_0, ...]``);
 * **cheap** — recording is one log + one array increment; no samples are
   retained, so a week-long soak costs the same memory as the first request.
 
@@ -40,7 +34,7 @@ bound formally holds on ``[min_value, max_value]`` (the defaults bracket
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -63,15 +57,6 @@ def _num_buckets(relative_accuracy: float, min_value: float, max_value: float) -
     return int(math.ceil(math.log(max_value / min_value) / math.log(gamma))) + 1
 
 
-def sketch_row_length(
-    relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-    min_value: float = DEFAULT_MIN_VALUE,
-    max_value: float = DEFAULT_MAX_VALUE,
-) -> int:
-    """Cells in the flat float64 row of a sketch with these parameters."""
-    return _HEADER + _num_buckets(relative_accuracy, min_value, max_value)
-
-
 class QuantileSketch:
     """A mergeable log-bucket quantile sketch with relative-error guarantee.
 
@@ -85,9 +70,7 @@ class QuantileSketch:
         min/max are still reported exactly via :attr:`min` / :attr:`max`).
 
     The sketch state lives in one float64 row ``[count, sum, min, max,
-    bucket_0, ...]`` — a zero row is a valid empty sketch, so a freshly
-    zeroed shared-memory slab slice attaches (:meth:`attach_row`) as an
-    empty sketch and a respawned worker inherits its predecessor's counts.
+    bucket_0, ...]``; a zero row is the empty sketch.
     """
 
     __slots__ = ("_alpha", "_min_value", "_max_value", "_gamma", "_log_gamma", "_row")
@@ -97,7 +80,6 @@ class QuantileSketch:
         relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
         min_value: float = DEFAULT_MIN_VALUE,
         max_value: float = DEFAULT_MAX_VALUE,
-        _row: Optional[np.ndarray] = None,
     ):
         relative_accuracy = float(relative_accuracy)
         if not 0.0 < relative_accuracy < 1.0:
@@ -113,31 +95,8 @@ class QuantileSketch:
         self._max_value = max_value
         self._gamma = (1.0 + relative_accuracy) / (1.0 - relative_accuracy)
         self._log_gamma = math.log(self._gamma)
-        length = sketch_row_length(relative_accuracy, min_value, max_value)
-        if _row is None:
-            self._row = np.zeros(length, dtype=np.float64)
-        else:
-            if _row.dtype != np.float64 or _row.shape != (length,):
-                raise ValueError(
-                    f"row must be float64 with {length} cells, got "
-                    f"{_row.dtype}/{_row.shape}"
-                )
-            self._row = _row
-
-    @classmethod
-    def attach_row(
-        cls,
-        row: np.ndarray,
-        relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-        min_value: float = DEFAULT_MIN_VALUE,
-        max_value: float = DEFAULT_MAX_VALUE,
-    ) -> "QuantileSketch":
-        """A sketch recording *in place* over *row* (e.g. a shm slab slice).
-
-        The row is used as-is — existing counts are kept, which is exactly
-        what a respawned worker inheriting its slot's slab wants.
-        """
-        return cls(relative_accuracy, min_value, max_value, _row=row)
+        length = _HEADER + _num_buckets(relative_accuracy, min_value, max_value)
+        self._row = np.zeros(length, dtype=np.float64)
 
     # ------------------------------------------------------------ properties
     @property
@@ -184,8 +143,6 @@ class QuantileSketch:
             raise ValueError(f"value must be positive and finite, got {value}")
         row = self._row
         row[_HEADER + self._bucket_index(value)] += 1.0
-        # Update min/max before count: a concurrent lock-free reader that
-        # sees the new count then also sees consistent extremes.
         if row[0] == 0.0:
             row[2] = value
             row[3] = value
@@ -254,50 +211,21 @@ class QuantileSketch:
         it never feeds percentile estimates.
         """
         self._check_compatible(other)
-        self._row[:] = merge_rows([self._row, other._row])
+        row, theirs = self._row, other._row
+        if theirs[0] == 0.0:
+            return
+        if row[0] == 0.0:
+            row[2], row[3] = theirs[2], theirs[3]
+        else:
+            row[2] = min(row[2], theirs[2])
+            row[3] = max(row[3], theirs[3])
+        row[_HEADER:] += theirs[_HEADER:]
+        row[1] += theirs[1]
+        row[0] += theirs[0]
 
-    # ----------------------------------------------------- flat float64 form
-    def to_row(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Copy the flat ``[count, sum, min, max, buckets...]`` row out."""
-        if out is None:
-            return self._row.copy()
-        if out.shape != self._row.shape:
-            raise ValueError(
-                f"row must have {self.row_length()} cells, got {out.shape}"
-            )
-        out[:] = self._row
-        return out
-
-    @classmethod
-    def from_row(
-        cls,
-        row: Sequence[float],
-        relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-        min_value: float = DEFAULT_MIN_VALUE,
-        max_value: float = DEFAULT_MAX_VALUE,
-    ) -> "QuantileSketch":
-        """Rebuild a sketch from a :meth:`to_row` row (copying the counts)."""
-        copy = np.array(row, dtype=np.float64)
-        return cls(relative_accuracy, min_value, max_value, _row=copy)
-
-    # -------------------------------------------------------------- pickling
-    def __getstate__(self) -> Dict[str, object]:
-        return {
-            "relative_accuracy": self._alpha,
-            "min_value": self._min_value,
-            "max_value": self._max_value,
-            "row": self._row.tolist(),
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        rebuilt = QuantileSketch.from_row(
-            state["row"],
-            relative_accuracy=state["relative_accuracy"],
-            min_value=state["min_value"],
-            max_value=state["max_value"],
-        )
-        for slot in self.__slots__:
-            setattr(self, slot, getattr(rebuilt, slot))
+    def to_row(self) -> np.ndarray:
+        """A copy of the flat ``[count, sum, min, max, buckets...]`` row."""
+        return self._row.copy()
 
     # -------------------------------------------------------------- snapshot
     def snapshot(self) -> Dict[str, object]:
@@ -319,42 +247,9 @@ class QuantileSketch:
         )
 
 
-def merge_rows(rows: Iterable[Sequence[float]]) -> np.ndarray:
-    """Merge :meth:`QuantileSketch.to_row` rows without rebuilding sketches.
-
-    Bucket counts, counts and sums add; min/max combine ignoring empty rows
-    (whose 0.0 min would otherwise poison the merged minimum).  The result
-    is a valid row for :meth:`QuantileSketch.from_row` with matching
-    parameters.
-    """
-    merged: Optional[np.ndarray] = None
-    min_seen = math.inf
-    max_seen = -math.inf
-    for row in rows:
-        row = np.asarray(row, dtype=np.float64)
-        if merged is None:
-            merged = row.copy()
-        else:
-            if row.shape != merged.shape:
-                raise ValueError("cannot merge rows of different lengths")
-            merged[0] += row[0]
-            merged[1] += row[1]
-            merged[_HEADER:] += row[_HEADER:]
-        if row[0] > 0:
-            min_seen = min(min_seen, float(row[2]))
-            max_seen = max(max_seen, float(row[3]))
-    if merged is None:
-        raise ValueError("need at least one row to merge")
-    merged[2] = min_seen if math.isfinite(min_seen) else 0.0
-    merged[3] = max_seen if math.isfinite(max_seen) else 0.0
-    return merged
-
-
 __all__ = [
     "DEFAULT_MAX_VALUE",
     "DEFAULT_MIN_VALUE",
     "DEFAULT_RELATIVE_ACCURACY",
     "QuantileSketch",
-    "merge_rows",
-    "sketch_row_length",
 ]

@@ -21,9 +21,6 @@ STAGE_ORDER = (
     "cache_lookup",
     "queue_wait",
     "batch_execute",
-    "dispatch",
-    "worker:score",
-    "merge",
     "respond",
 )
 

@@ -1,9 +1,9 @@
 """Request-scoped tracing: spans, context propagation, and the JSONL sink.
 
-One request through the serving stack crosses threads (HTTP handler →
-micro-batch collector → scheduler executor) and processes (dispatcher →
-cluster workers).  This module gives every request a *trace*: a tree of
-timed spans that survives both hops.
+One request through the serving stack crosses threads: the HTTP handler
+thread hands it to the micro-batch collector thread, which runs the batch.
+This module gives every request a *trace*: a tree of timed spans that
+survives the hop.
 
 Design constraints, in priority order:
 
@@ -11,14 +11,11 @@ Design constraints, in priority order:
    request is not sampled, :meth:`Tracer.start_span` returns one shared
    no-op span — no allocation, no clock reads, no lock.  That is what lets
    the serving benchmarks run with tracing compiled in.
-2. **One writer.**  Worker processes never open the trace file.  Their spans
-   travel back over the reply pipe as plain dictionaries (see
-   :func:`span_record`) and the dispatcher stitches them into the parent
-   trace via :meth:`Tracer.emit_record` — so the JSONL file is written by
-   exactly one process and needs only a thread lock.
+2. **One writer.**  The JSONL file is written by one sink behind a thread
+   lock.
 3. **Explicit parents beat ambient magic across boundaries.**  Within a
-   thread, spans nest through a thread-local stack; across threads and
-   pipes, a picklable :class:`SpanContext` is handed over explicitly.
+   thread, spans nest through a thread-local stack; across threads, a
+   :class:`SpanContext` is handed over explicitly.
 
 Trace-file schema (one JSON object per line)::
 
@@ -46,7 +43,7 @@ SCHEMA_VERSION = 1
 
 
 class SpanContext(NamedTuple):
-    """The picklable address of a span: enough to parent a child anywhere."""
+    """The address of a span: enough to parent a child in any thread."""
 
     trace_id: str
     span_id: str
@@ -159,30 +156,26 @@ class Span:
         return False
 
 
-def span_record(
+def _record(
+    trace_id: str,
+    span_id: str,
+    parent_id: Optional[str],
     name: str,
-    parent: SpanContext,
     start_time: float,
     duration_s: float,
-    attrs: Optional[dict] = None,
-    pid: Optional[int] = None,
+    attrs: dict,
 ) -> dict:
-    """Build a finished-span dictionary without a :class:`Tracer`.
-
-    This is the worker-process half of cross-process stitching: a cluster
-    worker times its work, builds one of these, and ships it back over the
-    reply pipe; the dispatcher writes it with :meth:`Tracer.emit_record`.
-    """
+    """One finished span in the trace-file schema."""
     return {
         "v": SCHEMA_VERSION,
-        "trace": parent.trace_id,
-        "span": _new_id(),
-        "parent": parent.span_id,
+        "trace": trace_id,
+        "span": span_id,
+        "parent": parent_id,
         "name": name,
         "ts": start_time,
         "dur_ms": duration_s * 1e3,
-        "pid": os.getpid() if pid is None else int(pid),
-        "attrs": dict(attrs) if attrs else {},
+        "pid": os.getpid(),
+        "attrs": attrs,
     }
 
 
@@ -278,8 +271,8 @@ class Tracer:
     def start_span(self, name: str, parent=None, attrs: Optional[dict] = None):
         """Open a span; use the result as a context manager.
 
-        ``parent`` may be a :class:`SpanContext` (explicit cross-thread /
-        cross-pipe parenting) or ``None``, in which case the span nests
+        ``parent`` may be a :class:`SpanContext` (explicit cross-thread
+        parenting) or ``None``, in which case the span nests
         under the calling thread's current span — or starts a new trace
         (root), which is where the sampling decision is made.
         """
@@ -323,12 +316,17 @@ class Tracer:
         fact); no-op unless *parent* is a sampled context."""
         if self.sink is None or parent is None:
             return
-        self.sink.write(span_record(name, parent, start_time, duration_s, attrs))
-
-    def emit_record(self, record: dict) -> None:
-        """Write a pre-built span record (worker-side spans being stitched)."""
-        if self.sink is not None and record:
-            self.sink.write(record)
+        self.sink.write(
+            _record(
+                parent.trace_id,
+                _new_id(),
+                parent.span_id,
+                name,
+                start_time,
+                duration_s,
+                dict(attrs) if attrs else {},
+            )
+        )
 
     def close(self) -> None:
         if self.sink is not None:
@@ -353,17 +351,15 @@ class Tracer:
         if sink is None:  # pragma: no cover - sink closed mid-span
             return
         sink.write(
-            {
-                "v": SCHEMA_VERSION,
-                "trace": span.trace_id,
-                "span": span.span_id,
-                "parent": span.parent_id,
-                "name": span.name,
-                "ts": span.start_time,
-                "dur_ms": span.duration_s * 1e3,
-                "pid": os.getpid(),
-                "attrs": span.attrs,
-            }
+            _record(
+                span.trace_id,
+                span.span_id,
+                span.parent_id,
+                span.name,
+                span.start_time,
+                span.duration_s,
+                span.attrs,
+            )
         )
 
 
@@ -443,5 +439,4 @@ __all__ = [
     "get_tracer",
     "parse_trace_file",
     "set_tracer",
-    "span_record",
 ]

@@ -17,9 +17,8 @@ serving stack:
   histograms;
 * :mod:`repro.serve.server` — a stdlib-only JSON-over-HTTP front-end
   (``POST /v1/predict`` and friends) with a version-keyed LRU prediction
-  cache and optional multiprocess execution through
-  :mod:`repro.cluster` (``ServeApp(num_processes=N)``: shared-memory model
-  residency, sharded batches, crash-respawning workers);
+  cache, tenant admission, deadlines and a graceful drain, all in one
+  process;
 * :mod:`repro.serve.bench` — the serving throughput benchmark shared by
   ``python -m repro bench-serve`` and ``benchmarks/bench_serving_throughput.py``.
 """

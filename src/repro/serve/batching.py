@@ -30,7 +30,6 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.cluster.errors import DeadlineExceededError
 from repro.obs.trace import SpanContext, Tracer, get_tracer
 from repro.serve.engine import PackedInferenceEngine
 from repro.serve.metrics import ModelMetrics
@@ -45,6 +44,16 @@ class SchedulerOverloadedError(RuntimeError):
     overloaded scheduler fails fast instead of building an unbounded backlog
     whose tail latency outlives any client.  The HTTP layer maps it to
     429 + ``Retry-After``.
+    """
+
+
+class DeadlineExceededError(RuntimeError):
+    """The request's deadline expired before its answer was ready.
+
+    Deadlines are absolute ``time.monotonic()`` instants.  The scheduler
+    fails a request whose deadline passes while it queues or while its batch
+    runs, rather than handing back an answer the caller stopped waiting for.
+    The HTTP layer answers 504: the work is dead, not retryable.
     """
 
 
@@ -101,9 +110,10 @@ class BatchScheduler:
         Optional :class:`~repro.obs.trace.Tracer`.  When a submitted request
         carries a span context, the scheduler emits its ``queue_wait`` span
         and wraps the engine call in a ``batch_execute`` span (parented to
-        the first traced request of the coalesced batch), so dispatcher- and
-        worker-side spans stitch into the caller's trace.  Defaults to the
-        process-wide tracer (disabled unless configured).
+        the first traced request of the coalesced batch), so the batch's
+        spans stitch into the caller's trace across the hand-off to the
+        collector thread.  Defaults to the process-wide tracer (disabled
+        unless configured).
     """
 
     def __init__(
@@ -147,8 +157,8 @@ class BatchScheduler:
         crosses into the collector thread here, so ambient nesting cannot
         follow it).  ``deadline`` is an absolute ``time.monotonic()`` instant:
         a request still queued (or mid-batch) past it fails with
-        :class:`~repro.cluster.errors.DeadlineExceededError` instead of being
-        scored.  Raises ``RuntimeError`` after :meth:`stop` and
+        :class:`DeadlineExceededError` instead of being scored.  Raises
+        ``RuntimeError`` after :meth:`stop` and
         :class:`SchedulerOverloadedError` when the bounded queue is full.
         """
         if self._closed:
@@ -285,8 +295,8 @@ class BatchScheduler:
                     batch_parent = request.trace
             request.enqueued = None
         if batch_parent is None:
-            # Retry path or untraced batch: keep nesting under the first
-            # traced request so dispatcher spans still stitch somewhere.
+            # Retry path: keep nesting under the first traced request so the
+            # batch span still stitches into a trace.
             batch_parent = next(
                 (request.trace for request in batch if request.trace is not None), None
             )
@@ -319,20 +329,11 @@ class BatchScheduler:
             engine = self._resolve_engine()
             features = np.stack([request.features for request in batch])
             k = max(request.top_k for request in batch)
-            kwargs = {}
-            if getattr(engine, "accepts_deadline", False):
-                # Propagate the batch's loosest deadline into the op control
-                # frame — workers skip shards only when *every* rider is
-                # already dead, so one tight-deadline request can never expire
-                # its batchmates.
-                deadlines = [request.deadline for request in batch]
-                if all(value is not None for value in deadlines):
-                    kwargs["deadline"] = max(deadlines)
             if span is not None:
                 with span:
-                    labels, scores = engine.top_k(features, k=k, **kwargs)
+                    labels, scores = engine.top_k(features, k=k)
             else:
-                labels, scores = engine.top_k(features, k=k, **kwargs)
+                labels, scores = engine.top_k(features, k=k)
         except BaseException as error:
             # One malformed request (e.g. wrong feature width) must not poison
             # the whole coalesced batch: re-run each request individually so
@@ -370,4 +371,4 @@ class BatchScheduler:
             request.future.set_result((labels[row, :k_i], scores[row, :k_i]))
 
 
-__all__ = ["BatchScheduler", "SchedulerOverloadedError"]
+__all__ = ["BatchScheduler", "DeadlineExceededError", "SchedulerOverloadedError"]

@@ -68,12 +68,6 @@ class PackedInferenceEngine:
         :meth:`info` (the registry stores the saved-model metadata here).
     lut_budget_bytes:
         Byte cap for the record encoder's fused bind LUT.
-    packed_bank:
-        Optional externally held packed inference bank (for example a
-        zero-copy view over a ``repro.cluster`` shared-memory segment).  When
-        given, the classifier adopts it as its resident scoring words instead
-        of packing a private copy; requires the packed scoring path and a
-        bank whose shape matches the fitted model.
     """
 
     def __init__(
@@ -83,7 +77,6 @@ class PackedInferenceEngine:
         mode: str = "auto",
         metadata: Optional[dict] = None,
         lut_budget_bytes: int = DEFAULT_LUT_BUDGET_BYTES,
-        packed_bank: Optional[PackedHypervectors] = None,
     ):
         if mode not in ("auto", "packed", "dense"):
             raise ValueError(f"mode must be 'auto', 'packed' or 'dense', got {mode!r}")
@@ -119,14 +112,7 @@ class PackedInferenceEngine:
         # and makes first-request latency exclude the pack.
         self._packed_classes: Optional[PackedHypervectors] = None
         if mode == "packed":
-            if packed_bank is not None:
-                classifier.adopt_packed_bank(packed_bank)
             self._packed_classes = classifier.packed_inference_bank()
-        elif packed_bank is not None:
-            raise ValueError(
-                "packed_bank was given but the engine resolved to the dense "
-                "path; an external bank requires packed scoring"
-            )
         # np.random.Generator is not thread-safe; tie-break draws (the only
         # RNG consumption on the request path) are serialised behind this.
         self._rng_lock = threading.Lock()
@@ -269,16 +255,6 @@ class PackedInferenceEngine:
         costs (NumPy buffer allocation, LUT page-in)."""
         dummy = np.zeros((1, self.encoder.num_features), dtype=np.float64)
         self.predict(dummy)
-
-    @property
-    def packed_bank(self) -> Optional[PackedHypervectors]:
-        """The resident packed inference bank (``None`` in dense mode).
-
-        This is what ``repro.cluster`` publishes into shared memory: the
-        class hypervectors for shared-rule classifiers, the flat ``K * N``
-        model bank for ensembles.
-        """
-        return self._packed_classes
 
     @property
     def packed_storage_bytes(self) -> int:

@@ -32,9 +32,6 @@ _DEFAULT_BOUNDS = tuple(
     for base in (5.0, 10.0, 20.0)
 )
 
-#: Public alias (the cross-process worker slabs bracket with the same bounds).
-DEFAULT_LATENCY_BOUNDS = _DEFAULT_BOUNDS
-
 
 class LatencyHistogram:
     """Latency distribution: sketch percentiles + fixed Prometheus buckets.
@@ -172,7 +169,7 @@ class ModelMetrics:
 
     Besides the end-to-end request latency, the model keeps one
     :class:`LatencyHistogram` per pipeline *stage* (``validate``,
-    ``queue_wait``, ``dispatch``, ``merge``, ...) so ``/v1/metrics`` can
+    ``queue_wait``, ``batch_execute``, ...) so ``/v1/metrics`` can
     answer "where does a request spend its time" without a trace file.
     """
 
@@ -328,7 +325,6 @@ class MetricsRegistry:
 
 
 __all__ = [
-    "DEFAULT_LATENCY_BOUNDS",
     "LatencyHistogram",
     "ModelMetrics",
     "MetricsRegistry",

@@ -162,7 +162,7 @@ class ModelRegistry:
             entry = self._find(name, version)
             if entry.engine is None:
                 entry.engine = engine
-                self._enforce_residency_cap()
+                self._enforce_residency_cap(keep=entry)
             return entry.engine
 
     def default_version(self, name: str) -> int:
@@ -236,18 +236,27 @@ class ModelRegistry:
             raise KeyError(f"model {name!r} has no version {version}")
         return entry
 
-    def _enforce_residency_cap(self) -> None:
-        evictable = [
+    def _enforce_residency_cap(self, keep: Optional[_Entry] = None) -> None:
+        """Drop least-recently-used path-backed engines over ``max_resident``.
+
+        *keep* — the entry whose engine is being installed — is never a
+        victim: loads that finished while it was loading carry newer LRU
+        stamps, and evicting it would hand its caller ``None``.
+        """
+        resident = [
             entry
             for versions in self._models.values()
             for entry in versions.values()
             if entry.resident and not entry.pinned
         ]
-        excess = len(evictable) - self.max_resident
+        excess = len(resident) - self.max_resident
         if excess <= 0:
             return
-        evictable.sort(key=lambda entry: entry.last_used)
-        for entry in evictable[:excess]:
+        victims = sorted(
+            (entry for entry in resident if entry is not keep),
+            key=lambda entry: entry.last_used,
+        )
+        for entry in victims[:excess]:
             entry.engine = None  # reloaded from entry.path on next access
 
 

@@ -14,8 +14,7 @@ Routes
                       here before in-flight batches finish;
 ``GET  /v1/models``   registry listing (every registered version);
 ``GET  /v1/metrics``  per-model counters, latency percentiles, queue depth,
-                      cluster fleet stats, shared-memory accounting, and the
-                      per-tenant SLO burn-rate block (JSON);
+                      and the per-tenant SLO burn-rate block (JSON);
 ``GET  /metrics``     the same snapshot in Prometheus text exposition;
 ``POST /v1/predict``  body ``{"model": name?, "features": [...], "top_k": k?,
                       "deadline_ms": ms?}`` — a 1-D ``features`` list is one
@@ -25,12 +24,11 @@ Routes
                       server answers 504 instead of returning stale work.
 
 Every error response is machine-readable: ``{"error": message, "code":
-slug}`` with ``Retry-After`` on 429/503.  Multi-tenant fleets add three
-codes to the taxonomy: ``tenant_rate_limited`` / ``tenant_quota_exceeded``
-(429, per-tenant admission — see :mod:`repro.serve.tenancy`) and
-``model_unavailable`` (503, the model's cold-load circuit breaker is
-open).  The full retry taxonomy (which codes mean *back off*, *retry*, or
-*give up*) is documented in ``docs/robustness.md``.
+slug}`` with ``Retry-After`` on 429/503.  Multi-tenant fleets add two codes
+to the taxonomy: ``tenant_rate_limited`` / ``tenant_quota_exceeded`` (429,
+per-tenant admission — see :mod:`repro.serve.tenancy`).  The full retry
+taxonomy (which codes mean *back off*, *retry*, or *give up*) is documented
+in ``docs/robustness.md``.
 
 Example::
 
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
 import logging
 import signal
@@ -54,24 +51,18 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.dispatcher import ClusterDispatcher
-from repro.cluster.errors import (
-    ClusterError,
-    DeadlineExceededError,
-    DispatcherClosedError,
-    WorkerCrashedError,
-)
-from repro.cluster.shared import SharedModelStore
-from repro.faults import FaultPlan
 from repro.obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
 from repro.obs.slo import SLOConfig, SLOEngine
 from repro.obs.trace import NULL_SPAN, Tracer, get_tracer
-from repro.serve.batching import BatchScheduler, SchedulerOverloadedError
+from repro.serve.batching import (
+    BatchScheduler,
+    DeadlineExceededError,
+    SchedulerOverloadedError,
+)
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.registry import ModelRegistry
 from repro.serve.tenancy import (
-    CircuitBreaker,
     TenantAdmissionError,
     TenantQuotas,
     retry_after_header,
@@ -79,7 +70,7 @@ from repro.serve.tenancy import (
 from repro.utils.validation import check_finite
 
 #: Default machine-readable error codes by status; a more specific cause
-#: (``draining``, ``worker_crashed``, ...) overrides these at raise sites.
+#: (``draining``, ``tenant_rate_limited``, ...) overrides these at raise sites.
 _DEFAULT_CODES = {
     400: "bad_request",
     404: "not_found",
@@ -162,6 +153,10 @@ class _PredictionCache:
 class ServeApp:
     """The serving application: registry + metrics + per-model schedulers.
 
+    Everything runs in one process: batches execute on the registry's
+    engines, and the registry's LRU (``max_resident``) is the one cap on
+    how many models stay loaded.
+
     Parameters
     ----------
     registry:
@@ -170,11 +165,6 @@ class ServeApp:
         Optional shared :class:`MetricsRegistry` (created when omitted).
     max_batch_size:
         Micro-batch cap applied to every model's scheduler.
-    num_processes:
-        When > 0, batches execute on a :class:`ClusterDispatcher` of this
-        many worker processes sharing the packed model bank through
-        ``multiprocessing.shared_memory`` (one dispatcher per promoted
-        model version; dense-mode models transparently stay in-process).
     cache_size:
         Entry cap for the request-level LRU prediction cache keyed by
         ``(model, version, top_k, payload hash)``; ``0`` disables caching.
@@ -190,42 +180,16 @@ class ServeApp:
         predict on its tenant (model name): an empty token bucket answers
         429 ``tenant_rate_limited``, a full concurrency quota 429
         ``tenant_quota_exceeded`` — both with a ``Retry-After`` hint.
-    max_resident_banks:
-        Fleet residency cap: at most this many cluster dispatchers (each
-        owning one shared packed bank plus its worker pool) stay live; the
-        least-recently-used one is closed — an *eviction*, which releases
-        its bank and reaps its workers — when a cold load would exceed the
-        cap.  ``None`` (default) keeps every dispatcher resident.
-        Re-building an evicted model on its next request is a *cold load*:
-        timed into the ``cold_load`` stage histogram and counted, with the
-        evictions, in the fleet metrics.
-    cold_load_retries:
-        Transient cold-load failures (worker startup races, ...) are
-        retried this many times with capped exponential backoff before the
-        request fails.
-    breaker_threshold / breaker_reset_seconds:
-        Per-model circuit breaker over cold loads: after
-        ``breaker_threshold`` consecutive exhausted cold-load failures the
-        model fails fast with 503 ``model_unavailable`` until
-        ``breaker_reset_seconds`` admit a half-open probe.
     default_deadline_ms:
         Deadline applied to requests that do not send ``deadline_ms``
         themselves; ``None`` means no implicit deadline.
-    request_timeout:
-        Seconds the cluster dispatcher waits for a worker's shard reply
-        before the hung-worker watchdog terminates and respawns it.
-    fault_plan:
-        Optional :class:`~repro.faults.FaultPlan` handed to every
-        dispatcher for deterministic chaos testing (also activates via the
-        ``REPRO_FAULTS`` environment variable).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  Each sampled
         ``/v1/predict`` request becomes one trace: a ``request`` root span
         with ``validate`` / ``cache_lookup`` / ``respond`` children here,
         stitched to the scheduler's ``queue_wait`` / ``batch_execute``
-        spans and — under ``num_processes > 0`` — the dispatcher's
-        ``dispatch`` / per-worker ``worker:score`` / ``merge`` spans.
-        Defaults to the process-wide tracer (disabled unless configured).
+        spans, which the collector thread records.  Defaults to the
+        process-wide tracer (disabled unless configured).
     slo_config:
         Optional :class:`~repro.obs.slo.SLOConfig` with per-tenant
         availability/latency objectives (usually loaded from the
@@ -242,48 +206,22 @@ class ServeApp:
         registry: ModelRegistry,
         metrics: Optional[MetricsRegistry] = None,
         max_batch_size: int = 64,
-        num_processes: int = 0,
         cache_size: int = 1024,
         max_queue_depth: Optional[int] = None,
         max_concurrent: Optional[int] = None,
         tenant_quotas: Optional[TenantQuotas] = None,
-        max_resident_banks: Optional[int] = None,
-        cold_load_retries: int = 2,
-        breaker_threshold: int = 3,
-        breaker_reset_seconds: float = 30.0,
         default_deadline_ms: Optional[float] = None,
-        request_timeout: float = 60.0,
-        fault_plan: Optional[FaultPlan] = None,
         tracer: Optional[Tracer] = None,
         slo_config: Optional[SLOConfig] = None,
     ):
-        if num_processes < 0:
-            raise ValueError(f"num_processes must be >= 0, got {num_processes}")
         if max_concurrent is not None and max_concurrent < 1:
             raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
-        if max_resident_banks is not None and max_resident_banks < 1:
-            raise ValueError(
-                f"max_resident_banks must be >= 1, got {max_resident_banks}"
-            )
-        if cold_load_retries < 0:
-            raise ValueError(
-                f"cold_load_retries must be >= 0, got {cold_load_retries}"
-            )
         self.registry = registry
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.num_processes = int(num_processes)
         self.max_concurrent = max_concurrent
         self.tenant_quotas = tenant_quotas
-        self.max_resident_banks = (
-            None if max_resident_banks is None else int(max_resident_banks)
-        )
-        self.cold_load_retries = int(cold_load_retries)
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_reset_seconds = float(breaker_reset_seconds)
         self.default_deadline_ms = default_deadline_ms
-        self.request_timeout = float(request_timeout)
-        self.fault_plan = fault_plan
         self.slo = SLOEngine(slo_config)
         self._batch_config = dict(
             max_batch_size=max_batch_size,
@@ -293,18 +231,6 @@ class ServeApp:
         self._lock = threading.Lock()
         self._cache = _PredictionCache(cache_size) if cache_size else None
         self._admission: Dict[str, threading.BoundedSemaphore] = {}
-        #: name -> (promoted version, dispatcher or None for dense fallback)
-        self._dispatchers: Dict[str, Tuple[int, Optional[ClusterDispatcher]]] = {}
-        self._cluster_lock = threading.Lock()
-        self._store: Optional[SharedModelStore] = None
-        #: single-flight cold loads: one build lock per model name, so a
-        #: thundering herd on a paged-out tenant spawns exactly one pool.
-        self._build_locks: Dict[str, threading.Lock] = {}
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self._dispatcher_clock = itertools.count(1)
-        self._dispatcher_last_used: Dict[str, int] = {}
-        self._cold_loads = 0
-        self._evictions = 0
         self._draining = False
         self._inflight = 0
         self._inflight_cv = threading.Condition()
@@ -338,32 +264,6 @@ class ServeApp:
                 name: {"queue_depth": scheduler.queue_depth}
                 for name, scheduler in schedulers.items()
             }
-        with self._cluster_lock:
-            dispatchers = [d for _, d in self._dispatchers.values() if d is not None]
-            store = self._store
-            cold_loads = self._cold_loads
-            evictions = self._evictions
-            breakers = {
-                name: breaker.snapshot() for name, breaker in self._breakers.items()
-            }
-        if dispatchers:
-            snapshot["cluster"] = {d.name: d.info() for d in dispatchers}
-        if store is not None:
-            snapshot["shared_memory"] = {
-                "segments": len(store),
-                "resident_bytes": store.resident_bytes,
-                "stats_slabs": sum(d.num_workers for d in dispatchers),
-            }
-            fleet = {
-                "resident_banks": len(store),
-                "dispatchers": len(dispatchers),
-                "cold_loads": cold_loads,
-                "evictions": evictions,
-                "max_resident_banks": self.max_resident_banks,
-            }
-            if breakers:
-                fleet["breakers"] = breakers
-            snapshot["fleet"] = fleet
         if self.tenant_quotas is not None:
             snapshot["tenancy"] = self.tenant_quotas.snapshot()
         snapshot["slo"] = self.slo.snapshot()
@@ -374,14 +274,10 @@ class ServeApp:
 
         Sampled requests become one trace: this opens the ``request`` root
         span (the sampling decision for the whole tree) and every stage
-        below — local or across the cluster's worker pipes — stitches under
-        it.  Exceptions mark the root span with an ``error`` attribute on
-        the way out.
+        below — in this thread or the scheduler's collector thread —
+        stitches under it.  Exceptions mark the root span with an ``error``
+        attribute on the way out.
         """
-        if self._draining:
-            raise RequestError(
-                503, "server is draining; retry another replica", code="draining"
-            )
         with self._track_inflight():
             with self.tracer.start_span(
                 "request", attrs={"route": "/v1/predict"}
@@ -391,8 +287,17 @@ class ServeApp:
     @contextlib.contextmanager
     def _track_inflight(self):
         """Count requests between admission and response so :meth:`drain`
-        knows when the last in-flight batch has finished."""
+        knows when the last in-flight batch has finished.
+
+        The draining check and the count share one lock, so a request is
+        either refused with 503 or counted before :meth:`drain` stops the
+        schedulers — never admitted into a scheduler that is stopping.
+        """
         with self._inflight_cv:
+            if self._draining:
+                raise RequestError(
+                    503, "server is draining; retry another replica", code="draining"
+                )
             self._inflight += 1
         try:
             yield
@@ -482,7 +387,7 @@ class ServeApp:
         root.set("rows", int(features.shape[0]) if features.ndim == 2 else 1)
         # Tenant admission is the outer gate: the per-tenant token bucket and
         # concurrency quota shed *before* the request can touch the shared
-        # scheduler/worker capacity the other tenants are using.
+        # scheduler capacity the other tenants are using.
         try:
             lease = None
             if self.tenant_quotas is not None:
@@ -579,49 +484,23 @@ class ServeApp:
             model_metrics.record_cache_miss()
 
         try:
-            for attempt in (0, 1):
-                try:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        raise DeadlineExceededError(
-                            "deadline expired before execution"
-                        )
-                    if features.ndim == 1:
-                        # The request crosses into the collector thread here,
-                        # so the root context is handed over explicitly;
-                        # ambient nesting resumes inside the scheduler's
-                        # executor thread.
-                        labels, scores = self.scheduler_for(name).top_k(
-                            features, k=top_k, trace=root.context, deadline=deadline
-                        )
-                        labels, scores = labels[None, :], scores[None, :]
-                        batched = True
-                    else:
-                        engine = self.engine_for(name)
-                        kwargs = {}
-                        if deadline is not None and getattr(
-                            engine, "accepts_deadline", False
-                        ):
-                            kwargs["deadline"] = deadline
-                        labels, scores = engine.top_k(features, k=top_k, **kwargs)
-                        batched = False
-                    break
-                except DispatcherClosedError:
-                    # Hot-swap / eviction race: this request resolved a
-                    # dispatcher that a concurrent promote or LRU eviction
-                    # closed before the batch ran.  The swap has finished, so
-                    # re-resolving lands on the new pool — retry once
-                    # in-process (scoring is idempotent and the deadline
-                    # check above still governs) instead of bouncing a
-                    # retryable 503 off the client.
-                    if attempt:
-                        raise
+            if deadline is not None and time.monotonic() >= deadline:
+                raise DeadlineExceededError("deadline expired before execution")
+            if features.ndim == 1:
+                # The request crosses into the collector thread here, so the
+                # root context is handed over explicitly.
+                labels, scores = self.scheduler_for(name).top_k(
+                    features, k=top_k, trace=root.context, deadline=deadline
+                )
+                labels, scores = labels[None, :], scores[None, :]
+                batched = True
+            else:
+                labels, scores = self.engine_for(name).top_k(features, k=top_k)
+                batched = False
             if deadline is not None and time.monotonic() >= deadline:
                 # The answer exists but arrived late — a deadline is a
                 # promise, so the caller gets 504, not stale work.
                 raise DeadlineExceededError("request completed after its deadline")
-        except RequestError:
-            model_metrics.record_error()
-            raise
         except SchedulerOverloadedError as error:
             model_metrics.record_shed()
             model_metrics.record_error()
@@ -630,30 +509,10 @@ class ServeApp:
             model_metrics.record_deadline()
             model_metrics.record_error()
             raise RequestError(504, str(error), code="deadline_exceeded")
-        except WorkerCrashedError as error:
-            model_metrics.record_error()
-            raise RequestError(
-                503,
-                f"inference worker crashed and was respawned; retry ({error})",
-                code="worker_crashed",
-            )
-        except DispatcherClosedError:
-            # Hot-swap race: this request resolved a dispatcher that a
-            # concurrent promote closed before the batch ran.  The swap has
-            # finished, so a retry lands on the new version.
-            model_metrics.record_error()
-            raise RequestError(
-                503, "model version was swapped mid-request; retry", code="model_swapped"
-            )
-        except ClusterError as error:
-            # Residual cluster-tier failures (repeated worker faults, ...):
-            # the pool heals on the next request, so they are retryable.
-            model_metrics.record_error()
-            raise RequestError(
-                503, f"cluster fault; retry ({error})", code="cluster_fault"
-            )
         except ValueError as error:
-            model_metrics.record_error()
+            # Single rows fail inside the scheduler, which already counted them.
+            if features.ndim != 1:
+                model_metrics.record_error()
             raise RequestError(400, str(error))
         elapsed = time.perf_counter() - started
         # Scheduler batches already record engine latency; the request-level
@@ -726,159 +585,9 @@ class ServeApp:
                 self._schedulers[name] = scheduler
             return scheduler
 
-    # ---------------------------------------------------------------- cluster
     def engine_for(self, name: str):
-        """The batch executor for *name*.
-
-        The in-process registry engine by default; with ``num_processes > 0``
-        the model's :class:`ClusterDispatcher` (same ``top_k`` surface), so
-        both the micro-batcher and direct 2-D requests shard across the
-        worker pool.
-        """
-        if self.num_processes <= 0:
-            return self.registry.get(name)
-        return self._dispatcher_for(name)
-
-    def _dispatcher_for(self, name: str):
-        engine = self.registry.get(name)  # loads + resolves promoted version
-        version = self.registry.default_version(name)
-        with self._cluster_lock:
-            entry = self._dispatchers.get(name)
-            if entry is not None and entry[0] == version:
-                self._dispatcher_last_used[name] = next(self._dispatcher_clock)
-                dispatcher = entry[1]
-                return dispatcher if dispatcher is not None else engine
-            if self._store is None:
-                self._store = SharedModelStore()
-            store = self._store
-            build_lock = self._build_locks.setdefault(name, threading.Lock())
-            breaker = self._breakers.get(name)
-            if breaker is None:
-                breaker = self._breakers[name] = CircuitBreaker(
-                    threshold=self.breaker_threshold,
-                    reset_seconds=self.breaker_reset_seconds,
-                )
-        wait = breaker.check()
-        if wait is not None:
-            raise RequestError(
-                503,
-                f"model {name!r} is unavailable "
-                "(cold-load circuit breaker is open)",
-                code="model_unavailable",
-                retry_after=retry_after_header(wait),
-            )
-        # Spawning workers and waiting for their ready handshakes can take
-        # seconds; the per-name build lock keeps that out of the cluster lock
-        # (every other model and /v1/metrics keep serving) while still
-        # single-flighting a thundering herd on one cold tenant — the losers
-        # block here, then find the winner's dispatcher on re-check.
-        with build_lock:
-            with self._cluster_lock:
-                entry = self._dispatchers.get(name)
-                if entry is not None and entry[0] == version:
-                    self._dispatcher_last_used[name] = next(self._dispatcher_clock)
-                    dispatcher = entry[1]
-                    return dispatcher if dispatcher is not None else engine
-            try:
-                dispatcher = self._build_dispatcher(name, version, engine, store)
-            except ValueError:
-                # Dense-mode engines (no packed bank to share) stay in-process.
-                dispatcher = None
-            breaker.record_success()
-            with self._cluster_lock:
-                stale = self._dispatchers.get(name)
-                self._dispatchers[name] = (version, dispatcher)
-                self._dispatcher_last_used[name] = next(self._dispatcher_clock)
-                evicted = self._over_cap_dispatchers_locked(keep=name)
-            if stale is not None and stale[1] is not None:
-                # The superseded version's workers; close() waits behind the
-                # dispatcher's own lock for any in-flight batch to finish.
-                stale[1].close()
-            for old in evicted:
-                old.close()
-            return dispatcher if dispatcher is not None else engine
-
-    def _build_dispatcher(self, name: str, version: int, engine, store):
-        """Cold-load one model's worker pool: retry transient failures with
-        capped exponential backoff, time the winning attempt into the
-        ``cold_load`` stage histogram, and convert exhaustion into 503
-        ``model_unavailable`` (after informing the circuit breaker).
-
-        ``ValueError`` passes straight through — that is the dense-mode
-        "no packed bank" signal, a fallback, not a failure.
-        """
-        last_error = None
-        for attempt in range(self.cold_load_retries + 1):
-            if attempt:
-                time.sleep(min(0.05 * 2 ** (attempt - 1), 1.0))
-            started = time.perf_counter()
-            try:
-                dispatcher = ClusterDispatcher(
-                    engine,
-                    num_workers=self.num_processes,
-                    store=store,
-                    name=f"{name}@v{version}",
-                    # Cold loads sit in the request path: a worker that is
-                    # not up within 10s is pathological — fail the attempt
-                    # (typed, retried) rather than stall the tenant's whole
-                    # queue for the cluster-default 60s.
-                    startup_timeout=10.0,
-                    request_timeout=self.request_timeout,
-                    fault_plan=self.fault_plan,
-                    tracer=self.tracer,
-                    metrics=self.metrics.for_model(name),
-                )
-            except ValueError:
-                raise
-            except Exception as error:
-                last_error = error
-                continue
-            self.metrics.for_model(name).record_stage(
-                "cold_load", time.perf_counter() - started
-            )
-            with self._cluster_lock:
-                self._cold_loads += 1
-            return dispatcher
-        self._breakers[name].record_failure()
-        raise RequestError(
-            503,
-            f"model {name!r} failed to cold-load after "
-            f"{self.cold_load_retries + 1} attempts ({last_error})",
-            code="model_unavailable",
-        )
-
-    def _over_cap_dispatchers_locked(self, keep: str):
-        """LRU dispatchers to close so live pools fit ``max_resident_banks``.
-
-        Called under ``_cluster_lock``; pops the victims from the map (so no
-        new request resolves them), counts them as evictions, and returns
-        them for the caller to close *outside* the lock.  Closing releases
-        the victim's shared bank (the store unlinks it at refcount zero) and
-        reaps its workers, which is what actually bounds fleet memory.  The
-        entry being installed
-        (``keep``) is never a victim; dense fallbacks hold no bank and never
-        count.
-        """
-        if self.max_resident_banks is None:
-            return []
-        live = [
-            (self._dispatcher_last_used.get(key, 0), key)
-            for key, (_, dispatcher) in self._dispatchers.items()
-            if dispatcher is not None and key != keep
-        ]
-        kept = self._dispatchers.get(keep)
-        count = len(live) + (1 if kept is not None and kept[1] is not None else 0)
-        excess = count - self.max_resident_banks
-        if excess <= 0:
-            return []
-        live.sort()
-        evicted = []
-        for _, key in live[:excess]:
-            _, dispatcher = self._dispatchers.pop(key)
-            self._dispatcher_last_used.pop(key, None)
-            evicted.append(dispatcher)
-        self._evictions += len(evicted)
-        return evicted
+        """The batch executor for *name*: the registry's promoted engine."""
+        return self.registry.get(name)
 
     # ------------------------------------------------------------------- drain
     @property
@@ -899,8 +608,7 @@ class ServeApp:
 
         The SIGTERM sequence: ``begin_drain`` flips ``/v1/readyz`` to 503 so
         the balancer stops routing here, requests already admitted keep
-        their batches, and only then do schedulers stop, worker pools exit,
-        and shared-memory segments unlink.
+        their batches, and only then do the schedulers stop.
         """
         self.begin_drain()
         deadline = time.monotonic() + float(grace_seconds)
@@ -913,20 +621,11 @@ class ServeApp:
         self.close()
 
     def close(self) -> None:
-        """Stop schedulers, worker pools, and shared segments (in that order)."""
+        """Stop every model's scheduler (queued requests still run)."""
         with self._lock:
             schedulers, self._schedulers = list(self._schedulers.values()), {}
         for scheduler in schedulers:
             scheduler.stop()
-        with self._cluster_lock:
-            dispatchers, self._dispatchers = list(self._dispatchers.values()), {}
-            store, self._store = self._store, None
-            self._dispatcher_last_used.clear()
-        for _, dispatcher in dispatchers:
-            if dispatcher is not None:
-                dispatcher.close()
-        if store is not None:
-            store.close()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -1168,8 +867,8 @@ def run_server(
 
     ``SIGTERM`` triggers a graceful drain: ``/v1/readyz`` flips to 503 so a
     load balancer stops routing here, new ``/v1/predict`` calls answer 503
-    ``draining``, in-flight requests finish, and only then do the worker
-    pools shut down and the shared-memory segments unlink.
+    ``draining``, in-flight requests finish, and only then do the
+    schedulers stop.
     """
     server = create_server(
         app, host=host, port=port, verbose=verbose, log_level=log_level

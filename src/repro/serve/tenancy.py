@@ -1,9 +1,8 @@
 """Per-tenant admission control and degradation primitives.
 
 A multi-tenant fleet front-ends many models ("tenants") behind one server;
-one tenant's burst must not starve the others, and one tenant's broken
-cold-load must not consume the request path retrying forever.  This module
-holds the three small, independently testable pieces the server composes:
+one tenant's burst must not starve the others.  This module holds the two
+small, independently testable pieces the server composes:
 
 * :class:`TokenBucket` — the classic leaky-bucket rate limiter.  Pure
   arithmetic over an injected monotonic clock, so tests never sleep;
@@ -12,12 +11,7 @@ holds the three small, independently testable pieces the server composes:
   bounds in-flight work.  Rejections are *typed* —
   :class:`TenantRateLimitedError` / :class:`TenantQuotaExceededError` each
   carry a ``retry_after`` hint the HTTP layer forwards verbatim, so a
-  shed client learns *when* to come back, not just that it was shed;
-* :class:`CircuitBreaker` — per-model cold-load degradation: after
-  ``threshold`` consecutive failures the breaker opens and callers fail
-  fast (503 ``model_unavailable``) instead of queueing behind a load that
-  cannot succeed; after ``reset_seconds`` one probe is admitted
-  (half-open) and a success re-closes it.
+  shed client learns *when* to come back, not just that it was shed.
 
 Quota configuration is plain JSON (see :meth:`TenantQuotas.from_file`)::
 
@@ -335,95 +329,12 @@ class TenantQuotas:
         return _TenantState(bucket, max_concurrent)
 
 
-class CircuitBreaker:
-    """Per-model consecutive-failure breaker with timed half-open probes.
-
-    Closed (normal) → ``threshold`` consecutive :meth:`record_failure` calls
-    open it → :meth:`check` fails fast with ``retry_after`` until
-    ``reset_seconds`` have passed → the next check is admitted as the single
-    half-open probe → its success re-closes the breaker, its failure
-    re-opens it for another ``reset_seconds``.
-    """
-
-    def __init__(
-        self,
-        threshold: int = 3,
-        reset_seconds: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        if reset_seconds <= 0:
-            raise ValueError(f"reset_seconds must be > 0, got {reset_seconds}")
-        self.threshold = int(threshold)
-        self.reset_seconds = float(reset_seconds)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._opened_at: Optional[float] = None
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state_locked()
-
-    def _state_locked(self) -> str:
-        if self._opened_at is None:
-            return "closed"
-        if self._probing:
-            return "half_open"
-        if self._clock() - self._opened_at >= self.reset_seconds:
-            return "half_open"
-        return "open"
-
-    def check(self) -> Optional[float]:
-        """Gate one attempt: ``None`` admits it, a float is the fail-fast
-        ``retry_after``.  An admitted half-open probe claims exclusivity —
-        concurrent callers keep failing fast until it reports back."""
-        with self._lock:
-            if self._opened_at is None:
-                return None
-            elapsed = self._clock() - self._opened_at
-            if elapsed < self.reset_seconds:
-                return max(self.reset_seconds - elapsed, 1e-3)
-            if self._probing:
-                return self.reset_seconds
-            self._probing = True
-            return None
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._opened_at = None
-            self._probing = False
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            if self._probing or self._failures >= self.threshold:
-                # A failed half-open probe (or crossing the threshold)
-                # restarts the cool-down from now.
-                self._opened_at = self._clock()
-                self._probing = False
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "state": self._state_locked(),
-                "consecutive_failures": self._failures,
-                "threshold": self.threshold,
-                "reset_seconds": self.reset_seconds,
-            }
-
-
 def retry_after_header(seconds: float) -> int:
     """Round a fractional back-off up to the integral ``Retry-After`` form."""
     return max(1, int(math.ceil(float(seconds))))
 
 
 __all__ = [
-    "CircuitBreaker",
     "TenantAdmissionError",
     "TenantLease",
     "TenantQuotas",

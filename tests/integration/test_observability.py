@@ -1,9 +1,10 @@
 """Integration: tracing, Prometheus exposition, and the access log end to end.
 
-The tentpole acceptance check lives here: one request into a two-worker
-``ServeApp`` must produce a *single* stitched trace — queue wait, per-worker
-scoring spans from the worker processes, and the merge — all sharing the
-root's trace id, with every parent pointer resolving inside the file.
+The acceptance check lives here: one request into a ``ServeApp`` must
+produce a *single* stitched trace — the handler thread's spans plus the
+queue wait and batch execution the scheduler's collector thread records —
+all sharing the root's trace id, with every parent pointer resolving inside
+the file.
 """
 
 from __future__ import annotations
@@ -23,9 +24,12 @@ from repro.obs import (
     MemorySink,
     Tracer,
     render_prometheus,
+    summarize_spans,
     validate_exposition,
 )
 from repro.serve import ModelRegistry, ServeApp, create_server
+from repro.serve.server import RequestError
+from repro.serve.tenancy import TenantQuotas
 
 
 @pytest.fixture(scope="module")
@@ -48,20 +52,16 @@ def _traced_app(saved_model, **kwargs):
     return app, sink
 
 
-class TestClusterTracePropagation:
-    def test_two_worker_request_yields_one_stitched_trace(
-        self, saved_model, small_problem
-    ):
-        import os
-
-        app, sink = _traced_app(saved_model, num_processes=2, cache_size=0)
+class TestTracePropagation:
+    def test_request_yields_one_stitched_trace(self, saved_model, small_problem):
+        app, sink = _traced_app(saved_model, cache_size=0)
         try:
             # A single-sample request rides the micro-batch scheduler (the
-            # production hot path: queue wait, coalesced batch, dispatch).
+            # production hot path: queue wait, then a coalesced batch run on
+            # the collector thread).
             row = small_problem["test_features"][0]
             single = app.predict({"features": row.tolist()})
-            # A client batch takes the direct path and shards across both
-            # workers, so its trace carries two worker-side scoring spans.
+            # A client batch takes the direct path on the handler thread.
             queries = small_problem["test_features"][:8]
             batched = app.predict({"features": queries.tolist()})
             assert "trace_id" in single and "trace_id" in batched
@@ -79,107 +79,113 @@ class TestClusterTracePropagation:
         assert set(by_trace) == {single["trace_id"], batched["trace_id"]}
 
         # The scheduler-path trace shows the full pipeline in one tree.
-        names = {span["name"] for span in by_trace[single["trace_id"]]}
-        for expected in (
-            "request",
-            "validate",
-            "queue_wait",
-            "batch_execute",
-            "dispatch",
-            "worker:score",
-            "merge",
-            "respond",
-        ):
+        single_spans = by_trace[single["trace_id"]]
+        names = {span["name"] for span in single_spans}
+        for expected in ("request", "validate", "queue_wait", "batch_execute", "respond"):
             assert expected in names, f"missing {expected!r} in {sorted(names)}"
-        roots = [s for s in by_trace[single["trace_id"]] if s["parent"] is None]
+        roots = [s for s in single_spans if s["parent"] is None]
         assert len(roots) == 1 and roots[0]["name"] == "request"
+        # The collector thread's spans hang off the request root, which they
+        # reach only through the context handed over with the request.
+        for span in single_spans:
+            if span["name"] in ("queue_wait", "batch_execute"):
+                assert span["parent"] == roots[0]["span"]
 
-        # The batched trace's scoring spans really came from the two worker
-        # processes: one per shard, each from a pid that is not ours.
-        worker_spans = [
-            span
-            for span in by_trace[batched["trace_id"]]
-            if span["name"] == "worker:score"
-        ]
-        assert len(worker_spans) == 2
-        assert all(span["pid"] != os.getpid() for span in worker_spans)
-        assert {span["attrs"]["worker"] for span in worker_spans} == {0, 1}
-
-    def test_worker_crash_keeps_the_trace_well_formed(
-        self, saved_model, small_problem
-    ):
-        app, sink = _traced_app(saved_model, num_processes=2, cache_size=0)
-        try:
-            queries = small_problem["test_features"][:8]
-            # Dispatchers are created lazily on first use.
-            app.predict({"features": queries.tolist()})
-            dispatcher = next(
-                d for _, d in app._dispatchers.values() if d is not None
-            )
-            dispatcher.poison_worker(0)
-            # The crash is masked by the retry-once path, but the trace must
-            # still be a tree — and the dispatch span must carry the
-            # evidence that a shard was retried.
-            masked = app.predict({"features": queries.tolist()})
-            assert "trace_id" in masked
-            spans = list(sink.records)
-            span_ids = {span["span"] for span in spans}
-            for span in spans:
-                if span["parent"] is not None:
-                    assert span["parent"] in span_ids
-            retried = [
-                span
-                for span in spans
-                if span["attrs"].get("retried_shards") is not None
-            ]
-            assert retried, "no span recorded the shard retry"
-
-            # Recovery: the respawned pool produces a complete trace again.
-            recovered = app.predict({"features": queries.tolist()})
-            assert "trace_id" in recovered
-            recovery = [
-                span for span in sink.records
-                if span["trace"] == recovered["trace_id"]
-            ]
-            assert {"worker:score", "merge"} <= {s["name"] for s in recovery}
-        finally:
-            app.close()
+        # The client batch skipped the scheduler and ran on the handler.
+        batched_names = {span["name"] for span in by_trace[batched["trace_id"]]}
+        assert {"request", "validate", "respond"} <= batched_names
+        assert not {"queue_wait", "batch_execute"} & batched_names
 
     def test_unsampled_requests_record_nothing(self, saved_model, small_problem):
         sink = MemorySink()
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
-        app = ServeApp(
-            registry,
-            tracer=Tracer(sink, sample_rate=0.0),
-            num_processes=2,
-            cache_size=0,
-        )
+        app = ServeApp(registry, tracer=Tracer(sink, sample_rate=0.0), cache_size=0)
         try:
+            row = small_problem["test_features"][0]
+            single = app.predict({"features": row.tolist()})
             queries = small_problem["test_features"][:4]
-            response = app.predict({"features": queries.tolist()})
-            assert "trace_id" not in response
+            batched = app.predict({"features": queries.tolist()})
+            assert "trace_id" not in single and "trace_id" not in batched
             assert sink.records == []
         finally:
             app.close()
 
 
-class TestPrometheusEndpoint:
-    def test_cluster_snapshot_renders_valid_exposition(
-        self, saved_model, small_problem
+    @pytest.mark.parametrize(
+        "case, app_kwargs, payload_extra, status",
+        [
+            ("bad_request", {}, {"top_k": 0}, 400),
+            ("unknown_model", {}, {"model": "ghost"}, 404),
+            ("overloaded", {"max_queue_depth": 0}, {}, 429),
+            ("deadline", {}, {"deadline_ms": 1e-6}, 504),
+        ],
+    )
+    def test_failed_request_keeps_the_trace_well_formed(
+        self, saved_model, small_problem, case, app_kwargs, payload_extra, status
     ):
-        app, _ = _traced_app(saved_model, num_processes=2, cache_size=0)
+        app, sink = _traced_app(saved_model, cache_size=0, **app_kwargs)
+        payload = {"features": small_problem["test_features"][0].tolist()}
         try:
+            with pytest.raises(RequestError) as info:
+                app.predict({**payload, **payload_extra})
+        finally:
+            app.close()
+        assert info.value.status == status
+        spans = sink.records
+        # The failure is one trace — the one the error reports — and every
+        # span in it resolves its parent.
+        assert {span["trace"] for span in spans} == {info.value.trace_id}
+        assert summarize_spans(spans)["orphans"] == 0
+        roots = [span for span in spans if span["parent"] is None]
+        assert len(roots) == 1
+        assert roots[0]["name"] == "request"
+        assert roots[0]["attrs"]["error"] == "RequestError"
+        assert "respond" not in {span["name"] for span in spans}
+
+
+class TestPrometheusEndpoint:
+    def test_snapshot_renders_valid_exposition(self, saved_model, small_problem):
+        app, _ = _traced_app(saved_model, cache_size=0)
+        try:
+            app.predict({"features": small_problem["test_features"][0].tolist()})
             queries = small_problem["test_features"][:8]
             app.predict({"features": queries.tolist()})
             text = render_prometheus(app.metrics_snapshot())
         finally:
             app.close()
         validate_exposition(text)
-        assert "repro_requests_total" in text
-        assert 'repro_worker_requests_total{dispatcher="baseline@v1",worker="0"}' in text
-        assert "repro_worker_utilization" in text
-        assert "repro_stage_latency_seconds_bucket" in text
+        assert 'repro_requests_total{model="baseline"}' in text
+        assert 'repro_scheduler_queue_depth{model="baseline"}' in text
+        assert 'stage="queue_wait"' in text
+        assert 'stage="batch_execute"' in text
+        # Traced requests leave exemplars on the latency buckets.
+        assert '# {trace_id="' in text
+
+    def test_tenant_and_slo_series_render_from_a_live_app(
+        self, saved_model, small_problem
+    ):
+        registry = ModelRegistry()
+        for name in ("a", "b"):
+            registry.register(name, saved_model)
+        app = ServeApp(registry, tenant_quotas=TenantQuotas(rps=1.0, burst=1.0))
+        row = small_problem["test_features"][0].tolist()
+        try:
+            app.predict({"features": row, "model": "a"})
+            with pytest.raises(RequestError):
+                app.predict({"features": row, "model": "a"})
+            app.predict({"features": row, "model": "b"})
+            text = render_prometheus(app.metrics_snapshot())
+        finally:
+            app.close()
+        validate_exposition(text)
+        lines = set(text.splitlines())
+        assert 'repro_shed_total{model="a"} 1' in lines
+        assert 'repro_tenant_rate_limited_total{tenant="a"} 1' in lines
+        assert 'repro_tenant_rate_limited_total{tenant="b"} 0' in lines
+        assert 'repro_slo_error_budget_remaining{tenant="b"} 1' in lines
+        assert 'repro_slo_alerting{tenant="a"} 1' in lines
+        assert "repro_prediction_cache_entries 2" in lines
 
     def test_http_metrics_route(self, saved_model, small_problem):
         registry = ModelRegistry()

@@ -388,3 +388,91 @@ class TestRobustness:
         )
         assert status == 503
         assert body["code"] == "draining"
+
+
+#: One case per error code a client can see: (app options, how to provoke
+#: it, status, code, Retry-After header or None).
+_WIRE_ERRORS = {
+    "bad_request": ({}, {"top_k": 0}, 400, "bad_request", None),
+    "invalid_json": ({}, b"{", 400, "bad_request", None),
+    "unknown_model": ({}, {"model": "ghost"}, 404, "not_found", None),
+    "unknown_route": ({}, "/v1/nope", 404, "not_found", None),
+    "payload_too_large": ({}, "oversized", 413, "payload_too_large", None),
+    "overloaded": ({"max_queue_depth": 0}, {}, 429, "overloaded", "1"),
+    "tenant_rate_limited": (
+        {"tenant_rate": 0.01},
+        {},
+        429,
+        "tenant_rate_limited",
+        "100",
+    ),
+    "draining": ({"draining": True}, {}, 503, "draining", "1"),
+    "deadline_exceeded": ({}, {"deadline_ms": 1e-6}, 504, "deadline_exceeded", None),
+}
+
+
+class TestErrorTaxonomyOnTheWire:
+    """Every error status reaches the client as ``{"error", "code"}`` with
+    ``Retry-After`` exactly on the back-off statuses, and closes the
+    connection."""
+
+    @pytest.fixture(scope="class")
+    def engine(self, small_problem):
+        from repro.serve import PackedInferenceEngine
+
+        encoder = RecordEncoder(dimension=256, num_levels=8, tie_break="positive", seed=4)
+        pipeline = HDCPipeline(encoder, BaselineHDC(seed=4))
+        pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
+        return PackedInferenceEngine(pipeline, name="har")
+
+    @pytest.mark.parametrize("case", sorted(_WIRE_ERRORS))
+    def test_status_code_and_retry_after(self, engine, small_problem, case):
+        from repro.serve.tenancy import TenantQuotas
+
+        options, provoke, status, code, retry_after = _WIRE_ERRORS[case]
+        options = dict(options)
+        registry = ModelRegistry()
+        registry.register("har", engine)
+        quotas = None
+        if "tenant_rate" in options:
+            quotas = TenantQuotas(rps=options.pop("tenant_rate"), burst=1.0)
+        draining = options.pop("draining", False)
+        app = ServeApp(registry, cache_size=0, tenant_quotas=quotas, **options)
+        server = create_server(app, port=0)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        row = small_problem["test_features"][0].tolist()
+        route, headers = "/v1/predict", {"Content-Type": "application/json"}
+        body = json.dumps({"features": row}).encode("utf-8")
+        if isinstance(provoke, dict):
+            body = json.dumps({"features": row, **provoke}).encode("utf-8")
+        elif isinstance(provoke, bytes):
+            body = provoke
+        elif provoke == "oversized":
+            # Announce more than the server accepts; it must refuse before
+            # reading a byte of the body.
+            headers["Content-Length"] = str(64 * 1024 * 1024 + 1)
+        else:
+            route = provoke
+        try:
+            if quotas is not None:  # spend the tenant's one burst token
+                assert _post(port, "/v1/predict", {"features": row})[0] == 200
+            if draining:
+                app.begin_drain()
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                connection.request("POST", route, body=body, headers=headers)
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                connection.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            app.close()
+        assert response.status == status
+        assert payload["code"] == code
+        assert isinstance(payload["error"], str) and payload["error"]
+        assert response.getheader("Retry-After") == retry_after
+        assert response.getheader("Connection") == "close"

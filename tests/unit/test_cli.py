@@ -1,8 +1,25 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+def _retired(command, flag, value):
+    """A case passing the deleted *flag* to *command*.
+
+    The flag is spelled without its dashes so that searching the tree for
+    live uses of a deleted flag does not match this list.
+    """
+    prefix = [command, "--model", "m.npz"] if command == "serve" else [command]
+    dashed = "--" + flag
+    return pytest.param(prefix + [dashed, value], dashed, id=f"{command}-{flag}")
 
 
 class TestParser:
@@ -27,32 +44,42 @@ class TestParser:
         assert args.quick is False
         assert args.json is None
 
-    def test_serve_multiprocess_flags(self):
+    def test_serve_residency_and_cache_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--model", "m.npz", "--workers", "4", "--cache-size", "0"]
+            ["serve", "--model", "m.npz", "--max-resident", "2", "--cache-size", "0"]
         )
-        assert args.workers == 4
+        assert args.max_resident == 2
         assert args.cache_size == 0
 
     @pytest.mark.parametrize(
         "argv, retired",
         [
-            (
-                ["serve", "--model", "m.npz", "--workers", "2", "--transport", "shm"],
+            pytest.param(
+                ["serve", "--model", "m.npz", "--transport", "shm"],
                 "--transport",
+                id="serve-transport",
             ),
-            (["loadgen", "--workers", "2", "--transport", "tcp"], "--transport"),
-            (
+            pytest.param(["loadgen", "--transport", "tcp"], "--transport", id="loadgen-transport"),
+            pytest.param(
                 ["serve", "--model", "m.npz", "--kernel-backend", "threaded"],
                 "--kernel-backend",
+                id="kernel-backend",
             ),
-            (["bench-dispatch", "--quick"], "bench-dispatch"),
+            pytest.param(["bench-dispatch", "--quick"], "bench-dispatch", id="bench-dispatch"),
+            _retired("serve", "workers", "2"),
+            _retired("serve", "max-resident-banks", "4"),
+            _retired("serve", "request-timeout", "1.0"),
+            _retired("serve", "faults", "quick"),
+            _retired("loadgen", "workers", "2"),
+            _retired("loadgen", "max-resident-banks", "4"),
+            _retired("loadgen", "request-timeout", "1.0"),
+            _retired("loadgen", "faults", "quick"),
+            _retired("loadgen", "min-availability", "0.9"),
         ],
-        ids=["serve-transport", "loadgen-transport", "kernel-backend", "bench-dispatch"],
     )
     def test_retired_flags_and_commands_are_rejected(self, argv, retired, capsys):
-        # Workers talk over one pipe each and the kernel backend is chosen
-        # by REPRO_KERNEL_BACKEND alone: a stale script fails at parse time.
+        # Serving runs in one process and the kernel backend is chosen by
+        # REPRO_KERNEL_BACKEND alone: a stale script fails at parse time.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
@@ -155,6 +182,34 @@ class TestCommands:
         assert "quick-mode report validated" in output
         assert report_path.exists()
 
+    def test_loadgen_quick_trace_stitches(self, tmp_path, capsys, monkeypatch):
+        from repro.obs import trace
+
+        # The command installs a process-wide tracer; restore it afterwards.
+        monkeypatch.setattr(trace, "_GLOBAL_TRACER", None)
+        trace_path = tmp_path / "trace.jsonl"
+        code = main(
+            [
+                "loadgen",
+                "--quick",
+                "--dataset",
+                "pamap",
+                "--dimension",
+                "256",
+                "--requests",
+                "30",
+                "--warmup",
+                "4",
+                "--trace",
+                str(trace_path),
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "trace validated: 34 traces" in output
+        assert "0 orphans" in output
+        assert "batch_execute" in output and "queue_wait" in output
+
     def test_compare_quick(self, capsys):
         code = main(
             [
@@ -212,7 +267,6 @@ class TestTenantFlags:
         args = build_parser().parse_args(["loadgen"])
         assert args.models == 1
         assert args.zipf_s == 1.1
-        assert args.max_resident_banks is None
         assert args.retries is None
         assert args.tenant_rps is None
         assert args.tenant_quotas is None
@@ -221,12 +275,10 @@ class TestTenantFlags:
         args = build_parser().parse_args(
             [
                 "serve", "--model", "m.npz",
-                "--max-resident-banks", "4",
                 "--tenant-rps", "50", "--tenant-burst", "100",
                 "--tenant-max-concurrent", "8",
             ]
         )
-        assert args.max_resident_banks == 4
         assert args.tenant_rps == 50.0
         assert args.tenant_burst == 100.0
         assert args.tenant_max_concurrent == 8
@@ -266,4 +318,22 @@ class TestTenantFlags:
         assert main(["loadgen", "--models", "0"]) == 1
         assert "models" in capsys.readouterr().err
         assert main(["loadgen", "--models", "4", "--url", "http://x:1"]) == 1
-        assert main(["loadgen", "--max-resident-banks", "2"]) == 1
+
+
+class TestImportCost:
+    def test_importing_the_cli_does_not_load_scipy(self):
+        """``repro serve`` needs only NumPy: SciPy loads on first use of a
+        significance test, never on import."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"

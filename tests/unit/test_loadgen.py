@@ -311,8 +311,7 @@ class TestReport:
 
 
 class TestResilience:
-    def _chaos_report(self, errors_by_status=None, errors_by_code=None,
-                      completed=95, errors=5, untyped=0, violations=0):
+    def _failing_report(self, completed=95, errors=5):
         sampler = RequestSampler.from_arrays(np.zeros((4, 3)), seed=0)
         return build_report(
             target={"kind": "in-process", "model": None, "top_k": 1},
@@ -324,65 +323,23 @@ class TestResilience:
             latencies=[0.001] * completed,
             errors=errors,
             duration_seconds=0.5,
-            errors_by_status=errors_by_status or {"503": errors},
-            errors_by_code=errors_by_code or {"worker_crashed": errors},
-            untyped_errors=untyped,
-            deadline_violations=violations,
-            fault_plan={"seed": 0, "rules": []},
+            errors_by_status={"429": errors},
+            errors_by_code={"overloaded": errors},
         )
 
     def test_resilience_block_and_availability(self):
-        from repro.loadgen import validate_resilience_report
-
-        report = self._chaos_report()
+        report = self._failing_report()
         resilience = report["resilience"]
         assert resilience["availability"] == pytest.approx(0.95)
-        assert resilience["errors_by_status"] == {"503": 5}
-        assert resilience["errors_by_code"] == {"worker_crashed": 5}
-        validate_resilience_report(report, min_availability=0.95)
+        assert resilience["errors_by_status"] == {"429": 5}
+        assert resilience["errors_by_code"] == {"overloaded": 5}
+        assert resilience["untyped_errors"] == 0
 
-    def test_low_availability_rejected(self):
-        from repro.loadgen import validate_resilience_report
-
-        report = self._chaos_report(completed=80, errors=20)
-        with pytest.raises(ValueError, match="availability"):
-            validate_resilience_report(report, min_availability=0.95)
-
-    def test_untyped_errors_rejected(self):
-        from repro.loadgen import validate_resilience_report
-
-        report = self._chaos_report(untyped=1)
-        with pytest.raises(ValueError, match="untyped"):
-            validate_resilience_report(report)
-
-    def test_deadline_violations_rejected(self):
-        from repro.loadgen import validate_resilience_report
-
-        report = self._chaos_report(violations=2)
-        with pytest.raises(ValueError, match="deadline"):
-            validate_resilience_report(report)
-
-    def test_non_overload_status_rejected(self):
-        from repro.loadgen import validate_resilience_report
-
-        report = self._chaos_report(errors_by_status={"500": 2, "503": 3})
-        with pytest.raises(ValueError, match="non-overload"):
-            validate_resilience_report(report)
-
-    def test_typed_statuses_accepted(self):
-        from repro.loadgen import validate_resilience_report
-
-        report = self._chaos_report(
-            errors_by_status={"429": 2, "503": 2, "504": 1},
-            errors_by_code={"overloaded": 2, "worker_crashed": 2, "deadline_exceeded": 1},
-        )
-        validate_resilience_report(report)
-
-    def test_format_report_shows_resilience_under_faults(self):
-        text = format_report(self._chaos_report())
+    def test_format_report_shows_resilience_when_requests_fail(self):
+        text = format_report(self._failing_report())
         assert "availability" in text
-        assert "503" in text
-        assert "fault plan" in text
+        assert "429" in text
+        assert "overloaded" in text
 
     def test_typed_errors_flow_from_app_to_report(self, loadgen_app):
         app, _ = loadgen_app
@@ -403,6 +360,43 @@ class TestResilience:
         assert resilience["errors_by_code"] == {"bad_request": 10}
         assert resilience["untyped_errors"] == 0
 
+
+    @pytest.mark.parametrize(
+        "case, status, code, retry_after",
+        [
+            ("wrong_width", 400, "bad_request", None),
+            ("unknown_model", 404, "not_found", None),
+            ("shed", 429, "overloaded", 1),
+            ("deadline", 504, "deadline_exceeded", None),
+        ],
+    )
+    def test_in_process_target_types_every_failure(
+        self, loadgen_app, case, status, code, retry_after
+    ):
+        app, sampler = loadgen_app
+        row = sampler.train_features[0]
+        target_app = app
+        options = {}
+        if case == "shed":
+            target_app = ServeApp(app.registry, cache_size=0, max_queue_depth=0)
+        if case == "deadline":
+            options["deadline_ms"] = 1e-6
+        target = InProcessTarget(
+            target_app, model="ghost" if case == "unknown_model" else None, **options
+        )
+        try:
+            with pytest.raises(TargetError) as excinfo:
+                target.send(row[:-1] if case == "wrong_width" else row)
+        finally:
+            if target_app is not app:
+                target_app.close()
+        error = excinfo.value
+        assert (error.status, error.code, error.retry_after) == (
+            status,
+            code,
+            retry_after,
+        )
+        assert str(error).startswith(f"{status}: ")
 
 class TestZipfTenants:
     def test_model_stream_is_deterministic_in_the_seed(self):
@@ -561,34 +555,12 @@ class TestRetryPolicy:
         assert report["config"]["retry_policy"]["max_retries"] == 2
 
 
-class TestFleetReport:
-    def _fleet_report(self, cold_loads=5, evictions=3, resident=4, cap=4):
+class TestMultiTenantReport:
+    def test_tenant_config_recorded(self):
         sampler = RequestSampler.from_arrays(
             np.zeros((4, 3)), seed=0, models=["a", "b"], zipf_s=1.1
         )
-        before = {
-            "requests": 0,
-            "fleet": {
-                "cold_loads": 0,
-                "evictions": 0,
-                "resident_banks": 0,
-                "max_resident_banks": cap,
-                "dispatchers": 0,
-            },
-        }
-        after = {
-            "requests": 20,
-            "fleet": {
-                "cold_loads": cold_loads,
-                "evictions": evictions,
-                "resident_banks": resident,
-                "max_resident_banks": cap,
-                "dispatchers": resident,
-            },
-        }
-        from repro.loadgen.report import server_metrics_delta
-
-        return build_report(
+        report = build_report(
             target={"kind": "in-process", "model": None, "top_k": 1},
             traffic={"mode": "closed", "concurrency": 2},
             sampler=sampler,
@@ -598,52 +570,9 @@ class TestFleetReport:
             latencies=[0.001] * 20,
             errors=0,
             duration_seconds=0.5,
-            server_metrics=server_metrics_delta(before, after),
         )
-
-    def test_fleet_delta_and_config_recorded(self):
-        report = self._fleet_report()
-        delta = report["server_metrics_delta"]
-        assert delta["cold_loads"] == 5
-        assert delta["bank_evictions"] == 3
-        assert delta["fleet_after"]["resident_banks"] == 4
         assert report["config"]["models"] == 2
         assert report["config"]["zipf_s"] == 1.1
-
-    def test_validate_fleet_report_passes_engaged_pager(self):
-        from repro.loadgen import validate_fleet_report
-
-        validate_fleet_report(self._fleet_report(), max_resident_banks=4)
-
-    def test_validate_fleet_report_rejects_vacuous_runs(self):
-        from repro.loadgen import validate_fleet_report
-
-        with pytest.raises(ValueError, match="cold loads"):
-            validate_fleet_report(self._fleet_report(cold_loads=0))
-        with pytest.raises(ValueError, match="evictions"):
-            validate_fleet_report(self._fleet_report(evictions=0))
-        with pytest.raises(ValueError, match="residency cap"):
-            validate_fleet_report(
-                self._fleet_report(resident=6, cap=4), max_resident_banks=4
-            )
-
-    def test_validate_fleet_report_requires_fleet_target(self):
-        from repro.loadgen import validate_fleet_report
-
-        sampler = RequestSampler.from_arrays(np.zeros((4, 3)), seed=0)
-        report = build_report(
-            target={"kind": "in-process", "model": None, "top_k": 1},
-            traffic={"mode": "closed", "concurrency": 1},
-            sampler=sampler,
-            num_requests=4,
-            warmup_requests=0,
-            warmup_errors=0,
-            latencies=[0.001] * 4,
-            errors=0,
-            duration_seconds=0.1,
-        )
-        with pytest.raises(ValueError, match="server_metrics_delta"):
-            validate_fleet_report(report)
 
 
 class TestSLOReport:

@@ -18,27 +18,6 @@ def _snapshot(requests=100):
             },
         },
         "schedulers": {"har": {"queue_depth": 4}},
-        "cluster": {
-            "har": {
-                "num_workers": 2,
-                "respawns": 1,
-                "workers": {
-                    "fleet": {
-                        "utilization": 0.25,
-                        "scoring_p50_ms": 1.0,
-                        "scoring_p99_ms": 8.0,
-                    },
-                },
-            },
-        },
-        "fleet": {
-            "resident_banks": 1,
-            "max_resident_banks": 2,
-            "evictions": 3,
-            "cold_loads": 5,
-            "dispatchers": 1,
-            "breakers": {"har": {"state": "closed"}},
-        },
         "slo": {
             "alert_burn_rate": 14.4,
             "tenants": {
@@ -81,14 +60,6 @@ class TestBuildView:
         )
         assert view["tenants"][0]["qps"] == 0.0
 
-    def test_workers_and_fleet_sections(self):
-        view = build_view(_snapshot())
-        (worker,) = view["workers"]
-        assert worker["dispatcher"] == "har"
-        assert worker["utilization"] == 0.25
-        assert view["fleet"]["evictions"] == 3
-        assert view["breakers"] == {"har": "closed"}
-
     def test_slo_only_tenant_still_listed(self):
         # A tenant that has only shed (429) requests never reaches the model
         # metrics, but its burning SLO must still show up on the console.
@@ -105,7 +76,6 @@ class TestBuildView:
     def test_empty_snapshot(self):
         view = build_view({})
         assert view["tenants"] == []
-        assert view["workers"] == []
 
 
 class TestRenderView:
@@ -114,10 +84,7 @@ class TestRenderView:
         assert "TENANT" in text
         assert "har" in text
         assert "ok" in text
-        assert "DISPATCHER" in text
-        assert "banks=1/2" in text
-        assert "evictions=3" in text
-        assert "har=closed" in text
+        assert "burn-rate threshold: 14.4x" in text
         assert "\x1b[" not in text  # color off ⇒ no ANSI escapes
 
     def test_color_marks_verdict(self):

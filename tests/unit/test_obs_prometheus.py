@@ -48,27 +48,6 @@ def _snapshot():
         },
         "schedulers": {"har": {"queue_depth": 3}},
         "prediction_cache": {"entries": 7, "max_entries": 128},
-        "shared_memory": {"segments": 2, "resident_bytes": 4096, "stats_slabs": 2},
-        "cluster": {
-            "har": {
-                "respawns": 1,
-                "failures": {"hangs": 1, "shard_retries": 2},
-                "uptime_seconds": 10.0,
-                "workers": {
-                    "per_worker": [
-                        {
-                            "requests": 6,
-                            "samples": 20,
-                            "errors": 0,
-                            "busy_seconds": 2.5,
-                            "scoring_p50_ms": 400.0,
-                            "scoring_p99_ms": 430.0,
-                        },
-                    ],
-                    "fleet": {"requests": 6, "busy_seconds": 2.5},
-                },
-            },
-        },
         "slo": {
             "alert_burn_rate": 14.4,
             "tenants": {
@@ -117,7 +96,7 @@ repro_request_latency_seconds_bucket{model="har",le="0.01"} 10 # {trace_id="dead
 repro_request_latency_seconds_bucket{model="har",le="+Inf"} 12
 repro_request_latency_seconds_sum{model="har"} 0.06
 repro_request_latency_seconds_count{model="har"} 12
-# HELP repro_stage_latency_seconds Per-stage latency (validate, queue_wait, dispatch, ...).
+# HELP repro_stage_latency_seconds Per-stage latency (validate, queue_wait, batch_execute, ...).
 # TYPE repro_stage_latency_seconds histogram
 repro_stage_latency_seconds_bucket{model="har",stage="validate",le="0.001"} 12
 repro_stage_latency_seconds_bucket{model="har",stage="validate",le="+Inf"} 12
@@ -129,30 +108,6 @@ repro_scheduler_queue_depth{model="har"} 3
 # HELP repro_prediction_cache_entries Resident LRU cache entries.
 # TYPE repro_prediction_cache_entries gauge
 repro_prediction_cache_entries 7
-# HELP repro_shm_segments Published shared-memory segments.
-# TYPE repro_shm_segments gauge
-repro_shm_segments 2
-# HELP repro_shm_resident_bytes Bytes of packed model banks resident in shared memory.
-# TYPE repro_shm_resident_bytes gauge
-repro_shm_resident_bytes 4096
-# HELP repro_cluster_respawns_total Worker respawns after crashes.
-# TYPE repro_cluster_respawns_total counter
-repro_cluster_respawns_total{dispatcher="har"} 1
-# HELP repro_cluster_hangs_total Worker hangs detected by the request-timeout watchdog.
-# TYPE repro_cluster_hangs_total counter
-repro_cluster_hangs_total{dispatcher="har"} 1
-# HELP repro_cluster_shard_retries_total Shards retried once after a worker fault.
-# TYPE repro_cluster_shard_retries_total counter
-repro_cluster_shard_retries_total{dispatcher="har"} 2
-# HELP repro_worker_requests_total Shards answered by each cluster worker.
-# TYPE repro_worker_requests_total counter
-repro_worker_requests_total{dispatcher="har",worker="0"} 6
-# HELP repro_worker_busy_seconds_total Cumulative scoring time inside each worker.
-# TYPE repro_worker_busy_seconds_total counter
-repro_worker_busy_seconds_total{dispatcher="har",worker="0"} 2.5
-# HELP repro_worker_utilization Worker busy fraction since the dispatcher started.
-# TYPE repro_worker_utilization gauge
-repro_worker_utilization{dispatcher="har",worker="0"} 0.25
 # HELP repro_slo_error_budget_remaining Fraction of the tenant's error budget left (1 = untouched).
 # TYPE repro_slo_error_budget_remaining gauge
 repro_slo_error_budget_remaining{tenant="har"} 0.75

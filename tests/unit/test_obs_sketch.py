@@ -1,19 +1,12 @@
 """Property tests for repro.obs.sketch (mergeable quantile sketches)."""
 
 import math
-import pickle
 import random
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.obs.sketch import (
-    DEFAULT_RELATIVE_ACCURACY,
-    QuantileSketch,
-    merge_rows,
-    sketch_row_length,
-)
+from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 
 
 def _log_uniform_samples(rng, n, low=1e-5, high=1e3):
@@ -173,6 +166,49 @@ class TestMerge:
         assert merged.min == pooled.min
         assert merged.max == pooled.max
 
+    def test_merged_percentiles_are_pooled_not_averaged(self):
+        fast, slow = QuantileSketch(), QuantileSketch()
+        for _ in range(90):
+            fast.record(0.001)
+        for _ in range(10):
+            slow.record(1.0)
+        merged = QuantileSketch()
+        merged.merge(fast)
+        merged.merge(slow)
+        # The pooled p50 is a fast request; averaging the two p50s would
+        # report ~0.5 s, a latency no request had.
+        assert merged.percentile(50) == pytest.approx(0.001, rel=DEFAULT_RELATIVE_ACCURACY)
+        assert merged.percentile(95) == pytest.approx(1.0, rel=DEFAULT_RELATIVE_ACCURACY)
+        assert merged.count == 100
+
+    @pytest.mark.parametrize(
+        "distribution", ["uniform", "lognormal", "bimodal", "pareto"]
+    )
+    def test_merged_shards_match_exact_pooled_percentiles(self, distribution):
+        rng = np.random.default_rng(17)
+        draw = {
+            "uniform": lambda n: rng.uniform(0.001, 0.5, n),
+            "lognormal": lambda n: rng.lognormal(-4.0, 1.0, n),
+            "bimodal": lambda n: np.where(
+                rng.random(n) < 0.8, rng.normal(0.004, 0.0005, n), rng.normal(0.2, 0.02, n)
+            ),
+            "pareto": lambda n: 0.001 * (1.0 + rng.pareto(1.5, n)),
+        }[distribution]
+        shards = [np.abs(draw(size)) + 1e-5 for size in (50, 300, 700, 1500)]
+        merged = QuantileSketch()
+        for shard in shards:
+            sketch = QuantileSketch()
+            for value in shard:
+                sketch.record(float(value))
+            merged.merge(sketch)
+        pooled = np.concatenate(shards).tolist()
+        assert merged.count == len(pooled)
+        for p in (1, 25, 50, 75, 90, 99, 99.9):
+            exact = _exact_percentile(pooled, p)
+            assert merged.percentile(p) == pytest.approx(
+                exact, rel=DEFAULT_RELATIVE_ACCURACY
+            ), f"p{p}"
+
     def test_merge_with_empty_preserves_extremes(self):
         sketch = QuantileSketch()
         sketch.record(0.5)
@@ -189,81 +225,6 @@ class TestMerge:
             QuantileSketch(relative_accuracy=0.01).merge(
                 QuantileSketch(relative_accuracy=0.02)
             )
-
-
-class TestRowForm:
-    def test_row_round_trip_is_bit_stable(self):
-        rng = random.Random(5)
-        sketch = QuantileSketch()
-        for value in _log_uniform_samples(rng, 500):
-            sketch.record(value)
-        row = sketch.to_row()
-        rebuilt = QuantileSketch.from_row(row)
-        assert np.array_equal(rebuilt.to_row(), row)
-        assert rebuilt.percentile(99) == sketch.percentile(99)
-
-    def test_zero_row_is_valid_empty_sketch(self):
-        row = np.zeros(sketch_row_length(), dtype=np.float64)
-        sketch = QuantileSketch.from_row(row)
-        assert sketch.count == 0
-        assert sketch.percentile(99) == 0.0
-
-    def test_shm_round_trip_and_merge_bit_stability(self):
-        # serialize -> shared-memory slab -> attach -> merge: the merged row
-        # must be bit-identical to merging the in-process rows directly.
-        rng = random.Random(9)
-        sketches = []
-        for _ in range(3):
-            sketch = QuantileSketch()
-            for value in _log_uniform_samples(rng, 250):
-                sketch.record(value)
-            sketches.append(sketch)
-        length = sketch_row_length()
-        segment = shared_memory.SharedMemory(
-            create=True, size=3 * length * np.dtype(np.float64).itemsize
-        )
-        try:
-            slab = np.ndarray((3, length), dtype=np.float64, buffer=segment.buf)
-            for index, sketch in enumerate(sketches):
-                sketch.to_row(out=slab[index])
-            via_shm = merge_rows([slab[i].copy() for i in range(3)])
-            direct = merge_rows([sketch.to_row() for sketch in sketches])
-            assert np.array_equal(via_shm, direct)
-            del slab, via_shm
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_attach_row_records_in_place(self):
-        row = np.zeros(sketch_row_length(), dtype=np.float64)
-        sketch = QuantileSketch.attach_row(row)
-        sketch.record(0.010)
-        sketch.record(0.020)
-        assert row[0] == 2.0  # count written through to the backing row
-        reread = QuantileSketch.from_row(row)
-        assert reread.count == 2
-        assert reread.percentile(100) == pytest.approx(0.020, rel=0.02)
-
-    def test_attach_row_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            QuantileSketch.attach_row(np.zeros(3, dtype=np.float64))
-
-    def test_merge_rows_requires_rows(self):
-        with pytest.raises(ValueError):
-            merge_rows([])
-
-
-class TestPickle:
-    def test_pickle_round_trip(self):
-        sketch = QuantileSketch(relative_accuracy=0.02)
-        for value in (0.001, 0.1, 2.0):
-            sketch.record(value)
-        clone = pickle.loads(pickle.dumps(sketch))
-        assert clone.relative_accuracy == 0.02
-        assert np.array_equal(clone.to_row(), sketch.to_row())
-        assert clone.percentile(50) == sketch.percentile(50)
-        clone.record(0.5)  # still usable after the round trip
-        assert clone.count == sketch.count + 1
 
 
 class TestSnapshot:

@@ -43,7 +43,7 @@ class TestSummarize:
     def test_orphans_counted(self):
         spans = [
             _span("request", span="a"),
-            _span("worker:score", span="b", parent="never-written"),
+            _span("batch_execute", span="b", parent="never-written"),
         ]
         assert summarize_spans(spans)["orphans"] == 1
 
@@ -92,5 +92,5 @@ class TestFormat:
         assert "orphan" in text
 
     def test_stage_order_covers_the_serving_pipeline(self):
-        for stage in ("queue_wait", "dispatch", "worker:score", "merge"):
+        for stage in ("validate", "cache_lookup", "queue_wait", "batch_execute"):
             assert stage in STAGE_ORDER

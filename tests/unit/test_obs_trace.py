@@ -1,6 +1,7 @@
 """Unit tests for repro.obs.trace: spans, sampling, sinks, stitching."""
 
 import json
+import os
 import threading
 
 import pytest
@@ -15,7 +16,6 @@ from repro.obs.trace import (
     get_tracer,
     parse_trace_file,
     set_tracer,
-    span_record,
 )
 
 
@@ -126,20 +126,21 @@ class TestSampling:
 
 
 class TestStitching:
-    def test_span_record_and_emit_record_round_trip(self):
+    def test_emit_span_stitches_under_an_explicit_parent(self):
         sink = MemorySink()
         tracer = Tracer(sink)
         parent = SpanContext("a" * 16, "b" * 16)
-        record = span_record(
-            "worker:score", parent, start_time=123.0, duration_s=0.004,
-            attrs={"rows": 2}, pid=999,
+        tracer.emit_span(
+            "queue_wait", parent, start_time=123.0, duration_s=0.004,
+            attrs={"rows": 2},
         )
-        tracer.emit_record(record)
         (written,) = sink.records
         assert written["trace"] == "a" * 16
         assert written["parent"] == "b" * 16
+        assert written["ts"] == 123.0
         assert written["dur_ms"] == pytest.approx(4.0)
-        assert written["pid"] == 999
+        assert written["pid"] == os.getpid()
+        assert written["attrs"] == {"rows": 2}
 
     def test_emit_span_is_noop_without_parent(self):
         sink = MemorySink()

@@ -121,6 +121,25 @@ class TestCoalescing:
                 future.result(timeout=10)
         assert gated.batch_sizes == [1, 4, 4, 4, 4, 4]
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 17])
+    def test_coalesced_rows_come_back_in_submission_order(
+        self, engine, small_problem, rows
+    ):
+        """Every caller of a coalesced batch gets its own row's answer,
+        whatever the batch size (odd sizes included)."""
+        queries = small_problem["test_features"][1 : rows + 1]
+        expected_labels, expected_scores = engine.top_k(queries, k=2)
+        gated = _GatedEngine(engine)
+        with BatchScheduler(gated, max_batch_size=64) as scheduler:
+            _hold_first_batch(scheduler, gated, small_problem["test_features"][0])
+            futures = [scheduler.submit(row, top_k=2) for row in queries]
+            gated.release.set()
+            results = [future.result(timeout=10) for future in futures]
+        assert gated.batch_sizes == [1, rows]
+        for row, (labels, scores) in enumerate(results):
+            np.testing.assert_array_equal(labels, expected_labels[row])
+            np.testing.assert_array_equal(scores, expected_scores[row])
+
     def test_lone_request_runs_at_once(self, engine, small_problem):
         # No timer: a request that finds the collector idle is a batch of
         # one, started as soon as it is queued.
@@ -340,7 +359,7 @@ class TestOverloadAndDeadlines:
             BatchScheduler(engine, max_queue_depth=-1)
 
     def test_expired_deadline_sheds_in_queue(self, engine, small_problem):
-        from repro.cluster.errors import DeadlineExceededError
+        from repro.serve.batching import DeadlineExceededError
 
         row = small_problem["test_features"][0]
         stall = _GatedEngine(engine)
@@ -358,6 +377,45 @@ class TestOverloadAndDeadlines:
         finally:
             stall.release.set()
             scheduler.stop()
+
+    def test_expired_deadline_never_reaches_the_engine(self, engine, small_problem):
+        from repro.serve.batching import DeadlineExceededError
+
+        gated = _GatedEngine(engine)
+        gated.release.set()
+        metrics = ModelMetrics()
+        with BatchScheduler(gated, max_batch_size=4, metrics=metrics) as scheduler:
+            doomed = scheduler.submit(
+                small_problem["test_features"][0], deadline=time.monotonic() - 1.0
+            )
+            with pytest.raises(DeadlineExceededError, match="in queue"):
+                doomed.result(timeout=10)
+        assert gated.batch_sizes == []
+        assert metrics.batch_size_distribution == {}
+
+    def test_deadline_passing_mid_batch_fails_only_that_request(
+        self, engine, small_problem
+    ):
+        from repro.serve.batching import DeadlineExceededError
+
+        queries = small_problem["test_features"][:2]
+        gated = _GatedEngine(engine)
+        with BatchScheduler(gated, max_batch_size=4) as scheduler:
+            # The doomed request is the batch the engine is holding; its
+            # deadline passes while the engine call is still running.
+            expires = time.monotonic() + 0.5
+            doomed = scheduler.submit(queries[0], deadline=expires)
+            started = time.monotonic() + 10.0
+            while not gated.batch_sizes:
+                assert time.monotonic() < started, "the first batch never started"
+                time.sleep(0.001)
+            patient = scheduler.submit(queries[1])
+            time.sleep(max(0.0, expires - time.monotonic()) + 0.05)
+            gated.release.set()
+            with pytest.raises(DeadlineExceededError, match="mid-batch"):
+                doomed.result(timeout=10)
+            labels, _ = patient.result(timeout=10)
+        np.testing.assert_array_equal(labels, engine.predict(queries[1:2]))
 
     def test_live_deadline_scores_normally(self, engine, small_problem):
         row = small_problem["test_features"][0]

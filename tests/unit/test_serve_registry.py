@@ -1,5 +1,7 @@
 """Unit tests for repro.serve.registry (versioning, hot-swap, LRU residency)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,86 @@ class TestResidency:
             reloaded.predict(small_problem["test_features"]),
             engine_a.predict(small_problem["test_features"]),
         )
+
+    def test_engine_being_installed_is_never_evicted(self, saved_models, monkeypatch):
+        """A load that finishes while another model's load is in flight must
+        not evict the engine that is being installed: ``get`` returns it."""
+        registry = ModelRegistry(max_resident=1)
+        registry.register("a", saved_models["baseline"])
+        registry.register("b", saved_models["retraining"])
+        load = PackedInferenceEngine.from_file
+
+        def load_while_b_is_fetched(path, name=None):
+            engine = load(path, name=name)
+            if name.startswith("a@"):
+                # Another request fetches (and loads) b while a is loading,
+                # so b's LRU stamp is newer than a's.
+                registry.get("b")
+            return engine
+
+        monkeypatch.setattr(
+            PackedInferenceEngine, "from_file", staticmethod(load_while_b_is_fetched)
+        )
+        engine = registry.get("a")
+        assert isinstance(engine, PackedInferenceEngine)
+        resident = {row["name"]: row["resident"] for row in registry.list_models()}
+        assert resident == {"a": True, "b": False}
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_concurrent_gets_never_return_none(self, saved_models, cap):
+        """Loads racing other loads under a tight cap still hand every caller
+        an engine, and the cap holds once the storm is over."""
+        registry = ModelRegistry(max_resident=cap)
+        names = ["a", "b", "c"]
+        for name in names:
+            registry.register(name, saved_models["baseline"])
+        failures = []
+
+        def client(offset):
+            for step in range(12):
+                name = names[(offset + step) % len(names)]
+                engine = registry.get(name)
+                if not isinstance(engine, PackedInferenceEngine):
+                    failures.append((name, engine))
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert failures == []
+        resident = [row for row in registry.list_models() if row["resident"]]
+        assert len(resident) <= cap
+
+    def test_versions_count_against_the_cap(self, saved_models):
+        registry = ModelRegistry(max_resident=1)
+        registry.register("m", saved_models["baseline"])
+        registry.register("m", saved_models["retraining"])
+        registry.get("m", version=1)
+        registry.get("m", version=2)
+        resident = {
+            row["version"]: row["resident"] for row in registry.list_models()
+        }
+        assert resident == {1: False, 2: True}
+
+    def test_model_evicted_while_loading_raises_key_error(
+        self, saved_models, monkeypatch
+    ):
+        registry = ModelRegistry()
+        registry.register("a", saved_models["baseline"])
+        load = PackedInferenceEngine.from_file
+
+        def load_then_evict(path, name=None):
+            engine = load(path, name=name)
+            registry.evict("a")  # an operator removes the model mid-load
+            return engine
+
+        monkeypatch.setattr(
+            PackedInferenceEngine, "from_file", staticmethod(load_then_evict)
+        )
+        with pytest.raises(KeyError):
+            registry.get("a")
+        assert "a" not in registry
 
     def test_pinned_engines_never_evicted(self, saved_models, small_problem):
         encoder = RecordEncoder(dimension=256, num_levels=8, tie_break="positive", seed=0)

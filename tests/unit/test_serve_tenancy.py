@@ -1,4 +1,4 @@
-"""Unit tests for repro.serve.tenancy: buckets, quotas, circuit breaker."""
+"""Unit tests for repro.serve.tenancy: token buckets and tenant quotas."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import threading
 import pytest
 
 from repro.serve.tenancy import (
-    CircuitBreaker,
     TenantQuotaExceededError,
     TenantQuotas,
     TenantRateLimitedError,
@@ -223,67 +222,6 @@ class TestTenantQuotas:
         for lease in admitted:
             lease.release()
         assert quotas.snapshot()["tenants"]["a"]["in_flight"] == 0
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=3, reset_seconds=30.0, clock=clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed"
-        assert breaker.check() is None
-        breaker.record_failure()
-        assert breaker.state == "open"
-        wait = breaker.check()
-        assert wait == pytest.approx(30.0)
-
-    def test_success_resets_the_failure_run(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_is_exclusive_then_closes_on_success(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, reset_seconds=10.0, clock=clock)
-        breaker.record_failure()
-        assert breaker.check() is not None
-        clock.advance(10.0)
-        assert breaker.state == "half_open"
-        assert breaker.check() is None  # the single probe is admitted
-        assert breaker.check() is not None  # concurrent callers fail fast
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.check() is None
-
-    def test_failed_probe_reopens_for_another_cooldown(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, reset_seconds=10.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.check() is None
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.check() == pytest.approx(10.0)
-
-    def test_snapshot_reports_state(self):
-        breaker = CircuitBreaker(threshold=2, reset_seconds=5.0)
-        breaker.record_failure()
-        snap = breaker.snapshot()
-        assert snap == {
-            "state": "closed",
-            "consecutive_failures": 1,
-            "threshold": 2,
-            "reset_seconds": 5.0,
-        }
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_seconds=0)
 
 
 def test_retry_after_header_rounds_up_to_at_least_one():
