@@ -61,7 +61,7 @@ def test_packed_predict_speedup(kernel_result):
 
 
 def test_fused_encode_speedup(kernel_result):
-    """Fused LUT encode >= 2x the seed RecordEncoder per-feature loop."""
+    """Grouped-GEMM encode >= 2x the seed RecordEncoder per-feature loop."""
     speedup = kernel_result["encode"]["speedup"]
     assert speedup >= MIN_FUSED_ENCODE_SPEEDUP, (
         f"fused encode speedup {speedup:.1f}x is below the "

@@ -91,8 +91,13 @@ class SingleLayerBNN(Module):
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         return self.linear.forward(self.dropout.forward(inputs))
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return self.dropout.backward(self.linear.backward(grad_output))
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Accumulate the latent-weight gradient; returns no input gradient.
+
+        The input is the encoded hypervector, which is data, so nothing flows
+        back through the binary layer or the dropout mask.
+        """
+        self.linear.backward(grad_output)
 
     @property
     def class_hypervectors(self) -> np.ndarray:

@@ -117,7 +117,9 @@ class NonBinaryLeHDCClassifier(HDCClassifierBase):
                 epoch_loss += loss * batch.shape[0]
                 correct += int((np.argmax(logits, axis=1) == labels[batch]).sum())
                 linear.zero_grad()
-                dropout.backward(linear.backward(grad_logits))
+                # The input gradient Linear.backward returns would flow into
+                # the encoded data, so it is not pushed through dropout.
+                linear.backward(grad_logits)
                 optimizer.step()
             history.train_loss.append(epoch_loss / num_samples)
             history.train_accuracy.append(correct / num_samples)

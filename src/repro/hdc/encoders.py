@@ -32,7 +32,7 @@ import numpy as np
 from repro.hdc.hypervector import BIPOLAR_DTYPE, sign_with_ties
 from repro.hdc.itemmemory import LevelItemMemory, RandomItemMemory
 from repro.hdc.quantize import QuantileQuantizer, UniformQuantizer
-from repro.kernels.encode import DEFAULT_LUT_BUDGET_BYTES, build_accumulator
+from repro.kernels.encode import build_accumulator
 from repro.kernels.packed import PackedHypervectors, pack_bits, sign_fuse_bits
 from repro.utils.rng import RngMixin, SeedLike
 from repro.utils.validation import check_fitted, check_matrix, check_positive_int
@@ -76,13 +76,11 @@ class Encoder(RngMixin, abc.ABC):
             )
         self.quantizer_kind = quantizer
         self.tie_break = tie_break
-        self.lut_budget_bytes = DEFAULT_LUT_BUDGET_BYTES
         self.num_features: Optional[int] = None
         self.position_memory: Optional[RandomItemMemory] = None
         self.level_memory: Optional[LevelItemMemory] = None
         self._quantizer = None
         self._accumulator = None
-        self._accumulator_budget: Optional[int] = None
 
     # ------------------------------------------------------------------ fit
     def fit(self, features: np.ndarray) -> "Encoder":
@@ -105,15 +103,14 @@ class Encoder(RngMixin, abc.ABC):
 
     # --------------------------------------------------------------- encode
     def _get_accumulator(self):
-        """The compiled fused accumulator (built lazily, rebuilt on budget change)."""
-        if self._accumulator is None or self._accumulator_budget != self.lut_budget_bytes:
-            accumulator = build_accumulator(self, lut_budget_bytes=self.lut_budget_bytes)
+        """The compiled fused accumulator (built lazily, rebuilt after ``fit``)."""
+        if self._accumulator is None:
+            accumulator = build_accumulator(self)
             if accumulator is None:  # pragma: no cover - future encoders
                 raise NotImplementedError(
                     f"no fused kernel for {type(self).__name__}; override _accumulate"
                 )
             self._accumulator = accumulator
-            self._accumulator_budget = self.lut_budget_bytes
         return self._accumulator
 
     def _accumulate(self, levels: np.ndarray) -> np.ndarray:
@@ -188,8 +185,11 @@ class RecordEncoder(Encoder):
 
     Each feature contributes ``F_i ∘ V_{level(x_i)}``; contributions are summed
     over features and binarised.  This is the encoder used for every
-    experiment in the paper's evaluation.  The bind+bundle runs on the fused
-    position×level LUT kernel (:class:`repro.kernels.encode.RecordAccumulator`).
+    experiment in the paper's evaluation.  The bind+bundle runs as one
+    grouped float32 GEMM per batch (:class:`repro.kernels.encode.RecordAccumulator`),
+    which relies on the level memory being nested: each coordinate flips
+    once, at its own level.  :class:`~repro.hdc.itemmemory.LevelItemMemory`
+    builds it that way, and the accumulator rejects one that is not.
     """
 
 

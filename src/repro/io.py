@@ -32,6 +32,7 @@ from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.hdc.encoders import Encoder, NGramEncoder, RecordEncoder
 from repro.hdc.quantize import QuantileQuantizer, UniformQuantizer
+from repro.kernels.encode import nested_flip_levels
 
 FORMAT_VERSION = 1
 #: Archives carrying a multi-model ensemble bank are stamped with this higher
@@ -79,6 +80,24 @@ def _verify_metadata(metadata: dict, path: Path) -> None:
             f"model {path} records unknown encoder kind {encoder_kind!r}; "
             f"expected one of {_ENCODER_KINDS}"
         )
+
+
+def _read_verified_metadata(archive, path: Path) -> dict:
+    """The archive's metadata block, verified along with its level memory.
+
+    A record model's level memory must be nested (each coordinate flips
+    once), because the record encoder evaluates Eq. 1 through that
+    structure; a foreign or tampered one is rejected here, when the file is
+    loaded or registered, instead of on the first request.
+    """
+    metadata = json.loads(bytes(archive["metadata_json"].tobytes()).decode("utf-8"))
+    _verify_metadata(metadata, path)
+    if metadata["encoder_kind"] == "record":
+        try:
+            nested_flip_levels(archive["level_vectors"])
+        except ValueError as error:
+            raise ValueError(f"model {path}: {error}") from error
+    return metadata
 
 
 class FrozenClassifier(BaselineHDC):
@@ -202,8 +221,7 @@ def load_model(path: Union[str, Path]) -> HDCPipeline:
     """
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
-        metadata = json.loads(bytes(archive["metadata_json"].tobytes()).decode("utf-8"))
-        _verify_metadata(metadata, path)
+        metadata = _read_verified_metadata(archive, path)
         class_hypervectors = archive["class_hypervectors"]
         position_vectors = archive["position_vectors"]
         level_vectors = archive["level_vectors"]
@@ -237,14 +255,14 @@ def load_model(path: Union[str, Path]) -> HDCPipeline:
 def read_model_metadata(path: Union[str, Path]) -> dict:
     """Read and verify the metadata block of a saved model without loading it.
 
-    Cheap (no array decompression beyond the metadata entry), used by the
-    serving registry to list models and by tooling that inspects artefacts.
+    Cheap (the only arrays decompressed are the metadata entry and, for a
+    record model, the ``(L, D)`` level memory it checks is nested), used by
+    the serving registry to validate and list models and by tooling that
+    inspects artefacts.
     """
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
-        metadata = json.loads(bytes(archive["metadata_json"].tobytes()).decode("utf-8"))
-    _verify_metadata(metadata, path)
-    return metadata
+        return _read_verified_metadata(archive, path)
 
 
 def _rebuild_encoder(metadata, position_vectors, level_vectors, quantizer_arrays) -> Encoder:

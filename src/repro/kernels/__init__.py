@@ -37,10 +37,10 @@ from repro.kernels.train import (
     score_epoch,
 )
 from repro.kernels.encode import (
-    DEFAULT_LUT_BUDGET_BYTES,
     NGramAccumulator,
     RecordAccumulator,
     build_accumulator,
+    nested_flip_levels,
 )
 from repro.kernels.linear import as_float, matmul, sign_bipolar
 from repro.kernels.packed import (
@@ -58,7 +58,6 @@ from repro.kernels.packed import (
 )
 
 __all__ = [
-    "DEFAULT_LUT_BUDGET_BYTES",
     "EnsembleScoreboard",
     "NGramAccumulator",
     "PackedHypervectors",
@@ -77,6 +76,7 @@ __all__ = [
     "get_kernel",
     "list_kernels",
     "matmul",
+    "nested_flip_levels",
     "pack_bipolar",
     "pack_bits",
     "pack_flip_mask",

@@ -1,11 +1,14 @@
 """Kernel-layer benchmark shared by the CLI and the benchmark harness.
 
-Measures the four hot paths the ``repro.kernels`` refactor moved into one
+Measures the hot paths the ``repro.kernels`` refactor moved into one
 place, each against the implementation the seed repository shipped:
 
-* **encode** — the fused position×level LUT accumulation behind
+* **encode** — the grouped-GEMM Eq. 1 accumulation behind
   ``RecordEncoder.encode`` vs the seed's per-feature gather+multiply loop
-  (re-implemented here verbatim as the reference);
+  (re-implemented here verbatim as the reference), over the whole test
+  split at the encoder's usual batch;
+* **encode-single** — the same two encoders one row per call, the shape a
+  server sees under light load;
 * **encode-ngram** — the vectorised rolled-window kernel behind
   ``NGramEncoder.encode`` vs the seed's per-window Python loop;
 * **predict** — batched packed XOR+popcount classification vs the dense
@@ -32,7 +35,7 @@ from repro.core.bnn_model import BNNTrainer, SingleLayerBNN
 from repro.core.configs import DEFAULT_CONFIG
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.hdc.encoders import NGramEncoder, RecordEncoder
-from repro.hdc.hypervector import dot_similarity, sign_with_ties
+from repro.hdc.hypervector import dot_similarity
 from repro.kernels.dispatch import use_float_dtype
 from repro.kernels.packed import pack_bits
 
@@ -48,17 +51,25 @@ def _best_time(run, repeats: int = 3) -> float:
 
 
 # ------------------------------------------------------- seed reference paths
-def _seed_record_accumulate(encoder: RecordEncoder, levels: np.ndarray) -> np.ndarray:
-    """The seed repository's ``RecordEncoder._accumulate``: one vectorised
-    gather + multiply per feature, no fused LUT."""
-    positions = encoder.position_memory.vectors.astype(np.int32)
-    level_vectors = encoder.level_memory.vectors.astype(np.int32)
-    batch, num_features = levels.shape
-    accumulated = np.zeros((batch, encoder.dimension), dtype=np.int32)
-    for feature_index in range(num_features):
-        value_vectors = level_vectors[levels[:, feature_index]]
-        accumulated += positions[feature_index] * value_vectors
-    return accumulated
+class SeedRecordEncoder(RecordEncoder):
+    """A :class:`RecordEncoder` that accumulates with the seed per-feature loop.
+
+    Same item memories, quantiser and RNG use as ``RecordEncoder`` for the
+    same seed, so it encodes bit-identically; it is the naive dense baseline
+    the kernel and serving benchmarks measure against.
+    """
+
+    def _accumulate(self, levels: np.ndarray) -> np.ndarray:
+        """The seed ``RecordEncoder._accumulate``: one vectorised gather +
+        multiply per feature (the dense Eq. 1 loop)."""
+        positions = self.position_memory.vectors.astype(np.int32)
+        level_vectors = self.level_memory.vectors.astype(np.int32)
+        batch, num_features = levels.shape
+        accumulated = np.zeros((batch, self.dimension), dtype=np.int32)
+        for feature_index in range(num_features):
+            value_vectors = level_vectors[levels[:, feature_index]]
+            accumulated += positions[feature_index] * value_vectors
+        return accumulated
 
 
 def _seed_ngram_accumulate(encoder: NGramEncoder, levels: np.ndarray) -> np.ndarray:
@@ -76,19 +87,6 @@ def _seed_ngram_accumulate(encoder: NGramEncoder, levels: np.ndarray) -> np.ndar
             gram *= permuted_codebooks[offset][levels[:, start + offset]]
         accumulated += gram
     return accumulated
-
-
-def _seed_encode(encoder: RecordEncoder, features: np.ndarray, batch_size: int = 256):
-    """Seed ``encode``: per-feature accumulation + sign, batched like the seed."""
-    levels = encoder._quantizer.transform(features)
-    outputs = np.empty((features.shape[0], encoder.dimension), dtype=np.int8)
-    for start in range(0, features.shape[0], batch_size):
-        stop = min(start + batch_size, features.shape[0])
-        raw = _seed_record_accumulate(encoder, levels[start:stop])
-        outputs[start:stop] = sign_with_ties(
-            raw, rng=encoder.rng, tie_break=encoder.tie_break
-        )
-    return outputs
 
 
 # ------------------------------------------------------------------ benchmark
@@ -135,21 +133,47 @@ def run_kernel_benchmark(
         }
     }
 
-    # ---- encode: fused LUT kernel vs seed per-feature loop -----------------
+    # ---- encode: grouped-GEMM kernel vs seed per-feature loop -------------
     encoder = RecordEncoder(
         dimension=dimension, num_levels=num_levels, tie_break="positive", seed=seed
     )
     encoder.fit(train_features)
+    seed_encoder = SeedRecordEncoder(
+        dimension=dimension, num_levels=num_levels, tie_break="positive", seed=seed
+    )
+    seed_encoder.fit(train_features)
     fused_out = encoder.encode(test_features)
-    seed_out = _seed_encode(encoder, test_features)
-    assert np.array_equal(fused_out, seed_out), "fused encode diverged from seed"
+    assert np.array_equal(
+        fused_out, seed_encoder.encode(test_features)
+    ), "fused encode diverged from seed"
     fused_time = _best_time(lambda: encoder.encode(test_features), repeats)
-    seed_time = _best_time(lambda: _seed_encode(encoder, test_features), repeats)
+    seed_time = _best_time(lambda: seed_encoder.encode(test_features), repeats)
     results["encode"] = {
         "seed_seconds": seed_time,
         "fused_seconds": fused_time,
         "fused_samples_per_s": num_samples / fused_time,
         "speedup": seed_time / fused_time,
+    }
+
+    # ---- encode-single: the same encoders at batch 1 ------------------------
+    single_rows = test_features[: min(num_samples, 64)]
+    for row in single_rows:
+        assert np.array_equal(
+            encoder.encode(row[None]), seed_encoder.encode(row[None])
+        ), "fused single-row encode diverged from seed"
+
+    def encode_rows(target):
+        for row in single_rows:
+            target.encode(row[None])
+
+    single_fused = _best_time(lambda: encode_rows(encoder), repeats)
+    single_seed = _best_time(lambda: encode_rows(seed_encoder), repeats)
+    results["encode_single"] = {
+        "rows": len(single_rows),
+        "seed_seconds": single_seed,
+        "fused_seconds": single_fused,
+        "fused_us_per_row": single_fused / len(single_rows) * 1e6,
+        "speedup": single_seed / single_fused,
     }
 
     # ---- encode-ngram: rolled-window kernel vs seed window loop ------------
@@ -239,6 +263,7 @@ def format_report(results: Dict[str, object]) -> str:
     ]
     rows = (
         ("encode", "seed_seconds", "fused_seconds"),
+        ("encode_single", "seed_seconds", "fused_seconds"),
         ("encode_ngram", "seed_seconds", "fused_seconds"),
         ("predict", "dense_seconds", "packed_seconds"),
         ("train_epoch", "float64_seconds", "float32_seconds"),
@@ -252,4 +277,4 @@ def format_report(results: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["run_kernel_benchmark", "format_report"]
+__all__ = ["SeedRecordEncoder", "format_report", "run_kernel_benchmark"]

@@ -1,7 +1,7 @@
 """Named-kernel registry, backend selection, and the float dtype policy.
 
-Every hot-path computation in this code base (packed Hamming scoring, fused
-encoder accumulation, float matmuls) is published here under a stable name
+The hot-path kernels that shard over rows (packed Hamming scoring, packed
+training updates, float matmuls) are published here under a stable name
 with one implementation per *backend*.  Call sites resolve through
 :func:`get_kernel`, so swapping the execution strategy — for example the
 threaded backend on a multi-core host — is a configuration change, not a

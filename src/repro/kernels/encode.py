@@ -4,10 +4,13 @@ Both accumulators produce the exact integer accumulation the dense encoders
 define (Eq. 1), so signing the result reproduces ``Encoder.encode``
 bit-for-bit; they only reorganise the computation:
 
-* :class:`RecordAccumulator` fuses the position×level bind into a lookup
-  table ``lut[i, l] = position[i] * level[l]`` built once, collapsing each
-  batch into one fancy-indexed gather + a single C-level reduction (chunked
-  over batch rows so the int8 scratch stays bounded);
+* :class:`RecordAccumulator` evaluates Eq. 1 as one stacked float32 GEMM.
+  The level memory is nested — coordinate ``d`` of level ``l`` is the base
+  level's coordinate, negated once ``l`` reaches the coordinate's flip level
+  ``t_d`` — so ``acc[b, d] = V_0[d] * (sum_f F_f[d] - 2 * sum_f F_f[d] *
+  [q_bf >= t_d])``.  For each flip level ``t`` the second sum is the
+  thermometer mask ``[q >= t]`` times the position columns that flip at
+  ``t``; coordinates that never flip are a per-coordinate constant;
 * :class:`NGramAccumulator` hoists the per-call codebook permutations out of
   the request path and evaluates all binding windows of a block at once with
   a rolled gather per n-gram offset, instead of a Python loop over windows.
@@ -24,107 +27,101 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.dispatch import get_kernel, register_kernel, run_sharded
-
-#: Largest bound-LUT the record path will materialise, in bytes
-#: (``num_features * num_levels * D`` int8 entries).  Above this the factored
-#: item memories are kept and the bind happens on the fly.
-DEFAULT_LUT_BUDGET_BYTES = 128 * 1024 * 1024
-
-#: Byte cap on the int8 gather scratch of a single accumulation block.
+#: Byte cap on the int8 gather scratch of a single n-gram accumulation block.
 _SCRATCH_BYTES = 32 * 1024 * 1024
 
 #: A block's partial sums are reduced in int16; each gathered element is ±1,
 #: so at most this many may be summed per output element in one reduction.
 _INT16_HEADROOM = 32767
 
+#: float32 holds every even integer below 2**25 exactly, so GEMM sums of
+#: fewer ±2 terms than this are exact whatever order BLAS adds them in.
+_FLOAT32_EXACT_FEATURES = 2**24
 
-@register_kernel("encode.lut_accumulate")
-def _lut_accumulate_numpy(flat_lut: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Gather *rows* of *flat_lut* and reduce over the feature axis.
 
-    ``rows`` is ``(batch, num_features)`` int64 indices into the flattened
-    ``(num_features * num_levels, D)`` table.  Batch rows are chunked so each
-    block's ``(rows, num_features, D)`` int8 gather stays within
-    ``_SCRATCH_BYTES`` — small blocks keep the gather + reduction in cache,
-    which measures ~3x faster than chunking the feature axis.
+def nested_flip_levels(level_vectors: np.ndarray) -> np.ndarray:
+    """The level at which each coordinate of a nested level memory flips.
+
+    A level memory is *nested* when every coordinate keeps the base level's
+    value up to some level ``t_d`` and is negated from there on, which is
+    how :class:`~repro.hdc.itemmemory.LevelItemMemory` builds it.  Returns
+    ``t_d`` per coordinate (``num_levels`` for a coordinate that never
+    flips); raises ``ValueError`` when the memory is not nested, for example
+    when a coordinate flips twice.
     """
-    batch, num_features = rows.shape
-    dimension = flat_lut.shape[1]
-    if num_features > _INT16_HEADROOM:  # pragma: no cover - absurdly wide inputs
-        accumulated = np.zeros((batch, dimension), dtype=np.int32)
-        for feature_index in range(num_features):
-            accumulated += flat_lut[rows[:, feature_index]]
-        return accumulated
-    block = max(1, _SCRATCH_BYTES // max(1, num_features * dimension))
-    accumulated = np.empty((batch, dimension), dtype=np.int32)
-    for start in range(0, batch, block):
-        stop = min(start + block, batch)
-        # Gather and reduce in one expression: the multi-MB gather scratch is
-        # freed before the next block allocates, so the allocator hands back
-        # the same (hot, already-faulted) buffer every iteration — keeping it
-        # alive in a local measures ~2x slower end to end.
-        accumulated[start:stop] = flat_lut[rows[start:stop]].sum(
-            axis=1, dtype=np.int16
+    levels = np.asarray(level_vectors).astype(np.int32)
+    num_levels = levels.shape[0]
+    base = levels[0]
+    flip_levels = num_levels - np.count_nonzero(levels != base, axis=0)
+    nested = np.where(np.arange(num_levels)[:, None] >= flip_levels, -base, base)
+    bad = np.flatnonzero((nested != levels).any(axis=0))
+    if bad.size:
+        raise ValueError(
+            "level memory is not nested: every coordinate must flip at most "
+            f"once, from the base level's value to its negation ({bad.size} "
+            f"coordinates do not, e.g. coordinate {int(bad[0])})"
         )
-    return accumulated
-
-
-@register_kernel("encode.lut_accumulate", backend="threaded")
-def _lut_accumulate_threaded(flat_lut: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Shard the batch axis of the gather+reduce across the shared pool."""
-    return run_sharded(
-        lambda start, stop: _lut_accumulate_numpy(flat_lut, rows[start:stop]),
-        rows.shape[0],
-    )
+    return flip_levels
 
 
 class RecordAccumulator:
-    """Pre-sign accumulation for the record encoder with a fused bind LUT.
+    """Pre-sign accumulation for the record encoder as one grouped GEMM.
 
-    ``lut[i, l] = position[i] * level[l]`` collapses the bind into a gather;
-    a batch accumulates as one fancy-indexed gather over the flattened
-    ``(N * L, D)`` table followed by one C-level reduction per block.  When
-    the LUT itself would exceed *lut_budget_bytes* the factored form is kept
-    (one gather + one multiply per feature), with the int32 casts hoisted out
-    of the request path.
+    The constructor binds every position vector with the base level
+    ``V_0``, sums the bound columns into a per-coordinate constant, and lays
+    the bound columns out by flip level as a zero-padded ``(L-1, N, G)``
+    float32 stack (``G`` is the largest number of coordinates sharing a
+    flip level).  A call builds the contiguous thermometer mask
+    ``[q >= t]`` of shape ``(L-1, B, N)``, multiplies the two stacks with
+    one ``np.matmul``, and scatters the products back to coordinate order
+    through a precomputed index.  The inputs are ±1, so every partial sum
+    is an even integer of magnitude at most ``2N`` and float32 GEMM is exact
+    in any summation order for ``N < 2**24``; the constructor checks that
+    and raises ``ValueError`` on a level memory that is not nested (see
+    :func:`nested_flip_levels`).
     """
 
-    def __init__(
-        self,
-        position_vectors: np.ndarray,
-        level_vectors: np.ndarray,
-        lut_budget_bytes: int = DEFAULT_LUT_BUDGET_BYTES,
-    ):
+    def __init__(self, position_vectors: np.ndarray, level_vectors: np.ndarray):
         num_features, dimension = position_vectors.shape
+        if num_features >= _FLOAT32_EXACT_FEATURES:
+            raise ValueError(
+                f"{num_features} features exceed the {_FLOAT32_EXACT_FEATURES} "
+                "a float32 GEMM can sum exactly"
+            )
         num_levels = level_vectors.shape[0]
-        lut_bytes = num_features * num_levels * dimension
-        if lut_bytes <= lut_budget_bytes:
-            lut = position_vectors[:, None, :].astype(np.int8) * level_vectors[None, :, :]
-            self._flat_lut = lut.reshape(num_features * num_levels, dimension)
-            self._row_offsets = np.arange(num_features, dtype=np.int64) * num_levels
-            self._positions = None
-            self._levels = None
-            self.table_bytes = self._flat_lut.nbytes
-        else:
-            self._flat_lut = None
-            self._row_offsets = None
-            self._positions = position_vectors.astype(np.int32)
-            self._levels = level_vectors.astype(np.int32)
-            self.table_bytes = self._positions.nbytes + self._levels.nbytes
-        self._dimension = dimension
+        flip_levels = nested_flip_levels(level_vectors)
+        bound = position_vectors.astype(np.float32) * level_vectors[0].astype(np.float32)
+        self._base = bound.sum(axis=0).astype(np.int32)
+
+        # Group t-1 holds the coordinates that flip at level t (1 <= t < L);
+        # -2 * bound folds the "- 2 *" of Eq. 1 into the table.
+        group_sizes = np.bincount(flip_levels, minlength=num_levels + 1)[1:num_levels]
+        width = int(group_sizes.max()) if group_sizes.size else 0
+        by_level = np.argsort(flip_levels, kind="stable")
+        stops = np.cumsum(group_sizes)
+        self._grouped = np.zeros((num_levels - 1, num_features, width), dtype=np.float32)
+        # Coordinates that never flip read the zero column after the groups.
+        self._scatter = np.full(dimension, (num_levels - 1) * width, dtype=np.intp)
+        for group, (size, stop) in enumerate(zip(group_sizes, stops)):
+            columns = by_level[stop - size : stop]
+            self._grouped[group, :, :size] = -2 * bound[:, columns]
+            self._scatter[columns] = group * width + np.arange(size)
+        self._thresholds = np.arange(1, num_levels).reshape(-1, 1, 1)
+        self.table_bytes = self._grouped.nbytes + self._scatter.nbytes + self._base.nbytes
 
     def __call__(self, level_indices: np.ndarray) -> np.ndarray:
-        if self._flat_lut is not None:
-            rows = level_indices + self._row_offsets
-            return get_kernel("encode.lut_accumulate")(self._flat_lut, rows)
-        batch, num_features = level_indices.shape
-        accumulated = np.zeros((batch, self._dimension), dtype=np.int32)
-        for feature_index in range(num_features):
-            accumulated += (
-                self._positions[feature_index]
-                * self._levels[level_indices[:, feature_index]]
-            )
+        batch = level_indices.shape[0]
+        groups, _, width = self._grouped.shape
+        mask = (level_indices >= self._thresholds).astype(np.float32)
+        sums = np.empty((batch, groups * width + 1), dtype=np.float32)
+        sums[:, -1] = 0.0
+        np.matmul(
+            mask,
+            self._grouped,
+            out=sums[:, :-1].reshape(batch, groups, width).transpose(1, 0, 2),
+        )
+        accumulated = np.take(sums.astype(np.int32), self._scatter, axis=1)
+        accumulated += self._base
         return accumulated
 
 
@@ -168,14 +165,12 @@ class NGramAccumulator:
                 ]
             accumulated += gram.sum(axis=1, dtype=np.int16)
             # Release the window-block scratch before the next gather so the
-            # allocator reuses the same hot buffer (see _lut_accumulate_numpy).
+            # allocator hands back the same hot, already-faulted buffer.
             del gram
         return accumulated
 
 
-def build_accumulator(
-    encoder, lut_budget_bytes: int = DEFAULT_LUT_BUDGET_BYTES
-) -> Optional[object]:
+def build_accumulator(encoder) -> Optional[object]:
     """Compile the fused accumulator for a fitted encoder, or ``None``.
 
     Dispatches on the encoder type; unknown encoder classes get ``None`` so
@@ -187,16 +182,14 @@ def build_accumulator(
         return NGramAccumulator(encoder.level_memory.vectors, encoder.ngram)
     if isinstance(encoder, RecordEncoder):
         return RecordAccumulator(
-            encoder.position_memory.vectors,
-            encoder.level_memory.vectors,
-            lut_budget_bytes=lut_budget_bytes,
+            encoder.position_memory.vectors, encoder.level_memory.vectors
         )
     return None
 
 
 __all__ = [
-    "DEFAULT_LUT_BUDGET_BYTES",
     "NGramAccumulator",
     "RecordAccumulator",
     "build_accumulator",
+    "nested_flip_levels",
 ]

@@ -536,7 +536,7 @@ def run_load_test(
     """Run warm-up then measure phases; return a JSON-ready report.
 
     The sampler stream covers ``warmup_requests + num_requests`` rows; the
-    warm-up prefix exercises the target (cache fill, LUT page-in) but
+    warm-up prefix exercises the target (cache fill, first-call costs) but
     contributes nothing to the statistics.  Closed-loop warm-up
     runs at the same concurrency as the measure phase; open-loop warm-up
     runs closed at the outstanding-request cap (warming at the Poisson rate

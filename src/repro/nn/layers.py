@@ -6,7 +6,8 @@ a *latent* real-valued weight matrix ``C_nb`` that accumulates small
 gradients, while the forward pass uses its binarisation ``C = sgn(C_nb)``
 (Eq. 8).  The backward pass uses the straight-through estimator: gradients
 w.r.t. the binary weights are applied to the latent weights unchanged
-(optionally masked where ``|C_nb|`` exceeds a clip threshold).
+(optionally masked where ``|C_nb|`` exceeds a clip threshold).  Its input is
+the encoded data, so it returns no input gradient.
 
 Dtype policy: all float compute goes through :mod:`repro.kernels.linear`.
 Parameters are initialised in the policy dtype (``float32`` by default — the
@@ -164,7 +165,16 @@ class BinaryLinear(Module):
         self._cached_binary = self.binary_weight
         return matmul(inputs, self._cached_binary)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Accumulate the latent-weight gradient; returns no input gradient.
+
+        The layer's one caller, :class:`~repro.core.bnn_model.SingleLayerBNN`,
+        feeds it the (dropped-out) encoded hypervector, which is data and
+        needs no gradient — autograd frameworks skip that product the same
+        way for inputs that do not require grad.  Skipping
+        ``grad_output @ C^T`` saves one of the three matmuls of every
+        training step and the ``(B, D)`` dropout multiply behind it.
+        """
         if self._cached_input is None:
             raise RuntimeError("forward() must be called before backward()")
         grad_output = as_float(grad_output)
@@ -176,9 +186,6 @@ class BinaryLinear(Module):
             inside = np.abs(self.weight.value) <= self.latent_clip
             grad_weight = grad_weight * inside
         self.weight.add_grad(grad_weight)
-        # Gradient w.r.t. the input flows through the *binary* weights, which
-        # is exactly what the chain rule gives for the forward computation.
-        return matmul(grad_output, self._cached_binary.T)
 
     def clip_latent(self) -> None:
         """Clip latent weights into ``[-latent_clip, +latent_clip]`` (no-op if disabled)."""

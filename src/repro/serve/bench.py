@@ -18,6 +18,7 @@ from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.hdc.encoders import RecordEncoder
+from repro.kernels.bench import SeedRecordEncoder
 from repro.serve.batching import BatchScheduler
 from repro.serve.engine import PackedInferenceEngine
 from repro.serve.metrics import ModelMetrics
@@ -67,18 +68,15 @@ def run_serving_benchmark(
     engine.warmup()
 
     # The "dense" rows are the *naive deployment* baseline the speedups are
-    # measured against: per-request dense scoring over an encoder held in its
-    # factored (unfused, seed-equivalent per-feature loop) form.  Since the
-    # kernel-layer refactor the default HDCPipeline is packed-native and rides
-    # the same fused kernels as the engine, so benchmarking it would compare
-    # the engine against itself; a twin encoder (same seed → identical item
-    # memories and predictions) with the LUT budget at zero preserves the
-    # original baseline semantics.
-    dense_encoder = RecordEncoder(
+    # measured against: per-request dense scoring over the seed per-feature
+    # Eq. 1 loop.  The default HDCPipeline is packed-native and rides the same
+    # fused kernels as the engine, so benchmarking it would compare the engine
+    # against itself; a twin encoder (same seed → identical item memories and
+    # predictions) that accumulates with the seed loop keeps the baseline.
+    dense_encoder = SeedRecordEncoder(
         dimension=dimension, num_levels=16, tie_break="positive", seed=seed
     )
     dense_encoder.fit(train_features)
-    dense_encoder.lut_budget_bytes = 0  # keep the factored per-feature form
     dense_pipeline = HDCPipeline(
         dense_encoder, pipeline.classifier, prefer_packed=False
     )

@@ -10,9 +10,10 @@ compilation at load time:
   (scored by XOR + popcount then max over each class's sub-models) — so each
   query is answered with XOR + popcount, the zero-overhead path the paper
   claims;
-* the encoder's fused accumulator (bound position×level LUT for the record
-  encoder, pre-permuted codebooks for the n-gram encoder) is compiled once,
-  so encoding a request is pure gather + accumulate with no per-request binds;
+* the encoder's fused accumulator (position columns grouped by level flip
+  for the record encoder, pre-permuted codebooks for the n-gram encoder) is
+  compiled once, so encoding a request is one grouped GEMM (record) or one
+  gather + accumulate (n-gram) with no per-request binds;
 * classifiers whose scoring has no packed twin (non-binary cosine centroids)
   transparently fall back to a dense path that defers to the classifier's
   own ``decision_scores``.
@@ -38,7 +39,6 @@ import numpy as np
 from repro.classifiers.base import top_k_from_scores
 from repro.classifiers.pipeline import HDCPipeline
 from repro.hdc.hypervector import BIPOLAR_DTYPE, sign_with_ties
-from repro.kernels.encode import DEFAULT_LUT_BUDGET_BYTES, build_accumulator
 from repro.kernels.packed import (
     PackedHypervectors,
     pack_bipolar,
@@ -66,8 +66,6 @@ class PackedInferenceEngine:
     metadata:
         Optional JSON-serialisable dictionary carried through to
         :meth:`info` (the registry stores the saved-model metadata here).
-    lut_budget_bytes:
-        Byte cap for the record encoder's fused bind LUT.
     """
 
     def __init__(
@@ -76,7 +74,6 @@ class PackedInferenceEngine:
         name: str = "model",
         mode: str = "auto",
         metadata: Optional[dict] = None,
-        lut_budget_bytes: int = DEFAULT_LUT_BUDGET_BYTES,
     ):
         if mode not in ("auto", "packed", "dense"):
             raise ValueError(f"mode must be 'auto', 'packed' or 'dense', got {mode!r}")
@@ -118,19 +115,12 @@ class PackedInferenceEngine:
         self._rng_lock = threading.Lock()
 
         # Compile the fused accumulator now so first-request latency excludes
-        # the LUT bind and concurrent first requests cannot race compilation.
-        # A non-default budget builds an engine-local accumulator: the shared
-        # encoder's own budget/tables are never mutated (the training-side
-        # owner of the pipeline keeps its fused path and memory profile).
-        if lut_budget_bytes == self.encoder.lut_budget_bytes:
-            try:
-                self._accumulator = self.encoder._get_accumulator()
-            except NotImplementedError:  # pragma: no cover - future encoders
-                self._accumulator = None
-        else:
-            self._accumulator = build_accumulator(
-                self.encoder, lut_budget_bytes=lut_budget_bytes
-            )
+        # building its tables and concurrent first requests cannot race
+        # compilation.  The engine shares the encoder's compiled tables.
+        try:
+            self._accumulator = self.encoder._get_accumulator()
+        except NotImplementedError:  # pragma: no cover - future encoders
+            self._accumulator = None
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -251,8 +241,8 @@ class PackedInferenceEngine:
 
     # ------------------------------------------------------------------- misc
     def warmup(self) -> None:
-        """Run one dummy prediction so first-request latency excludes JIT-ish
-        costs (NumPy buffer allocation, LUT page-in)."""
+        """Run one dummy prediction so first-request latency excludes
+        first-call costs (NumPy buffer allocation, BLAS start-up)."""
         dummy = np.zeros((1, self.encoder.num_features), dtype=np.float64)
         self.predict(dummy)
 
@@ -282,4 +272,4 @@ class PackedInferenceEngine:
         }
 
 
-__all__ = ["PackedInferenceEngine", "DEFAULT_LUT_BUDGET_BYTES"]
+__all__ = ["PackedInferenceEngine"]

@@ -153,10 +153,10 @@ class ModelRegistry:
             if entry.engine is not None:
                 return entry.engine
             path, engine_name = entry.path, f"{name}@v{entry.version}"
-        # Decompressing the archive and compiling the LUT can take hundreds of
-        # milliseconds; doing it outside the lock keeps every other model
-        # serving.  Two threads may race to load the same entry — one load is
-        # discarded, which is cheaper than serialising all traffic.
+        # Decompressing the archive and compiling the encoder tables can take
+        # hundreds of milliseconds; doing it outside the lock keeps every
+        # other model serving.  Two threads may race to load the same entry —
+        # one load is discarded, which is cheaper than serialising all traffic.
         engine = PackedInferenceEngine.from_file(path, name=engine_name)
         with self._lock:
             entry = self._find(name, version)

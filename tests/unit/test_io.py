@@ -185,6 +185,65 @@ class TestSaveLoadErrors:
             load_model(bad_path)
 
 
+def _flip_a_coordinate_twice(path, destination):
+    """Copy a saved model with one level-memory coordinate flipped back."""
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    levels = arrays["level_vectors"].copy()
+    coordinate = int(np.flatnonzero(levels[1] != levels[0])[0])
+    levels[3:, coordinate] = levels[0, coordinate]  # flipped at 1, back at 3
+    arrays["level_vectors"] = levels
+    np.savez_compressed(destination, **arrays)
+    return destination
+
+
+class TestTamperedLevelMemory:
+    """A level memory that is not nested is rejected when the file is loaded."""
+
+    @pytest.fixture
+    def tampered(self, small_problem, tmp_path):
+        path = save_model(tmp_path / "model.npz", make_fitted_pipeline(small_problem))
+        return _flip_a_coordinate_twice(path, tmp_path / "tampered.npz")
+
+    def test_load_model_rejects(self, tampered):
+        with pytest.raises(ValueError, match="not nested"):
+            load_model(tampered)
+
+    def test_read_model_metadata_rejects(self, tampered):
+        with pytest.raises(ValueError, match="not nested"):
+            read_model_metadata(tampered)
+
+    def test_registry_rejects_at_registration(self, tampered):
+        from repro.serve.registry import ModelRegistry
+
+        with pytest.raises(ValueError, match="not nested"):
+            ModelRegistry().register("tampered", tampered)
+
+    def test_serve_refuses_to_start(self, tampered, capsys, monkeypatch):
+        import repro.serve.server
+        from repro.cli import main
+
+        started = []
+        monkeypatch.setattr(
+            repro.serve.server, "run_server", lambda *args, **kwargs: started.append(1)
+        )
+        assert main(["serve", "--model", f"tampered={tampered}", "--port", "0"]) == 1
+        assert "not nested" in capsys.readouterr().err
+        assert started == []
+
+    def test_ngram_model_needs_no_nesting(self, small_problem, tmp_path):
+        """Only the record encoder relies on nested levels."""
+        encoder = NGramEncoder(
+            dimension=256, num_levels=8, ngram=3, tie_break="positive", seed=2
+        )
+        path = save_model(
+            tmp_path / "ngram.npz", make_fitted_pipeline(small_problem, encoder=encoder)
+        )
+        tampered = _flip_a_coordinate_twice(path, tmp_path / "ngram-tampered.npz")
+        reloaded = load_model(tampered)
+        assert reloaded.predict(small_problem["test_features"]).shape == (80,)
+
+
 class TestEnsembleRoundtrip:
     def fit_ensemble_pipeline(self, small_problem):
         from repro.classifiers.multimodel import MultiModelHDC

@@ -11,7 +11,6 @@ from repro.kernels import dispatch
 class TestRegistry:
     def test_get_known_kernel(self):
         assert callable(dispatch.get_kernel("packed.bit_differences"))
-        assert callable(dispatch.get_kernel("encode.lut_accumulate"))
         assert callable(dispatch.get_kernel("linear.matmul"))
 
     def test_unknown_kernel_raises(self):

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from reference import dense_ngram_accumulate, dense_record_accumulate
 from repro.hdc.encoders import NGramEncoder, RecordEncoder
+from repro.hdc.itemmemory import LevelItemMemory, RandomItemMemory
 from repro.kernels.dispatch import use_backend
-from repro.kernels.encode import NGramAccumulator, RecordAccumulator, build_accumulator
+from repro.kernels.encode import (
+    NGramAccumulator,
+    RecordAccumulator,
+    build_accumulator,
+    nested_flip_levels,
+)
 from repro.kernels.packed import pack_bipolar
 
 
@@ -14,50 +21,14 @@ def features():
     return np.random.default_rng(3).normal(size=(40, 12))
 
 
-def reference_record_accumulate(encoder, levels):
-    """The seed implementation: one gather + multiply per feature."""
-    positions = encoder.position_memory.vectors.astype(np.int32)
-    level_vectors = encoder.level_memory.vectors.astype(np.int32)
-    accumulated = np.zeros((levels.shape[0], encoder.dimension), dtype=np.int32)
-    for feature_index in range(levels.shape[1]):
-        accumulated += positions[feature_index] * level_vectors[levels[:, feature_index]]
-    return accumulated
-
-
-def reference_ngram_accumulate(encoder, levels):
-    """The seed implementation: a Python loop over binding windows."""
-    level_vectors = encoder.level_memory.vectors.astype(np.int32)
-    permuted = [np.roll(level_vectors, o, axis=1) for o in range(encoder.ngram)]
-    accumulated = np.zeros((levels.shape[0], encoder.dimension), dtype=np.int32)
-    for start in range(levels.shape[1] - encoder.ngram + 1):
-        gram = permuted[0][levels[:, start]].copy()
-        for offset in range(1, encoder.ngram):
-            gram *= permuted[offset][levels[:, start + offset]]
-        accumulated += gram
-    return accumulated
-
-
 class TestRecordAccumulator:
-    def test_fused_lut_matches_seed_loop(self, features):
+    def test_grouped_gemm_matches_seed_loop(self, features):
         encoder = RecordEncoder(dimension=256, num_levels=8, seed=0).fit(features)
         levels = encoder._quantizer.transform(features)
-        np.testing.assert_array_equal(
-            encoder._accumulate(levels), reference_record_accumulate(encoder, levels)
+        expected = dense_record_accumulate(
+            encoder.position_memory.vectors, encoder.level_memory.vectors, levels
         )
-
-    def test_factored_fallback_matches_fused(self, features):
-        encoder = RecordEncoder(dimension=256, num_levels=8, seed=0).fit(features)
-        levels = encoder._quantizer.transform(features)
-        fused = RecordAccumulator(
-            encoder.position_memory.vectors, encoder.level_memory.vectors
-        )
-        factored = RecordAccumulator(
-            encoder.position_memory.vectors,
-            encoder.level_memory.vectors,
-            lut_budget_bytes=1,
-        )
-        assert fused.table_bytes > factored.table_bytes
-        np.testing.assert_array_equal(fused(levels), factored(levels))
+        np.testing.assert_array_equal(encoder._accumulate(levels), expected)
 
     def test_threaded_backend_matches_numpy(self, features):
         encoder = RecordEncoder(dimension=256, num_levels=8, seed=1).fit(features)
@@ -76,7 +47,7 @@ class TestNGramRegression:
         encoder.fit(features)
         levels = encoder._quantizer.transform(features)
         np.testing.assert_array_equal(
-            encoder._accumulate(levels), reference_ngram_accumulate(encoder, levels)
+            encoder._accumulate(levels), dense_ngram_accumulate(encoder, levels)
         )
 
     def test_encode_identical_to_seed_composition(self, features):
@@ -90,7 +61,7 @@ class TestNGramRegression:
         reference_rng = np.random.default_rng(99)
         encoder._rng = np.random.default_rng(99)  # align tie-break streams
         expected = sign_with_ties(
-            reference_ngram_accumulate(encoder, levels),
+            dense_ngram_accumulate(encoder, levels),
             rng=reference_rng,
             tie_break="random",
         )
@@ -131,15 +102,6 @@ class TestEncoderIntegration:
         encoder.fit(features)
         assert encoder._get_accumulator() is not first
 
-    def test_accumulator_rebuilt_on_budget_change(self, features):
-        encoder = RecordEncoder(dimension=64, num_levels=4, seed=0).fit(features)
-        fused = encoder._get_accumulator()
-        encoder.lut_budget_bytes = 1
-        factored = encoder._get_accumulator()
-        assert factored is not fused
-        assert fused._flat_lut is not None
-        assert factored._flat_lut is None
-
     @pytest.mark.parametrize("tie_break", ["positive", "random"])
     def test_encode_packed_bit_identical_to_dense_encode(self, features, tie_break):
         dense_encoder = RecordEncoder(
@@ -158,3 +120,67 @@ class TestEncoderIntegration:
         raw = encoder.accumulate(features)
         assert raw.shape == (features.shape[0], 64)
         assert raw.dtype == np.int32
+
+
+class TestGroupedGemmParity:
+    """The grouped-GEMM accumulator equals the dense Eq. 1 loop bit for bit."""
+
+    @pytest.mark.parametrize("dimension", [64, 1000, 4000])
+    @pytest.mark.parametrize("num_levels", [1, 2, 16, 33])
+    @pytest.mark.parametrize("num_features", [1, 7, 64, 196, 561])
+    def test_matches_dense_loop(self, num_features, num_levels, dimension):
+        rng = np.random.default_rng(num_features * 1000 + num_levels * 10 + dimension)
+        positions = RandomItemMemory(num_features, dimension, seed=rng).vectors
+        levels = LevelItemMemory(num_levels, dimension, seed=rng).vectors
+        accumulator = RecordAccumulator(positions, levels)
+        indices = rng.integers(0, num_levels, size=(257, num_features))
+        expected = dense_record_accumulate(positions, levels, indices)
+        for batch in (1, 2, 3, 257):
+            accumulated = accumulator(indices[:batch])
+            assert accumulated.dtype == np.int32
+            assert accumulated.flags.c_contiguous
+            np.testing.assert_array_equal(accumulated, expected[:batch])
+
+
+class TestNestedLevelMemory:
+    def test_flip_levels_of_a_built_memory(self):
+        levels = LevelItemMemory(5, 400, seed=0).vectors
+        flip_levels = nested_flip_levels(levels)
+        # Half the coordinates flip, spread over levels 1..4; the rest never do.
+        assert np.count_nonzero(flip_levels == 5) == 200
+        np.testing.assert_array_equal(np.bincount(flip_levels)[1:5], [50, 50, 50, 50])
+        for level in range(5):
+            flipped = levels[level] != levels[0]
+            np.testing.assert_array_equal(flipped, flip_levels <= level)
+
+    def test_coordinate_flipping_twice_is_rejected(self):
+        levels = LevelItemMemory(8, 256, seed=1).vectors.copy()
+        coordinate = int(np.flatnonzero(levels[2] != levels[1])[0])
+        levels[5:, coordinate] = -levels[5:, coordinate]
+        with pytest.raises(ValueError, match="not nested"):
+            nested_flip_levels(levels)
+        positions = RandomItemMemory(4, 256, seed=2).vectors
+        with pytest.raises(ValueError, match="not nested"):
+            RecordAccumulator(positions, levels)
+
+    def test_non_negating_flip_is_rejected(self):
+        levels = LevelItemMemory(4, 64, seed=3).vectors.copy()
+        levels[3, 0] = 0
+        with pytest.raises(ValueError, match="not nested"):
+            nested_flip_levels(levels)
+
+    def test_too_many_features_for_exact_float32_sums(self):
+        # Zero pages: the array is never touched before the check raises.
+        positions = np.zeros((2**24, 1), dtype=np.int8)
+        with pytest.raises(ValueError, match="exactly"):
+            RecordAccumulator(positions, np.ones((2, 1), dtype=np.int8))
+
+    def test_table_is_a_fraction_of_the_bind_lut(self):
+        """The grouped table holds N x D/2 floats, not an N x L x D bind LUT."""
+        num_features, num_levels, dimension = 196, 16, 4000
+        positions = RandomItemMemory(num_features, dimension, seed=4).vectors
+        levels = LevelItemMemory(num_levels, dimension, seed=5).vectors
+        accumulator = RecordAccumulator(positions, levels)
+        grouped = (num_levels - 1) * num_features * 134 * 4  # 2000 flips, <= 134 per level
+        assert accumulator.table_bytes == grouped + dimension * (8 + 4)
+        assert accumulator.table_bytes * 7 < num_features * num_levels * dimension

@@ -84,6 +84,14 @@ class TestBinaryLinear:
         layer.backward(grad_output)
         np.testing.assert_allclose(layer.weight.grad, inputs.T @ grad_output)
 
+    def test_backward_returns_no_input_gradient(self):
+        """The layer's input is encoded data; only the weights get a gradient."""
+        layer = BinaryLinear(4, 3, seed=11)
+        layer.forward(np.ones((2, 4)))
+        layer.zero_grad()
+        assert layer.backward(np.ones((2, 3))) is None
+        np.testing.assert_array_equal(layer.weight.grad, np.full((4, 3), 2.0))
+
     def test_clip_masks_gradient(self):
         layer = BinaryLinear(2, 1, latent_clip=1.0, seed=5)
         layer.weight.value[:] = np.array([[2.0], [0.5]])  # first weight saturated

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import count_subnormals, reference_cross_entropy
 from repro.nn.losses import (
     SoftmaxCrossEntropy,
     cross_entropy_from_logits,
@@ -92,6 +93,42 @@ class TestCrossEntropy:
         loss, grad = cross_entropy_from_logits(logits, np.array([1]))
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grad))
+
+
+class TestSubnormalFlush:
+    """Saturated float32 logits must not hand BLAS subnormal gradient entries."""
+
+    @staticmethod
+    def saturated(dtype):
+        rng = np.random.default_rng(6)
+        # Class spreads of 100-300, as D=4000 LeHDC logits reach in training.
+        logits = rng.uniform(-150.0, 150.0, size=(256, 10)).astype(dtype)
+        return logits, rng.integers(0, 10, size=256)
+
+    def test_float32_gradient_has_no_subnormals(self):
+        logits, labels = self.saturated(np.float32)
+        reference_loss, reference_grad = reference_cross_entropy(logits, labels)
+        assert count_subnormals(reference_grad) > 0
+        loss, grad = cross_entropy_from_logits(logits, labels)
+        assert grad.dtype == np.float32
+        assert count_subnormals(grad) == 0
+        assert loss == reference_loss
+        # Only the subnormal entries changed, and they became zero.
+        normal = np.abs(reference_grad) >= np.finfo(np.float32).tiny
+        np.testing.assert_array_equal(grad[normal], reference_grad[normal])
+        assert np.all(grad[~normal] == 0)
+
+    def test_flushed_rows_still_sum_to_zero(self):
+        logits, labels = self.saturated(np.float32)
+        _, grad = cross_entropy_from_logits(logits, labels)
+        np.testing.assert_allclose(grad.sum(axis=1), np.zeros(256), atol=1e-6)
+
+    def test_float64_gradient_unchanged(self):
+        logits, labels = self.saturated(np.float64)
+        _, reference_grad = reference_cross_entropy(logits, labels)
+        _, grad = cross_entropy_from_logits(logits, labels)
+        assert grad.dtype == np.float64
+        np.testing.assert_array_equal(grad, reference_grad)
 
 
 class TestSoftmaxCrossEntropyObject:

@@ -75,15 +75,19 @@ class TestPackedEqualsDense:
             engine.encode(features), pipeline.encoder.encode(features)
         )
 
-    def test_factored_fallback_when_lut_over_budget(self, small_problem):
+    def test_single_rows_match_batch(self, small_problem):
+        """Batch 1 and 2 (the serving shapes) score like the whole batch."""
         pipeline = fit_pipeline(small_problem, BaselineHDC(seed=0))
-        fused = PackedInferenceEngine(pipeline)
-        factored = PackedInferenceEngine(pipeline, lut_budget_bytes=1)
-        features = small_problem["test_features"]
-        np.testing.assert_array_equal(
-            fused.predict(features), factored.predict(features)
-        )
-        assert factored.info()["table_bytes"] < fused.info()["table_bytes"]
+        engine = PackedInferenceEngine(pipeline)
+        features = small_problem["test_features"][:6]
+        batch = engine.decision_scores(features)
+        for start in range(0, 6, 2):
+            np.testing.assert_array_equal(
+                engine.decision_scores(features[start : start + 2]),
+                batch[start : start + 2],
+            )
+        for index, row in enumerate(features):
+            np.testing.assert_array_equal(engine.decision_scores(row), batch[index : index + 1])
 
 
 class TestDenseFallback:
@@ -230,26 +234,17 @@ class TestPackedExportOnClassifiers:
 
 
 class TestEngineDoesNotMutateSharedEncoder:
-    def test_custom_lut_budget_is_engine_local(self, small_problem):
-        """A non-default engine budget must not change the shared encoder's
-        own budget or recompile its fused tables (the training-side owner of
-        the pipeline keeps its fast path)."""
-        pipeline = fit_pipeline(small_problem, BaselineHDC(seed=0))
-        encoder = pipeline.encoder
-        original_budget = encoder.lut_budget_bytes
-        encoder_accumulator = encoder._get_accumulator()
-
-        engine = PackedInferenceEngine(pipeline, lut_budget_bytes=1)
-        assert encoder.lut_budget_bytes == original_budget
-        assert encoder._get_accumulator() is encoder_accumulator
-        # The engine itself runs the factored form and still predicts the same.
-        assert engine._accumulator is not encoder_accumulator
-        np.testing.assert_array_equal(
-            engine.predict(small_problem["test_features"]),
-            pipeline.predict(small_problem["test_features"]),
-        )
-
-    def test_default_budget_shares_the_encoder_accumulator(self, small_problem):
+    def test_engine_shares_the_encoder_accumulator(self, small_problem):
         pipeline = fit_pipeline(small_problem, BaselineHDC(seed=0))
         engine = PackedInferenceEngine(pipeline)
         assert engine._accumulator is pipeline.encoder._get_accumulator()
+
+    def test_engine_rejects_a_level_memory_that_is_not_nested(self, small_problem):
+        pipeline = fit_pipeline(small_problem, BaselineHDC(seed=0))
+        encoder = pipeline.encoder
+        levels = encoder.level_memory.vectors
+        coordinate = int(np.flatnonzero(levels[1] != levels[0])[0])
+        levels[2:, coordinate] = levels[0, coordinate]  # flips back: twice
+        encoder._accumulator = None
+        with pytest.raises(ValueError, match="not nested"):
+            PackedInferenceEngine(pipeline)
