@@ -20,7 +20,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.configs import LeHDCConfig
-from repro.kernels.linear import as_float
 from repro.nn.layers import BinaryLinear, Dropout
 from repro.nn.losses import cross_entropy_from_logits
 from repro.nn.module import Module
@@ -203,12 +202,11 @@ class BNNTrainer:
             )
 
         total_epochs = self.config.epochs if epochs is None else int(epochs)
-        # Policy-dtype cast (float32 by default): the ±1 hypervectors and the
-        # integer dot products they produce are exactly representable, and the
-        # latent weights are in the same dtype, so the whole epoch stays in
-        # one precision with no per-batch up-casts.
-        inputs = as_float(hypervectors)
-        num_samples = inputs.shape[0]
+        # The split stays in its own dtype (int8 from the encoders): each
+        # step gathers int8 rows and ``Dropout.forward`` writes the masked,
+        # scaled batch in the policy dtype of the latent weights, so the
+        # epoch runs in one precision without a float copy of the split.
+        num_samples = hypervectors.shape[0]
         batch_size = min(self.config.batch_size, num_samples)
 
         for _ in range(total_epochs):
@@ -218,7 +216,7 @@ class BNNTrainer:
             correct = 0
             for start in range(0, num_samples, batch_size):
                 batch_indices = order[start : start + batch_size]
-                batch_inputs = inputs[batch_indices]
+                batch_inputs = hypervectors[batch_indices]
                 batch_labels = labels[batch_indices]
 
                 logits = self.model.forward(batch_inputs)
@@ -251,7 +249,7 @@ class BNNTrainer:
     def evaluate(self, hypervectors: np.ndarray, labels: np.ndarray) -> float:
         """Accuracy of the current *binary* weights on a labelled set."""
         self.model.eval()
-        logits = self.model.forward(as_float(hypervectors))
+        logits = self.model.forward(hypervectors)
         predictions = np.argmax(logits, axis=1)
         accuracy = float(np.mean(predictions == np.asarray(labels)))
         self.model.train()

@@ -29,6 +29,10 @@ class LeHDCConfig:
         Mini-batch size (Table 2 "B").
     dropout_rate:
         Dropout probability applied to the encoded hypervector (Table 2 "DR").
+        The mask is drawn at 16-bit resolution, one uint64 per four entries:
+        an entry is kept when its 16-bit lane is below
+        ``round((1 - dropout_rate) * 65536)``, so the realised rate is within
+        ``2**-17`` of this value (see :class:`repro.nn.layers.Dropout`).
     epochs:
         Number of passes over the training set (Table 2 "Epochs").
     optimizer:

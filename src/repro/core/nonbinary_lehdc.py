@@ -51,7 +51,7 @@ class NonBinaryLeHDCClassifier(HDCClassifierBase):
     Attributes
     ----------
     nonbinary_class_hypervectors_:
-        ``(K, D)`` float64 class hypervectors after :meth:`fit`.
+        ``(K, D)`` class hypervectors in the policy float dtype after :meth:`fit`.
     class_hypervectors_:
         Their binarisation (``sgn``), so the model can also be dropped into a
         binary inference datapath for comparison.
@@ -99,8 +99,9 @@ class NonBinaryLeHDCClassifier(HDCClassifierBase):
             else ConstantSchedule(optimizer)
         )
 
-        inputs = hypervectors.astype(np.float64)
-        num_samples = inputs.shape[0]
+        # As in ``BNNTrainer.train``: the split stays int8 and ``Dropout``
+        # writes each batch in the policy dtype of the weights.
+        num_samples = hypervectors.shape[0]
         batch_size = min(config.batch_size, num_samples)
         history = TrainingHistory()
 
@@ -111,7 +112,7 @@ class NonBinaryLeHDCClassifier(HDCClassifierBase):
             correct = 0
             for start in range(0, num_samples, batch_size):
                 batch = order[start : start + batch_size]
-                batch_inputs = dropout.forward(inputs[batch])
+                batch_inputs = dropout.forward(hypervectors[batch])
                 logits = linear.forward(batch_inputs)
                 loss, grad_logits = cross_entropy_from_logits(logits, labels[batch])
                 epoch_loss += loss * batch.shape[0]

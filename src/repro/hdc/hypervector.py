@@ -62,17 +62,19 @@ def sign_with_ties(
     if tie_break not in ("random", "positive"):
         raise ValueError(f"tie_break must be 'random' or 'positive', got {tie_break!r}")
     values = np.asarray(values)
-    result = np.where(values > 0, 1, -1).astype(BIPOLAR_DTYPE)
-    zeros = values == 0
-    if np.any(zeros):
-        if tie_break == "random":
+    # One int8 pass: the comparison's bool bytes are 0/1, so ``2 * b - 1``
+    # maps them to -1/+1 in place.  "positive" resolves ties in the compare.
+    result = np.asarray(values > 0 if tie_break == "random" else values >= 0)
+    result = result.view(BIPOLAR_DTYPE)
+    result *= 2
+    result -= 1
+    if tie_break == "random":
+        zeros = values == 0
+        if np.any(zeros):
             rng = ensure_rng(rng)
-            random_signs = (
+            result[zeros] = (
                 2 * rng.integers(0, 2, size=int(zeros.sum()), dtype=np.int8) - 1
             )
-            result[zeros] = random_signs
-        else:
-            result[zeros] = 1
     return result
 
 

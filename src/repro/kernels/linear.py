@@ -8,7 +8,8 @@ mantissa).  These kernels replace that policy:
 * :func:`as_float` casts *integer* inputs to the configured float dtype
   (:func:`repro.kernels.dispatch.float_dtype`, default ``float32``) and
   leaves arrays that are already floating point untouched — no silent up- or
-  down-casts anywhere on the training path;
+  down-casts anywhere on the training path; :func:`float_dtype_of` names
+  that dtype without casting;
 * :func:`matmul` is the dispatchable dense product behind
   :class:`repro.nn.layers.Linear` / :class:`~repro.nn.layers.BinaryLinear`
   and the nearest-centroid scorer;
@@ -25,17 +26,22 @@ import numpy as np
 from repro.kernels.dispatch import float_dtype, get_kernel, register_kernel, run_sharded
 
 
+def float_dtype_of(array: np.ndarray) -> np.dtype:
+    """The float dtype *array* computes in: its own if floating, else the policy's."""
+    if np.issubdtype(array.dtype, np.floating):
+        return array.dtype
+    return np.dtype(float_dtype())
+
+
 def as_float(array: np.ndarray) -> np.ndarray:
     """View *array* as floating point without churning precision.
 
     Floating inputs pass through unchanged (whatever their width); anything
-    else is cast to the policy dtype.  This is the only place integer
-    hypervectors become floats on the NN path.
+    else is cast to the policy dtype.  On the NN path integer hypervectors
+    become floats here or, per batch, in :class:`repro.nn.layers.Dropout`.
     """
     array = np.asarray(array)
-    if np.issubdtype(array.dtype, np.floating):
-        return array
-    return array.astype(float_dtype())
+    return array.astype(float_dtype_of(array), copy=False)
 
 
 def zeros(shape, dtype=None) -> np.ndarray:
@@ -74,4 +80,4 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return get_kernel("linear.matmul")(a, b)
 
 
-__all__ = ["as_float", "matmul", "sign_bipolar", "zeros"]
+__all__ = ["as_float", "float_dtype_of", "matmul", "sign_bipolar", "zeros"]

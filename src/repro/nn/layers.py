@@ -12,19 +12,22 @@ the encoded data, so it returns no input gradient.
 Dtype policy: all float compute goes through :mod:`repro.kernels.linear`.
 Parameters are initialised in the policy dtype (``float32`` by default — the
 latent weights of a BNN need nowhere near 53 bits of mantissa) and integer
-inputs are cast to it once; arrays that are already floating point are never
-silently up-cast, so a ``float32`` training step stays ``float32`` end to
-end.  Pass ``dtype=np.float64`` to a layer (or set the policy) when full
-precision is required, e.g. for finite-difference gradient checks.
+inputs are cast to it once — during training by :class:`Dropout`, which
+writes the scaled, masked int8 batch straight into the policy dtype; arrays
+that are already floating point are never silently up-cast, so a ``float32``
+training step stays ``float32`` end to end.  Pass ``dtype=np.float64`` to a
+layer (or set the policy) when full precision is required, e.g. for
+finite-difference gradient checks.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 import numpy as np
 
-from repro.kernels.linear import as_float, matmul, sign_bipolar
+from repro.kernels.linear import as_float, float_dtype_of, matmul, sign_bipolar
 from repro.nn.init import scaled_uniform_init
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import SeedLike, ensure_rng
@@ -203,33 +206,52 @@ class Dropout(Module):
 
     The paper applies dropout to the (very wide) encoded hypervector during
     training to stop the class hypervectors from over-fitting (Sec. 4).  At
-    evaluation time this layer is the identity.  The mask is materialised in
-    the input's dtype so a float32 forward stays float32.
+    evaluation time this layer is the identity.
+
+    The keep mask is drawn as 16-bit thresholds: one full-range uint64 per
+    four entries, read as little-endian uint16 lanes, keeps an entry when its
+    lane is below ``round((1 - rate) * 65536)``.  The realised rate is that
+    count over 65536, within ``2**-17`` of ``rate``; a rate whose keep count
+    rounds to zero is rejected.  The batch is masked in its own dtype (an
+    int8 hypervector stays int8) and scaled once by ``1 / (1 - rate)`` into
+    its float dtype (:func:`~repro.kernels.linear.float_dtype_of`: the policy
+    dtype for integers), so the training split never needs a float copy.
     """
 
     def __init__(self, rate: float, seed: SeedLike = None):
         super().__init__()
         self.rate = check_probability(rate, "rate", inclusive_one=False)
+        self.keep_count = round((1.0 - self.rate) * 65536)
+        if self.keep_count == 0:
+            raise ValueError(f"rate {rate} keeps no entry at 16-bit resolution")
         self._rng = ensure_rng(seed)
         self._cached_mask: Optional[np.ndarray] = None
 
+    def _draw_keep_mask(self, shape) -> np.ndarray:
+        """Boolean keep mask of *shape*: ``ceil(size / 4)`` uint64 draws."""
+        size = math.prod(shape)
+        words = self._rng.integers(0, 2**64, size=-(-size // 4), dtype=np.uint64)
+        lanes = words.astype("<u8", copy=False).view("<u2")[:size]
+        return (lanes < self.keep_count).reshape(shape)
+
+    def _apply_mask(self, values: np.ndarray) -> np.ndarray:
+        dtype = float_dtype_of(values)
+        scale = dtype.type(1) / dtype.type(1.0 - self.rate)
+        return np.multiply(values * self._cached_mask, scale, dtype=dtype)
+
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = as_float(inputs)
+        inputs = np.asarray(inputs)
         if not self.training or self.rate == 0.0:
             self._cached_mask = None
-            return inputs
-        keep_probability = 1.0 - self.rate
-        mask = self._rng.random(inputs.shape) < keep_probability
-        self._cached_mask = mask.astype(inputs.dtype) / inputs.dtype.type(
-            keep_probability
-        )
-        return inputs * self._cached_mask
+            return as_float(inputs)
+        self._cached_mask = self._draw_keep_mask(inputs.shape)
+        return self._apply_mask(inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_output = as_float(grad_output)
         if self._cached_mask is None:
             return grad_output
-        return grad_output * self._cached_mask
+        return self._apply_mask(grad_output)
 
 
 class Sequential(Module):

@@ -1,13 +1,17 @@
 """LeHDC training is bit-identical to the pre-change encoder and BNN step.
 
 The record encoder evaluates Eq. 1 as a grouped GEMM, the loss flushes
-subnormal gradient entries, and the backward pass no longer computes the
-input gradient or pushes it through dropout.  None of that may move a bit of
-the result: on seeded Table 2 configurations the encodings, latent weights,
-class hypervectors and per-epoch history must equal those of the dense
-per-feature loop and the pre-change step in ``tests/reference.py``.  Each
-configuration also checks that its reference gradients really contained
-subnormals, so the flush is exercised, not bypassed.
+subnormal gradient entries, the backward pass no longer computes the input
+gradient or pushes it through dropout, and the trainer keeps its split in
+int8 with ``Dropout`` writing each masked batch in float32.  None of that may
+move a bit of the result: on seeded Table 2 configurations the encodings,
+latent weights, class hypervectors and per-epoch history must equal those of
+the dense per-feature loop and the pre-change step in ``tests/reference.py``
+run on a float32 copy of the split.  The one intended change, the 16-bit
+dropout mask, is swapped for the pre-change float64 draw on the fast side;
+everything else runs as shipped.  Each configuration also checks that its
+reference gradients really contained subnormals, so the flush is exercised,
+not bypassed.
 """
 
 import numpy as np
@@ -17,8 +21,11 @@ import repro.core.bnn_model as bnn_model
 from reference import (
     count_subnormals,
     dense_record_accumulate,
+    float64_keep_mask,
     reference_bnn_backward,
     reference_cross_entropy,
+    reference_dropout_backward,
+    reference_dropout_forward,
 )
 from repro.core.configs import PAPER_CONFIGS
 from repro.core.lehdc import LeHDCClassifier
@@ -67,7 +74,12 @@ def test_fit_matches_pre_change_step(name, monkeypatch):
     hypervectors, dense_hypervectors, labels = encode(dataset, profile, dimension, seed)
     np.testing.assert_array_equal(hypervectors, dense_hypervectors)
 
-    fitted = LeHDCClassifier(config, seed=seed).fit(hypervectors, labels, epochs=epochs)
+    assert hypervectors.dtype == np.int8
+    with monkeypatch.context() as patch:
+        patch.setattr(Dropout, "_draw_keep_mask", float64_keep_mask)
+        fitted = LeHDCClassifier(config, seed=seed).fit(
+            hypervectors, labels, epochs=epochs
+        )
 
     subnormals = []
 
@@ -78,8 +90,10 @@ def test_fit_matches_pre_change_step(name, monkeypatch):
 
     monkeypatch.setattr(bnn_model, "cross_entropy_from_logits", counting_cross_entropy)
     monkeypatch.setattr(bnn_model.SingleLayerBNN, "backward", reference_bnn_backward)
+    monkeypatch.setattr(Dropout, "forward", reference_dropout_forward)
+    monkeypatch.setattr(Dropout, "backward", reference_dropout_backward)
     reference = LeHDCClassifier(config, seed=seed).fit(
-        dense_hypervectors, labels, epochs=epochs
+        dense_hypervectors.astype(np.float32), labels, epochs=epochs
     )
 
     assert sum(subnormals) > 0, "the reference gradients held no subnormals"

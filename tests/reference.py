@@ -10,16 +10,26 @@
   binary weights, and ``Dropout.backward`` on the result.  Patch them over
   ``repro.core.bnn_model.cross_entropy_from_logits`` and
   ``SingleLayerBNN.backward`` to train with the pre-change step.
+* :func:`reference_dropout_forward` / :func:`reference_dropout_backward` —
+  ``Dropout`` before the 16-bit mask: one float64 uniform per entry and a
+  float mask multiplied over a float split.  :func:`float64_keep_mask` is
+  that draw alone, to patch over ``Dropout._draw_keep_mask`` so the int8
+  path replays the pre-change stream.
+* :func:`reference_sign_with_ties` — ``sign_with_ties`` before the one-pass
+  int8 rewrite: an int64 ``np.where``, a cast, and ties patched through a
+  boolean mask.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.hdc.hypervector import BIPOLAR_DTYPE
 from repro.kernels.linear import as_float, matmul
 from repro.nn.losses import one_hot, softmax
+from repro.utils.rng import ensure_rng
 
 
 def dense_record_accumulate(
@@ -72,6 +82,54 @@ def reference_bnn_backward(model, grad_output: np.ndarray) -> np.ndarray:
     return model.dropout.backward(grad_input)
 
 
+def reference_dropout_forward(self, inputs: np.ndarray) -> np.ndarray:
+    """``Dropout.forward`` with a float64 uniform draw per entry."""
+    inputs = as_float(inputs)
+    if not self.training or self.rate == 0.0:
+        self._cached_mask = None
+        return inputs
+    keep_probability = 1.0 - self.rate
+    mask = self._rng.random(inputs.shape) < keep_probability
+    self._cached_mask = mask.astype(inputs.dtype) / inputs.dtype.type(
+        keep_probability
+    )
+    return inputs * self._cached_mask
+
+
+def reference_dropout_backward(self, grad_output: np.ndarray) -> np.ndarray:
+    """``Dropout.backward`` over the scaled float mask of :func:`reference_dropout_forward`."""
+    grad_output = as_float(grad_output)
+    if self._cached_mask is None:
+        return grad_output
+    return grad_output * self._cached_mask
+
+
+def float64_keep_mask(self, shape) -> np.ndarray:
+    """The pre-change keep mask alone, as a ``Dropout._draw_keep_mask``."""
+    return self._rng.random(shape) < 1.0 - self.rate
+
+
+def reference_sign_with_ties(
+    values: np.ndarray,
+    rng: Optional[np.random.Generator] = None,
+    tie_break: str = "random",
+) -> np.ndarray:
+    """``sign_with_ties`` through ``np.where`` and a boolean tie patch."""
+    values = np.asarray(values)
+    result = np.where(values > 0, 1, -1).astype(BIPOLAR_DTYPE)
+    zeros = values == 0
+    if np.any(zeros):
+        if tie_break == "random":
+            rng = ensure_rng(rng)
+            random_signs = (
+                2 * rng.integers(0, 2, size=int(zeros.sum()), dtype=np.int8) - 1
+            )
+            result[zeros] = random_signs
+        else:
+            result[zeros] = 1
+    return result
+
+
 def count_subnormals(array: np.ndarray) -> int:
     """Number of non-zero entries below the dtype's smallest normal magnitude."""
     magnitude = np.abs(array)
@@ -82,6 +140,10 @@ __all__ = [
     "count_subnormals",
     "dense_ngram_accumulate",
     "dense_record_accumulate",
+    "float64_keep_mask",
     "reference_bnn_backward",
     "reference_cross_entropy",
+    "reference_dropout_backward",
+    "reference_dropout_forward",
+    "reference_sign_with_ties",
 ]

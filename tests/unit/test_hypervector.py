@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import reference_sign_with_ties
 from repro.hdc.hypervector import (
     BIPOLAR_DTYPE,
     bind,
@@ -62,6 +63,27 @@ class TestSignWithTies:
 
     def test_output_dtype(self):
         assert sign_with_ties(np.array([1.5, -0.2])).dtype == BIPOLAR_DTYPE
+
+    @pytest.mark.parametrize("tie_break", ["random", "positive"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(20).integers(-3, 4, size=(256, 4000), dtype=np.int32),
+            np.random.default_rng(21).integers(-2, 3, size=(5, 7)).astype(np.float64),
+            np.array([0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan]),
+            np.array(0, dtype=np.int32),
+            np.array([3, -1, 2], dtype=np.int32),
+        ],
+        ids=["int32-block", "float64", "float-edges", "scalar-zero", "no-zeros"],
+    )
+    def test_matches_reference_bytes_and_rng_state(self, values, tie_break):
+        rng, reference_rng = np.random.default_rng(22), np.random.default_rng(22)
+        result = sign_with_ties(values, rng=rng, tie_break=tie_break)
+        expected = reference_sign_with_ties(values, rng=reference_rng, tie_break=tie_break)
+        assert result.dtype == expected.dtype == BIPOLAR_DTYPE
+        assert result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestBind:

@@ -5,9 +5,12 @@ import pytest
 
 from repro.core.bnn_model import BNNTrainer, SingleLayerBNN
 from repro.core.configs import DEFAULT_CONFIG
+from repro.core.nonbinary_lehdc import NonBinaryLeHDCClassifier
 from repro.kernels.dispatch import use_backend, use_float_dtype
 from repro.kernels.linear import as_float, matmul, sign_bipolar
+from repro.nn.layers import Linear
 from repro.nn.losses import cross_entropy_from_logits, one_hot, softmax
+from repro.nn.optim import Adam
 
 
 class TestAsFloat:
@@ -109,6 +112,36 @@ class TestNoSilentUpcastsDuringTraining:
             ):
                 for moment in moment_store.values():
                     assert moment.dtype == policy
+
+    @pytest.mark.parametrize("policy", [np.float32, np.float64])
+    def test_nonbinary_training_stays_in_policy_dtype(self, policy, monkeypatch):
+        """The non-binary trainer hands the int8 split to Dropout, like BNNTrainer."""
+        seen = []
+        forward = Linear.forward
+        compute_update = Adam._compute_update
+
+        def spy_forward(self, inputs):
+            seen.append(("input", inputs.dtype))
+            return forward(self, inputs)
+
+        def spy_update(self, parameter, grad):
+            seen.append(("grad", grad.dtype))
+            update = compute_update(self, parameter, grad)
+            seen.append(("moment", self._first_moment[id(parameter)].dtype))
+            seen.append(("moment", self._second_moment[id(parameter)].dtype))
+            return update
+
+        monkeypatch.setattr(Linear, "forward", spy_forward)
+        monkeypatch.setattr(Adam, "_compute_update", spy_update)
+        with use_float_dtype(policy):
+            rng = np.random.default_rng(4)
+            hypervectors = rng.integers(0, 2, size=(48, 128)).astype(np.int8) * 2 - 1
+            labels = rng.integers(0, 4, size=48)
+            config = DEFAULT_CONFIG.with_overrides(epochs=2, batch_size=16)
+            classifier = NonBinaryLeHDCClassifier(config, seed=0).fit(hypervectors, labels)
+        assert classifier.nonbinary_class_hypervectors_.dtype == policy
+        assert {kind for kind, _ in seen} == {"input", "grad", "moment"}
+        assert {dtype for _, dtype in seen} == {np.dtype(policy)}
 
     def test_float64_hypervectors_are_not_downcast(self):
         """Pre-cast float64 inputs keep their precision (no silent down-cast)."""

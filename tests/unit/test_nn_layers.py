@@ -174,6 +174,57 @@ class TestDropout:
         with pytest.raises(ValueError):
             Dropout(-0.1)
 
+    def test_rate_whose_keep_count_rounds_to_zero_is_rejected(self):
+        assert Dropout(1.0 - 2.0**-16).keep_count == 1
+        with pytest.raises(ValueError, match="keeps no entry"):
+            Dropout(1.0 - 2.0**-18)
+
+    def test_same_seed_same_mask(self):
+        inputs = np.ones((33, 71), dtype=np.int8)
+        first = Dropout(0.3, seed=9).forward(inputs)
+        np.testing.assert_array_equal(first, Dropout(0.3, seed=9).forward(inputs))
+        assert not np.array_equal(first, Dropout(0.3, seed=10).forward(inputs))
+
+    @pytest.mark.parametrize("rate", [0.3, 0.5])
+    def test_kept_fraction_matches_the_16_bit_threshold(self, rate):
+        layer = Dropout(rate, seed=11)
+        assert layer.keep_count == round((1.0 - rate) * 65536)
+        probability = layer.keep_count / 65536
+        inputs = np.ones((1000, 1000), dtype=np.int8)
+        draws = 10
+        kept = sum(int(np.count_nonzero(layer.forward(inputs))) for _ in range(draws))
+        entries = draws * inputs.size
+        sigma = np.sqrt(entries * probability * (1.0 - probability))
+        assert abs(kept - entries * probability) <= 5 * sigma
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 3, 3), (5, 4001)])
+    def test_sizes_not_a_multiple_of_four(self, shape):
+        layer = Dropout(0.5, seed=12)
+        outputs = layer.forward(np.ones(shape, dtype=np.int8))
+        assert outputs.shape == shape
+        assert set(np.unique(outputs)) <= {0.0, 2.0}
+
+    def test_int8_input_matches_float32_input(self):
+        bipolar = np.where(np.random.default_rng(13).random((17, 203)) < 0.5, 1, -1)
+        from_int8 = Dropout(0.3, seed=14).forward(bipolar.astype(np.int8))
+        from_float32 = Dropout(0.3, seed=14).forward(bipolar.astype(np.float32))
+        assert from_int8.dtype == np.float32 and from_float32.dtype == np.float32
+        np.testing.assert_array_equal(from_int8 == 0, from_float32 == 0)
+        np.testing.assert_array_equal(from_int8, from_float32)
+
+    def test_float64_input_stays_float64(self):
+        outputs = Dropout(0.3, seed=15).forward(np.ones((4, 9), dtype=np.float64))
+        assert outputs.dtype == np.float64
+        assert set(np.unique(outputs)) <= {0.0, 1.0 / 0.7}
+
+    @pytest.mark.parametrize("size", [1, 4, 5, 1023, 256 * 4000])
+    def test_draws_one_uint64_per_four_entries(self, size):
+        layer = Dropout(0.3, seed=16)
+        layer.forward(np.ones(size, dtype=np.int8))
+        replay = np.random.default_rng(16)
+        replay.bit_generator.random_raw(-(-size // 4))
+        assert layer._rng.bit_generator.state == replay.bit_generator.state
+
 
 class TestSequential:
     def test_forward_backward_chain(self):
