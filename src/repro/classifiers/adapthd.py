@@ -47,7 +47,6 @@ class AdaptHDC(RetrainingHDC):
         mode: str = "data",
         epsilon: float = 1e-4,
         shuffle: bool = True,
-        packed_epochs: bool = True,
         tie_break: str = "random",
         seed: SeedLike = None,
     ):
@@ -59,7 +58,6 @@ class AdaptHDC(RetrainingHDC):
             first_iteration_learning_rate=max_learning_rate,
             epsilon=epsilon,
             shuffle=shuffle,
-            packed_epochs=packed_epochs,
             tie_break=tie_break,
             seed=seed,
         )
@@ -85,36 +83,13 @@ class AdaptHDC(RetrainingHDC):
         )
         return result
 
-    def _update(
-        self,
-        nonbinary: np.ndarray,
-        sample: np.ndarray,
-        true_label: int,
-        predicted: int,
-        alpha: float,
-        scores: np.ndarray,
-    ) -> None:
-        if self.mode == "iteration":
-            # Track a running error estimate within the pass and scale by it.
-            if self.history_ is not None and self.history_.train_accuracy:
-                self._current_error_rate = 1.0 - self.history_.train_accuracy[-1]
-            rate = self.max_learning_rate * max(self._current_error_rate, 0.05)
-        else:
-            dimension = sample.shape[0]
-            # Similarity gap between the winning wrong class and the true class,
-            # normalised to [0, 1]; larger gap -> larger corrective step.
-            gap = (scores[predicted] - scores[true_label]) / (2.0 * dimension)
-            rate = self.max_learning_rate * float(np.clip(gap * 2.0 + 0.1, 0.05, 1.0))
-        nonbinary[true_label] += rate * sample
-        nonbinary[predicted] -= rate * sample
-
     def _epoch_updates(self, scores, labels, predicted, visit, alpha, dimension):
-        """Vectorised :meth:`_update`: per-sample adaptive rates for one pass.
+        """Per-sample adaptive rates for one pass.
 
         Both rate rules are pass-constant or depend only on the (fixed)
-        epoch scores, so the per-sample rates vectorise exactly; the update
-        layout mirrors the base class (``+rate`` true, ``-rate`` predicted,
-        in visit order).
+        epoch scores, so the seed's per-sample rates vectorise exactly; the
+        update layout mirrors the base class (``+rate`` true, ``-rate``
+        predicted, in visit order).
         """
         if self.mode == "iteration":
             # The error estimate is frozen within a pass (the history only

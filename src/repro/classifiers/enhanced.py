@@ -26,43 +26,17 @@ from repro.classifiers.retraining import RetrainingHDC
 class EnhancedRetrainingHDC(RetrainingHDC):
     """Retraining with multi-class updates scaled by the similarity error."""
 
-    def _update(
-        self,
-        nonbinary: np.ndarray,
-        sample: np.ndarray,
-        true_label: int,
-        predicted: int,
-        alpha: float,
-        scores: np.ndarray,
-    ) -> None:
-        dimension = sample.shape[0]
-        # Convert dot-product scores to normalised Hamming distances:
-        # hamming = (D - dot) / (2 D).
-        distances = (dimension - scores) / (2.0 * dimension)
-        true_distance = distances[true_label]
-
-        # Ideal distance to the true class is 0; scale its pull by how far we are.
-        nonbinary[true_label] += alpha * true_distance * 2.0 * sample
-
-        # Every wrong class at least as similar as the true class gets pushed
-        # away, scaled by how much closer than the ideal 0.5 it sits.
-        closer_wrong = np.flatnonzero(distances <= true_distance)
-        for wrong_label in closer_wrong:
-            if wrong_label == true_label:
-                continue
-            shortfall = 0.5 - distances[wrong_label]
-            if shortfall <= 0:
-                continue
-            nonbinary[wrong_label] -= alpha * shortfall * 2.0 * sample
-
     def _epoch_updates(self, scores, labels, predicted, visit, alpha, dimension):
-        """Vectorised :meth:`_update`: multi-class pushes for one whole pass.
+        """Multi-class pushes scaled by the similarity error, for one whole pass.
 
-        Per misclassified sample the sequential loop applies the true-class
-        pull first, then one push per closer-than-true wrong class in
-        ascending class order.  The flattened update list reproduces that
-        order exactly: per sample a slot for the pull followed by its pushes
-        (``np.nonzero`` on the per-sample mask is class-ascending already).
+        Per misclassified sample the true class is pulled by
+        ``alpha * 2 * d_true`` (``d`` the normalised Hamming distance, ideal
+        0), then every other class with ``d <= d_true`` and ``d < 0.5`` is
+        pushed by ``alpha * 2 * (0.5 - d)``, in ascending class order — the
+        order the seed's per-sample loop applied them.  The flattened update
+        list reproduces it exactly: per sample a slot for the pull followed
+        by its pushes (``np.nonzero`` on the per-sample mask is
+        class-ascending already).
         """
         count = visit.size
         true_labels = labels[visit]

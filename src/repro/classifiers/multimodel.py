@@ -15,17 +15,16 @@ behaviours this implementation reproduces:
   ensemble can do *worse* than the plain baseline (Table 1's CIFAR-10 and
   ISOLET rows), because each sub-model sees too few updates.
 
-Training and inference are *packed-native* by default, matching SearcHD's own
-pitch that binary models exist so hardware can run XOR+popcount instead of
-GEMMs:
+Training and inference are *packed-native*, matching SearcHD's own pitch that
+binary models exist so hardware can run XOR+popcount instead of GEMMs:
 
 * ``fit`` scores the whole packed training set against the packed model bank
-  once per pass and replays the sequential stochastic updates on an
+  once and replays the sequential stochastic updates on an
   incrementally-maintained score matrix
   (:class:`~repro.kernels.train.EnsembleScoreboard`) — bit-identical to the
   seed per-sample loop (same models, same RNG stream, both ``push_away``
-  settings), which stays available as ``packed_epochs=False`` and as the
-  automatic fallback for non-bipolar inputs;
+  settings), which ``tests/reference.py`` keeps as the reference.  Training
+  input must be bipolar, entries in ``{+1, -1}``;
 * ``decision_scores_packed`` scores packed queries against the flat packed
   model bank (blocked XOR+popcount) and takes the max over each class's
   sub-models, so the serving engine and the experiment loops' shared packed
@@ -42,7 +41,6 @@ import numpy as np
 from repro.classifiers.base import HDCClassifierBase
 from repro.classifiers.retraining import RetrainingHistory
 from repro.hdc.hypervector import BIPOLAR_DTYPE, random_hypervectors, sign_with_ties
-from repro.kernels.linear import matmul
 from repro.kernels.packed import PackedHypervectors, pack_bipolar, packed_dot_scores
 from repro.kernels.train import EnsembleScoreboard, PackedTrainingSet, unpack_bit_rows
 from repro.utils.rng import SeedLike
@@ -68,12 +66,6 @@ class MultiModelHDC(HDCClassifierBase):
         every sub-model toward noise, whereas the pull-only update keeps the
         ensemble's mixed behaviour reported in Table 1 (sometimes above,
         sometimes below the baseline).
-    packed_epochs:
-        Train on the packed incremental-scoring path (default).  The packed
-        path is bit-identical to the seed per-sample loop — same
-        ``model_hypervectors_``, same RNG stream — which remains available
-        by passing ``False`` (benchmarking, regression comparison) and is
-        taken automatically for non-bipolar inputs.
     seed:
         Seed or generator for initialisation and stochastic flips.
 
@@ -86,8 +78,7 @@ class MultiModelHDC(HDCClassifierBase):
         per-pass training accuracy (fraction of samples already classified
         correctly at visit time), the per-pass update volume (flipped bits
         as a fraction of all ``K * N * D`` model bits), and per-pass wall
-        seconds — identical between the packed and sequential paths except
-        for ``iteration_seconds``.
+        seconds.
     """
 
     def __init__(
@@ -96,7 +87,6 @@ class MultiModelHDC(HDCClassifierBase):
         iterations: int = 10,
         flip_fraction: float = 0.02,
         push_away: bool = False,
-        packed_epochs: bool = True,
         seed: SeedLike = None,
     ):
         super().__init__(seed=seed)
@@ -106,7 +96,6 @@ class MultiModelHDC(HDCClassifierBase):
         if self.flip_fraction == 0.0:
             raise ValueError("flip_fraction must be > 0 for training to make progress")
         self.push_away = bool(push_away)
-        self.packed_epochs = bool(packed_epochs)
         self.model_hypervectors_: Optional[np.ndarray] = None
         self.history_: Optional[RetrainingHistory] = None
         #: (source bank, value) caches keyed on ``model_hypervectors_`` identity.
@@ -128,35 +117,25 @@ class MultiModelHDC(HDCClassifierBase):
 
         ``packed_train`` supplies a pre-packed copy of ``hypervectors`` so
         experiment loops can encode + pack each split once and share it
-        across strategies; when omitted, the packed copy is built here
-        (bipolar input only — anything else falls back to the seed loop).
+        across strategies; when omitted, the packed copy is built here.
+        ``hypervectors`` must be bipolar (entries in ``{+1, -1}``); anything
+        else raises ``ValueError``.
         """
         hypervectors, labels, num_classes = self._validate_fit_inputs(
             hypervectors, labels
         )
         train_set = self._resolve_training_set(hypervectors, packed_train)
-        if train_set is not None:
-            return self._fit_packed(train_set, labels, num_classes)
-        return self._fit_sequential(hypervectors, labels, num_classes)
+        return self._fit_packed(train_set, labels, num_classes)
 
     def _resolve_training_set(
         self,
         hypervectors: np.ndarray,
         packed_train: Optional[PackedTrainingSet],
-    ) -> Optional[PackedTrainingSet]:
-        """Validate a supplied packed copy, or build one for bipolar input.
-
-        ``packed_epochs=False`` wins over a supplied ``packed_train``: the
-        flag's contract is "run the sequential loop", even under experiment
-        loops that hand every strategy the shared packed set.
-        """
+    ) -> PackedTrainingSet:
+        """Validate a supplied packed copy, or pack *hypervectors* (bipolar only)."""
         if packed_train is not None:
-            packed_train.require_matches(hypervectors)
-        if not self.packed_epochs:
-            return None
-        if packed_train is not None:
-            return packed_train
-        return PackedTrainingSet.try_from_dense(hypervectors)
+            return packed_train.require_matches(hypervectors)
+        return PackedTrainingSet.from_dense(hypervectors)
 
     # ----------------------------------------------------------- packed fit
     def _fit_packed(
@@ -167,7 +146,7 @@ class MultiModelHDC(HDCClassifierBase):
     ) -> "MultiModelHDC":
         """Score-once + incremental column updates over packed words.
 
-        Bit-identical to :meth:`_fit_sequential`: the scoreboard's visit-time
+        Bit-identical to the seed's per-sample loop: the scoreboard's visit-time
         rows equal the dense per-sample products exactly (integer XOR+popcount
         arithmetic), the flip selection runs on the same dense rows through
         the same RNG calls, and a flip patches exactly the one score column
@@ -237,7 +216,7 @@ class MultiModelHDC(HDCClassifierBase):
     ) -> np.ndarray:
         """Bootstrap-bundle the sub-models over packed words.
 
-        Identical draws to :meth:`_initialise_models`: the per-model
+        Identical draws to the seed's dense bootstrap: the per-model
         ``rng.choice`` and the ``sgn(0)`` tie draws must interleave exactly
         as in the seed loop (choice then sign, model by model — a later
         choice depends on an earlier sign's draws), so bundling cannot batch
@@ -271,101 +250,12 @@ class MultiModelHDC(HDCClassifierBase):
                 )
         return models
 
-    # ------------------------------------------------------- sequential fit
-    def _fit_sequential(
-        self, hypervectors: np.ndarray, labels: np.ndarray, num_classes: int
-    ) -> "MultiModelHDC":
-        """The seed's per-sample loop: one dense model-bank matmul per sample."""
-        dimension = hypervectors.shape[1]
-        models = self._initialise_models(hypervectors, labels, num_classes, dimension)
-
-        samples = hypervectors.astype(np.int8)
-        num_samples = samples.shape[0]
-        history = RetrainingHistory()
-        self.history_ = history
-        for _ in range(self.iterations):
-            started = time.perf_counter()
-            order = self.rng.permutation(num_samples)
-            correct = 0
-            flipped_bits = 0
-            for index in order:
-                sample = samples[index]
-                true_label = labels[index]
-                flat = models.reshape(-1, dimension)
-                scores = flat.astype(np.int32) @ sample.astype(np.int32)
-                best = int(np.argmax(scores))
-                predicted = best // self.models_per_class
-                if predicted == true_label:
-                    correct += 1
-                    continue
-                # Pull the closest sub-model of the true class toward the sample
-                # and push the winning wrong sub-model away, each by flipping a
-                # random subset of disagreeing/agreeing bits.
-                true_scores = scores[
-                    true_label
-                    * self.models_per_class : (true_label + 1)
-                    * self.models_per_class
-                ]
-                target = int(np.argmax(true_scores))
-                chosen = self._flip_toward(models[true_label, target], sample)
-                if chosen is not None:
-                    flipped_bits += chosen.size
-                if self.push_away:
-                    chosen = self._flip_away(
-                        models[predicted, best % self.models_per_class], sample
-                    )
-                    if chosen is not None:
-                        flipped_bits += chosen.size
-            self._record_pass(
-                history,
-                correct,
-                num_samples,
-                flipped_bits,
-                num_classes * self.models_per_class * dimension,
-                started,
-            )
-
-        return self._publish_models(models, num_classes)
-
-    def _initialise_models(
-        self,
-        hypervectors: np.ndarray,
-        labels: np.ndarray,
-        num_classes: int,
-        dimension: int,
-    ) -> np.ndarray:
-        """Seed each sub-model by bundling a bootstrap subset of its class.
-
-        SearcHD starts its per-class models from stochastic combinations of the
-        class's encoded samples rather than pure noise; bootstrapping a random
-        half of the class per sub-model reproduces that behaviour and gives the
-        ensemble diversity without requiring many refinement passes.  Classes
-        with no samples (possible only with malformed labels) fall back to a
-        random hypervector.
-        """
-        from repro.hdc.hypervector import bundle
-
-        models = random_hypervectors(
-            num_classes * self.models_per_class, dimension, seed=self.rng
-        ).reshape(num_classes, self.models_per_class, dimension)
-        for class_index in range(num_classes):
-            member_indices = np.flatnonzero(labels == class_index)
-            if member_indices.size == 0:
-                continue
-            subset_size = max(1, member_indices.size // 2)
-            for model_index in range(self.models_per_class):
-                chosen = self.rng.choice(member_indices, size=subset_size, replace=True)
-                models[class_index, model_index] = bundle(
-                    hypervectors[chosen], rng=self.rng
-                )
-        return models
-
     # ------------------------------------------------------- shared helpers
     def _flip_toward(self, model: np.ndarray, sample: np.ndarray) -> Optional[np.ndarray]:
         """Flip a random subset of disagreeing bits toward *sample* in place.
 
         Returns the flipped positions (every chosen bit changes, since it
-        disagreed) so the packed path can patch its score column, or ``None``
+        disagreed) so the scoreboard can patch its score column, or ``None``
         when the model already matches the sample (no RNG consumed).
         """
         disagree = np.flatnonzero(model != sample)
@@ -395,13 +285,11 @@ class MultiModelHDC(HDCClassifierBase):
         total_model_bits: int,
         started: float,
     ) -> None:
-        """Append one pass to the history (same fields on both fit paths).
+        """Append one pass to the history.
 
         ``update_fraction`` is the pass's update *volume* — bits flipped as a
         fraction of all ``K * N * D`` model bits (a bit flipped twice counts
         twice), the ensemble analogue of retraining's flipped-bit fraction.
-        Everything except ``iteration_seconds`` is derived from quantities
-        the packed and sequential paths compute identically.
         """
         history.train_accuracy.append(correct / num_samples)
         history.update_fraction.append(flipped_bits / float(total_model_bits))
@@ -426,10 +314,10 @@ class MultiModelHDC(HDCClassifierBase):
     def decision_scores(self, hypervectors: np.ndarray) -> np.ndarray:
         """Best sub-model similarity per class (max over the ensemble).
 
-        Scores in int32 through the kernel matmul (|dot| <= D fits easily):
-        the seed implementation re-cast the whole model bank *and* the
-        queries to int64 on every call, doubling the memory traffic of the
-        dense path for no extra range.
+        Scores in int32 (|dot| <= D fits easily): the seed implementation
+        re-cast the whole model bank *and* the queries to int64 on every
+        call, doubling the memory traffic of the dense path for no extra
+        range.
         """
         check_fitted(self, "model_hypervectors_")
         hypervectors = check_matrix(
@@ -438,9 +326,7 @@ class MultiModelHDC(HDCClassifierBase):
             n_columns=self.model_hypervectors_.shape[2],
         )
         num_classes, models_per_class, _ = self.model_hypervectors_.shape
-        scores = matmul(
-            hypervectors.astype(np.int32, copy=False), self._score_bank()
-        )
+        scores = hypervectors.astype(np.int32, copy=False) @ self._score_bank()
         scores = scores.reshape(hypervectors.shape[0], num_classes, models_per_class)
         return scores.max(axis=2)
 

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.linear import matmul
 from repro.utils.validation import check_fitted, check_labels, check_matrix
 
 
@@ -58,7 +57,7 @@ class NearestCentroidClassifier:
         if self.metric == "euclidean":
             # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the ||x||^2 term is
             # constant per sample and can be dropped from the argmin.
-            cross = matmul(features, self.centroids_.T)
+            cross = features @ self.centroids_.T
             centroid_norms = (self.centroids_**2).sum(axis=1)
             distances = centroid_norms[None, :] - 2.0 * cross
             return np.argmin(distances, axis=1)
@@ -66,9 +65,7 @@ class NearestCentroidClassifier:
         centroid_norms = np.linalg.norm(self.centroids_, axis=1, keepdims=True).T
         feature_norms[feature_norms == 0] = 1.0
         centroid_norms[centroid_norms == 0] = 1.0
-        similarities = matmul(features, self.centroids_.T) / (
-            feature_norms * centroid_norms
-        )
+        similarities = (features @ self.centroids_.T) / (feature_norms * centroid_norms)
         return np.argmax(similarities, axis=1)
 
     def score(self, features: np.ndarray, labels: np.ndarray) -> float:

@@ -12,18 +12,18 @@ The paper's evaluation uses ``alpha = 1.5`` on the first iteration and
 ``alpha = 0.05`` afterwards, with 150 iterations (Sec. 5); those are the
 defaults here.
 
-Training is *packed-native* by default: because the binary class
-hypervectors are fixed within a pass and the accumulator updates are
-additive, each epoch is one blocked XOR+popcount scoring of the whole packed
-training set (:func:`repro.kernels.train.score_epoch`) followed by an
-ordered scatter-add of the misclassified samples' updates
+Training is *packed-native*: because the binary class hypervectors are
+fixed within a pass and the accumulator updates are additive, each epoch is
+one blocked XOR+popcount scoring of the whole packed training set
+(:func:`repro.kernels.train.score_epoch`) followed by an ordered scatter-add
+of the misclassified samples' updates
 (:func:`repro.kernels.train.apply_class_updates`).  The update order — and
 therefore every float rounding and every ``sgn(0)`` tie-break draw — matches
-the sequential loop exactly, so the packed path produces bit-identical
-models and :class:`RetrainingHistory` for *any* ``shuffle`` setting; the
-sequential loop is kept for non-bipolar inputs and for subclasses that
-override :meth:`RetrainingHDC._update` without providing the vectorised
-:meth:`RetrainingHDC._epoch_updates` counterpart.
+the seed's sequential per-sample loop exactly, so training produces the
+same models and :class:`RetrainingHistory` bit for bit for *any* ``shuffle``
+setting (the seed loop is kept in ``tests/reference.py`` as the reference).
+Training input must be bipolar, entries in ``{+1, -1}``; an encoder's
+output always is.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.classifiers.base import HDCClassifierBase
 from repro.classifiers.baseline import BaselineHDC
-from repro.hdc.hypervector import BIPOLAR_DTYPE, sign_with_ties
 from repro.kernels.packed import (
     pack_bipolar,
     pack_bits,
@@ -63,7 +62,7 @@ class RetrainingHistory:
     test_accuracy: List[float] = field(default_factory=list)
     #: Wall-clock seconds per retraining iteration (scoring + updates +
     #: re-sign + optional validation scoring); powers the timing columns of
-    #: ``benchmarks/bench_fig3_retraining.py`` and ``repro bench-train``.
+    #: ``benchmarks/bench_fig3_retraining.py``.
     iteration_seconds: List[float] = field(default_factory=list)
 
     @property
@@ -89,11 +88,6 @@ class RetrainingHDC(HDCClassifierBase):
     shuffle:
         Whether to visit training samples in a fresh random order each pass
         (the update is sequential, so order matters).
-    packed_epochs:
-        Run each retraining pass on the packed kernels (default).  The packed
-        path is bit-identical to the sequential loop; disabling it forces the
-        seed's per-sample loop, which only remains useful for benchmarking
-        and for regression comparison.
     tie_break, seed:
         As in :class:`~repro.classifiers.baseline.BaselineHDC`.
     """
@@ -105,7 +99,6 @@ class RetrainingHDC(HDCClassifierBase):
         first_iteration_learning_rate: float = 1.5,
         epsilon: float = 1e-4,
         shuffle: bool = True,
-        packed_epochs: bool = True,
         tie_break: str = "random",
         seed: SeedLike = None,
     ):
@@ -119,7 +112,6 @@ class RetrainingHDC(HDCClassifierBase):
         self.first_iteration_learning_rate = float(first_iteration_learning_rate)
         self.epsilon = float(epsilon)
         self.shuffle = bool(shuffle)
-        self.packed_epochs = bool(packed_epochs)
         self.tie_break = tie_break
         self.history_: Optional[RetrainingHistory] = None
         self.nonbinary_class_hypervectors_: Optional[np.ndarray] = None
@@ -145,7 +137,9 @@ class RetrainingHDC(HDCClassifierBase):
         pre-packed copy of ``hypervectors`` (see
         :class:`~repro.kernels.train.PackedTrainingSet`) so experiment loops
         can encode + pack once and share the result across strategies; when
-        omitted, the packed copy is built here.
+        omitted, the packed copy is built here.  ``hypervectors`` must be
+        bipolar (entries in ``{+1, -1}``); anything else raises
+        ``ValueError``.
         """
         hypervectors, labels, num_classes = self._validate_fit_inputs(
             hypervectors, labels
@@ -165,17 +159,13 @@ class RetrainingHDC(HDCClassifierBase):
             )
 
         train_set = self._resolve_training_set(hypervectors, packed_train)
-        if train_set is not None and self._has_vectorised_updates():
-            return self._fit_packed(
-                train_set,
-                hypervectors,
-                labels,
-                num_classes,
-                validation_hypervectors,
-                validation_labels,
-            )
-        return self._fit_sequential(
-            hypervectors, labels, num_classes, validation_hypervectors, validation_labels
+        return self._fit_packed(
+            train_set,
+            hypervectors,
+            labels,
+            num_classes,
+            validation_hypervectors,
+            validation_labels,
         )
 
     # ----------------------------------------------------------- packed fit
@@ -190,7 +180,7 @@ class RetrainingHDC(HDCClassifierBase):
     ) -> "RetrainingHDC":
         """One blocked scoring + ordered scatter-add per pass over packed words.
 
-        Bit-identical to :meth:`_fit_sequential`: the epoch scores are the
+        Bit-identical to the seed's per-sample loop: the epoch scores are the
         same integers, the accumulator updates land in the same order, and
         the re-sign consumes the RNG identically (``sign_fuse_bits`` mirrors
         ``sign_with_ties`` draw for draw).
@@ -274,117 +264,13 @@ class RetrainingHDC(HDCClassifierBase):
         self,
         hypervectors: np.ndarray,
         packed_train: Optional[PackedTrainingSet],
-    ) -> Optional[PackedTrainingSet]:
-        """Validate a supplied packed copy, or build one for bipolar input.
-
-        ``packed_epochs=False`` wins over a supplied ``packed_train``: the
-        flag's contract is "run the sequential loop", even under experiment
-        loops that hand every strategy the shared packed set.
-        """
+    ) -> PackedTrainingSet:
+        """Validate a supplied packed copy, or pack *hypervectors* (bipolar only)."""
         if packed_train is not None:
-            packed_train.require_matches(hypervectors)
-        if not self.packed_epochs:
-            return None
-        if packed_train is not None:
-            return packed_train
-        return PackedTrainingSet.try_from_dense(hypervectors)
-
-    def _has_vectorised_updates(self) -> bool:
-        """Whether this (sub)class's update rule has a vectorised counterpart.
-
-        Walks the MRO for the most-derived class that defines either
-        :meth:`_update` or :meth:`_epoch_updates`; the packed path is only
-        taken when the vectorised hook is at least as specific as the
-        per-sample one, so a subclass overriding ``_update`` alone keeps the
-        sequential loop (and stays correct) until it ships the vectorised
-        twin.
-        """
-        for klass in type(self).__mro__:
-            defines_update = "_update" in klass.__dict__
-            defines_epoch = "_epoch_updates" in klass.__dict__
-            if defines_update or defines_epoch:
-                return defines_epoch
-        return True  # pragma: no cover - both hooks always exist on the base
-
-    # ------------------------------------------------------- sequential fit
-    def _fit_sequential(
-        self,
-        hypervectors: np.ndarray,
-        labels: np.ndarray,
-        num_classes: int,
-        validation_hypervectors: Optional[np.ndarray],
-        validation_labels: Optional[np.ndarray],
-    ) -> "RetrainingHDC":
-        """The seed's per-sample loop: one dense cast + matvec per sample."""
-        baseline = BaselineHDC(tie_break=self.tie_break, seed=self.rng)
-        baseline.fit(hypervectors, labels)
-        nonbinary = baseline.accumulators_.astype(np.float64)
-        binary = baseline.class_hypervectors_.astype(np.int8)
-        samples = hypervectors.astype(np.float64)
-
-        history = RetrainingHistory()
-        # Expose the history while training so adaptive subclasses can read
-        # the running statistics of completed iterations.
-        self.history_ = history
-        for iteration in range(self.iterations):
-            started = time.perf_counter()
-            alpha = (
-                self.first_iteration_learning_rate
-                if iteration == 0
-                else self.learning_rate
-            )
-            order = (
-                self.rng.permutation(samples.shape[0])
-                if self.shuffle
-                else np.arange(samples.shape[0])
-            )
-            correct = 0
-            for index in order:
-                sample = samples[index]
-                true_label = labels[index]
-                scores = binary.astype(np.float64) @ sample
-                predicted = int(np.argmax(scores))
-                if predicted == true_label:
-                    correct += 1
-                    continue
-                self._update(nonbinary, sample, true_label, predicted, alpha, scores)
-            new_binary = sign_with_ties(
-                nonbinary, rng=self.rng, tie_break=self.tie_break
-            )
-            update_fraction = float(np.mean(new_binary != binary))
-            binary = new_binary
-            history.train_accuracy.append(correct / samples.shape[0])
-            history.update_fraction.append(update_fraction)
-            if validation_hypervectors is not None:
-                self.class_hypervectors_ = binary.astype(BIPOLAR_DTYPE)
-                self.num_classes_ = num_classes
-                history.test_accuracy.append(
-                    self.score(validation_hypervectors, validation_labels)
-                )
-            history.iteration_seconds.append(time.perf_counter() - started)
-            if update_fraction < self.epsilon and iteration > 0:
-                break
-
-        self.nonbinary_class_hypervectors_ = nonbinary
-        self.class_hypervectors_ = binary.astype(BIPOLAR_DTYPE)
-        self.num_classes_ = num_classes
-        self.history_ = history
-        return self
+            return packed_train.require_matches(hypervectors)
+        return PackedTrainingSet.from_dense(hypervectors)
 
     # --------------------------------------------------------------- update
-    def _update(
-        self,
-        nonbinary: np.ndarray,
-        sample: np.ndarray,
-        true_label: int,
-        predicted: int,
-        alpha: float,
-        scores: np.ndarray,
-    ) -> None:
-        """Eq. 3: push the true class toward the sample, the wrong class away."""
-        nonbinary[true_label] += alpha * sample
-        nonbinary[predicted] -= alpha * sample
-
     def _epoch_updates(
         self,
         scores: np.ndarray,
@@ -394,15 +280,13 @@ class RetrainingHDC(HDCClassifierBase):
         alpha: float,
         dimension: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`_update` for one epoch.
+        """Eq. 3 for one epoch: pull the true class, push the predicted one.
 
         Returns ``(class_indices, coefficients, sample_rows)`` describing
-        every accumulator update of the pass *in the order the sequential
-        loop applies them*: for each misclassified sample (``visit`` order),
-        ``+alpha`` into the true class then ``-alpha`` into the predicted
-        one.  Subclasses that override :meth:`_update` must override this
-        hook too (or lose the packed path; see
-        :meth:`_has_vectorised_updates`).
+        every accumulator update of the pass *in the order they are applied*:
+        for each misclassified sample (``visit`` order), ``+alpha`` into the
+        true class then ``-alpha`` into the predicted one.  This is the one
+        update hook; subclasses override it to change the update rule.
         """
         count = visit.size
         class_indices = np.empty(2 * count, dtype=np.intp)

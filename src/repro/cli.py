@@ -27,18 +27,10 @@ regenerated without writing any Python:
   ``--exemplars K`` lists the K slowest request traces by ID;
 * ``python -m repro top --url http://host:8080`` — live terminal dashboard
   over ``/v1/metrics``: per-tenant QPS/percentiles/queue depth and SLO
-  budgets; ``--once --json`` for scripts;
-* ``python -m repro bench-serve`` — the serving throughput comparison
-  (single-sample vs micro-batched, dense vs packed);
-* ``python -m repro bench-kernels`` — the kernel-layer benchmark (fused
-  encode vs the seed loop, packed XOR+popcount predict vs dense dot,
-  float32-policy training vs forced float64); ``--quick`` for CI smoke;
-* ``python -m repro bench-train`` — the packed-training benchmark
-  (retraining/AdaptHD/enhanced ``fit()`` on packed epochs vs the seed's
-  sequential loop, the SearcHD-style ensemble on incremental packed scoring
-  vs the seed's per-sample dense matmul — bit-identity including the RNG
-  stream verified first — and bundling over packed words vs dense
-  ``np.add.at``); ``--quick`` for CI smoke.
+  budgets; ``--once --json`` for scripts.
+
+Performance is measured by ``perfbench/`` (see ``BENCHMARK.json``), not by
+a CLI command.
 """
 
 from __future__ import annotations
@@ -440,70 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the view as JSON instead of the ANSI screen (CI smoke mode)",
-    )
-
-    bench_serve = subparsers.add_parser(
-        "bench-serve", help="serving throughput: single vs batched, dense vs packed"
-    )
-    bench_serve.add_argument("--dimension", type=int, default=4000)
-    bench_serve.add_argument("--features", type=int, default=64)
-    bench_serve.add_argument("--classes", type=int, default=10)
-    bench_serve.add_argument("--samples", type=int, default=256)
-    bench_serve.add_argument("--batch-size", type=int, default=64)
-    bench_serve.add_argument("--concurrency", type=int, default=8)
-    bench_serve.add_argument("--seed", type=int, default=0)
-
-    bench_kernels = subparsers.add_parser(
-        "bench-kernels",
-        help="kernel-layer benchmark: fused encode, packed predict, dtype policy",
-    )
-    bench_kernels.add_argument("--dimension", type=int, default=4000)
-    bench_kernels.add_argument("--features", type=int, default=64)
-    bench_kernels.add_argument("--num-levels", type=int, default=32)
-    bench_kernels.add_argument("--classes", type=int, default=10)
-    bench_kernels.add_argument("--samples", type=int, default=512)
-    bench_kernels.add_argument("--seed", type=int, default=0)
-    bench_kernels.add_argument(
-        "--quick", action="store_true", help="shrink sizes for a CI smoke run"
-    )
-    bench_kernels.add_argument(
-        "--json", default=None, metavar="PATH", help="also write the results as JSON"
-    )
-
-    bench_train = subparsers.add_parser(
-        "bench-train",
-        help="packed-training benchmark: retraining fit() vs the seed sequential loop",
-    )
-    bench_train.add_argument("--dimension", type=int, default=4000)
-    bench_train.add_argument("--features", type=int, default=64)
-    bench_train.add_argument("--num-levels", type=int, default=32)
-    bench_train.add_argument("--classes", type=int, default=10)
-    bench_train.add_argument("--samples", type=int, default=2000)
-    bench_train.add_argument("--iterations", type=int, default=20)
-    bench_train.add_argument(
-        "--multimodel-models-per-class",
-        type=int,
-        default=64,
-        help="ensemble sub-models per class for the multimodel case (paper: 64)",
-    )
-    bench_train.add_argument(
-        "--multimodel-samples",
-        type=int,
-        default=400,
-        help="training samples for the multimodel case (sliced from --samples)",
-    )
-    bench_train.add_argument(
-        "--multimodel-iterations",
-        type=int,
-        default=3,
-        help="stochastic training passes for the multimodel case",
-    )
-    bench_train.add_argument("--seed", type=int, default=0)
-    bench_train.add_argument(
-        "--quick", action="store_true", help="shrink sizes for a CI smoke run"
-    )
-    bench_train.add_argument(
-        "--json", default=None, metavar="PATH", help="also write the results as JSON"
     )
 
     return parser
@@ -964,82 +892,6 @@ def command_top(args) -> int:
     )
 
 
-def command_bench_serve(args) -> int:
-    from repro.serve.bench import format_benchmark_rows, run_serving_benchmark
-
-    result = run_serving_benchmark(
-        dimension=args.dimension,
-        num_features=args.features,
-        num_classes=args.classes,
-        num_samples=args.samples,
-        batch_size=args.batch_size,
-        concurrency=args.concurrency,
-        seed=args.seed,
-    )
-    config = result["config"]
-    print(
-        format_table(
-            ["mode", "samples/s", "vs single-dense"],
-            format_benchmark_rows(result),
-            title=(
-                f"Serving throughput (D={config['dimension']}, "
-                f"batch={config['batch_size']}, K={config['num_classes']})"
-            ),
-        )
-    )
-    if result["batch_size_distribution"]:
-        print(f"scheduler batch sizes: {result['batch_size_distribution']}")
-    return 0
-
-
-def command_bench_kernels(args) -> int:
-    import json
-
-    from repro.kernels.bench import format_report, run_kernel_benchmark
-
-    results = run_kernel_benchmark(
-        dimension=args.dimension,
-        num_features=args.features,
-        num_levels=args.num_levels,
-        num_classes=args.classes,
-        num_samples=args.samples,
-        seed=args.seed,
-        quick=args.quick,
-    )
-    print(format_report(results))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"results written to {args.json}")
-    return 0
-
-
-def command_bench_train(args) -> int:
-    import json
-
-    from repro.kernels.bench_train import format_training_report, run_training_benchmark
-
-    results = run_training_benchmark(
-        dimension=args.dimension,
-        num_features=args.features,
-        num_levels=args.num_levels,
-        num_classes=args.classes,
-        num_samples=args.samples,
-        iterations=args.iterations,
-        seed=args.seed,
-        quick=args.quick,
-        multimodel_models_per_class=args.multimodel_models_per_class,
-        multimodel_samples=args.multimodel_samples,
-        multimodel_iterations=args.multimodel_iterations,
-    )
-    print(format_training_report(results))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"results written to {args.json}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -1061,12 +913,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return command_trace_summary(args)
     if args.command == "top":
         return command_top(args)
-    if args.command == "bench-serve":
-        return command_bench_serve(args)
-    if args.command == "bench-kernels":
-        return command_bench_kernels(args)
-    if args.command == "bench-train":
-        return command_bench_train(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -4,10 +4,9 @@
 system competes on: bit-packed XOR+popcount scoring (:mod:`.packed`), fused
 encoder accumulation (:mod:`.encode`), packed training — centroid bundling,
 epoch scoring and ordered accumulator updates (:mod:`.train`) — and the
-float matmul/dtype policy behind the NN substrate (:mod:`.linear`).
-Implementations are published in a
-named registry with swappable backends (:mod:`.dispatch`), selected via
-``REPRO_KERNEL_BACKEND`` or :func:`~repro.kernels.dispatch.set_backend`.
+float dtype policy behind the NN substrate (:mod:`.linear`).  Each kernel is
+one plain NumPy function; the only parallelism is the BLAS library's own
+threads.
 
 Layering: :mod:`repro.hdc`, :mod:`repro.classifiers`, :mod:`repro.nn`,
 :mod:`repro.core`, :mod:`repro.eval` and :mod:`repro.serve` all call *down*
@@ -16,18 +15,6 @@ lazy encoder-type dispatch inside :func:`~repro.kernels.encode.build_accumulator
 See ``docs/architecture.md`` for the full data-flow.
 """
 
-from repro.kernels.dispatch import (
-    active_backend,
-    available_backends,
-    float_dtype,
-    get_kernel,
-    list_kernels,
-    register_kernel,
-    set_backend,
-    set_float_dtype,
-    use_backend,
-    use_float_dtype,
-)
 from repro.kernels.train import (
     EnsembleScoreboard,
     PackedTrainingSet,
@@ -42,7 +29,13 @@ from repro.kernels.encode import (
     build_accumulator,
     nested_flip_levels,
 )
-from repro.kernels.linear import as_float, matmul, sign_bipolar
+from repro.kernels.linear import (
+    as_float,
+    float_dtype,
+    set_float_dtype,
+    sign_bipolar,
+    use_float_dtype,
+)
 from repro.kernels.packed import (
     PackedHypervectors,
     bit_differences_words,
@@ -63,33 +56,25 @@ __all__ = [
     "PackedHypervectors",
     "PackedTrainingSet",
     "RecordAccumulator",
-    "active_backend",
     "apply_class_updates",
     "as_float",
-    "available_backends",
     "bit_differences_words",
     "build_accumulator",
     "bundle_packed",
     "flip_fraction_packed",
     "flip_score_delta",
     "float_dtype",
-    "get_kernel",
-    "list_kernels",
-    "matmul",
     "nested_flip_levels",
     "pack_bipolar",
     "pack_bits",
     "pack_flip_mask",
     "packed_dot_scores",
     "popcount",
-    "register_kernel",
     "score_epoch",
-    "set_backend",
     "set_float_dtype",
     "sign_bipolar",
     "sign_fuse_bits",
     "try_pack_bipolar",
     "unpack_bipolar",
-    "use_backend",
     "use_float_dtype",
 ]

@@ -1,29 +1,63 @@
-"""Float matmul/sign kernels and dtype-policy casts backing the NN substrate.
+"""The float dtype policy, and the casts and sign kernel behind the NN substrate.
 
 The seed code forced ``np.asarray(..., dtype=np.float64)`` on every
 forward/backward call, up-casting the entire training hot path (the encoded
 hypervectors are int8; the latent weights need nowhere near 53 bits of
-mantissa).  These kernels replace that policy:
+mantissa).  The policy here replaces that:
 
-* :func:`as_float` casts *integer* inputs to the configured float dtype
-  (:func:`repro.kernels.dispatch.float_dtype`, default ``float32``) and
-  leaves arrays that are already floating point untouched — no silent up- or
-  down-casts anywhere on the training path; :func:`float_dtype_of` names
-  that dtype without casting;
-* :func:`matmul` is the dispatchable dense product behind
-  :class:`repro.nn.layers.Linear` / :class:`~repro.nn.layers.BinaryLinear`
-  and the nearest-centroid scorer;
+* :func:`float_dtype` is the dtype used when floats are *introduced*
+  (parameter initialisation, casting integer hypervectors for training),
+  ``float32`` by default and overridable via ``REPRO_FLOAT_DTYPE``,
+  :func:`set_float_dtype` or the :func:`use_float_dtype` context manager;
+* :func:`as_float` casts *integer* inputs to that dtype and leaves arrays
+  that are already floating point untouched — no silent up- or down-casts
+  anywhere on the training path; :func:`float_dtype_of` names that dtype
+  without casting;
 * :func:`sign_bipolar` binarises latent weights (Eq. 8, zeros map to +1)
   in the dtype of its input.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
 
-from repro.kernels.dispatch import float_dtype, get_kernel, register_kernel, run_sharded
+#: Dtype forced via set_float_dtype/use_float_dtype; None defers to the env.
+_FLOAT_DTYPE: Optional[np.dtype] = None
+
+
+def float_dtype() -> np.dtype:
+    """The dtype used when floats are introduced (init, int->float casts)."""
+    if _FLOAT_DTYPE is not None:
+        return _FLOAT_DTYPE
+    return _validate_float_dtype(os.environ.get("REPRO_FLOAT_DTYPE", "float32"))
+
+
+def set_float_dtype(dtype) -> None:
+    """Force the float policy dtype (``None`` re-enables env resolution)."""
+    global _FLOAT_DTYPE
+    _FLOAT_DTYPE = None if dtype is None else _validate_float_dtype(dtype)
+
+
+@contextmanager
+def use_float_dtype(dtype):
+    """Temporarily force the float policy dtype within a ``with`` block."""
+    previous = _FLOAT_DTYPE
+    set_float_dtype(dtype)
+    try:
+        yield
+    finally:
+        set_float_dtype(previous)
+
+
+def _validate_float_dtype(dtype) -> np.dtype:
+    resolved = np.dtype(dtype)
+    if not np.issubdtype(resolved, np.floating):
+        raise ValueError(f"float dtype policy requires a floating dtype, got {resolved}")
+    return resolved
 
 
 def float_dtype_of(array: np.ndarray) -> np.dtype:
@@ -62,22 +96,12 @@ def sign_bipolar(values: np.ndarray, dtype: Optional[np.dtype] = None) -> np.nda
     return np.where(values < 0, target.type(-1), target.type(1))
 
 
-@register_kernel("linear.matmul")
-def _matmul_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b
-
-
-@register_kernel("linear.matmul", backend="threaded")
-def _matmul_threaded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Shard the rows of *a* across the shared pool (BLAS releases the GIL)."""
-    if a.ndim != 2:
-        return a @ b
-    return run_sharded(lambda start, stop: a[start:stop] @ b, a.shape[0])
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dispatchable dense product ``a @ b``."""
-    return get_kernel("linear.matmul")(a, b)
-
-
-__all__ = ["as_float", "float_dtype_of", "matmul", "sign_bipolar", "zeros"]
+__all__ = [
+    "as_float",
+    "float_dtype",
+    "float_dtype_of",
+    "set_float_dtype",
+    "sign_bipolar",
+    "use_float_dtype",
+    "zeros",
+]

@@ -22,8 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.dispatch import get_kernel, register_kernel, run_sharded
-
 BIPOLAR_DTYPE = np.int8
 
 _WORD_BITS = 64
@@ -131,15 +129,20 @@ def popcount(words: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------- bit differences
-@register_kernel("packed.bit_differences")
-def _bit_differences_numpy(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
+def bit_differences_words(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
     """Pairwise differing-bit counts between two uint64 word matrices.
 
     The whole pairwise XOR is evaluated as one broadcasted ufunc call per
     row block (blocks bound the scratch buffer to ``_DISTANCE_BLOCK_BYTES``)
     rather than a Python-level loop over rows, which is what makes the
     packed path faster than the dense dot product instead of merely smaller.
+    ``int64`` counts are returned so callers can derive the dot similarity
+    ``D - 2 * diff`` without overflow or rounding.
     """
+    if a_words.shape[1] != b_words.shape[1]:
+        raise ValueError(
+            f"word-count mismatch: {a_words.shape[1]} vs {b_words.shape[1]}"
+        )
     num_words = a_words.shape[1]
     counts = np.empty((a_words.shape[0], b_words.shape[0]), dtype=np.int64)
     bytes_per_row = max(1, b_words.shape[0] * num_words * 8)
@@ -149,28 +152,6 @@ def _bit_differences_numpy(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarr
         xor = a_words[start:stop, None, :] ^ b_words[None, :, :]
         counts[start:stop] = popcount(xor).sum(axis=2, dtype=np.int64)
     return counts
-
-
-@register_kernel("packed.bit_differences", backend="threaded")
-def _bit_differences_threaded(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
-    """Shard the query rows of the XOR+popcount across the shared pool."""
-    return run_sharded(
-        lambda start, stop: _bit_differences_numpy(a_words[start:stop], b_words),
-        a_words.shape[0],
-    )
-
-
-def bit_differences_words(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
-    """Dispatchable pairwise differing-bit counts over packed word matrices.
-
-    ``int64`` counts are returned so callers can derive the dot similarity
-    ``D - 2 * diff`` without overflow or rounding.
-    """
-    if a_words.shape[1] != b_words.shape[1]:
-        raise ValueError(
-            f"word-count mismatch: {a_words.shape[1]} vs {b_words.shape[1]}"
-        )
-    return get_kernel("packed.bit_differences")(a_words, b_words)
 
 
 def packed_dot_scores(

@@ -8,9 +8,9 @@ the ``± alpha · H`` accumulator updates are additive.  One epoch therefore
 decomposes into
 
 1. **epoch scoring** (:func:`score_epoch`) — one blocked XOR+popcount of the
-   whole packed training set against the packed class hypervectors (rides the
-   sharded ``packed.bit_differences`` kernel), instead of one dense
-   ``(K, D)`` cast + matvec per sample;
+   whole packed training set against the packed class hypervectors (rides
+   :func:`~repro.kernels.packed.bit_differences_words`), instead of one
+   dense ``(K, D)`` cast + matvec per sample;
 2. **ordered scatter-add** (:func:`apply_class_updates`) — the misclassified
    samples' updates applied to the float accumulators *in visit order*, so
    the floating-point accumulation order — and hence every rounding and every
@@ -40,11 +40,10 @@ riding these kernels emit bit-identical models and histories (see
 from __future__ import annotations
 
 import sys
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.kernels.dispatch import get_kernel, register_kernel, run_sharded_sum
 from repro.kernels.packed import (
     PackedHypervectors,
     flip_score_delta,
@@ -97,23 +96,12 @@ class PackedTrainingSet:
     @classmethod
     def from_dense(cls, hypervectors: np.ndarray) -> "PackedTrainingSet":
         """Pack a dense bipolar ``(n, D)`` matrix (any ±1-valued dtype)."""
-        prepared = cls.try_from_dense(hypervectors)
-        if prepared is None:
-            raise ValueError("PackedTrainingSet expects entries in {+1, -1}")
-        return prepared
-
-    @classmethod
-    def try_from_dense(cls, hypervectors: np.ndarray) -> Optional["PackedTrainingSet"]:
-        """Like :meth:`from_dense` but returns ``None`` for non-bipolar input.
-
-        The bipolar probe (:func:`~repro.kernels.packed.try_pack_bipolar`)
-        is a cheap elementwise compare, so testing arbitrary input before
-        choosing the packed or dense training path costs one read pass.
-        """
         hypervectors = np.atleast_2d(np.asarray(hypervectors))
         packed = try_pack_bipolar(hypervectors)
         if packed is None:
-            return None
+            raise ValueError(
+                "training hypervectors must be bipolar, with entries in {+1, -1}"
+            )
         samples = np.ascontiguousarray(hypervectors, dtype=np.int8)
         return cls(packed=packed, samples=samples)
 
@@ -153,49 +141,14 @@ def score_epoch(
     dot similarity (equal to the dense ``binary @ sample`` values exactly)
     and ``predicted`` its row argmax — the two quantities one retraining pass
     consumes.  One call replaces the sequential loop's per-sample
-    ``(K, D)`` float cast + matvec and rides the (sharded, blocked)
-    ``packed.bit_differences`` kernel.
+    ``(K, D)`` float cast + matvec and rides the blocked
+    :func:`~repro.kernels.packed.bit_differences_words`.
     """
     scores = packed_dot_scores(packed_samples, packed_classes)
     return scores, np.argmax(scores, axis=1)
 
 
 # ------------------------------------------------------- centroid bundling
-@register_kernel("train.bundle_counts")
-def _bundle_counts_numpy(
-    words: np.ndarray, dimension: int, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """Per-class set-bit counts ``(K, D)`` from packed words.
-
-    Rows are unpacked in label-sorted order and segment-summed with one
-    ``np.add.reduceat`` call; classes absent from ``labels`` get a zero row
-    (``reduceat`` would otherwise repeat a neighbouring segment).
-    """
-    bits = _unpack_bits(words, dimension)
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    segment_starts = np.flatnonzero(np.diff(sorted_labels)) + 1
-    starts = np.concatenate([[0], segment_starts])
-    present = sorted_labels[starts]
-    sums = np.add.reduceat(bits[order], starts, axis=0, dtype=np.int64)
-    counts = np.zeros((num_classes, dimension), dtype=np.int64)
-    counts[present] = sums
-    return counts
-
-
-@register_kernel("train.bundle_counts", backend="threaded")
-def _bundle_counts_threaded(
-    words: np.ndarray, dimension: int, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """Shard the sample rows; integer partial counts sum exactly."""
-    return run_sharded_sum(
-        lambda start, stop: _bundle_counts_numpy(
-            words[start:stop], dimension, labels[start:stop], num_classes
-        ),
-        words.shape[0],
-    )
-
-
 def unpack_bit_rows(words: np.ndarray, dimension: int) -> np.ndarray:
     """Packed uint64 words -> ``(rows, dimension)`` 0/1 uint8 matrix.
 
@@ -231,6 +184,11 @@ def bundle_packed(
     produces (``sum = 2 * set_bits - class_size``), including zero rows for
     classes absent from ``labels``, so the downstream ``sgn`` sees identical
     integers and draws identical tie-breaks.
+
+    The per-class set-bit counts come from unpacking the rows in
+    label-sorted order and segment-summing them with one
+    ``np.add.reduceat``; classes absent from ``labels`` keep a zero row
+    (``reduceat`` would otherwise repeat a neighbouring segment).
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != len(packed):
@@ -239,39 +197,19 @@ def bundle_packed(
         )
     if num_classes < 1 or (labels.size and int(labels.max()) >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes})")
-    counts = get_kernel("train.bundle_counts")(
-        packed.words, packed.dimension, labels, num_classes
-    )
+    bits = _unpack_bits(packed.words, packed.dimension)
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    segment_starts = np.flatnonzero(np.diff(sorted_labels)) + 1
+    starts = np.concatenate([[0], segment_starts])
+    present = sorted_labels[starts]
+    counts = np.zeros((num_classes, packed.dimension), dtype=np.int64)
+    counts[present] = np.add.reduceat(bits[order], starts, axis=0, dtype=np.int64)
     class_sizes = np.bincount(labels, minlength=num_classes).astype(np.int64)
     return 2 * counts - class_sizes[:, None]
 
 
 # ------------------------------------------------------ accumulator updates
-@register_kernel("train.scatter_add")
-def _scatter_add_numpy(
-    accumulators: np.ndarray,
-    class_indices: np.ndarray,
-    coefficients: np.ndarray,
-    samples: np.ndarray,
-    sample_rows: np.ndarray,
-) -> None:
-    """Apply ``accumulators[c] += coeff * samples[row]`` updates *in order*.
-
-    Float addition is not associative, so the update order is part of the
-    contract: updates land left-to-right exactly like the sequential
-    retraining loop, which keeps every rounding — and therefore every
-    later ``sgn(0)`` tie — bit-identical.  This is also why the kernel has
-    no threaded override: sharding the update axis would reorder additions
-    into the same accumulator row.  (A batched ``np.add.at`` preserves order
-    too but routes through ufunc.at's generic inner loop, which measures ~10x
-    slower than this row loop at D=4000.)
-    """
-    for position in range(class_indices.shape[0]):
-        accumulators[class_indices[position]] += (
-            coefficients[position] * samples[sample_rows[position]]
-        )
-
-
 def apply_class_updates(
     accumulators: np.ndarray,
     class_indices: np.ndarray,
@@ -285,14 +223,22 @@ def apply_class_updates(
     arrays describing one epoch's updates in the exact order the sequential
     loop would apply them; ``samples`` is the bipolar training matrix the
     rows index into.  Modifies ``accumulators`` in place.
+
+    Float addition is not associative, so the update order is part of the
+    contract: updates land left-to-right exactly like the sequential
+    retraining loop, which keeps every rounding — and therefore every
+    later ``sgn(0)`` tie — bit-identical.  (A batched ``np.add.at``
+    preserves order too but routes through ufunc.at's generic inner loop,
+    which measures ~10x slower than this row loop at D=4000.)
     """
     if not (class_indices.shape[0] == coefficients.shape[0] == sample_rows.shape[0]):
         raise ValueError(
             "class_indices, coefficients and sample_rows must have equal length"
         )
-    get_kernel("train.scatter_add")(
-        accumulators, class_indices, coefficients, samples, sample_rows
-    )
+    for position in range(class_indices.shape[0]):
+        accumulators[class_indices[position]] += (
+            coefficients[position] * samples[sample_rows[position]]
+        )
 
 
 # ------------------------------------------------------ incremental scoring

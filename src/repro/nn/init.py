@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.dispatch import float_dtype
+from repro.kernels.linear import float_dtype
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -25,7 +25,7 @@ def scaled_uniform_init(
     """Uniform values in ``[-scale, +scale]``.
 
     *dtype* defaults to the kernel layer's float policy dtype
-    (:func:`repro.kernels.dispatch.float_dtype`, ``float32`` by default).
+    (:func:`repro.kernels.linear.float_dtype`, ``float32`` by default).
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")

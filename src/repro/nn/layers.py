@@ -27,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.kernels.linear import as_float, float_dtype_of, matmul, sign_bipolar
+from repro.kernels.linear import as_float, float_dtype_of, sign_bipolar
 from repro.nn.init import scaled_uniform_init
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import SeedLike, ensure_rng
@@ -75,7 +75,7 @@ class Linear(Module):
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = as_float(inputs)
         self._cached_input = inputs
-        outputs = matmul(inputs, self.weight.value)
+        outputs = inputs @ self.weight.value
         if self.bias is not None:
             outputs = outputs + self.bias.value
         return outputs
@@ -84,10 +84,10 @@ class Linear(Module):
         if self._cached_input is None:
             raise RuntimeError("forward() must be called before backward()")
         grad_output = as_float(grad_output)
-        self.weight.add_grad(matmul(self._cached_input.T, grad_output))
+        self.weight.add_grad(self._cached_input.T @ grad_output)
         if self.bias is not None:
             self.bias.add_grad(grad_output.sum(axis=0))
-        return matmul(grad_output, self.weight.value.T)
+        return grad_output @ self.weight.value.T
 
 
 class BinaryLinear(Module):
@@ -166,7 +166,7 @@ class BinaryLinear(Module):
         inputs = as_float(inputs)
         self._cached_input = inputs
         self._cached_binary = self.binary_weight
-        return matmul(inputs, self._cached_binary)
+        return inputs @ self._cached_binary
 
     def backward(self, grad_output: np.ndarray) -> None:
         """Accumulate the latent-weight gradient; returns no input gradient.
@@ -181,7 +181,7 @@ class BinaryLinear(Module):
         if self._cached_input is None:
             raise RuntimeError("forward() must be called before backward()")
         grad_output = as_float(grad_output)
-        grad_weight = matmul(self._cached_input.T, grad_output)
+        grad_weight = self._cached_input.T @ grad_output
         if self.latent_clip is not None:
             # Straight-through estimator with saturation: once a latent weight
             # has left the clip range, further pushes in the same direction

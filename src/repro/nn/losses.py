@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.kernels.linear import as_float
+from repro.kernels.linear import as_float, float_dtype
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -34,8 +34,6 @@ def one_hot(labels: np.ndarray, num_classes: int, dtype=None) -> np.ndarray:
     if np.any(labels < 0) or np.any(labels >= num_classes):
         raise ValueError(f"labels must be in [0, {num_classes})")
     if dtype is None:
-        from repro.kernels.dispatch import float_dtype
-
         dtype = float_dtype()
     encoded = np.zeros((labels.shape[0], num_classes), dtype=dtype)
     encoded[np.arange(labels.shape[0]), labels] = 1.0

@@ -23,7 +23,7 @@ class Parameter:
     value:
         The current parameter value.  Floating input keeps its dtype;
         anything else is cast to the kernel layer's policy dtype
-        (:func:`repro.kernels.dispatch.float_dtype`, ``float32`` by default).
+        (:func:`repro.kernels.linear.float_dtype`, ``float32`` by default).
     grad:
         The gradient accumulated by the most recent backward pass, or ``None``
         if no backward pass has run since the last :meth:`zero_grad`.

@@ -18,9 +18,10 @@ serving stack:
 * :mod:`repro.serve.server` — a stdlib-only JSON-over-HTTP front-end
   (``POST /v1/predict`` and friends) with a version-keyed LRU prediction
   cache, tenant admission, deadlines and a graceful drain, all in one
-  process;
-* :mod:`repro.serve.bench` — the serving throughput benchmark shared by
-  ``python -m repro bench-serve`` and ``benchmarks/bench_serving_throughput.py``.
+  process.
+
+Serving throughput and latency are measured end to end by perfbench's
+``serve-keepalive`` workload (``perfbench/README.md``).
 """
 
 from repro.serve.batching import BatchScheduler

@@ -11,12 +11,36 @@ import pytest
 
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.hdc.encoders import RecordEncoder
+from repro.kernels.train import apply_class_updates
 
 
 @pytest.fixture(scope="session")
 def rng():
     """A session-wide reproducible generator for ad-hoc randomness in tests."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def one_sample_update():
+    """Apply a retraining strategy's update rule to one misclassified sample.
+
+    Runs the strategy's ``_epoch_updates`` over a one-sample epoch (score row
+    *scores*, true class *true_label*, predicted *predicted*) and applies the
+    result to the float accumulators *state* in place.
+    """
+
+    def apply(model, state, sample, true_label, predicted, scores, alpha=1.0):
+        class_indices, coefficients, sample_rows = model._epoch_updates(
+            np.atleast_2d(scores),
+            np.array([true_label]),
+            np.array([predicted]),
+            np.array([0]),
+            alpha,
+            sample.shape[0],
+        )
+        apply_class_updates(state, class_indices, coefficients, sample[None], sample_rows)
+
+    return apply
 
 
 @pytest.fixture(scope="session")

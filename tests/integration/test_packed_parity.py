@@ -5,8 +5,7 @@ path is a *re-implementation*, not an approximation: for every classifier the
 packed ``predict``/``top_k`` must equal the dense results exactly — including
 the ensemble's max-over-sub-models rule (packed against its flat model
 bank), classifiers whose bespoke scoring forces the dense fallback (the
-non-binary cosine centroids), and the raw-feature nearest-centroid reference
-that rides the linear kernel.
+non-binary cosine centroids), and the raw-feature nearest-centroid reference.
 """
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.classifiers.pipeline import HDCPipeline
 from repro.core.configs import DEFAULT_CONFIG
 from repro.core.lehdc import LeHDCClassifier
 from repro.hdc.encoders import RecordEncoder
-from repro.kernels.dispatch import use_backend
 from repro.kernels.packed import pack_bipolar
 from repro.serve.engine import PackedInferenceEngine
 
@@ -80,17 +78,6 @@ class TestClassifierPackedParity:
         )
         np.testing.assert_array_equal(packed, dense)
 
-    def test_threaded_backend_is_bit_identical(self, fitted):
-        classifier = fitted["classifier"]
-        if not classifier.supports_packed_scoring():
-            pytest.skip("dense-only scoring rule")
-        packed_queries = pack_bipolar(fitted["test_encoded"])
-        expected = classifier.decision_scores_packed(packed_queries)
-        with use_backend("threaded"):
-            np.testing.assert_array_equal(
-                classifier.decision_scores_packed(packed_queries), expected
-            )
-
 
 class TestPipelinePackedParity:
     def test_pipeline_packed_vs_dense_predict_and_top_k(self, fitted):
@@ -133,20 +120,22 @@ class TestEnginePackedParity:
 
 
 class TestNearestCentroidParity:
-    """The raw-feature reference classifier rides the linear kernel."""
+    """The raw-feature reference classifier matches a direct computation."""
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-    def test_kernel_matmul_matches_direct_computation(self, small_problem, metric):
+    def test_predict_matches_direct_computation(self, small_problem, metric):
         classifier = NearestCentroidClassifier(metric=metric)
         classifier.fit(small_problem["train_features"], small_problem["train_labels"])
         features = small_problem["test_features"]
         predictions = classifier.predict(features)
-        with use_backend("threaded"):
-            threaded = classifier.predict(features)
-        np.testing.assert_array_equal(predictions, threaded)
         # Reference: direct float64 computation against the centroids.
+        centroids = classifier.centroids_
         if metric == "euclidean":
-            distances = ((features[:, None, :] - classifier.centroids_[None]) ** 2).sum(
-                axis=2
-            )
+            distances = ((features[:, None, :] - centroids[None]) ** 2).sum(axis=2)
             np.testing.assert_array_equal(predictions, np.argmin(distances, axis=1))
+        else:
+            cosines = (features[:, None, :] * centroids[None]).sum(axis=2) / (
+                np.linalg.norm(features, axis=1)[:, None]
+                * np.linalg.norm(centroids, axis=1)[None, :]
+            )
+            np.testing.assert_array_equal(predictions, np.argmax(cosines, axis=1))

@@ -1,20 +1,27 @@
-"""Packed training must match the sequential training loops bit for bit.
+"""Packed training must match the seed's sequential training loops bit for bit.
 
 The packed training paths (epoch scoring over packed words + ordered
 scatter-add for the retraining family; incremental packed scoring for the
 multi-model ensemble — ``repro.kernels.train``) are *re-implementations* of
-the seed's per-sample loops, not approximations: with the same seed they must
-produce an identical :class:`~repro.classifiers.retraining.RetrainingHistory`,
+the seed's per-sample loops, which ``tests/reference.py`` keeps as the
+``Sequential*`` reference classifiers.  With the same seed they must produce
+an identical :class:`~repro.classifiers.retraining.RetrainingHistory`,
 identical binary class hypervectors / model banks, identical float
-accumulators — and, for the ensemble, an identical RNG stream (every
-permutation, bootstrap choice, flip choice and ``sgn(0)`` tie draw replays in
-order) — with and without shuffling (the scatter-add replays the visit
-order, so even the shuffled trajectories coincide draw for draw).
+accumulators and an identical RNG stream (every permutation, bootstrap
+choice, flip choice and ``sgn(0)`` tie draw replays in order) — with and
+without shuffling (the scatter-add replays the visit order, so even the
+shuffled trajectories coincide draw for draw).
+
+The retraining and ensemble parity cases train on 20 % label noise
+(``noisy_ensemble_problem``): on the clean fixture every sample is already
+classified correctly, no update ever fires, and a wrong update order would
+go unnoticed.
 """
 
 import numpy as np
 import pytest
 
+import reference
 from repro.classifiers.adapthd import AdaptHDC
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.enhanced import EnhancedRetrainingHDC
@@ -22,20 +29,60 @@ from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.retraining import RetrainingHDC
 from repro.kernels.train import PackedTrainingSet
 
-RETRAINING_FACTORIES = {
-    "retraining": lambda packed, shuffle: RetrainingHDC(
-        iterations=6, epsilon=0.0, shuffle=shuffle, packed_epochs=packed, seed=3
+#: name -> (classifier, its seed-loop reference, constructor arguments)
+RETRAINING_CASES = {
+    "retraining": (
+        RetrainingHDC,
+        reference.SequentialRetrainingHDC,
+        dict(iterations=6, epsilon=0.0, seed=3),
     ),
-    "adapthd-data": lambda packed, shuffle: AdaptHDC(
-        iterations=5, mode="data", shuffle=shuffle, packed_epochs=packed, seed=4
+    "adapthd-data": (
+        AdaptHDC,
+        reference.SequentialAdaptHDC,
+        dict(iterations=5, mode="data", seed=4),
     ),
-    "adapthd-iteration": lambda packed, shuffle: AdaptHDC(
-        iterations=5, mode="iteration", shuffle=shuffle, packed_epochs=packed, seed=5
+    "adapthd-iteration": (
+        AdaptHDC,
+        reference.SequentialAdaptHDC,
+        dict(iterations=5, mode="iteration", seed=5),
     ),
-    "enhanced": lambda packed, shuffle: EnhancedRetrainingHDC(
-        iterations=5, epsilon=0.0, shuffle=shuffle, packed_epochs=packed, seed=6
+    "enhanced": (
+        EnhancedRetrainingHDC,
+        reference.SequentialEnhancedRetrainingHDC,
+        dict(iterations=5, epsilon=0.0, seed=6),
     ),
 }
+
+
+def make_retraining(name, sequential=False, **overrides):
+    packed_cls, sequential_cls, kwargs = RETRAINING_CASES[name]
+    return (sequential_cls if sequential else packed_cls)(**dict(kwargs, **overrides))
+
+
+@pytest.fixture(scope="module")
+def noisy_ensemble_problem(encoded_problem):
+    """The encoded problem with 20% label noise mixed into the training split.
+
+    The clean fixture is separable enough that every strategy classifies
+    every training sample correctly from the start, so neither the
+    retraining updates nor the ensemble's stochastic flips ever fire; noisy
+    labels keep a steady share of samples misclassified so the parity tests
+    actually exercise the ordered scatter-add, the flip updates and the
+    incremental score-column maintenance.
+    """
+    rng = np.random.default_rng(77)
+    labels = np.array(encoded_problem["train_labels"])
+    flips = rng.random(labels.size) < 0.2
+    num_classes = encoded_problem["num_classes"]
+    labels[flips] = (
+        labels[flips] + rng.integers(1, num_classes, size=int(flips.sum()))
+    ) % num_classes
+    return {
+        "hypervectors": encoded_problem["train_hypervectors"],
+        "labels": labels,
+        "test_hypervectors": encoded_problem["test_hypervectors"],
+        "test_labels": encoded_problem["test_labels"],
+    }
 
 
 def assert_same_training(packed_model, sequential_model, expect_validation=False):
@@ -56,42 +103,46 @@ def assert_same_training(packed_model, sequential_model, expect_validation=False
 
 
 class TestRetrainingPackedParity:
-    @pytest.mark.parametrize("name", sorted(RETRAINING_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(RETRAINING_CASES))
     @pytest.mark.parametrize("shuffle", [False, True])
-    def test_identical_history_and_model(self, encoded_problem, name, shuffle):
-        factory = RETRAINING_FACTORIES[name]
-        packed_model = factory(True, shuffle).fit(
-            encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
+    @pytest.mark.parametrize("tie_break", ["random", "positive"])
+    def test_identical_history_model_and_rng_stream(
+        self, noisy_ensemble_problem, name, shuffle, tie_break
+    ):
+        fit_args = (noisy_ensemble_problem["hypervectors"], noisy_ensemble_problem["labels"])
+        packed_model = make_retraining(name, shuffle=shuffle, tie_break=tie_break)
+        sequential_model = make_retraining(
+            name, sequential=True, shuffle=shuffle, tie_break=tie_break
         )
-        sequential_model = factory(False, shuffle).fit(
-            encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
-        )
+        packed_model.fit(*fit_args)
+        sequential_model.fit(*fit_args)
         assert_same_training(packed_model, sequential_model)
+        # Updates must actually have fired, or this test proves nothing.
+        assert any(value > 0 for value in packed_model.history_.update_fraction)
+        # Same draws in the same order leave the generators in the same state.
+        assert (
+            packed_model.rng.bit_generator.state
+            == sequential_model.rng.bit_generator.state
+        )
 
-    @pytest.mark.parametrize("name", sorted(RETRAINING_FACTORIES))
-    def test_identical_validation_trajectory(self, encoded_problem, name):
-        factory = RETRAINING_FACTORIES[name]
+    @pytest.mark.parametrize("name", sorted(RETRAINING_CASES))
+    def test_identical_validation_trajectory(self, noisy_ensemble_problem, name):
         fit_kwargs = dict(
-            validation_hypervectors=encoded_problem["test_hypervectors"],
-            validation_labels=encoded_problem["test_labels"],
+            validation_hypervectors=noisy_ensemble_problem["test_hypervectors"],
+            validation_labels=noisy_ensemble_problem["test_labels"],
         )
-        packed_model = factory(True, True).fit(
-            encoded_problem["train_hypervectors"],
-            encoded_problem["train_labels"],
-            **fit_kwargs,
-        )
-        sequential_model = factory(False, True).fit(
-            encoded_problem["train_hypervectors"],
-            encoded_problem["train_labels"],
-            **fit_kwargs,
+        fit_args = (noisy_ensemble_problem["hypervectors"], noisy_ensemble_problem["labels"])
+        packed_model = make_retraining(name).fit(*fit_args, **fit_kwargs)
+        sequential_model = make_retraining(name, sequential=True).fit(
+            *fit_args, **fit_kwargs
         )
         assert_same_training(packed_model, sequential_model, expect_validation=True)
 
     def test_early_stop_iteration_count_matches(self, encoded_problem):
-        for packed in (True, False):
-            model = RetrainingHDC(
-                iterations=50, epsilon=1.0, packed_epochs=packed, seed=8
-            ).fit(encoded_problem["train_hypervectors"], encoded_problem["train_labels"])
+        for classifier in (RetrainingHDC, reference.SequentialRetrainingHDC):
+            model = classifier(iterations=50, epsilon=1.0, seed=8).fit(
+                encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
+            )
             assert model.history_.iterations <= 2
 
     def test_shuffled_runs_reach_statistical_parity(self, encoded_problem):
@@ -108,8 +159,8 @@ class TestRetrainingPackedParity:
             for seed in range(3)
         ]
         sequential_final = [
-            RetrainingHDC(
-                iterations=5, epsilon=0.0, shuffle=True, packed_epochs=False, seed=seed + 100
+            reference.SequentialRetrainingHDC(
+                iterations=5, epsilon=0.0, shuffle=True, seed=seed + 100
             )
             .fit(encoded_problem["train_hypervectors"], encoded_problem["train_labels"])
             .history_.train_accuracy[-1]
@@ -117,38 +168,18 @@ class TestRetrainingPackedParity:
         ]
         assert abs(np.mean(packed_final) - np.mean(sequential_final)) < 0.05
 
-    @pytest.mark.parametrize("name", sorted(RETRAINING_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(RETRAINING_CASES))
     def test_shared_packed_train_is_equivalent(self, encoded_problem, name):
-        factory = RETRAINING_FACTORIES[name]
         train_set = PackedTrainingSet.from_dense(encoded_problem["train_hypervectors"])
-        with_shared = factory(True, True).fit(
+        with_shared = make_retraining(name).fit(
             encoded_problem["train_hypervectors"],
             encoded_problem["train_labels"],
             packed_train=train_set,
         )
-        without_shared = factory(True, True).fit(
+        without_shared = make_retraining(name).fit(
             encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
         )
         assert_same_training(with_shared, without_shared)
-
-    def test_packed_epochs_false_wins_over_shared_packed_train(
-        self, encoded_problem, monkeypatch
-    ):
-        """The sequential-loop opt-out holds even under experiment loops."""
-        monkeypatch.setattr(
-            RetrainingHDC,
-            "_fit_packed",
-            lambda self, *args, **kwargs: pytest.fail(
-                "packed path taken despite packed_epochs=False"
-            ),
-        )
-        train_set = PackedTrainingSet.from_dense(encoded_problem["train_hypervectors"])
-        model = RetrainingHDC(iterations=2, packed_epochs=False, seed=9).fit(
-            encoded_problem["train_hypervectors"],
-            encoded_problem["train_labels"],
-            packed_train=train_set,
-        )
-        assert model.history_.iterations == 2
 
     def test_packed_train_shape_mismatch_raises(self, encoded_problem):
         train_set = PackedTrainingSet.from_dense(
@@ -172,36 +203,54 @@ class TestRetrainingPackedParity:
                 packed_train=train_set,
             )
 
-    def test_non_bipolar_input_falls_back_to_sequential(self):
-        rng = np.random.default_rng(0)
-        # Ternary "hypervectors" are outside the packed kernels' domain; the
-        # classifier must silently take the sequential loop and still fit.
-        hypervectors = rng.integers(-1, 2, size=(60, 128)).astype(np.int8)
-        labels = rng.integers(0, 3, size=60)
-        model = RetrainingHDC(iterations=2, seed=11).fit(hypervectors, labels)
-        assert model.history_.iterations == 2
-        assert model.class_hypervectors_.shape == (3, 128)
+    def test_epoch_updates_is_the_update_hook(self, noisy_ensemble_problem):
+        """A subclass changes the update rule by overriding ``_epoch_updates``."""
 
-    def test_custom_update_subclass_keeps_sequential_semantics(self, encoded_problem):
-        """Overriding ``_update`` alone must not silently change behaviour."""
+        class Frozen(RetrainingHDC):
+            def _epoch_updates(self, scores, labels, predicted, visit, alpha, dimension):
+                no_rows = np.empty(0, dtype=np.intp)
+                return no_rows, np.empty(0), no_rows
 
-        class PullOnly(RetrainingHDC):
-            def _update(self, nonbinary, sample, true_label, predicted, alpha, scores):
-                nonbinary[true_label] += alpha * sample
-
-        model = PullOnly(iterations=3, epsilon=0.0, seed=12)
-        assert not model._has_vectorised_updates()
-        model.fit(encoded_problem["train_hypervectors"], encoded_problem["train_labels"])
-        assert model.history_.iterations == 3
+        fit_args = (noisy_ensemble_problem["hypervectors"], noisy_ensemble_problem["labels"])
+        settings = dict(iterations=3, epsilon=0.0, tie_break="positive", seed=12)
+        baseline = BaselineHDC(tie_break="positive", seed=12).fit(*fit_args)
+        frozen = Frozen(**settings).fit(*fit_args)
+        assert frozen.history_.update_fraction == [0.0, 0.0, 0.0]
+        np.testing.assert_array_equal(
+            frozen.nonbinary_class_hypervectors_, baseline.accumulators_
+        )
+        eq3 = RetrainingHDC(**settings).fit(*fit_args)
+        assert not np.array_equal(
+            eq3.nonbinary_class_hypervectors_, baseline.accumulators_
+        )
 
     def test_iteration_seconds_recorded_on_both_paths(self, encoded_problem):
-        for packed in (True, False):
-            model = RetrainingHDC(
-                iterations=3, epsilon=0.0, packed_epochs=packed, seed=13
-            ).fit(encoded_problem["train_hypervectors"], encoded_problem["train_labels"])
+        for classifier in (RetrainingHDC, reference.SequentialRetrainingHDC):
+            model = classifier(iterations=3, epsilon=0.0, seed=13).fit(
+                encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
+            )
             seconds = model.history_.iteration_seconds
             assert len(seconds) == model.history_.iterations
             assert all(value >= 0.0 for value in seconds)
+
+
+@pytest.mark.parametrize(
+    "classifier",
+    [
+        RetrainingHDC(iterations=2, seed=11),
+        AdaptHDC(iterations=2, seed=11),
+        EnhancedRetrainingHDC(iterations=2, seed=11),
+        MultiModelHDC(models_per_class=2, iterations=1, seed=11),
+    ],
+    ids=["retraining", "adapthd", "enhanced", "multimodel"],
+)
+def test_non_bipolar_training_input_raises(classifier):
+    """Training is packed-only: ternary "hypervectors" are rejected up front."""
+    rng = np.random.default_rng(0)
+    hypervectors = rng.integers(-1, 2, size=(60, 128)).astype(np.int8)
+    labels = rng.integers(0, 3, size=60)
+    with pytest.raises(ValueError, match=r"\{\+1, -1\}"):
+        classifier.fit(hypervectors, labels)
 
 
 class TestBaselinePackedParity:
@@ -239,29 +288,6 @@ class TestBaselinePackedParity:
         assert MultiModelHDC().supports_packed_training()
 
 
-@pytest.fixture(scope="module")
-def noisy_ensemble_problem(encoded_problem):
-    """The encoded problem with 20% label noise mixed in.
-
-    The clean fixture is separable enough that the bootstrap-initialised
-    ensemble classifies every sample correctly and no stochastic update ever
-    fires; noisy labels keep a steady share of samples misclassified so the
-    parity tests actually exercise the flip updates and the incremental
-    score-column maintenance.
-    """
-    rng = np.random.default_rng(77)
-    labels = np.array(encoded_problem["train_labels"])
-    flips = rng.random(labels.size) < 0.2
-    num_classes = encoded_problem["num_classes"]
-    labels[flips] = (
-        labels[flips] + rng.integers(1, num_classes, size=int(flips.sum()))
-    ) % num_classes
-    return {
-        "hypervectors": encoded_problem["train_hypervectors"],
-        "labels": labels,
-    }
-
-
 class TestMultiModelPackedParity:
     """The ensemble's incremental packed trainer vs the seed per-sample loop."""
 
@@ -269,19 +295,15 @@ class TestMultiModelPackedParity:
     def test_identical_models_history_and_rng_stream(
         self, noisy_ensemble_problem, push_away
     ):
-        def factory(packed):
-            return MultiModelHDC(
-                models_per_class=4,
-                iterations=3,
-                push_away=push_away,
-                packed_epochs=packed,
-                seed=31,
+        def factory(classifier):
+            return classifier(
+                models_per_class=4, iterations=3, push_away=push_away, seed=31
             )
 
-        packed_model = factory(True).fit(
+        packed_model = factory(MultiModelHDC).fit(
             noisy_ensemble_problem["hypervectors"], noisy_ensemble_problem["labels"]
         )
-        sequential_model = factory(False).fit(
+        sequential_model = factory(reference.SequentialMultiModelHDC).fit(
             noisy_ensemble_problem["hypervectors"], noisy_ensemble_problem["labels"]
         )
         np.testing.assert_array_equal(
@@ -322,38 +344,6 @@ class TestMultiModelPackedParity:
             with_shared.model_hypervectors_, without_shared.model_hypervectors_
         )
 
-    def test_packed_epochs_false_wins_over_shared_packed_train(
-        self, noisy_ensemble_problem, monkeypatch
-    ):
-        monkeypatch.setattr(
-            MultiModelHDC,
-            "_fit_packed",
-            lambda self, *args, **kwargs: pytest.fail(
-                "packed path taken despite packed_epochs=False"
-            ),
-        )
-        train_set = PackedTrainingSet.from_dense(
-            noisy_ensemble_problem["hypervectors"]
-        )
-        model = MultiModelHDC(
-            models_per_class=2, iterations=1, packed_epochs=False, seed=6
-        ).fit(
-            noisy_ensemble_problem["hypervectors"],
-            noisy_ensemble_problem["labels"],
-            packed_train=train_set,
-        )
-        assert model.history_.iterations == 1
-
-    def test_non_bipolar_input_falls_back_to_sequential(self):
-        rng = np.random.default_rng(0)
-        hypervectors = rng.integers(-1, 2, size=(60, 128)).astype(np.int8)
-        labels = rng.integers(0, 3, size=60)
-        model = MultiModelHDC(models_per_class=2, iterations=1, seed=7).fit(
-            hypervectors, labels
-        )
-        assert model.model_hypervectors_.shape == (3, 2, 128)
-        assert model.history_.iterations == 1
-
     def test_packed_train_content_mismatch_raises(self, noisy_ensemble_problem):
         wrong_split = -noisy_ensemble_problem["hypervectors"]
         train_set = PackedTrainingSet.from_dense(wrong_split)
@@ -365,10 +355,8 @@ class TestMultiModelPackedParity:
             )
 
     def test_iteration_seconds_recorded_on_both_paths(self, noisy_ensemble_problem):
-        for packed in (True, False):
-            model = MultiModelHDC(
-                models_per_class=2, iterations=2, packed_epochs=packed, seed=9
-            ).fit(
+        for classifier in (MultiModelHDC, reference.SequentialMultiModelHDC):
+            model = classifier(models_per_class=2, iterations=2, seed=9).fit(
                 noisy_ensemble_problem["hypervectors"],
                 noisy_ensemble_problem["labels"],
             )

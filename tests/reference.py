@@ -18,16 +18,32 @@
 * :func:`reference_sign_with_ties` — ``sign_with_ties`` before the one-pass
   int8 rewrite: an int64 ``np.where``, a cast, and ties patched through a
   boolean mask.
+* :class:`SequentialRetrainingHDC`, :class:`SequentialAdaptHDC` and
+  :class:`SequentialEnhancedRetrainingHDC` — the retraining family on the
+  seed's per-sample loop (:class:`SequentialRetraining`): one dense cast +
+  matvec per sample and each strategy's per-sample ``_update``, where the
+  classifiers score a whole pass over packed words and apply the pass's
+  updates as one ordered scatter-add.
+* :class:`SequentialMultiModelHDC` — the SearcHD-style ensemble on the
+  seed's per-sample loop: a dense bootstrap bundle per sub-model and one
+  dense model-bank matmul per visited sample, where the classifier keeps an
+  incrementally patched packed score matrix.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.hdc.hypervector import BIPOLAR_DTYPE
-from repro.kernels.linear import as_float, matmul
+from repro.classifiers.adapthd import AdaptHDC
+from repro.classifiers.baseline import BaselineHDC
+from repro.classifiers.enhanced import EnhancedRetrainingHDC
+from repro.classifiers.multimodel import MultiModelHDC
+from repro.classifiers.retraining import RetrainingHDC, RetrainingHistory
+from repro.hdc.hypervector import BIPOLAR_DTYPE, random_hypervectors, sign_with_ties
+from repro.kernels.linear import as_float
 from repro.nn.losses import one_hot, softmax
 from repro.utils.rng import ensure_rng
 
@@ -73,12 +89,12 @@ def reference_bnn_backward(model, grad_output: np.ndarray) -> np.ndarray:
     """``SingleLayerBNN.backward`` with the input gradient it used to compute."""
     linear = model.linear
     grad_output = as_float(grad_output)
-    grad_weight = matmul(linear._cached_input.T, grad_output)
+    grad_weight = linear._cached_input.T @ grad_output
     if linear.latent_clip is not None:
         inside = np.abs(linear.weight.value) <= linear.latent_clip
         grad_weight = grad_weight * inside
     linear.weight.add_grad(grad_weight)
-    grad_input = matmul(grad_output, linear._cached_binary.T)
+    grad_input = grad_output @ linear._cached_binary.T
     return model.dropout.backward(grad_input)
 
 
@@ -136,7 +152,266 @@ def count_subnormals(array: np.ndarray) -> int:
     return int(np.count_nonzero((magnitude > 0) & (magnitude < np.finfo(array.dtype).tiny)))
 
 
+class SequentialRetraining:
+    """Mixin: train a retraining-family classifier with the seed's per-sample loop.
+
+    Listed before the classifier in the bases, it keeps the classifier's
+    ``fit`` (input checks, the AdaptHD error-rate reset) and swaps only the
+    training loop: the packed pass hands over to :meth:`_fit_sequential`,
+    which applies the class's per-sample ``_update``.
+    """
+
+    def _fit_packed(self, train_set, *args):
+        return self._fit_sequential(*args)
+
+    # ------------------------------------------------------- sequential fit
+    def _fit_sequential(
+        self,
+        hypervectors: np.ndarray,
+        labels: np.ndarray,
+        num_classes: int,
+        validation_hypervectors: Optional[np.ndarray],
+        validation_labels: Optional[np.ndarray],
+    ) -> "RetrainingHDC":
+        """The seed's per-sample loop: one dense cast + matvec per sample."""
+        baseline = BaselineHDC(tie_break=self.tie_break, seed=self.rng)
+        baseline.fit(hypervectors, labels)
+        nonbinary = baseline.accumulators_.astype(np.float64)
+        binary = baseline.class_hypervectors_.astype(np.int8)
+        samples = hypervectors.astype(np.float64)
+
+        history = RetrainingHistory()
+        # Expose the history while training so adaptive subclasses can read
+        # the running statistics of completed iterations.
+        self.history_ = history
+        for iteration in range(self.iterations):
+            started = time.perf_counter()
+            alpha = (
+                self.first_iteration_learning_rate
+                if iteration == 0
+                else self.learning_rate
+            )
+            order = (
+                self.rng.permutation(samples.shape[0])
+                if self.shuffle
+                else np.arange(samples.shape[0])
+            )
+            correct = 0
+            for index in order:
+                sample = samples[index]
+                true_label = labels[index]
+                scores = binary.astype(np.float64) @ sample
+                predicted = int(np.argmax(scores))
+                if predicted == true_label:
+                    correct += 1
+                    continue
+                self._update(nonbinary, sample, true_label, predicted, alpha, scores)
+            new_binary = sign_with_ties(
+                nonbinary, rng=self.rng, tie_break=self.tie_break
+            )
+            update_fraction = float(np.mean(new_binary != binary))
+            binary = new_binary
+            history.train_accuracy.append(correct / samples.shape[0])
+            history.update_fraction.append(update_fraction)
+            if validation_hypervectors is not None:
+                self.class_hypervectors_ = binary.astype(BIPOLAR_DTYPE)
+                self.num_classes_ = num_classes
+                history.test_accuracy.append(
+                    self.score(validation_hypervectors, validation_labels)
+                )
+            history.iteration_seconds.append(time.perf_counter() - started)
+            if update_fraction < self.epsilon and iteration > 0:
+                break
+
+        self.nonbinary_class_hypervectors_ = nonbinary
+        self.class_hypervectors_ = binary.astype(BIPOLAR_DTYPE)
+        self.num_classes_ = num_classes
+        self.history_ = history
+        return self
+
+
+class SequentialRetrainingHDC(SequentialRetraining, RetrainingHDC):
+    """:class:`RetrainingHDC` trained by the seed's per-sample loop."""
+
+    def _update(
+        self,
+        nonbinary: np.ndarray,
+        sample: np.ndarray,
+        true_label: int,
+        predicted: int,
+        alpha: float,
+        scores: np.ndarray,
+    ) -> None:
+        """Eq. 3: push the true class toward the sample, the wrong class away."""
+        nonbinary[true_label] += alpha * sample
+        nonbinary[predicted] -= alpha * sample
+
+
+class SequentialAdaptHDC(SequentialRetraining, AdaptHDC):
+    """:class:`AdaptHDC` trained by the seed's per-sample loop."""
+
+    def _update(
+        self,
+        nonbinary: np.ndarray,
+        sample: np.ndarray,
+        true_label: int,
+        predicted: int,
+        alpha: float,
+        scores: np.ndarray,
+    ) -> None:
+        if self.mode == "iteration":
+            # Track a running error estimate within the pass and scale by it.
+            if self.history_ is not None and self.history_.train_accuracy:
+                self._current_error_rate = 1.0 - self.history_.train_accuracy[-1]
+            rate = self.max_learning_rate * max(self._current_error_rate, 0.05)
+        else:
+            dimension = sample.shape[0]
+            # Similarity gap between the winning wrong class and the true class,
+            # normalised to [0, 1]; larger gap -> larger corrective step.
+            gap = (scores[predicted] - scores[true_label]) / (2.0 * dimension)
+            rate = self.max_learning_rate * float(np.clip(gap * 2.0 + 0.1, 0.05, 1.0))
+        nonbinary[true_label] += rate * sample
+        nonbinary[predicted] -= rate * sample
+
+
+class SequentialEnhancedRetrainingHDC(SequentialRetraining, EnhancedRetrainingHDC):
+    """:class:`EnhancedRetrainingHDC` trained by the seed's per-sample loop."""
+
+    def _update(
+        self,
+        nonbinary: np.ndarray,
+        sample: np.ndarray,
+        true_label: int,
+        predicted: int,
+        alpha: float,
+        scores: np.ndarray,
+    ) -> None:
+        dimension = sample.shape[0]
+        # Convert dot-product scores to normalised Hamming distances:
+        # hamming = (D - dot) / (2 D).
+        distances = (dimension - scores) / (2.0 * dimension)
+        true_distance = distances[true_label]
+
+        # Ideal distance to the true class is 0; scale its pull by how far we are.
+        nonbinary[true_label] += alpha * true_distance * 2.0 * sample
+
+        # Every wrong class at least as similar as the true class gets pushed
+        # away, scaled by how much closer than the ideal 0.5 it sits.
+        closer_wrong = np.flatnonzero(distances <= true_distance)
+        for wrong_label in closer_wrong:
+            if wrong_label == true_label:
+                continue
+            shortfall = 0.5 - distances[wrong_label]
+            if shortfall <= 0:
+                continue
+            nonbinary[wrong_label] -= alpha * shortfall * 2.0 * sample
+
+
+class SequentialMultiModelHDC(MultiModelHDC):
+    """:class:`MultiModelHDC` trained by the seed's per-sample loop."""
+
+    def fit(self, hypervectors, labels):
+        hypervectors, labels, num_classes = self._validate_fit_inputs(
+            hypervectors, labels
+        )
+        return self._fit_sequential(hypervectors, labels, num_classes)
+
+    # ------------------------------------------------------- sequential fit
+    def _fit_sequential(
+        self, hypervectors: np.ndarray, labels: np.ndarray, num_classes: int
+    ) -> "MultiModelHDC":
+        """The seed's per-sample loop: one dense model-bank matmul per sample."""
+        dimension = hypervectors.shape[1]
+        models = self._initialise_models(hypervectors, labels, num_classes, dimension)
+
+        samples = hypervectors.astype(np.int8)
+        num_samples = samples.shape[0]
+        history = RetrainingHistory()
+        self.history_ = history
+        for _ in range(self.iterations):
+            started = time.perf_counter()
+            order = self.rng.permutation(num_samples)
+            correct = 0
+            flipped_bits = 0
+            for index in order:
+                sample = samples[index]
+                true_label = labels[index]
+                flat = models.reshape(-1, dimension)
+                scores = flat.astype(np.int32) @ sample.astype(np.int32)
+                best = int(np.argmax(scores))
+                predicted = best // self.models_per_class
+                if predicted == true_label:
+                    correct += 1
+                    continue
+                # Pull the closest sub-model of the true class toward the sample
+                # and push the winning wrong sub-model away, each by flipping a
+                # random subset of disagreeing/agreeing bits.
+                true_scores = scores[
+                    true_label
+                    * self.models_per_class : (true_label + 1)
+                    * self.models_per_class
+                ]
+                target = int(np.argmax(true_scores))
+                chosen = self._flip_toward(models[true_label, target], sample)
+                if chosen is not None:
+                    flipped_bits += chosen.size
+                if self.push_away:
+                    chosen = self._flip_away(
+                        models[predicted, best % self.models_per_class], sample
+                    )
+                    if chosen is not None:
+                        flipped_bits += chosen.size
+            self._record_pass(
+                history,
+                correct,
+                num_samples,
+                flipped_bits,
+                num_classes * self.models_per_class * dimension,
+                started,
+            )
+
+        return self._publish_models(models, num_classes)
+
+    def _initialise_models(
+        self,
+        hypervectors: np.ndarray,
+        labels: np.ndarray,
+        num_classes: int,
+        dimension: int,
+    ) -> np.ndarray:
+        """Seed each sub-model by bundling a bootstrap subset of its class.
+
+        SearcHD starts its per-class models from stochastic combinations of the
+        class's encoded samples rather than pure noise; bootstrapping a random
+        half of the class per sub-model reproduces that behaviour and gives the
+        ensemble diversity without requiring many refinement passes.  Classes
+        with no samples (possible only with malformed labels) fall back to a
+        random hypervector.
+        """
+        from repro.hdc.hypervector import bundle
+
+        models = random_hypervectors(
+            num_classes * self.models_per_class, dimension, seed=self.rng
+        ).reshape(num_classes, self.models_per_class, dimension)
+        for class_index in range(num_classes):
+            member_indices = np.flatnonzero(labels == class_index)
+            if member_indices.size == 0:
+                continue
+            subset_size = max(1, member_indices.size // 2)
+            for model_index in range(self.models_per_class):
+                chosen = self.rng.choice(member_indices, size=subset_size, replace=True)
+                models[class_index, model_index] = bundle(
+                    hypervectors[chosen], rng=self.rng
+                )
+        return models
+
+
 __all__ = [
+    "SequentialAdaptHDC",
+    "SequentialEnhancedRetrainingHDC",
+    "SequentialMultiModelHDC",
+    "SequentialRetraining",
+    "SequentialRetrainingHDC",
     "count_subnormals",
     "dense_ngram_accumulate",
     "dense_record_accumulate",

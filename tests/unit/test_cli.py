@@ -37,13 +37,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--strategy", "svm"])
 
-    def test_bench_train_defaults(self):
-        args = build_parser().parse_args(["bench-train"])
-        assert args.command == "bench-train"
-        assert args.dimension == 4000
-        assert args.quick is False
-        assert args.json is None
-
     def test_serve_residency_and_cache_flags(self):
         args = build_parser().parse_args(
             ["serve", "--model", "m.npz", "--max-resident", "2", "--cache-size", "0"]
@@ -66,6 +59,9 @@ class TestParser:
                 id="kernel-backend",
             ),
             pytest.param(["bench-dispatch", "--quick"], "bench-dispatch", id="bench-dispatch"),
+            pytest.param(["bench-serve"], "bench-serve", id="bench-serve"),
+            pytest.param(["bench-kernels", "--quick"], "bench-kernels", id="bench-kernels"),
+            pytest.param(["bench-train", "--quick"], "bench-train", id="bench-train"),
             _retired("serve", "workers", "2"),
             _retired("serve", "max-resident-banks", "4"),
             _retired("serve", "request-timeout", "1.0"),
@@ -78,8 +74,9 @@ class TestParser:
         ],
     )
     def test_retired_flags_and_commands_are_rejected(self, argv, retired, capsys):
-        # Serving runs in one process and the kernel backend is chosen by
-        # REPRO_KERNEL_BACKEND alone: a stale script fails at parse time.
+        # Serving runs in one process, the kernels have one NumPy executor,
+        # and perfbench is the only benchmark: a stale script fails at parse
+        # time.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
@@ -247,19 +244,6 @@ class TestCommands:
         assert code == 0
         output = capsys.readouterr().out
         assert "256" in output and "512" in output
-
-    def test_bench_train_quick_writes_json(self, tmp_path, capsys):
-        json_path = tmp_path / "bench_train.json"
-        code = main(["bench-train", "--quick", "--json", str(json_path)])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "retraining" in output
-        assert "bit-identical" in output
-        import json
-
-        results = json.loads(json_path.read_text())
-        assert results["config"]["quick"] is True
-        assert results["retraining"]["bit_identical"] is True
 
 
 class TestTenantFlags:

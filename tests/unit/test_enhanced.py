@@ -15,7 +15,7 @@ class TestEnhancedRetrainingHDC:
         )
         assert accuracy > 0.5
 
-    def test_updates_multiple_wrong_classes(self):
+    def test_updates_multiple_wrong_classes(self, one_sample_update):
         # Construct a situation with two wrong classes closer than the truth:
         # the enhanced update must move both, the basic update only one.
         dimension = 64
@@ -32,18 +32,18 @@ class TestEnhancedRetrainingHDC:
 
         enhanced = EnhancedRetrainingHDC(iterations=1, seed=1)
         enhanced_state = nonbinary.copy()
-        enhanced._update(enhanced_state, sample, 0, 1, alpha=1.0, scores=scores)
+        one_sample_update(enhanced, enhanced_state, sample, 0, 1, scores)
 
         basic = RetrainingHDC(iterations=1, seed=2)
         basic_state = nonbinary.copy()
-        basic._update(basic_state, sample, 0, 1, alpha=1.0, scores=nonbinary_scores)
+        one_sample_update(basic, basic_state, sample, 0, 1, nonbinary_scores)
 
         # Both strategies move class 0 (true) and class 1 (predicted); only the
         # enhanced strategy also moves class 2.
         assert not np.allclose(enhanced_state[2], nonbinary[2])
         np.testing.assert_allclose(basic_state[2], nonbinary[2])
 
-    def test_update_scale_depends_on_distance(self):
+    def test_update_scale_depends_on_distance(self, one_sample_update):
         dimension = 32
         sample = np.ones(dimension)
         # True class nearly identical to the sample -> tiny pull.
@@ -55,9 +55,9 @@ class TestEnhancedRetrainingHDC:
 
         model = EnhancedRetrainingHDC(iterations=1, seed=3)
         near_state = near.copy()
-        model._update(near_state, sample, 0, 1, alpha=1.0, scores=near_scores)
+        one_sample_update(model, near_state, sample, 0, 1, near_scores)
         far_state = far.copy()
-        model._update(far_state, sample, 0, 1, alpha=1.0, scores=far_scores)
+        one_sample_update(model, far_state, sample, 0, 1, far_scores)
 
         near_delta = np.abs(near_state[0] - near[0]).sum()
         far_delta = np.abs(far_state[0] - far[0]).sum()

@@ -6,7 +6,6 @@ import pytest
 from reference import dense_ngram_accumulate, dense_record_accumulate
 from repro.hdc.encoders import NGramEncoder, RecordEncoder
 from repro.hdc.itemmemory import LevelItemMemory, RandomItemMemory
-from repro.kernels.dispatch import use_backend
 from repro.kernels.encode import (
     NGramAccumulator,
     RecordAccumulator,
@@ -29,13 +28,6 @@ class TestRecordAccumulator:
             encoder.position_memory.vectors, encoder.level_memory.vectors, levels
         )
         np.testing.assert_array_equal(encoder._accumulate(levels), expected)
-
-    def test_threaded_backend_matches_numpy(self, features):
-        encoder = RecordEncoder(dimension=256, num_levels=8, seed=1).fit(features)
-        levels = encoder._quantizer.transform(features)
-        expected = encoder._accumulate(levels)
-        with use_backend("threaded"):
-            np.testing.assert_array_equal(encoder._accumulate(levels), expected)
 
 
 class TestNGramRegression:

@@ -1,4 +1,4 @@
-"""Unit tests for the linear kernels and the float dtype policy in training."""
+"""Unit tests for the float dtype policy, its casts, and its use in training."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,38 @@ import pytest
 from repro.core.bnn_model import BNNTrainer, SingleLayerBNN
 from repro.core.configs import DEFAULT_CONFIG
 from repro.core.nonbinary_lehdc import NonBinaryLeHDCClassifier
-from repro.kernels.dispatch import use_backend, use_float_dtype
-from repro.kernels.linear import as_float, matmul, sign_bipolar
+from repro.kernels.linear import (
+    as_float,
+    float_dtype,
+    set_float_dtype,
+    sign_bipolar,
+    use_float_dtype,
+)
 from repro.nn.layers import Linear
 from repro.nn.losses import cross_entropy_from_logits, one_hot, softmax
 from repro.nn.optim import Adam
+
+
+class TestFloatDtypePolicy:
+    def test_default_is_float32(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FLOAT_DTYPE", raising=False)
+        set_float_dtype(None)
+        assert float_dtype() == np.dtype(np.float32)
+
+    def test_environment_overrides(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FLOAT_DTYPE", "float64")
+        set_float_dtype(None)
+        assert float_dtype() == np.dtype(np.float64)
+        monkeypatch.delenv("REPRO_FLOAT_DTYPE")
+
+    def test_use_float_dtype_context(self):
+        with use_float_dtype(np.float64):
+            assert float_dtype() == np.dtype(np.float64)
+        assert float_dtype() == np.dtype(np.float32)
+
+    def test_non_float_dtype_rejected(self):
+        with pytest.raises(ValueError, match="floating dtype"):
+            set_float_dtype(np.int32)
 
 
 class TestAsFloat:
@@ -37,22 +64,6 @@ class TestSignBipolar:
     def test_dtype_follows_input(self):
         assert sign_bipolar(np.zeros(2, dtype=np.float64)).dtype == np.float64
         assert sign_bipolar(np.zeros(2, dtype=np.float32)).dtype == np.float32
-
-
-class TestMatmul:
-    def test_matches_operator(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 4)).astype(np.float32)
-        b = rng.normal(size=(4, 3)).astype(np.float32)
-        np.testing.assert_array_equal(matmul(a, b), a @ b)
-
-    def test_threaded_backend_matches(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(64, 16))
-        b = rng.normal(size=(16, 8))
-        expected = a @ b
-        with use_backend("threaded"):
-            np.testing.assert_allclose(matmul(a, b), expected, rtol=1e-12)
 
 
 class TestLossDtypes:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.hdc.hypervector import dot_similarity, random_hypervectors, sign_with_ties
-from repro.kernels.dispatch import use_backend
 from repro.kernels.packed import (
     bit_differences_words,
     pack_bipolar,
@@ -56,16 +55,6 @@ class TestPackedDotScores:
             bit_differences_words(
                 np.zeros((2, 2), dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64)
             )
-
-
-class TestThreadedBackend:
-    def test_bit_differences_threaded_matches_numpy(self):
-        a = random_hypervectors(33, 500, seed=3)
-        b = random_hypervectors(7, 500, seed=4)
-        packed_a, packed_b = pack_bipolar(a), pack_bipolar(b)
-        expected = packed_a.bit_differences(packed_b)
-        with use_backend("threaded"):
-            np.testing.assert_array_equal(packed_a.bit_differences(packed_b), expected)
 
 
 class TestSignFuseBits:

@@ -9,7 +9,7 @@ from repro.nn.module import Module, Parameter
 
 class TestParameter:
     def test_integer_value_cast_to_policy_dtype(self):
-        from repro.kernels.dispatch import float_dtype
+        from repro.kernels.linear import float_dtype
 
         parameter = Parameter(np.array([1, 2, 3]))
         assert parameter.value.dtype == float_dtype()

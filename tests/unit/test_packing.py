@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.kernels.packed as packed_kernels
 from repro.hdc.hypervector import hamming_distance, random_hypervectors
 from repro.kernels.packed import (
     PackedHypervectors,
@@ -72,16 +73,19 @@ class TestBitDifferences:
         expected = (queries[:, None, :] != classes[None, :, :]).sum(axis=2)
         np.testing.assert_array_equal(counts, expected)
 
-    def test_blocked_path_matches_single_block(self):
-        # Enough rows that the block loop takes more than one iteration even
-        # with a tiny block budget forced via a large "other" side.
+    @pytest.mark.parametrize("block_rows", [1, 7, 300])
+    def test_blocked_path_matches_single_block(self, monkeypatch, block_rows):
+        # Shrink the scratch budget so the query rows split into blocks of
+        # one row, of seven (a ragged last block), or stay one block.
         queries = random_hypervectors(300, 256, seed=12)
         classes = random_hypervectors(50, 256, seed=13)
-        packed_queries = pack_bipolar(queries)
-        packed_classes = pack_bipolar(classes)
-        counts = packed_queries.bit_differences(packed_classes)
-        dense = hamming_distance(queries, classes) * 256
-        np.testing.assert_allclose(counts, dense, atol=1e-9)
+        bytes_per_query_row = 50 * 4 * 8  # 50 classes x 4 words x 8 bytes
+        monkeypatch.setattr(
+            packed_kernels, "_DISTANCE_BLOCK_BYTES", block_rows * bytes_per_query_row
+        )
+        counts = pack_bipolar(queries).bit_differences(pack_bipolar(classes))
+        expected = (queries[:, None, :] != classes[None, :, :]).sum(axis=2)
+        np.testing.assert_array_equal(counts, expected)
 
     def test_dimension_mismatch(self):
         a = pack_bipolar(random_hypervectors(1, 64, seed=14))

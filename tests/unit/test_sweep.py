@@ -3,6 +3,7 @@
 import pytest
 
 from repro.classifiers.baseline import BaselineHDC
+from repro.classifiers.retraining import RetrainingHDC
 from repro.core.configs import LeHDCConfig
 from repro.core.lehdc import LeHDCClassifier
 from repro.datasets.base import Dataset
@@ -129,12 +130,16 @@ class TestPackedSplitsAndFitGrid:
         def fail_from_dense(*args, **kwargs):
             raise AssertionError("grid cell built its own PackedTrainingSet")
 
-        monkeypatch.setattr(PackedTrainingSet, "try_from_dense", fail_from_dense)
+        monkeypatch.setattr(PackedTrainingSet, "from_dense", fail_from_dense)
         results = run_fit_grid(
             splits,
-            {"a": lambda: BaselineHDC(seed=0), "b": lambda: BaselineHDC(seed=1)},
+            {
+                "a": lambda: BaselineHDC(seed=0),
+                "b": lambda: BaselineHDC(seed=1),
+                "c": lambda: RetrainingHDC(iterations=2, seed=2),
+            },
         )
-        assert set(results) == {"a", "b"}
+        assert set(results) == {"a", "b", "c"}
         for cell in results.values():
             assert 0.0 <= cell.test_accuracy <= 1.0
             assert cell.fit_seconds >= 0.0
