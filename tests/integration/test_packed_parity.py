@@ -11,6 +11,7 @@ non-binary cosine centroids), and the raw-feature nearest-centroid reference.
 import numpy as np
 import pytest
 
+import repro.kernels.packed as packed_kernels
 from repro.classifiers.adapthd import AdaptHDC
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.multimodel import MultiModelHDC
@@ -77,6 +78,22 @@ class TestClassifierPackedParity:
             pack_bipolar(fitted["test_encoded"])
         )
         np.testing.assert_array_equal(packed, dense)
+
+    def test_row_blocked_scores_are_bit_identical(self, fitted, monkeypatch):
+        """Scoring one query row per XOR+popcount block changes no score.
+
+        At the default scratch budget these queries fit in one block; a
+        one-byte budget forces the blocked loop to split them row by row.
+        """
+        classifier = fitted["classifier"]
+        if not classifier.supports_packed_scoring():
+            pytest.skip("dense-only scoring rule")
+        packed_queries = pack_bipolar(fitted["test_encoded"])
+        expected = classifier.decision_scores_packed(packed_queries)
+        monkeypatch.setattr(packed_kernels, "_DISTANCE_BLOCK_BYTES", 1)
+        np.testing.assert_array_equal(
+            classifier.decision_scores_packed(packed_queries), expected
+        )
 
 
 class TestPipelinePackedParity:

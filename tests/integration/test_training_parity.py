@@ -27,6 +27,7 @@ from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.enhanced import EnhancedRetrainingHDC
 from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.retraining import RetrainingHDC
+from repro.hdc.hypervector import random_hypervectors
 from repro.kernels.train import PackedTrainingSet
 
 #: name -> (classifier, its seed-loop reference, constructor arguments)
@@ -57,6 +58,15 @@ RETRAINING_CASES = {
 def make_retraining(name, sequential=False, **overrides):
     packed_cls, sequential_cls, kwargs = RETRAINING_CASES[name]
     return (sequential_cls if sequential else packed_cls)(**dict(kwargs, **overrides))
+
+
+#: name -> factory for each classifier whose training is packed-only
+PACKED_ONLY_TRAINERS = {
+    "retraining": lambda: RetrainingHDC(iterations=2, seed=11),
+    "adapthd": lambda: AdaptHDC(iterations=2, seed=11),
+    "enhanced": lambda: EnhancedRetrainingHDC(iterations=2, seed=11),
+    "multimodel": lambda: MultiModelHDC(models_per_class=2, iterations=1, seed=11),
+}
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +147,29 @@ class TestRetrainingPackedParity:
             *fit_args, **fit_kwargs
         )
         assert_same_training(packed_model, sequential_model, expect_validation=True)
+
+    @pytest.mark.parametrize("name", sorted(RETRAINING_CASES))
+    def test_unpackable_validation_split_matches_reference(
+        self, noisy_ensemble_problem, name
+    ):
+        """A validation split with zero entries cannot be packed; it is scored
+        densely after each pass, and the trajectory still matches the seed loop."""
+        validation = np.array(noisy_ensemble_problem["test_hypervectors"], dtype=np.int8)
+        validation[np.random.default_rng(21).random(validation.shape) < 0.1] = 0
+        validation_labels = noisy_ensemble_problem["test_labels"]
+        fit_kwargs = dict(
+            validation_hypervectors=validation, validation_labels=validation_labels
+        )
+        fit_args = (noisy_ensemble_problem["hypervectors"], noisy_ensemble_problem["labels"])
+        packed_model = make_retraining(name).fit(*fit_args, **fit_kwargs)
+        sequential_model = make_retraining(name, sequential=True).fit(
+            *fit_args, **fit_kwargs
+        )
+        assert_same_training(packed_model, sequential_model, expect_validation=True)
+        # The last entry scores the model that fit() leaves behind.
+        assert packed_model.history_.test_accuracy[-1] == packed_model.score(
+            validation, validation_labels
+        )
 
     def test_early_stop_iteration_count_matches(self, encoded_problem):
         for classifier in (RetrainingHDC, reference.SequentialRetrainingHDC):
@@ -234,23 +267,44 @@ class TestRetrainingPackedParity:
             assert all(value >= 0.0 for value in seconds)
 
 
-@pytest.mark.parametrize(
-    "classifier",
-    [
-        RetrainingHDC(iterations=2, seed=11),
-        AdaptHDC(iterations=2, seed=11),
-        EnhancedRetrainingHDC(iterations=2, seed=11),
-        MultiModelHDC(models_per_class=2, iterations=1, seed=11),
-    ],
-    ids=["retraining", "adapthd", "enhanced", "multimodel"],
-)
-def test_non_bipolar_training_input_raises(classifier):
+@pytest.mark.parametrize("name", list(PACKED_ONLY_TRAINERS))
+def test_non_bipolar_training_input_raises(name):
     """Training is packed-only: ternary "hypervectors" are rejected up front."""
     rng = np.random.default_rng(0)
     hypervectors = rng.integers(-1, 2, size=(60, 128)).astype(np.int8)
     labels = rng.integers(0, 3, size=60)
     with pytest.raises(ValueError, match=r"\{\+1, -1\}"):
-        classifier.fit(hypervectors, labels)
+        PACKED_ONLY_TRAINERS[name]().fit(hypervectors, labels)
+
+
+@pytest.mark.parametrize("name", list(PACKED_ONLY_TRAINERS))
+def test_a_single_non_bipolar_entry_is_rejected(name):
+    """The bipolar check reads every entry, not a sample of rows."""
+    hypervectors = random_hypervectors(60, 128, seed=1)
+    hypervectors[-1, -1] = 0
+    labels = np.arange(60) % 3
+    with pytest.raises(ValueError, match=r"\{\+1, -1\}"):
+        PACKED_ONLY_TRAINERS[name]().fit(hypervectors, labels)
+
+
+@pytest.mark.parametrize("name", list(PACKED_ONLY_TRAINERS))
+def test_float_bipolar_input_trains_like_int8(noisy_ensemble_problem, name):
+    """The requirement is on values, not dtype: ±1.0 floats train identically."""
+    hypervectors = noisy_ensemble_problem["hypervectors"]
+    labels = noisy_ensemble_problem["labels"]
+    from_int8 = PACKED_ONLY_TRAINERS[name]().fit(hypervectors, labels)
+    from_float = PACKED_ONLY_TRAINERS[name]().fit(hypervectors.astype(np.float64), labels)
+    trained_state = (
+        "model_hypervectors_" if name == "multimodel" else "nonbinary_class_hypervectors_"
+    )
+    np.testing.assert_array_equal(
+        getattr(from_float, trained_state), getattr(from_int8, trained_state)
+    )
+    np.testing.assert_array_equal(
+        from_float.class_hypervectors_, from_int8.class_hypervectors_
+    )
+    assert from_float.history_.train_accuracy == from_int8.history_.train_accuracy
+    assert from_float.history_.update_fraction == from_int8.history_.update_fraction
 
 
 class TestBaselinePackedParity:
@@ -291,21 +345,16 @@ class TestBaselinePackedParity:
 class TestMultiModelPackedParity:
     """The ensemble's incremental packed trainer vs the seed per-sample loop."""
 
-    @pytest.mark.parametrize("push_away", [False, True])
-    def test_identical_models_history_and_rng_stream(
-        self, noisy_ensemble_problem, push_away
-    ):
-        def factory(classifier):
-            return classifier(
-                models_per_class=4, iterations=3, push_away=push_away, seed=31
-            )
+    @staticmethod
+    def fit_both(problem, **settings):
+        """Fit the packed ensemble and its seed-loop reference on *problem*."""
+        fit_args = (problem["hypervectors"], problem["labels"])
+        packed_model = MultiModelHDC(**settings).fit(*fit_args)
+        sequential_model = reference.SequentialMultiModelHDC(**settings).fit(*fit_args)
+        return packed_model, sequential_model
 
-        packed_model = factory(MultiModelHDC).fit(
-            noisy_ensemble_problem["hypervectors"], noisy_ensemble_problem["labels"]
-        )
-        sequential_model = factory(reference.SequentialMultiModelHDC).fit(
-            noisy_ensemble_problem["hypervectors"], noisy_ensemble_problem["labels"]
-        )
+    @staticmethod
+    def assert_same_ensemble(packed_model, sequential_model):
         np.testing.assert_array_equal(
             packed_model.model_hypervectors_, sequential_model.model_hypervectors_
         )
@@ -326,6 +375,42 @@ class TestMultiModelPackedParity:
         assert (
             packed_model.rng.bit_generator.state
             == sequential_model.rng.bit_generator.state
+        )
+
+    @pytest.mark.parametrize("push_away", [False, True])
+    def test_identical_models_history_and_rng_stream(
+        self, noisy_ensemble_problem, push_away
+    ):
+        self.assert_same_ensemble(
+            *self.fit_both(
+                noisy_ensemble_problem,
+                models_per_class=4,
+                iterations=3,
+                push_away=push_away,
+                seed=31,
+            )
+        )
+
+    @pytest.mark.parametrize("push_away", [False, True])
+    @pytest.mark.parametrize(
+        "models_per_class, flip_fraction",
+        [(1, 0.02), (3, 1.0)],
+        ids=["one-model-per-class", "flip-every-bit"],
+    )
+    def test_edge_settings_match_reference(
+        self, noisy_ensemble_problem, models_per_class, flip_fraction, push_away
+    ):
+        """One sub-model per class, and updates that flip every candidate bit
+        (each patched score column then spans the whole flipped mask)."""
+        self.assert_same_ensemble(
+            *self.fit_both(
+                noisy_ensemble_problem,
+                models_per_class=models_per_class,
+                iterations=2,
+                flip_fraction=flip_fraction,
+                push_away=push_away,
+                seed=32,
+            )
         )
 
     def test_shared_packed_train_is_equivalent(self, noisy_ensemble_problem):

@@ -9,9 +9,11 @@ from repro.core.nonbinary_lehdc import NonBinaryLeHDCClassifier
 from repro.kernels.linear import (
     as_float,
     float_dtype,
+    float_dtype_of,
     set_float_dtype,
     sign_bipolar,
     use_float_dtype,
+    zeros,
 )
 from repro.nn.layers import Linear
 from repro.nn.losses import cross_entropy_from_logits, one_hot, softmax
@@ -39,6 +41,28 @@ class TestFloatDtypePolicy:
         with pytest.raises(ValueError, match="floating dtype"):
             set_float_dtype(np.int32)
 
+    def test_non_float_environment_dtype_rejected(self, monkeypatch):
+        # A stale or mistyped setting fails loudly instead of training in ints.
+        set_float_dtype(None)
+        monkeypatch.setenv("REPRO_FLOAT_DTYPE", "int32")
+        with pytest.raises(ValueError, match="floating dtype"):
+            float_dtype()
+
+    def test_explicit_setting_wins_until_reset(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FLOAT_DTYPE", "float64")
+        set_float_dtype(np.float32)
+        try:
+            assert float_dtype() == np.dtype(np.float32)
+        finally:
+            set_float_dtype(None)
+        assert float_dtype() == np.dtype(np.float64)  # back to the environment
+
+    def test_use_float_dtype_restores_after_an_error(self):
+        with pytest.raises(RuntimeError):
+            with use_float_dtype(np.float64):
+                raise RuntimeError("boom")
+        assert float_dtype() == np.dtype(np.float32)
+
 
 class TestAsFloat:
     def test_integer_input_casts_to_policy(self):
@@ -55,6 +79,21 @@ class TestAsFloat:
         with use_float_dtype(np.float64):
             assert as_float(np.ones(3, dtype=np.int8)).dtype == np.float64
 
+    def test_float_dtype_of_names_the_compute_dtype(self):
+        assert float_dtype_of(np.ones(2, dtype=np.float64)) == np.float64
+        assert float_dtype_of(np.ones(2, dtype=np.float16)) == np.float16
+        assert float_dtype_of(np.ones(2, dtype=np.int8)) == np.float32
+        with use_float_dtype(np.float64):
+            assert float_dtype_of(np.ones(2, dtype=np.int8)) == np.float64
+
+    def test_zeros_follow_the_policy_unless_given_a_dtype(self):
+        assert zeros((2, 3)).dtype == np.float32
+        with use_float_dtype(np.float64):
+            assert zeros(4).dtype == np.float64
+        explicit = zeros(3, dtype=np.int64)
+        assert explicit.dtype == np.int64
+        np.testing.assert_array_equal(explicit, 0)
+
 
 class TestSignBipolar:
     def test_values_and_zero_mapping(self):
@@ -64,6 +103,14 @@ class TestSignBipolar:
     def test_dtype_follows_input(self):
         assert sign_bipolar(np.zeros(2, dtype=np.float64)).dtype == np.float64
         assert sign_bipolar(np.zeros(2, dtype=np.float32)).dtype == np.float32
+
+    def test_integer_input_and_integer_target_take_the_policy_dtype(self):
+        values = np.array([-3, 0, 4], dtype=np.int64)
+        result = sign_bipolar(values)
+        assert result.dtype == np.float32
+        np.testing.assert_array_equal(result, [-1.0, 1.0, 1.0])
+        assert sign_bipolar(values, dtype=np.int8).dtype == np.float32
+        assert sign_bipolar(values, dtype=np.float64).dtype == np.float64
 
 
 class TestLossDtypes:

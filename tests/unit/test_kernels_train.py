@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hdc.hypervector import dot_similarity, random_hypervectors
-from repro.kernels.packed import pack_bipolar
+from repro.kernels.packed import PackedHypervectors, pack_bipolar
 from repro.kernels.train import (
     PackedTrainingSet,
     apply_class_updates,
@@ -68,6 +68,12 @@ class TestBundlePacked:
             bundle_packed(packed, np.array([0, 1]), 2)
         with pytest.raises(ValueError, match="lie in"):
             bundle_packed(packed, np.array([0, 1, 2, 5]), 3)
+
+    def test_num_classes_must_be_positive(self):
+        # With no rows there is no label to catch it, so the guard must.
+        empty = PackedHypervectors(np.zeros((0, 1), dtype=np.uint64), 64)
+        with pytest.raises(ValueError, match=r"lie in \[0, 0\)"):
+            bundle_packed(empty, np.array([], dtype=np.int64), 0)
 
 
 class TestScoreEpoch:
