@@ -36,6 +36,21 @@ def top_k_from_scores(scores: np.ndarray, k: int):
     return order, np.take_along_axis(scores, order, axis=1)
 
 
+def cosine_scores(samples: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each sample row to each centroid row, ``(n, K)``.
+
+    A zero-norm row scores 0 against everything instead of dividing by zero.
+    Norms and products are taken in the operands' own dtypes.  The one cosine
+    scorer of the non-binary classifiers, non-binary LeHDC's validation and
+    the nearest-centroid reference.
+    """
+    sample_norms = np.linalg.norm(samples, axis=1, keepdims=True)
+    centroid_norms = np.linalg.norm(centroids, axis=1, keepdims=True).T
+    sample_norms[sample_norms == 0] = 1.0
+    centroid_norms[centroid_norms == 0] = 1.0
+    return (samples @ centroids.T) / (sample_norms * centroid_norms)
+
+
 class HDCClassifierBase(RngMixin, abc.ABC):
     """Abstract binary-HDC classifier operating on encoded hypervectors.
 
@@ -190,4 +205,4 @@ class HDCClassifierBase(RngMixin, abc.ABC):
         return self.packed_class_hypervectors()
 
 
-__all__ = ["HDCClassifierBase", "top_k_from_scores"]
+__all__ = ["HDCClassifierBase", "cosine_scores", "top_k_from_scores"]

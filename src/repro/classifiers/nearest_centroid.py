@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.classifiers.base import cosine_scores
 from repro.utils.validation import check_fitted, check_labels, check_matrix
 
 
@@ -61,12 +62,7 @@ class NearestCentroidClassifier:
             centroid_norms = (self.centroids_**2).sum(axis=1)
             distances = centroid_norms[None, :] - 2.0 * cross
             return np.argmin(distances, axis=1)
-        feature_norms = np.linalg.norm(features, axis=1, keepdims=True)
-        centroid_norms = np.linalg.norm(self.centroids_, axis=1, keepdims=True).T
-        feature_norms[feature_norms == 0] = 1.0
-        centroid_norms[centroid_norms == 0] = 1.0
-        similarities = (features @ self.centroids_.T) / (feature_norms * centroid_norms)
-        return np.argmax(similarities, axis=1)
+        return np.argmax(cosine_scores(features, self.centroids_), axis=1)
 
     def score(self, features: np.ndarray, labels: np.ndarray) -> float:
         """Classification accuracy on raw feature vectors."""

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.classifiers.base import HDCClassifierBase
+from repro.classifiers.base import HDCClassifierBase, cosine_scores
 from repro.hdc.hypervector import sign_with_ties
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_fitted, check_matrix
@@ -67,7 +67,7 @@ class NonBinaryHDC(HDCClassifierBase):
             for index in order:
                 sample = samples[index]
                 true_label = labels[index]
-                scores = self._cosine_scores(sample[None, :], centroids)[0]
+                scores = cosine_scores(sample[None, :], centroids)[0]
                 predicted = int(np.argmax(scores))
                 if predicted != true_label:
                     centroids[true_label] += self.learning_rate * sample
@@ -89,17 +89,9 @@ class NonBinaryHDC(HDCClassifierBase):
             "hypervectors",
             n_columns=self.nonbinary_class_hypervectors_.shape[1],
         )
-        return self._cosine_scores(
+        return cosine_scores(
             hypervectors.astype(np.float64), self.nonbinary_class_hypervectors_
         )
-
-    @staticmethod
-    def _cosine_scores(samples: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        sample_norms = np.linalg.norm(samples, axis=1, keepdims=True)
-        centroid_norms = np.linalg.norm(centroids, axis=1, keepdims=True).T
-        sample_norms[sample_norms == 0] = 1.0
-        centroid_norms[centroid_norms == 0] = 1.0
-        return (samples @ centroids.T) / (sample_norms * centroid_norms)
 
 
 __all__ = ["NonBinaryHDC"]

@@ -816,7 +816,7 @@ def command_loadgen(args) -> int:
         validate_report(report)
         print(
             "quick-mode report validated: non-zero throughput, "
-            "monotone percentiles, zero errors"
+            "monotone percentiles, zero errors, every request counted by the server"
         )
         if args.trace and not args.url:
             # The CI tracing smoke: the file must parse strictly, carry the

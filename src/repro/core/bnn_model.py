@@ -1,8 +1,10 @@
-"""The wide single-layer BNN of Fig. 4 and its training loop.
+"""The wide single-layer networks of Fig. 4 and the one LeHDC training loop.
 
-The model is ``logits = BinaryLinear(Dropout(En(x)))`` with ``D`` inputs and
+Binary HDC is ``logits = BinaryLinear(Dropout(En(x)))`` with ``D`` inputs,
 ``K`` outputs and *no* activation at the output (Sec. 4: the non-binary
-outputs feed the argmax directly).  The trainer implements the LeHDC recipe:
+outputs feed the argmax directly).  Non-binary HDC is the same network with
+real weights (footnote 1).  :class:`BNNTrainer` trains either one with the
+LeHDC recipe:
 
 * softmax cross-entropy loss with one-hot labels (Eq. 9);
 * L2 weight decay on the latent (non-binary) weights (Eq. 10);
@@ -10,6 +12,12 @@ outputs feed the argmax directly).  The trainer implements the LeHDC recipe:
 * Adam on the latent weights, which accumulate small gradients while the
   forward pass always uses their binarisation (Eq. 8);
 * learning-rate decay when the training loss increases (Sec. 5.2).
+
+The two networks differ in two methods of the model, never in a flag: the
+binary one clips its latent weights after every optimiser step
+(:meth:`SingleLayerNetwork.after_step`), and each validates with its own
+inference rule (:meth:`SingleLayerNetwork.predict`: binary weights against
+cosine similarity).
 """
 
 from __future__ import annotations
@@ -19,14 +27,15 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.classifiers.base import cosine_scores
 from repro.core.configs import LeHDCConfig
 from repro.nn.layers import BinaryLinear, Dropout
 from repro.nn.losses import cross_entropy_from_logits
 from repro.nn.module import Module
-from repro.nn.optim import SGD, Adam, Momentum, clip_gradient_norm
+from repro.nn.optim import Adam
 from repro.nn.schedules import ConstantSchedule, ReduceOnLossIncrease
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import check_labels, check_matrix, check_positive_int
+from repro.utils.validation import check_labels, check_matrix
 
 
 @dataclass
@@ -50,7 +59,62 @@ class TrainingHistory:
         return int(np.argmax(self.validation_accuracy))
 
 
-class SingleLayerBNN(Module):
+class SingleLayerNetwork(Module):
+    """Dropout + one real-weight linear layer: the network of non-binary HDC.
+
+    The paper's equivalence "also applies to non-binary HDC models by
+    changing the BNN to a wide single-layer neural network with non-binary
+    weights" (footnote 1): the weight columns are the real-valued class
+    hypervectors, and inference is cosine similarity to them.
+
+    Parameters
+    ----------
+    linear:
+        The layer over the dropped-out hypervector, ``D`` inputs and ``K``
+        outputs: a :class:`~repro.nn.layers.Linear` here, a
+        :class:`~repro.nn.layers.BinaryLinear` in :class:`SingleLayerBNN`.
+    dropout_rate:
+        Dropout probability on the input hypervector (0 disables).
+    seed:
+        Seed or generator for the dropout masks.
+    """
+
+    def __init__(self, linear: Module, dropout_rate: float = 0.5, seed: SeedLike = None):
+        super().__init__()
+        self.dropout = Dropout(dropout_rate, seed=seed)
+        self.linear = linear
+
+    @property
+    def num_classes(self) -> int:
+        """Output width ``K``."""
+        return self.linear.out_features
+
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        return self.linear.forward(self.dropout.forward(inputs))
+
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Accumulate the weight gradient; returns no input gradient.
+
+        The input is the encoded hypervector, which is data, so nothing flows
+        back through the linear layer or the dropout mask.
+        """
+        self.linear.backward(grad_output)
+
+    def after_step(self) -> None:
+        """Run after every optimiser step; real weights need no constraint."""
+
+    def predict(self, hypervectors: np.ndarray) -> np.ndarray:
+        """Labels by cosine similarity to the class hypervectors (Sec. 3.1)."""
+        samples = np.asarray(hypervectors, dtype=np.float64)
+        return np.argmax(cosine_scores(samples, self.class_hypervectors), axis=1)
+
+    @property
+    def class_hypervectors(self) -> np.ndarray:
+        """Real-valued class hypervectors, shape ``(K, D)`` (policy dtype)."""
+        return self.linear.weight.value.T.copy()
+
+
+class SingleLayerBNN(SingleLayerNetwork):
     """Dropout + binary linear layer: the BNN equivalent of a binary HDC classifier.
 
     Parameters
@@ -62,7 +126,8 @@ class SingleLayerBNN(Module):
     dropout_rate:
         Dropout probability on the input hypervector (0 disables).
     latent_clip, init_scale, seed:
-        Forwarded to :class:`~repro.nn.layers.BinaryLinear`.
+        Forwarded to :class:`~repro.nn.layers.BinaryLinear`; *seed* also
+        drives the dropout masks.
     """
 
     def __init__(
@@ -74,29 +139,22 @@ class SingleLayerBNN(Module):
         init_scale: float = 0.01,
         seed: SeedLike = None,
     ):
-        super().__init__()
         rng = ensure_rng(seed)
-        self.dimension = check_positive_int(dimension, "dimension")
-        self.num_classes = check_positive_int(num_classes, "num_classes")
-        self.dropout = Dropout(dropout_rate, seed=rng)
-        self.linear = BinaryLinear(
-            self.dimension,
-            self.num_classes,
-            latent_clip=latent_clip,
-            init_scale=init_scale,
-            seed=rng,
+        linear = BinaryLinear(
+            dimension, num_classes, latent_clip=latent_clip, init_scale=init_scale, seed=rng
         )
+        super().__init__(linear, dropout_rate=dropout_rate, seed=rng)
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        return self.linear.forward(self.dropout.forward(inputs))
+    def after_step(self) -> None:
+        """Clip the latent weights into ``[-latent_clip, +latent_clip]``."""
+        self.linear.clip_latent()
 
-    def backward(self, grad_output: np.ndarray) -> None:
-        """Accumulate the latent-weight gradient; returns no input gradient.
-
-        The input is the encoded hypervector, which is data, so nothing flows
-        back through the binary layer or the dropout mask.
-        """
-        self.linear.backward(grad_output)
+    def predict(self, hypervectors: np.ndarray) -> np.ndarray:
+        """Labels from the current binary weights (Eq. 4), dropout off."""
+        self.eval()
+        predictions = np.argmax(self.forward(hypervectors), axis=1)
+        self.train()
+        return predictions
 
     @property
     def class_hypervectors(self) -> np.ndarray:
@@ -115,7 +173,8 @@ class BNNTrainer:
     Parameters
     ----------
     model:
-        The :class:`SingleLayerBNN` to train (modified in place).
+        The network to train in place: a :class:`SingleLayerBNN` (binary
+        HDC) or a :class:`SingleLayerNetwork` (non-binary HDC).
     config:
         Hyper-parameters; see :class:`~repro.core.configs.LeHDCConfig`.
     seed:
@@ -123,12 +182,17 @@ class BNNTrainer:
     """
 
     def __init__(
-        self, model: SingleLayerBNN, config: LeHDCConfig, seed: SeedLike = None
+        self, model: SingleLayerNetwork, config: LeHDCConfig, seed: SeedLike = None
     ):
         self.model = model
         self.config = config
         self.rng = ensure_rng(seed)
-        self.optimizer = self._build_optimizer()
+        self.optimizer = Adam(
+            model.parameters(),
+            learning_rate=config.learning_rate,
+            weight_decay=config.weight_decay,
+            decoupled_weight_decay=config.decoupled_weight_decay,
+        )
         if config.lr_decay_factor < 1.0:
             self.schedule = ReduceOnLossIncrease(
                 self.optimizer,
@@ -138,30 +202,6 @@ class BNNTrainer:
         else:
             self.schedule = ConstantSchedule(self.optimizer)
         self.history = TrainingHistory()
-
-    def _build_optimizer(self):
-        config = self.config
-        parameters = self.model.parameters()
-        if config.optimizer == "adam":
-            return Adam(
-                parameters,
-                learning_rate=config.learning_rate,
-                weight_decay=config.weight_decay,
-                decoupled_weight_decay=config.decoupled_weight_decay,
-            )
-        if config.optimizer == "momentum":
-            return Momentum(
-                parameters,
-                learning_rate=config.learning_rate,
-                weight_decay=config.weight_decay,
-                decoupled_weight_decay=config.decoupled_weight_decay,
-            )
-        return SGD(
-            parameters,
-            learning_rate=config.learning_rate,
-            weight_decay=config.weight_decay,
-            decoupled_weight_decay=config.decoupled_weight_decay,
-        )
 
     # ---------------------------------------------------------------- train
     def train(
@@ -226,34 +266,22 @@ class BNNTrainer:
 
                 self.model.zero_grad()
                 self.model.backward(grad_logits)
-                if self.config.grad_clip_norm is not None:
-                    clip_gradient_norm(
-                        self.model.parameters(), self.config.grad_clip_norm
-                    )
                 self.optimizer.step()
-                self.model.linear.clip_latent()
+                self.model.after_step()
 
             epoch_loss /= num_samples
             self.history.train_loss.append(epoch_loss)
             self.history.train_accuracy.append(correct / num_samples)
             self.history.learning_rate.append(self.optimizer.learning_rate)
             if validation_hypervectors is not None:
+                # Each network validates with its own inference rule.
+                predictions = self.model.predict(validation_hypervectors)
                 self.history.validation_accuracy.append(
-                    self.evaluate(validation_hypervectors, validation_labels)
+                    float(np.mean(predictions == validation_labels))
                 )
             self.schedule.step(epoch_loss)
 
         return self.history
 
-    # ------------------------------------------------------------- evaluate
-    def evaluate(self, hypervectors: np.ndarray, labels: np.ndarray) -> float:
-        """Accuracy of the current *binary* weights on a labelled set."""
-        self.model.eval()
-        logits = self.model.forward(hypervectors)
-        predictions = np.argmax(logits, axis=1)
-        accuracy = float(np.mean(predictions == np.asarray(labels)))
-        self.model.train()
-        return accuracy
 
-
-__all__ = ["SingleLayerBNN", "BNNTrainer", "TrainingHistory"]
+__all__ = ["SingleLayerNetwork", "SingleLayerBNN", "BNNTrainer", "TrainingHistory"]

@@ -3,8 +3,9 @@
 Table 2 of the paper lists, per dataset: weight decay (WD), learning rate
 (LR), batch size (B), dropout rate (DR), and number of epochs.  Those values
 are reproduced verbatim in :data:`PAPER_CONFIGS`.  :class:`LeHDCConfig` adds
-the knobs the paper describes in prose (Adam optimiser, learning-rate decay on
-loss increase, latent-weight handling) with defaults matching the paper.
+the knobs the paper describes in prose (learning-rate decay on loss increase,
+latent-weight handling, the weight-decay form) with defaults matching the
+paper.  The optimiser is not a knob: LeHDC trains with Adam (Sec. 4).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.utils.validation import check_positive_int, check_probability
 
 @dataclass(frozen=True)
 class LeHDCConfig:
-    """Hyper-parameters for one LeHDC training run.
+    """Hyper-parameters for one LeHDC training run (binary or non-binary).
 
     Attributes
     ----------
@@ -35,28 +36,22 @@ class LeHDCConfig:
         ``2**-17`` of this value (see :class:`repro.nn.layers.Dropout`).
     epochs:
         Number of passes over the training set (Table 2 "Epochs").
-    optimizer:
-        ``"adam"`` (paper's choice), ``"momentum"`` or ``"sgd"`` for ablations.
     decoupled_weight_decay:
         Apply weight decay decoupled from the Adam moments (AdamW style) when
         ``True``; fold it into the gradient (the literal Eq. 10) when ``False``.
     latent_clip:
         Clip range for latent weights (BinaryConnect style); ``None`` disables.
+        Non-binary LeHDC has no latent weights and ignores it.
     lr_decay_factor / lr_decay_patience:
         Parameters of the reduce-on-loss-increase schedule the paper mentions;
         a factor of 1.0 disables the schedule.
     init_scale:
-        Magnitude of the random latent-weight initialisation.
-    warm_start_from_centroids:
-        If ``True``, initialise the latent weights from the baseline HDC
-        centroids instead of randomly (an extension ablation; the paper
-        initialises randomly).
+        Magnitude of the random weight initialisation (the latent weights of
+        binary LeHDC, the real weights of non-binary LeHDC).
     validation_fraction:
         Fraction of the training set held out to report per-epoch validation
         accuracy in the training history (0 disables the split; the paper
         mentions the validation-set ratio as an implicit hyper-parameter).
-    grad_clip_norm:
-        Optional global gradient-norm clip; ``None`` disables.
     """
 
     learning_rate: float = 0.01
@@ -64,15 +59,12 @@ class LeHDCConfig:
     batch_size: int = 64
     dropout_rate: float = 0.5
     epochs: int = 100
-    optimizer: str = "adam"
     decoupled_weight_decay: bool = True
     latent_clip: Optional[float] = 1.0
     lr_decay_factor: float = 0.5
     lr_decay_patience: int = 1
     init_scale: float = 0.01
-    warm_start_from_centroids: bool = False
     validation_fraction: float = 0.0
-    grad_clip_norm: Optional[float] = None
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -82,10 +74,6 @@ class LeHDCConfig:
         check_positive_int(self.batch_size, "batch_size")
         check_probability(self.dropout_rate, "dropout_rate", inclusive_one=False)
         check_positive_int(self.epochs, "epochs")
-        if self.optimizer not in ("adam", "momentum", "sgd"):
-            raise ValueError(
-                f"optimizer must be 'adam', 'momentum' or 'sgd', got {self.optimizer!r}"
-            )
         if self.latent_clip is not None and self.latent_clip <= 0:
             raise ValueError(f"latent_clip must be positive or None, got {self.latent_clip}")
         if not (0.0 < self.lr_decay_factor <= 1.0):
@@ -96,10 +84,6 @@ class LeHDCConfig:
         if self.init_scale <= 0:
             raise ValueError(f"init_scale must be positive, got {self.init_scale}")
         check_probability(self.validation_fraction, "validation_fraction", inclusive_one=False)
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ValueError(
-                f"grad_clip_norm must be positive or None, got {self.grad_clip_norm}"
-            )
 
     def with_overrides(self, **overrides) -> "LeHDCConfig":
         """Return a copy with the given fields replaced (ablation helper)."""

@@ -16,8 +16,12 @@ from typing import Optional
 import numpy as np
 
 from repro.classifiers.base import HDCClassifierBase
-from repro.classifiers.baseline import BaselineHDC
-from repro.core.bnn_model import BNNTrainer, SingleLayerBNN, TrainingHistory
+from repro.core.bnn_model import (
+    BNNTrainer,
+    SingleLayerBNN,
+    SingleLayerNetwork,
+    TrainingHistory,
+)
 from repro.core.configs import DEFAULT_CONFIG, LeHDCConfig
 from repro.hdc.hypervector import BIPOLAR_DTYPE
 from repro.utils.rng import SeedLike
@@ -41,10 +45,12 @@ class LeHDCClassifier(HDCClassifierBase):
     class_hypervectors_:
         ``(K, D)`` int8 binary class hypervectors after :meth:`fit`.
     latent_class_hypervectors_:
-        ``(K, D)`` float latent weights ``C_nb``; kept for inspection and for
-        warm-starting further training, never used at inference.
+        ``(K, D)`` float latent weights ``C_nb``; kept for inspection, never
+        used at inference.
     history_:
         :class:`~repro.core.bnn_model.TrainingHistory` of the fit.
+    model_:
+        The trained network.
     """
 
     def __init__(self, config: Optional[LeHDCConfig] = None, seed: SeedLike = None):
@@ -52,7 +58,7 @@ class LeHDCClassifier(HDCClassifierBase):
         self.config = config if config is not None else DEFAULT_CONFIG
         self.history_: Optional[TrainingHistory] = None
         self.latent_class_hypervectors_: Optional[np.ndarray] = None
-        self.model_: Optional[SingleLayerBNN] = None
+        self.model_: Optional[SingleLayerNetwork] = None
 
     def fit(
         self,
@@ -62,7 +68,7 @@ class LeHDCClassifier(HDCClassifierBase):
         validation_labels: Optional[np.ndarray] = None,
         epochs: Optional[int] = None,
     ) -> "LeHDCClassifier":
-        """Train class hypervectors by optimising the equivalent BNN.
+        """Train class hypervectors by optimising the equivalent network.
 
         Parameters
         ----------
@@ -79,8 +85,6 @@ class LeHDCClassifier(HDCClassifierBase):
         hypervectors, labels, num_classes = self._validate_fit_inputs(
             hypervectors, labels
         )
-        dimension = hypervectors.shape[1]
-
         if (
             validation_hypervectors is None
             and self.config.validation_fraction > 0.0
@@ -93,22 +97,7 @@ class LeHDCClassifier(HDCClassifierBase):
                 validation_labels,
             ) = self._split_validation(hypervectors, labels)
 
-        model = SingleLayerBNN(
-            dimension=dimension,
-            num_classes=num_classes,
-            dropout_rate=self.config.dropout_rate,
-            latent_clip=self.config.latent_clip,
-            init_scale=self.config.init_scale,
-            seed=self.rng,
-        )
-        if self.config.warm_start_from_centroids:
-            baseline = BaselineHDC(seed=self.rng)
-            baseline.fit(hypervectors, labels)
-            model.linear.set_latent_from_bipolar(
-                baseline.class_hypervectors_.T.astype(np.float64),
-                magnitude=self.config.init_scale,
-            )
-
+        model = self._build_model(hypervectors.shape[1], num_classes)
         trainer = BNNTrainer(model, self.config, seed=self.rng)
         self.history_ = trainer.train(
             hypervectors,
@@ -119,10 +108,25 @@ class LeHDCClassifier(HDCClassifierBase):
         )
 
         self.model_ = model
-        self.class_hypervectors_ = model.class_hypervectors.astype(BIPOLAR_DTYPE)
-        self.latent_class_hypervectors_ = model.latent_class_hypervectors
+        self._read_class_hypervectors(model)
         self.num_classes_ = num_classes
         return self
+
+    def _build_model(self, dimension: int, num_classes: int) -> SingleLayerNetwork:
+        """The binary network of Fig. 4, initialised from this classifier's RNG."""
+        return SingleLayerBNN(
+            dimension=dimension,
+            num_classes=num_classes,
+            dropout_rate=self.config.dropout_rate,
+            latent_clip=self.config.latent_clip,
+            init_scale=self.config.init_scale,
+            seed=self.rng,
+        )
+
+    def _read_class_hypervectors(self, model: SingleLayerNetwork) -> None:
+        """Publish the trained weights as this classifier's class hypervectors."""
+        self.class_hypervectors_ = model.class_hypervectors.astype(BIPOLAR_DTYPE)
+        self.latent_class_hypervectors_ = model.latent_class_hypervectors
 
     def _split_validation(self, hypervectors: np.ndarray, labels: np.ndarray):
         """Hold out ``config.validation_fraction`` of the data, stratification-free."""

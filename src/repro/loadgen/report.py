@@ -170,7 +170,8 @@ def validate_report(report: dict) -> None:
     """Raise ``ValueError`` unless *report* is well-formed and non-degenerate.
 
     This is the CI smoke assertion: every expected key present, a non-zero
-    throughput, monotone percentiles, and no failed requests.
+    throughput, monotone percentiles, no failed requests, and a server that
+    counted at least every request the clients saw answered.
     """
     for key in ("report_version", "config", "stream_digest", "results"):
         if key not in report:
@@ -193,6 +194,12 @@ def validate_report(report: dict) -> None:
         raise ValueError(f"latency percentiles are not monotone: {points}")
     if not len(report["stream_digest"]) == 64:
         raise ValueError("stream digest is not a sha256 hex string")
+    delta = report.get("server_metrics_delta")
+    if delta is not None and delta["requests"] < results["completed"]:
+        raise ValueError(
+            f"server counted {delta['requests']} requests for "
+            f"{results['completed']} completed ones"
+        )
 
 
 #: Verdicts the SLO engine may hand a tenant.

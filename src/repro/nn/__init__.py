@@ -1,29 +1,20 @@
-"""NumPy neural-network substrate.
+"""NumPy neural-network substrate, cut to the recipe LeHDC runs.
 
 The paper trains its single-layer BNN with PyTorch; this package provides the
-equivalent machinery from scratch so the reproduction has no deep-learning
-dependency: parameterised layers (:class:`Linear`, :class:`BinaryLinear` with
-latent weights and a straight-through estimator, :class:`Dropout`), the
-softmax cross-entropy loss, first-order optimisers (:class:`SGD`,
-:class:`Momentum`, :class:`Adam`), learning-rate schedules, and weight
-initialisers.
-
-Only what the LeHDC model needs is implemented, but the pieces are generic:
-the tests use them to train small multi-class linear models end-to-end and
-check gradients numerically.
+same machinery from scratch so the reproduction has no deep-learning
+dependency: the layers of the wide single-layer network (:class:`BinaryLinear`
+with latent weights and a straight-through estimator, the real-weight
+:class:`Linear` of non-binary HDC, :class:`Dropout`), the softmax
+cross-entropy loss, :class:`Adam`, the reduce-on-loss-increase learning-rate
+schedule, and the uniform weight initialiser (Sec. 4, Eq. 8-10).
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import BinaryLinear, Dropout, Linear, Sequential
-from repro.nn.losses import (
-    SoftmaxCrossEntropy,
-    cross_entropy_from_logits,
-    one_hot,
-    softmax,
-)
-from repro.nn.optim import SGD, Adam, Momentum, Optimizer, clip_gradient_norm
-from repro.nn.schedules import ConstantSchedule, ReduceOnLossIncrease, StepDecay
-from repro.nn.init import normal_init, scaled_uniform_init, sign_init
+from repro.nn.layers import BinaryLinear, Dropout, Linear
+from repro.nn.losses import cross_entropy_from_logits, one_hot, softmax
+from repro.nn.optim import Adam, Optimizer
+from repro.nn.schedules import ConstantSchedule, ReduceOnLossIncrease
+from repro.nn.init import scaled_uniform_init
 
 __all__ = [
     "Module",
@@ -31,20 +22,12 @@ __all__ = [
     "Linear",
     "BinaryLinear",
     "Dropout",
-    "Sequential",
     "softmax",
     "one_hot",
     "cross_entropy_from_logits",
-    "SoftmaxCrossEntropy",
     "Optimizer",
-    "SGD",
-    "Momentum",
     "Adam",
-    "clip_gradient_norm",
     "ConstantSchedule",
-    "StepDecay",
     "ReduceOnLossIncrease",
-    "normal_init",
     "scaled_uniform_init",
-    "sign_init",
 ]

@@ -1,14 +1,8 @@
-"""Weight initialisers.
+"""Weight initialisation.
 
-LeHDC's latent class-hypervector matrix can be initialised three ways, all of
-which appear in the BNN literature the paper draws on:
-
-* :func:`scaled_uniform_init` - small uniform values (BinaryConnect-style),
-  so early sign flips are cheap;
-* :func:`normal_init` - Gaussian values, the common dense-layer default;
-* :func:`sign_init` - start from an existing bipolar matrix, e.g. the
-  baseline HDC centroids (Eq. 2), which warm-starts training from the
-  classical HDC solution.
+LeHDC initialises its latent class-hypervector matrix with small uniform
+values (BinaryConnect-style), so early sign flips are cheap; the non-binary
+variant initialises its real weights the same way.
 """
 
 from __future__ import annotations
@@ -34,29 +28,4 @@ def scaled_uniform_init(
     return values.astype(float_dtype() if dtype is None else dtype, copy=False)
 
 
-def normal_init(shape, std: float = 0.01, seed: SeedLike = None, dtype=None) -> np.ndarray:
-    """Zero-mean Gaussian values with standard deviation *std*."""
-    if std <= 0:
-        raise ValueError(f"std must be positive, got {std}")
-    rng = ensure_rng(seed)
-    values = rng.normal(0.0, std, size=shape)
-    return values.astype(float_dtype() if dtype is None else dtype, copy=False)
-
-
-def sign_init(bipolar: np.ndarray, magnitude: float = 0.01, dtype=None) -> np.ndarray:
-    """Latent weights whose signs equal *bipolar* with small magnitude.
-
-    Binarising the returned matrix recovers *bipolar* exactly, so a LeHDC model
-    initialised this way starts from the given class hypervectors (typically
-    the baseline centroids) and improves from there.
-    """
-    if magnitude <= 0:
-        raise ValueError(f"magnitude must be positive, got {magnitude}")
-    bipolar = np.asarray(bipolar)
-    if not np.all(np.isin(bipolar, (-1, 1))):
-        raise ValueError("sign_init expects entries in {+1, -1}")
-    target = float_dtype() if dtype is None else np.dtype(dtype)
-    return bipolar.astype(target) * target.type(magnitude)
-
-
-__all__ = ["scaled_uniform_init", "normal_init", "sign_init"]
+__all__ = ["scaled_uniform_init"]

@@ -1,4 +1,4 @@
-"""Layers: dense linear, binary linear with straight-through estimator, dropout.
+"""Layers: real-weight linear, binary linear with straight-through estimator, dropout.
 
 :class:`BinaryLinear` is the heart of the LeHDC reproduction.  Following
 Sec. 4 (and the BinaryConnect / Adam-for-BNN recipe the paper cites), it keeps
@@ -23,7 +23,7 @@ finite-difference gradient checks.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,17 +35,18 @@ from repro.utils.validation import check_positive_int, check_probability
 
 
 class Linear(Module):
-    """Standard dense layer ``y = x W + b`` (bias optional).
+    """Real-weight dense layer ``y = x W`` over encoded data.
 
-    Used by the non-binary HDC equivalence (the "perceptron view" of
-    Sec. 3.1) and by the numerical-gradient tests that validate the substrate.
+    The network of non-binary HDC (the paper's footnote 1): its weight
+    columns are the real-valued class hypervectors.  Like
+    :class:`BinaryLinear`, it takes the encoded hypervector as input, so it
+    has no bias and its backward pass returns no input gradient.
     """
 
     def __init__(
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         init_scale: float = 0.01,
         seed: SeedLike = None,
         dtype=None,
@@ -62,32 +63,18 @@ class Linear(Module):
             ),
             name="linear.weight",
         )
-        self.bias = (
-            Parameter(
-                np.zeros(self.out_features, dtype=self.weight.value.dtype),
-                name="linear.bias",
-            )
-            if bias
-            else None
-        )
         self._cached_input: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = as_float(inputs)
         self._cached_input = inputs
-        outputs = inputs @ self.weight.value
-        if self.bias is not None:
-            outputs = outputs + self.bias.value
-        return outputs
+        return inputs @ self.weight.value
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
+        """Accumulate the weight gradient ``x^T g``; returns no input gradient."""
         if self._cached_input is None:
             raise RuntimeError("forward() must be called before backward()")
-        grad_output = as_float(grad_output)
-        self.weight.add_grad(self._cached_input.T @ grad_output)
-        if self.bias is not None:
-            self.bias.add_grad(grad_output.sum(axis=0))
-        return grad_output @ self.weight.value.T
+        self.weight.add_grad(self._cached_input.T @ as_float(grad_output))
 
 
 class BinaryLinear(Module):
@@ -146,10 +133,11 @@ class BinaryLinear(Module):
         return sign_bipolar(self.weight.value)
 
     def set_latent_from_bipolar(self, bipolar: np.ndarray, magnitude: float = 0.01) -> None:
-        """Warm-start the latent weights from an existing bipolar matrix.
+        """Load an existing bipolar matrix (e.g. trained class hypervectors).
 
         The matrix must have shape ``(in_features, out_features)``; its signs
-        become the initial binary weights.  The latent dtype is preserved.
+        become the binary weights, so the layer reproduces that classifier
+        (Sec. 3.1).  The latent dtype is preserved.
         """
         bipolar = np.asarray(bipolar)
         if bipolar.shape != self.weight.value.shape:
@@ -254,24 +242,4 @@ class Dropout(Module):
         return self._apply_mask(grad_output)
 
 
-class Sequential(Module):
-    """A simple container chaining modules in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.modules: List[Module] = list(modules)
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        outputs = inputs
-        for module in self.modules:
-            outputs = module.forward(outputs)
-        return outputs
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = grad_output
-        for module in reversed(self.modules):
-            grad = module.backward(grad)
-        return grad
-
-
-__all__ = ["Linear", "BinaryLinear", "Dropout", "Sequential"]
+__all__ = ["Linear", "BinaryLinear", "Dropout"]

@@ -2,8 +2,8 @@
 
 The loss used by LeHDC is softmax cross-entropy over the BNN outputs
 ``o = En(x) C`` with one-hot targets; the L2 weight-decay term of Eq. 10 is
-handled by the optimiser (decoupled) or by the trainer adding ``lambda * C_nb``
-to the gradient (coupled), so it does not appear here.
+handled by the optimiser (decoupled, or coupled by adding ``lambda * C_nb`` to
+the gradient), so it does not appear here.
 """
 
 from __future__ import annotations
@@ -90,29 +90,4 @@ def cross_entropy_from_logits(
     return loss, grad
 
 
-class SoftmaxCrossEntropy:
-    """Object-style wrapper around :func:`cross_entropy_from_logits`.
-
-    Keeps the last forward's gradient so ``backward()`` can be called without
-    re-passing the inputs, mirroring the layer API used in the trainer loop.
-    """
-
-    def __init__(self) -> None:
-        self._cached_grad: np.ndarray = None
-
-    def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        """Compute the mean loss and cache its gradient."""
-        loss, grad = cross_entropy_from_logits(logits, labels)
-        self._cached_grad = grad
-        return loss
-
-    def backward(self) -> np.ndarray:
-        """Return the cached gradient of the last :meth:`forward` call."""
-        if self._cached_grad is None:
-            raise RuntimeError("forward() must be called before backward()")
-        return self._cached_grad
-
-    __call__ = forward
-
-
-__all__ = ["softmax", "one_hot", "cross_entropy_from_logits", "SoftmaxCrossEntropy"]
+__all__ = ["softmax", "one_hot", "cross_entropy_from_logits"]

@@ -8,7 +8,7 @@ modules can be nested and expose all parameters of their children through
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -83,17 +83,7 @@ class Module:
                 found.append(attribute)
             elif isinstance(attribute, Module):
                 found.extend(attribute.parameters())
-            elif isinstance(attribute, (list, tuple)):
-                for item in attribute:
-                    if isinstance(item, Module):
-                        found.extend(item.parameters())
-                    elif isinstance(item, Parameter):
-                        found.append(item)
         return found
-
-    def named_parameters(self) -> Dict[str, Parameter]:
-        """Parameters keyed by their ``name`` attribute (for checkpoints/tests)."""
-        return {parameter.name: parameter for parameter in self.parameters()}
 
     def zero_grad(self) -> None:
         """Clear gradients on every parameter."""
@@ -116,25 +106,19 @@ class Module:
         for attribute in vars(self).values():
             if isinstance(attribute, Module):
                 attribute._set_mode(training)
-            elif isinstance(attribute, (list, tuple)):
-                for item in attribute:
-                    if isinstance(item, Module):
-                        item._set_mode(training)
 
     # ------------------------------------------------------------- compute
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Compute the module output for *inputs*."""
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Propagate *grad_output* back, accumulating parameter gradients.
+    def backward(self, grad_output: np.ndarray):
+        """Accumulate parameter gradients from *grad_output*.
 
-        Returns the gradient with respect to the module input.
+        The linear layers, and the networks built on them, return nothing:
+        their input is encoded data, which needs no gradient.
         """
         raise NotImplementedError
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs)
 
 
 __all__ = ["Parameter", "Module"]

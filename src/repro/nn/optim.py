@@ -1,12 +1,11 @@
-"""First-order optimisers: SGD, SGD with momentum, and Adam.
+"""Adam, the optimiser LeHDC trains with.
 
 The paper selects Adam because it outperforms SGD-based algorithms on BNN
-optimisation (Sec. 4, citing Liu et al. 2021); SGD and momentum are provided
-as ablation comparators.  Weight decay is implemented in its *decoupled* form
-(applied directly to the parameter value, AdamW-style) and in the classical
-*coupled* form (added to the gradient), selectable per optimiser, because
-Eq. 10 writes the L2 penalty as part of the loss (coupled) while most BNN
-code-bases apply it decoupled; the ablation bench compares the two.
+optimisation (Sec. 4, citing Liu et al. 2021).  Weight decay is implemented
+in its *decoupled* form (applied directly to the parameter value,
+AdamW-style) and in the classical *coupled* form (added to the gradient),
+because Eq. 10 writes the L2 penalty as part of the loss (coupled) while most
+BNN code-bases apply it decoupled; the ablation bench compares the two.
 """
 
 from __future__ import annotations
@@ -18,29 +17,10 @@ import numpy as np
 from repro.nn.module import Parameter
 
 
-def clip_gradient_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most *max_norm*.
-
-    Returns the pre-clipping norm (useful for logging).  Parameters whose
-    gradient is ``None`` are skipped.
-    """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    parameters = [p for p in parameters if p.grad is not None]
-    if not parameters:
-        return 0.0
-    total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in parameters)))
-    if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for parameter in parameters:
-            parameter.grad *= scale
-    return total
-
-
 class Optimizer:
     """Base optimiser: holds the parameter list, learning rate, weight decay.
 
-    All optimiser state (momentum/Adam moments) is allocated with
+    All optimiser state (the Adam moments) is allocated with
     ``np.zeros_like`` and every update mixes only Python scalars into the
     arrays, so the step runs entirely in each parameter's own dtype — a
     ``float32`` parameter (the kernel layer's default policy) is never
@@ -64,12 +44,10 @@ class Optimizer:
         self.learning_rate = float(learning_rate)
         self.weight_decay = float(weight_decay)
         self.decoupled_weight_decay = bool(decoupled_weight_decay)
-        self.step_count = 0
 
     # ------------------------------------------------------------------ api
     def step(self) -> None:
         """Apply one update using the gradients currently stored on the parameters."""
-        self.step_count += 1
         for parameter in self.parameters:
             if parameter.grad is None:
                 continue
@@ -96,42 +74,6 @@ class Optimizer:
 
     def _compute_update(self, parameter: Parameter, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def _compute_update(self, parameter: Parameter, grad: np.ndarray) -> np.ndarray:
-        return self.learning_rate * grad
-
-
-class Momentum(Optimizer):
-    """SGD with classical (heavy-ball) momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        learning_rate: float,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-        decoupled_weight_decay: bool = True,
-    ):
-        super().__init__(
-            parameters, learning_rate, weight_decay, decoupled_weight_decay
-        )
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def _compute_update(self, parameter: Parameter, grad: np.ndarray) -> np.ndarray:
-        key = id(parameter)
-        velocity = self._velocity.get(key)
-        if velocity is None:
-            velocity = np.zeros_like(parameter.value)
-        velocity = self.momentum * velocity + grad
-        self._velocity[key] = velocity
-        return self.learning_rate * velocity
 
 
 class Adam(Optimizer):
@@ -184,4 +126,4 @@ class Adam(Optimizer):
         return self.learning_rate * first_hat / (np.sqrt(second_hat) + self.epsilon)
 
 
-__all__ = ["Optimizer", "SGD", "Momentum", "Adam", "clip_gradient_norm"]
+__all__ = ["Optimizer", "Adam"]

@@ -2,8 +2,8 @@
 
 The paper states "the learning rate will decay during the training, if the
 training loss increasing is detected" (Sec. 5.2).  That behaviour is
-:class:`ReduceOnLossIncrease`.  A constant schedule and a step decay are also
-provided for ablations and for the comparison classifiers.
+:class:`ReduceOnLossIncrease`; :class:`ConstantSchedule` stands in when a
+configuration turns the decay off (``lr_decay_factor=1.0``).
 """
 
 from __future__ import annotations
@@ -23,25 +23,6 @@ class ConstantSchedule:
         return self.optimizer.learning_rate
 
 
-class StepDecay:
-    """Multiply the learning rate by *factor* every *every* epochs."""
-
-    def __init__(self, optimizer: Optimizer, every: int = 50, factor: float = 0.5):
-        self.optimizer = optimizer
-        self.every = check_positive_int(every, "every")
-        if not (0.0 < factor < 1.0):
-            raise ValueError(f"factor must be in (0, 1), got {factor}")
-        self.factor = factor
-        self._epoch = 0
-
-    def step(self, epoch_loss: float) -> float:
-        """Advance one epoch; decay if the boundary is reached. Returns the new LR."""
-        self._epoch += 1
-        if self._epoch % self.every == 0:
-            self.optimizer.set_learning_rate(self.optimizer.learning_rate * self.factor)
-        return self.optimizer.learning_rate
-
-
 class ReduceOnLossIncrease:
     """Decay the learning rate whenever the epoch training loss goes up.
 
@@ -54,7 +35,8 @@ class ReduceOnLossIncrease:
     patience:
         Number of consecutive increasing epochs tolerated before decaying.
     min_learning_rate:
-        Floor below which the schedule stops decaying.
+        Floor below which the schedule stops decaying; a rate that starts
+        below it is left unchanged.
     """
 
     def __init__(
@@ -88,12 +70,13 @@ class ReduceOnLossIncrease:
         else:
             self._bad_epochs += 1
             if self._bad_epochs >= self.patience:
-                new_rate = max(
-                    self.optimizer.learning_rate * self.factor, self.min_learning_rate
-                )
-                self.optimizer.set_learning_rate(new_rate)
+                rate = self.optimizer.learning_rate
+                # A decay never raises the rate: one already under the floor
+                # stays where it is.
+                floor = min(rate, self.min_learning_rate)
+                self.optimizer.set_learning_rate(max(rate * self.factor, floor))
                 self._bad_epochs = 0
         return self.optimizer.learning_rate
 
 
-__all__ = ["ConstantSchedule", "StepDecay", "ReduceOnLossIncrease"]
+__all__ = ["ConstantSchedule", "ReduceOnLossIncrease"]

@@ -348,14 +348,9 @@ class BatchScheduler:
             return
         elapsed = time.perf_counter() - started
         if self._metrics is not None:
+            # Requests and their latency are the caller's to record; the
+            # scheduler knows batches.
             self._metrics.record_batch(len(batch))
-            # The batch's traced parent (if any) becomes the latency
-            # exemplar, linking the slow histogram bucket to a full trace.
-            self._metrics.record_request(
-                len(batch),
-                elapsed,
-                trace_id=batch_parent.trace_id if batch_parent is not None else None,
-            )
             self._metrics.record_stage("batch_execute", elapsed)
         finished = time.monotonic()
         for row, request in enumerate(batch):

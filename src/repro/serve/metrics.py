@@ -167,10 +167,14 @@ class LatencyHistogram:
 class ModelMetrics:
     """Counters and histograms for one served model.
 
-    Besides the end-to-end request latency, the model keeps one
-    :class:`LatencyHistogram` per pipeline *stage* (``validate``,
-    ``queue_wait``, ``batch_execute``, ...) so ``/v1/metrics`` can
-    answer "where does a request spend its time" without a trace file.
+    ``requests`` counts answered predict requests and ``latency`` holds
+    the latency each one saw, from validation to response; ``samples``
+    counts the rows the engine scored (micro-batched rows and 2-D
+    requests; a cache hit scores none).  Besides the end-to-end request
+    latency, the model keeps one :class:`LatencyHistogram` per pipeline
+    *stage* (``validate``, ``queue_wait``, ``batch_execute``, ...) so
+    ``/v1/metrics`` can answer "where does a request spend its time"
+    without a trace file.
     """
 
     def __init__(self):
@@ -186,24 +190,29 @@ class ModelMetrics:
         self._batch_sizes: Dict[int, int] = {}
         self._stages: Dict[str, LatencyHistogram] = {}
 
-    def record_request(
-        self, num_samples: int, seconds: float, trace_id: Optional[str] = None
-    ) -> None:
-        """Record one successful inference call over *num_samples* samples.
+    def record_request(self, seconds: float, trace_id: Optional[str] = None) -> None:
+        """Record one answered predict request and the latency its caller saw.
 
-        Passing the request's ``trace_id`` (when sampled) lets the latency
-        histogram capture it as an exemplar.
+        Called once per successful request, whichever way it was answered (a
+        micro-batched row, a 2-D batch, a cache hit).  Passing the request's
+        ``trace_id`` (when sampled) lets the latency histogram capture it as
+        an exemplar.
         """
         self.latency.record(seconds, trace_id=trace_id)
         with self._lock:
             self.requests += 1
+
+    def record_samples(self, num_samples: int) -> None:
+        """Record *num_samples* rows the engine scored outside a micro-batch."""
+        with self._lock:
             self.samples += int(num_samples)
 
     def record_batch(self, batch_size: int) -> None:
-        """Record the size of one coalesced micro-batch."""
+        """Record one coalesced micro-batch: its size and the rows it scored."""
         batch_size = int(batch_size)
         with self._lock:
             self._batch_sizes[batch_size] = self._batch_sizes.get(batch_size, 0) + 1
+            self.samples += batch_size
 
     def record_error(self) -> None:
         with self._lock:
@@ -258,8 +267,8 @@ class ModelMetrics:
 
     def snapshot(self) -> Dict[str, object]:
         # All counters are read in one critical section so a concurrent
-        # record_request can never yield a snapshot where e.g. ``samples``
-        # reflects an update that ``requests`` does not.
+        # record_batch can never yield a snapshot where e.g. ``samples``
+        # reflects a batch that ``batches`` does not.
         with self._lock:
             requests = self.requests
             samples = self.samples

@@ -434,7 +434,9 @@ class ServeApp:
                     name, ok=False, latency_s=time.perf_counter() - started
                 )
             raise
-        self.slo.record(name, ok=True, latency_s=time.perf_counter() - started)
+        elapsed = time.perf_counter() - started
+        model_metrics.record_request(elapsed, trace_id=root.trace_id if sampled else None)
+        self.slo.record(name, ok=True, latency_s=elapsed)
         return response
 
     def _admission_slot(self, name: str) -> Optional[threading.BoundedSemaphore]:
@@ -493,10 +495,9 @@ class ServeApp:
                     features, k=top_k, trace=root.context, deadline=deadline
                 )
                 labels, scores = labels[None, :], scores[None, :]
-                batched = True
             else:
                 labels, scores = self.engine_for(name).top_k(features, k=top_k)
-                batched = False
+                model_metrics.record_samples(features.shape[0])
             if deadline is not None and time.monotonic() >= deadline:
                 # The answer exists but arrived late — a deadline is a
                 # promise, so the caller gets 504, not stale work.
@@ -514,15 +515,6 @@ class ServeApp:
             if features.ndim != 1:
                 model_metrics.record_error()
             raise RequestError(400, str(error))
-        elapsed = time.perf_counter() - started
-        # Scheduler batches already record engine latency; the request-level
-        # numbers below include queueing, which is what callers experience.
-        if not batched:
-            model_metrics.record_request(
-                features.shape[0],
-                elapsed,
-                trace_id=root.trace_id if sampled else None,
-            )
         if cache_key is not None:
             self._cache.put(cache_key, (labels, scores))
         return self._respond(name, labels, scores, top_k, started, root)

@@ -3,12 +3,12 @@
 Fig. 5's full claim (dropout + weight decay give the best *test* accuracy) is
 statistical and needs benchmark-scale runs; at test scale we verify the
 mechanisms behave as designed: regularisation lowers (or at least does not
-raise) the training fit, configurations are plumbed through, and the optional
-features (warm start, latent clipping, optimiser choice) all train.
+raise) the training fit, configurations are plumbed through, and the design
+choices the configuration keeps (latent clipping, the weight-decay form) all
+train.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.configs import LeHDCConfig
 from repro.core.lehdc import LeHDCClassifier
@@ -63,24 +63,3 @@ class TestDesignChoiceAblations:
             )
             _, train_accuracy, _ = fit_and_measure(encoded_problem, config, seed=3)
             assert train_accuracy > 0.5
-
-    def test_warm_start_converges_at_least_as_fast_initially(self, encoded_problem):
-        cold = BASE.with_overrides(epochs=2)
-        warm = BASE.with_overrides(epochs=2, warm_start_from_centroids=True)
-        _, _, cold_test = fit_and_measure(encoded_problem, cold, seed=4)
-        _, _, warm_test = fit_and_measure(encoded_problem, warm, seed=4)
-        # After only two epochs the centroid-initialised model should already
-        # be competitive (it starts from the baseline HDC solution).
-        assert warm_test >= cold_test - 0.1
-
-    @pytest.mark.parametrize(
-        "optimizer,learning_rate", [("adam", 0.01), ("momentum", 0.005), ("sgd", 0.05)]
-    )
-    def test_all_optimizers_supported(self, encoded_problem, optimizer, learning_rate):
-        config = BASE.with_overrides(
-            optimizer=optimizer, epochs=8, learning_rate=learning_rate
-        )
-        _, train_accuracy, _ = fit_and_measure(encoded_problem, config, seed=5)
-        # All optimisers must train the BNN to well above chance (0.25);
-        # Adam is expected to be the strongest, matching the paper's choice.
-        assert train_accuracy > 0.35

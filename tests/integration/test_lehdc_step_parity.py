@@ -1,4 +1,4 @@
-"""LeHDC training is bit-identical to the pre-change encoder and BNN step.
+"""LeHDC training is bit-identical to the pre-change encoder, BNN step and loops.
 
 The record encoder evaluates Eq. 1 as a grouped GEMM, the loss flushes
 subnormal gradient entries, the backward pass no longer computes the input
@@ -12,17 +12,25 @@ dropout mask, is swapped for the pre-change float64 draw on the fast side;
 everything else runs as shipped.  Each configuration also checks that its
 reference gradients really contained subnormals, so the flush is exercised,
 not bypassed.
+
+Non-binary LeHDC trains through the same ``BNNTrainer.train`` over a
+real-weight network; on the same configurations it must equal its own
+pre-change epoch loop (``reference.ReferenceNonBinaryLeHDC``) bit for bit.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 import repro.core.bnn_model as bnn_model
 from reference import (
+    ReferenceNonBinaryLeHDC,
     count_subnormals,
     dense_record_accumulate,
     float64_keep_mask,
     reference_bnn_backward,
+    reference_clip_after_step,
     reference_cross_entropy,
     reference_dropout_backward,
     reference_dropout_forward,
@@ -42,14 +50,16 @@ CONFIGURATIONS = {
         "fashion_mnist", "tiny", 2000, 20, 2, {"validation_fraction": 0.2},
     ),
     "ucihar-table2": ("ucihar", "tiny", 2000, 10, 3, {}),
-    "isolet-warm-start-unclipped": (
-        "isolet", "tiny", 2000, 10, 4,
-        {"warm_start_from_centroids": True, "latent_clip": None},
-    ),
+    "isolet-unclipped": ("isolet", "tiny", 2000, 10, 4, {"latent_clip": None}),
     "pamap-table2": ("pamap", "tiny", 2000, 10, 5, {}),
+    "pamap-coupled-weight-decay": (
+        "pamap", "tiny", 2000, 10, 6, {"decoupled_weight_decay": False},
+    ),
+    "isolet-no-lr-decay": ("isolet", "tiny", 2000, 10, 7, {"lr_decay_factor": 1.0}),
 }
 
 
+@functools.lru_cache(maxsize=None)
 def encode(dataset, profile, dimension, seed):
     """The training split encoded by ``RecordEncoder`` and by the dense loop."""
     data = get_dataset(dataset, profile=profile, seed=seed, prefer_real=False)
@@ -90,6 +100,7 @@ def test_fit_matches_pre_change_step(name, monkeypatch):
 
     monkeypatch.setattr(bnn_model, "cross_entropy_from_logits", counting_cross_entropy)
     monkeypatch.setattr(bnn_model.SingleLayerBNN, "backward", reference_bnn_backward)
+    monkeypatch.setattr(bnn_model.SingleLayerBNN, "after_step", reference_clip_after_step)
     monkeypatch.setattr(Dropout, "forward", reference_dropout_forward)
     monkeypatch.setattr(Dropout, "backward", reference_dropout_backward)
     reference = LeHDCClassifier(config, seed=seed).fit(
@@ -105,6 +116,41 @@ def test_fit_matches_pre_change_step(name, monkeypatch):
     assert fitted.history_.train_accuracy == reference.history_.train_accuracy
     assert fitted.history_.validation_accuracy == reference.history_.validation_accuracy
     assert fitted.history_.learning_rate == reference.history_.learning_rate
+    assert fitted.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
+def test_nonbinary_fit_matches_pre_change_loop(name):
+    dataset, profile, dimension, epochs, seed, overrides = CONFIGURATIONS[name]
+    config = PAPER_CONFIGS[dataset].with_overrides(**overrides)
+    hypervectors, _, labels = encode(dataset, profile, dimension, seed)
+    fitted = NonBinaryLeHDCClassifier(config, seed=seed).fit(
+        hypervectors, labels, epochs=epochs
+    )
+
+    reference = ReferenceNonBinaryLeHDC(config, seed=seed)
+    train, train_labels, validation = hypervectors, labels, {}
+    if config.validation_fraction > 0:
+        # The pre-change loop ignored validation_fraction: carve the same
+        # split from its RNG and hand it over explicitly.
+        train, train_labels, held_out, held_out_labels = (
+            LeHDCClassifier._split_validation(reference, hypervectors, labels)
+        )
+        validation = dict(
+            validation_hypervectors=held_out, validation_labels=held_out_labels
+        )
+    reference.fit(train, train_labels, epochs=epochs, **validation)
+
+    np.testing.assert_array_equal(
+        fitted.nonbinary_class_hypervectors_, reference.nonbinary_class_hypervectors_
+    )
+    np.testing.assert_array_equal(fitted.class_hypervectors_, reference.class_hypervectors_)
+    assert fitted.history_.train_loss == reference.history_.train_loss
+    assert fitted.history_.train_accuracy == reference.history_.train_accuracy
+    assert fitted.history_.validation_accuracy == reference.history_.validation_accuracy
+    assert len(fitted.history_.validation_accuracy) == (epochs if validation else 0)
+    assert fitted.history_.learning_rate == reference.history_.learning_rate
+    assert fitted.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("classifier", [LeHDCClassifier, NonBinaryLeHDCClassifier])

@@ -209,6 +209,47 @@ class TestPrometheusEndpoint:
             app.close()
 
 
+class TestRequestCounting:
+    def test_concurrent_single_row_clients_are_each_counted_once(
+        self, saved_model, small_problem
+    ):
+        """Coalesced rows still count one request each, in JSON and Prometheus."""
+        app, _ = _traced_app(saved_model, cache_size=0)
+        rows = small_problem["test_features"]
+        clients, per_client = 8, 25
+        answers = [[] for _ in range(clients)]
+
+        def client(index):
+            for step in range(per_client):
+                row = rows[(index * per_client + step) % len(rows)]
+                answers[index].append(app.predict({"features": row.tolist()}))
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(clients)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            snapshot = app.metrics_snapshot()
+        finally:
+            app.close()
+        answered = [answer for client_answers in answers for answer in client_answers]
+        total = clients * per_client
+        assert len(answered) == total
+        model = snapshot["models"]["baseline"]
+        assert model["requests"] == total
+        assert model["latency"]["count"] == total
+        assert model["samples"] == total
+        assert snapshot["slo"]["tenants"]["baseline"]["requests"] == total
+        lines = set(render_prometheus(snapshot).splitlines())
+        assert f'repro_requests_total{{model="baseline"}} {total}' in lines
+        assert f'repro_request_latency_seconds_count{{model="baseline"}} {total}' in lines
+        # Each exemplar is the trace of a request that landed in its bucket.
+        trace_ids = {answer["trace_id"] for answer in answered}
+        exemplars = [b["exemplar"] for b in model["latency"]["buckets"] if "exemplar" in b]
+        assert exemplars and {e["trace_id"] for e in exemplars} <= trace_ids
+
+
 class TestAccessLog:
     def test_structured_line_per_request(self, saved_model, caplog):
         registry = ModelRegistry()

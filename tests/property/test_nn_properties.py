@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from repro.nn.layers import BinaryLinear, Dropout
 from repro.nn.losses import cross_entropy_from_logits, one_hot, softmax
 from repro.nn.module import Parameter
-from repro.nn.optim import Adam, clip_gradient_norm
+from repro.nn.optim import Adam
 
 FINITE_FLOATS = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -75,18 +75,6 @@ def test_dropout_eval_identity_and_train_masking(rate, seed):
         np.testing.assert_allclose(
             outputs[survivors], inputs[survivors] / (1.0 - rate), atol=1e-12
         )
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    arrays(np.float64, st.integers(1, 64), elements=FINITE_FLOATS),
-    st.floats(min_value=0.1, max_value=10.0),
-)
-def test_clip_gradient_norm_never_exceeds_max(gradient, max_norm):
-    parameter = Parameter(np.zeros(gradient.shape))
-    parameter.add_grad(gradient)
-    clip_gradient_norm([parameter], max_norm=max_norm)
-    assert np.linalg.norm(parameter.grad) <= max_norm + 1e-9
 
 
 @settings(max_examples=20, deadline=None)

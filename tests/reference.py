@@ -9,7 +9,9 @@
   gradient with no subnormal flush, the input-gradient matmul through the
   binary weights, and ``Dropout.backward`` on the result.  Patch them over
   ``repro.core.bnn_model.cross_entropy_from_logits`` and
-  ``SingleLayerBNN.backward`` to train with the pre-change step.
+  ``SingleLayerBNN.backward`` to train with the pre-change step, and
+  :func:`reference_clip_after_step` over ``SingleLayerBNN.after_step`` for
+  the latent clip the trainer applied after every step.
 * :func:`reference_dropout_forward` / :func:`reference_dropout_backward` —
   ``Dropout`` before the 16-bit mask: one float64 uniform per entry and a
   float mask multiplied over a float split.  :func:`float64_keep_mask` is
@@ -28,6 +30,9 @@
   seed's per-sample loop: a dense bootstrap bundle per sub-model and one
   dense model-bank matmul per visited sample, where the classifier keeps an
   incrementally patched packed score matrix.
+* :class:`ReferenceNonBinaryLeHDC` — non-binary LeHDC on its own epoch loop,
+  as it was before ``BNNTrainer.train`` became the one loop: its own Adam,
+  schedule and cosine validation, and no validation split from the config.
 """
 
 from __future__ import annotations
@@ -41,11 +46,18 @@ from repro.classifiers.adapthd import AdaptHDC
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.enhanced import EnhancedRetrainingHDC
 from repro.classifiers.multimodel import MultiModelHDC
+from repro.classifiers.base import HDCClassifierBase
 from repro.classifiers.retraining import RetrainingHDC, RetrainingHistory
+from repro.core.bnn_model import TrainingHistory
+from repro.core.configs import DEFAULT_CONFIG, LeHDCConfig
 from repro.hdc.hypervector import BIPOLAR_DTYPE, random_hypervectors, sign_with_ties
 from repro.kernels.linear import as_float
-from repro.nn.losses import one_hot, softmax
-from repro.utils.rng import ensure_rng
+from repro.nn.layers import Dropout, Linear
+from repro.nn.losses import cross_entropy_from_logits, one_hot, softmax
+from repro.nn.optim import Adam
+from repro.nn.schedules import ConstantSchedule, ReduceOnLossIncrease
+from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.validation import check_fitted, check_matrix
 
 
 def dense_record_accumulate(
@@ -96,6 +108,11 @@ def reference_bnn_backward(model, grad_output: np.ndarray) -> np.ndarray:
     linear.weight.add_grad(grad_weight)
     grad_input = grad_output @ linear._cached_binary.T
     return model.dropout.backward(grad_input)
+
+
+def reference_clip_after_step(model) -> None:
+    """The pre-change trainer's call after every optimiser step."""
+    model.linear.clip_latent()
 
 
 def reference_dropout_forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -406,7 +423,124 @@ class SequentialMultiModelHDC(MultiModelHDC):
         return models
 
 
+class ReferenceNonBinaryLeHDC(HDCClassifierBase):
+    """Non-binary LeHDC with its own epoch loop (the pre-change classifier).
+
+    Kept as it was except where it named a deleted symbol: ``Linear`` lost
+    its ``bias`` argument (and the input gradient its ``backward`` returned
+    and this loop dropped), and the optimiser switch is Adam alone.
+    """
+
+    def __init__(self, config: Optional[LeHDCConfig] = None, seed: SeedLike = None):
+        super().__init__(seed=seed)
+        self.config = config if config is not None else DEFAULT_CONFIG
+        self.nonbinary_class_hypervectors_: Optional[np.ndarray] = None
+        self.history_: Optional[TrainingHistory] = None
+
+    # ------------------------------------------------------------------ fit
+    def fit(
+        self,
+        hypervectors: np.ndarray,
+        labels: np.ndarray,
+        validation_hypervectors: Optional[np.ndarray] = None,
+        validation_labels: Optional[np.ndarray] = None,
+        epochs: Optional[int] = None,
+    ) -> "ReferenceNonBinaryLeHDC":
+        """Train real-valued class hypervectors by softmax-regression on the encoding."""
+        hypervectors, labels, num_classes = self._validate_fit_inputs(
+            hypervectors, labels
+        )
+        if (validation_hypervectors is None) != (validation_labels is None):
+            raise ValueError(
+                "validation_hypervectors and validation_labels must be given together"
+            )
+        config = self.config
+        dimension = hypervectors.shape[1]
+        total_epochs = config.epochs if epochs is None else int(epochs)
+
+        dropout = Dropout(config.dropout_rate, seed=self.rng)
+        linear = Linear(dimension, num_classes, init_scale=config.init_scale, seed=self.rng)
+        optimizer = Adam(
+            linear.parameters(),
+            learning_rate=config.learning_rate,
+            weight_decay=config.weight_decay,
+            decoupled_weight_decay=config.decoupled_weight_decay,
+        )
+        schedule = (
+            ReduceOnLossIncrease(
+                optimizer, factor=config.lr_decay_factor, patience=config.lr_decay_patience
+            )
+            if config.lr_decay_factor < 1.0
+            else ConstantSchedule(optimizer)
+        )
+
+        num_samples = hypervectors.shape[0]
+        batch_size = min(config.batch_size, num_samples)
+        history = TrainingHistory()
+
+        for _ in range(total_epochs):
+            dropout.train()
+            order = self.rng.permutation(num_samples)
+            epoch_loss = 0.0
+            correct = 0
+            for start in range(0, num_samples, batch_size):
+                batch = order[start : start + batch_size]
+                batch_inputs = dropout.forward(hypervectors[batch])
+                logits = linear.forward(batch_inputs)
+                loss, grad_logits = cross_entropy_from_logits(logits, labels[batch])
+                epoch_loss += loss * batch.shape[0]
+                correct += int((np.argmax(logits, axis=1) == labels[batch]).sum())
+                linear.zero_grad()
+                linear.backward(grad_logits)
+                optimizer.step()
+            history.train_loss.append(epoch_loss / num_samples)
+            history.train_accuracy.append(correct / num_samples)
+            history.learning_rate.append(optimizer.learning_rate)
+            if validation_hypervectors is not None:
+                self.nonbinary_class_hypervectors_ = linear.weight.value.T.copy()
+                history.validation_accuracy.append(
+                    float(
+                        np.mean(
+                            self._cosine_predict(validation_hypervectors)
+                            == validation_labels
+                        )
+                    )
+                )
+            schedule.step(history.train_loss[-1])
+
+        self.nonbinary_class_hypervectors_ = linear.weight.value.T.copy()
+        self.class_hypervectors_ = sign_with_ties(
+            self.nonbinary_class_hypervectors_, rng=self.rng
+        )
+        self.num_classes_ = num_classes
+        self.history_ = history
+        return self
+
+    # ------------------------------------------------------------ inference
+    def decision_scores(self, hypervectors: np.ndarray) -> np.ndarray:
+        """Cosine similarity to the non-binary class hypervectors (Sec. 3.1)."""
+        check_fitted(self, "nonbinary_class_hypervectors_")
+        hypervectors = check_matrix(
+            hypervectors,
+            "hypervectors",
+            n_columns=self.nonbinary_class_hypervectors_.shape[1],
+        )
+        return self._cosine_scores(hypervectors.astype(np.float64))
+
+    def _cosine_scores(self, samples: np.ndarray) -> np.ndarray:
+        centroids = self.nonbinary_class_hypervectors_
+        sample_norms = np.linalg.norm(samples, axis=1, keepdims=True)
+        centroid_norms = np.linalg.norm(centroids, axis=1, keepdims=True).T
+        sample_norms[sample_norms == 0] = 1.0
+        centroid_norms[centroid_norms == 0] = 1.0
+        return (samples @ centroids.T) / (sample_norms * centroid_norms)
+
+    def _cosine_predict(self, hypervectors: np.ndarray) -> np.ndarray:
+        return np.argmax(self._cosine_scores(np.asarray(hypervectors, dtype=np.float64)), axis=1)
+
+
 __all__ = [
+    "ReferenceNonBinaryLeHDC",
     "SequentialAdaptHDC",
     "SequentialEnhancedRetrainingHDC",
     "SequentialMultiModelHDC",
@@ -417,6 +551,7 @@ __all__ = [
     "dense_record_accumulate",
     "float64_keep_mask",
     "reference_bnn_backward",
+    "reference_clip_after_step",
     "reference_cross_entropy",
     "reference_dropout_backward",
     "reference_dropout_forward",

@@ -10,7 +10,7 @@ from repro.core.configs import DEFAULT_CONFIG, PAPER_CONFIGS, LeHDCConfig, get_p
 class TestLeHDCConfig:
     def test_defaults_valid(self):
         config = LeHDCConfig()
-        assert config.optimizer == "adam"
+        assert config.decoupled_weight_decay is True
         assert config.latent_clip == 1.0
 
     def test_frozen(self):
@@ -33,19 +33,33 @@ class TestLeHDCConfig:
             ("batch_size", 0),
             ("dropout_rate", 1.0),
             ("epochs", 0),
-            ("optimizer", "rmsprop"),
             ("latent_clip", 0.0),
             ("lr_decay_factor", 0.0),
             ("lr_decay_factor", 1.5),
             ("lr_decay_patience", 0),
             ("init_scale", 0.0),
             ("validation_fraction", 1.0),
-            ("grad_clip_norm", 0.0),
         ],
     )
     def test_validation(self, field, value):
         with pytest.raises((ValueError, TypeError)):
             LeHDCConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("optimizer", "adam"),
+            ("grad_clip_norm", 1.0),
+            ("warm_start_from_centroids", True),
+        ],
+    )
+    def test_removed_fields_raise_type_error(self, field, value):
+        # LeHDC trains with Adam, unclipped gradients and a random start;
+        # none of the three is a knob, even at its old default.
+        with pytest.raises(TypeError):
+            LeHDCConfig(**{field: value})
+        with pytest.raises(TypeError):
+            LeHDCConfig().with_overrides(**{field: value})
 
 
 class TestPaperConfigs:

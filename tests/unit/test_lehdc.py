@@ -81,26 +81,6 @@ class TestLeHDCClassifier:
         )
         assert len(model.history_.validation_accuracy) == 4
 
-    def test_warm_start_from_centroids(self, encoded_problem):
-        config = LeHDCConfig(
-            epochs=1,
-            batch_size=32,
-            dropout_rate=0.0,
-            warm_start_from_centroids=True,
-            learning_rate=1e-6,  # effectively freeze training
-        )
-        warm = LeHDCClassifier(config=config, seed=7)
-        warm.fit(encoded_problem["train_hypervectors"], encoded_problem["train_labels"])
-        baseline = BaselineHDC(seed=7).fit(
-            encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
-        )
-        # With a frozen learning rate the warm-started model should stay very
-        # close to the baseline centroids (bit agreement well above chance).
-        agreement = float(
-            np.mean(warm.class_hypervectors_ == baseline.class_hypervectors_)
-        )
-        assert agreement > 0.9
-
     def test_inference_matches_bnn_forward(self, encoded_problem, fast_config):
         # The HDC inference path (argmax of dot products) must agree with the
         # trained BNN's forward pass in eval mode — the paper's equivalence.

@@ -300,6 +300,38 @@ class TestReport:
         with pytest.raises(ValueError, match="stream_digest"):
             validate_report(missing)
 
+    @staticmethod
+    def _counted_by_server(requests, completed=120):
+        sampler = RequestSampler.from_arrays(np.zeros((4, 3)), seed=0)
+        return build_report(
+            target={"kind": "in-process", "model": None, "top_k": 1},
+            traffic={"mode": "closed", "concurrency": 4},
+            sampler=sampler,
+            num_requests=completed,
+            warmup_requests=0,
+            warmup_errors=0,
+            latencies=[0.001] * completed,
+            errors=0,
+            duration_seconds=0.5,
+            server_metrics={
+                "requests": requests,
+                "samples": completed,
+                "errors": 0,
+                "cache_hits": 0,
+                "cache_misses": completed,
+                "batches": 48,
+            },
+        )
+
+    def test_validate_rejects_a_server_that_counted_fewer_requests(self):
+        # A server that counts micro-batches as requests: 48 for 120 answered.
+        with pytest.raises(ValueError, match="counted 48 requests for 120"):
+            validate_report(self._counted_by_server(48))
+
+    def test_validate_accepts_server_traffic_beyond_the_soak(self):
+        # A shared server also answers other clients during the measure phase.
+        validate_report(self._counted_by_server(130))
+
     def test_format_report_mentions_key_numbers(self):
         text = format_report(self._report())
         assert "throughput" in text and "p99" in text

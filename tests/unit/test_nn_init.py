@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.init import normal_init, scaled_uniform_init, sign_init
+from repro.nn.init import scaled_uniform_init
 
 
 class TestScaledUniformInit:
@@ -20,30 +20,3 @@ class TestScaledUniformInit:
     def test_validation(self):
         with pytest.raises(ValueError):
             scaled_uniform_init((2, 2), scale=0.0)
-
-
-class TestNormalInit:
-    def test_statistics(self):
-        values = normal_init((200, 200), std=0.05, seed=2)
-        assert abs(values.mean()) < 0.01
-        assert values.std() == pytest.approx(0.05, rel=0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            normal_init((2, 2), std=-1.0)
-
-
-class TestSignInit:
-    def test_signs_preserved(self):
-        bipolar = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-        latent = sign_init(bipolar, magnitude=0.1)
-        np.testing.assert_array_equal(np.sign(latent), bipolar)
-        assert np.all(np.abs(latent) == 0.1)
-
-    def test_rejects_non_bipolar(self):
-        with pytest.raises(ValueError):
-            sign_init(np.zeros((2, 2)))
-
-    def test_rejects_bad_magnitude(self):
-        with pytest.raises(ValueError):
-            sign_init(np.ones((2, 2)), magnitude=0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import BinaryLinear, Dropout, Linear, Sequential
+from repro.nn.layers import BinaryLinear, Dropout, Linear
 from repro.nn.losses import cross_entropy_from_logits
 
 
@@ -38,8 +38,7 @@ class TestLinear:
         labels = rng.integers(0, 3, size=6)
 
         def loss_value():
-            logits = inputs @ layer.weight.value + layer.bias.value
-            loss, _ = cross_entropy_from_logits(logits, labels)
+            loss, _ = cross_entropy_from_logits(inputs @ layer.weight.value, labels)
             return loss
 
         logits = layer.forward(inputs)
@@ -48,16 +47,16 @@ class TestLinear:
         layer.backward(grad_logits)
 
         numeric_weight = numerical_gradient(loss_value, layer.weight.value)
-        numeric_bias = numerical_gradient(loss_value, layer.bias.value)
         np.testing.assert_allclose(layer.weight.grad, numeric_weight, atol=1e-6)
-        np.testing.assert_allclose(layer.bias.grad, numeric_bias, atol=1e-6)
 
-    def test_input_gradient(self):
-        layer = Linear(3, 2, bias=False, seed=3)
-        inputs = np.ones((2, 3))
-        layer.forward(inputs)
-        grad_inputs = layer.backward(np.ones((2, 2)))
-        np.testing.assert_allclose(grad_inputs, np.ones((2, 2)) @ layer.weight.value.T)
+    def test_backward_returns_no_input_gradient(self):
+        """The layer's input is encoded data; only the weights get a gradient."""
+        layer = Linear(3, 2, seed=3)
+        assert [parameter.name for parameter in layer.parameters()] == ["linear.weight"]
+        layer.forward(np.ones((2, 3)))
+        layer.zero_grad()
+        assert layer.backward(np.ones((2, 2))) is None
+        np.testing.assert_array_equal(layer.weight.grad, np.full((3, 2), 2.0))
 
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
@@ -224,13 +223,3 @@ class TestDropout:
         replay = np.random.default_rng(16)
         replay.bit_generator.random_raw(-(-size // 4))
         assert layer._rng.bit_generator.state == replay.bit_generator.state
-
-
-class TestSequential:
-    def test_forward_backward_chain(self):
-        model = Sequential(Linear(4, 8, seed=0), Linear(8, 2, seed=1))
-        inputs = np.random.default_rng(2).normal(size=(3, 4))
-        outputs = model.forward(inputs)
-        assert outputs.shape == (3, 2)
-        grads = model.backward(np.ones((3, 2)))
-        assert grads.shape == (3, 4)

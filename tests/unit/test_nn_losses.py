@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from reference import count_subnormals, reference_cross_entropy
-from repro.nn.losses import (
-    SoftmaxCrossEntropy,
-    cross_entropy_from_logits,
-    one_hot,
-    softmax,
-)
+from repro.nn.losses import cross_entropy_from_logits, one_hot, softmax
 
 
 class TestSoftmax:
@@ -129,18 +124,3 @@ class TestSubnormalFlush:
         _, grad = cross_entropy_from_logits(logits, labels)
         assert grad.dtype == np.float64
         np.testing.assert_array_equal(grad, reference_grad)
-
-
-class TestSoftmaxCrossEntropyObject:
-    def test_forward_backward(self):
-        loss_fn = SoftmaxCrossEntropy()
-        logits = np.random.default_rng(5).normal(size=(4, 3))
-        labels = np.array([0, 1, 2, 1])
-        loss = loss_fn(logits, labels)
-        expected_loss, expected_grad = cross_entropy_from_logits(logits, labels)
-        assert loss == pytest.approx(expected_loss)
-        np.testing.assert_allclose(loss_fn.backward(), expected_grad)
-
-    def test_backward_before_forward(self):
-        with pytest.raises(RuntimeError):
-            SoftmaxCrossEntropy().backward()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dropout, Linear, Sequential
+from repro.core.bnn_model import SingleLayerNetwork
+from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
 
 
@@ -38,22 +39,17 @@ class TestParameter:
 
 class TestModule:
     def test_parameters_collects_children(self):
-        model = Sequential(Linear(4, 3, seed=0), Dropout(0.5, seed=0), Linear(3, 2, seed=1))
-        names = [p.name for p in model.parameters()]
-        assert len(names) == 4  # two weights + two biases
-
-    def test_named_parameters(self):
-        layer = Linear(2, 2, seed=0)
-        named = layer.named_parameters()
-        assert "linear.weight" in named
-        assert "linear.bias" in named
+        linear = Linear(4, 3, seed=0)
+        model = SingleLayerNetwork(linear, dropout_rate=0.5, seed=0)
+        # The dropout child has none; the linear child has its weight.
+        assert model.parameters() == [linear.weight]
 
     def test_train_eval_propagates(self):
-        model = Sequential(Dropout(0.5, seed=0), Linear(2, 2, seed=0))
+        model = SingleLayerNetwork(Linear(2, 2, seed=0), dropout_rate=0.5, seed=0)
         model.eval()
-        assert not model.modules[0].training
+        assert not model.dropout.training and not model.linear.training
         model.train()
-        assert model.modules[0].training
+        assert model.dropout.training and model.linear.training
 
     def test_zero_grad_clears_all(self):
         layer = Linear(3, 2, seed=0)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD
-from repro.nn.schedules import ConstantSchedule, ReduceOnLossIncrease, StepDecay
+from repro.nn.optim import Adam
+from repro.nn.schedules import ConstantSchedule, ReduceOnLossIncrease
 
 
 def make_optimizer(learning_rate=0.1):
-    return SGD([Parameter(np.zeros(1))], learning_rate=learning_rate)
+    return Adam([Parameter(np.zeros(1))], learning_rate=learning_rate)
 
 
 class TestConstantSchedule:
@@ -18,20 +18,6 @@ class TestConstantSchedule:
         schedule = ConstantSchedule(optimizer)
         for loss in [1.0, 2.0, 0.5, 3.0]:
             assert schedule.step(loss) == 0.05
-
-
-class TestStepDecay:
-    def test_decays_on_boundary(self):
-        optimizer = make_optimizer(0.1)
-        schedule = StepDecay(optimizer, every=2, factor=0.5)
-        schedule.step(1.0)
-        assert optimizer.learning_rate == 0.1
-        schedule.step(1.0)
-        assert optimizer.learning_rate == pytest.approx(0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepDecay(make_optimizer(), every=2, factor=1.5)
 
 
 class TestReduceOnLossIncrease:
@@ -66,7 +52,18 @@ class TestReduceOnLossIncrease:
         schedule.step(1.0)
         for _ in range(5):
             schedule.step(2.0)
-        assert optimizer.learning_rate >= 1e-6
+        # Decays stop exactly at the floor.
+        assert optimizer.learning_rate == 1e-6
+
+    def test_rate_below_the_floor_is_never_raised(self):
+        optimizer = make_optimizer(1e-7)
+        schedule = ReduceOnLossIncrease(
+            optimizer, factor=0.5, patience=1, min_learning_rate=1e-6
+        )
+        schedule.step(1.0)
+        for _ in range(3):
+            schedule.step(2.0)  # every step is an increase -> a decay
+        assert optimizer.learning_rate == 1e-7
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.classifiers.base import cosine_scores
 from repro.classifiers.baseline import BaselineHDC
+from repro.classifiers.nearest_centroid import NearestCentroidClassifier
 from repro.classifiers.nonbinary import NonBinaryHDC
+from repro.core.nonbinary_lehdc import NonBinaryLeHDCClassifier
 
 
 class TestNonBinaryHDC:
@@ -66,3 +69,34 @@ class TestNonBinaryHDC:
             NonBinaryHDC(retraining_iterations=-1)
         with pytest.raises(ValueError):
             NonBinaryHDC(learning_rate=0.0)
+
+
+class TestCosineScores:
+    def test_zero_norm_rows_score_zero(self):
+        samples = np.array([[3.0, 4.0], [0.0, 0.0]])
+        centroids = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+        scores = cosine_scores(samples, centroids)
+        np.testing.assert_allclose(scores, [[0.6, 0.0, 0.8], [0.0, 0.0, 0.0]])
+
+    def test_every_cosine_classifier_scores_through_it(self, encoded_problem):
+        samples = encoded_problem["test_hypervectors"][:40]
+        centroids = NonBinaryHDC(seed=0).fit(
+            encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
+        ).nonbinary_class_hypervectors_
+        expected = cosine_scores(samples.astype(np.float64), centroids)
+
+        nonbinary = NonBinaryHDC(seed=0)
+        nonbinary.nonbinary_class_hypervectors_ = centroids
+        np.testing.assert_array_equal(nonbinary.decision_scores(samples), expected)
+
+        # Non-binary LeHDC keeps float32 weights: norms stay float32 too.
+        lehdc = NonBinaryLeHDCClassifier(seed=0)
+        lehdc.nonbinary_class_hypervectors_ = centroids.astype(np.float32)
+        np.testing.assert_array_equal(
+            lehdc.decision_scores(samples),
+            cosine_scores(samples.astype(np.float64), centroids.astype(np.float32)),
+        )
+
+        nearest = NearestCentroidClassifier(metric="cosine")
+        nearest.centroids_ = centroids
+        np.testing.assert_array_equal(nearest.predict(samples), np.argmax(expected, axis=1))

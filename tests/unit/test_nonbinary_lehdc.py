@@ -55,6 +55,14 @@ class TestNonBinaryLeHDC:
         model.fit(encoded_problem["train_hypervectors"], encoded_problem["train_labels"])
         np.testing.assert_array_equal(model.to_binary(), model.class_hypervectors_)
 
+    def test_inference_matches_network_predict(self, encoded_problem, fast_config):
+        # Footnote 1's equivalence: cosine inference over the non-binary class
+        # hypervectors is the trained network's own prediction rule.
+        model = NonBinaryLeHDCClassifier(config=fast_config, seed=8)
+        model.fit(encoded_problem["train_hypervectors"], encoded_problem["train_labels"])
+        queries = encoded_problem["test_hypervectors"][:25]
+        np.testing.assert_array_equal(model.predict(queries), model.model_.predict(queries))
+
     def test_history_and_validation_tracking(self, encoded_problem, fast_config):
         model = NonBinaryLeHDCClassifier(config=fast_config, seed=4)
         model.fit(
@@ -76,16 +84,11 @@ class TestNonBinaryLeHDC:
                 validation_hypervectors=encoded_problem["test_hypervectors"],
             )
 
-    def test_sgd_optimizer_variant(self, encoded_problem):
-        config = LeHDCConfig(
-            epochs=8, batch_size=32, dropout_rate=0.0, weight_decay=0.0,
-            optimizer="sgd", learning_rate=0.05,
-        )
+    def test_validation_split_from_config(self, encoded_problem, fast_config):
+        config = fast_config.with_overrides(epochs=3, validation_fraction=0.25)
         model = NonBinaryLeHDCClassifier(config=config, seed=6)
         model.fit(encoded_problem["train_hypervectors"], encoded_problem["train_labels"])
-        assert model.score(
-            encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
-        ) > 0.5
+        assert len(model.history_.validation_accuracy) == 3
 
     def test_predict_before_fit(self, encoded_problem):
         with pytest.raises(RuntimeError):

@@ -11,6 +11,7 @@ import pytest
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.hdc.encoders import RecordEncoder
+from repro.obs import MemorySink, Tracer
 from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp
 from repro.serve.server import RequestError
 
@@ -216,6 +217,75 @@ class TestPredictionCache:
         answer = app.predict({"features": row})
         assert "cached" not in answer
         assert app.metrics_snapshot()["prediction_cache"]["entries"] == 1
+
+class TestRequestAccounting:
+    """``requests`` and ``latency`` count each answered predict once, with the
+    latency its caller saw; ``samples`` counts the rows the engine scored."""
+
+    @staticmethod
+    def _model(app):
+        return app.metrics_snapshot()["models"]["m"]
+
+    @staticmethod
+    def _exemplar_trace_ids(model):
+        return {
+            bucket["exemplar"]["trace_id"]
+            for bucket in model["latency"]["buckets"]
+            if "exemplar" in bucket
+        }
+
+    def test_coalesced_single_rows_count_one_request_each(self, make_app, row, engine):
+        app = make_app()
+        held = _HeldEngine(engine)
+        app.engine_for = lambda name: held
+        clients = [
+            threading.Thread(target=app.predict, args=({"features": row},))
+            for _ in range(3)
+        ]
+        clients[0].start()
+        try:
+            assert held.entered.wait(timeout=30)
+            for client in clients[1:]:
+                client.start()
+            scheduler = app.scheduler_for("m")
+            waited = time.monotonic() + 30
+            while scheduler.queue_depth < 2 and time.monotonic() < waited:
+                time.sleep(0.001)
+        finally:
+            held.release.set()
+            for client in clients:
+                client.join(timeout=30)
+        model = self._model(app)
+        assert model["batch_size_distribution"] == {"1": 1, "2": 1}
+        assert (model["requests"], model["latency"]["count"]) == (3, 3)
+        assert model["samples"] == 3
+
+    def test_single_row_latency_is_the_callers(self, make_app, row):
+        app = make_app()
+        answer = app.predict({"features": row})
+        latency = self._model(app)["latency"]
+        # Validation to response: it covers the answer's own latency_ms,
+        # queue wait and hand-offs included, not just the engine call.
+        assert latency["count"] == 1
+        assert latency["sum_seconds"] * 1e3 >= answer["latency_ms"]
+
+    def test_client_batch_counts_one_request_and_its_rows(self, make_app, row):
+        app = make_app()
+        answer = app.predict({"features": [row, row, row]})
+        model = self._model(app)
+        assert (model["requests"], model["samples"], model["batches"]) == (1, 3, 0)
+        assert model["latency"]["sum_seconds"] * 1e3 >= answer["latency_ms"]
+
+    def test_cache_hit_counts_a_request_and_scores_no_rows(self, make_app, row):
+        app = make_app(cache_size=8, tracer=Tracer(MemorySink()))
+        app.predict({"features": row})
+        hit = app.predict({"features": row})
+        assert hit["cached"] is True
+        model = self._model(app)
+        assert (model["requests"], model["latency"]["count"]) == (2, 2)
+        assert model["samples"] == 1
+        assert hit["trace_id"] in self._exemplar_trace_ids(model)
+
 
 class TestPerModelAdmission:
     @pytest.mark.parametrize("limit", [0, -1])

@@ -171,6 +171,10 @@ class TestCoalescing:
         assert gated.batch_sizes[:2] == [1, 4]
         distribution = metrics.batch_size_distribution
         assert sum(size * count for size, count in distribution.items()) == 41
+        # The scheduler counts batches and the rows they scored; requests
+        # are counted once each by their caller, never per batch here.
+        snapshot = metrics.snapshot()
+        assert (snapshot["samples"], snapshot["requests"]) == (41, 0)
 
 
 class TestLifecycleAndErrors:

@@ -62,14 +62,16 @@ class TestLatencyHistogram:
 class TestModelMetrics:
     def test_request_accounting(self):
         metrics = ModelMetrics()
-        metrics.record_request(4, 0.002)
-        metrics.record_request(1, 0.001)
+        metrics.record_request(0.002)
+        metrics.record_request(0.001)
+        metrics.record_samples(4)
         metrics.record_error()
         snapshot = metrics.snapshot()
         assert snapshot["requests"] == 2
-        assert snapshot["samples"] == 5
+        assert snapshot["samples"] == 4
         assert snapshot["errors"] == 1
         assert snapshot["latency"]["count"] == 2
+        assert snapshot["batches"] == 0
 
     def test_batch_size_distribution(self):
         metrics = ModelMetrics()
@@ -79,6 +81,9 @@ class TestModelMetrics:
         assert snapshot["batches"] == 4
         assert snapshot["batch_size_distribution"] == {"1": 1, "8": 2, "16": 1}
         assert snapshot["mean_batch_size"] == pytest.approx((1 + 8 + 8 + 16) / 4)
+        # A batch's rows are scored samples; it answers no request itself.
+        assert snapshot["samples"] == 1 + 8 + 8 + 16
+        assert snapshot["requests"] == 0
 
 
 class TestMetricsRegistry:
@@ -91,7 +96,7 @@ class TestMetricsRegistry:
         import json
 
         registry = MetricsRegistry()
-        registry.for_model("m").record_request(1, 0.001)
+        registry.for_model("m").record_request(0.001)
         registry.for_model("m").record_batch(1)
         payload = json.dumps(registry.snapshot())
         assert '"m"' in payload
@@ -137,10 +142,10 @@ class TestSnapshotConsistency:
 
         def hammer():
             while not stop.is_set():
-                # Every request carries exactly 3 samples, so any snapshot
-                # must observe samples == 3 * requests — a torn read (one
+                # Every batch carries exactly 3 samples, so any snapshot
+                # must observe samples == 3 * batches — a torn read (one
                 # counter updated, the other not yet) breaks the invariant.
-                metrics.record_request(3, 0.001)
+                metrics.record_batch(3)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
@@ -148,7 +153,7 @@ class TestSnapshotConsistency:
         try:
             for _ in range(200):
                 snapshot = metrics.snapshot()
-                assert snapshot["samples"] == 3 * snapshot["requests"]
+                assert snapshot["samples"] == 3 * snapshot["batches"]
         finally:
             stop.set()
             for thread in threads:
