@@ -39,11 +39,6 @@ class HDCPipeline:
         including :class:`repro.core.LeHDCClassifier`.
     encode_batch_size:
         Batch size forwarded to :meth:`Encoder.encode` to bound memory.
-    prefer_packed:
-        When true (default), prediction rides the packed XOR+popcount
-        kernels whenever the classifier supports the shared scoring rule;
-        set false to force the dense path (useful for A/B benchmarking —
-        results are identical either way).
     """
 
     def __init__(
@@ -51,12 +46,10 @@ class HDCPipeline:
         encoder: Encoder,
         classifier: HDCClassifierBase,
         encode_batch_size: int = 256,
-        prefer_packed: bool = True,
     ):
         self.encoder = encoder
         self.classifier = classifier
         self.encode_batch_size = int(encode_batch_size)
-        self.prefer_packed = bool(prefer_packed)
         self._fitted = False
 
     def fit(
@@ -83,7 +76,7 @@ class HDCPipeline:
     def _uses_packed_path(self) -> bool:
         """Whether prediction can ride the packed kernels for this classifier."""
         supports = getattr(self.classifier, "supports_packed_scoring", None)
-        return self.prefer_packed and supports is not None and supports()
+        return supports is not None and supports()
 
     def _decision_scores(self, features: np.ndarray) -> np.ndarray:
         """Encode raw *features* and return the ``(n, K)`` decision scores.

@@ -123,36 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--max-batch-size", type=int, default=64)
     serve.add_argument(
-        "--cache-size",
-        type=int,
-        default=1024,
-        help="request-level LRU prediction cache entries (0 disables)",
-    )
-    serve.add_argument(
         "--max-resident",
         type=int,
         default=4,
         help=(
             "LRU cap on loaded model engines; the least-recently-used one "
             "is dropped and reloaded from its file on next use"
-        ),
-    )
-    serve.add_argument(
-        "--max-queue-depth",
-        type=int,
-        default=None,
-        help=(
-            "bound each model's micro-batch queue; a full queue sheds the "
-            "request as 429 + Retry-After (default: unbounded)"
-        ),
-    )
-    serve.add_argument(
-        "--max-concurrent",
-        type=int,
-        default=None,
-        help=(
-            "per-model cap on concurrently admitted requests; excess load "
-            "sheds as 429 + Retry-After (default: unlimited)"
         ),
     )
     serve.add_argument(
@@ -199,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
             "answer 504 instead of being scored"
         ),
     )
-    serve.add_argument("--verbose", action="store_true", help="log HTTP requests")
     serve.add_argument(
         "--log-level",
         default=None,
@@ -268,28 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dimension", type=int, default=2000, help="D for the trained default model"
     )
     loadgen.add_argument("--max-batch-size", type=int, default=64)
-    loadgen.add_argument(
-        "--cache-size",
-        type=int,
-        default=0,
-        help=(
-            "prediction-cache entries for the in-process target (default 0: "
-            "disabled, so small datasets with repeated rows measure real "
-            "inference rather than cache hits)"
-        ),
-    )
-    loadgen.add_argument(
-        "--max-queue-depth",
-        type=int,
-        default=None,
-        help="bound the in-process target's micro-batch queues (sheds as 429)",
-    )
-    loadgen.add_argument(
-        "--max-concurrent",
-        type=int,
-        default=None,
-        help="per-model concurrency cap for the in-process target (sheds as 429)",
-    )
     loadgen.add_argument(
         "--models",
         type=int,
@@ -591,21 +544,12 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
     app = ServeApp(
         registry,
         max_batch_size=args.max_batch_size,
-        cache_size=args.cache_size,
-        max_queue_depth=args.max_queue_depth,
-        max_concurrent=args.max_concurrent,
         default_deadline_ms=args.deadline_ms,
         tenant_quotas=tenant_quotas,
         slo_config=slo_config,
     )
     try:
-        run_server(
-            app,
-            host=args.host,
-            port=args.port,
-            verbose=args.verbose,
-            log_level=args.log_level,
-        )
+        run_server(app, host=args.host, port=args.port, log_level=args.log_level)
     finally:
         if tracer is not None:
             tracer.close()
@@ -740,8 +684,7 @@ def command_loadgen(args) -> int:
             else:
                 # Multi-tenant soak: every tenant serves the same trained
                 # model (pinned, so registering N names costs one training
-                # run); schedulers, cache keys, quotas and SLOs are still
-                # per tenant.
+                # run); schedulers, quotas and SLOs are still per tenant.
                 for tenant in tenant_names:
                     registry.register(tenant, engine)
         try:
@@ -757,9 +700,6 @@ def command_loadgen(args) -> int:
         app = ServeApp(
             registry,
             max_batch_size=args.max_batch_size,
-            cache_size=args.cache_size,
-            max_queue_depth=args.max_queue_depth,
-            max_concurrent=args.max_concurrent,
             tenant_quotas=tenant_quotas,
             slo_config=slo_config,
         )

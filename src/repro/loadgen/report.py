@@ -26,28 +26,16 @@ def server_metrics_delta(before: dict, after: dict) -> dict:
     snapshots taken around the measure phase.
 
     The counters say what the *server* did for this load — requests answered,
-    samples scored, cache hits, coalesced batches, tenant sheds — which the
-    client-side latency numbers cannot distinguish (e.g. a 100%
-    cache-hit soak and a real scoring soak look identical from outside).
+    samples scored, coalesced batches, tenant sheds — which the client-side
+    latency numbers cannot tell apart (e.g. whether requests coalesced into
+    batches or each ran alone).
     """
 
     def totals(snapshot: dict) -> dict:
-        out = {
-            "requests": 0,
-            "samples": 0,
-            "errors": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "batches": 0,
-        }
+        out = {"requests": 0, "samples": 0, "errors": 0, "batches": 0}
         for model in snapshot.get("models", {}).values():
-            out["requests"] += model.get("requests", 0)
-            out["samples"] += model.get("samples", 0)
-            out["errors"] += model.get("errors", 0)
-            cache = model.get("cache", {})
-            out["cache_hits"] += cache.get("hits", 0)
-            out["cache_misses"] += cache.get("misses", 0)
-            out["batches"] += model.get("batches", 0)
+            for key in out:
+                out[key] += model.get(key, 0)
         return out
 
     def tenant_totals(snapshot: dict) -> dict:
@@ -311,13 +299,8 @@ def format_report(report: dict) -> str:
         rows.append(["client retries", f"{resilience['retries']} ({breakdown})"])
     delta = report.get("server_metrics_delta")
     if delta is not None:
-        lookups = delta["cache_hits"] + delta["cache_misses"]
-        hit_rate = delta["cache_hits"] / lookups if lookups else 0.0
         rows.append(["server requests", f"+{delta['requests']}"])
         rows.append(["server samples", f"+{delta['samples']}"])
-        rows.append(
-            ["server cache", f"+{delta['cache_hits']} hits ({hit_rate:.0%})"]
-        )
         rows.append(["server batches", f"+{delta['batches']}"])
         shed = {
             name: delta[name]

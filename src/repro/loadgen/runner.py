@@ -1,8 +1,8 @@
 """The load generator: drive a target through warm-up and measure phases.
 
 Targets abstract the wire: :class:`InProcessTarget` calls
-``ServeApp.predict`` directly (full serving path — cache, micro-batcher,
-engine — minus HTTP framing), :class:`HTTPTarget` POSTs to a
+``ServeApp.predict`` directly (full serving path — admission,
+micro-batcher, engine — minus HTTP framing), :class:`HTTPTarget` POSTs to a
 live ``repro serve`` endpoint over keep-alive ``http.client`` connections
 (stdlib only).  Both raise
 :class:`TargetError` on request failure so the runner can count errors
@@ -536,7 +536,7 @@ def run_load_test(
     """Run warm-up then measure phases; return a JSON-ready report.
 
     The sampler stream covers ``warmup_requests + num_requests`` rows; the
-    warm-up prefix exercises the target (cache fill, first-call costs) but
+    warm-up prefix exercises the target (first-call costs) but
     contributes nothing to the statistics.  Closed-loop warm-up
     runs at the same concurrency as the measure phase; open-loop warm-up
     runs closed at the outstanding-request cap (warming at the Poisson rate
@@ -585,7 +585,7 @@ def run_load_test(
         )
 
     # Server-side view: snapshot the target's metrics around the measure
-    # phase so the report can say what the *server* saw (cache hits, batch
+    # phase so the report can say what the *server* saw (rows scored, batch
     # coalescing) — not just what the clients felt.
     metrics_before = _safe_metrics(target)
 

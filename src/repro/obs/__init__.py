@@ -3,8 +3,8 @@
 Capabilities, each usable on its own and composed by the serving layer:
 
 * :mod:`repro.obs.trace` — request-scoped tracing: every sampled request
-  gets a trace ID and a span tree (validate → cache lookup → queue wait →
-  batch execute → respond) written as JSONL by a single writer; span
+  gets a trace ID and a span tree (validate → queue wait → batch execute →
+  respond) written as JSONL by a single writer; span
   context is a small tuple handed explicitly to the micro-batch collector
   thread, so its spans stitch back into the request's trace;
 * :mod:`repro.obs.sketch` — a DDSketch-style mergeable quantile sketch with

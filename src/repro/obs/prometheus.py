@@ -126,12 +126,6 @@ def render_prometheus(snapshot: Dict) -> str:
         writer.declare("repro_errors_total", "counter", "Failed requests.")
         writer.sample("repro_errors_total", metrics["errors"], model=model)
         writer.declare(
-            "repro_shed_total",
-            "counter",
-            "Requests rejected by admission control (HTTP 429).",
-        )
-        writer.sample("repro_shed_total", metrics.get("sheds", 0), model=model)
-        writer.declare(
             "repro_deadline_exceeded_total",
             "counter",
             "Requests that missed their deadline (HTTP 504).",
@@ -141,17 +135,6 @@ def render_prometheus(snapshot: Dict) -> str:
             metrics.get("deadline_exceeded", 0),
             model=model,
         )
-
-        cache = metrics.get("cache")
-        if cache is not None:
-            writer.declare(
-                "repro_cache_hits_total", "counter", "Prediction-cache hits."
-            )
-            writer.sample("repro_cache_hits_total", cache["hits"], model=model)
-            writer.declare(
-                "repro_cache_misses_total", "counter", "Prediction-cache misses."
-            )
-            writer.sample("repro_cache_misses_total", cache["misses"], model=model)
 
         writer.declare(
             "repro_batches_total", "counter", "Coalesced micro-batches executed."
@@ -169,7 +152,7 @@ def render_prometheus(snapshot: Dict) -> str:
             _render_histogram(
                 writer,
                 "repro_stage_latency_seconds",
-                "Per-stage latency (validate, queue_wait, batch_execute, ...).",
+                "Per-stage latency (validate, queue_wait, batch_execute).",
                 latency,
                 model=model,
                 stage=stage,
@@ -184,13 +167,6 @@ def render_prometheus(snapshot: Dict) -> str:
         writer.sample(
             "repro_scheduler_queue_depth", scheduler["queue_depth"], model=model
         )
-
-    cache = snapshot.get("prediction_cache")
-    if cache is not None:
-        writer.declare(
-            "repro_prediction_cache_entries", "gauge", "Resident LRU cache entries."
-        )
-        writer.sample("repro_prediction_cache_entries", cache["entries"])
 
     tenancy = snapshot.get("tenancy")
     if tenancy is not None:

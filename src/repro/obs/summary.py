@@ -18,7 +18,6 @@ from repro.obs.trace import parse_trace_file
 STAGE_ORDER = (
     "request",
     "validate",
-    "cache_lookup",
     "queue_wait",
     "batch_execute",
     "respond",

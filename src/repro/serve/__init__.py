@@ -16,9 +16,8 @@ serving stack:
 * :mod:`repro.serve.metrics` — per-model request counters and latency
   histograms;
 * :mod:`repro.serve.server` — a stdlib-only JSON-over-HTTP front-end
-  (``POST /v1/predict`` and friends) with a version-keyed LRU prediction
-  cache, tenant admission, deadlines and a graceful drain, all in one
-  process.
+  (``POST /v1/predict`` and friends) with tenant quotas as its one
+  admission limit, deadlines and a graceful drain, all in one process.
 
 Serving throughput and latency are measured end to end by perfbench's
 ``serve-keepalive`` workload (``perfbench/README.md``).

@@ -37,16 +37,6 @@ from repro.serve.metrics import ModelMetrics
 EngineSource = Union[PackedInferenceEngine, Callable[[], PackedInferenceEngine]]
 
 
-class SchedulerOverloadedError(RuntimeError):
-    """The bounded request queue is full — shed this request.
-
-    Raised by :meth:`BatchScheduler.submit` *before* enqueueing, so an
-    overloaded scheduler fails fast instead of building an unbounded backlog
-    whose tail latency outlives any client.  The HTTP layer maps it to
-    429 + ``Retry-After``.
-    """
-
-
 class DeadlineExceededError(RuntimeError):
     """The request's deadline expired before its answer was ready.
 
@@ -99,10 +89,6 @@ class BatchScheduler:
         returning one (resolved once per batch; enables hot-swapping).
     max_batch_size:
         Upper bound on samples per coalesced batch.
-    max_queue_depth:
-        Admission bound: when this many requests are already waiting,
-        :meth:`submit` raises :class:`SchedulerOverloadedError` instead of
-        enqueueing (``None``, the default, keeps the queue unbounded).
     metrics:
         Optional :class:`ModelMetrics` receiving batch sizes, latencies, and
         the ``queue_wait`` / ``batch_execute`` stage histograms.
@@ -120,19 +106,13 @@ class BatchScheduler:
         self,
         engine: EngineSource,
         max_batch_size: int = 64,
-        max_queue_depth: Optional[int] = None,
         metrics: Optional[ModelMetrics] = None,
         tracer: Optional[Tracer] = None,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_queue_depth is not None and max_queue_depth < 0:
-            raise ValueError(f"max_queue_depth must be >= 0, got {max_queue_depth}")
         self._resolve_engine = engine if callable(engine) else (lambda: engine)
         self.max_batch_size = int(max_batch_size)
-        self.max_queue_depth = (
-            None if max_queue_depth is None else int(max_queue_depth)
-        )
         self._queue: "queue.Queue[Optional[_Request]]" = queue.Queue()
         self._metrics = metrics
         self._tracer = tracer if tracer is not None else get_tracer()
@@ -158,18 +138,10 @@ class BatchScheduler:
         follow it).  ``deadline`` is an absolute ``time.monotonic()`` instant:
         a request still queued (or mid-batch) past it fails with
         :class:`DeadlineExceededError` instead of being scored.  Raises
-        ``RuntimeError`` after :meth:`stop` and
-        :class:`SchedulerOverloadedError` when the bounded queue is full.
+        ``RuntimeError`` after :meth:`stop`.
         """
         if self._closed:
             raise RuntimeError("BatchScheduler is stopped")
-        if (
-            self.max_queue_depth is not None
-            and self._queue.qsize() >= self.max_queue_depth
-        ):
-            raise SchedulerOverloadedError(
-                f"request queue is full ({self.max_queue_depth} waiting)"
-            )
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 1:
             raise ValueError(
@@ -366,4 +338,4 @@ class BatchScheduler:
             request.future.set_result((labels[row, :k_i], scores[row, :k_i]))
 
 
-__all__ = ["BatchScheduler", "DeadlineExceededError", "SchedulerOverloadedError"]
+__all__ = ["BatchScheduler", "DeadlineExceededError"]

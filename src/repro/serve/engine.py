@@ -19,9 +19,10 @@ compilation at load time:
   own ``decision_scores``.
 
 All of the bit-level machinery lives in :mod:`repro.kernels` — this module
-owns only serving concerns: compilation policy (packed vs dense), metadata,
-and thread-safety.  The engine is safe to share across threads — which is
-exactly how the batching scheduler and HTTP server use it.  The only mutable
+owns only serving concerns: compilation (packed when the classifier supports
+the shared scoring rule, dense otherwise), metadata, and thread-safety.  The
+engine is safe to share across threads — which is exactly how the batching
+scheduler and HTTP server use it.  The only mutable
 state it touches is the encoder's RNG (consumed for ``sgn(0)`` tie-breaks
 when the encoder was configured with ``tie_break="random"``); those draws are
 serialised behind an internal lock because ``np.random.Generator`` is not
@@ -58,11 +59,6 @@ class PackedInferenceEngine:
         :func:`repro.io.load_model`).
     name:
         Display name used in registry listings and metrics.
-    mode:
-        ``"auto"`` (default) picks the packed XOR+popcount path whenever the
-        classifier uses the shared dot-similarity scoring and the dense
-        fallback otherwise; ``"packed"`` / ``"dense"`` force a path
-        (forcing ``"packed"`` on an incompatible classifier raises).
     metadata:
         Optional JSON-serialisable dictionary carried through to
         :meth:`info` (the registry stores the saved-model metadata here).
@@ -72,11 +68,8 @@ class PackedInferenceEngine:
         self,
         pipeline: HDCPipeline,
         name: str = "model",
-        mode: str = "auto",
         metadata: Optional[dict] = None,
     ):
-        if mode not in ("auto", "packed", "dense"):
-            raise ValueError(f"mode must be 'auto', 'packed' or 'dense', got {mode!r}")
         if not getattr(pipeline, "_fitted", False):
             raise ValueError("the pipeline must be fitted before it can be served")
         classifier = pipeline.classifier
@@ -91,16 +84,10 @@ class PackedInferenceEngine:
         self.dimension = int(classifier.class_hypervectors_.shape[1])
         self.num_classes = int(classifier.class_hypervectors_.shape[0])
 
-        shared_scoring = classifier.supports_packed_scoring()
-        if mode == "auto":
-            mode = "packed" if shared_scoring else "dense"
-        elif mode == "packed" and not shared_scoring:
-            raise ValueError(
-                f"classifier {type(classifier).__name__} overrides decision_scores; "
-                "its scoring cannot be reproduced by the packed path "
-                "(use mode='auto' or mode='dense')"
-            )
-        self.mode = mode
+        #: ``"packed"`` (XOR + popcount) when the classifier scores with the
+        #: shared dot-similarity rule, ``"dense"`` (its own
+        #: ``decision_scores``) otherwise.
+        self.mode = "packed" if classifier.supports_packed_scoring() else "dense"
 
         # The words the packed scoring rule keeps resident: the packed class
         # hypervectors for shared-rule classifiers, the flat K*N model bank
@@ -108,7 +95,7 @@ class PackedInferenceEngine:
         # cache (scoring after this point is read-only, hence thread-safe)
         # and makes first-request latency exclude the pack.
         self._packed_classes: Optional[PackedHypervectors] = None
-        if mode == "packed":
+        if self.mode == "packed":
             self._packed_classes = classifier.packed_inference_bank()
         # np.random.Generator is not thread-safe; tie-break draws (the only
         # RNG consumption on the request path) are serialised behind this.

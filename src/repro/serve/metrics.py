@@ -170,9 +170,11 @@ class ModelMetrics:
     ``requests`` counts answered predict requests and ``latency`` holds
     the latency each one saw, from validation to response; ``samples``
     counts the rows the engine scored (micro-batched rows and 2-D
-    requests; a cache hit scores none).  Besides the end-to-end request
-    latency, the model keeps one :class:`LatencyHistogram` per pipeline
-    *stage* (``validate``, ``queue_wait``, ``batch_execute``, ...) so
+    requests).  ``errors`` counts failed requests of every kind, admission
+    sheds included (the tenant quotas count those by cause), and
+    ``deadline_exceeded`` the 504s among them.  Besides the end-to-end
+    request latency, the model keeps one :class:`LatencyHistogram` per
+    pipeline *stage* (``validate``, ``queue_wait``, ``batch_execute``) so
     ``/v1/metrics`` can answer "where does a request spend its time"
     without a trace file.
     """
@@ -182,10 +184,7 @@ class ModelMetrics:
         self.requests = 0
         self.samples = 0
         self.errors = 0
-        self.sheds = 0
         self.deadline_exceeded = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.latency = LatencyHistogram()
         self._batch_sizes: Dict[int, int] = {}
         self._stages: Dict[str, LatencyHistogram] = {}
@@ -194,7 +193,7 @@ class ModelMetrics:
         """Record one answered predict request and the latency its caller saw.
 
         Called once per successful request, whichever way it was answered (a
-        micro-batched row, a 2-D batch, a cache hit).  Passing the request's
+        micro-batched row or a 2-D batch).  Passing the request's
         ``trace_id`` (when sampled) lets the latency histogram capture it as
         an exemplar.
         """
@@ -218,25 +217,10 @@ class ModelMetrics:
         with self._lock:
             self.errors += 1
 
-    def record_shed(self) -> None:
-        """Record one request rejected by admission control (HTTP 429)."""
-        with self._lock:
-            self.sheds += 1
-
     def record_deadline(self) -> None:
         """Record one request that missed its deadline (HTTP 504)."""
         with self._lock:
             self.deadline_exceeded += 1
-
-    def record_cache_hit(self) -> None:
-        """Record one prediction answered from the request-level cache."""
-        with self._lock:
-            self.cache_hits += 1
-
-    def record_cache_miss(self) -> None:
-        """Record one prediction that had to run inference."""
-        with self._lock:
-            self.cache_misses += 1
 
     def record_stage(self, stage: str, seconds: float) -> None:
         """Record one *stage* timing (histogram created on first use).
@@ -273,26 +257,16 @@ class ModelMetrics:
             requests = self.requests
             samples = self.samples
             errors = self.errors
-            sheds = self.sheds
             deadline_exceeded = self.deadline_exceeded
-            cache_hits = self.cache_hits
-            cache_misses = self.cache_misses
             batches = dict(sorted(self._batch_sizes.items()))
             stages = dict(self._stages)
         total_batches = sum(batches.values())
         batched_samples = sum(size * count for size, count in batches.items())
-        lookups = cache_hits + cache_misses
         return {
             "requests": requests,
             "samples": samples,
             "errors": errors,
-            "sheds": sheds,
             "deadline_exceeded": deadline_exceeded,
-            "cache": {
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_rate": cache_hits / lookups if lookups else 0.0,
-            },
             "latency": self.latency.snapshot(),
             "batches": total_batches,
             "mean_batch_size": (

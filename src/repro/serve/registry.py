@@ -165,17 +165,6 @@ class ModelRegistry:
                 self._enforce_residency_cap(keep=entry)
             return entry.engine
 
-    def default_version(self, name: str) -> int:
-        """The version bare *name* currently resolves to (the promoted one).
-
-        The serving cache keys on this so a ``promote`` naturally invalidates
-        every cached prediction of the superseded version.
-        """
-        with self._lock:
-            if name not in self._models:
-                raise KeyError(f"unknown model {name!r}")
-            return self._default_version[name]
-
     def resolver(self, name: str, version: Optional[int] = None):
         """A zero-argument callable resolving the engine on every call.
 

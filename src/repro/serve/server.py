@@ -24,11 +24,11 @@ Routes
                       server answers 504 instead of returning stale work.
 
 Every error response is machine-readable: ``{"error": message, "code":
-slug}`` with ``Retry-After`` on 429/503.  Multi-tenant fleets add two codes
-to the taxonomy: ``tenant_rate_limited`` / ``tenant_quota_exceeded`` (429,
-per-tenant admission — see :mod:`repro.serve.tenancy`).  The full retry
-taxonomy (which codes mean *back off*, *retry*, or *give up*) is documented
-in ``docs/robustness.md``.
+slug}`` with ``Retry-After`` on 429/503.  The one admission limit is
+:class:`~repro.serve.tenancy.TenantQuotas`, keyed by model name; its two
+429 codes are ``tenant_rate_limited`` and ``tenant_quota_exceeded``.  The
+full retry taxonomy (which codes mean *back off*, *retry*, or *give up*) is
+documented in ``docs/robustness.md``.
 
 Example::
 
@@ -39,13 +39,12 @@ Example::
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import logging
+import math
 import signal
 import threading
 import time
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
@@ -55,11 +54,7 @@ from repro.obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
 from repro.obs.slo import SLOConfig, SLOEngine
 from repro.obs.trace import NULL_SPAN, Tracer, get_tracer
-from repro.serve.batching import (
-    BatchScheduler,
-    DeadlineExceededError,
-    SchedulerOverloadedError,
-)
+from repro.serve.batching import BatchScheduler, DeadlineExceededError
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.registry import ModelRegistry
 from repro.serve.tenancy import (
@@ -75,7 +70,6 @@ _DEFAULT_CODES = {
     400: "bad_request",
     404: "not_found",
     413: "payload_too_large",
-    429: "overloaded",
     500: "internal",
     503: "unavailable",
     504: "deadline_exceeded",
@@ -86,6 +80,20 @@ _DEFAULT_CODES = {
 #: model, oversized payload), so counting it against the SLO would let one
 #: buggy client page the on-call for a healthy service.
 _SLO_EXEMPT_STATUSES = frozenset({400, 404, 413})
+
+
+def _is_positive_finite(value) -> bool:
+    """Whether a decoded JSON value is a number in ``(0, inf)``.
+
+    ``json`` accepts ``NaN`` and ``Infinity`` and decodes integers of any
+    size, so this checks the value as the float it will be used as.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return 0.0 < float(value) < math.inf
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 class RequestError(Exception):
@@ -113,43 +121,6 @@ class RequestError(Exception):
         self.retry_after = retry_after
 
 
-class _PredictionCache:
-    """A small thread-safe LRU of ``(labels, scores)`` prediction results.
-
-    Keys carry the model *version*, so promoting a new version naturally
-    invalidates the superseded entries (they simply age out).  Values are
-    the result arrays, not response dictionaries — the response is rebuilt
-    per request so latency numbers stay honest.
-    """
-
-    def __init__(self, max_entries: int):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def put(self, key: tuple, value: Tuple[np.ndarray, np.ndarray]) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class ServeApp:
     """The serving application: registry + metrics + per-model schedulers.
 
@@ -165,31 +136,24 @@ class ServeApp:
         Optional shared :class:`MetricsRegistry` (created when omitted).
     max_batch_size:
         Micro-batch cap applied to every model's scheduler.
-    cache_size:
-        Entry cap for the request-level LRU prediction cache keyed by
-        ``(model, version, top_k, payload hash)``; ``0`` disables caching.
-    max_queue_depth:
-        Admission bound on each model's scheduler queue: requests beyond it
-        are shed with 429 + ``Retry-After`` instead of queueing unboundedly
-        (``None`` keeps the legacy unbounded behaviour).
-    max_concurrent:
-        Per-model cap on requests in flight (scheduler *and* direct 2-D
-        paths); excess requests are shed with 429.  ``None`` disables.
     tenant_quotas:
-        Optional :class:`~repro.serve.tenancy.TenantQuotas` gating every
-        predict on its tenant (model name): an empty token bucket answers
-        429 ``tenant_rate_limited``, a full concurrency quota 429
-        ``tenant_quota_exceeded`` — both with a ``Retry-After`` hint.
+        Optional :class:`~repro.serve.tenancy.TenantQuotas`, the one
+        admission limit: it gates every predict, single rows and client
+        batches alike, on its tenant (model name).  An empty token bucket
+        answers 429 ``tenant_rate_limited``, a full concurrency quota 429
+        ``tenant_quota_exceeded``, both with a ``Retry-After`` hint.  A
+        model's scheduler runs one batch at a time, so every queued request
+        also holds its lease and the concurrency quota bounds the queue.
     default_deadline_ms:
         Deadline applied to requests that do not send ``deadline_ms``
         themselves; ``None`` means no implicit deadline.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  Each sampled
         ``/v1/predict`` request becomes one trace: a ``request`` root span
-        with ``validate`` / ``cache_lookup`` / ``respond`` children here,
-        stitched to the scheduler's ``queue_wait`` / ``batch_execute``
-        spans, which the collector thread records.  Defaults to the
-        process-wide tracer (disabled unless configured).
+        with ``validate`` / ``respond`` children here, stitched to the
+        scheduler's ``queue_wait`` / ``batch_execute`` spans, which the
+        collector thread records.  Defaults to the process-wide tracer
+        (disabled unless configured).
     slo_config:
         Optional :class:`~repro.obs.slo.SLOConfig` with per-tenant
         availability/latency objectives (usually loaded from the
@@ -206,31 +170,20 @@ class ServeApp:
         registry: ModelRegistry,
         metrics: Optional[MetricsRegistry] = None,
         max_batch_size: int = 64,
-        cache_size: int = 1024,
-        max_queue_depth: Optional[int] = None,
-        max_concurrent: Optional[int] = None,
         tenant_quotas: Optional[TenantQuotas] = None,
         default_deadline_ms: Optional[float] = None,
         tracer: Optional[Tracer] = None,
         slo_config: Optional[SLOConfig] = None,
     ):
-        if max_concurrent is not None and max_concurrent < 1:
-            raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
         self.registry = registry
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.max_concurrent = max_concurrent
+        self.max_batch_size = max_batch_size
         self.tenant_quotas = tenant_quotas
         self.default_deadline_ms = default_deadline_ms
         self.slo = SLOEngine(slo_config)
-        self._batch_config = dict(
-            max_batch_size=max_batch_size,
-            max_queue_depth=max_queue_depth,
-        )
         self._schedulers: Dict[str, BatchScheduler] = {}
         self._lock = threading.Lock()
-        self._cache = _PredictionCache(cache_size) if cache_size else None
-        self._admission: Dict[str, threading.BoundedSemaphore] = {}
         self._draining = False
         self._inflight = 0
         self._inflight_cv = threading.Condition()
@@ -252,11 +205,6 @@ class ServeApp:
 
     def metrics_snapshot(self) -> dict:
         snapshot = self.metrics.snapshot()
-        if self._cache is not None:
-            snapshot["prediction_cache"] = {
-                "entries": len(self._cache),
-                "max_entries": self._cache.max_entries,
-            }
         with self._lock:
             schedulers = dict(self._schedulers)
         if schedulers:
@@ -326,6 +274,8 @@ class ServeApp:
                     f"{len(names)} models are registered",
                 )
             name = names[0]
+        if not isinstance(name, str):
+            raise RequestError(400, "'model' must be a string")
         if name not in registry:
             raise RequestError(404, f"unknown model {name!r}")
         top_k = payload.get("top_k", 1)
@@ -335,9 +285,10 @@ class ServeApp:
             features = np.asarray(payload["features"], dtype=np.float64)
         except KeyError:
             raise RequestError(400, "the 'features' field is required")
-        except (TypeError, ValueError):
-            # Covers non-numeric entries and ragged rows (NumPy refuses the
-            # inhomogeneous nesting) — a clean 400, never a stack trace.
+        except (TypeError, ValueError, OverflowError):
+            # Covers non-numeric entries, ragged rows (NumPy refuses the
+            # inhomogeneous nesting) and integers beyond the float range — a
+            # clean 400, never a stack trace.
             raise RequestError(
                 400, "'features' must be a rectangular numeric array"
             )
@@ -352,12 +303,10 @@ class ServeApp:
         deadline_ms = payload.get("deadline_ms", default_deadline_ms)
         deadline = None
         if deadline_ms is not None:
-            if (
-                isinstance(deadline_ms, bool)
-                or not isinstance(deadline_ms, (int, float))
-                or deadline_ms <= 0
-            ):
-                raise RequestError(400, "'deadline_ms' must be a positive number")
+            if not _is_positive_finite(deadline_ms):
+                raise RequestError(
+                    400, "'deadline_ms' must be a positive finite number"
+                )
             deadline = time.monotonic() + float(deadline_ms) / 1e3
         return name, top_k, features, deadline
 
@@ -385,16 +334,14 @@ class ServeApp:
         model_metrics.record_stage("validate", started - validate_started)
         root.set("model", name)
         root.set("rows", int(features.shape[0]) if features.ndim == 2 else 1)
-        # Tenant admission is the outer gate: the per-tenant token bucket and
-        # concurrency quota shed *before* the request can touch the shared
-        # scheduler capacity the other tenants are using.
         try:
-            lease = None
+            # Tenant admission sheds *before* the request can touch the
+            # scheduler capacity the other tenants share.
+            lease = contextlib.nullcontext()
             if self.tenant_quotas is not None:
                 try:
                     lease = self.tenant_quotas.admit(name)
                 except TenantAdmissionError as error:
-                    model_metrics.record_shed()
                     model_metrics.record_error()
                     raise RequestError(
                         429,
@@ -402,27 +349,10 @@ class ServeApp:
                         code=error.code,
                         retry_after=retry_after_header(error.retry_after),
                     )
-            try:
-                slot = self._admission_slot(name)
-                if slot is not None and not slot.acquire(blocking=False):
-                    model_metrics.record_shed()
-                    model_metrics.record_error()
-                    raise RequestError(
-                        429,
-                        f"model {name!r} is at its concurrency limit "
-                        f"({self.max_concurrent} in flight)",
-                        code="overloaded",
-                    )
-                try:
-                    response = self._execute(
-                        name, top_k, features, deadline, model_metrics, started, root
-                    )
-                finally:
-                    if slot is not None:
-                        slot.release()
-            finally:
-                if lease is not None:
-                    lease.release()
+            with lease:
+                response = self._execute(
+                    name, top_k, features, deadline, model_metrics, started, root
+                )
         except RequestError as error:
             # Stamp the tenant / trace onto the error so the access log can
             # carry them even though the response body never sees the model.
@@ -439,16 +369,6 @@ class ServeApp:
         self.slo.record(name, ok=True, latency_s=elapsed)
         return response
 
-    def _admission_slot(self, name: str) -> Optional[threading.BoundedSemaphore]:
-        if self.max_concurrent is None:
-            return None
-        with self._lock:
-            slot = self._admission.get(name)
-            if slot is None:
-                slot = threading.BoundedSemaphore(self.max_concurrent)
-                self._admission[name] = slot
-            return slot
-
     def _execute(
         self,
         name: str,
@@ -459,32 +379,6 @@ class ServeApp:
         started: float,
         root,
     ) -> dict:
-        sampled = root.sampled
-        tracer = self.tracer
-        cache_key = None
-        if self._cache is not None:
-            lookup_started = time.perf_counter()
-            with tracer.start_span("cache_lookup") if sampled else NULL_SPAN:
-                cache_key = (
-                    name,
-                    self.registry.default_version(name),
-                    top_k,
-                    features.shape,
-                    hashlib.sha1(features.tobytes()).hexdigest(),
-                )
-                cached = self._cache.get(cache_key)
-            model_metrics.record_stage(
-                "cache_lookup", time.perf_counter() - lookup_started
-            )
-            if cached is not None:
-                model_metrics.record_cache_hit()
-                root.set("cache", "hit")
-                labels, scores = cached
-                return self._respond(
-                    name, labels, scores, top_k, started, root, cached=True
-                )
-            model_metrics.record_cache_miss()
-
         try:
             if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExceededError("deadline expired before execution")
@@ -502,10 +396,6 @@ class ServeApp:
                 # The answer exists but arrived late — a deadline is a
                 # promise, so the caller gets 504, not stale work.
                 raise DeadlineExceededError("request completed after its deadline")
-        except SchedulerOverloadedError as error:
-            model_metrics.record_shed()
-            model_metrics.record_error()
-            raise RequestError(429, str(error), code="overloaded")
         except DeadlineExceededError as error:
             model_metrics.record_deadline()
             model_metrics.record_error()
@@ -515,8 +405,6 @@ class ServeApp:
             if features.ndim != 1:
                 model_metrics.record_error()
             raise RequestError(400, str(error))
-        if cache_key is not None:
-            self._cache.put(cache_key, (labels, scores))
         return self._respond(name, labels, scores, top_k, started, root)
 
     def _respond(
@@ -527,14 +415,11 @@ class ServeApp:
         top_k: int,
         started: float,
         root,
-        cached: bool = False,
     ) -> dict:
         """Build the response under a ``respond`` span; sampled requests get
         their ``trace_id`` echoed so clients can find their trace."""
         with self.tracer.start_span("respond") if root.sampled else NULL_SPAN:
-            response = self._build_response(
-                name, labels, scores, top_k, started, cached=cached
-            )
+            response = self._build_response(name, labels, scores, top_k, started)
             if root.sampled:
                 response["trace_id"] = root.trace_id
         return response
@@ -546,15 +431,12 @@ class ServeApp:
         scores: np.ndarray,
         top_k: int,
         started: float,
-        cached: bool = False,
     ) -> dict:
         response = {
             "model": name,
             "labels": [int(row[0]) for row in labels],
             "latency_ms": (time.perf_counter() - started) * 1e3,
         }
-        if cached:
-            response["cached"] = True
         if top_k > 1:
             response["top_k_labels"] = labels.astype(int).tolist()
             response["top_k_scores"] = scores.astype(float).tolist()
@@ -570,9 +452,9 @@ class ServeApp:
             if scheduler is None:
                 scheduler = BatchScheduler(
                     lambda: self.engine_for(name),
+                    max_batch_size=self.max_batch_size,
                     metrics=self.metrics.for_model(name),
                     tracer=self.tracer,
-                    **self._batch_config,
                 )
                 self._schedulers[name] = scheduler
             return scheduler
@@ -642,8 +524,6 @@ class _Handler(BaseHTTPRequestHandler):
         logger = getattr(self.server, "access_logger", None)
         if logger is not None:
             logger.warning(format % args)
-        elif getattr(self.server, "verbose", False):  # pragma: no cover
-            super().log_message(format, *args)
 
     def log_request(self, code="-", size="-") -> None:
         # The stdlib per-request line is superseded by the structured access
@@ -662,7 +542,7 @@ class _Handler(BaseHTTPRequestHandler):
         """One structured line per answered request (when logging is on).
 
         Error responses append their machine-readable ``code=`` so shed
-        (429/overloaded) and timed-out (504/deadline_exceeded) requests are
+        (429/tenant_*) and timed-out (504/deadline_exceeded) requests are
         greppable in aggregated logs without parsing response bodies.
         Predicts that resolved a model append ``tenant=``, and sampled
         requests append ``trace_id=`` — the same ID the trace file and the
@@ -737,8 +617,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except Exception:
             # Unexpected failures answer with a fixed JSON body: no stack
-            # trace, no exception internals — those go to the server log
-            # (when verbose), never over the wire.
+            # trace, no exception internals — those go to the access log
+            # (with a log level set), never over the wire.
             code = "internal"
             status = self._send_internal_error()
         self._log_access(
@@ -746,20 +626,19 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _send_internal_error(self) -> int:
-        import traceback
-
         logger = getattr(self.server, "access_logger", None)
         if logger is not None:  # pragma: no cover - unexpected-failure path
             logger.exception("unhandled error serving %s", self.path)
-        elif getattr(self.server, "verbose", False):  # pragma: no cover
-            traceback.print_exc()
         return self._send_json(
             500, {"error": "internal server error", "code": "internal"}
         )
 
     # ---------------------------------------------------------------- helpers
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            raise RequestError(400, "Content-Length must be an integer")
         if length <= 0:
             raise RequestError(400, "a JSON request body is required")
         if length > self.max_body_bytes:
@@ -767,7 +646,9 @@ class _Handler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         try:
             return json.loads(body)
-        except json.JSONDecodeError as error:
+        except ValueError as error:
+            # JSONDecodeError, or UnicodeDecodeError for bytes that are not
+            # UTF-8 (both are ValueErrors).
             raise RequestError(400, f"invalid JSON body: {error}")
 
     def _send_json(
@@ -814,7 +695,6 @@ def create_server(
     app: ServeApp,
     host: str = "127.0.0.1",
     port: int = 8080,
-    verbose: bool = False,
     log_level: Optional[str] = None,
 ) -> ThreadingHTTPServer:
     """Build (but do not start) the HTTP server bound to ``host:port``.
@@ -830,7 +710,6 @@ def create_server(
     """
     server = _Server((host, port), _Handler)
     server.app = app  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
     server.access_logger = None  # type: ignore[attr-defined]
     if log_level is not None:
         level = getattr(logging, str(log_level).upper(), None)
@@ -852,7 +731,6 @@ def run_server(
     app: ServeApp,
     host: str = "127.0.0.1",
     port: int = 8080,
-    verbose: bool = False,
     log_level: Optional[str] = None,
 ) -> None:  # pragma: no cover - blocking loop, exercised manually / by CLI
     """Run the server until interrupted, then drain and flush schedulers.
@@ -862,9 +740,7 @@ def run_server(
     ``draining``, in-flight requests finish, and only then do the
     schedulers stop.
     """
-    server = create_server(
-        app, host=host, port=port, verbose=verbose, log_level=log_level
-    )
+    server = create_server(app, host=host, port=port, log_level=log_level)
 
     def _handle_sigterm(signum, frame):  # noqa: ARG001 - signal signature
         app.begin_drain()

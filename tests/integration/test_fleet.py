@@ -76,7 +76,7 @@ class TestFleetPaging:
         queries = small_problem["test_features"][:6]
         expected = fleet_engine.predict(queries).tolist()
         registry = _registry(fleet_paths["v1"], tenants, cap=2)
-        app = ServeApp(registry, cache_size=0)
+        app = ServeApp(registry)
         try:
             for _ in range(2):
                 for name in tenants:
@@ -95,7 +95,7 @@ class TestFleetPaging:
         queries = small_problem["test_features"][:4]
         expected = fleet_engine.predict(queries).tolist()
         registry = _registry(fleet_paths["v1"], tenants, cap=2)
-        app = ServeApp(registry, cache_size=0)
+        app = ServeApp(registry)
         failures = []
 
         def hammer(name):
@@ -138,7 +138,7 @@ class TestResidencyCap:
         queries = small_problem["test_features"][:4]
         expected = fleet_engine.predict(queries).tolist()
         registry = _registry(fleet_paths["v1"], ["a", "b", "c"], cap=2)
-        app = ServeApp(registry, cache_size=0)
+        app = ServeApp(registry)
         try:
             for name in ("a", "b"):
                 app.predict({"features": queries.tolist(), "model": name})
@@ -161,7 +161,7 @@ class TestResidencyCap:
         queries = small_problem["test_features"][:6]
         expected_labels, expected_scores = fleet_engine.top_k(queries, k=2)
         registry = _registry(fleet_paths["v1"], ["a", "b"], cap=1)
-        app = ServeApp(registry, cache_size=0)
+        app = ServeApp(registry)
         try:
             for name in ("a", "b", "a", "b"):
                 answer = app.predict(
@@ -185,7 +185,7 @@ class TestResidencyCap:
             len(tenants), size=24, p=weights / weights.sum()
         )
         registry = _registry(fleet_paths["v1"], tenants, cap=cap)
-        app = ServeApp(registry, cache_size=0)
+        app = ServeApp(registry)
         try:
             for index in stream:
                 answer = app.predict(
@@ -204,7 +204,7 @@ class TestResidencyCap:
         tenants = ["a", "b", "c"]
         queries = small_problem["test_features"][:2]
         registry = _registry(fleet_paths["v1"], tenants, cap=8)
-        app = ServeApp(registry, cache_size=0)
+        app = ServeApp(registry)
         try:
             for _ in range(2):
                 for name in tenants:
@@ -220,7 +220,7 @@ class TestResidencyCap:
         expected = fleet_engine.predict(queries).tolist()
         registry = _registry(fleet_paths["v1"], ["a", "b"], cap=1)
         registry.register("pinned", fleet_engine)
-        app = ServeApp(registry, cache_size=0)
+        app = ServeApp(registry)
         try:
             for name in ("a", "pinned", "b", "pinned", "a"):
                 answer = app.predict({"features": queries.tolist(), "model": name})
@@ -243,14 +243,12 @@ class TestResidencyCap:
         }
         assert expected["v1"] != expected["v2"]
         registry = _registry(fleet_paths["v1"], ["a"], cap=1)
-        app = ServeApp(registry)  # the cache stays on: promotion must bypass it
+        app = ServeApp(registry)
         payload = {"features": queries.tolist(), "model": "a", "top_k": 2}
         try:
             assert app.predict(payload)["top_k_scores"] == expected["v1"]
             registry.register("a", fleet_paths["v2"])  # promotes version 2
-            swapped = app.predict(payload)
-            assert "cached" not in swapped
-            assert swapped["top_k_scores"] == expected["v2"]
+            assert app.predict(payload)["top_k_scores"] == expected["v2"]
             registry.promote("a", 1)
             assert app.predict(payload)["top_k_scores"] == expected["v1"]
         finally:
@@ -306,7 +304,7 @@ class TestTenantAdmission:
         registry = ModelRegistry()
         for name in ("a", "b"):
             registry.register(name, fleet_engine)
-        app = ServeApp(registry, tenant_quotas=quotas, cache_size=0)
+        app = ServeApp(registry, tenant_quotas=quotas)
         try:
             app.predict({"features": queries.tolist(), "model": "a"})
             with pytest.raises(RequestError) as info:
@@ -319,7 +317,7 @@ class TestTenantAdmission:
             tenancy = app.metrics_snapshot()["tenancy"]
             assert tenancy["tenants"]["a"]["rate_limited"] == 1
             assert tenancy["tenants"]["b"]["rate_limited"] == 0
-            assert app.metrics_snapshot()["models"]["a"]["sheds"] == 1
+            assert app.metrics_snapshot()["models"]["a"]["errors"] == 1
         finally:
             _shutdown(app)
 
@@ -330,7 +328,7 @@ class TestTenantAdmission:
         quotas = TenantQuotas(max_concurrent=1)
         registry = ModelRegistry()
         registry.register("a", fleet_engine)
-        app = ServeApp(registry, tenant_quotas=quotas, cache_size=0)
+        app = ServeApp(registry, tenant_quotas=quotas)
         try:
             for _ in range(5):  # a leaked lease would 429 on the second call
                 app.predict({"features": queries.tolist(), "model": "a"})
@@ -348,7 +346,7 @@ class TestTenantAdmission:
         registry = ModelRegistry()
         for name in ("a", "b"):
             registry.register(name, fleet_engine)
-        app = ServeApp(registry, tenant_quotas=quotas, cache_size=0)
+        app = ServeApp(registry, tenant_quotas=quotas)
         try:
             held = quotas.admit("a")  # another request of "a" is in flight
             with pytest.raises(RequestError) as info:
@@ -379,9 +377,7 @@ class TestDegradation:
         registry.register("ucihar", engine)
         app = ServeApp(
             registry,
-            cache_size=0,
-            max_queue_depth=2,
-            tenant_quotas=TenantQuotas(rps=50.0, burst=5.0),
+            tenant_quotas=TenantQuotas(rps=50.0, burst=5.0, max_concurrent=2),
         )
         try:
             report = run_load_test(
@@ -401,8 +397,8 @@ class TestDegradation:
         assert resilience["deadline_violations"] == 0
         assert set(resilience["errors_by_status"]) <= {"429", "504"}
         assert set(resilience["errors_by_code"]) <= {
-            "overloaded",
             "tenant_rate_limited",
+            "tenant_quota_exceeded",
             "deadline_exceeded",
         }
 
@@ -413,7 +409,7 @@ class TestDegradation:
         queries = small_problem["test_features"][:5]
         expected = fleet_engine.predict(queries).tolist()
         registry = _registry(fleet_paths["v1"], tenants, cap=1)
-        app = ServeApp(registry, cache_size=0)
+        app = ServeApp(registry)
         answers = {name: [] for name in tenants}
         errors = []
 
@@ -448,7 +444,7 @@ class TestDegradation:
         expected = fleet_engine.predict(queries).tolist()
         registry = ModelRegistry()
         registry.register("a", fleet_engine)
-        app = ServeApp(registry, cache_size=0)
+        app = ServeApp(registry)
         outcomes = []
         lock = threading.Lock()
         started = threading.Event()
@@ -489,7 +485,7 @@ class TestDegradation:
         row = small_problem["test_features"][0]
         registry = ModelRegistry()
         registry.register("a", fleet_engine)
-        app = ServeApp(registry, cache_size=0)
+        app = ServeApp(registry)
         release = threading.Event()
         entered = threading.Event()
 

@@ -54,7 +54,7 @@ def _traced_app(saved_model, **kwargs):
 
 class TestTracePropagation:
     def test_request_yields_one_stitched_trace(self, saved_model, small_problem):
-        app, sink = _traced_app(saved_model, cache_size=0)
+        app, sink = _traced_app(saved_model)
         try:
             # A single-sample request rides the micro-batch scheduler (the
             # production hot path: queue wait, then a coalesced batch run on
@@ -100,7 +100,7 @@ class TestTracePropagation:
         sink = MemorySink()
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
-        app = ServeApp(registry, tracer=Tracer(sink, sample_rate=0.0), cache_size=0)
+        app = ServeApp(registry, tracer=Tracer(sink, sample_rate=0.0))
         try:
             row = small_problem["test_features"][0]
             single = app.predict({"features": row.tolist()})
@@ -113,25 +113,32 @@ class TestTracePropagation:
 
 
     @pytest.mark.parametrize(
-        "case, app_kwargs, payload_extra, status",
+        "case, app_kwargs, payload_extra, status, code",
         [
-            ("bad_request", {}, {"top_k": 0}, 400),
-            ("unknown_model", {}, {"model": "ghost"}, 404),
-            ("overloaded", {"max_queue_depth": 0}, {}, 429),
-            ("deadline", {}, {"deadline_ms": 1e-6}, 504),
+            ("bad_request", {}, {"top_k": 0}, 400, "bad_request"),
+            ("unknown_model", {}, {"model": "ghost"}, 404, "not_found"),
+            (
+                "shed",
+                # A bucket that never holds a whole token sheds every request.
+                {"tenant_quotas": TenantQuotas(rps=1.0, burst=0.5)},
+                {},
+                429,
+                "tenant_rate_limited",
+            ),
+            ("deadline", {}, {"deadline_ms": 1e-6}, 504, "deadline_exceeded"),
         ],
     )
     def test_failed_request_keeps_the_trace_well_formed(
-        self, saved_model, small_problem, case, app_kwargs, payload_extra, status
+        self, saved_model, small_problem, case, app_kwargs, payload_extra, status, code
     ):
-        app, sink = _traced_app(saved_model, cache_size=0, **app_kwargs)
+        app, sink = _traced_app(saved_model, **app_kwargs)
         payload = {"features": small_problem["test_features"][0].tolist()}
         try:
             with pytest.raises(RequestError) as info:
                 app.predict({**payload, **payload_extra})
         finally:
             app.close()
-        assert info.value.status == status
+        assert (info.value.status, info.value.code) == (status, code)
         spans = sink.records
         # The failure is one trace — the one the error reports — and every
         # span in it resolves its parent.
@@ -146,7 +153,7 @@ class TestTracePropagation:
 
 class TestPrometheusEndpoint:
     def test_snapshot_renders_valid_exposition(self, saved_model, small_problem):
-        app, _ = _traced_app(saved_model, cache_size=0)
+        app, _ = _traced_app(saved_model)
         try:
             app.predict({"features": small_problem["test_features"][0].tolist()})
             queries = small_problem["test_features"][:8]
@@ -180,12 +187,11 @@ class TestPrometheusEndpoint:
             app.close()
         validate_exposition(text)
         lines = set(text.splitlines())
-        assert 'repro_shed_total{model="a"} 1' in lines
+        assert 'repro_errors_total{model="a"} 1' in lines
         assert 'repro_tenant_rate_limited_total{tenant="a"} 1' in lines
         assert 'repro_tenant_rate_limited_total{tenant="b"} 0' in lines
         assert 'repro_slo_error_budget_remaining{tenant="b"} 1' in lines
         assert 'repro_slo_alerting{tenant="a"} 1' in lines
-        assert "repro_prediction_cache_entries 2" in lines
 
     def test_http_metrics_route(self, saved_model, small_problem):
         registry = ModelRegistry()
@@ -214,7 +220,7 @@ class TestRequestCounting:
         self, saved_model, small_problem
     ):
         """Coalesced rows still count one request each, in JSON and Prometheus."""
-        app, _ = _traced_app(saved_model, cache_size=0)
+        app, _ = _traced_app(saved_model)
         rows = small_problem["test_features"]
         clients, per_client = 8, 25
         answers = [[] for _ in range(clients)]

@@ -13,6 +13,7 @@ import pytest
 
 import repro.kernels.packed as packed_kernels
 from repro.classifiers.adapthd import AdaptHDC
+from repro.classifiers.base import top_k_from_scores
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.nearest_centroid import NearestCentroidClassifier
@@ -98,24 +99,25 @@ class TestClassifierPackedParity:
 
 class TestPipelinePackedParity:
     def test_pipeline_packed_vs_dense_predict_and_top_k(self, fitted):
-        encoder = fitted["encoder"]
-        pipeline_packed = HDCPipeline(encoder, fitted["classifier"], prefer_packed=True)
-        pipeline_dense = HDCPipeline(encoder, fitted["classifier"], prefer_packed=False)
-        pipeline_packed._fitted = True
-        pipeline_dense._fitted = True
+        # The reference is the classifier's own dense rule over the encoder's
+        # dense output; the pipeline takes the packed path when it can.
+        classifier = fitted["classifier"]
+        pipeline = HDCPipeline(fitted["encoder"], classifier)
+        pipeline._fitted = True
         features = fitted["test_features"]
+        dense = classifier.decision_scores(fitted["test_encoded"])
+        dense_labels = np.argmax(dense, axis=1)
 
+        np.testing.assert_array_equal(pipeline.predict(features), dense_labels)
+        packed_labels, packed_scores = pipeline.top_k(features, k=3)
+        top_labels, top_scores = top_k_from_scores(dense, 3)
+        np.testing.assert_array_equal(packed_labels, top_labels)
+        np.testing.assert_array_equal(packed_scores, top_scores)
+        batch_labels, batch_scores = pipeline.predict_batch(features)
+        np.testing.assert_array_equal(batch_labels, dense_labels)
         np.testing.assert_array_equal(
-            pipeline_packed.predict(features), pipeline_dense.predict(features)
+            batch_scores, dense[np.arange(len(dense)), dense_labels]
         )
-        packed_labels, packed_scores = pipeline_packed.top_k(features, k=3)
-        dense_labels, dense_scores = pipeline_dense.top_k(features, k=3)
-        np.testing.assert_array_equal(packed_labels, dense_labels)
-        np.testing.assert_array_equal(packed_scores, dense_scores)
-        packed_batch = pipeline_packed.predict_batch(features)
-        dense_batch = pipeline_dense.predict_batch(features)
-        np.testing.assert_array_equal(packed_batch[0], dense_batch[0])
-        np.testing.assert_array_equal(packed_batch[1], dense_batch[1])
 
 
 class TestEnginePackedParity:

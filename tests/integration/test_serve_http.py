@@ -22,6 +22,7 @@ from repro.classifiers.pipeline import HDCPipeline
 from repro.hdc.encoders import RecordEncoder
 from repro.io import save_model
 from repro.serve import ModelRegistry, ServeApp, create_server
+from repro.serve.tenancy import TenantQuotas
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,19 @@ class TestPredict:
         assert model["latency"]["count"] > 0
 
 
+#: Malformed predicts that must be refused with a 400 before they reach code
+#: that raises (a 500) or accept a deadline that never fires: (payload fields
+#: beside a valid row, or the raw body; extra headers).
+_MALFORMED = {
+    "model-list": ({"model": ["har"]}, {}),
+    "model-object": ({"model": {"name": "har"}}, {}),
+    "content-length-not-integer": ({}, {"Content-Length": "2x"}),
+    "body-not-utf8": (b'{"features": [0.5, "\xff"]}', {}),
+    "deadline-nan": ({"deadline_ms": float("nan")}, {}),
+    "deadline-infinity": ({"deadline_ms": float("inf")}, {}),
+}
+
+
 class TestPredictErrors:
     def test_missing_features_400(self, served):
         status, body = _post(served["port"], "/v1/predict", {"model": "har"})
@@ -184,6 +198,28 @@ class TestPredictErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_predict_is_400(self, served, small_problem, case):
+        extra, headers = _MALFORMED[case]
+        row = small_problem["test_features"][0].tolist()
+        body = extra
+        if isinstance(extra, dict):
+            body = json.dumps({"features": row, **extra}).encode("utf-8")
+        connection = http.client.HTTPConnection("127.0.0.1", served["port"], timeout=10)
+        try:
+            connection.request(
+                "POST",
+                "/v1/predict",
+                body=body,
+                headers={"Content-Type": "application/json", **headers},
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert payload["code"] == "bad_request"
 
     def test_error_bodies_carry_machine_readable_codes(self, served, small_problem):
         row = small_problem["test_features"][0]
@@ -274,7 +310,7 @@ class TestSocket:
 
 @pytest.fixture()
 def hardened(small_problem):
-    """A server with admission control, deadlines, and the access log on."""
+    """A server with tenant quotas, deadlines, and the access log on."""
     import logging
 
     from repro.serve import PackedInferenceEngine
@@ -284,18 +320,13 @@ def hardened(small_problem):
     pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
     registry = ModelRegistry()
     registry.register("har", PackedInferenceEngine(pipeline, name="har"))
-    app = ServeApp(
-        registry,
-        max_batch_size=16,
-        cache_size=0,
-        max_concurrent=2,
-        max_queue_depth=64,
-    )
+    quotas = TenantQuotas(max_concurrent=2)
+    app = ServeApp(registry, max_batch_size=16, tenant_quotas=quotas)
     server = create_server(app, port=0, log_level="info")
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield {"port": port, "app": app, "server": server}
+    yield {"port": port, "app": app, "server": server, "quotas": quotas}
     server.shutdown()
     server.server_close()
     app.close()
@@ -330,11 +361,8 @@ class TestRobustness:
         import logging
 
         row = small_problem["test_features"][0]
-        app = hardened["app"]
-        slot = app._admission_slot("har")
-        # Exhaust both admission slots so the next request must shed.
-        assert slot.acquire(blocking=False)
-        assert slot.acquire(blocking=False)
+        # Hold both of the tenant's slots so the next request must shed.
+        leases = [hardened["quotas"].admit("har") for _ in range(2)]
         try:
             request = urllib.request.Request(
                 f"http://127.0.0.1:{hardened['port']}/v1/predict",
@@ -347,12 +375,14 @@ class TestRobustness:
             assert excinfo.value.code == 429
             assert excinfo.value.headers["Retry-After"] == "1"
             body = json.loads(excinfo.value.read())
-            assert body["code"] == "overloaded"
+            assert body["code"] == "tenant_quota_exceeded"
         finally:
-            slot.release()
-            slot.release()
-        # The structured access log must make the shed greppable.
-        _wait_for_log_line(caplog, "status=429", "code=overloaded")
+            for lease in leases:
+                lease.release()
+        # The structured access log must make the shed greppable by tenant.
+        _wait_for_log_line(
+            caplog, "status=429", "code=tenant_quota_exceeded", "tenant=har"
+        )
 
     def test_expired_deadline_answers_504_with_code(
         self, hardened, small_problem, caplog
@@ -390,24 +420,31 @@ class TestRobustness:
         assert body["code"] == "draining"
 
 
-#: One case per error code a client can see: (app options, how to provoke
-#: it, status, code, Retry-After header or None).
+#: One case per error code a client can see: (app state, how to provoke it,
+#: status, code, Retry-After header or None).  The app state is "draining",
+#: or tenant quotas whose one token or slot a held lease takes.
 _WIRE_ERRORS = {
-    "bad_request": ({}, {"top_k": 0}, 400, "bad_request", None),
-    "invalid_json": ({}, b"{", 400, "bad_request", None),
-    "unknown_model": ({}, {"model": "ghost"}, 404, "not_found", None),
-    "unknown_route": ({}, "/v1/nope", 404, "not_found", None),
-    "payload_too_large": ({}, "oversized", 413, "payload_too_large", None),
-    "overloaded": ({"max_queue_depth": 0}, {}, 429, "overloaded", "1"),
+    "bad_request": (None, {"top_k": 0}, 400, "bad_request", None),
+    "invalid_json": (None, b"{", 400, "bad_request", None),
+    "unknown_model": (None, {"model": "ghost"}, 404, "not_found", None),
+    "unknown_route": (None, "/v1/nope", 404, "not_found", None),
+    "payload_too_large": (None, "oversized", 413, "payload_too_large", None),
+    "tenant_quota_exceeded": (
+        {"max_concurrent": 1},
+        {},
+        429,
+        "tenant_quota_exceeded",
+        "1",
+    ),
     "tenant_rate_limited": (
-        {"tenant_rate": 0.01},
+        {"rps": 0.01, "burst": 1.0},
         {},
         429,
         "tenant_rate_limited",
         "100",
     ),
-    "draining": ({"draining": True}, {}, 503, "draining", "1"),
-    "deadline_exceeded": ({}, {"deadline_ms": 1e-6}, 504, "deadline_exceeded", None),
+    "draining": ("draining", {}, 503, "draining", "1"),
+    "deadline_exceeded": (None, {"deadline_ms": 1e-6}, 504, "deadline_exceeded", None),
 }
 
 
@@ -427,17 +464,11 @@ class TestErrorTaxonomyOnTheWire:
 
     @pytest.mark.parametrize("case", sorted(_WIRE_ERRORS))
     def test_status_code_and_retry_after(self, engine, small_problem, case):
-        from repro.serve.tenancy import TenantQuotas
-
-        options, provoke, status, code, retry_after = _WIRE_ERRORS[case]
-        options = dict(options)
+        state, provoke, status, code, retry_after = _WIRE_ERRORS[case]
         registry = ModelRegistry()
         registry.register("har", engine)
-        quotas = None
-        if "tenant_rate" in options:
-            quotas = TenantQuotas(rps=options.pop("tenant_rate"), burst=1.0)
-        draining = options.pop("draining", False)
-        app = ServeApp(registry, cache_size=0, tenant_quotas=quotas, **options)
+        quotas = TenantQuotas(**state) if isinstance(state, dict) else None
+        app = ServeApp(registry, tenant_quotas=quotas)
         server = create_server(app, port=0)
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -456,9 +487,9 @@ class TestErrorTaxonomyOnTheWire:
         else:
             route = provoke
         try:
-            if quotas is not None:  # spend the tenant's one burst token
-                assert _post(port, "/v1/predict", {"features": row})[0] == 200
-            if draining:
+            if quotas is not None:
+                quotas.admit("har")
+            if state == "draining":
                 app.begin_drain()
             connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
             try:

@@ -50,11 +50,10 @@ def saved_models(small_problem, tmp_path_factory):
     return paths
 
 
-def _app(path, **kwargs):
+def _app(path):
     registry = ModelRegistry()
     registry.register("m", path)
-    kwargs.setdefault("cache_size", 0)
-    return ServeApp(registry, **kwargs)
+    return ServeApp(registry)
 
 
 def _reference(path):
@@ -234,7 +233,7 @@ def test_bad_row_does_not_poison_its_batch(saved_models, small_problem):
 
 def test_loadgen_soaks_the_http_endpoint(saved_models, small_problem):
     reference = _reference(saved_models["baseline"])
-    app = _app(saved_models["baseline"], cache_size=1024)
+    app = _app(saved_models["baseline"])
     server = create_server(app, port=0)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)

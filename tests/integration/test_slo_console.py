@@ -46,7 +46,7 @@ class TestServeSLO:
         )
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
-        app = ServeApp(registry, cache_size=0, slo_config=config)
+        app = ServeApp(registry, slo_config=config)
         try:
             row = small_problem["test_features"][0].tolist()
             for _ in range(10):
@@ -168,7 +168,7 @@ class TestConsoleAgainstLiveServer:
     def test_top_once_json_renders_the_live_fleet(self, saved_model, small_problem):
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
-        app = ServeApp(registry, cache_size=0, slo_config=SLOConfig())
+        app = ServeApp(registry, slo_config=SLOConfig())
         server = create_server(app, port=0)
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -11,15 +11,15 @@ import repro
 from repro.cli import build_parser, main
 
 
-def _retired(command, flag, value):
-    """A case passing the deleted *flag* to *command*.
+def _retired(command, flag, *values):
+    """A case passing the deleted *flag* (with its *values*) to *command*.
 
     The flag is spelled without its dashes so that searching the tree for
     live uses of a deleted flag does not match this list.
     """
     prefix = [command, "--model", "m.npz"] if command == "serve" else [command]
     dashed = "--" + flag
-    return pytest.param(prefix + [dashed, value], dashed, id=f"{command}-{flag}")
+    return pytest.param(prefix + [dashed, *values], dashed, id=f"{command}-{flag}")
 
 
 class TestParser:
@@ -37,12 +37,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--strategy", "svm"])
 
-    def test_serve_residency_and_cache_flags(self):
+    def test_serve_residency_flag(self):
         args = build_parser().parse_args(
-            ["serve", "--model", "m.npz", "--max-resident", "2", "--cache-size", "0"]
+            ["serve", "--model", "m.npz", "--max-resident", "2"]
         )
         assert args.max_resident == 2
-        assert args.cache_size == 0
 
     @pytest.mark.parametrize(
         "argv, retired",
@@ -71,10 +70,18 @@ class TestParser:
             _retired("loadgen", "request-timeout", "1.0"),
             _retired("loadgen", "faults", "quick"),
             _retired("loadgen", "min-availability", "0.9"),
+            _retired("serve", "cache-size", "0"),
+            _retired("serve", "max-queue-depth", "8"),
+            _retired("serve", "max-concurrent", "2"),
+            _retired("serve", "verbose"),
+            _retired("loadgen", "cache-size", "0"),
+            _retired("loadgen", "max-queue-depth", "8"),
+            _retired("loadgen", "max-concurrent", "2"),
         ],
     )
     def test_retired_flags_and_commands_are_rejected(self, argv, retired, capsys):
-        # Serving runs in one process, the kernels have one NumPy executor,
+        # Serving runs in one process with tenant quotas as its one admission
+        # limit and no prediction cache, the kernels have one NumPy executor,
         # and perfbench is the only benchmark: a stale script fails at parse
         # time.
         with pytest.raises(SystemExit) as excinfo:

@@ -28,6 +28,7 @@ from repro.loadgen import (
     write_report,
 )
 from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp, create_server
+from repro.serve.tenancy import TenantQuotas
 
 
 class TestRequestSampler:
@@ -103,7 +104,7 @@ def loadgen_app():
     pipeline.fit(sampler.train_features, sampler.train_labels)
     registry = ModelRegistry()
     registry.register("ucihar", PackedInferenceEngine(pipeline, name="ucihar"))
-    app = ServeApp(registry, cache_size=0)
+    app = ServeApp(registry)
     yield app, sampler
     app.close()
 
@@ -234,9 +235,9 @@ class TestHTTPTarget:
     def test_shed_answer_carries_retry_after(self, loadgen_app):
         app, sampler = loadgen_app
         (_, row), = sampler.stream(1)
-        shedding = ServeApp(app.registry, cache_size=0, max_concurrent=1)
-        slot = shedding._admission_slot("ucihar")
-        assert slot.acquire(blocking=False)
+        quotas = TenantQuotas(max_concurrent=1)
+        shedding = ServeApp(app.registry, tenant_quotas=quotas)
+        lease = quotas.admit("ucihar")
         try:
             with _serving(shedding) as (url, _):
                 target = HTTPTarget(url)
@@ -246,10 +247,10 @@ class TestHTTPTarget:
                 finally:
                     target.close()
         finally:
-            slot.release()
+            lease.release()
             shedding.close()
         assert excinfo.value.status == 429
-        assert excinfo.value.code == "overloaded"
+        assert excinfo.value.code == "tenant_quota_exceeded"
         assert excinfo.value.retry_after == 1.0
 
     def test_unreachable_endpoint_is_an_untyped_error(self):
@@ -317,8 +318,6 @@ class TestReport:
                 "requests": requests,
                 "samples": completed,
                 "errors": 0,
-                "cache_hits": 0,
-                "cache_misses": completed,
                 "batches": 48,
             },
         )
@@ -356,7 +355,7 @@ class TestResilience:
             errors=errors,
             duration_seconds=0.5,
             errors_by_status={"429": errors},
-            errors_by_code={"overloaded": errors},
+            errors_by_code={"tenant_quota_exceeded": errors},
         )
 
     def test_resilience_block_and_availability(self):
@@ -364,14 +363,14 @@ class TestResilience:
         resilience = report["resilience"]
         assert resilience["availability"] == pytest.approx(0.95)
         assert resilience["errors_by_status"] == {"429": 5}
-        assert resilience["errors_by_code"] == {"overloaded": 5}
+        assert resilience["errors_by_code"] == {"tenant_quota_exceeded": 5}
         assert resilience["untyped_errors"] == 0
 
     def test_format_report_shows_resilience_when_requests_fail(self):
         text = format_report(self._failing_report())
         assert "availability" in text
         assert "429" in text
-        assert "overloaded" in text
+        assert "tenant_quota_exceeded" in text
 
     def test_typed_errors_flow_from_app_to_report(self, loadgen_app):
         app, _ = loadgen_app
@@ -398,7 +397,7 @@ class TestResilience:
         [
             ("wrong_width", 400, "bad_request", None),
             ("unknown_model", 404, "not_found", None),
-            ("shed", 429, "overloaded", 1),
+            ("shed", 429, "tenant_quota_exceeded", 1),
             ("deadline", 504, "deadline_exceeded", None),
         ],
     )
@@ -410,7 +409,9 @@ class TestResilience:
         target_app = app
         options = {}
         if case == "shed":
-            target_app = ServeApp(app.registry, cache_size=0, max_queue_depth=0)
+            quotas = TenantQuotas(max_concurrent=1)
+            quotas.admit("ucihar")  # the one slot stays taken
+            target_app = ServeApp(app.registry, tenant_quotas=quotas)
         if case == "deadline":
             options["deadline_ms"] = 1e-6
         target = InProcessTarget(

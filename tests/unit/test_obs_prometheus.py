@@ -13,10 +13,8 @@ def _snapshot():
                 "requests": 12,
                 "samples": 40,
                 "errors": 1,
-                "sheds": 2,
                 "deadline_exceeded": 1,
                 "batches": 5,
-                "cache": {"hits": 3, "misses": 9},
                 "latency": {
                     "count": 12,
                     "sum_seconds": 0.06,
@@ -47,7 +45,6 @@ def _snapshot():
             },
         },
         "schedulers": {"har": {"queue_depth": 3}},
-        "prediction_cache": {"entries": 7, "max_entries": 128},
         "slo": {
             "alert_burn_rate": 14.4,
             "tenants": {
@@ -74,18 +71,9 @@ repro_samples_total{model="har"} 40
 # HELP repro_errors_total Failed requests.
 # TYPE repro_errors_total counter
 repro_errors_total{model="har"} 1
-# HELP repro_shed_total Requests rejected by admission control (HTTP 429).
-# TYPE repro_shed_total counter
-repro_shed_total{model="har"} 2
 # HELP repro_deadline_exceeded_total Requests that missed their deadline (HTTP 504).
 # TYPE repro_deadline_exceeded_total counter
 repro_deadline_exceeded_total{model="har"} 1
-# HELP repro_cache_hits_total Prediction-cache hits.
-# TYPE repro_cache_hits_total counter
-repro_cache_hits_total{model="har"} 3
-# HELP repro_cache_misses_total Prediction-cache misses.
-# TYPE repro_cache_misses_total counter
-repro_cache_misses_total{model="har"} 9
 # HELP repro_batches_total Coalesced micro-batches executed.
 # TYPE repro_batches_total counter
 repro_batches_total{model="har"} 5
@@ -96,7 +84,7 @@ repro_request_latency_seconds_bucket{model="har",le="0.01"} 10 # {trace_id="dead
 repro_request_latency_seconds_bucket{model="har",le="+Inf"} 12
 repro_request_latency_seconds_sum{model="har"} 0.06
 repro_request_latency_seconds_count{model="har"} 12
-# HELP repro_stage_latency_seconds Per-stage latency (validate, queue_wait, batch_execute, ...).
+# HELP repro_stage_latency_seconds Per-stage latency (validate, queue_wait, batch_execute).
 # TYPE repro_stage_latency_seconds histogram
 repro_stage_latency_seconds_bucket{model="har",stage="validate",le="0.001"} 12
 repro_stage_latency_seconds_bucket{model="har",stage="validate",le="+Inf"} 12
@@ -105,9 +93,6 @@ repro_stage_latency_seconds_count{model="har",stage="validate"} 12
 # HELP repro_scheduler_queue_depth Requests waiting in the micro-batch queue.
 # TYPE repro_scheduler_queue_depth gauge
 repro_scheduler_queue_depth{model="har"} 3
-# HELP repro_prediction_cache_entries Resident LRU cache entries.
-# TYPE repro_prediction_cache_entries gauge
-repro_prediction_cache_entries 7
 # HELP repro_slo_error_budget_remaining Fraction of the tenant's error budget left (1 = untouched).
 # TYPE repro_slo_error_budget_remaining gauge
 repro_slo_error_budget_remaining{tenant="har"} 0.75

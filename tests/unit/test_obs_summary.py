@@ -92,5 +92,5 @@ class TestFormat:
         assert "orphan" in text
 
     def test_stage_order_covers_the_serving_pipeline(self):
-        for stage in ("validate", "cache_lookup", "queue_wait", "batch_execute"):
+        for stage in ("validate", "queue_wait", "batch_execute"):
             assert stage in STAGE_ORDER

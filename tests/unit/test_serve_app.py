@@ -1,5 +1,5 @@
 """Unit tests for ServeApp's request contract: the error taxonomy, payload
-validation, deadlines, per-model admission, SLO accounting and readiness."""
+validation, deadlines, tenant admission, SLO accounting and readiness."""
 
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ import pytest
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.hdc.encoders import RecordEncoder
-from repro.obs import MemorySink, Tracer
 from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp
 from repro.serve.server import RequestError
+from repro.serve.tenancy import TenantQuotas
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,6 @@ def make_app(engine):
         registry = ModelRegistry()
         for name in names:
             registry.register(name, engine)
-        kwargs.setdefault("cache_size", 0)
         app = ServeApp(registry, **kwargs)
         apps.append(app)
         return app
@@ -74,7 +73,6 @@ class TestRequestError:
             (400, "bad_request"),
             (404, "not_found"),
             (413, "payload_too_large"),
-            (429, "overloaded"),
             (500, "internal"),
             (503, "unavailable"),
             (504, "deadline_exceeded"),
@@ -116,7 +114,11 @@ class TestPayloadValidation:
         assert error.status == 400
         assert "top_k" in str(error)
 
-    @pytest.mark.parametrize("deadline_ms", [0, -5, "soon", True, [10]])
+    @pytest.mark.parametrize(
+        "deadline_ms",
+        [0, -5, "soon", True, [10], float("nan"), float("inf"), 10**400],
+        ids=["0", "-5", "soon", "True", "list", "nan", "inf", "10**400"],
+    )
     def test_bad_deadline_rejected(self, make_app, row, deadline_ms):
         error = _status(make_app(), {"features": row, "deadline_ms": deadline_ms})
         assert error.status == 400
@@ -132,6 +134,13 @@ class TestPayloadValidation:
         assert answer["model"] == "only"
         assert answer["labels"] == engine.predict([row]).tolist()
 
+    @pytest.mark.parametrize(
+        "model", [["m"], {"name": "m"}, 7], ids=["list", "object", "int"]
+    )
+    def test_model_must_be_a_string(self, make_app, row, model):
+        error = _status(make_app(), {"features": row, "model": model})
+        assert (error.status, str(error)) == (400, "'model' must be a string")
+
     def test_unknown_model_is_404_and_names_the_tenant(self, make_app, row):
         error = _status(make_app(), {"features": row, "model": "ghost"})
         assert (error.status, error.code) == (404, "not_found")
@@ -142,6 +151,28 @@ class TestPayloadValidation:
         error = _status(make_app(), {"features": features})
         assert error.status == 400
         assert "1-D or 2-D" in str(error)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), float("-inf")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_features_are_a_clean_400(self, make_app, row, bad):
+        error = _status(make_app(), {"features": [bad] + row[1:]})
+        assert error.status == 400
+        assert "finite" in str(error)
+
+    def test_ragged_rows_are_a_clean_400(self, make_app):
+        error = _status(make_app(), {"features": [[1.0, 2.0], [3.0]]})
+        assert error.status == 400
+        assert "rectangular" in str(error)
+
+    @pytest.mark.parametrize(
+        "features", [["a", "b"], [10**400, 1.0]], ids=["strings", "int-beyond-float"]
+    )
+    def test_non_numeric_features_are_a_clean_400(self, make_app, features):
+        error = _status(make_app(), {"features": features})
+        assert error.status == 400
 
     @pytest.mark.parametrize("shape", ["single", "batch"])
     def test_wrong_feature_width_is_400_and_counted(self, make_app, row, shape):
@@ -198,26 +229,6 @@ class TestDeadlines:
         assert "after its deadline" in str(result["error"])
 
 
-class TestPredictionCache:
-    def test_cache_entries_are_per_tenant(self, make_app, row):
-        app = make_app(names=("a", "b"), cache_size=8)
-        first = app.predict({"features": row, "model": "a"})
-        other = app.predict({"features": row, "model": "b"})
-        assert "cached" not in first
-        assert "cached" not in other  # same payload, different tenant
-        assert other["model"] == "b"
-        assert app.predict({"features": row, "model": "b"})["cached"] is True
-        models = app.metrics_snapshot()["models"]
-        assert models["a"]["cache"] == {"hits": 0, "misses": 1, "hit_rate": 0.0}
-        assert models["b"]["cache"] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
-
-    def test_failed_requests_are_not_cached(self, make_app, row):
-        app = make_app(cache_size=8)
-        assert _status(app, {"features": row, "deadline_ms": 1e-6}).status == 504
-        answer = app.predict({"features": row})
-        assert "cached" not in answer
-        assert app.metrics_snapshot()["prediction_cache"]["entries"] == 1
-
 class TestRequestAccounting:
     """``requests`` and ``latency`` count each answered predict once, with the
     latency its caller saw; ``samples`` counts the rows the engine scored."""
@@ -225,14 +236,6 @@ class TestRequestAccounting:
     @staticmethod
     def _model(app):
         return app.metrics_snapshot()["models"]["m"]
-
-    @staticmethod
-    def _exemplar_trace_ids(model):
-        return {
-            bucket["exemplar"]["trace_id"]
-            for bucket in model["latency"]["buckets"]
-            if "exemplar" in bucket
-        }
 
     def test_coalesced_single_rows_count_one_request_each(self, make_app, row, engine):
         app = make_app()
@@ -276,57 +279,61 @@ class TestRequestAccounting:
         assert (model["requests"], model["samples"], model["batches"]) == (1, 3, 0)
         assert model["latency"]["sum_seconds"] * 1e3 >= answer["latency_ms"]
 
-    def test_cache_hit_counts_a_request_and_scores_no_rows(self, make_app, row):
-        app = make_app(cache_size=8, tracer=Tracer(MemorySink()))
-        app.predict({"features": row})
-        hit = app.predict({"features": row})
-        assert hit["cached"] is True
+    def test_repeated_payload_is_scored_every_time(self, make_app, row):
+        app = make_app()
+        first, second = (app.predict({"features": row}) for _ in range(2))
+        assert second["labels"] == first["labels"]
         model = self._model(app)
-        assert (model["requests"], model["latency"]["count"]) == (2, 2)
-        assert model["samples"] == 1
-        assert hit["trace_id"] in self._exemplar_trace_ids(model)
+        assert (model["requests"], model["samples"], model["batches"]) == (2, 2, 2)
 
 
-class TestPerModelAdmission:
-    @pytest.mark.parametrize("limit", [0, -1])
-    def test_max_concurrent_must_be_positive(self, engine, limit):
-        registry = ModelRegistry()
-        registry.register("m", engine)
-        with pytest.raises(ValueError, match="max_concurrent"):
-            ServeApp(registry, max_concurrent=limit)
+class TestTenantAdmission:
+    """``TenantQuotas`` is the one admission limit, for both request shapes."""
 
-    def test_excess_requests_shed_with_overloaded(self, make_app, row, engine):
-        app = make_app(max_concurrent=1)
-        held = _HeldEngine(engine)
-        app.engine_for = lambda name: held
+    @pytest.mark.parametrize(
+        "held, shed", [("batch", "single"), ("single", "batch")]
+    )
+    def test_request_in_the_engine_holds_the_one_slot(
+        self, make_app, row, engine, held, shed
+    ):
+        app = make_app(tenant_quotas=TenantQuotas(max_concurrent=1))
+        gate = _HeldEngine(engine)
+        app.engine_for = lambda name: gate
+        shapes = {"single": row, "batch": [row, row]}
         thread = threading.Thread(
-            target=app.predict, args=({"features": [row, row]},)
+            target=app.predict, args=({"features": shapes[held]},)
         )
         thread.start()
         try:
-            assert held.entered.wait(timeout=30)
-            error = _status(app, {"features": row})
-            assert (error.status, error.code) == (429, "overloaded")
+            assert gate.entered.wait(timeout=30)
+            error = _status(app, {"features": shapes[shed]})
+            assert (error.status, error.code) == (429, "tenant_quota_exceeded")
             assert error.retry_after == 1
-            assert "concurrency limit" in str(error)
         finally:
-            held.release.set()
+            gate.release.set()
             thread.join(timeout=30)
-        assert app.metrics_snapshot()["models"]["m"]["sheds"] == 1
+        assert not thread.is_alive()
+        snapshot = app.metrics_snapshot()
+        assert snapshot["tenancy"]["tenants"]["m"]["quota_exceeded"] == 1
+        assert snapshot["models"]["m"]["errors"] == 1
+        assert snapshot["models"]["m"]["requests"] == 1
 
-    def test_slot_is_released_after_a_failed_request(self, make_app, row, engine):
-        app = make_app(max_concurrent=1)
+    @pytest.mark.parametrize("failure, status", [("wrong-width", 400), ("deadline", 504)])
+    def test_failed_single_row_hands_its_lease_back(
+        self, make_app, row, engine, failure, status
+    ):
+        quotas = TenantQuotas(max_concurrent=1)
+        app = make_app(tenant_quotas=quotas)
+        payload = (
+            {"features": row[:-1]}
+            if failure == "wrong-width"
+            else {"features": row, "deadline_ms": 1e-6}
+        )
         for _ in range(3):
-            assert _status(app, {"features": row[:-1]}).status == 400
+            assert _status(app, payload).status == status
+        assert quotas.snapshot()["tenants"]["m"]["in_flight"] == 0
         answer = app.predict({"features": row})
         assert answer["labels"] == engine.predict([row]).tolist()
-
-    def test_full_scheduler_queue_sheds_single_rows_only(self, make_app, row):
-        app = make_app(max_queue_depth=0)
-        error = _status(app, {"features": row})
-        assert (error.status, error.code) == (429, "overloaded")
-        # A client batch runs on the engine directly, past the scheduler.
-        assert len(app.predict({"features": [row, row]})["labels"]) == 2
 
 
 class TestSLOAccounting:
@@ -358,7 +365,8 @@ class TestSLOAccounting:
     @pytest.mark.parametrize(
         "kwargs, payload_extra, status",
         [
-            ({"max_queue_depth": 0}, {}, 429),
+            # A bucket that never holds a whole token sheds every request.
+            ({"tenant_quotas": TenantQuotas(rps=1.0, burst=0.5)}, {}, 429),
             ({}, {"deadline_ms": 1e-6}, 504),
         ],
         ids=["shed", "deadline"],

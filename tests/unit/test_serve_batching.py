@@ -340,28 +340,6 @@ class TestConcurrentSubmitters:
 
 
 class TestOverloadAndDeadlines:
-    def test_bounded_queue_sheds_when_full(self, engine, small_problem):
-        from repro.serve.batching import SchedulerOverloadedError
-
-        queries = small_problem["test_features"]
-        stall = _GatedEngine(engine)
-        scheduler = BatchScheduler(stall, max_batch_size=4, max_queue_depth=3)
-        try:
-            futures = []
-            # Fill the (stalled) queue past its bound; the excess must shed
-            # synchronously instead of growing the backlog without limit.
-            with pytest.raises(SchedulerOverloadedError):
-                for index in range(32):
-                    futures.append(scheduler.submit(queries[index % len(queries)]))
-            assert len(futures) >= 3
-        finally:
-            stall.release.set()
-            scheduler.stop()
-
-    def test_rejects_negative_queue_depth(self, engine):
-        with pytest.raises(ValueError, match="max_queue_depth"):
-            BatchScheduler(engine, max_queue_depth=-1)
-
     def test_expired_deadline_sheds_in_queue(self, engine, small_problem):
         from repro.serve.batching import DeadlineExceededError
 

@@ -100,11 +100,6 @@ class TestDenseFallback:
             pipeline.predict(small_problem["test_features"]),
         )
 
-    def test_forcing_packed_on_nonbinary_rejected(self, small_problem):
-        pipeline = fit_pipeline(small_problem, NonBinaryHDC(seed=0))
-        with pytest.raises(ValueError):
-            PackedInferenceEngine(pipeline, mode="packed")
-
 
 class TestEnsemblePackedServing:
     """The SearcHD-style ensemble serves on the packed path, not dense."""
@@ -136,17 +131,6 @@ class TestEnsemblePackedServing:
         num_rows = small_problem["num_classes"] * models_per_class
         assert engine.info()["packed_rows"] == num_rows
         assert engine.packed_storage_bytes == num_rows * (512 // 64) * 8
-
-    def test_forcing_dense_still_allowed(self, small_problem):
-        pipeline = fit_pipeline(
-            small_problem, MultiModelHDC(models_per_class=3, iterations=1, seed=0)
-        )
-        dense = PackedInferenceEngine(pipeline, mode="dense")
-        packed = PackedInferenceEngine(pipeline, mode="packed")
-        np.testing.assert_array_equal(
-            dense.predict(small_problem["test_features"]),
-            packed.predict(small_problem["test_features"]),
-        )
 
 
 class TestEngineOutputs:
@@ -193,11 +177,6 @@ class TestEngineOutputs:
         pipeline = HDCPipeline(RecordEncoder(dimension=128, seed=0), BaselineHDC(seed=0))
         with pytest.raises(ValueError):
             PackedInferenceEngine(pipeline)
-
-    def test_bad_mode_rejected(self, small_problem):
-        pipeline = fit_pipeline(small_problem, BaselineHDC(seed=0))
-        with pytest.raises(ValueError):
-            PackedInferenceEngine(pipeline, mode="quantum")
 
 
 class TestFromFile:
