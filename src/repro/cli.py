@@ -185,10 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default=None,
         metavar="FILE",
-        help=(
-            "write request traces as JSONL to FILE (also honoured via the "
-            "REPRO_TRACE environment variable); inspect with trace-summary"
-        ),
+        help="write request traces as JSONL to FILE; inspect with trace-summary",
     )
     serve.add_argument(
         "--trace-sample",
@@ -515,22 +512,6 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
 
     from pathlib import Path
 
-    registry = ModelRegistry(max_resident=args.max_resident)
-    for spec in args.model:
-        # NAME=PATH syntax; a bare PATH takes the file stem as its name.
-        name, _, path = spec.rpartition("=")
-        path = path or spec
-        try:
-            registry.register(name or Path(path).stem, path)
-        except (OSError, ValueError) as error:
-            print(f"error: cannot load model {path!r}: {error}", file=sys.stderr)
-            return 1
-    tracer = None
-    if args.trace:
-        from repro.obs import configure_tracing
-
-        tracer = configure_tracing(args.trace, sample_rate=args.trace_sample)
-        print(f"tracing to {args.trace} (sample rate {args.trace_sample:g})")
     try:
         tenant_quotas = _build_tenant_quotas(args)
     except (OSError, ValueError) as error:
@@ -541,12 +522,26 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
     except (OSError, ValueError) as error:
         print(f"error: bad SLO config: {error}", file=sys.stderr)
         return 1
+    registry = ModelRegistry(max_resident=args.max_resident)
+    for spec in args.model:
+        # NAME=PATH syntax; a bare PATH takes the file stem as its name.
+        name, _, path = spec.rpartition("=")
+        path = path or spec
+        try:
+            registry.register(name or Path(path).stem, path)
+        except (OSError, ValueError) as error:
+            print(f"error: cannot load model {path!r}: {error}", file=sys.stderr)
+            return 1
+    tracer = _build_tracer(args)
+    if tracer is not None:
+        print(f"tracing to {args.trace} (sample rate {args.trace_sample:g})")
     app = ServeApp(
         registry,
         max_batch_size=args.max_batch_size,
         default_deadline_ms=args.deadline_ms,
         tenant_quotas=tenant_quotas,
         slo_config=slo_config,
+        tracer=tracer,
     )
     try:
         run_server(app, host=args.host, port=args.port, log_level=args.log_level)
@@ -554,6 +549,16 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
         if tracer is not None:
             tracer.close()
     return 0
+
+
+def _build_tracer(args):
+    """A JSONL ``Tracer`` for ``--trace FILE`` (at ``--trace-sample``), or
+    ``None``."""
+    if not args.trace:
+        return None
+    from repro.obs import JsonlSink, Tracer
+
+    return Tracer(JsonlSink(args.trace), sample_rate=args.trace_sample)
 
 
 def _build_slo_config(args):
@@ -626,12 +631,6 @@ def command_loadgen(args) -> int:
         )
         return 1
 
-    tracer = None
-    if args.trace:
-        from repro.obs import configure_tracing
-
-        tracer = configure_tracing(args.trace, sample_rate=args.trace_sample)
-
     tenant_names = None
     if args.models > 1:
         tenant_names = [f"{args.dataset}-t{i:02d}" for i in range(args.models)]
@@ -647,7 +646,7 @@ def command_loadgen(args) -> int:
     else:
         traffic = ClosedLoop(concurrency=args.concurrency)
 
-    app = None
+    app = tracer = None
     if args.url:
         try:
             target = HTTPTarget(
@@ -697,11 +696,13 @@ def command_loadgen(args) -> int:
         except (OSError, ValueError) as error:
             print(f"error: bad SLO config: {error}", file=sys.stderr)
             return 1
+        tracer = _build_tracer(args)
         app = ServeApp(
             registry,
             max_batch_size=args.max_batch_size,
             tenant_quotas=tenant_quotas,
             slo_config=slo_config,
+            tracer=tracer,
         )
         target = InProcessTarget(
             app, top_k=args.top_k, deadline_ms=args.deadline_ms

@@ -121,8 +121,8 @@ class Encoder(RngMixin, abc.ABC):
         """Pre-sign integer accumulation for raw *features* (``(n, D)`` int32).
 
         This is the thread-safe half of encoding — it touches only immutable
-        compiled tables, no RNG — which is why the serving engine calls it
-        outside its tie-break lock.
+        compiled tables, no RNG.  (The serving engine does the same over its
+        own compiled accumulator, outside its tie-break lock.)
         """
         check_fitted(self, "_quantizer")
         features = check_matrix(

@@ -197,8 +197,8 @@ SLO_VERDICTS = frozenset({"ok", "at_risk", "breached"})
 def validate_slo_report(report: dict, require_exemplar: bool = False) -> None:
     """Raise ``ValueError`` unless the soak's SLO verdict block is well-formed:
     at least one tenant evaluated, every verdict one of
-    ``ok``/``at_risk``/``breached``, budgets in ``[0, 1]``, burn rates
-    non-negative, and latency percentiles monotone where present.
+    ``ok``/``at_risk``/``breached``, budgets in ``[0, 1]`` and burn rates
+    non-negative.
 
     With ``require_exemplar`` the report must also carry at least one trace
     exemplar (a traced soak whose histograms captured no ``trace_id`` means
@@ -228,14 +228,6 @@ def validate_slo_report(report: dict, require_exemplar: bool = False) -> None:
                     f"tenant {name!r} {window}-window burn rate {burn!r} "
                     "is missing or negative"
                 )
-        latency = tenant.get("latency") or {}
-        points = [latency.get(f"p{p:.0f}_ms") for p in PERCENTILES]
-        if all(value is not None for value in points) and not all(
-            earlier <= later for earlier, later in zip(points, points[1:])
-        ):
-            raise ValueError(
-                f"tenant {name!r} latency percentiles are not monotone: {points}"
-            )
     if require_exemplar:
         exemplars = report.get("exemplars") or []
         if not exemplars:

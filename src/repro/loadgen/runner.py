@@ -346,7 +346,7 @@ class _Phase:
 
     def record_retry(self, status: Optional[int] = None) -> None:
         """Record one retried attempt (the final outcome is counted
-        separately by :meth:`record` / :meth:`record_error`)."""
+        separately by :meth:`record` / :meth:`record_failure`)."""
         with self._lock:
             self.retries += 1
             if status is not None:
@@ -355,7 +355,7 @@ class _Phase:
                     self.retries_by_status.get(key, 0) + 1
                 )
 
-    def record_error(
+    def record_failure(
         self, status: Optional[int] = None, code: Optional[str] = None
     ) -> None:
         with self._lock:
@@ -398,7 +398,7 @@ def _send_attempts(
                 time.sleep(retry.delay(error, index, attempt))
                 attempt += 1
                 continue
-            phase.record_error(status=error.status, code=error.code)
+            phase.record_failure(status=error.status, code=error.code)
             return None
         return time.perf_counter() - attempt_started
 

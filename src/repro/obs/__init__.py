@@ -7,12 +7,14 @@ Capabilities, each usable on its own and composed by the serving layer:
   respond) written as JSONL by a single writer; span
   context is a small tuple handed explicitly to the micro-batch collector
   thread, so its spans stitch back into the request's trace;
-* :mod:`repro.obs.sketch` — a DDSketch-style mergeable quantile sketch with
-  a bounded relative error and fixed memory; it backs every latency
+* :mod:`repro.obs.sketch` — a DDSketch-style quantile sketch with a
+  bounded relative error and fixed memory; it backs every latency
   percentile in the stack;
 * :mod:`repro.obs.slo` — declarative per-tenant SLOs (availability +
   latency objective) evaluated with multiwindow burn rates; structured
   alerts on the ``repro.serve.slo`` logger, verdicts in ``/v1/metrics``;
+  the latency objective is read from the serving layer's per-model
+  histogram through a function it passes in;
 * :mod:`repro.obs.prometheus` — pure-function rendering of the
   ``/v1/metrics`` snapshot into Prometheus text exposition (served at
   ``GET /metrics``), with OpenMetrics trace exemplars on latency buckets;
@@ -22,8 +24,8 @@ Capabilities, each usable on its own and composed by the serving layer:
 * :mod:`repro.obs.console` — the ``repro top`` live terminal dashboard
   over a serving endpoint's ``/v1/metrics``.
 
-This package deliberately imports nothing from :mod:`repro.serve` — it is
-a leaf that layer builds on.
+This package deliberately imports nothing from :mod:`repro.serve` or
+:mod:`repro.loadgen` — it is a leaf those layers (and the CLI) build on.
 """
 
 from repro.obs.console import build_view, render_view, run_console
@@ -36,10 +38,7 @@ from repro.obs.trace import (
     Span,
     SpanContext,
     Tracer,
-    configure_tracing,
-    get_tracer,
     parse_trace_file,
-    set_tracer,
 )
 from repro.obs.summary import (
     format_trace_summary,
@@ -60,14 +59,11 @@ __all__ = [
     "SpanContext",
     "Tracer",
     "build_view",
-    "configure_tracing",
     "format_trace_summary",
-    "get_tracer",
     "parse_trace_file",
     "render_prometheus",
     "render_view",
     "run_console",
-    "set_tracer",
     "slowest_exemplars",
     "summarize_spans",
     "summarize_trace_file",

@@ -1,42 +1,34 @@
-"""Mergeable quantile sketches with a bounded relative error.
+"""Quantile sketches with a bounded relative error.
 
-The serving layer needs percentiles in two places that a classic
-fixed-bucket histogram serves badly:
-
-* per-model request latency in :class:`repro.serve.metrics.LatencyHistogram`,
-  where the old bucket-upper-bound estimate could be off by the full bucket
-  width (the coarse 5/10/20-per-decade grid means up to 2x);
-* per-tenant SLO latency objectives (:mod:`repro.obs.slo`), which need "is
-  tenant X's p99 above 250 ms" answered cheaply and continuously.
+Every latency percentile in the serving stack comes from
+:class:`QuantileSketch`: the per-model request latency and the per-stage
+timings in :class:`repro.serve.metrics.LatencyHistogram`, whose request
+percentile is also the SLO engine's latency objective.  A classic
+fixed-bucket histogram serves these badly: its bucket-upper-bound estimate
+can be off by the full bucket width (up to 2x on the coarse
+5/10/20-per-decade grid).
 
 :class:`QuantileSketch` is a DDSketch-style sketch (Masson, Rim & Lee,
 VLDB'19): bucket boundaries are powers of ``gamma = (1 + a) / (1 - a)`` for a
 relative accuracy ``a``, so *any* quantile estimate ``x̂`` of a true sample
-value ``x`` within the tracked range satisfies ``|x̂ - x| <= a * x``.  Three
+value ``x`` within the tracked range satisfies ``|x̂ - x| <= a * x``.  Two
 properties matter here:
 
-* **mergeable** — bucket counts are additive, so merging N sketches yields
-  exactly the sketch of the pooled stream (merge is associative and
-  commutative);
 * **fixed memory** — the tracked value range is fixed up front, so the
-  bucket array never grows and the whole sketch *is* a constant-length
-  float64 row (``[count, sum, min, max, bucket_0, ...]``);
-* **cheap** — recording is one log + one array increment; no samples are
+  bucket array never grows;
+* **cheap** — recording is one log + one increment; no samples are
   retained, so a week-long soak costs the same memory as the first request.
 
 Values below ``min_value`` are exact-counted in an underflow bucket and
-reported as the minimum observation; values above ``max_value`` are clamped
-into the last bucket and reported as the maximum observation, so the error
-bound formally holds on ``[min_value, max_value]`` (the defaults bracket
+values above ``max_value`` are clamped into the last bucket; estimates are
+clamped to the smallest and largest observation, so the error bound
+formally holds on ``[min_value, max_value]`` (the defaults bracket
 1 µs .. 20 000 s, far beyond any serving latency).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict
-
-import numpy as np
 
 #: Default relative accuracy: quantile estimates within 1% of a true sample.
 DEFAULT_RELATIVE_ACCURACY = 0.01
@@ -44,10 +36,6 @@ DEFAULT_RELATIVE_ACCURACY = 0.01
 #: Default tracked value range in seconds (1 µs .. 20 000 s).
 DEFAULT_MIN_VALUE = 1e-6
 DEFAULT_MAX_VALUE = 2e4
-
-#: Header cells preceding the bucket counts in the flat row form.
-_HEADER_FIELDS = ("count", "sum", "min", "max")
-_HEADER = len(_HEADER_FIELDS)
 
 
 def _num_buckets(relative_accuracy: float, min_value: float, max_value: float) -> int:
@@ -58,7 +46,7 @@ def _num_buckets(relative_accuracy: float, min_value: float, max_value: float) -
 
 
 class QuantileSketch:
-    """A mergeable log-bucket quantile sketch with relative-error guarantee.
+    """A log-bucket quantile sketch with a relative-error guarantee.
 
     Parameters
     ----------
@@ -66,14 +54,20 @@ class QuantileSketch:
         ``a`` in ``(0, 1)``: every percentile estimate is within a factor
         ``(1 ± a)`` of some true sample value at that rank.
     min_value, max_value:
-        The tracked range.  Observations below/above are clamped (the true
-        min/max are still reported exactly via :attr:`min` / :attr:`max`).
-
-    The sketch state lives in one float64 row ``[count, sum, min, max,
-    bucket_0, ...]``; a zero row is the empty sketch.
+        The tracked range.  Observations below/above are clamped into the
+        first/last bucket.
     """
 
-    __slots__ = ("_alpha", "_min_value", "_max_value", "_gamma", "_log_gamma", "_row")
+    __slots__ = (
+        "_alpha",
+        "_min_value",
+        "_gamma",
+        "_log_gamma",
+        "_buckets",
+        "_count",
+        "_min",
+        "_max",
+    )
 
     def __init__(
         self,
@@ -92,67 +86,41 @@ class QuantileSketch:
             raise ValueError("need 0 < min_value < max_value")
         self._alpha = relative_accuracy
         self._min_value = min_value
-        self._max_value = max_value
         self._gamma = (1.0 + relative_accuracy) / (1.0 - relative_accuracy)
         self._log_gamma = math.log(self._gamma)
-        length = _HEADER + _num_buckets(relative_accuracy, min_value, max_value)
-        self._row = np.zeros(length, dtype=np.float64)
+        self._buckets = [0] * _num_buckets(relative_accuracy, min_value, max_value)
+        self._count = 0
+        self._min = 0.0
+        self._max = 0.0
 
-    # ------------------------------------------------------------ properties
     @property
     def relative_accuracy(self) -> float:
         return self._alpha
 
     @property
     def count(self) -> int:
-        return int(self._row[0])
-
-    @property
-    def sum(self) -> float:
-        return float(self._row[1])
-
-    @property
-    def min(self) -> float:
-        """Smallest observation (0.0 when empty)."""
-        return float(self._row[2])
-
-    @property
-    def max(self) -> float:
-        """Largest observation (0.0 when empty)."""
-        return float(self._row[3])
-
-    @property
-    def mean(self) -> float:
-        count = self._row[0]
-        return float(self._row[1] / count) if count else 0.0
-
-    def row_length(self) -> int:
-        return self._row.shape[0]
+        return self._count
 
     # ------------------------------------------------------------- recording
     def _bucket_index(self, value: float) -> int:
         if value <= self._min_value:
             return 0
         index = int(math.ceil(math.log(value / self._min_value) / self._log_gamma))
-        return min(index, self.row_length() - _HEADER - 1)
+        return min(index, len(self._buckets) - 1)
 
     def record(self, value: float) -> None:
         """Record one observation (must be positive; latencies always are)."""
         value = float(value)
         if not value > 0.0 or not math.isfinite(value):
             raise ValueError(f"value must be positive and finite, got {value}")
-        row = self._row
-        row[_HEADER + self._bucket_index(value)] += 1.0
-        if row[0] == 0.0:
-            row[2] = value
-            row[3] = value
-        else:
-            if value < row[2]:
-                row[2] = value
-            if value > row[3]:
-                row[3] = value
-        row[1] += value
-        row[0] += 1.0
+        self._buckets[self._bucket_index(value)] += 1
+        if self._count == 0:
+            self._min = self._max = value
+        elif value < self._min:
+            self._min = value
+        elif value > self._max:
+            self._max = value
+        self._count += 1
 
     # ------------------------------------------------------------- quantiles
     def _bucket_estimate(self, index: int) -> float:
@@ -174,77 +142,22 @@ class QuantileSketch:
         """
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"p must be in [0, 100], got {p}")
-        row = self._row
-        count = float(row[0])
-        if count <= 0:
+        count = self._count
+        if count == 0:
             return 0.0
-        rank = max(1.0, math.ceil(p / 100.0 * count))
+        rank = max(1, math.ceil(p / 100.0 * count))
         if rank >= count:
-            return float(row[3])  # the top-ranked sample is the exact max
-        cumulative = 0.0
-        estimate = float(row[2])
-        for index in range(self.row_length() - _HEADER):
-            cumulative += row[_HEADER + index]
+            return self._max  # the top-ranked sample is the exact max
+        cumulative = 0
+        estimate = self._min
+        for index, bucket_count in enumerate(self._buckets):
+            cumulative += bucket_count
             if cumulative >= rank:
                 estimate = self._bucket_estimate(index)
                 break
         # Clamping to the observed extremes never hurts the bound (the true
-        # ranked sample lies between them) and makes p0/p100 exact.
-        return min(max(estimate, float(row[2])), float(row[3]))
-
-    # --------------------------------------------------------------- merging
-    def _check_compatible(self, other: "QuantileSketch") -> None:
-        if (
-            self._alpha != other._alpha
-            or self._min_value != other._min_value
-            or self._max_value != other._max_value
-        ):
-            raise ValueError("cannot merge sketches with different parameters")
-
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold *other* into this sketch (*other* is unchanged).
-
-        Merging is associative and commutative: any merge order over a set
-        of sketches produces identical bucket counts (counts are integral,
-        and float64 addition of integers is exact below 2**53).  The ``sum``
-        cell is a float accumulation and may differ across orders by ULPs —
-        it never feeds percentile estimates.
-        """
-        self._check_compatible(other)
-        row, theirs = self._row, other._row
-        if theirs[0] == 0.0:
-            return
-        if row[0] == 0.0:
-            row[2], row[3] = theirs[2], theirs[3]
-        else:
-            row[2] = min(row[2], theirs[2])
-            row[3] = max(row[3], theirs[3])
-        row[_HEADER:] += theirs[_HEADER:]
-        row[1] += theirs[1]
-        row[0] += theirs[0]
-
-    def to_row(self) -> np.ndarray:
-        """A copy of the flat ``[count, sum, min, max, buckets...]`` row."""
-        return self._row.copy()
-
-    # -------------------------------------------------------------- snapshot
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-ready summary in milliseconds (matching serving metrics)."""
-        return {
-            "count": self.count,
-            "mean_ms": self.mean * 1e3,
-            "p50_ms": self.percentile(50) * 1e3,
-            "p95_ms": self.percentile(95) * 1e3,
-            "p99_ms": self.percentile(99) * 1e3,
-            "max_ms": self.max * 1e3,
-            "relative_accuracy": self._alpha,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"QuantileSketch(count={self.count}, a={self._alpha}, "
-            f"cells={self.row_length()})"
-        )
+        # ranked sample lies between them).
+        return min(max(estimate, self._min), self._max)
 
 
 __all__ = [

@@ -29,7 +29,10 @@ with a fleet-wide ``default`` and per-tenant overrides::
 Tenant entries may be partial — unset fields inherit the default.  The
 engine itself is clock-injectable and serving-agnostic: the serving layer
 calls :meth:`SLOEngine.record` per request and :meth:`SLOEngine.snapshot`
-from ``/v1/metrics``.
+from ``/v1/metrics``.  The engine keeps counters, not latencies: the
+latency objective is read at snapshot time from the serving layer's own
+per-model latency histogram, through the ``latency_at`` function it passes
+in.
 """
 
 from __future__ import annotations
@@ -40,9 +43,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
-
-from repro.obs.sketch import QuantileSketch
+from typing import Callable, Dict, Optional, Tuple
 
 logger = logging.getLogger("repro.serve.slo")
 
@@ -83,16 +84,23 @@ class SLOSpec:
 
     def merged(self, overrides: Dict[str, object]) -> "SLOSpec":
         """A spec with *overrides* applied over this one (partial dicts ok)."""
+        if not isinstance(overrides, dict):
+            raise ValueError(
+                f"an SLO spec must be a JSON object, got {type(overrides).__name__}"
+            )
         unknown = set(overrides) - {"availability", "latency_ms", "latency_percentile"}
         if unknown:
             raise ValueError(f"unknown SLO spec fields: {sorted(unknown)}")
-        return SLOSpec(
-            availability=float(overrides.get("availability", self.availability)),
-            latency_ms=float(overrides.get("latency_ms", self.latency_ms)),
-            latency_percentile=float(
-                overrides.get("latency_percentile", self.latency_percentile)
-            ),
-        )
+        try:
+            return SLOSpec(
+                availability=float(overrides.get("availability", self.availability)),
+                latency_ms=float(overrides.get("latency_ms", self.latency_ms)),
+                latency_percentile=float(
+                    overrides.get("latency_percentile", self.latency_percentile)
+                ),
+            )
+        except TypeError as error:  # e.g. a null or a list where a number goes
+            raise ValueError(f"SLO spec fields must be numbers: {error}") from None
 
     def to_dict(self) -> Dict[str, float]:
         return {
@@ -201,7 +209,6 @@ class _TenantSLO:
         self.requests = 0
         self.bad_requests = 0
         self.failures = 0
-        self.latency = QuantileSketch()
         self.alerting = False
 
     def record(self, ok: bool, latency_s: float, now: float) -> bool:
@@ -213,8 +220,6 @@ class _TenantSLO:
             self.failures += 1
         if not good:
             self.bad_requests += 1
-        if latency_s > 0.0:
-            self.latency.record(latency_s)
         self.fast.record(good, now)
         self.slow.record(good, now)
         return good
@@ -238,7 +243,11 @@ class _TenantSLO:
         consumed = (self.bad_requests / self.requests) / self.spec.error_budget
         return min(1.0, max(0.0, 1.0 - consumed))
 
-    def evaluate(self, now: float, alert_burn_rate: float) -> Dict[str, object]:
+    def evaluate(
+        self, now: float, alert_burn_rate: float, objective_ms: float
+    ) -> Dict[str, object]:
+        """The tenant's SLO block; *objective_ms* is its latency at the
+        spec's ``latency_percentile``."""
         budget = self.spec.error_budget
         fast_good, fast_bad = self.fast.totals(now)
         slow_good, slow_bad = self.slow.totals(now)
@@ -246,9 +255,6 @@ class _TenantSLO:
         slow_burn = self._burn(slow_good, slow_bad, budget)
         remaining = self.budget_remaining()
         alerting = fast_burn >= alert_burn_rate and slow_burn >= alert_burn_rate
-        latency_at_objective_ms = (
-            self.latency.percentile(self.spec.latency_percentile) * 1e3
-        )
         if remaining <= 0.0:
             verdict = "breached"
         elif alerting:
@@ -276,16 +282,8 @@ class _TenantSLO:
                 },
             },
             "latency": {
-                "count": self.latency.count,
-                "p50_ms": self.latency.percentile(50) * 1e3,
-                "p95_ms": self.latency.percentile(95) * 1e3,
-                "p99_ms": self.latency.percentile(99) * 1e3,
-                "objective_ms": latency_at_objective_ms,
-                "objective_met": (
-                    latency_at_objective_ms <= self.spec.latency_ms
-                    if self.latency.count
-                    else True
-                ),
+                "objective_ms": objective_ms,
+                "objective_met": objective_ms <= self.spec.latency_ms,
             },
             "alerting": alerting,
             "verdict": verdict,
@@ -297,10 +295,25 @@ class SLOEngine:
 
     Thread-safe: the serving layer records from request threads while the
     metrics endpoint snapshots concurrently.
+
+    Parameters
+    ----------
+    latency_at:
+        ``latency_at(tenant, percentile)`` → the tenant's request latency in
+        seconds at *percentile* (0.0 before its first answered request).
+        :meth:`snapshot` reads each tenant's latency objective from it, so
+        the engine keeps no latency distribution of its own.
+    config:
+        The objectives; ``None`` applies the fleet default to every tenant.
+    clock:
+        Monotonic clock for the rolling windows (injectable for tests).
+    alert_burn_rate:
+        Burn rate both windows must reach for an alert to fire.
     """
 
     def __init__(
         self,
+        latency_at: Callable[[str, float], float],
         config: Optional[SLOConfig] = None,
         clock: Callable[[], float] = time.monotonic,
         alert_burn_rate: float = DEFAULT_ALERT_BURN_RATE,
@@ -309,6 +322,7 @@ class SLOEngine:
             raise ValueError(f"alert_burn_rate must be positive, got {alert_burn_rate}")
         self.config = config or SLOConfig()
         self.alert_burn_rate = float(alert_burn_rate)
+        self._latency_at = latency_at
         self._clock = clock
         self._lock = threading.Lock()
         self._tenants: Dict[str, _TenantSLO] = {}
@@ -355,16 +369,16 @@ class SLOEngine:
             self.alert_burn_rate,
         )
 
-    def tenant_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._tenants)
-
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready SLO state for ``/v1/metrics`` (the ``slo`` block)."""
         now = self._clock()
         with self._lock:
             tenants = {
-                name: state.evaluate(now, self.alert_burn_rate)
+                name: state.evaluate(
+                    now,
+                    self.alert_burn_rate,
+                    self._latency_at(name, state.spec.latency_percentile) * 1e3,
+                )
                 for name, state in sorted(self._tenants.items())
             }
         return {

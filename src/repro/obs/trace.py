@@ -23,9 +23,10 @@ Trace-file schema (one JSON object per line)::
      "name": "<stage>", "ts": <epoch seconds>, "dur_ms": <float>,
      "pid": <int>, "attrs": {...}}
 
-Configuration: ``configure_tracing(path, sample_rate)`` programmatically, or
-the ``REPRO_TRACE`` / ``REPRO_TRACE_SAMPLE`` environment variables for the
-CLI entry points.
+Configuration: build ``Tracer(JsonlSink(path), sample_rate)`` and hand it to
+the :class:`~repro.serve.server.ServeApp` (``repro serve --trace FILE
+--trace-sample P`` does exactly that); the app passes it on to each model's
+scheduler.
 """
 
 from __future__ import annotations
@@ -263,10 +264,6 @@ class Tracer:
         self._local = threading.local()
         self._suppressed_span = _SuppressedSpan(self)
 
-    @property
-    def enabled(self) -> bool:
-        return self.sink is not None and self.sample_rate > 0.0
-
     # ------------------------------------------------------------------ spans
     def start_span(self, name: str, parent=None, attrs: Optional[dict] = None):
         """Open a span; use the result as a context manager.
@@ -296,13 +293,6 @@ class Tracer:
         if parent is NULL_SPAN or parent is None:  # pragma: no cover - defensive
             return NULL_SPAN
         raise TypeError(f"parent must be a SpanContext or None, got {type(parent)!r}")
-
-    def current_context(self) -> Optional[SpanContext]:
-        """The calling thread's innermost open span context (or ``None``)."""
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            return stack[-1].context
-        return None
 
     def emit_span(
         self,
@@ -363,45 +353,6 @@ class Tracer:
         )
 
 
-# --------------------------------------------------------------- global tracer
-_GLOBAL_TRACER: Optional[Tracer] = None
-_GLOBAL_LOCK = threading.Lock()
-
-
-def get_tracer() -> Tracer:
-    """The process-wide tracer.
-
-    Resolved once: an explicit :func:`configure_tracing` /
-    :func:`set_tracer` wins; otherwise ``REPRO_TRACE`` (trace-file path) and
-    ``REPRO_TRACE_SAMPLE`` (sampling probability, default 1.0) are consulted;
-    with neither, tracing is disabled.
-    """
-    global _GLOBAL_TRACER
-    with _GLOBAL_LOCK:
-        if _GLOBAL_TRACER is None:
-            path = os.environ.get("REPRO_TRACE")
-            rate = float(os.environ.get("REPRO_TRACE_SAMPLE", "1.0"))
-            if path:
-                _GLOBAL_TRACER = Tracer(JsonlSink(path), sample_rate=rate)
-            else:
-                _GLOBAL_TRACER = Tracer()
-        return _GLOBAL_TRACER
-
-
-def configure_tracing(path, sample_rate: float = 1.0) -> Tracer:
-    """Install a JSONL-backed global tracer; returns it (caller may close)."""
-    tracer = Tracer(JsonlSink(path), sample_rate=sample_rate)
-    set_tracer(tracer)
-    return tracer
-
-
-def set_tracer(tracer: Optional[Tracer]) -> None:
-    """Replace the global tracer (``None`` re-enables env resolution)."""
-    global _GLOBAL_TRACER
-    with _GLOBAL_LOCK:
-        _GLOBAL_TRACER = tracer
-
-
 def parse_trace_file(path) -> List[Dict]:
     """Read a JSONL trace file into a list of span dictionaries.
 
@@ -435,8 +386,5 @@ __all__ = [
     "Span",
     "SpanContext",
     "Tracer",
-    "configure_tracing",
-    "get_tracer",
     "parse_trace_file",
-    "set_tracer",
 ]

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.obs.trace import SpanContext, Tracer, get_tracer
+from repro.obs.trace import SpanContext, Tracer
 from repro.serve.engine import PackedInferenceEngine
 from repro.serve.metrics import ModelMetrics
 
@@ -90,16 +90,17 @@ class BatchScheduler:
     max_batch_size:
         Upper bound on samples per coalesced batch.
     metrics:
-        Optional :class:`ModelMetrics` receiving batch sizes, latencies, and
-        the ``queue_wait`` / ``batch_execute`` stage histograms.
+        Optional :class:`ModelMetrics` receiving batch sizes and the
+        ``queue_wait`` / ``batch_execute`` stage histograms.  Requests and
+        their outcomes are the caller's to record: a failed request's future
+        carries the error, and the caller answers (and counts) it.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When a submitted request
         carries a span context, the scheduler emits its ``queue_wait`` span
         and wraps the engine call in a ``batch_execute`` span (parented to
         the first traced request of the coalesced batch), so the batch's
         spans stitch into the caller's trace across the hand-off to the
-        collector thread.  Defaults to the process-wide tracer (disabled
-        unless configured).
+        collector thread.  Without one, nothing is traced.
     """
 
     def __init__(
@@ -115,7 +116,7 @@ class BatchScheduler:
         self.max_batch_size = int(max_batch_size)
         self._queue: "queue.Queue[Optional[_Request]]" = queue.Queue()
         self._metrics = metrics
-        self._tracer = tracer if tracer is not None else get_tracer()
+        self._tracer = tracer if tracer is not None else Tracer()
         self._closed = False
         self._collector = threading.Thread(
             target=self._collect_loop, name="serve-collector", daemon=True
@@ -314,14 +315,10 @@ class BatchScheduler:
                 for request in batch:
                     self._run_batch([request])
                 return
-            if self._metrics is not None:
-                self._metrics.record_error()
             batch[0].future.set_exception(error)
             return
         elapsed = time.perf_counter() - started
         if self._metrics is not None:
-            # Requests and their latency are the caller's to record; the
-            # scheduler knows batches.
             self._metrics.record_batch(len(batch))
             self._metrics.record_stage("batch_execute", elapsed)
         finished = time.monotonic()

@@ -3,10 +3,9 @@
 Recording a latency is a handful of in-place updates under a lock, so the
 metrics layer never competes with the inference kernels it is measuring.
 Snapshots are plain dictionaries ready for ``json.dumps`` — that is what
-``GET /v1/metrics`` returns — and the same objects are reused by the serving
-benchmark to report percentiles.
+``GET /v1/metrics`` returns, and what ``repro loadgen`` diffs around a soak.
 
-Percentiles are answered by a mergeable
+Percentiles are answered by a
 :class:`~repro.obs.sketch.QuantileSketch` (bounded relative error, fixed
 memory — no retained sample lists), while the coarse fixed buckets are kept
 for Prometheus exposition.  Traced requests leave an *exemplar* — the most
@@ -19,7 +18,7 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.obs.sketch import QuantileSketch
 
@@ -114,14 +113,6 @@ class LatencyHistogram:
         with self._lock:
             return self._sketch.percentile(p) if self._sketch.count else 0.0
 
-    def slow_exemplars(self, k: int = 5) -> List[Dict[str, object]]:
-        """Up to *k* captured exemplars, slowest buckets first."""
-        with self._lock:
-            exemplars = sorted(
-                self._exemplars.values(), key=lambda e: e["value"], reverse=True
-            )
-        return [dict(exemplar) for exemplar in exemplars[:k]]
-
     def snapshot(self) -> Dict[str, object]:
         """Summary dictionary with millisecond-denominated statistics.
 
@@ -167,16 +158,17 @@ class LatencyHistogram:
 class ModelMetrics:
     """Counters and histograms for one served model.
 
-    ``requests`` counts answered predict requests and ``latency`` holds
-    the latency each one saw, from validation to response; ``samples``
-    counts the rows the engine scored (micro-batched rows and 2-D
-    requests).  ``errors`` counts failed requests of every kind, admission
-    sheds included (the tenant quotas count those by cause), and
-    ``deadline_exceeded`` the 504s among them.  Besides the end-to-end
-    request latency, the model keeps one :class:`LatencyHistogram` per
-    pipeline *stage* (``validate``, ``queue_wait``, ``batch_execute``) so
-    ``/v1/metrics`` can answer "where does a request spend its time"
-    without a trace file.
+    Every predict that passes validation is recorded once, by
+    :meth:`record_outcome`: an answered one in ``requests`` and ``latency``
+    (the latency its caller saw, from validation to response), a failed one
+    in ``errors`` — admission sheds, deadline misses, engine-rejected
+    payloads and unexpected 500s alike (the tenant quotas count sheds by
+    cause) — and a 504 also in ``deadline_exceeded``.  ``samples`` counts
+    the rows the engine scored (micro-batched rows and 2-D requests).
+    Besides the end-to-end request latency, the model keeps one
+    :class:`LatencyHistogram` per pipeline *stage* (``validate``,
+    ``queue_wait``, ``batch_execute``) so ``/v1/metrics`` can answer "where
+    does a request spend its time" without a trace file.
     """
 
     def __init__(self):
@@ -189,17 +181,26 @@ class ModelMetrics:
         self._batch_sizes: Dict[int, int] = {}
         self._stages: Dict[str, LatencyHistogram] = {}
 
-    def record_request(self, seconds: float, trace_id: Optional[str] = None) -> None:
-        """Record one answered predict request and the latency its caller saw.
+    def record_outcome(
+        self, status: int, seconds: float, trace_id: Optional[str] = None
+    ) -> None:
+        """Record the outcome of one predict that passed validation.
 
-        Called once per successful request, whichever way it was answered (a
-        micro-batched row or a 2-D batch).  Passing the request's
-        ``trace_id`` (when sampled) lets the latency histogram capture it as
-        an exemplar.
+        *status* is the HTTP status the request was answered with: 200 adds
+        to ``requests`` and records *seconds* (the latency its caller saw)
+        in ``latency``, with the request's ``trace_id`` (when sampled) as the
+        bucket's exemplar; any other status adds to ``errors``, and a 504
+        also to ``deadline_exceeded``.
         """
-        self.latency.record(seconds, trace_id=trace_id)
+        if status == 200:
+            self.latency.record(seconds, trace_id=trace_id)
         with self._lock:
-            self.requests += 1
+            if status == 200:
+                self.requests += 1
+                return
+            self.errors += 1
+            if status == 504:
+                self.deadline_exceeded += 1
 
     def record_samples(self, num_samples: int) -> None:
         """Record *num_samples* rows the engine scored outside a micro-batch."""
@@ -212,15 +213,6 @@ class ModelMetrics:
         with self._lock:
             self._batch_sizes[batch_size] = self._batch_sizes.get(batch_size, 0) + 1
             self.samples += batch_size
-
-    def record_error(self) -> None:
-        with self._lock:
-            self.errors += 1
-
-    def record_deadline(self) -> None:
-        """Record one request that missed its deadline (HTTP 504)."""
-        with self._lock:
-            self.deadline_exceeded += 1
 
     def record_stage(self, stage: str, seconds: float) -> None:
         """Record one *stage* timing (histogram created on first use).
@@ -235,14 +227,6 @@ class ModelMetrics:
             if histogram is None:
                 histogram = self._stages[stage] = LatencyHistogram()
         histogram.record(seconds)
-
-    def stage(self, name: str) -> "LatencyHistogram":
-        """The histogram for *name* (creating it empty on first use)."""
-        with self._lock:
-            histogram = self._stages.get(name)
-            if histogram is None:
-                histogram = self._stages[name] = LatencyHistogram()
-            return histogram
 
     @property
     def batch_size_distribution(self) -> Dict[int, int]:
@@ -293,10 +277,6 @@ class MetricsRegistry:
             if metrics is None:
                 metrics = self._models[name] = ModelMetrics()
             return metrics
-
-    def model_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._models)
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready snapshot of every model's metrics."""

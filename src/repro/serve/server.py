@@ -53,7 +53,7 @@ import numpy as np
 from repro.obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
 from repro.obs.slo import SLOConfig, SLOEngine
-from repro.obs.trace import NULL_SPAN, Tracer, get_tracer
+from repro.obs.trace import NULL_SPAN, Tracer
 from repro.serve.batching import BatchScheduler, DeadlineExceededError
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.registry import ModelRegistry
@@ -148,21 +148,26 @@ class ServeApp:
         Deadline applied to requests that do not send ``deadline_ms``
         themselves; ``None`` means no implicit deadline.
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer`.  Each sampled
-        ``/v1/predict`` request becomes one trace: a ``request`` root span
-        with ``validate`` / ``respond`` children here, stitched to the
-        scheduler's ``queue_wait`` / ``batch_execute`` spans, which the
-        collector thread records.  Defaults to the process-wide tracer
-        (disabled unless configured).
+        Optional :class:`~repro.obs.trace.Tracer`, handed on to every
+        model's scheduler.  Each sampled ``/v1/predict`` request becomes one
+        trace: a ``request`` root span with ``validate`` / ``respond``
+        children here, stitched to the scheduler's ``queue_wait`` /
+        ``batch_execute`` spans, which the collector thread records.
+        Without one, nothing is traced.
     slo_config:
         Optional :class:`~repro.obs.slo.SLOConfig` with per-tenant
         availability/latency objectives (usually loaded from the
         ``--slo-config`` JSON file).  The app always runs an
         :class:`~repro.obs.slo.SLOEngine` — omitting the config applies the
-        fleet-default objective to every tenant.  Every completed predict
-        is recorded per tenant (model name); client faults (400/404/413)
-        are exempt.  The engine's snapshot is the ``slo`` block of
-        ``/v1/metrics`` and burn-rate alerts log on ``repro.serve.slo``.
+        fleet-default objective to every tenant (model name).  The engine's
+        snapshot is the ``slo`` block of ``/v1/metrics``; its latency
+        objective is read from the model's ``latency`` histogram.
+        Burn-rate alerts log on ``repro.serve.slo``.
+
+    Every predict that passes validation has its outcome recorded in one
+    place, :meth:`_predict`: once in the model's metrics
+    (:meth:`~repro.serve.metrics.ModelMetrics.record_outcome`) and, unless
+    it is a client fault (400/404/413), once in the SLO engine.
     """
 
     def __init__(
@@ -177,11 +182,14 @@ class ServeApp:
     ):
         self.registry = registry
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer if tracer is not None else get_tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         self.max_batch_size = max_batch_size
         self.tenant_quotas = tenant_quotas
         self.default_deadline_ms = default_deadline_ms
-        self.slo = SLOEngine(slo_config)
+        self.slo = SLOEngine(
+            lambda name, p: self.metrics.for_model(name).latency.percentile(p),
+            slo_config,
+        )
         self._schedulers: Dict[str, BatchScheduler] = {}
         self._lock = threading.Lock()
         self._draining = False
@@ -334,6 +342,9 @@ class ServeApp:
         model_metrics.record_stage("validate", started - validate_started)
         root.set("model", name)
         root.set("rows", int(features.shape[0]) if features.ndim == 2 else 1)
+        # Anything but a RequestError or an answer escapes to the handler,
+        # which answers it 500.
+        status = 500
         try:
             # Tenant admission sheds *before* the request can touch the
             # scheduler capacity the other tenants share.
@@ -342,7 +353,6 @@ class ServeApp:
                 try:
                     lease = self.tenant_quotas.admit(name)
                 except TenantAdmissionError as error:
-                    model_metrics.record_error()
                     raise RequestError(
                         429,
                         str(error),
@@ -353,21 +363,23 @@ class ServeApp:
                 response = self._execute(
                     name, top_k, features, deadline, model_metrics, started, root
                 )
+            status = 200
+            return response
         except RequestError as error:
+            status = error.status
             # Stamp the tenant / trace onto the error so the access log can
             # carry them even though the response body never sees the model.
             error.tenant = name
             if sampled:
                 error.trace_id = root.trace_id
-            if error.status not in _SLO_EXEMPT_STATUSES:
-                self.slo.record(
-                    name, ok=False, latency_s=time.perf_counter() - started
-                )
             raise
-        elapsed = time.perf_counter() - started
-        model_metrics.record_request(elapsed, trace_id=root.trace_id if sampled else None)
-        self.slo.record(name, ok=True, latency_s=elapsed)
-        return response
+        finally:
+            elapsed = time.perf_counter() - started
+            model_metrics.record_outcome(
+                status, elapsed, trace_id=root.trace_id if sampled else None
+            )
+            if status not in _SLO_EXEMPT_STATUSES:
+                self.slo.record(name, ok=status == 200, latency_s=elapsed)
 
     def _execute(
         self,
@@ -397,13 +409,8 @@ class ServeApp:
                 # promise, so the caller gets 504, not stale work.
                 raise DeadlineExceededError("request completed after its deadline")
         except DeadlineExceededError as error:
-            model_metrics.record_deadline()
-            model_metrics.record_error()
             raise RequestError(504, str(error), code="deadline_exceeded")
         except ValueError as error:
-            # Single rows fail inside the scheduler, which already counted them.
-            if features.ndim != 1:
-                model_metrics.record_error()
             raise RequestError(400, str(error))
         return self._respond(name, labels, scores, top_k, started, root)
 

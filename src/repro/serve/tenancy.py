@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import threading
 import time
 from pathlib import Path
@@ -162,6 +163,23 @@ class TenantLease:
         self.release()
 
 
+_QUOTA_FIELDS = ("rps", "burst", "max_concurrent")
+
+
+def _check_limit(field: str, value, where: str) -> None:
+    """Raise ``ValueError`` unless *value* is ``None`` (the limit is off) or a
+    usable *field* limit: a finite ``rps``/``burst`` above 0, a
+    ``max_concurrent`` of at least 1."""
+    if value is None:
+        return
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if field == "max_concurrent":
+        if not (number and 1 <= value < math.inf):
+            raise ValueError(f"{where}max_concurrent must be >= 1, got {value!r}")
+    elif not (number and 0 < value < math.inf):
+        raise ValueError(f"{where}{field} must be a finite number > 0, got {value!r}")
+
+
 class TenantQuotas:
     """Per-tenant token-bucket rate limiting plus concurrency quotas.
 
@@ -178,6 +196,9 @@ class TenantQuotas:
         disables that limit for the tenant.
     clock:
         Injectable monotonic clock shared by every bucket.
+
+    Every default and override is checked here, so a bad limit fails at
+    start-up with a ``ValueError`` rather than on the tenant's first request.
     """
 
     def __init__(
@@ -188,18 +209,25 @@ class TenantQuotas:
         tenants: Optional[Dict[str, dict]] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if rps is not None and rps <= 0:
-            raise ValueError(f"rps must be > 0, got {rps}")
-        if burst is not None and burst <= 0:
-            raise ValueError(f"burst must be > 0, got {burst}")
-        if max_concurrent is not None and max_concurrent < 1:
-            raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
+        for field, value in zip(_QUOTA_FIELDS, (rps, burst, max_concurrent)):
+            _check_limit(field, value, "")
+        tenants = {} if tenants is None else tenants
+        if not isinstance(tenants, dict):
+            raise ValueError("'tenants' must be a JSON object")
+        for name, policy in tenants.items():
+            if not isinstance(policy, dict):
+                raise ValueError(f"tenant {name!r} policy must be a JSON object")
+            unknown = set(policy) - set(_QUOTA_FIELDS)
+            if unknown:
+                raise ValueError(
+                    f"tenant {name!r} has unknown quota fields {sorted(unknown)}"
+                )
+            for field, value in policy.items():
+                _check_limit(field, value, f"tenant {name!r}: ")
         self.default_rps = rps
         self.default_burst = burst
         self.default_max_concurrent = max_concurrent
-        self._overrides = {
-            str(name): dict(policy) for name, policy in (tenants or {}).items()
-        }
+        self._overrides = {str(name): dict(policy) for name, policy in tenants.items()}
         self._clock = clock
         self._states: Dict[str, _TenantState] = {}
         self._lock = threading.Lock()
@@ -218,24 +246,16 @@ class TenantQuotas:
         defaults = raw.get("defaults", {})
         if not isinstance(defaults, dict):
             raise ValueError("'defaults' must be a JSON object")
-        tenants = raw.get("tenants", {})
-        if not isinstance(tenants, dict):
-            raise ValueError("'tenants' must be a JSON object")
-        for name, policy in tenants.items():
-            if not isinstance(policy, dict):
-                raise ValueError(f"tenant {name!r} policy must be a JSON object")
-            unknown = set(policy) - {"rps", "burst", "max_concurrent"}
-            if unknown:
-                raise ValueError(
-                    f"tenant {name!r} has unknown quota fields {sorted(unknown)}"
-                )
+        unknown = set(defaults) - set(_QUOTA_FIELDS)
+        if unknown:
+            raise ValueError(f"'defaults' has unknown quota fields {sorted(unknown)}")
         return cls(
             rps=kwargs.pop("rps", defaults.get("rps")),
             burst=kwargs.pop("burst", defaults.get("burst")),
             max_concurrent=kwargs.pop(
                 "max_concurrent", defaults.get("max_concurrent")
             ),
-            tenants=tenants,
+            tenants=raw.get("tenants"),
             **kwargs,
         )
 
@@ -321,11 +341,6 @@ class TenantQuotas:
             bucket = TokenBucket(float(rps), float(burst), clock=self._clock)
         if max_concurrent is not None:
             max_concurrent = int(max_concurrent)
-            if max_concurrent < 1:
-                raise ValueError(
-                    f"tenant {tenant!r}: max_concurrent must be >= 1, "
-                    f"got {max_concurrent}"
-                )
         return _TenantState(bucket, max_concurrent)
 
 

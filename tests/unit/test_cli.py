@@ -186,11 +186,7 @@ class TestCommands:
         assert "quick-mode report validated" in output
         assert report_path.exists()
 
-    def test_loadgen_quick_trace_stitches(self, tmp_path, capsys, monkeypatch):
-        from repro.obs import trace
-
-        # The command installs a process-wide tracer; restore it afterwards.
-        monkeypatch.setattr(trace, "_GLOBAL_TRACER", None)
+    def test_loadgen_quick_trace_stitches(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         code = main(
             [
@@ -302,6 +298,38 @@ class TestTenantFlags:
         # ...and explicit flags beat the file.
         assert overridden.default_rps == 2.0
         assert overridden.default_max_concurrent == 3
+
+    @pytest.mark.parametrize(
+        "flag, payload, message",
+        [
+            ("--tenant-quotas", '{"tenants": {"a": {"max_concurrent": 0}}}', "bad tenant quotas"),
+            ("--tenant-quotas", '{"defaults": {"rps": "abc"}}', "bad tenant quotas"),
+            ("--slo-config", '{"default": null}', "bad SLO config"),
+            ("--slo-config", '{"tenants": {"a": []}}', "bad SLO config"),
+        ],
+        ids=["quota-zero", "quota-not-a-number", "slo-default-null", "slo-tenant-list"],
+    )
+    def test_serve_rejects_a_bad_config_without_serving(
+        self, tmp_path, capsys, monkeypatch, small_problem, flag, payload, message
+    ):
+        from repro.classifiers.baseline import BaselineHDC
+        from repro.classifiers.pipeline import HDCPipeline
+        from repro.hdc.encoders import RecordEncoder
+        from repro.io import save_model
+        import repro.serve.server as server
+
+        pipeline = HDCPipeline(RecordEncoder(dimension=128, seed=0), BaselineHDC())
+        pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
+        model = save_model(tmp_path / "a.npz", pipeline, strategy_name="baseline")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a server started on a bad config")
+
+        monkeypatch.setattr(server, "run_server", refuse)
+        config = tmp_path / "config.json"
+        config.write_text(payload)
+        assert main(["serve", "--model", f"a={model}", flag, str(config)]) == 1
+        assert f"error: {message}:" in capsys.readouterr().err
 
     def test_loadgen_fleet_validation(self, capsys):
         from repro.cli import main

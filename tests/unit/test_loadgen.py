@@ -621,7 +621,7 @@ class TestSLOReport:
                         "fast": {"burn_rate": 0.5},
                         "slow": {"burn_rate": 0.2},
                     },
-                    "latency": {"p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0},
+                    "latency": {"objective_ms": 3.0, "objective_met": True},
                 },
             },
         }

@@ -26,6 +26,11 @@ class FakeClock:
         self.now += seconds
 
 
+def no_answers(tenant, percentile):
+    """The latency source of a tenant with no answered request yet."""
+    return 0.0
+
+
 class TestSLOSpec:
     def test_defaults(self):
         spec = SLOSpec()
@@ -78,6 +83,18 @@ class TestSLOConfig:
             SLOConfig.from_dict({"defautl": {}})
         with pytest.raises(ValueError):
             SLOConfig.from_dict({"tenants": ["a"]})
+        # A spec that is not a JSON object, or a field that is not a number,
+        # is a ValueError (the CLI's "bad SLO config"), never a traceback.
+        for bad in (
+            {"default": None},
+            {"default": []},
+            {"tenants": {"a": None}},
+            {"tenants": {"a": []}},
+            {"default": {"latency_ms": None}},
+            {"tenants": {"a": {"availability": [0.9]}}},
+        ):
+            with pytest.raises(ValueError):
+                SLOConfig.from_dict(bad)
 
     def test_round_trip(self):
         config = SLOConfig.from_dict(
@@ -90,7 +107,7 @@ class TestSLOConfig:
 class TestBurnRates:
     def test_all_good_traffic_burns_nothing(self):
         clock = FakeClock()
-        engine = SLOEngine(clock=clock)
+        engine = SLOEngine(no_answers, clock=clock)
         for _ in range(100):
             engine.record("t", ok=True, latency_s=0.001)
         snapshot = engine.snapshot()["tenants"]["t"]
@@ -103,6 +120,7 @@ class TestBurnRates:
         clock = FakeClock()
         # 99% availability -> 1% budget; 10% failures -> burn rate 10.
         engine = SLOEngine(
+            no_answers,
             config=SLOConfig(default=SLOSpec(availability=0.99)), clock=clock
         )
         for index in range(100):
@@ -117,7 +135,9 @@ class TestBurnRates:
     def test_slow_requests_spend_budget_like_failures(self):
         clock = FakeClock()
         engine = SLOEngine(
-            config=SLOConfig(default=SLOSpec(latency_ms=10.0)), clock=clock
+            lambda tenant, percentile: 0.5,  # the one answer took 500 ms
+            config=SLOConfig(default=SLOSpec(latency_ms=10.0)),
+            clock=clock,
         )
         engine.record("t", ok=True, latency_s=0.5)  # slow success = bad event
         snapshot = engine.snapshot()["tenants"]["t"]
@@ -127,7 +147,7 @@ class TestBurnRates:
 
     def test_fast_window_forgets_old_badness(self):
         clock = FakeClock()
-        engine = SLOEngine(clock=clock)
+        engine = SLOEngine(no_answers, clock=clock)
         for _ in range(50):
             engine.record("t", ok=False, latency_s=0.001)
         clock.advance(FAST_WINDOW_SECONDS + 10)
@@ -141,7 +161,7 @@ class TestBurnRates:
 
     def test_slow_window_forgets_after_an_hour(self):
         clock = FakeClock()
-        engine = SLOEngine(clock=clock)
+        engine = SLOEngine(no_answers, clock=clock)
         engine.record("t", ok=False, latency_s=0.001)
         clock.advance(SLOW_WINDOW_SECONDS + 120)
         engine.record("t", ok=True, latency_s=0.001)
@@ -152,6 +172,7 @@ class TestBurnRates:
     def test_budget_exhaustion_is_a_breach(self):
         clock = FakeClock()
         engine = SLOEngine(
+            no_answers,
             config=SLOConfig(default=SLOSpec(availability=0.9)), clock=clock
         )
         for _ in range(5):
@@ -168,6 +189,7 @@ class TestAlerting:
     def test_alert_fires_once_and_resolves(self, caplog):
         clock = FakeClock()
         engine = SLOEngine(
+            no_answers,
             config=SLOConfig(default=SLOSpec(availability=0.99)),
             clock=clock,
             alert_burn_rate=5.0,
@@ -189,6 +211,7 @@ class TestAlerting:
     def test_alerting_requires_both_windows(self):
         clock = FakeClock()
         engine = SLOEngine(
+            no_answers,
             config=SLOConfig(default=SLOSpec(availability=0.99)),
             clock=clock,
             alert_burn_rate=5.0,
@@ -208,31 +231,43 @@ class TestAlerting:
         assert snapshot["verdict"] == "ok"
 
     def test_default_threshold(self):
-        assert SLOEngine().alert_burn_rate == DEFAULT_ALERT_BURN_RATE
+        assert SLOEngine(no_answers).alert_burn_rate == DEFAULT_ALERT_BURN_RATE
         with pytest.raises(ValueError):
-            SLOEngine(alert_burn_rate=0.0)
+            SLOEngine(no_answers, alert_burn_rate=0.0)
 
 
 class TestSnapshot:
     def test_snapshot_is_json_ready_and_sorted(self):
         clock = FakeClock()
-        engine = SLOEngine(clock=clock)
+        engine = SLOEngine(no_answers, clock=clock)
         engine.record("b", ok=True, latency_s=0.002)
         engine.record("a", ok=True, latency_s=0.002)
         snapshot = engine.snapshot()
         json.dumps(snapshot)
         assert list(snapshot["tenants"]) == ["a", "b"]
-        assert engine.tenant_names() == ["a", "b"]
         assert snapshot["default_spec"]["availability"] == 0.999
 
-    def test_latency_percentiles_come_from_the_sketch(self):
-        clock = FakeClock()
-        engine = SLOEngine(clock=clock)
-        for _ in range(99):
-            engine.record("t", ok=True, latency_s=0.010)
-        engine.record("t", ok=True, latency_s=1.0)
-        latency = engine.snapshot()["tenants"]["t"]["latency"]
-        assert latency["count"] == 100
-        assert latency["p50_ms"] == pytest.approx(10.0, rel=0.02)
-        assert latency["p99_ms"] == pytest.approx(10.0, rel=0.02)
-        assert latency["objective_ms"] == latency["p99_ms"]
+    def test_objective_is_the_latency_source_at_the_tenant_percentile(self):
+        asked = []
+
+        def latency_at(tenant, percentile):
+            asked.append((tenant, percentile))
+            return {"fast": 0.004, "slow": 0.5}[tenant]
+
+        config = SLOConfig.from_dict(
+            {"tenants": {"fast": {"latency_percentile": 95.0}}}
+        )
+        engine = SLOEngine(latency_at, config=config, clock=FakeClock())
+        engine.record("fast", ok=True, latency_s=0.004)
+        engine.record("slow", ok=True, latency_s=0.5)
+        tenants = engine.snapshot()["tenants"]
+        assert sorted(asked) == [("fast", 95.0), ("slow", 99.0)]
+        assert tenants["fast"]["latency"] == {
+            "objective_ms": pytest.approx(4.0),
+            "objective_met": True,
+        }
+        # 500 ms at p99 misses the default 250 ms objective.
+        assert tenants["slow"]["latency"] == {
+            "objective_ms": pytest.approx(500.0),
+            "objective_met": False,
+        }

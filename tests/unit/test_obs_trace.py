@@ -12,18 +12,8 @@ from repro.obs.trace import (
     MemorySink,
     SpanContext,
     Tracer,
-    configure_tracing,
-    get_tracer,
     parse_trace_file,
-    set_tracer,
 )
-
-
-@pytest.fixture(autouse=True)
-def isolate_global_tracer():
-    """Keep the process-wide tracer untouched by these tests."""
-    yield
-    set_tracer(None)
 
 
 class TestSpanLifecycle:
@@ -77,10 +67,16 @@ class TestSpanLifecycle:
         assert record["attrs"]["error"] == "RuntimeError"
 
     def test_ambient_stack_pops_after_exit(self):
-        tracer = Tracer(MemorySink())
+        sink = MemorySink()
+        tracer = Tracer(sink)
         with tracer.start_span("request"):
-            assert tracer.current_context() is not None
-        assert tracer.current_context() is None
+            pass
+        with tracer.start_span("next"):
+            pass
+        # Once the first root exits, the next span nests under nothing.
+        first, second = sink.records
+        assert second["parent"] is None
+        assert second["trace"] != first["trace"]
 
     def test_bad_parent_type_rejected(self):
         tracer = Tracer(MemorySink())
@@ -93,7 +89,6 @@ class TestSampling:
         tracer = Tracer()  # no sink
         span = tracer.start_span("request")
         assert span is NULL_SPAN
-        assert not tracer.enabled
         # The null span is inert: context-manages, ignores attributes.
         with span as inner:
             inner.set("anything", 1)
@@ -181,27 +176,6 @@ class TestJsonlSinkAndParsing:
         path.write_text(json.dumps({"trace": "t", "span": "s"}) + "\n")
         with pytest.raises(ValueError, match="missing"):
             parse_trace_file(path)
-
-
-class TestGlobalTracer:
-    def test_default_tracer_is_disabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        set_tracer(None)
-        assert get_tracer().enabled is False
-
-    def test_env_variable_enables_tracing(self, tmp_path, monkeypatch):
-        path = tmp_path / "env.jsonl"
-        monkeypatch.setenv("REPRO_TRACE", str(path))
-        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.25")
-        set_tracer(None)
-        tracer = get_tracer()
-        assert tracer.enabled and tracer.sample_rate == 0.25
-        tracer.close()
-
-    def test_configure_tracing_installs_globally(self, tmp_path):
-        tracer = configure_tracing(tmp_path / "cfg.jsonl", sample_rate=0.5)
-        assert get_tracer() is tracer
-        tracer.close()
 
 
 class TestMemorySinkRetention:

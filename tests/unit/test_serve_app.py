@@ -11,6 +11,7 @@ import pytest
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.hdc.encoders import RecordEncoder
+from repro.obs.slo import SLOConfig, SLOSpec
 from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp
 from repro.serve.server import RequestError
 from repro.serve.tenancy import TenantQuotas
@@ -58,6 +59,16 @@ class _HeldEngine:
         self.entered.set()
         self.release.wait(timeout=30)
         return self._engine.top_k(features, k=k)
+
+
+class _CrashingEngine:
+    """An engine whose ``top_k`` raises an unexpected (non-request) error."""
+
+    def __init__(self):
+        self.error = RuntimeError("engine crashed")
+
+    def top_k(self, features, k):
+        raise self.error
 
 
 def _status(app, payload):
@@ -287,6 +298,48 @@ class TestRequestAccounting:
         assert (model["requests"], model["samples"], model["batches"]) == (2, 2, 2)
 
 
+class TestOutcomeAccounting:
+    """Every predict that passes validation is recorded exactly once: an
+    answer in ``requests``, a failure in ``errors`` (a 504 also in
+    ``deadline_exceeded``), and in its tenant's SLO unless it is a client
+    fault (400)."""
+
+    @pytest.mark.parametrize(
+        "outcome",
+        ["200", "400-wrong-width", "429-tenant-shed", "500-engine-crash", "504-deadline"],
+    )
+    @pytest.mark.parametrize("shape", ["1-d", "2-d"])
+    def test_each_predict_is_recorded_once(self, make_app, row, shape, outcome):
+        status = int(outcome[:3])
+        quotas = TenantQuotas(rps=1.0, burst=0.5) if status == 429 else None
+        app = make_app(tenant_quotas=quotas)
+        features = row[:-1] if status == 400 else row
+        payload = {"features": features if shape == "1-d" else [features, features]}
+        if status == 504:
+            payload["deadline_ms"] = 1e-6
+        if status == 200:
+            app.predict(payload)
+        elif status == 500:
+            crashing = _CrashingEngine()
+            app.engine_for = lambda name: crashing
+            # The handler answers it 500; the app re-raises it unchanged.
+            with pytest.raises(RuntimeError) as info:
+                app.predict(payload)
+            assert info.value is crashing.error
+        else:
+            assert _status(app, payload).status == status
+        snapshot = app.metrics_snapshot()
+        model = snapshot["models"]["m"]
+        assert (model["requests"], model["errors"]) == (
+            (1, 0) if status == 200 else (0, 1)
+        )
+        assert model["latency"]["count"] == model["requests"]
+        assert model["deadline_exceeded"] == (1 if status == 504 else 0)
+        slo = snapshot["slo"]["tenants"].get("m", {"requests": 0, "failures": 0})
+        assert slo["requests"] == (0 if status == 400 else 1)
+        assert slo["failures"] == (1 if status not in (200, 400) else 0)
+
+
 class TestTenantAdmission:
     """``TenantQuotas`` is the one admission limit, for both request shapes."""
 
@@ -368,17 +421,39 @@ class TestSLOAccounting:
             # A bucket that never holds a whole token sheds every request.
             ({"tenant_quotas": TenantQuotas(rps=1.0, burst=0.5)}, {}, 429),
             ({}, {"deadline_ms": 1e-6}, 504),
+            ({}, {}, 500),
         ],
-        ids=["shed", "deadline"],
+        ids=["shed", "deadline", "engine-crash-500"],
     )
     def test_server_faults_spend_the_budget(
         self, make_app, row, kwargs, payload_extra, status
     ):
         app = make_app(**kwargs)
-        assert _status(app, {"features": row, **payload_extra}).status == status
+        if status == 500:
+            app.engine_for = lambda name: _CrashingEngine()
+            with pytest.raises(RuntimeError, match="engine crashed"):
+                app.predict({"features": row})
+        else:
+            assert _status(app, {"features": row, **payload_extra}).status == status
         tenant = self._tenant(app)
         assert tenant["failures"] == 1
         assert tenant["budget_remaining"] < 1.0
+
+    def test_latency_objective_is_the_answered_latency(self, make_app, row):
+        # One answer, then fast sheds: the objective is the model's answered
+        # latency at the tenant's percentile, not a blend with the sheds.
+        config = SLOConfig(default=SLOSpec(latency_ms=1e-3, latency_percentile=50.0))
+        app = make_app(
+            tenant_quotas=TenantQuotas(rps=1e-3, burst=1.0), slo_config=config
+        )
+        answer = app.predict({"features": row})
+        for _ in range(8):
+            assert _status(app, {"features": row}).status == 429
+        snapshot = app.metrics_snapshot()
+        latency = snapshot["slo"]["tenants"]["m"]["latency"]
+        assert latency["objective_ms"] == snapshot["models"]["m"]["latency"]["p50_ms"]
+        assert latency["objective_ms"] >= answer["latency_ms"]
+        assert latency["objective_met"] is False
 
 
 class TestReadiness:

@@ -194,13 +194,11 @@ class TestLifecycleAndErrors:
             def top_k(self, features, k):
                 raise RuntimeError("engine exploded")
 
-        metrics = ModelMetrics()
-        scheduler = BatchScheduler(Broken(), max_batch_size=4, metrics=metrics)
+        scheduler = BatchScheduler(Broken(), max_batch_size=4, metrics=ModelMetrics())
         try:
             future = scheduler.submit(small_problem["test_features"][0])
             with pytest.raises(RuntimeError, match="engine exploded"):
                 future.result(timeout=10)
-            assert metrics.errors == 1
         finally:
             scheduler.stop()
 
@@ -339,7 +337,7 @@ class TestConcurrentSubmitters:
                     assert np.array_equal(labels, labels_k3[index, :k])
 
 
-class TestOverloadAndDeadlines:
+class TestDeadlines:
     def test_expired_deadline_sheds_in_queue(self, engine, small_problem):
         from repro.serve.batching import DeadlineExceededError
 

@@ -62,15 +62,26 @@ class TestLatencyHistogram:
 class TestModelMetrics:
     def test_request_accounting(self):
         metrics = ModelMetrics()
-        metrics.record_request(0.002)
-        metrics.record_request(0.001)
+        metrics.record_outcome(200, 0.002)
+        metrics.record_outcome(200, 0.001, trace_id="ab" * 8)
         metrics.record_samples(4)
-        metrics.record_error()
+        metrics.record_outcome(429, 0.0001)
+        metrics.record_outcome(500, 0.003)
+        metrics.record_outcome(504, 0.05)
         snapshot = metrics.snapshot()
         assert snapshot["requests"] == 2
         assert snapshot["samples"] == 4
-        assert snapshot["errors"] == 1
+        assert snapshot["errors"] == 3
+        assert snapshot["deadline_exceeded"] == 1
+        # Only answers are latencies; the trace id is its bucket's exemplar.
         assert snapshot["latency"]["count"] == 2
+        assert snapshot["latency"]["max_ms"] == pytest.approx(2.0)
+        exemplars = [
+            bucket["exemplar"]["trace_id"]
+            for bucket in snapshot["latency"]["buckets"]
+            if "exemplar" in bucket
+        ]
+        assert exemplars == ["ab" * 8]
         assert snapshot["batches"] == 0
 
     def test_batch_size_distribution(self):
@@ -96,11 +107,11 @@ class TestMetricsRegistry:
         import json
 
         registry = MetricsRegistry()
-        registry.for_model("m").record_request(0.001)
+        registry.for_model("m").record_outcome(200, 0.001)
         registry.for_model("m").record_batch(1)
         payload = json.dumps(registry.snapshot())
         assert '"m"' in payload
-        assert registry.model_names() == ["m"]
+        assert list(registry.snapshot()["models"]) == ["m"]
 
 
 class TestSnapshotConsistency:
@@ -175,5 +186,3 @@ class TestSnapshotConsistency:
         snapshot = metrics.snapshot()
         assert snapshot["stages"]["validate"]["count"] == 800
         assert snapshot["stages"]["dispatch"]["count"] == 800
-        # Stage histograms are stable objects, created exactly once.
-        assert metrics.stage("validate") is metrics.stage("validate")

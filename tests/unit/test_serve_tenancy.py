@@ -183,6 +183,14 @@ class TestTenantQuotas:
             '{"tenants": []}',
             '{"tenants": {"a": 5}}',
             '{"tenants": {"a": {"rsp": 1}}}',
+            # Limits the first request would only trip over, and the
+            # non-numeric default that used to be a TypeError traceback.
+            '{"tenants": {"a": {"max_concurrent": 0}}}',
+            '{"tenants": {"a": {"rps": 0}}}',
+            '{"tenants": {"a": {"rps": -2.5}}}',
+            '{"tenants": {"a": {"burst": "deep"}}}',
+            '{"defaults": {"rps": "abc"}}',
+            '{"defaults": {"rsp": 1}}',
         ],
     )
     def test_from_file_rejects_malformed_configs(self, tmp_path, payload):
