@@ -26,8 +26,8 @@ regenerated without writing any Python:
   breakdown (count/p50/p95/max per span name) of a recorded trace file;
   ``--exemplars K`` lists the K slowest request traces by ID;
 * ``python -m repro top --url http://host:8080`` — live terminal dashboard
-  over ``/v1/metrics``: per-tenant QPS/percentiles/queue depth and SLO
-  budgets; ``--once --json`` for scripts.
+  over ``/v1/metrics``: per-tenant QPS, requests, errors, percentiles and
+  queue depth; ``--once --json`` for scripts.
 
 Performance is measured by ``perfbench/`` (see ``BENCHMARK.json``), not by
 a CLI command.
@@ -194,17 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P",
         help="probability a request is traced (default 1.0; e.g. 0.01 for soaks)",
     )
-    serve.add_argument(
-        "--slo-config",
-        default=None,
-        metavar="FILE",
-        help=(
-            "JSON SLO config ({'default': {availability, latency_ms, "
-            "latency_percentile}, 'tenants': {name: overrides}}); tenants "
-            "not listed use the fleet default — the engine always runs, so "
-            "omitting the flag applies the default objective to every tenant"
-        ),
-    )
 
     loadgen = subparsers.add_parser(
         "loadgen", help="soak-test a serving target with reproducible traffic"
@@ -319,16 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         metavar="P",
         help="probability a request is traced (default 1.0)",
-    )
-    loadgen.add_argument(
-        "--slo-config",
-        default=None,
-        metavar="FILE",
-        help=(
-            "JSON SLO config for the in-process target (see repro serve); "
-            "after the soak the per-tenant verdict block is validated and "
-            "printed"
-        ),
     )
     loadgen.add_argument(
         "--quick",
@@ -512,15 +491,12 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
 
     from pathlib import Path
 
+    if not _trace_sample_ok(args):
+        return 1
     try:
         tenant_quotas = _build_tenant_quotas(args)
     except (OSError, ValueError) as error:
         print(f"error: bad tenant quotas: {error}", file=sys.stderr)
-        return 1
-    try:
-        slo_config = _build_slo_config(args)
-    except (OSError, ValueError) as error:
-        print(f"error: bad SLO config: {error}", file=sys.stderr)
         return 1
     registry = ModelRegistry(max_resident=args.max_resident)
     for spec in args.model:
@@ -540,7 +516,6 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
         max_batch_size=args.max_batch_size,
         default_deadline_ms=args.deadline_ms,
         tenant_quotas=tenant_quotas,
-        slo_config=slo_config,
         tracer=tracer,
     )
     try:
@@ -551,6 +526,21 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
     return 0
 
 
+def _trace_sample_ok(args) -> bool:
+    """Whether ``--trace-sample`` is a probability; if not, print the error.
+
+    Checked before any model is loaded or trained and before ``--trace``
+    opens its file, so a bad rate costs nothing and leaves no empty file.
+    """
+    if 0.0 <= args.trace_sample <= 1.0:
+        return True
+    print(
+        f"error: --trace-sample must be in [0, 1], got {args.trace_sample:g}",
+        file=sys.stderr,
+    )
+    return False
+
+
 def _build_tracer(args):
     """A JSONL ``Tracer`` for ``--trace FILE`` (at ``--trace-sample``), or
     ``None``."""
@@ -559,16 +549,6 @@ def _build_tracer(args):
     from repro.obs import JsonlSink, Tracer
 
     return Tracer(JsonlSink(args.trace), sample_rate=args.trace_sample)
-
-
-def _build_slo_config(args):
-    """``SLOConfig`` from ``--slo-config``, or ``None`` (the engine then
-    applies the fleet-default objective to every tenant)."""
-    if not getattr(args, "slo_config", None):
-        return None
-    from repro.obs.slo import SLOConfig
-
-    return SLOConfig.from_file(args.slo_config)
 
 
 def _build_tenant_quotas(args):
@@ -604,8 +584,8 @@ def command_loadgen(args) -> int:
         RequestSampler,
         format_report,
         run_load_test,
+        validate_exemplars,
         validate_report,
-        validate_slo_report,
         write_report,
     )
 
@@ -616,17 +596,12 @@ def command_loadgen(args) -> int:
     if args.models < 1:
         print("error: --models must be >= 1", file=sys.stderr)
         return 1
+    if not _trace_sample_ok(args):
+        return 1
     if args.models > 1 and args.url:
         print(
             "error: --models drives the in-process target (it registers the "
             "tenant fleet); register the models on the server for --url soaks",
-            file=sys.stderr,
-        )
-        return 1
-    if args.slo_config and args.url:
-        print(
-            "error: --slo-config drives the in-process target; start the "
-            "server with --slo-config instead for --url soaks",
             file=sys.stderr,
         )
         return 1
@@ -683,7 +658,7 @@ def command_loadgen(args) -> int:
             else:
                 # Multi-tenant soak: every tenant serves the same trained
                 # model (pinned, so registering N names costs one training
-                # run); schedulers, quotas and SLOs are still per tenant.
+                # run); schedulers and quotas are still per tenant.
                 for tenant in tenant_names:
                     registry.register(tenant, engine)
         try:
@@ -691,17 +666,11 @@ def command_loadgen(args) -> int:
         except (OSError, ValueError) as error:
             print(f"error: bad tenant quotas: {error}", file=sys.stderr)
             return 1
-        try:
-            slo_config = _build_slo_config(args)
-        except (OSError, ValueError) as error:
-            print(f"error: bad SLO config: {error}", file=sys.stderr)
-            return 1
         tracer = _build_tracer(args)
         app = ServeApp(
             registry,
             max_batch_size=args.max_batch_size,
             tenant_quotas=tenant_quotas,
-            slo_config=slo_config,
             tracer=tracer,
         )
         target = InProcessTarget(
@@ -735,31 +704,21 @@ def command_loadgen(args) -> int:
     if args.json:
         destination = write_report(args.json, report)
         print(f"report written to {destination}")
-    if not args.url and (args.slo_config or args.quick):
-        # The soak's SLO verdict block is part of the CI contract: every
-        # tenant evaluated, verdicts well-formed, and — when tracing — at
-        # least one latency exemplar linking a bucket to a trace_id.
+    if args.quick:
+        traced = bool(args.trace) and not args.url
         try:
-            validate_slo_report(report, require_exemplar=bool(args.trace))
+            validate_report(report)
+            if traced:
+                # At least one latency bucket must link back to a trace_id.
+                validate_exemplars(report)
         except ValueError as error:
-            print(f"error: SLO verdict block invalid: {error}", file=sys.stderr)
+            print(f"error: quick-mode report invalid: {error}", file=sys.stderr)
             return 1
-        tenants = report["slo"]["tenants"]
-        verdicts = ", ".join(
-            f"{name}={tenant['verdict']}" for name, tenant in sorted(tenants.items())
-        )
-        exemplar_count = len(report.get("exemplars") or [])
-        print(
-            f"slo verdicts validated: {verdicts} "
-            f"({exemplar_count} trace exemplars)"
-        )
-    if args.quick and args.models == 1:
-        validate_report(report)
         print(
             "quick-mode report validated: non-zero throughput, "
             "monotone percentiles, zero errors, every request counted by the server"
         )
-        if args.trace and not args.url:
+        if traced:
             # The CI tracing smoke: the file must parse strictly, carry the
             # scheduler's spans, and stitch into whole trees — the queue_wait
             # and batch_execute spans are written by the collector thread and

@@ -15,8 +15,8 @@ measures it the way a *caller* experiences it, with reproducible traffic:
   through warm-up and measure phases and collects exact latency
   percentiles; targets are :class:`InProcessTarget` (a ``ServeApp``, no
   network) or :class:`HTTPTarget` (a live ``repro serve`` endpoint);
-* :mod:`repro.loadgen.report` — JSON report building/validation/formatting,
-  output-compatible with the files under ``benchmarks/results/``.
+* :mod:`repro.loadgen.report` — JSON report building, validation and
+  formatting.
 
 ``python -m repro loadgen`` is the CLI front-end; ``--quick`` is the CI
 smoke mode (in-process target, fixed seed, report well-formedness asserted).
@@ -25,8 +25,8 @@ smoke mode (in-process target, fixed seed, report well-formedness asserted).
 from repro.loadgen.report import (
     build_report,
     format_report,
+    validate_exemplars,
     validate_report,
-    validate_slo_report,
     write_report,
 )
 from repro.loadgen.runner import (
@@ -50,7 +50,7 @@ __all__ = [
     "build_report",
     "format_report",
     "run_load_test",
+    "validate_exemplars",
     "validate_report",
-    "validate_slo_report",
     "write_report",
 ]

@@ -1,10 +1,10 @@
 """Load-test reports: build, validate, format, persist.
 
 One report shape serves every consumer: the CLI prints it as a table, the CI
-smoke job validates it, the soak harness dumps it as JSON next to the other
-artefacts under ``benchmarks/results/``.  The report embeds the sampler's
-stream digest, so two runs with the same seed can be proven to have replayed
-byte-identical traffic (the acceptance criterion for determinism).
+smoke job validates it, and ``--json PATH`` writes it as JSON.  The report
+embeds the sampler's stream digest, so two runs with the same seed can be
+proven to have replayed byte-identical traffic (the acceptance criterion for
+determinism).
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def build_report(
     retries: int = 0,
     retries_by_status: Optional[dict] = None,
     retry_policy: Optional[dict] = None,
-    slo: Optional[dict] = None,
     exemplars: Optional[List[dict]] = None,
 ) -> dict:
     """Assemble the JSON-ready report dictionary from one measure phase."""
@@ -144,11 +143,6 @@ def build_report(
         report["config"]["zipf_s"] = sampler.zipf_s
     if server_metrics is not None:
         report["server_metrics_delta"] = server_metrics
-    if slo is not None:
-        # The server's end-of-run SLO snapshot: per-tenant verdicts, budget
-        # remaining, burn rates.  Cumulative (not a delta) — the budget is a
-        # property of the whole serving window, not of this soak alone.
-        report["slo"] = slo
     if exemplars is not None:
         report["exemplars"] = exemplars
     return report
@@ -190,54 +184,22 @@ def validate_report(report: dict) -> None:
         )
 
 
-#: Verdicts the SLO engine may hand a tenant.
-SLO_VERDICTS = frozenset({"ok", "at_risk", "breached"})
+def validate_exemplars(report: dict) -> None:
+    """Raise ``ValueError`` unless a traced soak's report carries at least
+    one latency exemplar, each with a ``trace_id``.
 
-
-def validate_slo_report(report: dict, require_exemplar: bool = False) -> None:
-    """Raise ``ValueError`` unless the soak's SLO verdict block is well-formed:
-    at least one tenant evaluated, every verdict one of
-    ``ok``/``at_risk``/``breached``, budgets in ``[0, 1]`` and burn rates
-    non-negative.
-
-    With ``require_exemplar`` the report must also carry at least one trace
-    exemplar (a traced soak whose histograms captured no ``trace_id`` means
-    the exemplar plumbing is broken) — this is the CI SLO-smoke assertion.
+    A traced soak whose histograms captured no ``trace_id`` means the
+    exemplar plumbing is broken — this is the CI traced-soak assertion.
     """
-    slo = report.get("slo")
-    if slo is None:
-        raise ValueError("report has no slo block")
-    tenants = slo.get("tenants") or {}
-    if not tenants:
-        raise ValueError("slo block evaluated no tenants")
-    for name, tenant in tenants.items():
-        verdict = tenant.get("verdict")
-        if verdict not in SLO_VERDICTS:
-            raise ValueError(f"tenant {name!r} has bad verdict {verdict!r}")
-        budget = tenant.get("budget_remaining")
-        if budget is None or not 0.0 <= budget <= 1.0:
-            raise ValueError(
-                f"tenant {name!r} budget_remaining {budget!r} outside [0, 1]"
-            )
-        if tenant.get("requests", 0) < 1:
-            raise ValueError(f"tenant {name!r} was evaluated with no requests")
-        for window in ("fast", "slow"):
-            burn = tenant.get("windows", {}).get(window, {}).get("burn_rate")
-            if burn is None or burn < 0:
-                raise ValueError(
-                    f"tenant {name!r} {window}-window burn rate {burn!r} "
-                    "is missing or negative"
-                )
-    if require_exemplar:
-        exemplars = report.get("exemplars") or []
-        if not exemplars:
-            raise ValueError(
-                "traced soak captured no latency exemplars — no histogram "
-                "bucket recorded a trace_id"
-            )
-        for exemplar in exemplars:
-            if not exemplar.get("trace_id"):
-                raise ValueError(f"exemplar without a trace_id: {exemplar}")
+    exemplars = report.get("exemplars") or []
+    if not exemplars:
+        raise ValueError(
+            "traced soak captured no latency exemplars — no histogram "
+            "bucket recorded a trace_id"
+        )
+    for exemplar in exemplars:
+        if not exemplar.get("trace_id"):
+            raise ValueError(f"exemplar without a trace_id: {exemplar}")
 
 
 def format_report(report: dict) -> str:
@@ -306,20 +268,6 @@ def format_report(report: dict) -> str:
                     ", ".join(f"{name}+{count}" for name, count in shed.items()),
                 ]
             )
-    slo = report.get("slo")
-    if slo is not None:
-        for name in sorted(slo.get("tenants", {})):
-            tenant = slo["tenants"][name]
-            windows = tenant.get("windows", {})
-            rows.append(
-                [
-                    f"slo {name}",
-                    f"{tenant.get('verdict', '?')} "
-                    f"(budget {tenant.get('budget_remaining', 0):.3f}, "
-                    f"burn {windows.get('fast', {}).get('burn_rate', 0):.1f}/"
-                    f"{windows.get('slow', {}).get('burn_rate', 0):.1f})",
-                ]
-            )
     exemplars = report.get("exemplars")
     if exemplars:
         rows.append(
@@ -334,7 +282,7 @@ def format_report(report: dict) -> str:
 
 
 def write_report(path: Union[str, Path], report: dict) -> Path:
-    """Write *report* as indented JSON (the ``benchmarks/results`` format)."""
+    """Write *report* as indented JSON, creating its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
@@ -346,11 +294,10 @@ def write_report(path: Union[str, Path], report: dict) -> Path:
 __all__ = [
     "PERCENTILES",
     "REPORT_VERSION",
-    "SLO_VERDICTS",
     "build_report",
     "format_report",
     "server_metrics_delta",
+    "validate_exemplars",
     "validate_report",
-    "validate_slo_report",
     "write_report",
 ]

@@ -331,14 +331,9 @@ class _Phase:
         self.retries_by_status: dict = {}
         self._lock = threading.Lock()
 
-    def record(self, seconds: float, deadline_seconds: Optional[float] = None) -> None:
+    def record(self, seconds: float) -> None:
         with self._lock:
             self.latencies.append(seconds)
-            if (
-                deadline_seconds is not None
-                and seconds > deadline_seconds + DEADLINE_GRACE_SECONDS
-            ):
-                self.deadline_violations += 1
 
     def record_deadline_violation(self) -> None:
         with self._lock:
@@ -614,9 +609,8 @@ def run_load_test(
     if metrics_before is not None and metrics_after is not None:
         server_metrics = server_metrics_delta(metrics_before, metrics_after)
 
-    slo = exemplars = None
+    exemplars = None
     if metrics_after is not None:
-        slo = metrics_after.get("slo")
         exemplars = _collect_exemplars(metrics_after)
 
     return build_report(
@@ -637,7 +631,6 @@ def run_load_test(
         retries=measure_phase.retries,
         retries_by_status=measure_phase.retries_by_status,
         retry_policy=None if retry is None else retry.describe(),
-        slo=slo,
         exemplars=exemplars,
     )
 

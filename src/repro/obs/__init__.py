@@ -10,14 +10,11 @@ Capabilities, each usable on its own and composed by the serving layer:
 * :mod:`repro.obs.sketch` — a DDSketch-style quantile sketch with a
   bounded relative error and fixed memory; it backs every latency
   percentile in the stack;
-* :mod:`repro.obs.slo` — declarative per-tenant SLOs (availability +
-  latency objective) evaluated with multiwindow burn rates; structured
-  alerts on the ``repro.serve.slo`` logger, verdicts in ``/v1/metrics``;
-  the latency objective is read from the serving layer's per-model
-  histogram through a function it passes in;
 * :mod:`repro.obs.prometheus` — pure-function rendering of the
   ``/v1/metrics`` snapshot into Prometheus text exposition (served at
   ``GET /metrics``), with OpenMetrics trace exemplars on latency buckets;
+  SLO burn-rate alerting is Prometheus rules over these series
+  (``docs/observability.md``), not state kept in the server;
 * :mod:`repro.obs.summary` — trace-file analysis behind
   ``repro trace-summary`` (per-stage latency breakdowns, stitching checks,
   slowest-trace exemplars);
@@ -31,7 +28,6 @@ This package deliberately imports nothing from :mod:`repro.serve` or
 from repro.obs.console import build_view, render_view, run_console
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus, validate_exposition
 from repro.obs.sketch import QuantileSketch
-from repro.obs.slo import SLOConfig, SLOEngine, SLOSpec
 from repro.obs.trace import (
     JsonlSink,
     MemorySink,
@@ -52,9 +48,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "QuantileSketch",
-    "SLOConfig",
-    "SLOEngine",
-    "SLOSpec",
     "Span",
     "SpanContext",
     "Tracer",

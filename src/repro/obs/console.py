@@ -2,9 +2,10 @@
 
 A stdlib-only terminal dashboard over the serving tier: it polls ``GET
 /v1/metrics`` on an interval and renders one screen per poll — per-tenant
-traffic (QPS, p50/p99, queue depth) and the SLO error-budget/burn-rate
-block.  ``repro top --once --json`` emits a single machine-readable view
-instead, which is what the CI smoke uses.
+traffic: QPS, requests, errors, p50/p99 and queue depth.  ``repro top
+--once --json`` emits a single machine-readable view instead, which is what
+the CI smoke uses.  Error budgets and burn rates are not shown: they are
+Prometheus rules over ``GET /metrics`` (``docs/observability.md``).
 
 Everything here is pure over the ``/v1/metrics`` JSON snapshot:
 :func:`build_view` turns one (plus optionally the previous poll, for QPS
@@ -21,7 +22,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 #: Seconds between polls when ``--interval`` is not given.
 DEFAULT_INTERVAL = 2.0
@@ -30,12 +31,7 @@ DEFAULT_INTERVAL = 2.0
 _HOME_CLEAR = "\x1b[H\x1b[2J"
 _BOLD = "\x1b[1m"
 _DIM = "\x1b[2m"
-_RED = "\x1b[31m"
-_YELLOW = "\x1b[33m"
-_GREEN = "\x1b[32m"
 _RESET = "\x1b[0m"
-
-_VERDICT_COLORS = {"ok": _GREEN, "at_risk": _YELLOW, "breached": _RED}
 
 
 def fetch_snapshot(url: str, timeout: float = 5.0) -> dict:
@@ -43,12 +39,6 @@ def fetch_snapshot(url: str, timeout: float = 5.0) -> dict:
     target = url.rstrip("/") + "/v1/metrics"
     with urllib.request.urlopen(target, timeout=timeout) as response:
         return json.loads(response.read().decode("utf-8"))
-
-
-def _tenant_names(snapshot: dict) -> List[str]:
-    names = set(snapshot.get("models", {}))
-    names.update(snapshot.get("slo", {}).get("tenants", {}))
-    return sorted(names)
 
 
 def build_view(
@@ -64,21 +54,17 @@ def build_view(
     produce empty sections; the console renders what exists.
     """
     models = snapshot.get("models", {})
-    slo_tenants = snapshot.get("slo", {}).get("tenants", {})
     schedulers = snapshot.get("schedulers", {})
     previous_models = (previous or {}).get("models", {})
 
     tenants = []
-    for name in _tenant_names(snapshot):
-        model = models.get(name, {})
-        slo = slo_tenants.get(name, {})
+    for name, model in sorted(models.items()):
         latency = model.get("latency", {})
         requests = int(model.get("requests", 0))
         qps = None
         if elapsed and elapsed > 0 and name in previous_models:
             delta = requests - int(previous_models[name].get("requests", 0))
             qps = max(0.0, delta / elapsed)
-        windows = slo.get("windows", {})
         tenants.append(
             {
                 "tenant": name,
@@ -88,17 +74,9 @@ def build_view(
                 "p50_ms": latency.get("p50_ms"),
                 "p99_ms": latency.get("p99_ms"),
                 "queue_depth": schedulers.get(name, {}).get("queue_depth", 0),
-                "budget_remaining": slo.get("budget_remaining"),
-                "burn_fast": windows.get("fast", {}).get("burn_rate"),
-                "burn_slow": windows.get("slow", {}).get("burn_rate"),
-                "verdict": slo.get("verdict"),
             }
         )
-
-    return {
-        "tenants": tenants,
-        "alert_burn_rate": snapshot.get("slo", {}).get("alert_burn_rate"),
-    }
+    return {"tenants": tenants}
 
 
 def _fmt(value, pattern: str = "{:.1f}", missing: str = "-") -> str:
@@ -114,38 +92,23 @@ def render_view(view: dict, color: bool = True) -> str:
     def paint(text: str, style: str) -> str:
         return f"{style}{text}{_RESET}" if color else text
 
-    lines = [paint("repro top — fleet SLO console", _BOLD)]
+    lines = [paint("repro top — fleet console", _BOLD)]
 
     lines.append("")
     lines.append(
         paint(
             f"{'TENANT':<16} {'QPS':>7} {'REQS':>8} {'ERRS':>6} {'P50MS':>8} "
-            f"{'P99MS':>9} {'QUEUE':>5} {'BUDGET':>7} {'BURN(F/S)':>11} VERDICT",
+            f"{'P99MS':>9} {'QUEUE':>5}",
             _DIM,
         )
     )
     if not view["tenants"]:
         lines.append("  (no traffic yet)")
     for row in view["tenants"]:
-        verdict = row["verdict"] or "-"
-        budget = row["budget_remaining"]
-        burn = (
-            f"{_fmt(row['burn_fast'])}/{_fmt(row['burn_slow'])}"
-            if row["burn_fast"] is not None or row["burn_slow"] is not None
-            else "-"
-        )
-        line = (
+        lines.append(
             f"{row['tenant']:<16} {_fmt(row['qps']):>7} {row['requests']:>8} "
             f"{row['errors']:>6} {_fmt(row['p50_ms'], '{:.2f}'):>8} "
-            f"{_fmt(row['p99_ms'], '{:.2f}'):>9} {row['queue_depth']:>5} "
-            f"{_fmt(budget, '{:.3f}'):>7} {burn:>11} "
-        )
-        lines.append(line + paint(verdict, _VERDICT_COLORS.get(verdict, _DIM)))
-
-    if view.get("alert_burn_rate") is not None:
-        lines.append("")
-        lines.append(
-            paint(f"alert burn-rate threshold: {view['alert_burn_rate']}x", _DIM)
+            f"{_fmt(row['p99_ms'], '{:.2f}'):>9} {row['queue_depth']:>5}"
         )
     return "\n".join(lines) + "\n"
 

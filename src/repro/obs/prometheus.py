@@ -17,9 +17,6 @@ Conventions:
   ``stage``;
 * per-tenant admission counters are ``repro_tenant_*`` with a ``tenant``
   label;
-* per-tenant SLO series are ``repro_slo_error_budget_remaining`` and
-  ``repro_slo_burn_rate`` (``window="fast"|"slow"``), from the ``slo``
-  snapshot block;
 * latency buckets that captured a traced request carry an OpenMetrics
   exemplar annotation (``... 12 # {trace_id="..."} 0.089 1700000000``) so
   a scrape can link a p99 spike to a span tree.  Exemplars are a pure
@@ -208,43 +205,6 @@ def render_prometheus(snapshot: Dict) -> str:
             )
             writer.sample(
                 "repro_tenant_in_flight", stats.get("in_flight", 0), tenant=tenant
-            )
-
-    slo = snapshot.get("slo")
-    if slo is not None:
-        for tenant, state in sorted((slo.get("tenants") or {}).items()):
-            writer.declare(
-                "repro_slo_error_budget_remaining",
-                "gauge",
-                "Fraction of the tenant's error budget left (1 = untouched).",
-            )
-            writer.sample(
-                "repro_slo_error_budget_remaining",
-                state.get("budget_remaining", 1.0),
-                tenant=tenant,
-            )
-            windows = state.get("windows") or {}
-            for window in ("fast", "slow"):
-                burn = (windows.get(window) or {}).get("burn_rate")
-                if burn is None:
-                    continue
-                writer.declare(
-                    "repro_slo_burn_rate",
-                    "gauge",
-                    "Error-budget burn rate over the fast/slow window.",
-                )
-                writer.sample(
-                    "repro_slo_burn_rate", burn, tenant=tenant, window=window
-                )
-            writer.declare(
-                "repro_slo_alerting",
-                "gauge",
-                "Multiwindow burn-rate alert firing (1) or quiet (0).",
-            )
-            writer.sample(
-                "repro_slo_alerting",
-                1.0 if state.get("alerting") else 0.0,
-                tenant=tenant,
             )
 
     return "\n".join(writer.lines) + "\n" if writer.lines else ""

@@ -2,8 +2,7 @@
 
 Every latency percentile in the serving stack comes from
 :class:`QuantileSketch`: the per-model request latency and the per-stage
-timings in :class:`repro.serve.metrics.LatencyHistogram`, whose request
-percentile is also the SLO engine's latency objective.  A classic
+timings in :class:`repro.serve.metrics.LatencyHistogram`.  A classic
 fixed-bucket histogram serves these badly: its bucket-upper-bound estimate
 can be off by the full bucket width (up to 2x on the coarse
 5/10/20-per-decade grid).

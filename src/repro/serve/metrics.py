@@ -37,8 +37,8 @@ class LatencyHistogram:
 
     Two views over the same observations, updated atomically:
 
-    * a :class:`~repro.obs.sketch.QuantileSketch` answers percentile
-      queries with a bounded relative error (1% by default) in fixed
+    * a :class:`~repro.obs.sketch.QuantileSketch` gives the snapshot's
+      percentiles with a bounded relative error (1% by default) in fixed
       memory — no sample list is retained, so a week-long soak costs the
       same as the first request;
     * coarse fixed buckets (``bounds``, cumulative in snapshots) feed the
@@ -89,29 +89,6 @@ class LatencyHistogram:
                     "value": seconds,
                     "timestamp": time.time(),
                 }
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def mean(self) -> float:
-        """Mean observed latency in seconds (0.0 when empty)."""
-        with self._lock:
-            return self._total / self._count if self._count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """The *p*-th percentile in seconds, from the quantile sketch.
-
-        The estimate is within the sketch's relative accuracy (1% by
-        default) of the exact nearest-rank sample value.  Returns 0.0 when
-        nothing has been recorded.
-        """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"p must be in [0, 100], got {p}")
-        with self._lock:
-            return self._sketch.percentile(p) if self._sketch.count else 0.0
 
     def snapshot(self) -> Dict[str, object]:
         """Summary dictionary with millisecond-denominated statistics.

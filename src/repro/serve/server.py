@@ -13,8 +13,8 @@ Routes
                       (SIGTERM) has begun, so load balancers stop routing
                       here before in-flight batches finish;
 ``GET  /v1/models``   registry listing (every registered version);
-``GET  /v1/metrics``  per-model counters, latency percentiles, queue depth,
-                      and the per-tenant SLO burn-rate block (JSON);
+``GET  /v1/metrics``  per-model counters, latency percentiles, queue depth
+                      and tenant admission counters (JSON);
 ``GET  /metrics``     the same snapshot in Prometheus text exposition;
 ``POST /v1/predict``  body ``{"model": name?, "features": [...], "top_k": k?,
                       "deadline_ms": ms?}`` — a 1-D ``features`` list is one
@@ -52,7 +52,6 @@ import numpy as np
 
 from repro.obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
-from repro.obs.slo import SLOConfig, SLOEngine
 from repro.obs.trace import NULL_SPAN, Tracer
 from repro.serve.batching import BatchScheduler, DeadlineExceededError
 from repro.serve.metrics import MetricsRegistry
@@ -74,12 +73,6 @@ _DEFAULT_CODES = {
     503: "unavailable",
     504: "deadline_exceeded",
 }
-
-#: Statuses that do not spend the tenant's error budget: the client sent a
-#: request the server could never have answered (malformed body, unknown
-#: model, oversized payload), so counting it against the SLO would let one
-#: buggy client page the on-call for a healthy service.
-_SLO_EXEMPT_STATUSES = frozenset({400, 404, 413})
 
 
 def _is_positive_finite(value) -> bool:
@@ -154,20 +147,13 @@ class ServeApp:
         children here, stitched to the scheduler's ``queue_wait`` /
         ``batch_execute`` spans, which the collector thread records.
         Without one, nothing is traced.
-    slo_config:
-        Optional :class:`~repro.obs.slo.SLOConfig` with per-tenant
-        availability/latency objectives (usually loaded from the
-        ``--slo-config`` JSON file).  The app always runs an
-        :class:`~repro.obs.slo.SLOEngine` — omitting the config applies the
-        fleet-default objective to every tenant (model name).  The engine's
-        snapshot is the ``slo`` block of ``/v1/metrics``; its latency
-        objective is read from the model's ``latency`` histogram.
-        Burn-rate alerts log on ``repro.serve.slo``.
 
-    Every predict that passes validation has its outcome recorded in one
-    place, :meth:`_predict`: once in the model's metrics
-    (:meth:`~repro.serve.metrics.ModelMetrics.record_outcome`) and, unless
-    it is a client fault (400/404/413), once in the SLO engine.
+    Every predict that passes validation has its outcome recorded once, in
+    :meth:`_predict`, by the model's
+    :meth:`~repro.serve.metrics.ModelMetrics.record_outcome`.  SLOs are
+    evaluated outside the server: burn-rate alerting is Prometheus rules
+    over the counters and latency buckets ``GET /metrics`` exports
+    (``docs/observability.md``).
     """
 
     def __init__(
@@ -178,7 +164,6 @@ class ServeApp:
         tenant_quotas: Optional[TenantQuotas] = None,
         default_deadline_ms: Optional[float] = None,
         tracer: Optional[Tracer] = None,
-        slo_config: Optional[SLOConfig] = None,
     ):
         self.registry = registry
         self.metrics = metrics or MetricsRegistry()
@@ -186,10 +171,6 @@ class ServeApp:
         self.max_batch_size = max_batch_size
         self.tenant_quotas = tenant_quotas
         self.default_deadline_ms = default_deadline_ms
-        self.slo = SLOEngine(
-            lambda name, p: self.metrics.for_model(name).latency.percentile(p),
-            slo_config,
-        )
         self._schedulers: Dict[str, BatchScheduler] = {}
         self._lock = threading.Lock()
         self._draining = False
@@ -222,7 +203,6 @@ class ServeApp:
             }
         if self.tenant_quotas is not None:
             snapshot["tenancy"] = self.tenant_quotas.snapshot()
-        snapshot["slo"] = self.slo.snapshot()
         return snapshot
 
     def predict(self, payload: dict) -> dict:
@@ -374,12 +354,11 @@ class ServeApp:
                 error.trace_id = root.trace_id
             raise
         finally:
-            elapsed = time.perf_counter() - started
             model_metrics.record_outcome(
-                status, elapsed, trace_id=root.trace_id if sampled else None
+                status,
+                time.perf_counter() - started,
+                trace_id=root.trace_id if sampled else None,
             )
-            if status not in _SLO_EXEMPT_STATUSES:
-                self.slo.record(name, ok=status == 200, latency_s=elapsed)
 
     def _execute(
         self,

@@ -169,7 +169,7 @@ class TestPrometheusEndpoint:
         # Traced requests leave exemplars on the latency buckets.
         assert '# {trace_id="' in text
 
-    def test_tenant_and_slo_series_render_from_a_live_app(
+    def test_tenant_and_error_series_render_from_a_live_app(
         self, saved_model, small_problem
     ):
         registry = ModelRegistry()
@@ -190,8 +190,8 @@ class TestPrometheusEndpoint:
         assert 'repro_errors_total{model="a"} 1' in lines
         assert 'repro_tenant_rate_limited_total{tenant="a"} 1' in lines
         assert 'repro_tenant_rate_limited_total{tenant="b"} 0' in lines
-        assert 'repro_slo_error_budget_remaining{tenant="b"} 1' in lines
-        assert 'repro_slo_alerting{tenant="a"} 1' in lines
+        assert 'repro_errors_total{model="b"} 0' in lines
+        assert not any(line.startswith("repro_slo_") for line in lines)
 
     def test_http_metrics_route(self, saved_model, small_problem):
         registry = ModelRegistry()
@@ -246,7 +246,6 @@ class TestRequestCounting:
         assert model["requests"] == total
         assert model["latency"]["count"] == total
         assert model["samples"] == total
-        assert snapshot["slo"]["tenants"]["baseline"]["requests"] == total
         lines = set(render_prometheus(snapshot).splitlines())
         assert f'repro_requests_total{{model="baseline"}} {total}' in lines
         assert f'repro_request_latency_seconds_count{{model="baseline"}} {total}' in lines

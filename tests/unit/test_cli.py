@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.classifiers.pipeline import HDCPipeline
 from repro.cli import build_parser, main
 
 
@@ -77,13 +78,15 @@ class TestParser:
             _retired("loadgen", "cache-size", "0"),
             _retired("loadgen", "max-queue-depth", "8"),
             _retired("loadgen", "max-concurrent", "2"),
+            _retired("serve", "slo-config", "slo.json"),
+            _retired("loadgen", "slo-config", "slo.json"),
         ],
     )
     def test_retired_flags_and_commands_are_rejected(self, argv, retired, capsys):
         # Serving runs in one process with tenant quotas as its one admission
-        # limit and no prediction cache, the kernels have one NumPy executor,
-        # and perfbench is the only benchmark: a stale script fails at parse
-        # time.
+        # limit, no prediction cache and no SLO engine, the kernels have one
+        # NumPy executor, and perfbench is the only benchmark: a stale script
+        # fails at parse time.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
@@ -210,6 +213,38 @@ class TestCommands:
         assert "0 orphans" in output
         assert "batch_execute" in output and "queue_wait" in output
 
+    def test_loadgen_quick_fleet_trace_runs_every_check(self, tmp_path, capsys):
+        # A multi-tenant quick soak is held to the same report, exemplar and
+        # stitching checks as a single-tenant one.
+        trace_path = tmp_path / "trace.jsonl"
+        code = main(
+            [
+                "loadgen", "--quick", "--models", "3", "--dataset", "pamap",
+                "--dimension", "256", "--requests", "30", "--warmup", "4",
+                "--trace", str(trace_path),
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "quick-mode report validated" in output
+        assert "trace exemplars" in output
+        assert "trace validated: 34 traces" in output and "0 orphans" in output
+
+    def test_loadgen_quick_fails_a_soak_with_errors_in_one_line(self, capsys):
+        # Five tokens that never refill: the warm-up spends four, one measured
+        # request is answered and the other nine are shed.
+        code = main(
+            [
+                "loadgen", "--quick", "--dataset", "pamap", "--dimension", "256",
+                "--requests", "10", "--warmup", "4",
+                "--tenant-rps", "0.001", "--tenant-burst", "5",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: quick-mode report invalid: report recorded 9 failed requests" in err
+        assert err.count("error:") == 1
+
     def test_compare_quick(self, capsys):
         code = main(
             [
@@ -300,36 +335,59 @@ class TestTenantFlags:
         assert overridden.default_max_concurrent == 3
 
     @pytest.mark.parametrize(
-        "flag, payload, message",
+        "flag, value, message",
         [
-            ("--tenant-quotas", '{"tenants": {"a": {"max_concurrent": 0}}}', "bad tenant quotas"),
-            ("--tenant-quotas", '{"defaults": {"rps": "abc"}}', "bad tenant quotas"),
-            ("--slo-config", '{"default": null}', "bad SLO config"),
-            ("--slo-config", '{"tenants": {"a": []}}', "bad SLO config"),
+            ("--tenant-quotas", '{"tenants": {"a": {"max_concurrent": 0}}}', "bad tenant quotas:"),
+            ("--tenant-quotas", '{"defaults": {"rps": "abc"}}', "bad tenant quotas:"),
+            ("--trace-sample", "1.5", "--trace-sample must be in [0, 1], got 1.5"),
+            ("--trace-sample", "-1", "--trace-sample must be in [0, 1], got -1"),
+            ("--trace-sample", "nan", "--trace-sample must be in [0, 1], got nan"),
         ],
-        ids=["quota-zero", "quota-not-a-number", "slo-default-null", "slo-tenant-list"],
+        ids=[
+            "quota-zero",
+            "quota-not-a-number",
+            "trace-sample-above-one",
+            "trace-sample-negative",
+            "trace-sample-nan",
+        ],
     )
     def test_serve_rejects_a_bad_config_without_serving(
-        self, tmp_path, capsys, monkeypatch, small_problem, flag, payload, message
+        self, tmp_path, capsys, monkeypatch, flag, value, message
     ):
-        from repro.classifiers.baseline import BaselineHDC
-        from repro.classifiers.pipeline import HDCPipeline
-        from repro.hdc.encoders import RecordEncoder
-        from repro.io import save_model
         import repro.serve.server as server
-
-        pipeline = HDCPipeline(RecordEncoder(dimension=128, seed=0), BaselineHDC())
-        pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
-        model = save_model(tmp_path / "a.npz", pipeline, strategy_name="baseline")
+        from repro.serve.registry import ModelRegistry
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a server started on a bad config")
+            raise AssertionError("a bad config reached a model load or the server")
 
         monkeypatch.setattr(server, "run_server", refuse)
-        config = tmp_path / "config.json"
-        config.write_text(payload)
-        assert main(["serve", "--model", f"a={model}", flag, str(config)]) == 1
-        assert f"error: {message}:" in capsys.readouterr().err
+        monkeypatch.setattr(ModelRegistry, "register", refuse)
+        if flag == "--tenant-quotas":
+            config = tmp_path / "config.json"
+            config.write_text(value)
+            value = str(config)
+        trace = tmp_path / "trace.jsonl"
+        argv = ["serve", "--model", f"a={tmp_path / 'a.npz'}", "--trace", str(trace)]
+        assert main(argv + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert err.count("error:") == 1
+        assert not trace.exists()
+
+    def test_loadgen_rejects_a_bad_trace_sample_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad --trace-sample reached training")
+
+        monkeypatch.setattr(HDCPipeline, "fit", refuse)
+        trace = tmp_path / "trace.jsonl"
+        argv = ["loadgen", "--quick", "--trace", str(trace), "--trace-sample", "-1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: --trace-sample must be in [0, 1], got -1" in err
+        assert err.count("error:") == 1
+        assert not trace.exists()
 
     def test_loadgen_fleet_validation(self, capsys):
         from repro.cli import main

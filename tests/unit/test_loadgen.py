@@ -23,8 +23,8 @@ from repro.loadgen import (
     build_report,
     format_report,
     run_load_test,
+    validate_exemplars,
     validate_report,
-    validate_slo_report,
     write_report,
 )
 from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp, create_server
@@ -608,25 +608,10 @@ class TestMultiTenantReport:
         assert report["config"]["zipf_s"] == 1.1
 
 
-class TestSLOReport:
-    def _slo_block(self, verdict="ok", budget=0.9):
-        return {
-            "alert_burn_rate": 14.4,
-            "tenants": {
-                "ucihar": {
-                    "verdict": verdict,
-                    "budget_remaining": budget,
-                    "requests": 40,
-                    "windows": {
-                        "fast": {"burn_rate": 0.5},
-                        "slow": {"burn_rate": 0.2},
-                    },
-                    "latency": {"objective_ms": 3.0, "objective_met": True},
-                },
-            },
-        }
+class TestExemplars:
+    _EXEMPLAR = {"model": "ucihar", "le": "0.01", "trace_id": "ab" * 8, "value_ms": 4.2}
 
-    def _report(self, slo=None, exemplars=None):
+    def _report(self, exemplars=None):
         sampler = RequestSampler.from_arrays(np.zeros((4, 3)), seed=0)
         return build_report(
             target={"kind": "in-process", "model": None, "top_k": 1},
@@ -638,79 +623,29 @@ class TestSLOReport:
             latencies=[0.001, 0.002, 0.003, 0.004],
             errors=0,
             duration_seconds=0.5,
-            slo=slo,
             exemplars=exemplars,
         )
 
-    def test_valid_block_passes(self):
-        report = self._report(slo=self._slo_block())
-        validate_slo_report(report)
-
-    def test_breached_verdict_is_well_formed(self):
-        # "breached" is a valid verdict: the gate checks shape, not success.
-        validate_slo_report(
-            self._report(slo=self._slo_block(verdict="breached", budget=0.0))
-        )
-
-    def test_missing_block_rejected(self):
-        with pytest.raises(ValueError, match="no slo block"):
-            validate_slo_report(self._report())
-
-    def test_empty_tenants_rejected(self):
-        slo = self._slo_block()
-        slo["tenants"] = {}
-        with pytest.raises(ValueError, match="no tenants"):
-            validate_slo_report(self._report(slo=slo))
-
-    def test_bad_verdict_rejected(self):
-        with pytest.raises(ValueError, match="bad verdict"):
-            validate_slo_report(self._report(slo=self._slo_block(verdict="meh")))
-
-    def test_budget_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            validate_slo_report(self._report(slo=self._slo_block(budget=1.5)))
-
-    def test_missing_burn_rate_rejected(self):
-        slo = self._slo_block()
-        del slo["tenants"]["ucihar"]["windows"]["slow"]
-        with pytest.raises(ValueError, match="slow-window burn rate"):
-            validate_slo_report(self._report(slo=slo))
-
     def test_exemplar_requirement(self):
-        report = self._report(slo=self._slo_block())
         with pytest.raises(ValueError, match="no latency exemplars"):
-            validate_slo_report(report, require_exemplar=True)
-        good = self._report(
-            slo=self._slo_block(),
-            exemplars=[
-                {"model": "ucihar", "le": "0.01", "trace_id": "ab" * 8,
-                 "value_ms": 4.2}
-            ],
-        )
-        validate_slo_report(good, require_exemplar=True)
-
-    def test_format_report_shows_verdicts_and_exemplars(self):
-        text = format_report(
-            self._report(
-                slo=self._slo_block(),
-                exemplars=[
-                    {"model": "ucihar", "le": "0.01", "trace_id": "ab" * 8,
-                     "value_ms": 4.2}
-                ],
+            validate_exemplars(self._report())
+        with pytest.raises(ValueError, match="without a trace_id"):
+            validate_exemplars(
+                self._report(exemplars=[dict(self._EXEMPLAR, trace_id=None)])
             )
-        )
-        assert "slo ucihar" in text
-        assert "ok (budget 0.900" in text
-        assert "trace exemplars" in text
+        validate_exemplars(self._report(exemplars=[self._EXEMPLAR]))
 
-    def test_runner_collects_slo_and_exemplars(self, loadgen_app):
-        # The in-process app always runs an SLO engine; a traced soak must
-        # surface its verdicts and at least one histogram exemplar.
+    def test_format_report_shows_exemplars(self):
+        text = format_report(self._report(exemplars=[self._EXEMPLAR]))
+        assert "trace exemplars" in text
+        assert "1 (slowest abababababababab @ 4.20 ms)" in text
+
+    def test_runner_collects_exemplars(self, loadgen_app):
+        # A traced soak must surface at least one histogram exemplar.
         from repro.obs.trace import MemorySink, Tracer
 
         app, sampler = loadgen_app
         app.tracer = Tracer(MemorySink(), sample_rate=1.0)
-        app.metrics  # noqa: B018 - document the app is live
         report = run_load_test(
             InProcessTarget(app),
             sampler,
@@ -718,7 +653,7 @@ class TestSLOReport:
             num_requests=20,
             warmup_requests=2,
         )
-        validate_slo_report(report, require_exemplar=True)
-        tenant = report["slo"]["tenants"]["ucihar"]
-        assert tenant["requests"] >= 20
+        validate_report(report)
+        validate_exemplars(report)
         assert report["exemplars"][0]["trace_id"]
+        assert "slo" not in report

@@ -5,7 +5,13 @@ import json
 
 import pytest
 
+from repro.classifiers.baseline import BaselineHDC
+from repro.classifiers.pipeline import HDCPipeline
+from repro.hdc.encoders import RecordEncoder
 from repro.obs.console import build_view, render_view, run_console
+from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp
+from repro.serve.server import RequestError
+from repro.serve.tenancy import TenantQuotas
 
 
 def _snapshot(requests=100):
@@ -18,19 +24,6 @@ def _snapshot(requests=100):
             },
         },
         "schedulers": {"har": {"queue_depth": 4}},
-        "slo": {
-            "alert_burn_rate": 14.4,
-            "tenants": {
-                "har": {
-                    "budget_remaining": 0.9,
-                    "windows": {
-                        "fast": {"burn_rate": 1.5},
-                        "slow": {"burn_rate": 0.5},
-                    },
-                    "verdict": "ok",
-                },
-            },
-        },
     }
 
 
@@ -44,9 +37,9 @@ class TestBuildView:
         assert row["qps"] is None  # one poll cannot make a rate
         assert row["p99_ms"] == 9.0
         assert row["queue_depth"] == 4
-        assert row["budget_remaining"] == 0.9
-        assert row["burn_fast"] == 1.5
-        assert row["verdict"] == "ok"
+        assert set(row) == {
+            "tenant", "requests", "errors", "qps", "p50_ms", "p99_ms", "queue_depth"
+        }
 
     def test_qps_is_delta_over_elapsed(self):
         view = build_view(
@@ -60,18 +53,24 @@ class TestBuildView:
         )
         assert view["tenants"][0]["qps"] == 0.0
 
-    def test_slo_only_tenant_still_listed(self):
-        # A tenant that has only shed (429) requests never reaches the model
-        # metrics, but its burning SLO must still show up on the console.
-        snapshot = _snapshot()
-        snapshot["slo"]["tenants"]["ghost"] = {
-            "budget_remaining": 0.0,
-            "windows": {},
-            "verdict": "breached",
-        }
-        view = build_view(snapshot)
-        assert [row["tenant"] for row in view["tenants"]] == ["ghost", "har"]
-        assert view["tenants"][0]["verdict"] == "breached"
+    def test_shed_only_tenant_still_listed(self, small_problem):
+        # A tenant whose only predict was shed (429) answered nothing, but
+        # the shed is one of its model's errors, so it still gets a row.
+        pipeline = HDCPipeline(RecordEncoder(dimension=128, seed=0), BaselineHDC())
+        pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
+        registry = ModelRegistry()
+        registry.register("ghost", PackedInferenceEngine(pipeline, name="ghost"))
+        # A bucket that never holds a whole token sheds every request.
+        app = ServeApp(registry, tenant_quotas=TenantQuotas(rps=1.0, burst=0.5))
+        try:
+            with pytest.raises(RequestError) as info:
+                app.predict({"features": small_problem["test_features"][0].tolist()})
+            view = build_view(app.metrics_snapshot())
+        finally:
+            app.close()
+        assert info.value.status == 429
+        (row,) = view["tenants"]
+        assert (row["tenant"], row["requests"], row["errors"]) == ("ghost", 0, 1)
 
     def test_empty_snapshot(self):
         view = build_view({})
@@ -83,13 +82,13 @@ class TestRenderView:
         text = render_view(build_view(_snapshot()), color=False)
         assert "TENANT" in text
         assert "har" in text
-        assert "ok" in text
-        assert "burn-rate threshold: 14.4x" in text
+        assert "9.00" in text  # p99_ms
+        assert "BUDGET" not in text and "VERDICT" not in text
         assert "\x1b[" not in text  # color off ⇒ no ANSI escapes
 
-    def test_color_marks_verdict(self):
+    def test_color_marks_the_header(self):
         text = render_view(build_view(_snapshot()), color=True)
-        assert "\x1b[32mok\x1b[0m" in text  # green verdict
+        assert "\x1b[1mrepro top" in text  # bold title
 
     def test_handles_empty_view(self):
         text = render_view(build_view({}), color=False)

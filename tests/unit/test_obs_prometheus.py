@@ -45,19 +45,6 @@ def _snapshot():
             },
         },
         "schedulers": {"har": {"queue_depth": 3}},
-        "slo": {
-            "alert_burn_rate": 14.4,
-            "tenants": {
-                "har": {
-                    "budget_remaining": 0.75,
-                    "windows": {
-                        "fast": {"burn_rate": 2.0},
-                        "slow": {"burn_rate": 0.5},
-                    },
-                    "alerting": False,
-                },
-            },
-        },
     }
 
 
@@ -93,16 +80,6 @@ repro_stage_latency_seconds_count{model="har",stage="validate"} 12
 # HELP repro_scheduler_queue_depth Requests waiting in the micro-batch queue.
 # TYPE repro_scheduler_queue_depth gauge
 repro_scheduler_queue_depth{model="har"} 3
-# HELP repro_slo_error_budget_remaining Fraction of the tenant's error budget left (1 = untouched).
-# TYPE repro_slo_error_budget_remaining gauge
-repro_slo_error_budget_remaining{tenant="har"} 0.75
-# HELP repro_slo_burn_rate Error-budget burn rate over the fast/slow window.
-# TYPE repro_slo_burn_rate gauge
-repro_slo_burn_rate{tenant="har",window="fast"} 2
-repro_slo_burn_rate{tenant="har",window="slow"} 0.5
-# HELP repro_slo_alerting Multiwindow burn-rate alert firing (1) or quiet (0).
-# TYPE repro_slo_alerting gauge
-repro_slo_alerting{tenant="har"} 0
 """
 
 

@@ -9,40 +9,44 @@ from repro.serve.metrics import LatencyHistogram, MetricsRegistry, ModelMetrics
 
 class TestLatencyHistogram:
     def test_empty_histogram(self):
-        histogram = LatencyHistogram()
-        assert histogram.count == 0
-        assert histogram.mean == 0.0
-        assert histogram.percentile(50) == 0.0
+        snapshot = LatencyHistogram().snapshot()
+        assert snapshot["count"] == 0
+        assert snapshot["mean_ms"] == 0.0
+        assert snapshot["p50_ms"] == 0.0
 
     def test_percentiles_bracket_observations(self):
         histogram = LatencyHistogram()
-        for _ in range(99):
+        for _ in range(49):
             histogram.record(0.001)  # 1 ms
         histogram.record(1.0)  # one outlier
-        assert histogram.count == 100
-        # p50 lands in the bucket containing 1 ms; p99+ sees the outlier's bucket.
-        assert histogram.percentile(50) <= 0.002
-        assert histogram.percentile(99.5) >= 0.5
-        assert histogram.snapshot()["max_ms"] == pytest.approx(1000.0)
+        snapshot = histogram.snapshot()
+        assert snapshot["count"] == 50
+        # p50 lands at 1 ms; p99 (rank 50 of 50) is the outlier.
+        assert snapshot["p50_ms"] <= 2.0
+        assert snapshot["p99_ms"] >= 500.0
+        assert snapshot["max_ms"] == pytest.approx(1000.0)
 
     def test_mean_is_exact(self):
         histogram = LatencyHistogram()
         histogram.record(0.010)
         histogram.record(0.030)
-        assert histogram.mean == pytest.approx(0.020)
+        assert histogram.snapshot()["mean_ms"] == pytest.approx(20.0)
 
     def test_overflow_bucket_reports_max(self):
         histogram = LatencyHistogram(bounds=[0.001])
         histogram.record(5.0)
-        assert histogram.percentile(99) == pytest.approx(5.0)
+        snapshot = histogram.snapshot()
+        assert snapshot["p99_ms"] == pytest.approx(5000.0)
+        assert snapshot["buckets"] == [
+            {"le": 0.001, "count": 0},
+            {"le": "+Inf", "count": 1},
+        ]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             LatencyHistogram(bounds=[])
         with pytest.raises(ValueError):
             LatencyHistogram(bounds=[2.0, 1.0])
-        with pytest.raises(ValueError):
-            LatencyHistogram().percentile(123)
 
     def test_concurrent_recording(self):
         histogram = LatencyHistogram()
@@ -56,7 +60,7 @@ class TestLatencyHistogram:
             thread.start()
         for thread in threads:
             thread.join()
-        assert histogram.count == 2000
+        assert histogram.snapshot()["count"] == 2000
 
 
 class TestModelMetrics:
