@@ -721,8 +721,9 @@ def command_loadgen(args) -> int:
         if traced:
             # The CI tracing smoke: the file must parse strictly, carry the
             # scheduler's spans, and stitch into whole trees — the queue_wait
-            # and batch_execute spans are written by the collector thread and
-            # reach their request only through the handed-over context.
+            # and batch_execute spans are written by whichever caller leads
+            # the batch and reach their request only through the handed-over
+            # context.
             from repro.obs import parse_trace_file, summarize_spans
 
             spans = parse_trace_file(args.trace)

@@ -5,8 +5,9 @@ Capabilities, each usable on its own and composed by the serving layer:
 * :mod:`repro.obs.trace` — request-scoped tracing: every sampled request
   gets a trace ID and a span tree (validate → queue wait → batch execute →
   respond) written as JSONL by a single writer; span
-  context is a small tuple handed explicitly to the micro-batch collector
-  thread, so its spans stitch back into the request's trace;
+  context is a small tuple handed explicitly to the micro-batch scheduler,
+  so a batch's spans stitch back into each request's trace whichever
+  caller's thread runs it;
 * :mod:`repro.obs.sketch` — a DDSketch-style quantile sketch with a
   bounded relative error and fixed memory; it backs every latency
   percentile in the stack;

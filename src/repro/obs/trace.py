@@ -1,9 +1,9 @@
 """Request-scoped tracing: spans, context propagation, and the JSONL sink.
 
-One request through the serving stack crosses threads: the HTTP handler
-thread hands it to the micro-batch collector thread, which runs the batch.
-This module gives every request a *trace*: a tree of timed spans that
-survives the hop.
+One request through the serving stack can cross threads: a queued
+single-row request is scored in a micro-batch that the thread of another
+caller, queued ahead of it, runs.  This module gives every request a
+*trace*: a tree of timed spans that survives the hop.
 
 Design constraints, in priority order:
 

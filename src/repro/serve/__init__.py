@@ -10,7 +10,8 @@ serving stack:
   representation once, precomputes the encoder's item-memory lookup tables,
   and answers predictions over the XOR+popcount path;
 * :mod:`repro.serve.batching` — :class:`BatchScheduler` coalesces concurrent
-  single-sample requests into NumPy micro-batches;
+  single-sample requests into NumPy micro-batches, run on their callers'
+  threads;
 * :mod:`repro.serve.registry` — :class:`ModelRegistry` versions, hot-swaps and
   LRU-caches resident engines;
 * :mod:`repro.serve.metrics` — per-model request counters and latency

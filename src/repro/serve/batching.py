@@ -3,18 +3,21 @@
 A packed engine answers a 64-sample batch in barely more time than a single
 sample — the per-call cost is dominated by Python/NumPy dispatch, not by the
 XOR+popcount arithmetic.  :class:`BatchScheduler` exploits that: concurrent
-callers submit one sample each and a collector thread runs the engine once
-per coalesced batch.
+callers bring one sample each and the engine runs once per coalesced batch.
 
-The collector is work-conserving — it never waits on a timer:
+Batches run on their callers' threads (caller-runs).  The scheduler starts no
+thread and never waits on a timer:
 
-* ``submit`` enqueues a request and returns a ``concurrent.futures.Future``;
-* ``predict`` / ``top_k`` are the synchronous conveniences (submit + wait);
-* one collector thread owns the queue: it blocks for the first request,
-  takes whatever else is already queued (up to ``max_batch_size``) and runs
-  that batch itself.  One batch is in flight at a time, so requests that
-  arrive while it runs queue up and form the next batch — a lone request
-  runs at once, and coalescing grows with load.
+* a ``top_k`` caller that finds no batch running leads one at once, so a
+  lone request is a batch of one, scored on the thread that asked for it;
+* callers that arrive while a batch runs queue and block;
+* when the batch ends its callers return, and the oldest queued caller is
+  woken to lead the next batch: itself and up to ``max_batch_size - 1``
+  requests queued behind it, oldest first.
+
+One batch runs at a time, so coalescing grows with load, and a queued request
+runs in the first batch started after it queued unless ``max_batch_size``
+requests are ahead of it.
 
 The engine may be passed directly or as a zero-argument callable resolved per
 batch — the latter is how the server stays correct across registry hot-swaps.
@@ -22,11 +25,11 @@ batch — the latter is how the server stays correct across registry hot-swaps.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Deque, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +38,13 @@ from repro.serve.engine import PackedInferenceEngine
 from repro.serve.metrics import ModelMetrics
 
 EngineSource = Union[PackedInferenceEngine, Callable[[], PackedInferenceEngine]]
+
+# A request's place in the hand-off.  Every change is made under the
+# scheduler's lock, and each change a waiting caller acts on wakes it.
+_QUEUED = "queued"  # in the scheduler's queue
+_TAKEN = "taken"  # in a batch that is about to run or running
+_LEADS = "leads"  # woken to lead the next batch
+_DONE = "done"  # its batch has ended; the future holds the outcome
 
 
 class DeadlineExceededError(RuntimeError):
@@ -52,6 +62,8 @@ class _Request:
         "features",
         "top_k",
         "future",
+        "wake",
+        "state",
         "trace",
         "deadline",
         "enqueued",
@@ -63,12 +75,17 @@ class _Request:
         features: np.ndarray,
         top_k: int,
         future: Future,
+        wake: threading.Condition,
         trace: Optional[SpanContext] = None,
         deadline: Optional[float] = None,
     ):
         self.features = features
         self.top_k = top_k
         self.future = future
+        #: on the scheduler's lock; notified when ``state`` changes under a
+        #: waiting caller (woken to lead, batch ended, stopped).
+        self.wake = wake
+        self.state = _QUEUED
         self.trace = trace
         #: absolute ``time.monotonic()`` instant after which the caller no
         #: longer wants the answer; ``None`` means no deadline.
@@ -80,7 +97,7 @@ class _Request:
 
 
 class BatchScheduler:
-    """Queue single-sample requests and run them as coalesced batches.
+    """Run single-sample requests as coalesced batches on their callers' threads.
 
     Parameters
     ----------
@@ -92,15 +109,15 @@ class BatchScheduler:
     metrics:
         Optional :class:`ModelMetrics` receiving batch sizes and the
         ``queue_wait`` / ``batch_execute`` stage histograms.  Requests and
-        their outcomes are the caller's to record: a failed request's future
-        carries the error, and the caller answers (and counts) it.
+        their outcomes are the caller's to record: a failed request raises
+        from :meth:`top_k`, and its caller answers (and counts) it.
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer`.  When a submitted request
-        carries a span context, the scheduler emits its ``queue_wait`` span
-        and wraps the engine call in a ``batch_execute`` span (parented to
-        the first traced request of the coalesced batch), so the batch's
-        spans stitch into the caller's trace across the hand-off to the
-        collector thread.  Without one, nothing is traced.
+        Optional :class:`~repro.obs.trace.Tracer`.  When a request carries a
+        span context, the scheduler emits its ``queue_wait`` span and wraps
+        the engine call in a ``batch_execute`` span (parented to the first
+        traced request of the coalesced batch), so the batch's spans stitch
+        into the caller's trace even when another caller's thread runs the
+        batch.  Without one, nothing is traced.
     """
 
     def __init__(
@@ -114,57 +131,22 @@ class BatchScheduler:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         self._resolve_engine = engine if callable(engine) else (lambda: engine)
         self.max_batch_size = int(max_batch_size)
-        self._queue: "queue.Queue[Optional[_Request]]" = queue.Queue()
         self._metrics = metrics
         self._tracer = tracer if tracer is not None else Tracer()
+        self._lock = threading.Lock()
+        #: notified when the last batch ends with no caller left to lead.
+        self._idle = threading.Condition(self._lock)
+        self._pending: Deque[_Request] = deque()
+        #: a batch is running, or a woken caller is about to lead one; while
+        #: it is set, new callers queue.
+        self._leading = False
         self._closed = False
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="serve-collector", daemon=True
-        )
-        self._collector.start()
 
     # ----------------------------------------------------------------- public
-    def submit(
-        self,
-        features: np.ndarray,
-        top_k: int = 1,
-        trace: Optional[SpanContext] = None,
-        deadline: Optional[float] = None,
-    ) -> Future:
-        """Enqueue one sample; the future resolves to ``(labels, scores)``.
-
-        ``labels`` and ``scores`` are 1-D arrays of length ``top_k`` (best
-        class first).  ``trace`` is the caller's span context (its request
-        crosses into the collector thread here, so ambient nesting cannot
-        follow it).  ``deadline`` is an absolute ``time.monotonic()`` instant:
-        a request still queued (or mid-batch) past it fails with
-        :class:`DeadlineExceededError` instead of being scored.  Raises
-        ``RuntimeError`` after :meth:`stop`.
-        """
-        if self._closed:
-            raise RuntimeError("BatchScheduler is stopped")
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 1:
-            raise ValueError(
-                f"submit takes a single 1-D feature vector, got shape {features.shape}"
-            )
-        if top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {top_k}")
-        future: Future = Future()
-        self._queue.put(
-            _Request(features, int(top_k), future, trace=trace, deadline=deadline)
-        )
-        return future
-
     @property
     def queue_depth(self) -> int:
         """Requests currently waiting to be collected into a batch."""
-        return self._queue.qsize()
-
-    def predict(self, features: np.ndarray, timeout: Optional[float] = None) -> int:
-        """Synchronous single-sample prediction through the micro-batcher."""
-        labels, _ = self.submit(features, top_k=1).result(timeout=timeout)
-        return int(labels[0])
+        return len(self._pending)
 
     def top_k(
         self,
@@ -174,36 +156,70 @@ class BatchScheduler:
         trace: Optional[SpanContext] = None,
         deadline: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Synchronous single-sample top-k through the micro-batcher."""
-        future = self.submit(features, top_k=k, trace=trace, deadline=deadline)
-        return future.result(timeout=timeout)
+        """Score one sample in a coalesced batch; returns ``(labels, scores)``.
+
+        ``labels`` and ``scores`` are 1-D arrays of length ``k`` (best class
+        first).  The batch runs on this caller's thread, or on that of a
+        caller queued ahead of it, so ambient span nesting cannot follow the
+        request: ``trace`` is the caller's span context, passed explicitly.
+        ``deadline`` is an absolute ``time.monotonic()`` instant: a request
+        still queued (or mid-batch) past it fails with
+        :class:`DeadlineExceededError` instead of being answered.
+        ``timeout`` bounds the wait for another caller's batch: past it the
+        call raises ``TimeoutError``, and a request still queued leaves the
+        queue and is never scored.  A caller that leads a batch returns when
+        that batch ends.  Raises ``RuntimeError`` after :meth:`stop`.
+        """
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 1:
+            raise ValueError(
+                f"top_k takes a single 1-D feature vector, got shape {features.shape}"
+            )
+        if k < 1:
+            raise ValueError(f"top_k must be >= 1, got {k}")
+        request = _Request(
+            features,
+            int(k),
+            Future(),
+            threading.Condition(self._lock),
+            trace=trace,
+            deadline=deadline,
+        )
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("BatchScheduler is stopped")
+            if self._leading:
+                self._pending.append(request)
+                self._await_turn(request, timeout)
+            else:
+                self._leading = True
+                request.state = _LEADS
+            batch = self._take_batch(request) if request.state == _LEADS else None
+        if batch is not None:
+            self._lead(batch)
+        return request.future.result()
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Run what is queued, then stop the collector.
+        """Refuse new requests and let the queued ones run for up to *timeout*.
 
-        Requests queued before the stop are executed; anything the collector
-        has not taken within *timeout* (including requests racing a
-        concurrent ``submit``) has its future failed rather than left
-        hanging.
+        Queued requests keep running, batch after batch, as their callers
+        take the lead in turn.  Whatever is still queued after *timeout*
+        (behind a batch that outlives it) fails with ``RuntimeError`` rather
+        than hanging; a batch already running still finishes and answers
+        its callers.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(None)
-        self._collector.join(timeout=timeout)
-        while True:
-            try:
-                leftover = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if leftover is not None and leftover.future.set_running_or_notify_cancel():
-                leftover.future.set_exception(
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._idle.wait_for(lambda: not self._leading, timeout)
+            while self._pending:
+                request = self._pending.popleft()
+                request.future.set_exception(
                     RuntimeError("BatchScheduler stopped before the request ran")
                 )
-        if self._collector.is_alive():
-            # A batch outlived the timeout and the drain above took the stop
-            # sentinel; hand it back so the collector exits after that batch.
-            self._queue.put(None)
+                request.state = _DONE
+                request.wake.notify()
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -212,45 +228,55 @@ class BatchScheduler:
         self.stop()
 
     # --------------------------------------------------------------- internals
-    def _collect_loop(self) -> None:
-        stopping = False
-        while not stopping:
-            request = self._queue.get()
-            if request is None:
-                return
-            batch = [request]
-            while len(batch) < self.max_batch_size:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is None:
-                    # Shutdown requested: run what we have, then exit.
-                    stopping = True
-                    break
-                batch.append(item)
-            # A caller may cancel its future while it queues; the rest can
-            # no longer be cancelled once marked running.
-            batch = [
-                request
-                for request in batch
-                if request.future.set_running_or_notify_cancel()
-            ]
-            if not batch:
-                continue
-            try:
-                self._run_batch(batch)
-            except Exception as error:
-                # Every batch runs on this thread, so it must outlive a
-                # failure outside the engine call (a trace sink's OSError,
-                # say): fail this batch's callers and keep serving.
+    def _await_turn(self, request: _Request, timeout: Optional[float]) -> None:
+        """Block (lock held) until *request* is woken to lead or its batch ends.
+
+        On *timeout* a request still queued is withdrawn, so it is never
+        scored; one already in a batch is scored but its answer is dropped.
+        """
+        if not request.wake.wait_for(
+            lambda: request.state in (_LEADS, _DONE), timeout
+        ):
+            if request.state == _QUEUED:
+                self._pending.remove(request)
+            raise TimeoutError(f"no batch answered the request within {timeout} s")
+
+    def _take_batch(self, leader: _Request) -> List[_Request]:
+        """The leader's batch (lock held): it and the oldest queued requests."""
+        batch = [leader]
+        while self._pending and len(batch) < self.max_batch_size:
+            batch.append(self._pending.popleft())
+        for request in batch:
+            request.state = _TAKEN
+        return batch
+
+    def _lead(self, batch: List[_Request]) -> None:
+        """Run *batch* on this thread, then wake its callers and pass the lead
+        to the oldest queued caller."""
+        try:
+            self._run_batch(batch)
+        except Exception as error:
+            # A failure outside the engine call (a trace sink's OSError, say)
+            # fails this batch's callers only; the lead still passes on.
+            for request in batch:
+                if not request.future.done():
+                    request.future.set_exception(error)
+        finally:
+            with self._lock:
                 for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(error)
+                    request.state = _DONE
+                    request.wake.notify()
+                if self._pending:
+                    successor = self._pending.popleft()
+                    successor.state = _LEADS
+                    successor.wake.notify()
+                else:
+                    self._leading = False
+                    self._idle.notify_all()
 
     def _run_batch(self, batch: List[_Request]) -> None:
         started = time.perf_counter()
-        # Queue wait ends when the collector starts the batch.  Recorded
+        # Queue wait ends when the leader starts the batch.  Recorded
         # exactly once per request (``enqueued`` is consumed), so the
         # per-request retry path below cannot double-count.
         batch_parent: Optional[SpanContext] = None

@@ -1,10 +1,10 @@
 """Stdlib-only JSON-over-HTTP serving front-end.
 
 No web framework: ``http.server.ThreadingHTTPServer`` gives one thread per
-connection, which is all the concurrency the micro-batcher needs — concurrent
-``POST /v1/predict`` requests each block in their handler thread while the
-:class:`~repro.serve.batching.BatchScheduler` coalesces their samples into one
-engine call.
+connection, which is all the concurrency the micro-batcher needs — the
+:class:`~repro.serve.batching.BatchScheduler` coalesces the samples of
+concurrent ``POST /v1/predict`` requests into one engine call, which one of
+their handler threads runs while the others wait.
 
 Routes
 ------
@@ -43,6 +43,7 @@ import json
 import logging
 import math
 import signal
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -145,7 +146,7 @@ class ServeApp:
         model's scheduler.  Each sampled ``/v1/predict`` request becomes one
         trace: a ``request`` root span with ``validate`` / ``respond``
         children here, stitched to the scheduler's ``queue_wait`` /
-        ``batch_execute`` spans, which the collector thread records.
+        ``batch_execute`` spans, which the caller leading each batch records.
         Without one, nothing is traced.
 
     Every predict that passes validation has its outcome recorded once, in
@@ -210,9 +211,9 @@ class ServeApp:
 
         Sampled requests become one trace: this opens the ``request`` root
         span (the sampling decision for the whole tree) and every stage
-        below — in this thread or the scheduler's collector thread —
-        stitches under it.  Exceptions mark the root span with an ``error``
-        attribute on the way out.
+        below — in this thread, or in that of the caller leading its
+        micro-batch — stitches under it.  Exceptions mark the root span
+        with an ``error`` attribute on the way out.
         """
         with self._track_inflight():
             with self.tracer.start_span(
@@ -374,7 +375,7 @@ class ServeApp:
             if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExceededError("deadline expired before execution")
             if features.ndim == 1:
-                # The request crosses into the collector thread here, so the
+                # Another caller's thread may run this row's batch, so the
                 # root context is handed over explicitly.
                 labels, scores = self.scheduler_for(name).top_k(
                     features, k=top_k, trace=root.context, deadline=deadline
@@ -575,6 +576,8 @@ class _Handler(BaseHTTPRequestHandler):
                 status = self._send_json(
                     404, {"error": f"no route {self.path!r}", "code": "not_found"}
                 )
+        except ConnectionError:
+            raise  # the client hung up: _Server.handle_error logs it
         except Exception:  # pragma: no cover - defensive
             status = self._send_internal_error()
         self._log_access("GET", status, started)
@@ -601,6 +604,8 @@ class _Handler(BaseHTTPRequestHandler):
                 {"error": str(error), "code": code},
                 retry_after=error.retry_after,
             )
+        except ConnectionError:
+            raise  # the client hung up: _Server.handle_error logs it
         except Exception:
             # Unexpected failures answer with a fixed JSON body: no stack
             # trace, no exception internals — those go to the access log
@@ -675,6 +680,26 @@ class _Server(ThreadingHTTPServer):
     #: Listen backlog.  The stdlib default of 5 overflows under a burst of
     #: connects, and each dropped SYN costs the client a ~1 s retransmit.
     request_queue_size = 128
+
+    def handle_error(self, request, client_address) -> None:
+        """A client that hangs up is one access-log line, not a traceback.
+
+        The stdlib prints a traceback to stderr for any exception raised
+        while serving a connection; a ``ConnectionError`` (broken pipe,
+        reset) is the client leaving, so it is logged like a request.  Any
+        other exception keeps the stdlib report.
+        """
+        error = sys.exc_info()[1]
+        if not isinstance(error, ConnectionError):
+            super().handle_error(request, client_address)
+            return
+        logger = getattr(self, "access_logger", None)
+        if logger is not None:
+            logger.info(
+                "client=%s disconnected error=%s",
+                client_address[0],
+                type(error).__name__,
+            )
 
 
 def create_server(

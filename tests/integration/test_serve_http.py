@@ -384,6 +384,82 @@ class TestRobustness:
             caplog, "status=429", "code=tenant_quota_exceeded", "tenant=har"
         )
 
+    def test_client_disconnect_is_one_access_log_line(
+        self, hardened, small_problem, caplog, capfd, monkeypatch
+    ):
+        import logging
+        import socket
+
+        # The access log's own stream handler would write to stderr too;
+        # its lines are read from caplog, so stderr holds only what bypasses
+        # the access log (socketserver's traceback report).
+        monkeypatch.setattr(logging.getLogger("repro.serve.access"), "handlers", [])
+        capfd.readouterr()
+        clients = 3
+        with caplog.at_level(logging.INFO, logger="repro.serve.access"):
+            for _ in range(clients):
+                # A request line and one header, then the client hangs up
+                # before the server answers.
+                with socket.create_connection(
+                    ("127.0.0.1", hardened["port"]), timeout=10
+                ) as client:
+                    client.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n")
+            deadline = time.monotonic() + 10
+            while len(caplog.records) < clients:
+                assert time.monotonic() < deadline, [
+                    record.getMessage() for record in caplog.records
+                ]
+                time.sleep(0.01)
+            status, _ = _post(
+                hardened["port"],
+                "/v1/predict",
+                {"features": small_problem["test_features"][0].tolist()},
+            )
+            _wait_for_log_line(caplog, "status=200")
+        assert status == 200
+        assert capfd.readouterr().err == ""
+        lines = [record.getMessage() for record in caplog.records]
+        assert len(lines) == clients + 1, lines
+        assert all("client=127.0.0.1" in line for line in lines), lines
+
+    def test_client_resetting_mid_predict_is_one_access_log_line(
+        self, hardened, small_problem, caplog, capfd, monkeypatch
+    ):
+        import logging
+        import socket
+        import struct
+
+        app = hardened["app"]
+        engine = app.registry.get("har")
+        entered, release = threading.Event(), threading.Event()
+
+        class Held:
+            def top_k(self, features, k):
+                entered.set()
+                release.wait(timeout=30)
+                return engine.top_k(features, k=k)
+
+        monkeypatch.setattr(app, "engine_for", lambda name: Held())
+        monkeypatch.setattr(logging.getLogger("repro.serve.access"), "handlers", [])
+        capfd.readouterr()
+        body = json.dumps({"features": small_problem["test_features"][0].tolist()})
+        request = (
+            f"POST /v1/predict HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n{body}"
+        )
+        with caplog.at_level(logging.INFO, logger="repro.serve.access"):
+            client = socket.create_connection(("127.0.0.1", hardened["port"]), timeout=10)
+            client.sendall(request.encode())
+            assert entered.wait(timeout=30)
+            # Reset the connection while its answer is being computed, so
+            # writing the 200 fails.
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            client.close()
+            release.set()
+            _wait_for_log_line(caplog, "disconnected")
+        assert capfd.readouterr().err == ""
+        lines = [record.getMessage() for record in caplog.records]
+        assert len(lines) == 1 and "client=127.0.0.1 disconnected" in lines[0], lines
+
     def test_expired_deadline_answers_504_with_code(
         self, hardened, small_problem, caplog
     ):

@@ -112,6 +112,20 @@ class TestSignBipolar:
         assert sign_bipolar(values, dtype=np.int8).dtype == np.float32
         assert sign_bipolar(values, dtype=np.float64).dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_equal_the_select_form(self, dtype):
+        # The select form is the reference: sgn(x) = -1 where x < 0, else +1.
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((4000, 10)).astype(dtype)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        values.flat[rng.choice(values.size, size=60, replace=False)] = np.repeat(
+            np.array(edges, dtype=dtype), 10
+        )
+        expected = np.where(values < 0, dtype(-1), dtype(1))
+        got = sign_bipolar(values)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestLossDtypes:
     def test_softmax_preserves_float32(self):

@@ -81,11 +81,13 @@ class TestModelMetrics:
         assert snapshot["latency"]["count"] == 2
         assert snapshot["latency"]["max_ms"] == pytest.approx(2.0)
         exemplars = [
-            bucket["exemplar"]["trace_id"]
+            bucket["exemplar"]
             for bucket in snapshot["latency"]["buckets"]
             if "exemplar" in bucket
         ]
-        assert exemplars == ["ab" * 8]
+        assert [exemplar["trace_id"] for exemplar in exemplars] == ["ab" * 8]
+        # The key set docs/observability.md documents and /metrics renders.
+        assert set(exemplars[0]) == {"trace_id", "value", "timestamp"}
         assert snapshot["batches"] == 0
 
     def test_batch_size_distribution(self):
