@@ -17,7 +17,9 @@ The package is organised as:
 * :mod:`repro.hardware` — the inference cost model behind the paper's
   zero-overhead claim;
 * :mod:`repro.serve` — the packed-inference serving stack: engine,
-  micro-batching, model registry and a stdlib JSON/HTTP front-end.
+  micro-batching, model registry and a stdlib JSON/HTTP front-end.  It is
+  imported on its own (``from repro.serve import PackedInferenceEngine``):
+  ``import repro`` leaves it, and the HTTP modules, unloaded.
 
 Quickstart::
 
@@ -53,7 +55,6 @@ from repro.datasets import Dataset, get_dataset, list_datasets
 from repro.eval import run_dimension_sweep, run_strategy_comparison
 from repro.hdc import NGramEncoder, RecordEncoder
 from repro.io import load_model, read_model_metadata, save_model
-from repro.serve import BatchScheduler, ModelRegistry, PackedInferenceEngine
 
 __version__ = "1.0.0"
 
@@ -91,8 +92,4 @@ __all__ = [
     "save_model",
     "load_model",
     "read_model_metadata",
-    # serving
-    "PackedInferenceEngine",
-    "BatchScheduler",
-    "ModelRegistry",
 ]

@@ -33,7 +33,7 @@ from repro.nn.layers import BinaryLinear, Dropout
 from repro.nn.losses import cross_entropy_from_logits
 from repro.nn.module import Module
 from repro.nn.optim import Adam
-from repro.nn.schedules import ConstantSchedule, ReduceOnLossIncrease
+from repro.nn.schedules import ReduceOnLossIncrease
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_labels, check_matrix
 
@@ -110,7 +110,7 @@ class SingleLayerNetwork(Module):
 
     @property
     def class_hypervectors(self) -> np.ndarray:
-        """Real-valued class hypervectors, shape ``(K, D)`` (policy dtype)."""
+        """Real-valued class hypervectors, shape ``(K, D)`` (``float32``)."""
         return self.linear.weight.value.T.copy()
 
 
@@ -125,7 +125,7 @@ class SingleLayerBNN(SingleLayerNetwork):
         Output width ``K``.
     dropout_rate:
         Dropout probability on the input hypervector (0 disables).
-    latent_clip, init_scale, seed:
+    latent_clip, seed:
         Forwarded to :class:`~repro.nn.layers.BinaryLinear`; *seed* also
         drives the dropout masks.
     """
@@ -136,13 +136,10 @@ class SingleLayerBNN(SingleLayerNetwork):
         num_classes: int,
         dropout_rate: float = 0.5,
         latent_clip: Optional[float] = 1.0,
-        init_scale: float = 0.01,
         seed: SeedLike = None,
     ):
         rng = ensure_rng(seed)
-        linear = BinaryLinear(
-            dimension, num_classes, latent_clip=latent_clip, init_scale=init_scale, seed=rng
-        )
+        linear = BinaryLinear(dimension, num_classes, latent_clip=latent_clip, seed=rng)
         super().__init__(linear, dropout_rate=dropout_rate, seed=rng)
 
     def after_step(self) -> None:
@@ -163,7 +160,7 @@ class SingleLayerBNN(SingleLayerNetwork):
 
     @property
     def latent_class_hypervectors(self) -> np.ndarray:
-        """Latent (non-binary) class hypervectors, shape ``(K, D)`` (policy dtype)."""
+        """Latent (non-binary) class hypervectors, shape ``(K, D)`` (``float32``)."""
         return self.linear.weight.value.T.copy()
 
 
@@ -193,14 +190,7 @@ class BNNTrainer:
             weight_decay=config.weight_decay,
             decoupled_weight_decay=config.decoupled_weight_decay,
         )
-        if config.lr_decay_factor < 1.0:
-            self.schedule = ReduceOnLossIncrease(
-                self.optimizer,
-                factor=config.lr_decay_factor,
-                patience=config.lr_decay_patience,
-            )
-        else:
-            self.schedule = ConstantSchedule(self.optimizer)
+        self.schedule = ReduceOnLossIncrease(self.optimizer)
         self.history = TrainingHistory()
 
     # ---------------------------------------------------------------- train
@@ -244,7 +234,7 @@ class BNNTrainer:
         total_epochs = self.config.epochs if epochs is None else int(epochs)
         # The split stays in its own dtype (int8 from the encoders): each
         # step gathers int8 rows and ``Dropout.forward`` writes the masked,
-        # scaled batch in the policy dtype of the latent weights, so the
+        # scaled batch in float32, the dtype of the latent weights, so the
         # epoch runs in one precision without a float copy of the split.
         num_samples = hypervectors.shape[0]
         batch_size = min(self.config.batch_size, num_samples)

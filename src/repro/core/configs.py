@@ -3,9 +3,10 @@
 Table 2 of the paper lists, per dataset: weight decay (WD), learning rate
 (LR), batch size (B), dropout rate (DR), and number of epochs.  Those values
 are reproduced verbatim in :data:`PAPER_CONFIGS`.  :class:`LeHDCConfig` adds
-the knobs the paper describes in prose (learning-rate decay on loss increase,
-latent-weight handling, the weight-decay form) with defaults matching the
-paper.  The optimiser is not a knob: LeHDC trains with Adam (Sec. 4).
+the latent-weight clip, the weight-decay form and the validation split.  The
+rest of the recipe is not a knob: LeHDC trains ``float32`` weights from a
+uniform start with Adam (Sec. 4), and halves the learning rate when the
+epoch loss stops falling (Sec. 5.2; see :mod:`repro.nn.schedules`).
 """
 
 from __future__ import annotations
@@ -42,12 +43,6 @@ class LeHDCConfig:
     latent_clip:
         Clip range for latent weights (BinaryConnect style); ``None`` disables.
         Non-binary LeHDC has no latent weights and ignores it.
-    lr_decay_factor / lr_decay_patience:
-        Parameters of the reduce-on-loss-increase schedule the paper mentions;
-        a factor of 1.0 disables the schedule.
-    init_scale:
-        Magnitude of the random weight initialisation (the latent weights of
-        binary LeHDC, the real weights of non-binary LeHDC).
     validation_fraction:
         Fraction of the training set held out to report per-epoch validation
         accuracy in the training history (0 disables the split; the paper
@@ -61,9 +56,6 @@ class LeHDCConfig:
     epochs: int = 100
     decoupled_weight_decay: bool = True
     latent_clip: Optional[float] = 1.0
-    lr_decay_factor: float = 0.5
-    lr_decay_patience: int = 1
-    init_scale: float = 0.01
     validation_fraction: float = 0.0
 
     def __post_init__(self):
@@ -76,13 +68,6 @@ class LeHDCConfig:
         check_positive_int(self.epochs, "epochs")
         if self.latent_clip is not None and self.latent_clip <= 0:
             raise ValueError(f"latent_clip must be positive or None, got {self.latent_clip}")
-        if not (0.0 < self.lr_decay_factor <= 1.0):
-            raise ValueError(
-                f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}"
-            )
-        check_positive_int(self.lr_decay_patience, "lr_decay_patience")
-        if self.init_scale <= 0:
-            raise ValueError(f"init_scale must be positive, got {self.init_scale}")
         check_probability(self.validation_fraction, "validation_fraction", inclusive_one=False)
 
     def with_overrides(self, **overrides) -> "LeHDCConfig":

@@ -119,7 +119,6 @@ class LeHDCClassifier(HDCClassifierBase):
             num_classes=num_classes,
             dropout_rate=self.config.dropout_rate,
             latent_clip=self.config.latent_clip,
-            init_scale=self.config.init_scale,
             seed=self.rng,
         )
 

@@ -53,7 +53,7 @@ class NonBinaryLeHDCClassifier(LeHDCClassifier):
     Attributes
     ----------
     nonbinary_class_hypervectors_:
-        ``(K, D)`` class hypervectors in the policy float dtype after :meth:`fit`.
+        ``(K, D)`` ``float32`` class hypervectors after :meth:`fit`.
     class_hypervectors_:
         Their binarisation (``sgn``), so the model can also be dropped into a
         binary inference datapath for comparison.
@@ -67,9 +67,7 @@ class NonBinaryLeHDCClassifier(LeHDCClassifier):
         self.nonbinary_class_hypervectors_: Optional[np.ndarray] = None
 
     def _build_model(self, dimension: int, num_classes: int) -> SingleLayerNetwork:
-        linear = Linear(
-            dimension, num_classes, init_scale=self.config.init_scale, seed=self.rng
-        )
+        linear = Linear(dimension, num_classes, seed=self.rng)
         return SingleLayerNetwork(linear, dropout_rate=self.config.dropout_rate, seed=self.rng)
 
     def _read_class_hypervectors(self, model: SingleLayerNetwork) -> None:

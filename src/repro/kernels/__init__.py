@@ -4,9 +4,9 @@
 system competes on: bit-packed XOR+popcount scoring (:mod:`.packed`), fused
 encoder accumulation (:mod:`.encode`), packed training — centroid bundling,
 epoch scoring and ordered accumulator updates (:mod:`.train`) — and the
-float dtype policy behind the NN substrate (:mod:`.linear`).  Each kernel is
-one plain NumPy function; the only parallelism is the BLAS library's own
-threads.
+float dtype and casts behind the NN substrate (:mod:`.linear`).  Each
+kernel is one plain NumPy function; the only parallelism is the BLAS
+library's own threads.
 
 Layering: :mod:`repro.hdc`, :mod:`repro.classifiers`, :mod:`repro.nn`,
 :mod:`repro.core`, :mod:`repro.eval` and :mod:`repro.serve` all call *down*
@@ -29,13 +29,7 @@ from repro.kernels.encode import (
     build_accumulator,
     nested_flip_levels,
 )
-from repro.kernels.linear import (
-    as_float,
-    float_dtype,
-    set_float_dtype,
-    sign_bipolar,
-    use_float_dtype,
-)
+from repro.kernels.linear import FLOAT_DTYPE, as_float, sign_bipolar
 from repro.kernels.packed import (
     PackedHypervectors,
     bit_differences_words,
@@ -52,6 +46,7 @@ from repro.kernels.packed import (
 
 __all__ = [
     "EnsembleScoreboard",
+    "FLOAT_DTYPE",
     "NGramAccumulator",
     "PackedHypervectors",
     "PackedTrainingSet",
@@ -63,7 +58,6 @@ __all__ = [
     "bundle_packed",
     "flip_fraction_packed",
     "flip_score_delta",
-    "float_dtype",
     "nested_flip_levels",
     "pack_bipolar",
     "pack_bits",
@@ -71,10 +65,8 @@ __all__ = [
     "packed_dot_scores",
     "popcount",
     "score_epoch",
-    "set_float_dtype",
     "sign_bipolar",
     "sign_fuse_bits",
     "try_pack_bipolar",
     "unpack_bipolar",
-    "use_float_dtype",
 ]

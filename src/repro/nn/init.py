@@ -9,23 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.linear import float_dtype
+from repro.kernels.linear import FLOAT_DTYPE
 from repro.utils.rng import SeedLike, ensure_rng
 
+#: Half-width of the uniform initialisation.
+INIT_SCALE = 0.01
 
-def scaled_uniform_init(
-    shape, scale: float = 0.01, seed: SeedLike = None, dtype=None
-) -> np.ndarray:
-    """Uniform values in ``[-scale, +scale]``.
 
-    *dtype* defaults to the kernel layer's float policy dtype
-    (:func:`repro.kernels.linear.float_dtype`, ``float32`` by default).
-    """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+def scaled_uniform_init(shape, seed: SeedLike = None) -> np.ndarray:
+    """Uniform values in ``[-INIT_SCALE, +INIT_SCALE]`` as :data:`FLOAT_DTYPE`."""
     rng = ensure_rng(seed)
-    values = rng.uniform(-scale, scale, size=shape)
-    return values.astype(float_dtype() if dtype is None else dtype, copy=False)
+    values = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+    return values.astype(FLOAT_DTYPE, copy=False)
 
 
-__all__ = ["scaled_uniform_init"]
+__all__ = ["INIT_SCALE", "scaled_uniform_init"]

@@ -9,15 +9,12 @@ w.r.t. the binary weights are applied to the latent weights unchanged
 (optionally masked where ``|C_nb|`` exceeds a clip threshold).  Its input is
 the encoded data, so it returns no input gradient.
 
-Dtype policy: all float compute goes through :mod:`repro.kernels.linear`.
-Parameters are initialised in the policy dtype (``float32`` by default — the
-latent weights of a BNN need nowhere near 53 bits of mantissa) and integer
-inputs are cast to it once — during training by :class:`Dropout`, which
-writes the scaled, masked int8 batch straight into the policy dtype; arrays
-that are already floating point are never silently up-cast, so a ``float32``
-training step stays ``float32`` end to end.  Pass ``dtype=np.float64`` to a
-layer (or set the policy) when full precision is required, e.g. for
-finite-difference gradient checks.
+Dtype: all float compute goes through :mod:`repro.kernels.linear`.
+Parameters are initialised in ``float32`` (the latent weights of a BNN need
+nowhere near 53 bits of mantissa) and integer inputs are cast to it once —
+during training by :class:`Dropout`, which writes the scaled, masked int8
+batch straight into ``float32``; arrays that are already floating point are
+never silently up-cast, so a training step stays ``float32`` end to end.
 """
 
 from __future__ import annotations
@@ -43,24 +40,12 @@ class Linear(Module):
     has no bias and its backward pass returns no input gradient.
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        init_scale: float = 0.01,
-        seed: SeedLike = None,
-        dtype=None,
-    ):
+    def __init__(self, in_features: int, out_features: int, seed: SeedLike = None):
         super().__init__()
         self.in_features = check_positive_int(in_features, "in_features")
         self.out_features = check_positive_int(out_features, "out_features")
         self.weight = Parameter(
-            scaled_uniform_init(
-                (self.in_features, self.out_features),
-                scale=init_scale,
-                seed=seed,
-                dtype=dtype,
-            ),
+            scaled_uniform_init((self.in_features, self.out_features), seed=seed),
             name="linear.weight",
         )
         self._cached_input: Optional[np.ndarray] = None
@@ -91,12 +76,9 @@ class BinaryLinear(Module):
         disables clipping (the paper's formulation relies on weight decay to
         bound the latent weights instead); both modes are exposed so the
         ablation benchmark can compare them.
-    init_scale:
-        Magnitude of the random uniform latent-weight initialisation.
     seed:
-        Seed or generator for the initialisation.
-    dtype:
-        Latent-weight dtype; defaults to the kernel layer's policy dtype.
+        Seed or generator for the uniform latent-weight initialisation
+        (:func:`~repro.nn.init.scaled_uniform_init`).
     """
 
     def __init__(
@@ -104,9 +86,7 @@ class BinaryLinear(Module):
         in_features: int,
         out_features: int,
         latent_clip: Optional[float] = 1.0,
-        init_scale: float = 0.01,
         seed: SeedLike = None,
-        dtype=None,
     ):
         super().__init__()
         self.in_features = check_positive_int(in_features, "in_features")
@@ -115,12 +95,7 @@ class BinaryLinear(Module):
             raise ValueError(f"latent_clip must be positive or None, got {latent_clip}")
         self.latent_clip = latent_clip
         self.weight = Parameter(
-            scaled_uniform_init(
-                (self.in_features, self.out_features),
-                scale=init_scale,
-                seed=seed,
-                dtype=dtype,
-            ),
+            scaled_uniform_init((self.in_features, self.out_features), seed=seed),
             name="binary_linear.latent_weight",
         )
         self._cached_input: Optional[np.ndarray] = None
@@ -202,8 +177,8 @@ class Dropout(Module):
     count over 65536, within ``2**-17`` of ``rate``; a rate whose keep count
     rounds to zero is rejected.  The batch is masked in its own dtype (an
     int8 hypervector stays int8) and scaled once by ``1 / (1 - rate)`` into
-    its float dtype (:func:`~repro.kernels.linear.float_dtype_of`: the policy
-    dtype for integers), so the training split never needs a float copy.
+    its float dtype (:func:`~repro.kernels.linear.float_dtype_of`: ``float32``
+    for integers), so the training split never needs a float copy.
     """
 
     def __init__(self, rate: float, seed: SeedLike = None):

@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.kernels.linear import as_float, float_dtype
+from repro.kernels.linear import FLOAT_DTYPE, as_float
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -23,18 +23,13 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return exponentials / exponentials.sum(axis=axis, keepdims=True)
 
 
-def one_hot(labels: np.ndarray, num_classes: int, dtype=None) -> np.ndarray:
-    """One-hot encode integer *labels* into an ``(n, num_classes)`` float matrix.
-
-    *dtype* defaults to the kernel layer's float policy dtype.
-    """
+def one_hot(labels: np.ndarray, num_classes: int, dtype=FLOAT_DTYPE) -> np.ndarray:
+    """One-hot encode integer *labels* into an ``(n, num_classes)`` float matrix."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= num_classes):
         raise ValueError(f"labels must be in [0, {num_classes})")
-    if dtype is None:
-        dtype = float_dtype()
     encoded = np.zeros((labels.shape[0], num_classes), dtype=dtype)
     encoded[np.arange(labels.shape[0]), labels] = 1.0
     return encoded

@@ -22,8 +22,8 @@ class Parameter:
     ----------
     value:
         The current parameter value.  Floating input keeps its dtype;
-        anything else is cast to the kernel layer's policy dtype
-        (:func:`repro.kernels.linear.float_dtype`, ``float32`` by default).
+        anything else is cast to :data:`repro.kernels.linear.FLOAT_DTYPE`
+        (``float32``).
     grad:
         The gradient accumulated by the most recent backward pass, or ``None``
         if no backward pass has run since the last :meth:`zero_grad`.

@@ -90,8 +90,6 @@ class _Request:
         #: absolute ``time.monotonic()`` instant after which the caller no
         #: longer wants the answer; ``None`` means no deadline.
         self.deadline = deadline
-        #: perf-counter enqueue time; consumed (set to None) once the
-        #: queue-wait has been recorded, so retry re-runs never double-count.
         self.enqueued = time.perf_counter()
         self.enqueued_wall = time.time()
 
@@ -255,9 +253,10 @@ class BatchScheduler:
         to the oldest queued caller."""
         try:
             self._run_batch(batch)
-        except Exception as error:
-            # A failure outside the engine call (a trace sink's OSError, say)
-            # fails this batch's callers only; the lead still passes on.
+        except BaseException as error:
+            # A failure in the batch (the engine's, or a trace sink's OSError)
+            # is raised to each of its unanswered callers from their futures,
+            # this one included; the lead still passes on.
             for request in batch:
                 if not request.future.done():
                     request.future.set_exception(error)
@@ -276,13 +275,8 @@ class BatchScheduler:
 
     def _run_batch(self, batch: List[_Request]) -> None:
         started = time.perf_counter()
-        # Queue wait ends when the leader starts the batch.  Recorded
-        # exactly once per request (``enqueued`` is consumed), so the
-        # per-request retry path below cannot double-count.
-        batch_parent: Optional[SpanContext] = None
+        # Queue wait ends when the leader starts the batch.
         for request in batch:
-            if request.enqueued is None:
-                continue
             waited = started - request.enqueued
             if self._metrics is not None:
                 self._metrics.record_stage("queue_wait", waited)
@@ -290,15 +284,6 @@ class BatchScheduler:
                 self._tracer.emit_span(
                     "queue_wait", request.trace, request.enqueued_wall, waited
                 )
-                if batch_parent is None:
-                    batch_parent = request.trace
-            request.enqueued = None
-        if batch_parent is None:
-            # Retry path: keep nesting under the first traced request so the
-            # batch span still stitches into a trace.
-            batch_parent = next(
-                (request.trace for request in batch if request.trace is not None), None
-            )
         # Shed requests whose deadline already passed while they queued —
         # scoring them would be dead work the caller has stopped waiting for.
         now = time.monotonic()
@@ -315,6 +300,15 @@ class BatchScheduler:
             batch = [request for request in batch if request not in expired]
             if not batch:
                 return
+        engine = self._resolve_engine()
+        batch = self._fail_misfits(batch, getattr(engine, "num_features", None))
+        if not batch:
+            return
+        # The batch span nests under the first traced request it scores, so
+        # it stitches into that trace whichever caller's thread runs it.
+        batch_parent = next(
+            (request.trace for request in batch if request.trace is not None), None
+        )
         span = (
             self._tracer.start_span(
                 "batch_execute",
@@ -324,25 +318,13 @@ class BatchScheduler:
             if batch_parent is not None
             else None
         )
-        try:
-            engine = self._resolve_engine()
-            features = np.stack([request.features for request in batch])
-            k = max(request.top_k for request in batch)
-            if span is not None:
-                with span:
-                    labels, scores = engine.top_k(features, k=k)
-            else:
+        features = np.stack([request.features for request in batch])
+        k = max(request.top_k for request in batch)
+        if span is not None:
+            with span:
                 labels, scores = engine.top_k(features, k=k)
-        except BaseException as error:
-            # One malformed request (e.g. wrong feature width) must not poison
-            # the whole coalesced batch: re-run each request individually so
-            # only the offending callers see the error.
-            if len(batch) > 1:
-                for request in batch:
-                    self._run_batch([request])
-                return
-            batch[0].future.set_exception(error)
-            return
+        else:
+            labels, scores = engine.top_k(features, k=k)
         elapsed = time.perf_counter() - started
         if self._metrics is not None:
             self._metrics.record_batch(len(batch))
@@ -359,6 +341,29 @@ class BatchScheduler:
                 continue
             k_i = min(request.top_k, labels.shape[1])
             request.future.set_result((labels[row, :k_i], scores[row, :k_i]))
+
+    @staticmethod
+    def _fail_misfits(batch: List[_Request], width: Optional[int]) -> List[_Request]:
+        """Fail each request whose row is not *width* wide; return the rest.
+
+        Width is the one per-row input the engine rejects, and it would
+        reject the whole stacked batch for a single misfit.  An engine that
+        declares no ``num_features`` gets every row.
+        """
+        if width is None:
+            return batch
+        fitting = []
+        for request in batch:
+            if request.features.shape[0] == width:
+                fitting.append(request)
+            else:
+                request.future.set_exception(
+                    ValueError(
+                        f"features must have {width} columns, "
+                        f"got {request.features.shape[0]}"
+                    )
+                )
+        return fitting
 
 
 __all__ = ["BatchScheduler", "DeadlineExceededError"]

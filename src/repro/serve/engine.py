@@ -83,6 +83,8 @@ class PackedInferenceEngine:
         self.metadata = dict(metadata or {})
         self.dimension = int(classifier.class_hypervectors_.shape[1])
         self.num_classes = int(classifier.class_hypervectors_.shape[0])
+        #: width of the feature rows the engine scores
+        self.num_features = int(self.encoder.num_features)
 
         #: ``"packed"`` (XOR + popcount) when the classifier scores with the
         #: shared dot-similarity rule, ``"dense"`` (its own

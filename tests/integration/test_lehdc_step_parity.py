@@ -55,7 +55,7 @@ CONFIGURATIONS = {
     "pamap-coupled-weight-decay": (
         "pamap", "tiny", 2000, 10, 6, {"decoupled_weight_decay": False},
     ),
-    "isolet-no-lr-decay": ("isolet", "tiny", 2000, 10, 7, {"lr_decay_factor": 1.0}),
+    "mnist-table2": ("mnist", "tiny", 2000, 10, 7, {}),
 }
 
 

@@ -131,6 +131,7 @@ class _HoldFirstBatch:
 
     def __init__(self, engine):
         self._engine = engine
+        self.num_features = engine.num_features
         self.batch_sizes = []
         self.entered = threading.Event()
         self.release = threading.Event()
@@ -226,9 +227,8 @@ def test_bad_row_does_not_poison_its_batch(saved_models, small_problem):
     assert outcomes.pop("bad") == 400
     outcomes.pop("first")
     assert [outcomes[index] for index in range(len(queries))] == expected
-    # The short row cannot be stacked with the others, so the coalesced
-    # batch fell back to running each of its requests on its own.
-    assert held.batch_sizes == [1] * (len(queries) + 2)
+    # The short row fails before the stack; the rest run as one batch.
+    assert held.batch_sizes == [1, len(queries)]
 
 
 def test_loadgen_soaks_the_http_endpoint(saved_models, small_problem):

@@ -55,7 +55,7 @@ from repro.kernels.linear import as_float
 from repro.nn.layers import Dropout, Linear
 from repro.nn.losses import cross_entropy_from_logits, one_hot, softmax
 from repro.nn.optim import Adam
-from repro.nn.schedules import ConstantSchedule, ReduceOnLossIncrease
+from repro.nn.schedules import ReduceOnLossIncrease
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_fitted, check_matrix
 
@@ -459,20 +459,14 @@ class ReferenceNonBinaryLeHDC(HDCClassifierBase):
         total_epochs = config.epochs if epochs is None else int(epochs)
 
         dropout = Dropout(config.dropout_rate, seed=self.rng)
-        linear = Linear(dimension, num_classes, init_scale=config.init_scale, seed=self.rng)
+        linear = Linear(dimension, num_classes, seed=self.rng)
         optimizer = Adam(
             linear.parameters(),
             learning_rate=config.learning_rate,
             weight_decay=config.weight_decay,
             decoupled_weight_decay=config.decoupled_weight_decay,
         )
-        schedule = (
-            ReduceOnLossIncrease(
-                optimizer, factor=config.lr_decay_factor, patience=config.lr_decay_patience
-            )
-            if config.lr_decay_factor < 1.0
-            else ConstantSchedule(optimizer)
-        )
+        schedule = ReduceOnLossIncrease(optimizer)
 
         num_samples = hypervectors.shape[0]
         batch_size = min(config.batch_size, num_samples)

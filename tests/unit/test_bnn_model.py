@@ -140,9 +140,7 @@ class TestBNNTrainer:
     def test_lr_decay_on_loss_increase(self):
         samples, labels = make_toy_task(num_samples=60, dimension=128, seed=9)
         # A huge learning rate makes the loss oscillate, which must trigger decay.
-        config = LeHDCConfig(
-            epochs=10, batch_size=16, dropout_rate=0.0, learning_rate=5.0, lr_decay_factor=0.5
-        )
+        config = LeHDCConfig(epochs=10, batch_size=16, dropout_rate=0.0, learning_rate=5.0)
         model = SingleLayerBNN(128, 3, dropout_rate=0.0, seed=9)
         trainer = BNNTrainer(model, config, seed=9)
         history = trainer.train(samples, labels)

@@ -414,3 +414,21 @@ class TestImportCost:
             check=True,
         )
         assert result.stdout.strip() == "[]"
+
+    def test_importing_repro_does_not_load_the_serving_stack(self):
+        """A training run imports ``repro``: the serving stack and its HTTP
+        modules load only with ``repro.serve``."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        probe = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('repro.serve', 'http.server'))))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"

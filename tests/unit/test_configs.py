@@ -12,6 +12,7 @@ class TestLeHDCConfig:
         config = LeHDCConfig()
         assert config.decoupled_weight_decay is True
         assert config.latent_clip == 1.0
+        assert len(dataclasses.fields(config)) == 8
 
     def test_frozen(self):
         config = LeHDCConfig()
@@ -34,10 +35,6 @@ class TestLeHDCConfig:
             ("dropout_rate", 1.0),
             ("epochs", 0),
             ("latent_clip", 0.0),
-            ("lr_decay_factor", 0.0),
-            ("lr_decay_factor", 1.5),
-            ("lr_decay_patience", 0),
-            ("init_scale", 0.0),
             ("validation_fraction", 1.0),
         ],
     )
@@ -51,11 +48,15 @@ class TestLeHDCConfig:
             ("optimizer", "adam"),
             ("grad_clip_norm", 1.0),
             ("warm_start_from_centroids", True),
+            ("init_scale", 0.01),
+            ("lr_decay_factor", 0.5),
+            ("lr_decay_patience", 1),
         ],
     )
     def test_removed_fields_raise_type_error(self, field, value):
-        # LeHDC trains with Adam, unclipped gradients and a random start;
-        # none of the three is a knob, even at its old default.
+        # LeHDC trains with Adam, unclipped gradients, a fixed-scale random
+        # start and a fixed decay schedule; none is a knob, even at its old
+        # default.
         with pytest.raises(TypeError):
             LeHDCConfig(**{field: value})
         with pytest.raises(TypeError):

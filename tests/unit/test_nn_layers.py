@@ -31,9 +31,10 @@ class TestLinear:
 
     def test_gradient_check(self):
         rng = np.random.default_rng(1)
-        # Central differences with eps=1e-6 need full precision, so this
-        # layer opts out of the float32 policy explicitly.
-        layer = Linear(4, 3, seed=2, dtype=np.float64)
+        # Central differences with eps=1e-6 need full precision, so the
+        # check runs on a float64 copy of the float32 weights.
+        layer = Linear(4, 3, seed=2)
+        layer.weight.value = layer.weight.value.astype(np.float64)
         inputs = rng.normal(size=(6, 4))
         labels = rng.integers(0, 3, size=6)
 
@@ -61,6 +62,16 @@ class TestLinear:
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
             Linear(2, 2, seed=0).backward(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("layer", [Linear, BinaryLinear])
+    @pytest.mark.parametrize("keyword", [{"dtype": np.float64}, {"init_scale": 0.1}])
+    def test_weights_are_float32_from_a_fixed_scale(self, layer, keyword):
+        # Neither the dtype nor the init scale is a knob.
+        with pytest.raises(TypeError):
+            layer(4, 2, **keyword)
+        weight = layer(4, 2, seed=0).weight.value
+        assert weight.dtype == np.float32
+        assert np.all(np.abs(weight) <= 0.01)
 
 
 class TestBinaryLinear:

@@ -9,11 +9,9 @@ from repro.nn.module import Module, Parameter
 
 
 class TestParameter:
-    def test_integer_value_cast_to_policy_dtype(self):
-        from repro.kernels.linear import float_dtype
-
+    def test_integer_value_cast_to_float32(self):
         parameter = Parameter(np.array([1, 2, 3]))
-        assert parameter.value.dtype == float_dtype()
+        assert parameter.value.dtype == np.float32
 
     def test_float_value_dtype_preserved(self):
         assert Parameter(np.zeros(3, dtype=np.float64)).value.dtype == np.float64

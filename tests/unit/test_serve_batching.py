@@ -11,6 +11,7 @@ import pytest
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.hdc.encoders import RecordEncoder
+from repro.obs.trace import MemorySink, SpanContext, Tracer
 from repro.serve.batching import BatchScheduler, DeadlineExceededError
 from repro.serve.engine import PackedInferenceEngine
 from repro.serve.metrics import ModelMetrics
@@ -35,6 +36,7 @@ class _GatedEngine:
 
     def __init__(self, engine):
         self._engine = engine
+        self.num_features = engine.num_features
         self.batch_sizes = []
         self.threads = []
         self.release = threading.Event()
@@ -286,10 +288,58 @@ class TestLifecycleAndErrors:
             assert scheduler.queue_depth == 4
             gated.release.set()
             results = [future.result(timeout=10) for future in futures]
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="must have 24 columns, got 5"):
                 bad_future.result(timeout=10)
         got = [labels[0] for labels, _ in results]
         np.testing.assert_array_equal(got, engine.predict(good_rows))
+        # The bad row fails before the stack; the good rows run as one batch.
+        assert gated.batch_sizes == [1, 3]
+
+    def test_a_misfit_row_gets_no_batch_span(self, engine, small_problem):
+        # The batch span nests under the first request it scores; the
+        # wrong-width row before it only waited in the queue.
+        rows = small_problem["test_features"][:2]
+        sink = MemorySink()
+        gated = _GatedEngine(engine)
+        with BatchScheduler(gated, max_batch_size=8, tracer=Tracer(sink)) as scheduler:
+            _hold_first_batch(scheduler, gated, rows[0])
+            (bad,) = _queue_behind(scheduler, [np.zeros(5)], trace=SpanContext("bad", "b"))
+            (good,) = _queue_behind(scheduler, rows[1:], trace=SpanContext("good", "g"))
+            gated.release.set()
+            with pytest.raises(ValueError):
+                bad.result(timeout=10)
+            good.result(timeout=10)
+        spans = sorted((r["trace"], r["name"], r["parent"]) for r in sink.records)
+        assert spans == [
+            ("bad", "queue_wait", "b"),
+            ("good", "batch_execute", "g"),
+            ("good", "queue_wait", "g"),
+        ]
+        assert gated.batch_sizes == [1, 1]
+
+    def test_an_engine_error_fails_its_batch_in_one_call(self, engine, small_problem):
+        class FailsAfterTheFirstBatch:
+            num_features = engine.num_features
+            calls = 0
+
+            def top_k(self, features, k):
+                self.calls += 1
+                if self.calls > 1:
+                    raise RuntimeError("engine exploded")
+                return engine.top_k(features, k=k)
+
+        rows = small_problem["test_features"][:4]
+        gated = _GatedEngine(FailsAfterTheFirstBatch())
+        with BatchScheduler(gated, max_batch_size=8) as scheduler:
+            blocker = _hold_first_batch(scheduler, gated, rows[0])
+            futures = _queue_behind(scheduler, rows[1:])
+            gated.release.set()
+            blocker.result(timeout=10)
+            for future in futures:
+                with pytest.raises(RuntimeError, match="engine exploded"):
+                    future.result(timeout=10)
+        # The error is the batch's: no row is scored again on its own.
+        assert gated.batch_sizes == [1, 3]
 
     def test_stop_never_leaves_hanging_callers(self, engine, small_problem):
         # Callers queued behind an in-flight batch when stop() lands either
