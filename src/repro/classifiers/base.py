@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.hdc.hypervector import dot_similarity, hamming_distance
-from repro.kernels.packed import PackedHypervectors, pack_bipolar, packed_dot_scores
+from repro.kernels.packed import PackedHypervectors, bank_scores, pack_bipolar
 from repro.utils.rng import RngMixin, SeedLike
 from repro.utils.validation import check_fitted, check_labels, check_matrix
 
@@ -27,13 +27,18 @@ def top_k_from_scores(scores: np.ndarray, k: int):
     clipped to the number of classes.  Shared by
     :meth:`~repro.classifiers.pipeline.HDCPipeline.top_k` and the serving
     engine so tie-ordering and clipping can never diverge between the dense
-    and packed paths.
+    and packed paths.  Tied classes come lowest index first: the stable
+    sort keeps them in index order, and ``argmax`` (``k == 1``) returns the
+    first maximum.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(int(k), scores.shape[1])
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(scores, order, axis=1)
+    if k == 1:
+        order = scores.argmax(axis=1)[:, None]
+    else:
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return order, scores[np.arange(len(scores))[:, None], order]
 
 
 def cosine_scores(samples: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -134,14 +139,16 @@ class HDCClassifierBase(RngMixin, abc.ABC):
         packed paths fall back to dense for them, e.g. non-binary centroids
         with cosine scoring).  A classifier whose bespoke rule *does* reduce
         to XOR + popcount — the multi-model ensemble's max-over-sub-models —
-        overrides this together with :meth:`decision_scores_packed` and
-        :meth:`packed_inference_bank`.
+        overrides this together with :meth:`packed_inference_bank`, whose
+        best row per class :meth:`decision_scores_packed` scores.
         """
         return type(self).decision_scores is HDCClassifierBase.decision_scores
 
     def decision_scores_packed(self, packed_queries: PackedHypervectors) -> np.ndarray:
         """``(n, K)`` integer dot scores computed entirely over packed words.
 
+        Scores :meth:`packed_inference_bank` with
+        :func:`~repro.kernels.packed.bank_scores` (the best row per class).
         Bit-for-bit equal to :meth:`decision_scores` on the corresponding
         dense bipolar queries (``dot = D - 2 * differing_bits``); only valid
         when :meth:`supports_packed_scoring` is true.
@@ -157,7 +164,12 @@ class HDCClassifierBase(RngMixin, abc.ABC):
                 f"dimension mismatch: {packed_queries.dimension} vs "
                 f"{self.class_hypervectors_.shape[1]}"
             )
-        return packed_dot_scores(packed_queries, self.packed_class_hypervectors())
+        return bank_scores(
+            packed_queries.words,
+            self.packed_inference_bank().words,
+            packed_queries.dimension,
+            self.class_hypervectors_.shape[0],
+        )
 
     def predict_packed(self, packed_queries: PackedHypervectors) -> np.ndarray:
         """Predict labels from bit-packed queries (Eq. 4 via XOR + popcount)."""

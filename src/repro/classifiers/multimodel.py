@@ -25,10 +25,11 @@ binary models exist so hardware can run XOR+popcount instead of GEMMs:
   seed per-sample loop (same models, same RNG stream, both ``push_away``
   settings), which ``tests/reference.py`` keeps as the reference.  Training
   input must be bipolar, entries in ``{+1, -1}``;
-* ``decision_scores_packed`` scores packed queries against the flat packed
-  model bank (blocked XOR+popcount) and takes the max over each class's
-  sub-models, so the serving engine and the experiment loops' shared packed
-  splits no longer fall back to dense for ensemble models.
+* ``packed_inference_bank`` is the flat packed model bank, ``N`` rows per
+  class; the base class's ``decision_scores_packed`` (and the serving
+  engine) score it with :func:`~repro.kernels.packed.bank_scores`, blocked
+  XOR+popcount and the max over each class's sub-models, so neither falls
+  back to dense for ensemble models.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from repro.classifiers.base import HDCClassifierBase
 from repro.classifiers.retraining import RetrainingHistory
 from repro.hdc.hypervector import BIPOLAR_DTYPE, random_hypervectors, sign_with_ties
-from repro.kernels.packed import PackedHypervectors, pack_bipolar, packed_dot_scores
+from repro.kernels.packed import PackedHypervectors, pack_bipolar
 from repro.kernels.train import EnsembleScoreboard, PackedTrainingSet, unpack_bit_rows
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_fitted, check_matrix, check_positive_int, check_probability
@@ -328,23 +329,6 @@ class MultiModelHDC(HDCClassifierBase):
         num_classes, models_per_class, _ = self.model_hypervectors_.shape
         scores = hypervectors.astype(np.int32, copy=False) @ self._score_bank()
         scores = scores.reshape(hypervectors.shape[0], num_classes, models_per_class)
-        return scores.max(axis=2)
-
-    def decision_scores_packed(self, packed_queries: PackedHypervectors) -> np.ndarray:
-        """Max-over-ensemble scores computed entirely over packed words.
-
-        One blocked XOR+popcount of the queries against the flat ``K * N``
-        packed model bank, then the max over each class's sub-models —
-        exactly equal to :meth:`decision_scores` (``dot = D - 2 * diff``).
-        """
-        check_fitted(self, "model_hypervectors_")
-        num_classes, models_per_class, dimension = self.model_hypervectors_.shape
-        if packed_queries.dimension != dimension:
-            raise ValueError(
-                f"dimension mismatch: {packed_queries.dimension} vs {dimension}"
-            )
-        scores = packed_dot_scores(packed_queries, self.packed_inference_bank())
-        scores = scores.reshape(len(packed_queries), num_classes, models_per_class)
         return scores.max(axis=2)
 
     def packed_inference_bank(self) -> PackedHypervectors:

@@ -19,20 +19,23 @@ a ``(samples, D)`` int8 hypervector matrix, and ``encode_packed`` goes
 straight to bit-packed words without the dense intermediate.  The pre-sign
 accumulation itself runs on the fused kernels in :mod:`repro.kernels.encode`
 — the *same* kernels the serving engine compiles against, so training,
-evaluation and serving cannot drift apart.
+evaluation and serving cannot drift apart.  ``encode_packed`` and the
+serving engine share one more step, :meth:`Encoder._pack`: for the record
+encoder that is :meth:`~repro.kernels.encode.RecordAccumulator.packed_signs`
+over the quantiser's level coordinates.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import ContextManager, Optional
 
 import numpy as np
 
 from repro.hdc.hypervector import BIPOLAR_DTYPE, sign_with_ties
 from repro.hdc.itemmemory import LevelItemMemory, RandomItemMemory
 from repro.hdc.quantize import QuantileQuantizer, UniformQuantizer
-from repro.kernels.encode import build_accumulator
+from repro.kernels.encode import _NO_LOCK, build_accumulator
 from repro.kernels.packed import PackedHypervectors, pack_bits, sign_fuse_bits
 from repro.utils.rng import RngMixin, SeedLike
 from repro.utils.validation import check_fitted, check_matrix, check_positive_int
@@ -117,18 +120,37 @@ class Encoder(RngMixin, abc.ABC):
         """The *pre-sign* integer accumulation for a batch of level rows."""
         return self._get_accumulator()(levels)
 
+    def _quantize(self, features: np.ndarray) -> np.ndarray:
+        """What the accumulator reads for validated *features*: the levels."""
+        return self._quantizer.transform(features)
+
+    def _pack(self, features: np.ndarray, lock: ContextManager = _NO_LOCK) -> np.ndarray:
+        """Packed ``(n, ceil(D/64))`` uint64 words for validated *features*.
+
+        The sign of the raw accumulation *is* the packed bit
+        (:func:`repro.kernels.packed.sign_fuse_bits`); the ``sgn(0)`` draws
+        of ``tie_break="random"`` run under *lock*, the accumulation outside
+        it.  :meth:`encode_packed` and the serving engine both encode here.
+        """
+        raw = self._accumulate(self._quantize(features))
+        if self.tie_break == "random":
+            with lock:
+                bits = sign_fuse_bits(raw, tie_break="random", rng=self.rng)
+        else:
+            bits = sign_fuse_bits(raw, tie_break="positive")
+        return pack_bits(bits, self.dimension).words
+
     def accumulate(self, features: np.ndarray) -> np.ndarray:
         """Pre-sign integer accumulation for raw *features* (``(n, D)`` int32).
 
         This is the thread-safe half of encoding — it touches only immutable
-        compiled tables, no RNG.  (The serving engine does the same over its
-        own compiled accumulator, outside its tie-break lock.)
+        compiled tables, no RNG.
         """
         check_fitted(self, "_quantizer")
         features = check_matrix(
             features, "features", dtype=np.float64, n_columns=self.num_features
         )
-        return self._accumulate(self._quantizer.transform(features))
+        return self._accumulate(self._quantize(features))
 
     def encode(self, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Encode a ``(samples, features)`` matrix to ``(samples, D)`` int8."""
@@ -136,7 +158,7 @@ class Encoder(RngMixin, abc.ABC):
         features = check_matrix(
             features, "features", dtype=np.float64, n_columns=self.num_features
         )
-        levels = self._quantizer.transform(features)
+        levels = self._quantize(features)
         outputs = np.empty((features.shape[0], self.dimension), dtype=BIPOLAR_DTYPE)
         for start in range(0, features.shape[0], batch_size):
             stop = min(start + batch_size, features.shape[0])
@@ -151,24 +173,19 @@ class Encoder(RngMixin, abc.ABC):
     ) -> PackedHypervectors:
         """Encode straight to bit-packed words, skipping the dense intermediate.
 
-        The sign of the raw accumulation *is* the packed bit
-        (:func:`repro.kernels.packed.sign_fuse_bits`), so the int8
-        hypervector matrix never exists.  RNG draws for ``sgn(0)`` tie-breaks
-        mirror :meth:`encode` exactly, keeping this path bit-identical to
-        ``pack_bipolar(self.encode(features))``.
+        The int8 hypervector matrix never exists.  RNG draws for ``sgn(0)``
+        tie-breaks mirror :meth:`encode` exactly, keeping this path
+        bit-identical to ``pack_bipolar(self.encode(features))``.
         """
         check_fitted(self, "_quantizer")
         features = check_matrix(
             features, "features", dtype=np.float64, n_columns=self.num_features
         )
-        levels = self._quantizer.transform(features)
         num_words = (self.dimension + 63) // 64
         words = np.empty((features.shape[0], num_words), dtype=np.uint64)
         for start in range(0, features.shape[0], batch_size):
             stop = min(start + batch_size, features.shape[0])
-            raw = self._accumulate(levels[start:stop])
-            bits = sign_fuse_bits(raw, tie_break=self.tie_break, rng=self.rng)
-            words[start:stop] = pack_bits(bits, self.dimension).words
+            words[start:stop] = self._pack(features[start:stop])
         return PackedHypervectors(words=words, dimension=self.dimension)
 
     def fit_encode(self, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -190,7 +207,21 @@ class RecordEncoder(Encoder):
     which relies on the level memory being nested: each coordinate flips
     once, at its own level.  :class:`~repro.hdc.itemmemory.LevelItemMemory`
     builds it that way, and the accumulator rejects one that is not.
+
+    The accumulator reads the quantiser's level coordinates
+    (:meth:`~repro.hdc.quantize.UniformQuantizer.scale`) instead of the
+    integer levels: the thermometer bits are the same, with no floor, clip
+    or cast, and packed encoding is one
+    :meth:`~repro.kernels.encode.RecordAccumulator.packed_signs` call.
     """
+
+    def _quantize(self, features: np.ndarray) -> np.ndarray:
+        return self._quantizer.scale(features)
+
+    def _pack(self, features: np.ndarray, lock: ContextManager = _NO_LOCK) -> np.ndarray:
+        return self._get_accumulator().packed_signs(
+            self._quantize(features), self.tie_break, self.rng, lock
+        )
 
 
 class NGramEncoder(Encoder):

@@ -40,15 +40,27 @@ class UniformQuantizer:
         self._ranges = spans
         return self
 
+    def scale(self, features: np.ndarray) -> np.ndarray:
+        """Each value's level coordinate ``s``, without validating *features*.
+
+        :meth:`transform` is ``floor(s)`` clipped to ``[0, num_levels)``, so
+        for every level ``t`` in ``1 .. num_levels - 1`` the thermometer bit
+        ``[level >= t]`` is ``s >= t``; NaN compares false (level 0) and
+        ``+inf`` true (the top level).  *features* must be a fitted-width
+        float64 matrix.
+        """
+        return (features - self._minimums) / self._ranges * self.num_levels
+
     def transform(self, features: np.ndarray) -> np.ndarray:
         """Map features to integer level indices in ``[0, num_levels)``."""
         check_fitted(self, "_minimums")
         features = check_matrix(
             features, "features", dtype=np.float64, n_columns=self._minimums.shape[0]
         )
-        scaled = (features - self._minimums) / self._ranges
-        levels = np.floor(scaled * self.num_levels).astype(np.int64)
-        return np.clip(levels, 0, self.num_levels - 1)
+        # Clip in float before the cast: a level past the int64 range would
+        # cast to INT64_MIN.  fmax maps NaN to level 0.
+        levels = np.fmin(np.fmax(np.floor(self.scale(features)), 0), self.num_levels - 1)
+        return levels.astype(np.int64)
 
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
         """Convenience: :meth:`fit` then :meth:`transform` on the same data."""
@@ -78,6 +90,23 @@ class QuantileQuantizer:
             self._edges = self._edges.reshape(-1, features.shape[1])
         return self
 
+    def scale(self, features: np.ndarray) -> np.ndarray:
+        """The integer levels, without validating *features*.
+
+        A level is its own level coordinate (see
+        :meth:`UniformQuantizer.scale`): ``scale(x) >= t`` is the thermometer
+        bit.  ``searchsorted`` over the ``num_levels - 1`` edges already
+        lands in ``[0, num_levels)``.
+        """
+        levels = np.zeros(features.shape, dtype=np.int64)
+        if self.num_levels == 1:
+            return levels
+        for column in range(features.shape[1]):
+            levels[:, column] = np.searchsorted(
+                self._edges[:, column], features[:, column], side="right"
+            )
+        return levels
+
     def transform(self, features: np.ndarray) -> np.ndarray:
         """Map features to integer level indices in ``[0, num_levels)``."""
         check_fitted(self, "_edges")
@@ -85,14 +114,7 @@ class QuantileQuantizer:
         features = check_matrix(
             features, "features", dtype=np.float64, n_columns=n_features
         )
-        if self.num_levels == 1:
-            return np.zeros(features.shape, dtype=np.int64)
-        levels = np.zeros(features.shape, dtype=np.int64)
-        for column in range(features.shape[1]):
-            levels[:, column] = np.searchsorted(
-                self._edges[:, column], features[:, column], side="right"
-            )
-        return np.clip(levels, 0, self.num_levels - 1)
+        return self.scale(features)
 
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
         """Convenience: :meth:`fit` then :meth:`transform` on the same data."""

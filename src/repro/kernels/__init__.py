@@ -32,6 +32,7 @@ from repro.kernels.encode import (
 from repro.kernels.linear import FLOAT_DTYPE, as_float, sign_bipolar
 from repro.kernels.packed import (
     PackedHypervectors,
+    bank_scores,
     bit_differences_words,
     flip_score_delta,
     pack_bipolar,
@@ -53,6 +54,7 @@ __all__ = [
     "RecordAccumulator",
     "apply_class_updates",
     "as_float",
+    "bank_scores",
     "bit_differences_words",
     "build_accumulator",
     "bundle_packed",

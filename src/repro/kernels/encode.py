@@ -10,7 +10,10 @@ bit-for-bit; they only reorganise the computation:
   ``t_d`` — so ``acc[b, d] = V_0[d] * (sum_f F_f[d] - 2 * sum_f F_f[d] *
   [q_bf >= t_d])``.  For each flip level ``t`` the second sum is the
   thermometer mask ``[q >= t]`` times the position columns that flip at
-  ``t``; coordinates that never flip are a per-coordinate constant;
+  ``t``; coordinates that never flip are a per-coordinate constant.  Its
+  :meth:`~RecordAccumulator.packed_signs` goes on from the GEMM straight to
+  packed sign words, the one packed encode path of offline prediction and
+  serving;
 * :class:`NGramAccumulator` hoists the per-call codebook permutations out of
   the request path and evaluates all binding windows of a block at once with
   a rolled gather per n-gram offset, instead of a Python loop over windows.
@@ -23,7 +26,8 @@ fused kernel.
 
 from __future__ import annotations
 
-from typing import Optional
+import contextlib
+from typing import ContextManager, Optional
 
 import numpy as np
 
@@ -37,6 +41,15 @@ _INT16_HEADROOM = 32767
 #: float32 holds every even integer below 2**25 exactly, so GEMM sums of
 #: fewer ±2 terms than this are exact whatever order BLAS adds them in.
 _FLOAT32_EXACT_FEATURES = 2**24
+
+_WORD_BITS = 64
+
+#: The packed word: byte ``k`` holds bits ``8k .. 8k+7`` (little-endian), as
+#: :func:`repro.kernels.packed.pack_bits` lays them out.
+_WORD = np.dtype("<u8")
+
+#: The lock of a caller whose tie-break draws need no serialising.
+_NO_LOCK = contextlib.nullcontext()
 
 
 def nested_flip_levels(level_vectors: np.ndarray) -> np.ndarray:
@@ -72,13 +85,19 @@ class RecordAccumulator:
     the bound columns out by flip level as a zero-padded ``(L-1, N, G)``
     float32 stack (``G`` is the largest number of coordinates sharing a
     flip level).  A call builds the contiguous thermometer mask
-    ``[q >= t]`` of shape ``(L-1, B, N)``, multiplies the two stacks with
-    one ``np.matmul``, and scatters the products back to coordinate order
-    through a precomputed index.  The inputs are ±1, so every partial sum
-    is an even integer of magnitude at most ``2N`` and float32 GEMM is exact
-    in any summation order for ``N < 2**24``; the constructor checks that
-    and raises ``ValueError`` on a level memory that is not nested (see
-    :func:`nested_flip_levels`).
+    ``[q >= t]`` of shape ``(L-1, B, N)`` and multiplies the two stacks with
+    one ``np.matmul`` into per-slot sums.  :meth:`__call__` scatters them
+    back to coordinate order and adds the constant (the integer
+    accumulation); :meth:`packed_signs` compares them in slot order against
+    the negated constant and scatters only the sign bits.  The inputs are
+    ±1, so every partial sum is an even integer of magnitude at most ``2N``
+    and float32 GEMM is exact in any summation order for ``N < 2**24``; the
+    constructor checks that and raises ``ValueError`` on a level memory
+    that is not nested (see :func:`nested_flip_levels`).
+
+    Both calls take each value's level coordinate ``q``: the integer level,
+    or anything whose ``q >= t`` is the level's thermometer bit, such as
+    :meth:`repro.hdc.quantize.UniformQuantizer.scale`.
     """
 
     def __init__(self, position_vectors: np.ndarray, level_vectors: np.ndarray):
@@ -100,29 +119,78 @@ class RecordAccumulator:
         by_level = np.argsort(flip_levels, kind="stable")
         stops = np.cumsum(group_sizes)
         self._grouped = np.zeros((num_levels - 1, num_features, width), dtype=np.float32)
-        # Coordinates that never flip read the zero column after the groups.
-        self._scatter = np.full(dimension, (num_levels - 1) * width, dtype=np.intp)
+        # Three zero slots follow the groups.  A coordinate that never flips
+        # reads the one whose threshold gives its constant sign: base > 0,
+        # base < 0 (also the padding of the last word) or a tie.
+        constant = (num_levels - 1) * width
+        padded = -(-dimension // _WORD_BITS) * _WORD_BITS
+        self._slots = np.full(padded, constant + 1, dtype=np.intp)
+        self._slots[:dimension] = constant + np.where(
+            self._base > 0, 0, np.where(self._base < 0, 1, 2)
+        )
+        # The sign of Eq. 1 is sums >= -base, exact in float32.
+        self._neg_base = np.zeros(constant + 3, dtype=np.float32)
+        self._neg_base[constant:] = (-1.0, 1.0, 0.0)
         for group, (size, stop) in enumerate(zip(group_sizes, stops)):
             columns = by_level[stop - size : stop]
             self._grouped[group, :, :size] = -2 * bound[:, columns]
-            self._scatter[columns] = group * width + np.arange(size)
-        self._thresholds = np.arange(1, num_levels).reshape(-1, 1, 1)
-        self.table_bytes = self._grouped.nbytes + self._scatter.nbytes + self._base.nbytes
+            slots = group * width + np.arange(size)
+            self._slots[columns] = slots
+            self._neg_base[slots] = -self._base[columns]
+        self._scatter = self._slots[:dimension]
+        self._thresholds = np.arange(1, num_levels, dtype=np.float64).reshape(-1, 1, 1)
+        self.table_bytes = (
+            self._grouped.nbytes + self._slots.nbytes + self._base.nbytes
+            + self._neg_base.nbytes
+        )
+
+    def _slot_sums(self, levels: np.ndarray) -> np.ndarray:
+        """``(B, slots)`` float32 GEMM sums; the constant slots read 0."""
+        batch = levels.shape[0]
+        groups, _, width = self._grouped.shape
+        sums = np.zeros((batch, groups * width + 3), dtype=np.float32)
+        np.matmul(
+            (levels >= self._thresholds).astype(np.float32),
+            self._grouped,
+            out=sums[:, : groups * width].reshape(batch, groups, width).transpose(1, 0, 2),
+        )
+        return sums
 
     def __call__(self, level_indices: np.ndarray) -> np.ndarray:
-        batch = level_indices.shape[0]
-        groups, _, width = self._grouped.shape
-        mask = (level_indices >= self._thresholds).astype(np.float32)
-        sums = np.empty((batch, groups * width + 1), dtype=np.float32)
-        sums[:, -1] = 0.0
-        np.matmul(
-            mask,
-            self._grouped,
-            out=sums[:, :-1].reshape(batch, groups, width).transpose(1, 0, 2),
-        )
+        """The ``(B, D)`` int32 pre-sign accumulation of Eq. 1."""
+        sums = self._slot_sums(level_indices)
         accumulated = np.take(sums.astype(np.int32), self._scatter, axis=1)
         accumulated += self._base
         return accumulated
+
+    def packed_signs(
+        self,
+        levels: np.ndarray,
+        tie_break: str = "positive",
+        rng: Optional[np.random.Generator] = None,
+        lock: ContextManager = _NO_LOCK,
+    ) -> np.ndarray:
+        """Eq. 1's sign, packed: ``(B, ceil(D/64))`` uint64 words.
+
+        Bit-identical to ``pack_bits(sign_fuse_bits(self(levels)))``.  For
+        ``tie_break="random"`` the ties draw from *rng* in coordinate order,
+        as :func:`repro.hdc.hypervector.sign_with_ties` does, and the draw
+        runs under *lock*.
+        """
+        sums = self._slot_sums(levels)
+        bits = np.take(sums >= self._neg_base, self._slots, axis=1, mode="clip")
+        if tie_break == "random":
+            ties = np.take(sums == self._neg_base, self._slots, axis=1, mode="clip")
+            count = int(np.count_nonzero(ties))
+            if count:
+                with lock:
+                    draws = rng.integers(0, 2, size=count, dtype=np.int8)
+                bits[ties] = draws == 1
+        elif tie_break != "positive":
+            raise ValueError(
+                f"tie_break must be 'random' or 'positive', got {tie_break!r}"
+            )
+        return np.packbits(bits, axis=1, bitorder="little").view(_WORD)
 
 
 class NGramAccumulator:

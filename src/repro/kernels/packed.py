@@ -9,6 +9,8 @@ inference claim rests on:
   broadcasted XOR + popcount per row block (the Eq. 4 Hamming kernel);
 * :func:`packed_dot_scores` — the integer dot similarity ``D - 2 * diff``
   recovered from bit differences without unpacking;
+* :func:`bank_scores` — class scores against a resident packed bank (best
+  row per class), the scoring rule of packed prediction and serving;
 * :func:`sign_fuse_bits` — majority/sign fusion: derive the packed bit
   directly from the encoder's pre-sign integer accumulation, replicating
   :func:`repro.hdc.hypervector.sign_with_ties` bit-for-bit (same RNG draws)
@@ -143,15 +145,15 @@ def bit_differences_words(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarra
         raise ValueError(
             f"word-count mismatch: {a_words.shape[1]} vs {b_words.shape[1]}"
         )
-    num_words = a_words.shape[1]
-    counts = np.empty((a_words.shape[0], b_words.shape[0]), dtype=np.int64)
-    bytes_per_row = max(1, b_words.shape[0] * num_words * 8)
-    block_rows = max(1, _DISTANCE_BLOCK_BYTES // bytes_per_row)
-    for start in range(0, a_words.shape[0], block_rows):
-        stop = min(start + block_rows, a_words.shape[0])
-        xor = a_words[start:stop, None, :] ^ b_words[None, :, :]
-        counts[start:stop] = popcount(xor).sum(axis=2, dtype=np.int64)
-    return counts
+    block_rows = max(1, _DISTANCE_BLOCK_BYTES // max(1, b_words.nbytes))
+    # One block (empty when a_words is) unless the scratch would outgrow the cap.
+    counts = [
+        popcount(a_words[start : start + block_rows, None, :] ^ b_words).sum(
+            axis=2, dtype=np.int64
+        )
+        for start in range(0, max(1, a_words.shape[0]), block_rows)
+    ]
+    return counts[0] if len(counts) == 1 else np.concatenate(counts)
 
 
 def packed_dot_scores(
@@ -164,6 +166,22 @@ def packed_dot_scores(
     """
     differences = queries.bit_differences(references)
     return (queries.dimension - 2 * differences).astype(np.int64)
+
+
+def bank_scores(
+    query_words: np.ndarray, bank_words: np.ndarray, dimension: int, num_classes: int
+) -> np.ndarray:
+    """``(n, K)`` integer class scores of packed queries against a bank.
+
+    The bank holds one run of equally many rows per class, in class order:
+    one row for a classifier scoring with the shared dot rule, ``N``
+    sub-models for the multi-model ensemble.  A class scores its best row's
+    dot similarity ``D - 2 * differing_bits``, which equals the dense score.
+    """
+    scores = dimension - 2 * bit_differences_words(query_words, bank_words)
+    if len(bank_words) > num_classes:
+        scores = scores.reshape(len(scores), num_classes, -1).max(axis=2)
+    return scores
 
 
 # ------------------------------------------------------------ flipped masks
@@ -316,6 +334,7 @@ class PackedHypervectors:
 __all__ = [
     "BIPOLAR_DTYPE",
     "PackedHypervectors",
+    "bank_scores",
     "bit_differences_words",
     "flip_score_delta",
     "pack_bipolar",

@@ -18,6 +18,14 @@ compilation at load time:
   transparently fall back to a dense path that defers to the classifier's
   own ``decision_scores``.
 
+A packed request runs one path for every batch size and every ``k``: one
+validation, then the encoder's packed step — for the record encoder
+:meth:`~repro.kernels.encode.RecordAccumulator.packed_signs` over the
+quantiser's scaled values, the step ``Encoder.encode_packed`` (and so
+``HDCPipeline.predict``) runs too — then
+:func:`~repro.kernels.packed.bank_scores` and
+:func:`~repro.classifiers.base.top_k_from_scores`.
+
 All of the bit-level machinery lives in :mod:`repro.kernels` — this module
 owns only serving concerns: compilation (packed when the classifier supports
 the shared scoring rule, dense otherwise), metadata, and thread-safety.  The
@@ -39,13 +47,8 @@ import numpy as np
 
 from repro.classifiers.base import top_k_from_scores
 from repro.classifiers.pipeline import HDCPipeline
-from repro.hdc.hypervector import BIPOLAR_DTYPE, sign_with_ties
-from repro.kernels.packed import (
-    PackedHypervectors,
-    pack_bipolar,
-    pack_bits,
-    sign_fuse_bits,
-)
+from repro.hdc.hypervector import sign_with_ties
+from repro.kernels.packed import PackedHypervectors, bank_scores
 from repro.utils.validation import check_matrix
 
 
@@ -106,10 +109,7 @@ class PackedInferenceEngine:
         # Compile the fused accumulator now so first-request latency excludes
         # building its tables and concurrent first requests cannot race
         # compilation.  The engine shares the encoder's compiled tables.
-        try:
-            self._accumulator = self.encoder._get_accumulator()
-        except NotImplementedError:  # pragma: no cover - future encoders
-            self._accumulator = None
+        self._accumulator = self.encoder._get_accumulator()
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -133,16 +133,8 @@ class PackedInferenceEngine:
     def _validate(self, features: np.ndarray) -> np.ndarray:
         """Request validation, done exactly once per public entry point."""
         return check_matrix(
-            features, "features", dtype=np.float64, n_columns=self.encoder.num_features
+            features, "features", dtype=np.float64, n_columns=self.num_features
         )
-
-    def _raw_accumulation(self, features: np.ndarray) -> np.ndarray:
-        """Pre-sign accumulation over the engine's compiled tables.
-
-        *features* must already be validated.  Thread-safe: touches only the
-        immutable quantiser and accumulator tables, no RNG.
-        """
-        return self._accumulator(self.encoder._quantizer.transform(features))
 
     def encode(self, features: np.ndarray) -> np.ndarray:
         """Encode raw features to bipolar hypervectors via the fused kernels.
@@ -152,53 +144,35 @@ class PackedInferenceEngine:
         configuration, so deterministic — ``tie_break="positive"`` — encoders
         match exactly).
         """
-        return self._encode_validated(self._validate(features))
+        return self._encode_dense(self._validate(features))
 
-    def _encode_validated(self, features: np.ndarray) -> np.ndarray:
-        if self._accumulator is None:  # pragma: no cover - future encoders
-            with self._rng_lock:
-                return self.encoder.encode(features)
-        raw = self._raw_accumulation(features)
+    def _encode_dense(self, features: np.ndarray) -> np.ndarray:
+        """The dense fallback's encode: *features* must be validated."""
+        raw = self._accumulator(self.encoder._quantize(features))
         with self._rng_lock:
             return sign_with_ties(
                 raw, rng=self.encoder.rng, tie_break=self.encoder.tie_break
-            ).astype(BIPOLAR_DTYPE)
-
-    def _encode_packed(self, features: np.ndarray) -> PackedHypervectors:
-        """Encode straight to packed words, skipping the dense intermediate.
-
-        *features* must already be validated.  The accumulation half is
-        lock-free (immutable compiled tables); for ``tie_break="random"``
-        encoders the sign fusion runs under the RNG lock so the ``sgn(0)``
-        draw stream stays well-ordered across threads, while deterministic
-        encoders never touch the lock at all.
-        """
-        if self._accumulator is None:  # pragma: no cover - future encoders
-            with self._rng_lock:
-                return pack_bipolar(self.encoder.encode(features))
-        raw = self._raw_accumulation(features)
-        if self.encoder.tie_break == "random":
-            with self._rng_lock:
-                bits = sign_fuse_bits(raw, tie_break="random", rng=self.encoder.rng)
-        else:
-            bits = sign_fuse_bits(raw, tie_break="positive")
-        return pack_bits(bits, self.dimension)
+            )
 
     # --------------------------------------------------------------- inference
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
         """``(n, K)`` class scores; higher is more similar.
 
-        Packed mode returns the integer dot similarity ``D - 2 * hamming_bits``
-        computed entirely over packed words through the classifier's packed
-        scoring rule (plain dot against the class hypervectors, or
-        max-over-sub-models for the ensemble — both exactly equal to the
-        dense scores); dense mode defers to the classifier's own rule.
+        Packed mode encodes through the encoder's packed step (the one
+        :meth:`~repro.hdc.encoders.Encoder.encode_packed` runs, with the
+        ``sgn(0)`` draws under the engine's lock) and returns the integer
+        dot similarity ``D - 2 * hamming_bits`` from one XOR + popcount
+        against the resident bank; the ensemble's score is the max over
+        each class's rows.  Both equal the dense scores exactly.  Dense mode
+        defers to the classifier's own rule.
         """
         features = self._validate(features)
-        if self.mode == "packed":
-            packed_queries = self._encode_packed(features)
-            return self.classifier.decision_scores_packed(packed_queries)
-        return self.classifier.decision_scores(self._encode_validated(features))
+        if self.mode == "dense":
+            return self.classifier.decision_scores(self._encode_dense(features))
+        words = self.encoder._pack(features, self._rng_lock)
+        return bank_scores(
+            words, self._packed_classes.words, self.dimension, self.num_classes
+        )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict integer class labels for a batch of raw feature rows."""
@@ -232,7 +206,7 @@ class PackedInferenceEngine:
     def warmup(self) -> None:
         """Run one dummy prediction so first-request latency excludes
         first-call costs (NumPy buffer allocation, BLAS start-up)."""
-        dummy = np.zeros((1, self.encoder.num_features), dtype=np.float64)
+        dummy = np.zeros((1, self.num_features), dtype=np.float64)
         self.predict(dummy)
 
     @property

@@ -2,9 +2,9 @@
 
 The acceptance check lives here: one request into a ``ServeApp`` must
 produce a *single* stitched trace — the handler thread's spans plus the
-queue wait and batch execution the scheduler's collector thread records —
-all sharing the root's trace id, with every parent pointer resolving inside
-the file.
+queue wait and batch execution the scheduler records on whichever caller's
+thread leads the batch — all sharing the root's trace id, with every parent
+pointer resolving inside the file.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class TestTracePropagation:
         try:
             # A single-sample request rides the micro-batch scheduler (the
             # production hot path: queue wait, then a coalesced batch run on
-            # the collector thread).
+            # the thread of the caller that leads it).
             row = small_problem["test_features"][0]
             single = app.predict({"features": row.tolist()})
             # A client batch takes the direct path on the handler thread.
@@ -85,8 +85,8 @@ class TestTracePropagation:
             assert expected in names, f"missing {expected!r} in {sorted(names)}"
         roots = [s for s in single_spans if s["parent"] is None]
         assert len(roots) == 1 and roots[0]["name"] == "request"
-        # The collector thread's spans hang off the request root, which they
-        # reach only through the context handed over with the request.
+        # The scheduler's spans hang off the request root, which they reach
+        # only through the context handed over with the request.
         for span in single_spans:
             if span["name"] in ("queue_wait", "batch_execute"):
                 assert span["parent"] == roots[0]["span"]

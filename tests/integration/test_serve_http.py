@@ -115,6 +115,21 @@ class TestPredict:
         assert len(body["top_k_scores"][0]) == 3
         assert body["top_k_labels"][0][0] == body["labels"][0]
 
+    def test_a_huge_feature_value_scores_like_any_value_above_the_range(
+        self, served, small_problem
+    ):
+        """1e300 quantises to the top level, as 1e6 does (it once got level 0)."""
+        answers = []
+        for value in (1e6, 1e300):
+            row = small_problem["test_features"][0].copy()
+            row[:8] = value
+            status, body = _post(
+                served["port"], "/v1/predict", {"features": row.tolist(), "top_k": 4}
+            )
+            assert status == 200
+            answers.append((body["top_k_labels"], body["top_k_scores"]))
+        assert answers[0] == answers[1]
+
     def test_concurrent_requests_all_correct(self, served, small_problem):
         queries = small_problem["test_features"][:24]
         expected = served["pipeline"].predict(queries)

@@ -173,6 +173,9 @@ class TestNestedLevelMemory:
         positions = RandomItemMemory(num_features, dimension, seed=4).vectors
         levels = LevelItemMemory(num_levels, dimension, seed=5).vectors
         accumulator = RecordAccumulator(positions, levels)
-        grouped = (num_levels - 1) * num_features * 134 * 4  # 2000 flips, <= 134 per level
-        assert accumulator.table_bytes == grouped + dimension * (8 + 4)
+        slots = (num_levels - 1) * 134 + 3  # 2000 flips, <= 134 per level
+        grouped = (num_levels - 1) * num_features * 134 * 4
+        # A gather index per coordinate, padded to whole words, the int32
+        # base and a float32 sign threshold per slot.
+        assert accumulator.table_bytes == grouped + 4032 * 8 + dimension * 4 + slots * 4
         assert accumulator.table_bytes * 7 < num_features * num_levels * dimension

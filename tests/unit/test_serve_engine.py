@@ -1,9 +1,12 @@
 """Unit tests for repro.serve.engine (the packed inference engine)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.classifiers.adapthd import AdaptHDC
+from repro.classifiers.base import top_k_from_scores
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.enhanced import EnhancedRetrainingHDC
 from repro.classifiers.multimodel import MultiModelHDC
@@ -88,6 +91,90 @@ class TestPackedEqualsDense:
             )
         for index, row in enumerate(features):
             np.testing.assert_array_equal(engine.decision_scores(row), batch[index : index + 1])
+
+
+def _edge_rows(pipeline, features):
+    """64 rows: exact bin edges, values outside the training range, 1e300."""
+    quantizer = pipeline.encoder._quantizer
+    levels = quantizer.num_levels
+    columns = np.arange(features.shape[1])
+    edges = [
+        quantizer._minimums + (columns + j) % (levels + 1) * quantizer._ranges / levels
+        for j in range(levels + 1)
+    ]
+    outside = [
+        quantizer._minimums - quantizer._ranges,
+        quantizer._minimums + 2 * quantizer._ranges,
+        np.where(columns % 3 == 0, 1e300, features[0]),
+    ]
+    return np.vstack(edges + outside + [features])[:64]
+
+
+_ENCODERS = {
+    "record": lambda tie_break: RecordEncoder(
+        dimension=512, num_levels=8, tie_break=tie_break, seed=0
+    ),
+    "ngram": lambda tie_break: NGramEncoder(
+        dimension=512, num_levels=8, ngram=3, tie_break=tie_break, seed=0
+    ),
+}
+
+
+def _dense_top_k(pipeline, rows, k):
+    """Dense Eq. 1 reference: int8 encode, the classifier's dense scores."""
+    encoded = pipeline.encoder.encode(rows)
+    return top_k_from_scores(pipeline.classifier.decision_scores(encoded), k)
+
+
+class TestEngineEqualsDenseReference:
+    """Every batch of every engine call equals the dense Eq. 1 reference.
+
+    The reference runs on a deep copy of the pipeline taken before the
+    engine call, so for ``tie_break="random"`` both draw the same ``sgn(0)``
+    stream.
+    """
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 64])
+    @pytest.mark.parametrize("tie_break", ["positive", "random"])
+    @pytest.mark.parametrize("encoder", sorted(_ENCODERS))
+    def test_matches_dense_reference(self, small_problem, encoder, tie_break, batch, k):
+        pipeline = fit_pipeline(
+            small_problem, BaselineHDC(seed=0), encoder=_ENCODERS[encoder](tie_break)
+        )
+        engine = PackedInferenceEngine(pipeline)
+        rows = _edge_rows(pipeline, small_problem["test_features"])
+        for start in range(0, len(rows), batch):
+            query = rows[start : start + batch]
+            reference = copy.deepcopy(pipeline)
+            labels, scores = engine.top_k(query, k=k)
+            expected_labels, expected_scores = _dense_top_k(reference, query, k)
+            np.testing.assert_array_equal(labels, expected_labels)
+            np.testing.assert_array_equal(scores, expected_scores)
+
+    @pytest.mark.parametrize("tie_break", ["positive", "random"])
+    def test_identical_classes_tie_to_the_lower_index(self, small_problem, tie_break):
+        pipeline = fit_pipeline(
+            small_problem, BaselineHDC(seed=0), encoder=_ENCODERS["record"](tie_break)
+        )
+        classes = pipeline.classifier.class_hypervectors_
+        # Classes 1 and 3 are the same hypervector: every query ties them.
+        pipeline.classifier.class_hypervectors_ = classes[[0, 1, 2, 1]].copy()
+        engine = PackedInferenceEngine(pipeline)
+        rows = _edge_rows(pipeline, small_problem["test_features"])
+        reference = copy.deepcopy(pipeline)
+        top_labels, top_scores = engine.top_k(rows, k=1)
+        labels, scores = engine.top_k(rows, k=3)
+        assert 1 in top_labels and 3 not in top_labels
+        for row_labels, row_scores in zip(labels, scores):
+            if 3 in row_labels:
+                position = list(row_labels).index(3)
+                assert row_labels[position - 1] == 1
+                assert row_scores[position - 1] == row_scores[position]
+        expected = _dense_top_k(reference, rows, 1)
+        np.testing.assert_array_equal(top_labels, expected[0])
+        np.testing.assert_array_equal(top_scores, expected[1])
+        np.testing.assert_array_equal(labels, _dense_top_k(reference, rows, 3)[0])
 
 
 class TestDenseFallback:
