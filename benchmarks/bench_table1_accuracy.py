@@ -5,7 +5,7 @@ Regenerates the paper's Table 1: for every dataset, the test accuracy
 Retraining HDC and LeHDC, plus the average increment of each strategy over
 the baseline (the paper's "Avg Increment" column, +15.32 for LeHDC).
 
-Scaled-down defaults (documented in DESIGN.md / EXPERIMENTS.md):
+Scaled-down defaults (set in ``benchmarks/conftest.py``):
 
 * synthetic dataset substitutes at the ``small`` profile instead of the real
   60k-sample datasets;

@@ -4,7 +4,7 @@ Table 2 itself is a configuration table (weight decay, learning rate, batch
 size, dropout rate, epochs per dataset); it is encoded verbatim in
 :data:`repro.core.configs.PAPER_CONFIGS`.  This benchmark (a) prints that
 table for the record, and (b) runs the sensitivity / ablation studies around
-it that DESIGN.md calls out:
+it:
 
 * a small grid over weight decay x dropout rate on one dataset, showing the
   paper's chosen cell is at (or near) the best test accuracy;
@@ -114,7 +114,7 @@ def test_table2_regularisation_grid(benchmark, grid_splits):
 
 
 def test_table2_latent_clip_and_decay_ablation(benchmark, grid_splits):
-    """Latent clipping and coupled/decoupled weight decay (DESIGN.md ablations)."""
+    """Latent clipping and coupled/decoupled weight decay ablations."""
     base = get_paper_config(GRID_DATASET).with_overrides(
         epochs=BENCH_LEHDC_EPOCHS, batch_size=64, learning_rate=0.01
     )

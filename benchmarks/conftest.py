@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one table or figure from the paper's evaluation
-(see DESIGN.md's per-experiment index).  The runs are scaled down so the whole
+(one ``bench_*.py`` module each).  The runs are scaled down so the whole
 harness finishes in minutes on a laptop CPU; the knobs below can be raised via
 environment variables to approach paper scale:
 
@@ -48,8 +48,7 @@ def bench_settings():
 
 
 #: Directory where every report block is also written as a text file, so the
-#: tables/figures survive pytest's output capture and can be pasted into
-#: EXPERIMENTS.md.
+#: tables/figures survive pytest's output capture.
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 

@@ -17,17 +17,9 @@ regenerated without writing any Python:
   (``--trace FILE`` writes JSONL request traces, ``--log-level info``
   enables the access log, and ``GET /metrics`` exposes Prometheus text
   format);
-* ``python -m repro loadgen --url http://host:8080`` — soak-test a serving
-  endpoint (or an in-process app) with seeded, reproducible traffic:
-  open-loop Poisson or closed-loop, warm-up + measure phases, exact latency
-  percentiles, JSON report output with server-side metric deltas;
-  ``--quick`` for CI smoke, ``--trace FILE`` to record and check traces;
 * ``python -m repro trace-summary trace.jsonl`` — per-stage latency
   breakdown (count/p50/p95/max per span name) of a recorded trace file;
-  ``--exemplars K`` lists the K slowest request traces by ID;
-* ``python -m repro top --url http://host:8080`` — live terminal dashboard
-  over ``/v1/metrics``: per-tenant QPS, requests, errors, percentiles and
-  queue depth; ``--once --json`` for scripts.
+  ``--exemplars K`` lists the K slowest request traces by ID.
 
 Performance is measured by ``perfbench/`` (see ``BENCHMARK.json``), not by
 a CLI command.
@@ -123,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         required=True,
         metavar="[NAME=]PATH",
-        help="saved .npz model to serve; repeatable; NAME defaults to the file stem",
+        help=(
+            "saved .npz model to serve; repeatable, each NAME once; NAME "
+            "defaults to the file stem"
+        ),
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
@@ -201,126 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="probability a request is traced (default 1.0; e.g. 0.01 for soaks)",
     )
 
-    loadgen = subparsers.add_parser(
-        "loadgen", help="soak-test a serving target with reproducible traffic"
-    )
-    loadgen.add_argument("--dataset", default="ucihar", help="registry dataset name")
-    loadgen.add_argument("--profile", default="tiny", choices=["tiny", "small", "full"])
-    loadgen.add_argument("--seed", type=int, default=0)
-    target_group = loadgen.add_mutually_exclusive_group()
-    target_group.add_argument(
-        "--url", default=None, help="live endpoint, e.g. http://127.0.0.1:8080"
-    )
-    target_group.add_argument(
-        "--model",
-        default=None,
-        metavar="PATH",
-        help="saved .npz model served in-process (default: train a quick baseline)",
-    )
-    loadgen.add_argument("--mode", default="closed", choices=["closed", "open"])
-    loadgen.add_argument(
-        "--rate", type=float, default=200.0, help="open-loop arrival rate (req/s)"
-    )
-    loadgen.add_argument(
-        "--concurrency", type=int, default=4, help="closed-loop client count"
-    )
-    loadgen.add_argument(
-        "--requests", type=int, default=None, help="measured requests (default 400)"
-    )
-    loadgen.add_argument(
-        "--warmup", type=int, default=None, help="warm-up requests (default 40)"
-    )
-    loadgen.add_argument("--top-k", type=int, default=1)
-    loadgen.add_argument(
-        "--dimension", type=int, default=2000, help="D for the trained default model"
-    )
-    loadgen.add_argument("--max-batch-size", type=int, default=64)
-    loadgen.add_argument(
-        "--models",
-        type=int,
-        default=1,
-        help=(
-            "multi-tenant fleet soak: register the trained model under this "
-            "many tenant names and spread requests over them with a Zipf "
-            "distribution (default 1: single tenant)"
-        ),
-    )
-    loadgen.add_argument(
-        "--zipf-s",
-        type=float,
-        default=1.1,
-        help="Zipf exponent for the tenant distribution (default 1.1)",
-    )
-    loadgen.add_argument(
-        "--tenant-rps",
-        type=float,
-        default=None,
-        help="per-tenant token-bucket rate limit for the in-process target",
-    )
-    loadgen.add_argument(
-        "--tenant-burst",
-        type=float,
-        default=None,
-        help="token-bucket burst size (default: max(1, 2x --tenant-rps))",
-    )
-    loadgen.add_argument(
-        "--tenant-max-concurrent",
-        type=int,
-        default=None,
-        help="per-tenant in-flight request cap for the in-process target",
-    )
-    loadgen.add_argument(
-        "--tenant-quotas",
-        default=None,
-        metavar="FILE",
-        help="JSON quota config for the in-process target (see repro serve)",
-    )
-    loadgen.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        help=(
-            "client-side retries of typed 429/503 answers, honouring "
-            "Retry-After with capped deterministic backoff (default: 3 when "
-            "the soak is multi-tenant, else 0)"
-        ),
-    )
-    loadgen.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help=(
-            "attach this deadline (milliseconds) to every request; late "
-            "answers must be 504, and the report counts any successful "
-            "response that outlived it as a deadline violation"
-        ),
-    )
-    loadgen.add_argument(
-        "--json", default=None, metavar="PATH", help="also write the report as JSON"
-    )
-    loadgen.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help=(
-            "JSONL request-trace file for the in-process target (with --quick "
-            "the file is also parsed and its span trees checked after the "
-            "run); for --url targets pass --trace to the server side instead"
-        ),
-    )
-    loadgen.add_argument(
-        "--trace-sample",
-        type=float,
-        default=1.0,
-        metavar="P",
-        help="probability a request is traced (default 1.0)",
-    )
-    loadgen.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke: small sizes, then assert a well-formed non-degenerate report",
-    )
-
     trace_summary = subparsers.add_parser(
         "trace-summary",
         help="per-stage latency breakdown of a JSONL trace file",
@@ -340,33 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
             "also list the K slowest request spans with their trace IDs "
             "(default K=5) — the file-side view of the metrics exemplars"
         ),
-    )
-
-    top = subparsers.add_parser(
-        "top",
-        help="live terminal dashboard over a serving endpoint's /v1/metrics",
-    )
-    top.add_argument(
-        "--url",
-        default="http://127.0.0.1:8080",
-        help="serving endpoint to poll (default http://127.0.0.1:8080)",
-    )
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="poll interval (default 2.0)",
-    )
-    top.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single poll and exit (no QPS column — rates need two)",
-    )
-    top.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the view as JSON instead of the ANSI screen (CI smoke mode)",
     )
 
     return parser
@@ -504,13 +352,26 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
     except (OSError, ValueError) as error:
         print(f"error: bad tenant quotas: {error}", file=sys.stderr)
         return 1
-    registry = ModelRegistry(max_resident=args.max_resident)
+    # NAME=PATH syntax; a bare PATH takes the file stem as its name.  No
+    # route takes a registry version, so a name given twice would leave its
+    # first model loaded and unreachable: refuse it before loading any.
+    paths = {}
     for spec in args.model:
-        # NAME=PATH syntax; a bare PATH takes the file stem as its name.
         name, _, path = spec.rpartition("=")
         path = path or spec
+        name = name or Path(path).stem
+        if name in paths:
+            print(
+                f"error: --model name {name!r} given twice "
+                f"({paths[name]!r} and {path!r})",
+                file=sys.stderr,
+            )
+            return 1
+        paths[name] = path
+    registry = ModelRegistry(max_resident=args.max_resident)
+    for name, path in paths.items():
         try:
-            registry.register(name or Path(path).stem, path)
+            registry.register(name, path)
         except (OSError, ValueError) as error:
             print(f"error: cannot load model {path!r}: {error}", file=sys.stderr)
             return 1
@@ -535,8 +396,8 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
 def _trace_sample_ok(args) -> bool:
     """Whether ``--trace-sample`` is a probability; if not, print the error.
 
-    Checked before any model is loaded or trained and before ``--trace``
-    opens its file, so a bad rate costs nothing and leaves no empty file.
+    Checked before any model is loaded and before ``--trace`` opens its
+    file, so a bad rate costs nothing and leaves no empty file.
     """
     if 0.0 <= args.trace_sample <= 1.0:
         return True
@@ -579,184 +440,6 @@ def _build_tenant_quotas(args):
     return TenantQuotas(**overrides)
 
 
-def command_loadgen(args) -> int:
-    from pathlib import Path
-
-    from repro.loadgen import (
-        ClosedLoop,
-        HTTPTarget,
-        InProcessTarget,
-        OpenLoop,
-        RequestSampler,
-        format_report,
-        run_load_test,
-        validate_exemplars,
-        validate_report,
-        write_report,
-    )
-
-    num_requests = args.requests if args.requests is not None else (120 if args.quick else 400)
-    warmup = args.warmup if args.warmup is not None else (16 if args.quick else 40)
-    dimension = min(args.dimension, 1000) if args.quick else args.dimension
-
-    if args.models < 1:
-        print("error: --models must be >= 1", file=sys.stderr)
-        return 1
-    if not _trace_sample_ok(args):
-        return 1
-    if args.models > 1 and args.url:
-        print(
-            "error: --models drives the in-process target (it registers the "
-            "tenant fleet); register the models on the server for --url soaks",
-            file=sys.stderr,
-        )
-        return 1
-
-    tenant_names = None
-    if args.models > 1:
-        tenant_names = [f"{args.dataset}-t{i:02d}" for i in range(args.models)]
-    sampler = RequestSampler(
-        dataset=args.dataset,
-        profile=args.profile,
-        seed=args.seed,
-        models=tenant_names,
-        zipf_s=args.zipf_s,
-    )
-    if args.mode == "open":
-        traffic = OpenLoop(rate_rps=args.rate, seed=args.seed)
-    else:
-        traffic = ClosedLoop(concurrency=args.concurrency)
-
-    app = tracer = None
-    if args.url:
-        try:
-            target = HTTPTarget(
-                args.url, top_k=args.top_k, deadline_ms=args.deadline_ms
-            )
-        except ValueError as error:
-            print(f"error: bad --url: {error}", file=sys.stderr)
-            return 1
-    else:
-        from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp
-
-        registry = ModelRegistry(max_resident=max(4, args.models))
-        if args.model:
-            try:
-                for name in tenant_names or [Path(args.model).stem]:
-                    registry.register(name, args.model)
-            except (OSError, ValueError) as error:
-                print(f"error: cannot load model {args.model!r}: {error}", file=sys.stderr)
-                return 1
-        else:
-            # No model given: train a quick deterministic baseline on the
-            # sampler's own dataset so the soak exercises a real pipeline.
-            encoder = RecordEncoder(
-                dimension=dimension,
-                num_levels=16,
-                tie_break="positive",
-                seed=args.seed,
-            )
-            pipeline = HDCPipeline(encoder, BaselineHDC(seed=args.seed))
-            pipeline.fit(sampler.train_features, sampler.train_labels)
-            engine = PackedInferenceEngine(pipeline, name=args.dataset)
-            if tenant_names is None:
-                registry.register(args.dataset, engine)
-            else:
-                # Multi-tenant soak: every tenant serves the same trained
-                # model (pinned, so registering N names costs one training
-                # run); schedulers and quotas are still per tenant.
-                for tenant in tenant_names:
-                    registry.register(tenant, engine)
-        try:
-            tenant_quotas = _build_tenant_quotas(args)
-        except (OSError, ValueError) as error:
-            print(f"error: bad tenant quotas: {error}", file=sys.stderr)
-            return 1
-        tracer = _build_tracer(args)
-        app = ServeApp(
-            registry,
-            max_batch_size=args.max_batch_size,
-            tenant_quotas=tenant_quotas,
-            tracer=tracer,
-        )
-        target = InProcessTarget(
-            app, top_k=args.top_k, deadline_ms=args.deadline_ms
-        )
-
-    retries = args.retries
-    if retries is None:
-        # Multi-tenant soaks shed requests by design; the client's job is to
-        # retry the typed answers, so default those on.
-        retries = 3 if args.models > 1 else 0
-
-    try:
-        report = run_load_test(
-            target,
-            sampler,
-            traffic,
-            num_requests=num_requests,
-            warmup_requests=warmup,
-            max_retries=retries,
-        )
-    finally:
-        if app is not None:
-            app.close()
-        if args.url:
-            target.close()
-        if tracer is not None:
-            tracer.close()
-
-    print(format_report(report))
-    if args.json:
-        destination = write_report(args.json, report)
-        print(f"report written to {destination}")
-    if args.quick:
-        traced = bool(args.trace) and not args.url
-        try:
-            validate_report(report)
-            if traced:
-                # At least one latency bucket must link back to a trace_id.
-                validate_exemplars(report)
-        except ValueError as error:
-            print(f"error: quick-mode report invalid: {error}", file=sys.stderr)
-            return 1
-        print(
-            "quick-mode report validated: non-zero throughput, "
-            "monotone percentiles, zero errors, every request counted by the server"
-        )
-        if traced:
-            # The CI tracing smoke: the file must parse strictly, carry the
-            # scheduler's spans, and stitch into whole trees — the queue_wait
-            # and batch_execute spans are written by whichever caller leads
-            # the batch and reach their request only through the handed-over
-            # context.
-            from repro.obs import parse_trace_file, summarize_spans
-
-            spans = parse_trace_file(args.trace)
-            summary = summarize_spans(spans)
-            missing = {"request", "queue_wait", "batch_execute"} - set(summary["stages"])
-            if missing:
-                print(
-                    f"error: trace has no {', '.join(sorted(missing))} spans "
-                    f"(stages: {sorted(summary['stages'])})",
-                    file=sys.stderr,
-                )
-                return 1
-            if summary["orphans"]:
-                print(
-                    f"error: {summary['orphans']} orphan spans in trace "
-                    "(a parent span never reached the file)",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"trace validated: {summary['traces']} traces, "
-                f"{summary['spans']} spans, 0 orphans, "
-                f"stages {', '.join(sorted(summary['stages']))}"
-            )
-    return 0
-
-
 def command_trace_summary(args) -> int:
     from repro.obs import format_trace_summary, parse_trace_file, summarize_spans
     from repro.obs.summary import format_exemplars, slowest_exemplars
@@ -787,18 +470,6 @@ def command_trace_summary(args) -> int:
     return 0
 
 
-def command_top(args) -> int:
-    from repro.obs.console import DEFAULT_INTERVAL, run_console
-
-    interval = args.interval if args.interval is not None else DEFAULT_INTERVAL
-    if interval <= 0:
-        print("error: --interval must be > 0", file=sys.stderr)
-        return 1
-    return run_console(
-        args.url, interval=interval, once=args.once, as_json=args.json
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -814,12 +485,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return command_predict(args)
     if args.command == "serve":
         return command_serve(args)
-    if args.command == "loadgen":
-        return command_loadgen(args)
     if args.command == "trace-summary":
         return command_trace_summary(args)
-    if args.command == "top":
-        return command_top(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

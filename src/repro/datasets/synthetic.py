@@ -37,7 +37,7 @@ class SyntheticSpec:
     ``kind`` selects the generator (``"gaussian"`` or ``"image"``); the other
     fields are forwarded to it.  ``substitutes_for`` records which paper
     dataset this spec stands in for, and ``paper_rows`` keeps the published
-    Table 1 accuracies so EXPERIMENTS.md can print paper-vs-measured tables.
+    Table 1 accuracies for paper-vs-measured tables.
     """
 
     name: str

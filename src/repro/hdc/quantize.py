@@ -46,10 +46,13 @@ class UniformQuantizer:
         :meth:`transform` is ``floor(s)`` clipped to ``[0, num_levels)``, so
         for every level ``t`` in ``1 .. num_levels - 1`` the thermometer bit
         ``[level >= t]`` is ``s >= t``; NaN compares false (level 0) and
-        ``+inf`` true (the top level).  *features* must be a fitted-width
-        float64 matrix.
+        ``+inf`` true (the top level).  A finite value near the float64
+        maximum overflows to ``±inf``, which takes the same level as any
+        value past the range, so the overflow is not reported.  *features*
+        must be a fitted-width float64 matrix.
         """
-        return (features - self._minimums) / self._ranges * self.num_levels
+        with np.errstate(over="ignore"):
+            return (features - self._minimums) / self._ranges * self.num_levels
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         """Map features to integer level indices in ``[0, num_levels)``."""

@@ -8,27 +8,20 @@ Capabilities, each usable on its own and composed by the serving layer:
   context is a small tuple handed explicitly to the micro-batch scheduler,
   so a batch's spans stitch back into each request's trace whichever
   caller's thread runs it;
-* :mod:`repro.obs.sketch` — a DDSketch-style quantile sketch with a
-  bounded relative error and fixed memory; it backs every latency
-  percentile in the stack;
-* :mod:`repro.obs.prometheus` — pure-function rendering of the
-  ``/v1/metrics`` snapshot into Prometheus text exposition (served at
+* :mod:`repro.obs.prometheus` — pure-function rendering of the serving
+  metrics snapshot into Prometheus text exposition (served at
   ``GET /metrics``), with OpenMetrics trace exemplars on latency buckets;
   SLO burn-rate alerting is Prometheus rules over these series
   (``docs/observability.md``), not state kept in the server;
 * :mod:`repro.obs.summary` — trace-file analysis behind
   ``repro trace-summary`` (per-stage latency breakdowns, stitching checks,
-  slowest-trace exemplars);
-* :mod:`repro.obs.console` — the ``repro top`` live terminal dashboard
-  over a serving endpoint's ``/v1/metrics``.
+  slowest-trace exemplars).
 
-This package deliberately imports nothing from :mod:`repro.serve` or
-:mod:`repro.loadgen` — it is a leaf those layers (and the CLI) build on.
+This package deliberately imports nothing from :mod:`repro.serve` — it is a
+leaf the serving layer (and the CLI) builds on.
 """
 
-from repro.obs.console import build_view, render_view, run_console
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus, validate_exposition
-from repro.obs.sketch import QuantileSketch
 from repro.obs.trace import (
     JsonlSink,
     MemorySink,
@@ -48,16 +41,12 @@ __all__ = [
     "CONTENT_TYPE",
     "JsonlSink",
     "MemorySink",
-    "QuantileSketch",
     "Span",
     "SpanContext",
     "Tracer",
-    "build_view",
     "format_trace_summary",
     "parse_trace_file",
     "render_prometheus",
-    "render_view",
-    "run_console",
     "slowest_exemplars",
     "summarize_spans",
     "summarize_trace_file",

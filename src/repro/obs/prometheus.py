@@ -1,7 +1,8 @@
 """Prometheus text-exposition rendering of the serving metrics snapshot.
 
-:func:`render_prometheus` turns the JSON-ready dictionary served at
-``GET /v1/metrics`` into the `text exposition format
+:func:`render_prometheus` turns the dictionary
+:meth:`~repro.serve.server.ServeApp.metrics_snapshot` returns into the `text
+exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ served at
 ``GET /metrics`` — no client library, no registry object, just a pure
 function over the snapshot, which keeps it trivially testable (the format is
@@ -110,7 +111,8 @@ def _render_histogram(
 
 
 def render_prometheus(snapshot: Dict) -> str:
-    """Render a ``/v1/metrics`` snapshot as Prometheus text exposition."""
+    """Render a ``ServeApp.metrics_snapshot()`` dictionary as Prometheus text
+    exposition."""
     writer = _Writer()
 
     for model, metrics in sorted(snapshot.get("models", {}).items()):

@@ -2,15 +2,14 @@
 
 Recording a latency is a handful of in-place updates under a lock, so the
 metrics layer never competes with the inference kernels it is measuring.
-Snapshots are plain dictionaries ready for ``json.dumps`` — that is what
-``GET /v1/metrics`` returns, and what ``repro loadgen`` diffs around a soak.
+Snapshots are plain dictionaries that
+:func:`~repro.obs.prometheus.render_prometheus` turns into the
+``GET /metrics`` exposition.
 
-Percentiles are answered by a
-:class:`~repro.obs.sketch.QuantileSketch` (bounded relative error, fixed
-memory — no retained sample lists), while the coarse fixed buckets are kept
-for Prometheus exposition.  Traced requests leave an *exemplar* — the most
-recent ``trace_id`` per latency bucket — so an operator can jump from a p99
-regression straight to a span tree.
+Latencies are fixed Prometheus buckets with a count and a sum; quantiles are
+the scraper's ``histogram_quantile`` over the buckets.  Traced requests leave
+an *exemplar* — the most recent ``trace_id`` per latency bucket — so an
+operator can jump from a p99 regression straight to a span tree.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import bisect
 import threading
 import time
 from typing import Dict, Optional, Sequence
-
-from repro.obs.sketch import QuantileSketch
 
 #: Default latency bucket upper bounds in seconds: log-spaced from 50 µs to
 #: 20 s, which brackets everything from a packed single-sample lookup to a
@@ -33,27 +30,19 @@ _DEFAULT_BOUNDS = tuple(
 
 
 class LatencyHistogram:
-    """Latency distribution: sketch percentiles + fixed Prometheus buckets.
+    """Latency distribution as fixed Prometheus buckets, a count and a sum.
 
-    Two views over the same observations, updated atomically:
-
-    * a :class:`~repro.obs.sketch.QuantileSketch` gives the snapshot's
-      percentiles with a bounded relative error (1% by default) in fixed
-      memory — no sample list is retained, so a week-long soak costs the
-      same as the first request;
-    * coarse fixed buckets (``bounds``, cumulative in snapshots) feed the
-      Prometheus exposition, where the bucket grid *is* the contract.
-
-    Traced observations additionally leave an exemplar — the most recent
-    ``(trace_id, value, timestamp)`` per bucket — surfaced in snapshots and
-    as OpenMetrics exemplar annotations.
+    The bucket grid (``bounds``, cumulative in snapshots) is the exposition's
+    contract, and fixed memory: a week-long soak costs the same as the first
+    request.  Traced observations additionally leave an exemplar — the most
+    recent ``(trace_id, value, timestamp)`` per bucket — surfaced in
+    snapshots and as OpenMetrics exemplar annotations.
 
     Parameters
     ----------
     bounds:
         Increasing bucket upper bounds in seconds.  Observations above the
-        last bound land in an overflow bucket whose reported value is the
-        largest observation seen.
+        last bound land in the ``+Inf`` bucket.
     """
 
     def __init__(self, bounds: Sequence[float] = _DEFAULT_BOUNDS):
@@ -66,8 +55,6 @@ class LatencyHistogram:
         self._counts = [0] * (len(bounds) + 1)
         self._count = 0
         self._total = 0.0
-        self._max = 0.0
-        self._sketch = QuantileSketch()
         self._exemplars: Dict[int, Dict[str, object]] = {}
         self._lock = threading.Lock()
 
@@ -79,10 +66,6 @@ class LatencyHistogram:
             self._counts[index] += 1
             self._count += 1
             self._total += seconds
-            if seconds > self._max:
-                self._max = seconds
-            if seconds > 0.0:
-                self._sketch.record(seconds)
             if trace_id:
                 self._exemplars[index] = {
                     "trace_id": trace_id,
@@ -91,15 +74,14 @@ class LatencyHistogram:
                 }
 
     def snapshot(self) -> Dict[str, object]:
-        """Summary dictionary with millisecond-denominated statistics.
+        """``count``, ``sum_seconds`` and the ``buckets``.
 
         Taken under the lock in one piece, so concurrent :meth:`record`
         calls can never produce a torn view (e.g. a count that disagrees
-        with the bucket totals or a stale ``max_ms``).  ``buckets`` carries
-        the *cumulative* per-bound counts in Prometheus histogram form
-        (final bucket ``le="+Inf"``); buckets whose range captured a traced
-        request carry its most recent exemplar.  Percentiles come from the
-        sketch (relative error <= ``relative_accuracy``).
+        with the bucket totals).  ``buckets`` carries the *cumulative*
+        per-bound counts in Prometheus histogram form (final bucket
+        ``le="+Inf"``); buckets whose range captured a traced request carry
+        its most recent exemplar.
         """
         with self._lock:
             buckets = []
@@ -118,16 +100,9 @@ class LatencyHistogram:
             if exemplar is not None:
                 overflow["exemplar"] = dict(exemplar)
             buckets.append(overflow)
-            sketch = self._sketch
             return {
                 "count": self._count,
-                "mean_ms": (self._total / self._count if self._count else 0.0) * 1e3,
-                "p50_ms": sketch.percentile(50) * 1e3,
-                "p95_ms": sketch.percentile(95) * 1e3,
-                "p99_ms": sketch.percentile(99) * 1e3,
-                "max_ms": self._max * 1e3,
                 "sum_seconds": self._total,
-                "relative_accuracy": sketch.relative_accuracy,
                 "buckets": buckets,
             }
 
@@ -144,7 +119,7 @@ class ModelMetrics:
     the rows the engine scored (micro-batched rows and 2-D requests).
     Besides the end-to-end request latency, the model keeps one
     :class:`LatencyHistogram` per pipeline *stage* (``validate``,
-    ``queue_wait``, ``batch_execute``) so ``/v1/metrics`` can answer "where
+    ``queue_wait``, ``batch_execute``) so ``/metrics`` can answer "where
     does a request spend its time" without a trace file.
     """
 
@@ -219,23 +194,15 @@ class ModelMetrics:
             samples = self.samples
             errors = self.errors
             deadline_exceeded = self.deadline_exceeded
-            batches = dict(sorted(self._batch_sizes.items()))
+            batches = sum(self._batch_sizes.values())
             stages = dict(self._stages)
-        total_batches = sum(batches.values())
-        batched_samples = sum(size * count for size, count in batches.items())
         return {
             "requests": requests,
             "samples": samples,
             "errors": errors,
             "deadline_exceeded": deadline_exceeded,
             "latency": self.latency.snapshot(),
-            "batches": total_batches,
-            "mean_batch_size": (
-                batched_samples / total_batches if total_batches else 0.0
-            ),
-            "batch_size_distribution": {
-                str(size): count for size, count in batches.items()
-            },
+            "batches": batches,
             "stages": {name: histogram.snapshot() for name, histogram in stages.items()},
         }
 

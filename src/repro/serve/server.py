@@ -13,9 +13,9 @@ Routes
                       (SIGTERM) has begun, so load balancers stop routing
                       here before in-flight batches finish;
 ``GET  /v1/models``   registry listing (every registered version);
-``GET  /v1/metrics``  per-model counters, latency percentiles, queue depth
-                      and tenant admission counters (JSON);
-``GET  /metrics``     the same snapshot in Prometheus text exposition;
+``GET  /metrics``     per-model counters, latency histograms, queue depths
+                      and tenant admission counters in Prometheus text
+                      exposition;
 ``POST /v1/predict``  body ``{"model": name?, "features": [...], "top_k": k?,
                       "deadline_ms": ms?}`` — a 1-D ``features`` list is one
                       sample and goes through the micro-batcher; a 2-D list
@@ -564,8 +564,6 @@ class _Handler(BaseHTTPRequestHandler):
                 status = self._send_json(ready_status, body)
             elif self.path == "/v1/models":
                 status = self._send_json(200, self.app.models())
-            elif self.path == "/v1/metrics":
-                status = self._send_json(200, self.app.metrics_snapshot())
             elif self.path == "/metrics":
                 status = self._send_text(
                     200,

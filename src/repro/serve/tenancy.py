@@ -301,7 +301,7 @@ class TenantQuotas:
 
     # ---------------------------------------------------------------- queries
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready per-tenant admission counters for ``/v1/metrics``."""
+        """Per-tenant admission counters for the ``/metrics`` exposition."""
         with self._lock:
             tenants = {
                 name: {

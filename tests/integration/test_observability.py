@@ -219,8 +219,9 @@ class TestRequestCounting:
     def test_concurrent_single_row_clients_are_each_counted_once(
         self, saved_model, small_problem
     ):
-        """Coalesced rows still count one request each, in JSON and Prometheus."""
-        app, _ = _traced_app(saved_model)
+        """Coalesced rows still count one request each, in the snapshot and
+        in Prometheus, and each still stitches into one whole trace."""
+        app, sink = _traced_app(saved_model)
         rows = small_problem["test_features"]
         clients, per_client = 8, 25
         answers = [[] for _ in range(clients)]
@@ -253,6 +254,13 @@ class TestRequestCounting:
         trace_ids = {answer["trace_id"] for answer in answered}
         exemplars = [b["exemplar"] for b in model["latency"]["buckets"] if "exemplar" in b]
         assert exemplars and {e["trace_id"] for e in exemplars} <= trace_ids
+        # The batches' queue_wait and batch_execute spans, written by
+        # whichever caller led each batch, reach every request's tree.
+        summary = summarize_spans(sink.records)
+        assert summary["traces"] == total
+        assert {"request", "queue_wait", "batch_execute"} <= set(summary["stages"])
+        assert summary["stages"]["queue_wait"]["count"] == total
+        assert summary["orphans"] == 0
 
 
 class TestAccessLog:

@@ -80,9 +80,12 @@ class TestRoutes:
         assert row["strategy"] == "baseline"
 
     def test_unknown_route_404(self, served):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(served["port"], "/v1/nonsense")
-        assert excinfo.value.code == 404
+        # /v1/metrics was a JSON route; /metrics is the one metrics surface.
+        for route in ("/v1/nonsense", "/v1/metrics"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(served["port"], route)
+            assert excinfo.value.code == 404
+            assert json.loads(excinfo.value.read())["code"] == "not_found"
 
 
 class TestPredict:
@@ -118,17 +121,20 @@ class TestPredict:
     def test_a_huge_feature_value_scores_like_any_value_above_the_range(
         self, served, small_problem
     ):
-        """1e300 quantises to the top level, as 1e6 does (it once got level 0)."""
-        answers = []
-        for value in (1e6, 1e300):
-            row = small_problem["test_features"][0].copy()
-            row[:8] = value
-            status, body = _post(
-                served["port"], "/v1/predict", {"features": row.tolist(), "top_k": 4}
-            )
-            assert status == 200
-            answers.append((body["top_k_labels"], body["top_k_scores"]))
-        assert answers[0] == answers[1]
+        """1e300 and 1.7e308 quantise to the top level, as 1e6 does (1e300 once
+        got level 0, and 1.7e308 overflowed the scale with a RuntimeWarning);
+        -1.7e308 takes level 0, as -1e6 does."""
+        for values in ((1e6, 1e300, 1.7e308), (-1e6, -1.7e308)):
+            answers = []
+            for value in values:
+                row = small_problem["test_features"][0].copy()
+                row[:8] = value
+                status, body = _post(
+                    served["port"], "/v1/predict", {"features": row.tolist(), "top_k": 4}
+                )
+                assert status == 200
+                answers.append((body["top_k_labels"], body["top_k_scores"]))
+            assert answers == [answers[0]] * len(values)
 
     def test_concurrent_requests_all_correct(self, served, small_problem):
         queries = small_problem["test_features"][:24]
@@ -142,12 +148,17 @@ class TestPredict:
             got = list(pool.map(call, queries))
         np.testing.assert_array_equal(got, expected)
 
-    def test_metrics_populated_after_traffic(self, served):
-        status, body = _get(served["port"], "/v1/metrics")
-        assert status == 200
-        model = body["models"]["har"]
-        assert model["requests"] > 0
-        assert model["latency"]["count"] > 0
+    def test_metrics_populated_after_traffic(self, served, small_problem):
+        row = small_problem["test_features"][0]
+        assert _post(served["port"], "/v1/predict", {"features": row.tolist()})[0] == 200
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{served['port']}/metrics", timeout=10
+        ) as response:
+            assert response.status == 200
+            text = response.read().decode("utf-8")
+        samples = dict(line.rsplit(" ", 1) for line in text.splitlines() if line[:1] != "#")
+        assert float(samples['repro_requests_total{model="har"}']) > 0
+        assert float(samples['repro_request_latency_seconds_count{model="har"}']) > 0
 
 
 #: Malformed predicts that must be refused with a 400 before they reach code

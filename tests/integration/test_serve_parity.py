@@ -2,15 +2,19 @@
 
 For every serving path a request can take in one process — a single row
 through the micro-batcher (alone or coalesced with other callers), a client
-batch straight on the engine, over HTTP under load — the labels and scores
-``ServeApp`` returns equal those of a ``PackedInferenceEngine`` built from
-the same saved file, for shared-rule classifiers and ensemble banks alike.
+batch straight on the engine, over keep-alive HTTP connections — the labels
+and scores ``ServeApp`` returns equal those of a ``PackedInferenceEngine``
+built from the same saved file, for shared-rule classifiers and ensemble
+banks alike.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -24,7 +28,6 @@ from repro.core.configs import LeHDCConfig
 from repro.core.lehdc import LeHDCClassifier
 from repro.hdc.encoders import RecordEncoder
 from repro.io import load_model, save_model
-from repro.loadgen import ClosedLoop, HTTPTarget, RequestSampler, run_load_test, validate_report
 from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp, create_server
 from repro.serve.server import RequestError
 
@@ -231,29 +234,62 @@ def test_bad_row_does_not_poison_its_batch(saved_models, small_problem):
     assert held.batch_sizes == [1, len(queries)]
 
 
-def test_loadgen_soaks_the_http_endpoint(saved_models, small_problem):
+def test_keepalive_clients_soak_the_http_endpoint(saved_models, small_problem):
+    """Four clients, each on one keep-alive connection, share 40 rows."""
     reference = _reference(saved_models["baseline"])
     app = _app(saved_models["baseline"])
     server = create_server(app, port=0)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    target = HTTPTarget(f"http://127.0.0.1:{port}")
+    rows = np.random.default_rng(0).random((40, 24))
+    clients = 4
+    labels = {}
+    errors = []
+
+    def client(index):
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            sock = None
+            for row_index in range(index, len(rows), clients):
+                body = json.dumps({"features": rows[row_index].tolist()})
+                connection.request("POST", "/v1/predict", body=body)
+                # Every answer leaves the connection open: no request of
+                # this client opens a second socket.
+                sock = sock or connection.sock
+                if connection.sock is not sock:
+                    errors.append(f"client {index} reconnected")
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                if response.status != 200:
+                    errors.append((response.status, payload))
+                    continue
+                labels[row_index] = payload["labels"]
+        except (OSError, http.client.HTTPException) as error:
+            errors.append(repr(error))
+        finally:
+            connection.close()
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(clients)]
     try:
-        rows = np.random.default_rng(0).random((40, 24))
-        sampler = RequestSampler.from_arrays(rows, seed=0)
-        report = run_load_test(
-            target, sampler, ClosedLoop(concurrency=4), num_requests=40, warmup_requests=8
-        )
-        validate_report(report)
-        assert report["config"]["target"]["kind"] == "http"
-        assert report["results"]["errors"] == 0
-        assert report["server_metrics_delta"]["requests"] > 0
-        for row in rows[:5]:
-            answer = target.send(row)
-            assert answer["labels"] == reference.predict(row[None, :]).tolist()
+        for worker in threads:
+            worker.start()
+        for worker in threads:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in threads)
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=10) as response:
+            text = response.read().decode("utf-8")
     finally:
-        target.close()
         server.shutdown()
         server.server_close()
         app.close()
+    assert errors == []
+    assert [labels[index] for index in range(len(rows))] == [
+        [label] for label in reference.predict(rows).tolist()
+    ]
+    (counted,) = [
+        float(line.rsplit(" ", 1)[1])
+        for line in text.splitlines()
+        if line.startswith('repro_requests_total{model="m"} ')
+    ]
+    assert counted >= len(labels)

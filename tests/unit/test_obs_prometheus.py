@@ -6,7 +6,8 @@ from repro.obs.prometheus import CONTENT_TYPE, render_prometheus, validate_expos
 
 
 def _snapshot():
-    """A hand-built /v1/metrics snapshot covering every rendered family."""
+    """A hand-built ``ServeApp.metrics_snapshot()`` covering every rendered
+    family."""
     return {
         "models": {
             "har": {

@@ -37,11 +37,14 @@ class TestUniformQuantizer:
         assert levels[0, 0] == 0
         assert levels[1, 0] == 3
         # Levels past the int64 range clip like any other (they once cast to
-        # INT64_MIN and landed on level 0); NaN stays at level 0.
+        # INT64_MIN and landed on level 0); NaN stays at level 0.  Values near
+        # the float64 maximum overflow the scale to ±inf without a warning.
         quantizer = UniformQuantizer(16).fit(train)
-        values = np.array([[2.0], [1e18], [1e300], [np.inf], [-1e300], [np.nan]])
+        values = np.array(
+            [[2.0], [1e18], [1e300], [1.7e308], [np.inf], [-1e300], [-1.7e308], [np.nan]]
+        )
         np.testing.assert_array_equal(
-            quantizer.transform(values)[:, 0], [15, 15, 15, 15, 0, 0]
+            quantizer.transform(values)[:, 0], [15, 15, 15, 15, 15, 0, 0, 0]
         )
 
     def test_transform_before_fit_raises(self):

@@ -269,7 +269,7 @@ class TestRequestAccounting:
             for client in clients:
                 client.join(timeout=30)
         model = self._model(app)
-        assert model["batch_size_distribution"] == {"1": 1, "2": 1}
+        assert app.metrics.for_model("m").batch_size_distribution == {1: 1, 2: 1}
         assert (model["requests"], model["latency"]["count"]) == (3, 3)
         assert model["samples"] == 3
 

@@ -11,32 +11,30 @@ class TestLatencyHistogram:
     def test_empty_histogram(self):
         snapshot = LatencyHistogram().snapshot()
         assert snapshot["count"] == 0
-        assert snapshot["mean_ms"] == 0.0
-        assert snapshot["p50_ms"] == 0.0
+        assert snapshot["sum_seconds"] == 0.0
+        assert {bucket["count"] for bucket in snapshot["buckets"]} == {0}
 
-    def test_percentiles_bracket_observations(self):
+    def test_buckets_bracket_observations(self):
         histogram = LatencyHistogram()
         for _ in range(49):
-            histogram.record(0.001)  # 1 ms
+            histogram.record(0.001)  # 1 ms, on a bound: le is inclusive
         histogram.record(1.0)  # one outlier
         snapshot = histogram.snapshot()
         assert snapshot["count"] == 50
-        # p50 lands at 1 ms; p99 (rank 50 of 50) is the outlier.
-        assert snapshot["p50_ms"] <= 2.0
-        assert snapshot["p99_ms"] >= 500.0
-        assert snapshot["max_ms"] == pytest.approx(1000.0)
+        cumulative = {bucket["le"]: bucket["count"] for bucket in snapshot["buckets"]}
+        assert (cumulative[0.0005], cumulative[0.001], cumulative[0.5]) == (0, 49, 49)
+        assert (cumulative[1.0], cumulative["+Inf"]) == (50, 50)
 
-    def test_mean_is_exact(self):
+    def test_sum_is_exact(self):
         histogram = LatencyHistogram()
         histogram.record(0.010)
         histogram.record(0.030)
-        assert histogram.snapshot()["mean_ms"] == pytest.approx(20.0)
+        assert histogram.snapshot()["sum_seconds"] == pytest.approx(0.040)
 
-    def test_overflow_bucket_reports_max(self):
+    def test_overflow_lands_in_the_inf_bucket(self):
         histogram = LatencyHistogram(bounds=[0.001])
         histogram.record(5.0)
         snapshot = histogram.snapshot()
-        assert snapshot["p99_ms"] == pytest.approx(5000.0)
         assert snapshot["buckets"] == [
             {"le": 0.001, "count": 0},
             {"le": "+Inf", "count": 1},
@@ -79,7 +77,7 @@ class TestModelMetrics:
         assert snapshot["deadline_exceeded"] == 1
         # Only answers are latencies; the trace id is its bucket's exemplar.
         assert snapshot["latency"]["count"] == 2
-        assert snapshot["latency"]["max_ms"] == pytest.approx(2.0)
+        assert snapshot["latency"]["sum_seconds"] == pytest.approx(0.003)
         exemplars = [
             bucket["exemplar"]
             for bucket in snapshot["latency"]["buckets"]
@@ -96,8 +94,7 @@ class TestModelMetrics:
             metrics.record_batch(size)
         snapshot = metrics.snapshot()
         assert snapshot["batches"] == 4
-        assert snapshot["batch_size_distribution"] == {"1": 1, "8": 2, "16": 1}
-        assert snapshot["mean_batch_size"] == pytest.approx((1 + 8 + 8 + 16) / 4)
+        assert metrics.batch_size_distribution == {1: 1, 8: 2, 16: 1}
         # A batch's rows are scored samples; it answers no request itself.
         assert snapshot["samples"] == 1 + 8 + 8 + 16
         assert snapshot["requests"] == 0
@@ -143,11 +140,12 @@ class TestSnapshotConsistency:
                 counts = [bucket["count"] for bucket in snapshot["buckets"]]
                 assert counts == sorted(counts)
                 assert counts[-1] == snapshot["count"]
-                if snapshot["count"]:
-                    assert snapshot["mean_ms"] == pytest.approx(
-                        snapshot["sum_seconds"] / snapshot["count"] * 1e3
-                    )
-                    assert snapshot["max_ms"] >= snapshot["p50_ms"]
+                # Every observation is 1 ms or 5 s, so the sum must match
+                # the bucket counts taken in the same critical section.
+                fast = next(b["count"] for b in snapshot["buckets"] if b["le"] == 0.001)
+                assert snapshot["sum_seconds"] == pytest.approx(
+                    fast * 0.001 + (snapshot["count"] - fast) * 5.0
+                )
         finally:
             stop.set()
             for thread in threads:
