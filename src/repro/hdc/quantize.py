@@ -48,10 +48,12 @@ class UniformQuantizer:
         ``[level >= t]`` is ``s >= t``; NaN compares false (level 0) and
         ``+inf`` true (the top level).  A finite value near the float64
         maximum overflows to ``±inf``, which takes the same level as any
-        value past the range, so the overflow is not reported.  *features*
+        value past the range, and an infinite value in a feature that was
+        constant at fit time (range ``inf``) gives NaN, the level 0 every
+        value of that feature takes, so neither is reported.  *features*
         must be a fitted-width float64 matrix.
         """
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return (features - self._minimums) / self._ranges * self.num_levels
 
     def transform(self, features: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.hdc.encoders import RecordEncoder
 from repro.io import save_model
+from repro.obs import CONTENT_TYPE, validate_exposition
 from repro.serve import ModelRegistry, ServeApp, create_server
 from repro.serve.tenancy import TenantQuotas
 
@@ -86,6 +87,12 @@ class TestRoutes:
                 _get(served["port"], route)
             assert excinfo.value.code == 404
             assert json.loads(excinfo.value.read())["code"] == "not_found"
+
+    @pytest.mark.parametrize("route", ["/metrics", "/v1/metrics", "/v1/healthz"])
+    def test_post_to_a_route_other_than_predict_404(self, served, route):
+        status, body = _post(served["port"], route, {"features": [0.0]})
+        assert status == 404
+        assert body["code"] == "not_found"
 
 
 class TestPredict:
@@ -159,6 +166,59 @@ class TestPredict:
         samples = dict(line.rsplit(" ", 1) for line in text.splitlines() if line[:1] != "#")
         assert float(samples['repro_requests_total{model="har"}']) > 0
         assert float(samples['repro_request_latency_seconds_count{model="har"}']) > 0
+
+
+def _scrape(port):
+    """``GET /metrics`` → (its content type, the exposition text)."""
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=10) as response:
+        return response.headers["Content-Type"], response.read().decode("utf-8")
+
+
+class TestMetricsExposition:
+    """``GET /metrics``, the one metrics surface, after the model answered a
+    single-row predict: valid exposition declaring every family
+    ``docs/observability.md`` lists."""
+
+    @pytest.fixture
+    def scraped(self, served, small_problem):
+        row = small_problem["test_features"][0]
+        assert _post(served["port"], "/v1/predict", {"features": row.tolist()})[0] == 200
+        return _scrape(served["port"])
+
+    def test_is_valid_prometheus_text(self, scraped):
+        content_type, text = scraped
+        assert content_type == CONTENT_TYPE
+        validate_exposition(text)
+
+    @pytest.mark.parametrize(
+        "family, kind",
+        [
+            ("repro_requests_total", "counter"),
+            ("repro_samples_total", "counter"),
+            ("repro_errors_total", "counter"),
+            ("repro_deadline_exceeded_total", "counter"),
+            ("repro_batches_total", "counter"),
+            ("repro_request_latency_seconds", "histogram"),
+            ("repro_stage_latency_seconds", "histogram"),
+            ("repro_scheduler_queue_depth", "gauge"),
+        ],
+    )
+    def test_declares_family_with_a_series_for_the_model(self, scraped, family, kind):
+        _, text = scraped
+        lines = text.splitlines()
+        assert f"# TYPE {family} {kind}" in lines
+        assert any(
+            line.startswith(family) and '{model="har"' in line for line in lines
+        )
+
+    def test_stage_histograms_cover_the_served_pipeline(self, scraped):
+        # A single row is validated, waits in the micro-batch queue and runs
+        # in a batch: each stage has observations of its own.
+        _, text = scraped
+        samples = dict(line.rsplit(" ", 1) for line in text.splitlines() if line[:1] != "#")
+        for stage in ("validate", "queue_wait", "batch_execute"):
+            key = f'repro_stage_latency_seconds_count{{model="har",stage="{stage}"}}'
+            assert float(samples[key]) > 0
 
 
 #: Malformed predicts that must be refused with a 400 before they reach code

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import argparse
+import json
 import os
 import subprocess
 import sys
@@ -22,10 +24,48 @@ def _retired(command, flag, *values):
     return pytest.param(prefix + [dashed, *values], dashed, id=f"{command}-{flag}")
 
 
+def _subparsers():
+    parser = build_parser()
+    action = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_command_set(self):
+        # perfbench is the one benchmark and load client: no bench, loadgen
+        # or top command comes back.
+        assert sorted(_subparsers()) == [
+            "compare", "list-datasets", "predict", "serve", "sweep", "trace-summary",
+            "train",
+        ]
+
+    def test_serve_keeps_its_thirteen_flags(self):
+        serve = _subparsers()["serve"]
+        flags = {
+            option
+            for action in serve._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        assert flags == {
+            "--model", "--host", "--port", "--max-batch-size", "--max-resident",
+            "--tenant-rps", "--tenant-burst", "--tenant-max-concurrent",
+            "--tenant-quotas", "--deadline-ms", "--log-level", "--trace",
+            "--trace-sample",
+        }
+
+    def test_trace_summary_exemplars_flag(self):
+        parse = build_parser().parse_args
+        assert parse(["trace-summary", "t.jsonl"]).exemplars is None
+        assert parse(["trace-summary", "t.jsonl", "--exemplars"]).exemplars == 5
+        assert parse(["trace-summary", "t.jsonl", "--exemplars", "2"]).exemplars == 2
 
     def test_train_defaults(self):
         args = build_parser().parse_args(["train"])
@@ -262,6 +302,141 @@ class TestTenantFlags:
         assert f"error: {message}" in err
         assert err.count("error:") == 1
         assert not trace.exists()
+
+
+    @pytest.mark.parametrize(
+        "specs, registered",
+        [
+            (
+                ["a=x/m.npz", "b=y/m.npz"],
+                [("a", "x/m.npz"), ("b", "y/m.npz")],
+            ),
+            (["x/a.npz", "y/b.npz"], [("a", "x/a.npz"), ("b", "y/b.npz")]),
+            (["a=x/m.npz", "y/m.npz"], [("a", "x/m.npz"), ("m", "y/m.npz")]),
+        ],
+        ids=["names-share-a-file-stem", "bare-paths", "name-beside-bare-path"],
+    )
+    def test_serve_registers_each_distinct_name_once(
+        self, monkeypatch, capsys, specs, registered
+    ):
+        # Names are compared, not files: two models may share a file stem
+        # when their names differ, and each is registered exactly once.
+        import repro.serve.server as server
+        from repro.serve.registry import ModelRegistry
+
+        calls = []
+        served = []
+        monkeypatch.setattr(
+            ModelRegistry, "register", lambda self, name, path: calls.append((name, path))
+        )
+        monkeypatch.setattr(server, "run_server", lambda app, **kwargs: served.append(app))
+        argv = ["serve"]
+        for spec in specs:
+            argv += ["--model", spec]
+        assert main(argv) == 0
+        assert calls == registered
+        (app,) = served
+        app.close()
+        assert "error:" not in capsys.readouterr().err
+
+
+def _write_trace(path, spans):
+    """A JSONL trace file of hand-built span records (durations fixed)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for span in spans:
+            handle.write(json.dumps(span) + "\n")
+    return path
+
+
+def _trace_spans():
+    """Two stitched predicts: trace ``slow`` (9 ms) and ``fast`` (2 ms)."""
+    spans = []
+    for trace, request_ms in (("slow", 9.0), ("fast", 2.0)):
+        root = f"{trace}-request"
+        spans.append(
+            {"v": 1, "trace": trace, "span": root, "parent": None, "name": "request",
+             "ts": 0.0, "dur_ms": request_ms, "attrs": {"model": "har"}}
+        )
+        for stage, dur_ms in (("validate", 0.1), ("queue_wait", 0.5),
+                              ("batch_execute", 1.0)):
+            spans.append(
+                {"v": 1, "trace": trace, "span": f"{trace}-{stage}", "parent": root,
+                 "name": stage, "ts": 0.0, "dur_ms": dur_ms, "attrs": {}}
+            )
+    return spans
+
+
+class TestTraceSummary:
+    """``repro trace-summary``, the CI smoke's reader of ``repro serve --trace``."""
+
+    def test_prints_one_row_per_stage(self, tmp_path, capsys):
+        path = _write_trace(tmp_path / "trace.jsonl", _trace_spans())
+        assert main(["trace-summary", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Trace summary: 2 traces, 8 spans"
+        stages = [line.split(" | ")[0].strip() for line in lines[3:]]
+        assert stages == ["request", "validate", "queue_wait", "batch_execute"]
+
+    def test_orphan_spans_are_flagged(self, tmp_path, capsys):
+        spans = _trace_spans()
+        spans[1]["parent"] = "never-written"
+        path = _write_trace(tmp_path / "trace.jsonl", spans)
+        assert main(["trace-summary", str(path)]) == 0
+        assert "1 orphan spans" in capsys.readouterr().out
+
+    def test_exemplars_list_the_slowest_requests(self, tmp_path, capsys):
+        path = _write_trace(tmp_path / "trace.jsonl", _trace_spans())
+        assert main(["trace-summary", str(path), "--exemplars", "1"]) == 0
+        output = capsys.readouterr().out
+        assert "Slowest 'request' spans (trace exemplars)" in output
+        (row,) = [line for line in output.splitlines() if line.startswith("slow ")]
+        assert [cell.strip() for cell in row.split(" | ")] == ["slow", "har", "9.000"]
+        assert "fast" not in output
+
+    def test_json_carries_the_summary_and_the_exemplars(self, tmp_path, capsys):
+        path = _write_trace(tmp_path / "trace.jsonl", _trace_spans())
+        out = tmp_path / "summary.json"
+        argv = ["trace-summary", str(path), "--json", str(out)]
+        assert main(argv + ["--exemplars", "2"]) == 0
+        summary = json.loads(out.read_text())
+        assert (summary["traces"], summary["spans"], summary["orphans"]) == (2, 8, 0)
+        assert summary["stages"]["request"]["max_ms"] == 9.0
+        assert [row["trace_id"] for row in summary["exemplars"]] == ["slow", "fast"]
+        assert main(argv) == 0
+        assert "exemplars" not in json.loads(out.read_text())
+        assert f"summary written to {out}" in capsys.readouterr().out
+
+    def test_a_bad_exemplar_count_is_one_error_line(self, tmp_path, capsys):
+        path = _write_trace(tmp_path / "trace.jsonl", _trace_spans())
+        out = tmp_path / "summary.json"
+        argv = ["trace-summary", str(path), "--exemplars", "0", "--json", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: k must be >= 1, got 0" in err
+        assert err.count("error:") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file"),
+            ('{"trace": "t"\n', "invalid JSON"),
+            ('{"trace": "t", "span": "s", "name": "request", "ts": 0}\n',
+             "missing 'dur_ms'"),
+        ],
+        ids=["missing-file", "invalid-json", "missing-field"],
+    )
+    def test_an_unreadable_trace_is_one_error_line(
+        self, tmp_path, capsys, content, message
+    ):
+        path = tmp_path / "trace.jsonl"
+        if content is not None:
+            path.write_text(content)
+        assert main(["trace-summary", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.err.count("error:") == 1
+        assert captured.out == ""
 
 
 class TestImportCost:

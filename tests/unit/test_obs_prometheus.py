@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus, validate_exposition
+from repro.serve.metrics import ModelMetrics
 
 
 def _snapshot():
@@ -106,6 +107,129 @@ class TestRender:
     def test_content_type_is_prometheus_text(self):
         assert CONTENT_TYPE.startswith("text/plain; version=0.0.4")
 
+    def test_tenant_series_render_one_per_tenant_in_name_order(self):
+        stats = {"admitted": 7, "rate_limited": 2, "quota_exceeded": 1, "in_flight": 0}
+        text = render_prometheus(
+            {"tenancy": {"tenants": {"b": stats, "a": {"admitted": 1}}}}
+        )
+        samples = [line for line in text.splitlines() if not line.startswith("#")]
+        assert samples == [
+            'repro_tenant_admitted_total{tenant="a"} 1',
+            'repro_tenant_rate_limited_total{tenant="a"} 0',
+            'repro_tenant_quota_exceeded_total{tenant="a"} 0',
+            'repro_tenant_in_flight{tenant="a"} 0',
+            'repro_tenant_admitted_total{tenant="b"} 7',
+            'repro_tenant_rate_limited_total{tenant="b"} 2',
+            'repro_tenant_quota_exceeded_total{tenant="b"} 1',
+            'repro_tenant_in_flight{tenant="b"} 0',
+        ]
+        assert "# TYPE repro_tenant_in_flight gauge" in text
+        assert text.count("# TYPE repro_tenant_admitted_total counter") == 1
+        validate_exposition(text)
+
+    def test_tenancy_without_tenants_renders_nothing(self):
+        assert render_prometheus({"tenancy": {"tenants": {}}}) == ""
+        assert render_prometheus({"tenancy": {}}) == ""
+
+    @pytest.mark.parametrize(
+        "value, rendered",
+        [
+            (3, "3"),
+            (3.0, "3"),
+            (0.25, "0.25"),
+            (-2, "-2"),
+            (1.5e-07, "1.5e-07"),
+            (1e15, "1000000000000000.0"),
+            (1e20, "1e+20"),
+        ],
+        ids=["int", "integral-float", "fraction", "negative", "tiny", "1e15", "huge"],
+    )
+    def test_sample_values_render_as_exposition_numbers(self, value, rendered):
+        # Integral values below 1e15 print without a decimal point; others
+        # print as Python's shortest float repr, which Prometheus parses.
+        text = render_prometheus({"schedulers": {"m": {"queue_depth": value}}})
+        assert text.splitlines()[-1] == f'repro_scheduler_queue_depth{{model="m"}} {rendered}'
+        validate_exposition(text)
+
+    def test_histogram_without_buckets_is_not_rendered(self):
+        counters = {"requests": 1, "samples": 1, "errors": 0, "latency": {}}
+        text = render_prometheus({"models": {"m": counters}})
+        assert 'repro_requests_total{model="m"} 1' in text
+        assert "latency_seconds" not in text
+
+    def test_families_are_declared_once_and_models_render_in_name_order(self):
+        counters = {"requests": 1, "samples": 1, "errors": 0}
+        text = render_prometheus({"models": {"b": counters, "a": counters}})
+        assert text.count("# TYPE repro_requests_total counter") == 1
+        assert text.count("# HELP repro_requests_total ") == 1
+        requests = [line for line in text.splitlines() if line.startswith("repro_requests")]
+        assert requests == [
+            'repro_requests_total{model="a"} 1',
+            'repro_requests_total{model="b"} 1',
+        ]
+        validate_exposition(text)
+
+    def test_exemplar_trace_id_is_escaped(self):
+        latency = {
+            "count": 1,
+            "sum_seconds": 0.002,
+            "buckets": [
+                {
+                    "le": "+Inf",
+                    "count": 1,
+                    "exemplar": {"trace_id": 'a"b', "value": 0.002, "timestamp": 1.0},
+                }
+            ],
+        }
+        text = render_prometheus({"models": {"m": {
+            "requests": 1, "samples": 1, "errors": 0, "latency": latency,
+        }}})
+        assert '# {trace_id="a\\"b"} 0.002 1' in text
+        validate_exposition(text)
+
+
+class TestLiveHistogram:
+    """A ``ModelMetrics`` snapshot renders to exposition that validates and
+    whose ``+Inf`` bucket, ``_count`` and ``_sum`` agree with what was
+    recorded."""
+
+    @pytest.mark.parametrize(
+        "outcomes",
+        [
+            [],
+            [(200, 0.001, None)],
+            [(200, 30.0, "ab" * 8)],
+            [(200, 0.0004, "cd" * 8), (429, 0.0001, None), (200, 0.2, None),
+             (504, 2.0, None), (200, 0.0004, "ef" * 8)],
+        ],
+        ids=["empty", "on-a-bound", "overflow-traced", "mixed"],
+    )
+    def test_rendered_histogram_agrees_with_the_record(self, outcomes):
+        metrics = ModelMetrics()
+        for status, seconds, trace_id in outcomes:
+            metrics.record_outcome(status, seconds, trace_id=trace_id)
+        text = render_prometheus({"models": {"m": metrics.snapshot()}})
+        validate_exposition(text)
+        values = {}
+        for line in text.splitlines():
+            if not line.startswith("#"):
+                series, value = line.split(" # ")[0].rsplit(" ", 1)
+                values[series] = float(value)
+        answered = [seconds for status, seconds, _ in outcomes if status == 200]
+        name = "repro_request_latency_seconds"
+        assert values[f'{name}_bucket{{model="m",le="+Inf"}}'] == len(answered)
+        assert values[f'{name}_count{{model="m"}}'] == len(answered)
+        assert values[f'{name}_sum{{model="m"}}'] == pytest.approx(sum(answered))
+        assert values['repro_errors_total{model="m"}'] == len(outcomes) - len(answered)
+        traced = {trace_id for status, _, trace_id in outcomes if trace_id}
+        exemplars = {
+            line.split('trace_id="')[1].split('"')[0]
+            for line in text.splitlines()
+            if " # {" in line
+        }
+        # Both 0.4 ms traces share a bucket: the later one is its exemplar.
+        assert exemplars == traced - {"cd" * 8}
+
 
 class TestValidate:
     def test_rejects_undeclared_family(self):
@@ -117,6 +241,42 @@ class TestValidate:
             validate_exposition(
                 "# TYPE broken counter\nbroken not-a-number\n"
             )
+
+    def test_rejects_non_cumulative_buckets_behind_other_labels(self):
+        text = (
+            "# TYPE h histogram\n"
+            'h_bucket{model="a",le="0.1"} 5\n'
+            'h_bucket{model="a",le="+Inf"} 3\n'
+        )
+        with pytest.raises(ValueError, match="cumulative"):
+            validate_exposition(text)
+
+    def test_each_labelled_series_is_checked_on_its_own(self):
+        # Model b's buckets sit below model a's: each run is still cumulative.
+        text = (
+            "# TYPE h histogram\n"
+            'h_bucket{model="a",le="0.1"} 5\n'
+            'h_bucket{model="a",le="+Inf"} 9\n'
+            'h_bucket{model="b",le="0.1"} 1\n'
+            'h_bucket{model="b",le="+Inf"} 2\n'
+        )
+        validate_exposition(text)
+
+    def test_sum_and_count_belong_to_their_declared_histogram(self):
+        validate_exposition(
+            "# TYPE h histogram\n"
+            'h_bucket{le="+Inf"} 3\n'
+            "h_sum 1.5\n"
+            "h_count 3\n"
+        )
+
+    def test_help_alone_does_not_declare_a_family(self):
+        with pytest.raises(ValueError, match="no # TYPE"):
+            validate_exposition("# HELP x A metric.\nx 1\n")
+
+    def test_rejects_a_sample_without_a_value(self):
+        with pytest.raises(ValueError, match="unparseable"):
+            validate_exposition('# TYPE c counter\nc{a="b"}\n')
 
     def test_rejects_non_cumulative_buckets(self):
         text = (

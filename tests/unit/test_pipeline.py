@@ -116,3 +116,25 @@ class TestHDCPipeline:
             validation_labels=small_problem["test_labels"],
         )
         assert len(pipeline.classifier.history_.test_accuracy) == 3
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+    def test_an_infinite_value_in_a_constant_feature_scores_like_the_constant(
+        self, small_problem, value
+    ):
+        # A feature constant at fit time is level 0 whatever its value, so an
+        # infinite one changes no score (pytest makes its RuntimeWarning an
+        # error).
+        train = small_problem["train_features"].copy()
+        train[:, 3] = 2.5
+        pipeline = HDCPipeline(
+            RecordEncoder(dimension=512, num_levels=8, tie_break="positive", seed=9),
+            BaselineHDC(seed=9),
+        )
+        pipeline.fit(train, small_problem["train_labels"])
+        rows = small_problem["test_features"][:6].copy()
+        rows[:, 3] = 2.5
+        expected = pipeline.top_k(rows, k=3)
+        rows[:, 3] = value
+        labels, scores = pipeline.top_k(rows, k=3)
+        np.testing.assert_array_equal(labels, expected[0])
+        np.testing.assert_array_equal(scores, expected[1])

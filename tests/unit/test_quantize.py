@@ -1,5 +1,7 @@
 """Unit tests for repro.hdc.quantize."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,48 @@ class TestUniformQuantizer:
         np.testing.assert_array_equal(
             quantizer.transform(values)[:, 0], [15, 15, 15, 15, 15, 0, 0, 0]
         )
+
+    @pytest.mark.parametrize(
+        "train, value, level",
+        [
+            ((-1.0, 0.5), 1e308, 15),
+            ((-1.0, 0.5), np.finfo(np.float64).max, 15),
+            ((-1.0, 0.5), -np.finfo(np.float64).max, 0),
+            ((0.0, 1e-300), 1e10, 15),
+            ((0.0, 1e-300), -1e10, 0),
+        ],
+        ids=["1e308", "max", "-max", "tiny-range-above", "tiny-range-below"],
+    )
+    def test_an_overflowing_scale_takes_the_end_level_silently(self, train, value, level):
+        # The multiply (or, over a tiny range, the divide) overflows to ±inf.
+        quantizer = UniformQuantizer(16).fit(np.array(train).reshape(-1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scale = quantizer.scale(np.array([[value]]))
+            levels = quantizer.transform(np.array([[value]]))
+        assert np.isinf(scale[0, 0])
+        assert levels[0, 0] == level
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+    def test_an_infinite_value_in_a_constant_feature_takes_level_zero(self, value):
+        # A constant feature's range is inf, so inf / inf is NaN: level 0,
+        # like every other value of that feature, without a warning.
+        quantizer = UniformQuantizer(16).fit(np.array([[2.0, 0.0], [2.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels = quantizer.transform(np.array([[value, 1.0]]))
+        np.testing.assert_array_equal(levels, [[0, 15]])
+
+    def test_scale_is_its_formula_bit_for_bit(self):
+        # The encoder's thermometer bits read these coordinates directly, so
+        # the arithmetic order (subtract, divide, multiply) is part of the
+        # model's bits.
+        rng = np.random.default_rng(5)
+        train = rng.normal(size=(50, 6)) * 10
+        quantizer = UniformQuantizer(32).fit(train)
+        test = rng.normal(size=(20, 6)) * 12
+        expected = (test - train.min(axis=0)) / (train.max(axis=0) - train.min(axis=0)) * 32
+        np.testing.assert_array_equal(quantizer.scale(test), expected)
 
     def test_transform_before_fit_raises(self):
         with pytest.raises(RuntimeError):

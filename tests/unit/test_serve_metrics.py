@@ -2,9 +2,20 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.serve.metrics import LatencyHistogram, MetricsRegistry, ModelMetrics
+
+#: The default bucket grid, the ``le`` values ``GET /metrics`` exposes.
+DEFAULT_BOUNDS = (
+    5e-05, 0.0001, 0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02,
+    0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0,
+)
+
+
+def _cumulative(histogram):
+    return {bucket["le"]: bucket["count"] for bucket in histogram.snapshot()["buckets"]}
 
 
 class TestLatencyHistogram:
@@ -40,6 +51,25 @@ class TestLatencyHistogram:
             {"le": "+Inf", "count": 1},
         ]
 
+    def test_default_grid_is_one_two_five_from_50us_to_20s(self):
+        buckets = LatencyHistogram().snapshot()["buckets"]
+        assert [bucket["le"] for bucket in buckets] == [*DEFAULT_BOUNDS, "+Inf"]
+
+    @pytest.mark.parametrize("index", range(len(DEFAULT_BOUNDS)), ids=str)
+    def test_an_observation_on_a_bound_counts_in_that_bucket(self, index):
+        # ``le`` is inclusive: a latency equal to a bound is at most it, and
+        # the next float above the bound belongs to the next bucket.
+        bound = DEFAULT_BOUNDS[index]
+        histogram = LatencyHistogram()
+        histogram.record(bound)
+        histogram.record(np.nextafter(bound, np.inf))
+        cumulative = _cumulative(histogram)
+        if index > 0:
+            assert cumulative[DEFAULT_BOUNDS[index - 1]] == 0
+        assert cumulative[bound] == 1
+        upper = DEFAULT_BOUNDS[index + 1] if index + 1 < len(DEFAULT_BOUNDS) else "+Inf"
+        assert cumulative[upper] == 2
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             LatencyHistogram(bounds=[])
@@ -61,7 +91,83 @@ class TestLatencyHistogram:
         assert histogram.snapshot()["count"] == 2000
 
 
+class TestExemplars:
+    def _exemplars(self, histogram):
+        return {
+            bucket["le"]: bucket["exemplar"]["trace_id"]
+            for bucket in histogram.snapshot()["buckets"]
+            if "exemplar" in bucket
+        }
+
+    def test_the_latest_traced_observation_holds_its_bucket(self):
+        histogram = LatencyHistogram(bounds=[0.01])
+        histogram.record(0.002, trace_id="a" * 16)
+        histogram.record(0.004, trace_id="b" * 16)
+        (bucket, _) = histogram.snapshot()["buckets"]
+        assert bucket["exemplar"]["trace_id"] == "b" * 16
+        assert bucket["exemplar"]["value"] == 0.004
+
+    def test_an_untraced_observation_keeps_the_exemplar(self):
+        histogram = LatencyHistogram(bounds=[0.01])
+        histogram.record(0.002, trace_id="a" * 16)
+        histogram.record(0.003)
+        histogram.record(0.004, trace_id="")
+        assert self._exemplars(histogram) == {0.01: "a" * 16}
+
+    def test_each_exemplar_stays_in_the_bucket_of_its_value(self):
+        histogram = LatencyHistogram(bounds=[0.001, 0.01, 0.1])
+        histogram.record(0.0005, trace_id="a" * 16)
+        histogram.record(0.05)
+        histogram.record(3.0, trace_id="c" * 16)
+        assert self._exemplars(histogram) == {0.001: "a" * 16, "+Inf": "c" * 16}
+
+    def test_snapshot_exemplars_are_copies(self):
+        histogram = LatencyHistogram(bounds=[0.01])
+        histogram.record(0.002, trace_id="a" * 16)
+        histogram.snapshot()["buckets"][0]["exemplar"]["trace_id"] = "mutated"
+        assert self._exemplars(histogram) == {0.01: "a" * 16}
+
+
 class TestModelMetrics:
+    @pytest.mark.parametrize(
+        "status, counted",
+        [
+            (200, (1, 0, 0, 1)),
+            (400, (0, 1, 0, 0)),
+            (404, (0, 1, 0, 0)),
+            (413, (0, 1, 0, 0)),
+            (429, (0, 1, 0, 0)),
+            (500, (0, 1, 0, 0)),
+            (503, (0, 1, 0, 0)),
+            (504, (0, 1, 1, 0)),
+        ],
+    )
+    def test_each_status_lands_in_its_counters(self, status, counted):
+        # (requests, errors, deadline_exceeded, latency count): only an
+        # answer is a latency observation, and only a 504 a deadline miss.
+        metrics = ModelMetrics()
+        metrics.record_outcome(status, 0.002, trace_id="ab" * 8)
+        snapshot = metrics.snapshot()
+        assert (
+            snapshot["requests"],
+            snapshot["errors"],
+            snapshot["deadline_exceeded"],
+            snapshot["latency"]["count"],
+        ) == counted
+        assert snapshot["samples"] == 0
+
+    def test_stage_histograms_appear_on_first_use(self):
+        metrics = ModelMetrics()
+        assert metrics.snapshot()["stages"] == {}
+        metrics.record_stage("queue_wait", 0.0002)
+        metrics.record_stage("queue_wait", 0.0004)
+        snapshot = metrics.snapshot()
+        assert list(snapshot["stages"]) == ["queue_wait"]
+        assert snapshot["stages"]["queue_wait"]["count"] == 2
+        assert snapshot["stages"]["queue_wait"]["sum_seconds"] == pytest.approx(0.0006)
+        # A stage timing is not a request.
+        assert (snapshot["requests"], snapshot["latency"]["count"]) == (0, 0)
+
     def test_request_accounting(self):
         metrics = ModelMetrics()
         metrics.record_outcome(200, 0.002)
@@ -115,6 +221,16 @@ class TestMetricsRegistry:
         payload = json.dumps(registry.snapshot())
         assert '"m"' in payload
         assert list(registry.snapshot()["models"]) == ["m"]
+
+    def test_snapshot_keeps_each_model_apart(self):
+        registry = MetricsRegistry()
+        registry.for_model("a").record_outcome(200, 0.001)
+        registry.for_model("a").record_outcome(200, 0.001)
+        registry.for_model("b").record_outcome(429, 0.001)
+        models = registry.snapshot()["models"]
+        assert sorted(models) == ["a", "b"]
+        assert (models["a"]["requests"], models["a"]["errors"]) == (2, 0)
+        assert (models["b"]["requests"], models["b"]["errors"]) == (0, 1)
 
 
 class TestSnapshotConsistency:
