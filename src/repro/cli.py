@@ -352,13 +352,16 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
     except (OSError, ValueError) as error:
         print(f"error: bad tenant quotas: {error}", file=sys.stderr)
         return 1
-    # NAME=PATH syntax; a bare PATH takes the file stem as its name.  No
-    # route takes a registry version, so a name given twice would leave its
-    # first model loaded and unreachable: refuse it before loading any.
+    # NAME=PATH syntax; a bare PATH takes the file stem as its name.  A NAME
+    # holds no '/', so a spec whose text before its first '=' does is a bare
+    # PATH with '=' in a directory name (runs/lr=0.1/m.npz).  No route takes
+    # a registry version, so a name given twice would leave its first model
+    # loaded and unreachable: refuse it before loading any.
     paths = {}
     for spec in args.model:
-        name, _, path = spec.rpartition("=")
-        path = path or spec
+        name, _, path = spec.partition("=")
+        if not path or "/" in name:
+            name, path = "", spec
         name = name or Path(path).stem
         if name in paths:
             print(

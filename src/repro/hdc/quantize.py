@@ -30,13 +30,28 @@ class UniformQuantizer:
         self._ranges: Optional[np.ndarray] = None
 
     def fit(self, features: np.ndarray) -> "UniformQuantizer":
-        """Learn per-feature ranges from a ``(samples, features)`` matrix."""
+        """Learn per-feature ranges from a ``(samples, features)`` matrix.
+
+        Raises ``ValueError`` naming each feature whose finite minimum and
+        maximum lie further apart than the float64 maximum: its range would
+        overflow to ``inf``, the range of a constant feature, and put every
+        value at level 0.
+        """
         features = check_matrix(features, "features", dtype=np.float64)
-        self._minimums = features.min(axis=0)
-        spans = features.max(axis=0) - self._minimums
+        minimums = features.min(axis=0)
+        maximums = features.max(axis=0)
+        with np.errstate(over="ignore"):
+            spans = maximums - minimums
+        overflowed = np.isinf(spans) & np.isfinite(minimums) & np.isfinite(maximums)
+        if overflowed.any():
+            raise ValueError(
+                f"features {np.flatnonzero(overflowed).tolist()} span more than "
+                "the float64 maximum (max - min overflows); rescale them"
+            )
         # Guard constant features: a zero span would divide by zero; such
         # features carry no information and are pinned to level 0.
         spans[spans == 0] = np.inf
+        self._minimums = minimums
         self._ranges = spans
         return self
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
 from typing import Callable, Deque, List, Optional, Tuple, Union
 
 import numpy as np
@@ -44,7 +43,7 @@ EngineSource = Union[PackedInferenceEngine, Callable[[], PackedInferenceEngine]]
 _QUEUED = "queued"  # in the scheduler's queue
 _TAKEN = "taken"  # in a batch that is about to run or running
 _LEADS = "leads"  # woken to lead the next batch
-_DONE = "done"  # its batch has ended; the future holds the outcome
+_DONE = "done"  # its batch has ended; ``result`` or ``error`` holds the outcome
 
 
 class DeadlineExceededError(RuntimeError):
@@ -61,7 +60,8 @@ class _Request:
     __slots__ = (
         "features",
         "top_k",
-        "future",
+        "result",
+        "error",
         "wake",
         "state",
         "trace",
@@ -74,17 +74,20 @@ class _Request:
         self,
         features: np.ndarray,
         top_k: int,
-        future: Future,
-        wake: threading.Condition,
         trace: Optional[SpanContext] = None,
         deadline: Optional[float] = None,
     ):
         self.features = features
         self.top_k = top_k
-        self.future = future
-        #: on the scheduler's lock; notified when ``state`` changes under a
-        #: waiting caller (woken to lead, batch ended, stopped).
-        self.wake = wake
+        #: the outcome, set by the thread that ran the batch before ``state``
+        #: turns ``_DONE``: ``(labels, scores)``, or the exception to raise.
+        self.result: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.error: Optional[BaseException] = None
+        #: built when the caller queues, on the scheduler's lock; notified
+        #: when ``state`` changes under the waiting caller (woken to lead,
+        #: batch ended, stopped).  A caller that leads at once waits on
+        #: nothing and builds none.
+        self.wake: Optional[threading.Condition] = None
         self.state = _QUEUED
         self.trace = trace
         #: absolute ``time.monotonic()`` instant after which the caller no
@@ -175,18 +178,12 @@ class BatchScheduler:
             )
         if k < 1:
             raise ValueError(f"top_k must be >= 1, got {k}")
-        request = _Request(
-            features,
-            int(k),
-            Future(),
-            threading.Condition(self._lock),
-            trace=trace,
-            deadline=deadline,
-        )
+        request = _Request(features, int(k), trace=trace, deadline=deadline)
         with self._lock:
             if self._closed:
                 raise RuntimeError("BatchScheduler is stopped")
             if self._leading:
+                request.wake = threading.Condition(self._lock)
                 self._pending.append(request)
                 self._await_turn(request, timeout)
             else:
@@ -195,7 +192,9 @@ class BatchScheduler:
             batch = self._take_batch(request) if request.state == _LEADS else None
         if batch is not None:
             self._lead(batch)
-        return request.future.result()
+        if request.error is not None:
+            raise request.error
+        return request.result
 
     def stop(self, timeout: float = 5.0) -> None:
         """Refuse new requests and let the queued ones run for up to *timeout*.
@@ -213,8 +212,8 @@ class BatchScheduler:
             self._idle.wait_for(lambda: not self._leading, timeout)
             while self._pending:
                 request = self._pending.popleft()
-                request.future.set_exception(
-                    RuntimeError("BatchScheduler stopped before the request ran")
+                request.error = RuntimeError(
+                    "BatchScheduler stopped before the request ran"
                 )
                 request.state = _DONE
                 request.wake.notify()
@@ -255,16 +254,17 @@ class BatchScheduler:
             self._run_batch(batch)
         except BaseException as error:
             # A failure in the batch (the engine's, or a trace sink's OSError)
-            # is raised to each of its unanswered callers from their futures,
-            # this one included; the lead still passes on.
+            # is raised to each of its unanswered callers, this one included;
+            # the lead still passes on.
             for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(error)
+                if request.result is None and request.error is None:
+                    request.error = error
         finally:
             with self._lock:
                 for request in batch:
                     request.state = _DONE
-                    request.wake.notify()
+                    if request.wake is not None:
+                        request.wake.notify()
                 if self._pending:
                     successor = self._pending.popleft()
                     successor.state = _LEADS
@@ -294,9 +294,7 @@ class BatchScheduler:
         ]
         if expired:
             for request in expired:
-                request.future.set_exception(
-                    DeadlineExceededError("request deadline expired in queue")
-                )
+                request.error = DeadlineExceededError("request deadline expired in queue")
             batch = [request for request in batch if request not in expired]
             if not batch:
                 return
@@ -335,12 +333,10 @@ class BatchScheduler:
                 # The answer exists but arrived late; a deadline is a
                 # *promise* ("zero requests outlive their deadline"), so the
                 # caller gets 504, not a stale success.
-                request.future.set_exception(
-                    DeadlineExceededError("request deadline expired mid-batch")
-                )
+                request.error = DeadlineExceededError("request deadline expired mid-batch")
                 continue
             k_i = min(request.top_k, labels.shape[1])
-            request.future.set_result((labels[row, :k_i], scores[row, :k_i]))
+            request.result = (labels[row, :k_i], scores[row, :k_i])
 
     @staticmethod
     def _fail_misfits(batch: List[_Request], width: Optional[int]) -> List[_Request]:
@@ -357,11 +353,9 @@ class BatchScheduler:
             if request.features.shape[0] == width:
                 fitting.append(request)
             else:
-                request.future.set_exception(
-                    ValueError(
-                        f"features must have {width} columns, "
-                        f"got {request.features.shape[0]}"
-                    )
+                request.error = ValueError(
+                    f"features must have {width} columns, "
+                    f"got {request.features.shape[0]}"
                 )
         return fitting
 

@@ -1,4 +1,4 @@
-"""Serving metrics: per-model counters, latency histograms, batch-size stats.
+"""Serving metrics: per-model counters and latency histograms.
 
 Recording a latency is a handful of in-place updates under a lock, so the
 metrics layer never competes with the inference kernels it is measuring.
@@ -116,7 +116,8 @@ class ModelMetrics:
     in ``errors`` — admission sheds, deadline misses, engine-rejected
     payloads and unexpected 500s alike (the tenant quotas count sheds by
     cause) — and a 504 also in ``deadline_exceeded``.  ``samples`` counts
-    the rows the engine scored (micro-batched rows and 2-D requests).
+    the rows the engine scored (micro-batched rows and 2-D requests), and
+    ``batches`` the micro-batches that scored them.
     Besides the end-to-end request latency, the model keeps one
     :class:`LatencyHistogram` per pipeline *stage* (``validate``,
     ``queue_wait``, ``batch_execute``) so ``/metrics`` can answer "where
@@ -129,8 +130,8 @@ class ModelMetrics:
         self.samples = 0
         self.errors = 0
         self.deadline_exceeded = 0
+        self.batches = 0
         self.latency = LatencyHistogram()
-        self._batch_sizes: Dict[int, int] = {}
         self._stages: Dict[str, LatencyHistogram] = {}
 
     def record_outcome(
@@ -160,11 +161,10 @@ class ModelMetrics:
             self.samples += int(num_samples)
 
     def record_batch(self, batch_size: int) -> None:
-        """Record one coalesced micro-batch: its size and the rows it scored."""
-        batch_size = int(batch_size)
+        """Record one coalesced micro-batch and the rows it scored."""
         with self._lock:
-            self._batch_sizes[batch_size] = self._batch_sizes.get(batch_size, 0) + 1
-            self.samples += batch_size
+            self.batches += 1
+            self.samples += int(batch_size)
 
     def record_stage(self, stage: str, seconds: float) -> None:
         """Record one *stage* timing (histogram created on first use).
@@ -180,11 +180,6 @@ class ModelMetrics:
                 histogram = self._stages[stage] = LatencyHistogram()
         histogram.record(seconds)
 
-    @property
-    def batch_size_distribution(self) -> Dict[int, int]:
-        with self._lock:
-            return dict(sorted(self._batch_sizes.items()))
-
     def snapshot(self) -> Dict[str, object]:
         # All counters are read in one critical section so a concurrent
         # record_batch can never yield a snapshot where e.g. ``samples``
@@ -194,7 +189,7 @@ class ModelMetrics:
             samples = self.samples
             errors = self.errors
             deadline_exceeded = self.deadline_exceeded
-            batches = sum(self._batch_sizes.values())
+            batches = self.batches
             stages = dict(self._stages)
         return {
             "requests": requests,

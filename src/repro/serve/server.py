@@ -6,6 +6,13 @@ connection, which is all the concurrency the micro-batcher needs — the
 concurrent ``POST /v1/predict`` requests into one engine call, which one of
 their handler threads runs while the others wait.
 
+The handler owns its request loop: :meth:`_Handler.handle_one_request` reads
+the request line and header fields itself and keeps only what the routes
+read (method, path, version, ``Content-Length``, ``Connection`` and
+``Expect``), with the stdlib's limits, keep-alive rules and error answers;
+the stdlib's email-based header parser never runs.  Every routed answer is
+one write: status line, header fields and body in one ``sendall``.
+
 Routes
 ------
 ``GET  /v1/healthz``  liveness + model count;
@@ -42,10 +49,13 @@ import contextlib
 import json
 import logging
 import math
+import re
 import signal
 import sys
 import threading
 import time
+from http import HTTPStatus
+from http.client import _MAXHEADERS, _MAXLINE
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
@@ -74,6 +84,30 @@ _DEFAULT_CODES = {
     503: "unavailable",
     504: "deadline_exceeded",
 }
+
+#: The request header fields the routes read, by lower-case name; every
+#: other field is read off the socket and dropped.
+_KEPT_FIELDS = (b"content-length", b"connection", b"expect")
+#: A header field's name and its colon, as the email parser behind the
+#: stdlib's header read matches them: a line that is neither a field nor a
+#: continuation ends the fields.
+_FIELD_NAME = re.compile(rb"[\x21-\x39\x3b-\x7e]*:")
+
+
+def _version_number(version: str) -> Optional[Tuple[int, int]]:
+    """``HTTP/major.minor`` as ``(major, minor)``; ``None`` for a version the
+    stdlib refuses (RFC 2145: one dot, digits only, at most ten each).
+
+    ``isdecimal`` where the stdlib has ``isdigit``: a digit that ``int``
+    cannot read, such as ``"²"``, fails the check instead of raising, and is
+    refused either way.
+    """
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(part.isdecimal() and len(part) <= 10 for part in parts):
+        return None
+    return int(parts[0]), int(parts[1])
 
 
 def _is_positive_finite(value) -> bool:
@@ -490,19 +524,181 @@ class ServeApp:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP requests to the :class:`ServeApp` on ``self.server.app``."""
+    """Routes HTTP requests to the :class:`ServeApp` on ``self.server.app``.
+
+    ``headers`` holds the fields in :data:`_KEPT_FIELDS` only, by lower-case
+    name (the first of each wins, as ``email.message.Message.get`` has it).
+    """
 
     protocol_version = "HTTP/1.1"
-    #: TCP_NODELAY: ``send_response`` flushes the headers and the body
-    #: follows as a second small segment; with Nagle on, that segment waits
-    #: for the client's delayed ACK (~40 ms per keep-alive response).
+    #: TCP_NODELAY: a routed answer is one write, but ``send_error`` (the
+    #: stdlib's answers to malformed requests) still writes the header and
+    #: the body apart, and an ``Expect: 100-continue`` request gets its
+    #: ``100`` and its answer apart; with Nagle on, the second small segment
+    #: waits for the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
     #: Maximum accepted request body (guards against unbounded reads).
     max_body_bytes = 64 * 1024 * 1024
+    #: ``(second, Date field)`` of the connection's last answer: the field
+    #: is formatted at most once a second.
+    _date = (0, "")
 
     @property
     def app(self) -> ServeApp:
         return self.server.app  # type: ignore[attr-defined]
+
+    # ------------------------------------------------------------ request loop
+    def handle_one_request(self) -> None:
+        """Read one request and answer it through its ``do_<METHOD>``.
+
+        Replaces the stdlib's loop, whose ``parse_request`` reads the header
+        fields with the email parser; :meth:`_read_request` reads only what
+        the routes use.  GET and POST share this one loop.
+        """
+        try:
+            if not self._read_request():
+                return
+            method = getattr(self, "do_" + self.command, None)
+            if method is None:
+                self.send_error(
+                    HTTPStatus.NOT_IMPLEMENTED,
+                    f"Unsupported method ({self.command!r})",
+                )
+                return
+            method()
+        except TimeoutError as error:
+            # A read or a write timed out (TCP gave up on the peer): drop the
+            # connection, as the stdlib loop does.
+            self.log_error("Request timed out: %r", error)
+            self.close_connection = True
+
+    def _read_request(self) -> bool:
+        """Read the request line and header fields; whether to dispatch.
+
+        Sets what ``send_error`` and the log read (``raw_requestline``,
+        ``requestline``, ``request_version``, ``command``, ``path`` and
+        ``headers``) and ``close_connection``, and answers malformed requests
+        as the stdlib's ``parse_request`` does, within its limits: 414 for a
+        request line over 64 KiB; 400 for a line it cannot read, a bad
+        version, or a version-less (HTTP/0.9) request other than GET; 505
+        from HTTP/2.0 on; 431 for a header line over 64 KiB, or for more
+        than 100 lines counting the blank one.  An answer sent before the
+        version is read is the body alone, as an HTTP/0.9 answer is.
+        HTTP/1.1 keeps the connection open; HTTP/1.0 closes it unless it
+        sends ``Connection: keep-alive``; ``Connection: close`` closes either.
+        """
+        self.command = None
+        self.path = ""
+        self.headers = {}
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.raw_requestline = self.rfile.readline(_MAXLINE + 1)
+        if len(self.raw_requestline) > _MAXLINE:
+            self.requestline = self.request_version = self.command = ""
+            self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+            return False
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})"
+                )
+                return False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})",
+                )
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})"
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})"
+                )
+                return False
+        self.command = command
+        # As the stdlib: '//' would read as a scheme-relative URL.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        if not self._read_fields():
+            return False
+        connection = self.headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _read_fields(self) -> bool:
+        """Read the header fields up to the blank line into ``headers``.
+
+        Keeps the first value of each field in :data:`_KEPT_FIELDS`, read as
+        the email parser reads it: leading blanks stripped, continuation
+        lines appended, line ends stripped.  As there, a line that is not a
+        field ends the fields (the lines after it are still read).
+        """
+        kept: Dict[bytes, bytes] = {}
+        extending = None  # the kept field a continuation line extends
+        ended = False
+        lines = 0
+        while True:
+            line = self.rfile.readline(_MAXLINE + 1)
+            if len(line) > _MAXLINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {_MAXLINE} bytes when reading header line",
+                )
+                return False
+            lines += 1
+            if lines > _MAXHEADERS:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {_MAXHEADERS} headers",
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if line[0] in b" \t":
+                if extending is not None:
+                    kept[extending] += line
+                continue
+            extending = None
+            if ended or line.startswith(b"From "):  # an mbox envelope line
+                continue
+            match = _FIELD_NAME.match(line)
+            if match is None:
+                ended = True
+                continue
+            name = line[: match.end() - 1].lower()
+            if name in _KEPT_FIELDS and name not in kept:
+                kept[name] = line[match.end() :].lstrip(b" \t")
+                extending = name
+        self.headers = {
+            name.decode("ascii"): value.decode("iso-8859-1").rstrip("\r\n")
+            for name, value in kept.items()
+        }
+        return True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # Stdlib diagnostics (malformed request lines, broken pipes) used to
@@ -625,7 +821,7 @@ class _Handler(BaseHTTPRequestHandler):
     # ---------------------------------------------------------------- helpers
     def _read_json(self) -> dict:
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            length = int(self.headers.get("content-length", 0))
         except ValueError:
             raise RequestError(400, "Content-Length must be an integer")
         if length <= 0:
@@ -658,19 +854,32 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str,
         retry_after: Optional[int] = None,
     ) -> int:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(int(retry_after)))
+        """Answer with *body* in one write (one ``sendall``): the status
+        line and header fields the stdlib's ``send_response`` would send,
+        then the body.  An HTTP/0.9 request gets the body alone."""
         if status >= 400:
             # The request body may not have been (fully) read on error paths;
             # on a keep-alive connection the leftover bytes would be parsed as
             # the next request line, so drop the connection instead.
-            self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)
+            return status
+        now = int(time.time())
+        if self._date[0] != now:
+            self._date = (now, self.date_time_string(now))
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self._date[1]}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if retry_after is not None:
+            head += f"Retry-After: {int(retry_after)}\r\n"
+        if status >= 400:
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
         return status
 
 

@@ -313,8 +313,16 @@ class TestTenantFlags:
             ),
             (["x/a.npz", "y/b.npz"], [("a", "x/a.npz"), ("b", "y/b.npz")]),
             (["a=x/m.npz", "y/m.npz"], [("a", "x/m.npz"), ("m", "y/m.npz")]),
+            (["runs/lr=0.1/m.npz"], [("m", "runs/lr=0.1/m.npz")]),
+            (["a=runs/lr=0.1/m.npz"], [("a", "runs/lr=0.1/m.npz")]),
         ],
-        ids=["names-share-a-file-stem", "bare-paths", "name-beside-bare-path"],
+        ids=[
+            "names-share-a-file-stem",
+            "bare-paths",
+            "name-beside-bare-path",
+            "bare-path-with-an-equals-sign",
+            "name-and-path-with-an-equals-sign",
+        ],
     )
     def test_serve_registers_each_distinct_name_once(
         self, monkeypatch, capsys, specs, registered

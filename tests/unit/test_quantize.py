@@ -1,5 +1,6 @@
 """Unit tests for repro.hdc.quantize."""
 
+import re
 import warnings
 
 import numpy as np
@@ -79,6 +80,33 @@ class TestUniformQuantizer:
             warnings.simplefilter("error")
             levels = quantizer.transform(np.array([[value, 1.0]]))
         np.testing.assert_array_equal(levels, [[0, 15]])
+
+    @pytest.mark.parametrize(
+        "train, named",
+        [
+            ([[-1e308], [1e308]], "[0]"),
+            (
+                [[0.0, -1e308, 1.0, -np.finfo(np.float64).max],
+                 [1.0, 1e308, 2.0, np.finfo(np.float64).max]],
+                "[1, 3]",
+            ),
+        ],
+        ids=["one-feature", "two-of-four"],
+    )
+    def test_a_span_past_the_float64_maximum_is_refused(self, train, named):
+        # max - min overflows to inf, the range of a constant feature, which
+        # would put -1e308, 0 and 1e308 all at level 0.
+        quantizer = UniformQuantizer(16)
+        with pytest.raises(ValueError, match=re.escape(f"features {named} span")):
+            quantizer.fit(np.array(train))
+        with pytest.raises(RuntimeError):
+            quantizer.transform(np.zeros((1, len(train[0]))))
+
+    def test_a_span_of_the_float64_maximum_is_fitted(self):
+        top = np.finfo(np.float64).max
+        quantizer = UniformQuantizer(16).fit(np.array([[0.0], [top]]))
+        levels = quantizer.transform(np.array([[0.0], [top / 2], [top]]))
+        np.testing.assert_array_equal(levels[:, 0], [0, 8, 15])
 
     def test_scale_is_its_formula_bit_for_bit(self):
         # The encoder's thermometer bits read these coordinates directly, so

@@ -269,7 +269,8 @@ class TestRequestAccounting:
             for client in clients:
                 client.join(timeout=30)
         model = self._model(app)
-        assert app.metrics.for_model("m").batch_size_distribution == {1: 1, 2: 1}
+        # The held batch of one, then the two queued behind it in one batch.
+        assert model["batches"] == 2
         assert (model["requests"], model["latency"]["count"]) == (3, 3)
         assert model["samples"] == 3
 

@@ -151,6 +151,36 @@ class TestCallerRuns:
         assert scored_on == [threading.get_ident()]
         assert labels[0] == engine.predict(small_problem["test_features"][:1])[0]
 
+    def test_only_a_caller_that_queues_builds_a_condition(
+        self, engine, small_problem, monkeypatch
+    ):
+        # A caller that leads at once reads its answer from its own request;
+        # only one that queues waits, on a Condition over the scheduler's lock.
+        rows = small_problem["test_features"][:3]
+        gated = _GatedEngine(engine)
+        with BatchScheduler(gated, max_batch_size=4) as scheduler:
+            built = []
+            condition = threading.Condition
+
+            def recording(lock=None):
+                if lock is scheduler._lock:
+                    built.append(threading.current_thread().name)
+                return condition(lock)
+
+            monkeypatch.setattr(threading, "Condition", recording)
+            gated.release.set()
+            for row in rows:
+                scheduler.top_k(row, k=1)
+            assert built == []
+            gated.release.clear()
+            blocker = _hold_first_batch(scheduler, gated, rows[0])
+            queued = _call(scheduler, rows[1], name="queued")
+            _wait_for_queue(scheduler, 1)
+            gated.release.set()
+            blocker.result(timeout=10)
+            queued.result(timeout=10)
+        assert built == ["queued"]
+
     def test_the_oldest_queued_caller_leads_the_next_batch(
         self, engine, small_problem
     ):
@@ -245,11 +275,11 @@ class TestCoalescing:
             blocker.result(timeout=10)
         np.testing.assert_array_equal(got, expected)
         assert gated.batch_sizes[:2] == [1, 4]
-        distribution = metrics.batch_size_distribution
-        assert sum(size * count for size, count in distribution.items()) == 41
+        assert sum(gated.batch_sizes) == 41
         # The scheduler counts batches and the rows they scored; requests
         # are counted once each by their caller, never per batch here.
         snapshot = metrics.snapshot()
+        assert snapshot["batches"] == len(gated.batch_sizes)
         assert (snapshot["samples"], snapshot["requests"]) == (41, 0)
 
 
@@ -399,11 +429,11 @@ class TestLifecycleAndErrors:
         self, engine, small_problem
     ):
         class FailSecondBatch(ModelMetrics):
-            batches = 0
+            calls = 0
 
             def record_batch(self, size):
-                self.batches += 1
-                if self.batches == 2:
+                self.calls += 1
+                if self.calls == 2:
                     raise OSError("disk full")
                 super().record_batch(size)
 
@@ -550,7 +580,7 @@ class TestDeadlines:
                     timeout=10,
                 )
         assert gated.batch_sizes == []
-        assert metrics.batch_size_distribution == {}
+        assert metrics.batches == 0
 
     def test_deadline_passing_mid_batch_fails_only_that_request(
         self, engine, small_problem

@@ -194,13 +194,12 @@ class TestModelMetrics:
         assert set(exemplars[0]) == {"trace_id", "value", "timestamp"}
         assert snapshot["batches"] == 0
 
-    def test_batch_size_distribution(self):
+    def test_record_batch_counts_batches_and_their_rows(self):
         metrics = ModelMetrics()
         for size in (1, 8, 8, 16):
             metrics.record_batch(size)
         snapshot = metrics.snapshot()
-        assert snapshot["batches"] == 4
-        assert metrics.batch_size_distribution == {1: 1, 8: 2, 16: 1}
+        assert snapshot["batches"] == metrics.batches == 4
         # A batch's rows are scored samples; it answers no request itself.
         assert snapshot["samples"] == 1 + 8 + 8 + 16
         assert snapshot["requests"] == 0
