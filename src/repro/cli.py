@@ -124,15 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--max-batch-size", type=int, default=64)
     serve.add_argument(
-        "--max-resident",
-        type=int,
-        default=4,
-        help=(
-            "LRU cap on loaded model engines; the least-recently-used one "
-            "is dropped and reloaded from its file on next use"
-        ),
-    )
-    serve.add_argument(
         "--tenant-rps",
         type=float,
         default=None,
@@ -354,9 +345,8 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
         return 1
     # NAME=PATH syntax; a bare PATH takes the file stem as its name.  A NAME
     # holds no '/', so a spec whose text before its first '=' does is a bare
-    # PATH with '=' in a directory name (runs/lr=0.1/m.npz).  No route takes
-    # a registry version, so a name given twice would leave its first model
-    # loaded and unreachable: refuse it before loading any.
+    # PATH with '=' in a directory name (runs/lr=0.1/m.npz).  Each name serves
+    # one model: a name given twice is refused before any model loads.
     paths = {}
     for spec in args.model:
         name, _, path = spec.partition("=")
@@ -371,7 +361,7 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
             )
             return 1
         paths[name] = path
-    registry = ModelRegistry(max_resident=args.max_resident)
+    registry = ModelRegistry()
     for name, path in paths.items():
         try:
             registry.register(name, path)

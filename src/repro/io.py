@@ -21,9 +21,11 @@ tie-break; up to the random resolution of ``sgn(0)`` ties otherwise).
 
 from __future__ import annotations
 
+import contextlib
 import json
+import zipfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -80,6 +82,28 @@ def _verify_metadata(metadata: dict, path: Path) -> None:
             f"model {path} records unknown encoder kind {encoder_kind!r}; "
             f"expected one of {_ENCODER_KINDS}"
         )
+
+
+@contextlib.contextmanager
+def _open_archive(path: Path) -> Iterator[np.lib.npyio.NpzFile]:
+    """The saved model at *path*, open for reading its arrays.
+
+    A file that is not a readable ``.npz`` archive (empty, truncated, a
+    single ``.npy`` array), or an archive without an array the model needs,
+    raises ``ValueError`` naming *path*; a file that cannot be opened stays
+    an ``OSError``.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (EOFError, zipfile.BadZipFile) as error:
+        raise ValueError(f"model {path}: not a readable .npz archive ({error})") from error
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"model {path}: a single array, not an .npz archive")
+    with archive:
+        try:
+            yield archive
+        except KeyError as error:  # an array the archive does not hold
+            raise ValueError(f"model {path}: {error.args[0]}") from error
 
 
 def _read_verified_metadata(archive, path: Path) -> dict:
@@ -220,7 +244,7 @@ def load_model(path: Union[str, Path]) -> HDCPipeline:
     feature vectors; its classifier is inference-only.
     """
     path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
+    with _open_archive(path) as archive:
         metadata = _read_verified_metadata(archive, path)
         class_hypervectors = archive["class_hypervectors"]
         position_vectors = archive["position_vectors"]
@@ -257,11 +281,11 @@ def read_model_metadata(path: Union[str, Path]) -> dict:
 
     Cheap (the only arrays decompressed are the metadata entry and, for a
     record model, the ``(L, D)`` level memory it checks is nested), used by
-    the serving registry to validate and list models and by tooling that
-    inspects artefacts.
+    the serving engine to carry a file's metadata into its model listing and
+    by tooling that inspects artefacts.
     """
     path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
+    with _open_archive(path) as archive:
         return _read_verified_metadata(archive, path)
 
 

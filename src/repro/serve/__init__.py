@@ -12,8 +12,8 @@ serving stack:
 * :mod:`repro.serve.batching` — :class:`BatchScheduler` coalesces concurrent
   single-sample requests into NumPy micro-batches, run on their callers'
   threads;
-* :mod:`repro.serve.registry` — :class:`ModelRegistry` versions, hot-swaps and
-  LRU-caches resident engines;
+* :mod:`repro.serve.registry` — :class:`ModelRegistry` holds one compiled
+  engine per model name, every one loaded before the server starts;
 * :mod:`repro.serve.metrics` — per-model request counters and latency
   histograms;
 * :mod:`repro.serve.server` — a stdlib-only JSON-over-HTTP front-end

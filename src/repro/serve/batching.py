@@ -18,9 +18,6 @@ thread and never waits on a timer:
 One batch runs at a time, so coalescing grows with load, and a queued request
 runs in the first batch started after it queued unless ``max_batch_size``
 requests are ahead of it.
-
-The engine may be passed directly or as a zero-argument callable resolved per
-batch — the latter is how the server stays correct across registry hot-swaps.
 """
 
 from __future__ import annotations
@@ -28,15 +25,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple, Union
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.trace import SpanContext, Tracer
 from repro.serve.engine import PackedInferenceEngine
 from repro.serve.metrics import ModelMetrics
-
-EngineSource = Union[PackedInferenceEngine, Callable[[], PackedInferenceEngine]]
 
 # A request's place in the hand-off.  Every change is made under the
 # scheduler's lock, and each change a waiting caller acts on wakes it.
@@ -103,8 +98,7 @@ class BatchScheduler:
     Parameters
     ----------
     engine:
-        A :class:`PackedInferenceEngine`, or a zero-argument callable
-        returning one (resolved once per batch; enables hot-swapping).
+        The :class:`PackedInferenceEngine` that scores every batch.
     max_batch_size:
         Upper bound on samples per coalesced batch.
     metrics:
@@ -123,14 +117,14 @@ class BatchScheduler:
 
     def __init__(
         self,
-        engine: EngineSource,
+        engine: PackedInferenceEngine,
         max_batch_size: int = 64,
         metrics: Optional[ModelMetrics] = None,
         tracer: Optional[Tracer] = None,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        self._resolve_engine = engine if callable(engine) else (lambda: engine)
+        self._engine = engine
         self.max_batch_size = int(max_batch_size)
         self._metrics = metrics
         self._tracer = tracer if tracer is not None else Tracer()
@@ -298,8 +292,7 @@ class BatchScheduler:
             batch = [request for request in batch if request not in expired]
             if not batch:
                 return
-        engine = self._resolve_engine()
-        batch = self._fail_misfits(batch, getattr(engine, "num_features", None))
+        batch = self._fail_misfits(batch, getattr(self._engine, "num_features", None))
         if not batch:
             return
         # The batch span nests under the first traced request it scores, so
@@ -320,9 +313,9 @@ class BatchScheduler:
         k = max(request.top_k for request in batch)
         if span is not None:
             with span:
-                labels, scores = engine.top_k(features, k=k)
+                labels, scores = self._engine.top_k(features, k=k)
         else:
-            labels, scores = engine.top_k(features, k=k)
+            labels, scores = self._engine.top_k(features, k=k)
         elapsed = time.perf_counter() - started
         if self._metrics is not None:
             self._metrics.record_batch(len(batch))

@@ -61,10 +61,11 @@ class PackedInferenceEngine:
         A fitted pipeline (trained in-process or loaded via
         :func:`repro.io.load_model`).
     name:
-        Display name used in registry listings and metrics.
+        Display name reported by :meth:`info`.
     metadata:
         Optional JSON-serialisable dictionary carried through to
-        :meth:`info` (the registry stores the saved-model metadata here).
+        :meth:`info`: a saved model's metadata, which the registry's
+        listing reads.
     """
 
     def __init__(
@@ -219,7 +220,8 @@ class PackedInferenceEngine:
         return self._packed_classes.storage_bytes if self._packed_classes else 0
 
     def info(self) -> dict:
-        """JSON-ready description used by ``GET /v1/models``."""
+        """JSON-ready description of the compiled engine: its mode, shape and
+        the bytes it keeps resident (perfbench reads ``table_bytes``)."""
         return {
             "name": self.name,
             "mode": self.mode,

@@ -19,7 +19,8 @@ Routes
 ``GET  /v1/readyz``   readiness — 200 while accepting work, 503 once a drain
                       (SIGTERM) has begun, so load balancers stop routing
                       here before in-flight batches finish;
-``GET  /v1/models``   registry listing (every registered version);
+``GET  /v1/models``   one row per model: name, path, strategy, dimension,
+                      class count and ensemble size;
 ``GET  /metrics``     per-model counters, latency histograms, queue depths
                       and tenant admission counters in Prometheus text
                       exposition;
@@ -152,9 +153,8 @@ class RequestError(Exception):
 class ServeApp:
     """The serving application: registry + metrics + per-model schedulers.
 
-    Everything runs in one process: batches execute on the registry's
-    engines, and the registry's LRU (``max_resident``) is the one cap on
-    how many models stay loaded.
+    Everything runs in one process, on the engines the registry compiled
+    before serving: every registered model stays loaded.
 
     Parameters
     ----------
@@ -467,12 +467,13 @@ class ServeApp:
 
     # ------------------------------------------------------------- schedulers
     def scheduler_for(self, name: str) -> BatchScheduler:
-        """The (lazily created) micro-batch scheduler for model *name*."""
+        """The (lazily created) micro-batch scheduler for model *name*, on
+        the engine :meth:`engine_for` gives when it is built."""
         with self._lock:
             scheduler = self._schedulers.get(name)
             if scheduler is None:
                 scheduler = BatchScheduler(
-                    lambda: self.engine_for(name),
+                    self.engine_for(name),
                     max_batch_size=self.max_batch_size,
                     metrics=self.metrics.for_model(name),
                     tracer=self.tracer,
@@ -481,7 +482,7 @@ class ServeApp:
             return scheduler
 
     def engine_for(self, name: str):
-        """The batch executor for *name*: the registry's promoted engine."""
+        """The engine that scores *name*'s rows: the registry's."""
         return self.registry.get(name)
 
     # ------------------------------------------------------------------- drain
@@ -586,6 +587,9 @@ class _Handler(BaseHTTPRequestHandler):
         version is read is the body alone, as an HTTP/0.9 answer is.
         HTTP/1.1 keeps the connection open; HTTP/1.0 closes it unless it
         sends ``Connection: keep-alive``; ``Connection: close`` closes either.
+        An HTTP/0.9 request, named or version-less, always closes: its
+        answer has no status line or length, so the close is where it ends
+        (the stdlib keeps it open on ``Connection: keep-alive``).
         """
         self.command = None
         self.path = ""
@@ -639,7 +643,7 @@ class _Handler(BaseHTTPRequestHandler):
         connection = self.headers.get("connection", "").lower()
         if connection == "close":
             self.close_connection = True
-        elif connection == "keep-alive":
+        elif connection == "keep-alive" and self.request_version != "HTTP/0.9":
             self.close_connection = False
         if (
             self.headers.get("expect", "").lower() == "100-continue"
@@ -829,6 +833,11 @@ class _Handler(BaseHTTPRequestHandler):
         if length > self.max_body_bytes:
             raise RequestError(413, "request body too large")
         body = self.rfile.read(length)
+        if len(body) < length:
+            # The stream ended (a half-close) before the whole body arrived.
+            raise RequestError(
+                400, f"request body ended after {len(body)} of {length} bytes"
+            )
         try:
             return json.loads(body)
         except ValueError as error:
@@ -970,8 +979,7 @@ def run_server(
     bound_host, bound_port = server.server_address[:2]
     print(f"repro.serve listening on http://{bound_host}:{bound_port}")
     for row in app.registry.list_models():
-        marker = "*" if row["default"] else " "
-        print(f"  {marker} {row['name']} v{row['version']} ({row['strategy']})")
+        print(f"  {row['name']} ({row['strategy']})")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -1,11 +1,11 @@
-"""Multi-tenant serving in one process: residency paging, admission, degradation.
+"""Multi-tenant serving in one process: answers, admission, degradation.
 
 These tests drive :class:`ServeApp` in-process the way the HTTP layer would,
 with several model names ("tenants") backed by saved files, and assert the
-fleet behaviours end to end: the registry's LRU (``max_resident``) pages
-engines in and out without changing answers, per-tenant admission sheds with
-typed 429s, and overload or a drain only ever fails requests with typed
-statuses.
+fleet behaviours end to end: every tenant, each loaded once at start, answers
+bit-identically to the offline engine, sequentially and from concurrent
+threads; per-tenant admission sheds with typed 429s; and overload or a drain
+only ever fails requests with typed statuses.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.classifiers.baseline import BaselineHDC
@@ -34,33 +33,26 @@ def _fit(small_problem, seed):
 
 
 @pytest.fixture(scope="module")
-def fleet_paths(small_problem, tmp_path_factory):
-    """Two different saved models: every tenant serves ``v1`` unless a test
-    hot-swaps it to ``v2``."""
-    directory = tmp_path_factory.mktemp("fleet")
-    return {
-        version: save_model(
-            directory / f"{version}.npz", _fit(small_problem, seed), strategy_name="baseline"
-        )
-        for version, seed in (("v1", 5), ("v2", 6))
-    }
+def fleet_path(small_problem, tmp_path_factory):
+    """The saved model every tenant serves."""
+    return save_model(
+        tmp_path_factory.mktemp("fleet") / "model.npz",
+        _fit(small_problem, 5),
+        strategy_name="baseline",
+    )
 
 
 @pytest.fixture(scope="module")
-def fleet_engine(fleet_paths):
+def fleet_engine(fleet_path):
     """The offline reference every served answer is compared against."""
-    return PackedInferenceEngine.from_file(fleet_paths["v1"], name="reference")
+    return PackedInferenceEngine.from_file(fleet_path, name="reference")
 
 
-def _registry(path, tenants, cap):
-    registry = ModelRegistry(max_resident=cap)
+def _registry(path, tenants):
+    registry = ModelRegistry()
     for name in tenants:
         registry.register(name, path)
     return registry
-
-
-def _resident(registry) -> set:
-    return {row["name"] for row in registry.list_models() if row["resident"]}
 
 
 def _shutdown(app):
@@ -70,32 +62,27 @@ def _shutdown(app):
 
 class TestFleetPaging:
     def test_paging_across_tenants_matches_offline(
-        self, fleet_paths, fleet_engine, small_problem
+        self, fleet_path, fleet_engine, small_problem
     ):
         tenants = [f"t{i}" for i in range(5)]
         queries = small_problem["test_features"][:6]
         expected = fleet_engine.predict(queries).tolist()
-        registry = _registry(fleet_paths["v1"], tenants, cap=2)
-        app = ServeApp(registry)
+        app = ServeApp(_registry(fleet_path, tenants))
         try:
             for _ in range(2):
                 for name in tenants:
                     answer = app.predict({"features": queries.tolist(), "model": name})
                     assert answer["labels"] == expected
-                    resident = _resident(registry)
-                    assert name in resident
-                    assert len(resident) <= 2
         finally:
             _shutdown(app)
 
     def test_concurrent_tenants_all_answer_correctly(
-        self, fleet_paths, fleet_engine, small_problem
+        self, fleet_path, fleet_engine, small_problem
     ):
         tenants = [f"t{i}" for i in range(4)]
         queries = small_problem["test_features"][:4]
         expected = fleet_engine.predict(queries).tolist()
-        registry = _registry(fleet_paths["v1"], tenants, cap=2)
-        app = ServeApp(registry)
+        app = ServeApp(_registry(fleet_path, tenants))
         failures = []
 
         def hammer(name):
@@ -124,178 +111,9 @@ class TestFleetPaging:
             for thread in threads:
                 thread.join()
             assert failures == []
-            assert len(_resident(registry)) <= 2
         finally:
             _shutdown(app)
 
-
-class TestResidencyCap:
-    """``ModelRegistry(max_resident=)`` is the one residency cap."""
-
-    def test_cap_evicts_the_least_recently_used_model(
-        self, fleet_paths, fleet_engine, small_problem
-    ):
-        queries = small_problem["test_features"][:4]
-        expected = fleet_engine.predict(queries).tolist()
-        registry = _registry(fleet_paths["v1"], ["a", "b", "c"], cap=2)
-        app = ServeApp(registry)
-        try:
-            for name in ("a", "b"):
-                app.predict({"features": queries.tolist(), "model": name})
-            # Touching "a" makes "b" the least recently used model.
-            app.predict({"features": queries.tolist(), "model": "a"})
-            answer = app.predict({"features": queries.tolist(), "model": "c"})
-            assert answer["labels"] == expected
-            assert _resident(registry) == {"a", "c"}
-        finally:
-            _shutdown(app)
-
-    @pytest.mark.parametrize("cap", [0, -2])
-    def test_cap_must_be_positive(self, cap):
-        with pytest.raises(ValueError, match="max_resident"):
-            ModelRegistry(max_resident=cap)
-
-    def test_evicted_tenant_reloads_bit_identical(
-        self, fleet_paths, fleet_engine, small_problem
-    ):
-        queries = small_problem["test_features"][:6]
-        expected_labels, expected_scores = fleet_engine.top_k(queries, k=2)
-        registry = _registry(fleet_paths["v1"], ["a", "b"], cap=1)
-        app = ServeApp(registry)
-        try:
-            for name in ("a", "b", "a", "b"):
-                answer = app.predict(
-                    {"features": queries.tolist(), "model": name, "top_k": 2}
-                )
-                assert answer["top_k_labels"] == expected_labels.tolist()
-                assert answer["top_k_scores"] == expected_scores.astype(float).tolist()
-                assert _resident(registry) == {name}
-        finally:
-            _shutdown(app)
-
-    @pytest.mark.parametrize("cap", [1, 2, 3])
-    def test_zipf_stream_never_exceeds_the_cap(
-        self, fleet_paths, fleet_engine, small_problem, cap
-    ):
-        tenants = [f"t{i}" for i in range(5)]
-        queries = small_problem["test_features"][:3]
-        expected = fleet_engine.predict(queries).tolist()
-        weights = 1.0 / np.arange(1, len(tenants) + 1) ** 1.1
-        stream = np.random.default_rng(cap).choice(
-            len(tenants), size=24, p=weights / weights.sum()
-        )
-        registry = _registry(fleet_paths["v1"], tenants, cap=cap)
-        app = ServeApp(registry)
-        try:
-            for index in stream:
-                answer = app.predict(
-                    {"features": queries.tolist(), "model": tenants[index]}
-                )
-                assert answer["labels"] == expected
-                resident = _resident(registry)
-                assert tenants[index] in resident
-                assert len(resident) <= cap
-        finally:
-            _shutdown(app)
-
-    def test_generous_cap_keeps_every_model(
-        self, fleet_paths, small_problem
-    ):
-        tenants = ["a", "b", "c"]
-        queries = small_problem["test_features"][:2]
-        registry = _registry(fleet_paths["v1"], tenants, cap=8)
-        app = ServeApp(registry)
-        try:
-            for _ in range(2):
-                for name in tenants:
-                    app.predict({"features": queries.tolist(), "model": name})
-            assert _resident(registry) == set(tenants)
-        finally:
-            _shutdown(app)
-
-    def test_in_memory_tenants_sit_outside_the_cap(
-        self, fleet_paths, fleet_engine, small_problem
-    ):
-        queries = small_problem["test_features"][:4]
-        expected = fleet_engine.predict(queries).tolist()
-        registry = _registry(fleet_paths["v1"], ["a", "b"], cap=1)
-        registry.register("pinned", fleet_engine)
-        app = ServeApp(registry)
-        try:
-            for name in ("a", "pinned", "b", "pinned", "a"):
-                answer = app.predict({"features": queries.tolist(), "model": name})
-                assert answer["labels"] == expected
-                resident = _resident(registry)
-                assert "pinned" in resident
-                assert len(resident - {"pinned"}) == 1
-        finally:
-            _shutdown(app)
-
-    def test_hot_swap_serves_the_promoted_version(self, fleet_paths, small_problem):
-        queries = small_problem["test_features"][:4]
-        engines = {
-            version: PackedInferenceEngine.from_file(path)
-            for version, path in fleet_paths.items()
-        }
-        expected = {
-            version: engine.top_k(queries, k=2)[1].astype(float).tolist()
-            for version, engine in engines.items()
-        }
-        assert expected["v1"] != expected["v2"]
-        registry = _registry(fleet_paths["v1"], ["a"], cap=1)
-        app = ServeApp(registry)
-        payload = {"features": queries.tolist(), "model": "a", "top_k": 2}
-        try:
-            assert app.predict(payload)["top_k_scores"] == expected["v1"]
-            registry.register("a", fleet_paths["v2"])  # promotes version 2
-            assert app.predict(payload)["top_k_scores"] == expected["v2"]
-            registry.promote("a", 1)
-            assert app.predict(payload)["top_k_scores"] == expected["v1"]
-        finally:
-            _shutdown(app)
-
-
-    def test_hot_swaps_under_load_never_fail_or_mix_versions(
-        self, fleet_paths, small_problem
-    ):
-        queries = small_problem["test_features"][:3]
-        answers_by_version = {
-            version: PackedInferenceEngine.from_file(path)
-            .top_k(queries, k=2)[1]
-            .astype(float)
-            .tolist()
-            for version, path in fleet_paths.items()
-        }
-        registry = _registry(fleet_paths["v1"], ["a"], cap=2)
-        registry.register("a", fleet_paths["v2"], promote=False)
-        app = ServeApp(registry)
-        payload = {"features": queries.tolist(), "model": "a", "top_k": 2}
-        seen, errors = [], []
-        stop = threading.Event()
-
-        def client():
-            while not stop.is_set():
-                try:
-                    seen.append(app.predict(payload)["top_k_scores"])
-                except Exception as error:  # pragma: no cover - failure path
-                    errors.append(repr(error))
-
-        threads = [threading.Thread(target=client) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        try:
-            for swap in range(20):
-                registry.promote("a", 2 if swap % 2 == 0 else 1)
-                time.sleep(0.005)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=30)
-            _shutdown(app)
-        assert errors == []
-        assert seen
-        # Each answer is wholly one version's: a batch never straddles a swap.
-        assert all(answer in answers_by_version.values() for answer in seen)
 
 class TestTenantAdmission:
     def test_rate_limited_tenant_sheds_typed_429(self, fleet_engine, small_problem):
@@ -420,41 +238,6 @@ class TestDegradation:
             "tenant_quota_exceeded",
             "deadline_exceeded",
         }
-
-    def test_eviction_churn_is_bit_identical(
-        self, fleet_paths, fleet_engine, small_problem
-    ):
-        tenants = ["a", "b", "c"]
-        queries = small_problem["test_features"][:5]
-        expected = fleet_engine.predict(queries).tolist()
-        registry = _registry(fleet_paths["v1"], tenants, cap=1)
-        app = ServeApp(registry)
-        answers = {name: [] for name in tenants}
-        errors = []
-
-        def client(name):
-            try:
-                for _ in range(5):
-                    answers[name].append(
-                        app.predict({"features": queries.tolist(), "model": name})[
-                            "labels"
-                        ]
-                    )
-            except Exception as error:  # pragma: no cover - failure path
-                errors.append(repr(error))
-
-        try:
-            threads = [threading.Thread(target=client, args=(name,)) for name in tenants]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            _shutdown(app)
-        assert errors == []
-        for name in tenants:
-            assert answers[name] == [expected] * 5
-        assert len(_resident(registry)) == 1
 
     def test_drain_under_load_answers_or_refuses_with_503(
         self, fleet_engine, small_problem

@@ -8,7 +8,12 @@ An answer without a status line (the stdlib answers HTTP/0.9, and request
 lines it cannot read a version from, with the body alone) is recorded as
 ``"no status line"``.  The table pins the server's behaviour on the stdlib's
 own request parser, so a request loop that replaces it must give every
-case the same transcript.
+case the same transcript.  Three cases depart from the stdlib on purpose:
+an HTTP/0.9 GET with ``Connection: keep-alive``, version-less or naming
+``HTTP/0.9``, is closed after its answer (the stdlib holds it open, though
+a body with no status line or length ends only at the close), and a body
+cut short of its ``Content-Length`` by a half-close is refused with 400
+(the stdlib-era server answered the part that arrived).
 """
 
 import json
@@ -109,6 +114,16 @@ _CASES = {
     "http-2.0": (b"GET /v1/healthz HTTP/2.0\r\n", ([_NO_STATUS_LINE], "closed")),
     "version-less-get": (b"GET /v1/healthz\r\n\r\n", ([_NO_STATUS_LINE], "closed")),
     "version-less-post": (b"POST /v1/predict\r\n", ([_NO_STATUS_LINE], "closed")),
+    # The stdlib keeps these connections open, yet an HTTP/0.9 answer has no
+    # status line or length: only the close tells the client where it ends.
+    "version-less-get-keep-alive": (
+        b"GET /v1/healthz\r\nConnection: keep-alive\r\n\r\n",
+        ([_NO_STATUS_LINE], "closed"),
+    ),
+    "http-0.9-get-keep-alive": (
+        b"GET /v1/healthz HTTP/0.9\r\nConnection: keep-alive\r\n\r\n",
+        ([_NO_STATUS_LINE], "closed"),
+    ),
     "empty-request-line": (b"\r\n", ([], "closed")),
     "put": (_raw("PUT /v1/predict HTTP/1.1", "Host: t"), (["501"], "closed")),
     "70000-byte-request-line": (
@@ -205,7 +220,8 @@ def test_edge_case_transcript(port, case):
 
 
 def test_body_shorter_than_its_content_length_then_a_half_close(port):
-    # The body read stops at the end of the stream: the JSON that did
-    # arrive is answered, and the next request line reads as the close.
+    # The body read stops at the end of the stream, short of its length: the
+    # request is incomplete, so it is refused, even though the part that
+    # arrived is valid JSON.
     request = _raw(_PREDICT, "Host: t", f"Content-Length: {len(_BODY) + 10}", body=_BODY)
-    assert _transcript(port, request, 1, half_close=True) == (["200"], "closed")
+    assert _transcript(port, request, 1, half_close=True) == (["400"], "closed")

@@ -7,10 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.classifiers.baseline import BaselineHDC
+from repro.classifiers.pipeline import HDCPipeline
 from repro.cli import build_parser, main
+from repro.hdc.encoders import RecordEncoder
+from repro.io import save_model
 
 
 def _retired(command, flag, *values):
@@ -46,7 +51,7 @@ class TestParser:
             "train",
         ]
 
-    def test_serve_keeps_its_thirteen_flags(self):
+    def test_serve_keeps_its_twelve_flags(self):
         serve = _subparsers()["serve"]
         flags = {
             option
@@ -55,10 +60,9 @@ class TestParser:
             if option not in ("-h", "--help")
         }
         assert flags == {
-            "--model", "--host", "--port", "--max-batch-size", "--max-resident",
-            "--tenant-rps", "--tenant-burst", "--tenant-max-concurrent",
-            "--tenant-quotas", "--deadline-ms", "--log-level", "--trace",
-            "--trace-sample",
+            "--model", "--host", "--port", "--max-batch-size", "--tenant-rps",
+            "--tenant-burst", "--tenant-max-concurrent", "--tenant-quotas",
+            "--deadline-ms", "--log-level", "--trace", "--trace-sample",
         }
 
     def test_trace_summary_exemplars_flag(self):
@@ -76,12 +80,6 @@ class TestParser:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--strategy", "svm"])
-
-    def test_serve_residency_flag(self):
-        args = build_parser().parse_args(
-            ["serve", "--model", "m.npz", "--max-resident", "2"]
-        )
-        assert args.max_resident == 2
 
     @pytest.mark.parametrize(
         "argv, retired",
@@ -109,15 +107,17 @@ class TestParser:
             _retired("serve", "max-concurrent", "2"),
             _retired("serve", "verbose"),
             _retired("serve", "slo-config", "slo.json"),
+            _retired("serve", "max-resident", "2"),
             pytest.param(["loadgen", "--quick"], "loadgen", id="loadgen"),
             pytest.param(["top", "--once"], "top", id="top"),
         ],
     )
     def test_retired_flags_and_commands_are_rejected(self, argv, retired, capsys):
         # Serving runs in one process with tenant quotas as its one admission
-        # limit, no prediction cache and no SLO engine, the kernels have one
-        # NumPy executor, and perfbench is the only benchmark and the only
-        # load client: a stale script fails at parse time.
+        # limit, every model loaded at start, no prediction cache and no SLO
+        # engine, the kernels have one NumPy executor, and perfbench is the
+        # only benchmark and the only load client: a stale script fails at
+        # parse time.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
@@ -372,6 +372,61 @@ def _trace_spans():
                  "name": stage, "ts": 0.0, "dur_ms": dur_ms, "attrs": {}}
             )
     return spans
+
+
+@pytest.fixture(scope="module")
+def saved_model(small_problem, tmp_path_factory):
+    encoder = RecordEncoder(dimension=256, num_levels=8, tie_break="positive", seed=0)
+    pipeline = HDCPipeline(encoder, BaselineHDC(seed=0))
+    pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
+    return save_model(tmp_path_factory.mktemp("cli") / "model.npz", pipeline)
+
+
+class TestServeModelFiles:
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "missing",
+            "empty",
+            "plain-text",
+            "truncated",
+            "no-class-hypervectors",
+            "single-array",
+        ],
+    )
+    def test_a_model_that_cannot_load_is_one_error_line(
+        self, saved_model, tmp_path, capsys, monkeypatch, kind
+    ):
+        # Every model loads before the server starts, so a file that is not
+        # a model stops `repro serve` with one line, not a traceback and not
+        # a server that answers every predict 500.
+        import repro.serve.server as server
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model that cannot load reached the server")
+
+        monkeypatch.setattr(server, "run_server", refuse)
+        path = tmp_path / "m.npz"
+        if kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "plain-text":
+            path.write_text("not a model\n")
+        elif kind == "truncated":
+            path.write_bytes(saved_model.read_bytes()[:200])
+        elif kind == "no-class-hypervectors":
+            with np.load(saved_model) as archive:
+                arrays = {
+                    key: archive[key]
+                    for key in archive.files
+                    if key != "class_hypervectors"
+                }
+            np.savez_compressed(path, **arrays)
+        elif kind == "single-array":
+            with open(path, "wb") as handle:
+                np.save(handle, np.zeros(3))
+        assert main(["serve", "--model", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot load model {str(path)!r}: ")
 
 
 class TestTraceSummary:

@@ -431,11 +431,24 @@ class TestReadiness:
         app.predict({"features": [row], "model": "b"})  # direct engine path
         assert app.metrics_snapshot()["schedulers"] == {"a": {"queue_depth": 0}}
 
-    def test_models_route_lists_every_version(self, make_app, engine):
-        app = make_app()
-        app.registry.register("m", engine)
+    def test_models_route_lists_one_row_per_name(self, make_app):
+        app = make_app(names=("b", "a"))
         rows = app.models()["models"]
-        assert [(row["name"], row["version"], row["default"]) for row in rows] == [
-            ("m", 1, False),
-            ("m", 2, True),
-        ]
+        assert [row["name"] for row in rows] == ["a", "b"]
+        assert all(
+            set(row)
+            == {"name", "path", "strategy", "dimension", "num_classes", "models_per_class"}
+            for row in rows
+        )
+
+
+def test_each_model_resolves_its_engine_once_for_its_single_rows(make_app, row):
+    # A model's scheduler takes its engine when it is built, not per batch.
+    app = make_app(names=("a", "b"))
+    resolved = []
+    resolve = app.engine_for
+    app.engine_for = lambda name: resolved.append(name) or resolve(name)
+    for _ in range(20):
+        for name in ("a", "b"):
+            app.predict({"features": row, "model": name})
+    assert sorted(resolved) == ["a", "b"]
