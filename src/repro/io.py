@@ -46,6 +46,16 @@ ENSEMBLE_FORMAT_VERSION = 2
 SUPPORTED_FORMAT_VERSIONS = (FORMAT_VERSION, ENSEMBLE_FORMAT_VERSION)
 
 _ENCODER_KINDS = ("record", "ngram")
+#: The metadata fields :func:`load_model` reads to rebuild a model (an n-gram
+#: model also needs ``ngram``).
+_REQUIRED_FIELDS = (
+    "dimension",
+    "num_levels",
+    "num_features",
+    "quantizer_kind",
+    "tie_break",
+    "num_classes",
+)
 
 
 def _package_version() -> str:
@@ -58,9 +68,12 @@ def _verify_metadata(metadata: dict, path: Path) -> None:
     """Validate a loaded metadata block, raising descriptive errors.
 
     Earlier revisions of this module silently accepted archives written by any
-    package version and deferred encoder-kind mistakes to an opaque
-    ``KeyError`` deep in reconstruction; both are now checked up front.
+    package version and deferred encoder-kind mistakes and missing fields to
+    an opaque ``KeyError`` deep in reconstruction; all are now checked up
+    front.
     """
+    if not isinstance(metadata, dict):
+        raise ValueError(f"model {path}: metadata is not a JSON object")
     if metadata.get("format_version") not in SUPPORTED_FORMAT_VERSIONS:
         raise ValueError(
             f"unsupported model format version {metadata.get('format_version')!r} "
@@ -82,14 +95,18 @@ def _verify_metadata(metadata: dict, path: Path) -> None:
             f"model {path} records unknown encoder kind {encoder_kind!r}; "
             f"expected one of {_ENCODER_KINDS}"
         )
+    required = _REQUIRED_FIELDS + (("ngram",) if encoder_kind == "ngram" else ())
+    missing = [field for field in required if field not in metadata]
+    if missing:
+        raise ValueError(f"model {path}: metadata lacks {', '.join(missing)}")
 
 
 @contextlib.contextmanager
 def _open_archive(path: Path) -> Iterator[np.lib.npyio.NpzFile]:
     """The saved model at *path*, open for reading its arrays.
 
-    A file that is not a readable ``.npz`` archive (empty, truncated, a
-    single ``.npy`` array), or an archive without an array the model needs,
+    A file that is not a readable ``.npz`` archive (empty, truncated, text,
+    a single ``.npy`` array), or an archive without an array the model needs,
     raises ``ValueError`` naming *path*; a file that cannot be opened stays
     an ``OSError``.
     """
@@ -97,6 +114,8 @@ def _open_archive(path: Path) -> Iterator[np.lib.npyio.NpzFile]:
         archive = np.load(path, allow_pickle=False)
     except (EOFError, zipfile.BadZipFile) as error:
         raise ValueError(f"model {path}: not a readable .npz archive ({error})") from error
+    except ValueError as error:  # NumPy's message offers to unpickle the file
+        raise ValueError(f"model {path}: not an .npz archive") from error
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise ValueError(f"model {path}: a single array, not an .npz archive")
     with archive:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.datasets.registry import get_dataset
 from repro.hdc.encoders import RecordEncoder
-from repro.io import save_model
+from repro.io import load_model, save_model
 from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp
 from repro.serve.server import RequestError
 from repro.serve.tenancy import TenantQuotas
@@ -58,6 +59,19 @@ def _registry(path, tenants):
 def _shutdown(app):
     app.begin_drain()
     app.drain(grace_seconds=10.0)
+
+
+def _count_loads(monkeypatch):
+    """The names ``PackedInferenceEngine.from_file`` loads from now on, in order."""
+    loads = []
+    load = PackedInferenceEngine.from_file
+
+    def counting(cls, path, name=None, **kwargs):
+        loads.append(name)
+        return load(path, name=name, **kwargs)
+
+    monkeypatch.setattr(PackedInferenceEngine, "from_file", classmethod(counting))
+    return loads
 
 
 class TestFleetPaging:
@@ -111,6 +125,90 @@ class TestFleetPaging:
             for thread in threads:
                 thread.join()
             assert failures == []
+        finally:
+            _shutdown(app)
+
+
+class TestFixedFleet:
+    """Every tenant is loaded once, when it is registered, and stays loaded."""
+
+    def test_more_than_four_models_all_stay_loaded(
+        self, fleet_path, fleet_engine, small_problem, monkeypatch
+    ):
+        loads = _count_loads(monkeypatch)
+        tenants = [f"t{i}" for i in range(6)]
+        registry = _registry(fleet_path, tenants)
+        assert loads == tenants
+        engines = {name: registry.get(name) for name in tenants}
+        queries = small_problem["test_features"][:4]
+        expected = fleet_engine.predict(queries).tolist()
+        app = ServeApp(registry)
+        try:
+            for _ in range(3):
+                for name in tenants:
+                    answer = app.predict({"features": queries.tolist(), "model": name})
+                    assert answer["labels"] == expected
+                    row = app.predict({"features": queries[0].tolist(), "model": name})
+                    assert row["labels"] == expected[:1]
+        finally:
+            _shutdown(app)
+        assert loads == tenants
+        assert all(registry.get(name) is engines[name] for name in tenants)
+
+    def test_zipf_stream_is_answered_without_a_load(
+        self, fleet_path, fleet_engine, small_problem, monkeypatch
+    ):
+        tenants = [f"t{i}" for i in range(5)]
+        registry = _registry(fleet_path, tenants)
+        loads = _count_loads(monkeypatch)
+        queries = small_problem["test_features"][:3]
+        expected_labels, expected_scores = fleet_engine.top_k(queries, k=2)
+        weights = 1.0 / np.arange(1, len(tenants) + 1) ** 1.1
+        stream = np.random.default_rng(0).choice(
+            len(tenants), size=30, p=weights / weights.sum()
+        )
+        app = ServeApp(registry)
+        try:
+            for step, index in enumerate(stream):
+                # Alternate client batches with single rows, which queue.
+                rows = queries if step % 2 else queries[step % 3]
+                answer = app.predict(
+                    {"features": rows.tolist(), "model": tenants[index], "top_k": 2}
+                )
+                want = slice(None) if step % 2 else slice(step % 3, step % 3 + 1)
+                assert answer["top_k_labels"] == expected_labels[want].tolist()
+                assert (
+                    answer["top_k_scores"]
+                    == expected_scores[want].astype(float).tolist()
+                )
+        finally:
+            _shutdown(app)
+        assert loads == []
+
+    def test_file_engine_and_pipeline_tenants_answer_alike(
+        self, fleet_path, fleet_engine, small_problem
+    ):
+        registry = ModelRegistry()
+        registry.register("file", fleet_path)
+        registry.register("engine", fleet_engine)
+        registry.register("pipeline", load_model(fleet_path))
+        paths = {row["name"]: row["path"] for row in registry.list_models()}
+        assert paths == {"engine": None, "file": str(fleet_path), "pipeline": None}
+        queries = small_problem["test_features"][:5]
+        expected_labels, expected_scores = fleet_engine.top_k(queries, k=2)
+        app = ServeApp(registry)
+        try:
+            for name in ("file", "engine", "pipeline"):
+                answer = app.predict(
+                    {"features": queries.tolist(), "model": name, "top_k": 2}
+                )
+                assert answer["top_k_labels"] == expected_labels.tolist()
+                assert answer["top_k_scores"] == expected_scores.astype(float).tolist()
+                labels = [
+                    app.predict({"features": row.tolist(), "model": name})["labels"][0]
+                    for row in queries
+                ]
+                assert labels == expected_labels[:, 0].tolist()
         finally:
             _shutdown(app)
 

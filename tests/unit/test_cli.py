@@ -392,6 +392,7 @@ class TestServeModelFiles:
             "truncated",
             "no-class-hypervectors",
             "single-array",
+            "no-num-levels",
         ],
     )
     def test_a_model_that_cannot_load_is_one_error_line(
@@ -424,9 +425,37 @@ class TestServeModelFiles:
         elif kind == "single-array":
             with open(path, "wb") as handle:
                 np.save(handle, np.zeros(3))
+        elif kind == "no-num-levels":
+            with np.load(saved_model) as archive:
+                arrays = {key: archive[key] for key in archive.files}
+            metadata = json.loads(arrays["metadata_json"].tobytes())
+            del metadata["num_levels"]
+            arrays["metadata_json"] = np.frombuffer(
+                json.dumps(metadata).encode(), dtype=np.uint8
+            )
+            np.savez_compressed(path, **arrays)
         assert main(["serve", "--model", str(path)]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: cannot load model {str(path)!r}: ")
+        assert "pickle" not in line
+
+    def test_one_model_that_cannot_load_stops_the_whole_set(
+        self, saved_model, tmp_path, capsys, monkeypatch
+    ):
+        # Models load in the order given: a bad file after a good one still
+        # stops `repro serve` before it listens, with one line naming it.
+        import repro.serve.server as server
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model that cannot load reached the server")
+
+        monkeypatch.setattr(server, "run_server", refuse)
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(saved_model.read_bytes()[:200])
+        argv = ["serve", "--model", f"a={saved_model}", "--model", f"b={bad}"]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot load model {str(bad)!r}: ")
 
 
 class TestTraceSummary:

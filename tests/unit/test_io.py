@@ -82,7 +82,7 @@ class TestSaveLoadRoundtrip:
         assert reloaded.classifier.num_classes_ == small_problem["num_classes"]
 
 
-def _rewrite_metadata(path, destination, **updates):
+def _rewrite_metadata(path, destination, drop=(), **updates):
     """Copy a saved model, mutating its metadata block."""
     import json
 
@@ -90,6 +90,8 @@ def _rewrite_metadata(path, destination, **updates):
         arrays = {key: archive[key] for key in archive.files}
     metadata = json.loads(bytes(arrays["metadata_json"].tobytes()).decode("utf-8"))
     metadata.update(updates)
+    for key in drop:
+        del metadata[key]
     arrays["metadata_json"] = np.frombuffer(
         json.dumps(metadata).encode("utf-8"), dtype=np.uint8
     )
@@ -151,12 +153,61 @@ class TestMetadataVerification:
         with pytest.raises(ValueError, match="fourier"):
             load_model(bad)
 
+    @pytest.mark.parametrize(
+        "encoder_kind, field",
+        [
+            ("record", "dimension"),
+            ("record", "num_levels"),
+            ("record", "num_features"),
+            ("record", "quantizer_kind"),
+            ("record", "tie_break"),
+            ("record", "num_classes"),
+            ("ngram", "ngram"),
+        ],
+    )
+    def test_missing_field_rejected(self, small_problem, tmp_path, encoder_kind, field):
+        # Every field the loader reads is checked with the archive open, so
+        # a file without one is a ValueError naming it, not a KeyError from
+        # rebuilding the encoder.
+        encoder = None
+        if encoder_kind == "ngram":
+            encoder = NGramEncoder(
+                dimension=256, num_levels=8, ngram=3, tie_break="positive", seed=2
+            )
+        pipeline = make_fitted_pipeline(small_problem, encoder=encoder)
+        path = save_model(tmp_path / "m.npz", pipeline)
+        bad = _rewrite_metadata(path, tmp_path / "bad.npz", drop=[field])
+        with pytest.raises(ValueError, match=f"bad.npz: metadata lacks {field}"):
+            load_model(bad)
+        with pytest.raises(ValueError, match=f"bad.npz: metadata lacks {field}"):
+            read_model_metadata(bad)
+
+    def test_metadata_must_be_a_json_object(self, small_problem, tmp_path):
+        path = save_model(tmp_path / "m.npz", make_fitted_pipeline(small_problem))
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        arrays["metadata_json"] = np.frombuffer(b"[1, 2]", dtype=np.uint8)
+        bad = tmp_path / "bad.npz"
+        np.savez_compressed(bad, **arrays)
+        with pytest.raises(ValueError, match="bad.npz: metadata is not a JSON object"):
+            load_model(bad)
+
 
 class TestSaveLoadErrors:
     def test_save_unfitted_rejected(self, tmp_path):
         pipeline = HDCPipeline(RecordEncoder(dimension=128, seed=0), BaselineHDC(seed=0))
         with pytest.raises(ValueError):
             save_model(tmp_path / "x.npz", pipeline)
+
+    def test_a_text_file_is_not_an_archive(self, tmp_path):
+        # NumPy's own error for a file that is neither a zip nor an .npy
+        # array offers to unpickle it; a loader that refused it must not.
+        path = tmp_path / "notes.npz"
+        path.write_text("not a model\n")
+        for read in (load_model, read_model_metadata):
+            with pytest.raises(ValueError, match="notes.npz: not an .npz archive") as info:
+                read(path)
+            assert "pickle" not in str(info.value)
 
     def test_loaded_model_is_inference_only(self, small_problem, tmp_path):
         pipeline = make_fitted_pipeline(small_problem)

@@ -1,8 +1,11 @@
 """Unit tests for repro.serve.registry (a fixed set of engines, loaded at start)."""
 
+import threading
+
 import pytest
 
 from repro.classifiers.baseline import BaselineHDC
+from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.classifiers.retraining import RetrainingHDC
 from repro.hdc.encoders import RecordEncoder
@@ -47,6 +50,24 @@ class TestRegisterAndResolve:
         registry.register("inmem", pipeline)
         assert registry.get("inmem").predict(small_problem["test_features"]) is not None
 
+    def test_register_keeps_an_engine_as_given(self, saved_models):
+        engine = PackedInferenceEngine.from_file(saved_models["baseline"], name="x")
+        registry = ModelRegistry()
+        registry.register("served", engine)
+        assert registry.get("served") is engine
+        (row,) = registry.list_models()
+        assert row["path"] is None
+        assert row["strategy"] == "baseline"  # the engine's own file metadata
+
+    def test_names_are_sorted_and_membership_follows_them(self, saved_models):
+        registry = ModelRegistry()
+        for name in ("zeta", "alpha", "mid"):
+            registry.register(name, saved_models["baseline"])
+        assert registry.names() == ["alpha", "mid", "zeta"]
+        assert "mid" in registry
+        assert "other" not in registry
+        assert [row["name"] for row in registry.list_models()] == registry.names()
+
     def test_repeated_name_rejected(self, saved_models):
         registry = ModelRegistry()
         registry.register("m", saved_models["baseline"])
@@ -82,6 +103,65 @@ class TestRegisterAndResolve:
             "num_classes": registry.get("m").num_classes,
             "models_per_class": None,
         }
+
+    def test_list_models_for_a_pipeline(self, small_problem):
+        # A fitted pipeline has no file: the row comes from its engine.
+        encoder = RecordEncoder(dimension=256, num_levels=8, tie_break="positive", seed=0)
+        pipeline = HDCPipeline(encoder, BaselineHDC(seed=0))
+        pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
+        registry = ModelRegistry()
+        registry.register("inmem", pipeline)
+        assert registry.list_models() == [
+            {
+                "name": "inmem",
+                "path": None,
+                "strategy": None,
+                "dimension": 256,
+                "num_classes": small_problem["num_classes"],
+                "models_per_class": None,
+            }
+        ]
+
+    def test_list_models_shows_an_ensembles_models_per_class(
+        self, small_problem, tmp_path
+    ):
+        encoder = RecordEncoder(dimension=256, num_levels=8, tie_break="positive", seed=0)
+        pipeline = HDCPipeline(
+            encoder, MultiModelHDC(models_per_class=4, iterations=1, seed=0)
+        )
+        pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
+        path = save_model(tmp_path / "ensemble.npz", pipeline, strategy_name="multimodel")
+        registry = ModelRegistry()
+        registry.register("ens", path)
+        (row,) = registry.list_models()
+        assert row["strategy"] == "multimodel"
+        assert row["models_per_class"] == 4
+
+
+def test_concurrent_gets_return_the_registered_engines(saved_models):
+    # Handler threads read the map at once, with no lock: it is filled
+    # before the server starts and never written after that.
+    registry = ModelRegistry()
+    names = ["a", "b", "c"]
+    for name in names:
+        registry.register(name, saved_models["baseline"])
+    engines = {name: registry.get(name) for name in names}
+    assert len({id(engine) for engine in engines.values()}) == len(names)
+    failures = []
+
+    def client(offset):
+        for step in range(300):
+            name = names[(offset + step) % len(names)]
+            if registry.get(name) is not engines[name]:
+                failures.append(name)
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 def test_each_path_loads_once_inside_register(saved_models, small_problem, monkeypatch):
