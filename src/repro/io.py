@@ -25,7 +25,7 @@ import contextlib
 import json
 import zipfile
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -262,7 +262,12 @@ def load_model(path: Union[str, Path]) -> HDCPipeline:
     Returns an :class:`HDCPipeline` ready for ``predict``/``score`` on raw
     feature vectors; its classifier is inference-only.
     """
-    path = Path(path)
+    return _load(Path(path))[0]
+
+
+def _load(path: Path) -> Tuple[HDCPipeline, dict]:
+    """The pipeline saved at *path* and its verified metadata, read from one
+    open archive (the serving engine carries both)."""
     with _open_archive(path) as archive:
         metadata = _read_verified_metadata(archive, path)
         class_hypervectors = archive["class_hypervectors"]
@@ -292,16 +297,15 @@ def load_model(path: Union[str, Path]) -> HDCPipeline:
 
     pipeline = HDCPipeline(encoder, classifier)
     pipeline._fitted = True
-    return pipeline
+    return pipeline, metadata
 
 
 def read_model_metadata(path: Union[str, Path]) -> dict:
     """Read and verify the metadata block of a saved model without loading it.
 
     Cheap (the only arrays decompressed are the metadata entry and, for a
-    record model, the ``(L, D)`` level memory it checks is nested), used by
-    the serving engine to carry a file's metadata into its model listing and
-    by tooling that inspects artefacts.
+    record model, the ``(L, D)`` level memory it checks is nested), for
+    tooling that inspects artefacts.
     """
     path = Path(path)
     with _open_archive(path) as archive:

@@ -117,12 +117,12 @@ class PackedInferenceEngine:
     def from_file(
         cls, path: Union[str, Path], name: Optional[str] = None, **kwargs
     ) -> "PackedInferenceEngine":
-        """Load a model saved with :func:`repro.io.save_model` and compile it."""
-        from repro.io import load_model, read_model_metadata
+        """Load a model saved with :func:`repro.io.save_model` and compile it;
+        the archive is opened once, for its arrays and its metadata."""
+        from repro.io import _load
 
         path = Path(path)
-        metadata = read_model_metadata(path)
-        pipeline = load_model(path)
+        pipeline, metadata = _load(path)
         return cls(
             pipeline,
             name=name or path.stem,

@@ -1,17 +1,26 @@
 """Stdlib-only JSON-over-HTTP serving front-end.
 
-No web framework: ``http.server.ThreadingHTTPServer`` gives one thread per
-connection, which is all the concurrency the micro-batcher needs — the
-:class:`~repro.serve.batching.BatchScheduler` coalesces the samples of
-concurrent ``POST /v1/predict`` requests into one engine call, which one of
-their handler threads runs while the others wait.
+No web framework and no thread per connection: one :mod:`selectors` loop
+serves every connection on the thread that calls ``serve_forever``.  It
+accepts without blocking, reads each ready connection into that
+connection's own buffer, answers every complete request there, in order,
+and sends the answers without blocking.  Python runs one handler at a time
+anyway (the GIL), so threads would buy no parallelism, only hand-offs.  A
+single-row predict is scored through its model's
+:class:`~repro.serve.batching.BatchScheduler`, as a lone caller.  A
+connection that receives no byte, and drains none of its answer, for
+:data:`_IDLE_TIMEOUT_S` is closed without an answer.
 
-The handler owns its request loop: :meth:`_Handler.handle_one_request` reads
-the request line and header fields itself and keeps only what the routes
-read (method, path, version, ``Content-Length``, ``Connection`` and
+:class:`_Handler` parses and answers one request at a time, reading from
+and writing to its connection's buffers: :meth:`_Handler.handle_one_request`
+reads the request line and header fields itself and keeps only what the
+routes read (method, path, version, ``Content-Length``, ``Connection`` and
 ``Expect``), with the stdlib's limits, keep-alive rules and error answers;
-the stdlib's email-based header parser never runs.  Every routed answer is
-one write: status line, header fields and body in one ``sendall``.
+the stdlib's email-based header parser never runs.  A request whose bytes
+have not all arrived is parsed again from its start once more arrive, so
+its limits (414, 431, 413) and its ``100 Continue`` apply as soon as the
+bytes that decide them are in.  Every routed answer is one write: status
+line, header fields and body in one ``send``.
 
 Routes
 ------
@@ -46,18 +55,22 @@ Example::
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import logging
 import math
 import re
+import selectors
 import signal
+import socket
 import sys
 import threading
 import time
+import traceback
 from http import HTTPStatus
 from http.client import _MAXHEADERS, _MAXLINE
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -93,6 +106,38 @@ _KEPT_FIELDS = (b"content-length", b"connection", b"expect")
 #: stdlib's header read matches them: a line that is neither a field nor a
 #: continuation ends the fields.
 _FIELD_NAME = re.compile(rb"[\x21-\x39\x3b-\x7e]*:")
+
+
+#: Listen backlog.  The stdlib default of 5 overflows under a burst of
+#: connects, and each dropped SYN costs the client a ~1 s retransmit.
+_BACKLOG = 128
+#: The most bytes one ``recv`` takes from a connection.
+_RECV_BYTES = 64 * 1024
+#: Unsent answer bytes past which the loop reads and answers no more of a
+#: connection's requests until the client reads: a client that pipelines
+#: and never reads cannot grow the server's memory without bound.
+_MAX_UNSENT = 1024 * 1024
+#: Seconds a connection may go without receiving a byte or draining a byte
+#: of its answer, idle or in the middle of a request, before the loop closes
+#: it without an answer.
+_IDLE_TIMEOUT_S = 60.0
+
+
+def _content_length(value: str) -> int:
+    """A ``Content-Length`` field's value as a byte count.
+
+    RFC 9110 §8.6 allows ASCII digits only, so a sign, an underscore or any
+    other digit ``int`` would read is refused (a proxy that frames the
+    request differently is how request smuggling starts).  Blanks around
+    the value, including a folded line's, are allowed.
+    """
+    digits = value.strip(" \t\r\n")
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(digits)
+    except ValueError:  # more digits than ``int`` reads from a string
+        pass
+    raise RequestError(400, "Content-Length must be an integer")
 
 
 def _version_number(version: str) -> Optional[Tuple[int, int]]:
@@ -527,22 +572,27 @@ class ServeApp:
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP requests to the :class:`ServeApp` on ``self.server.app``.
 
+    One per connection, made by the loop, which owns the socket: ``rfile``
+    and ``wfile`` are the connection's buffers (:class:`_Connection`), and
+    the stdlib's ``setup``, ``handle`` and ``finish`` never run.
+
     ``headers`` holds the fields in :data:`_KEPT_FIELDS` only, by lower-case
     name (the first of each wins, as ``email.message.Message.get`` has it).
     """
 
     protocol_version = "HTTP/1.1"
-    #: TCP_NODELAY: a routed answer is one write, but ``send_error`` (the
-    #: stdlib's answers to malformed requests) still writes the header and
-    #: the body apart, and an ``Expect: 100-continue`` request gets its
-    #: ``100`` and its answer apart; with Nagle on, the second small segment
-    #: waits for the client's delayed ACK (~40 ms).
-    disable_nagle_algorithm = True
     #: Maximum accepted request body (guards against unbounded reads).
     max_body_bytes = 64 * 1024 * 1024
     #: ``(second, Date field)`` of the connection's last answer: the field
     #: is formatted at most once a second.
     _date = (0, "")
+    #: Whether this request's ``100 Continue`` has been written.
+    _continued = False
+
+    def __init__(self, connection: "_Connection", client_address, server):
+        self.rfile = self.wfile = connection
+        self.client_address = client_address
+        self.server = server
 
     @property
     def app(self) -> ServeApp:
@@ -556,22 +606,16 @@ class _Handler(BaseHTTPRequestHandler):
         fields with the email parser; :meth:`_read_request` reads only what
         the routes use.  GET and POST share this one loop.
         """
-        try:
-            if not self._read_request():
-                return
-            method = getattr(self, "do_" + self.command, None)
-            if method is None:
-                self.send_error(
-                    HTTPStatus.NOT_IMPLEMENTED,
-                    f"Unsupported method ({self.command!r})",
-                )
-                return
-            method()
-        except TimeoutError as error:
-            # A read or a write timed out (TCP gave up on the peer): drop the
-            # connection, as the stdlib loop does.
-            self.log_error("Request timed out: %r", error)
-            self.close_connection = True
+        if not self._read_request():
+            return
+        method = getattr(self, "do_" + self.command, None)
+        if method is None:
+            self.send_error(
+                HTTPStatus.NOT_IMPLEMENTED,
+                f"Unsupported method ({self.command!r})",
+            )
+            return
+        method()
 
     def _read_request(self) -> bool:
         """Read the request line and header fields; whether to dispatch.
@@ -650,6 +694,14 @@ class _Handler(BaseHTTPRequestHandler):
             and self.request_version >= "HTTP/1.1"
         ):
             return self.handle_expect_100()
+        return True
+
+    def handle_expect_100(self) -> bool:
+        """Write ``100 Continue`` once per request: the loop parses a request
+        again from its start when its body arrives after its head."""
+        if not self._continued:
+            self._continued = True
+            super().handle_expect_100()
         return True
 
     def _read_fields(self) -> bool:
@@ -775,7 +827,7 @@ class _Handler(BaseHTTPRequestHandler):
                     404, {"error": f"no route {self.path!r}", "code": "not_found"}
                 )
         except ConnectionError:
-            raise  # the client hung up: _Server.handle_error logs it
+            raise  # the client hung up: the loop logs it
         except Exception:  # pragma: no cover - defensive
             status = self._send_internal_error()
         self._log_access("GET", status, started)
@@ -803,7 +855,7 @@ class _Handler(BaseHTTPRequestHandler):
                 retry_after=error.retry_after,
             )
         except ConnectionError:
-            raise  # the client hung up: _Server.handle_error logs it
+            raise  # the client hung up: the loop logs it
         except Exception:
             # Unexpected failures answer with a fixed JSON body: no stack
             # trace, no exception internals — those go to the access log
@@ -824,10 +876,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ---------------------------------------------------------------- helpers
     def _read_json(self) -> dict:
-        try:
-            length = int(self.headers.get("content-length", 0))
-        except ValueError:
-            raise RequestError(400, "Content-Length must be an integer")
+        length = _content_length(self.headers.get("content-length", "0"))
         if length <= 0:
             raise RequestError(400, "a JSON request body is required")
         if length > self.max_body_bytes:
@@ -863,7 +912,7 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str,
         retry_after: Optional[int] = None,
     ) -> int:
-        """Answer with *body* in one write (one ``sendall``): the status
+        """Answer with *body* in one write (one ``send``): the status
         line and header fields the stdlib's ``send_response`` would send,
         then the body.  An HTTP/0.9 request gets the body alone."""
         if status >= 400:
@@ -892,30 +941,257 @@ class _Handler(BaseHTTPRequestHandler):
         return status
 
 
-class _Server(ThreadingHTTPServer):
-    #: Listen backlog.  The stdlib default of 5 overflows under a burst of
-    #: connects, and each dropped SYN costs the client a ~1 s retransmit.
-    request_queue_size = 128
+class _NeedMore(BaseException):
+    """The bytes a connection has received end inside a request.
 
-    def handle_error(self, request, client_address) -> None:
-        """A client that hangs up is one access-log line, not a traceback.
+    Raised by :class:`_Connection`'s reads; the loop parses the request
+    again from its start once more bytes arrive.  A ``BaseException``, so
+    that ``do_POST``'s catch-all 500 lets it through.
+    """
 
-        The stdlib prints a traceback to stderr for any exception raised
-        while serving a connection; a ``ConnectionError`` (broken pipe,
-        reset) is the client leaving, so it is logged like a request.  Any
-        other exception keeps the stdlib report.
-        """
-        error = sys.exc_info()[1]
-        if not isinstance(error, ConnectionError):
-            super().handle_error(request, client_address)
-            return
-        logger = getattr(self, "access_logger", None)
-        if logger is not None:
-            logger.info(
-                "client=%s disconnected error=%s",
-                client_address[0],
-                type(error).__name__,
+
+class _Connection:
+    """One accepted socket: its handler's ``rfile`` and ``wfile``.
+
+    ``received`` holds the bytes from the start of the request being parsed,
+    and the parse reads them from ``pos`` on.  A read that runs past them
+    raises :class:`_NeedMore`, after noting in ``need`` how many bytes it
+    waits for, unless the peer has closed (``eof``): then it returns what
+    there is, as a socket file's read does.  A write joins ``unsent``, and
+    goes out at once when it answers the last request received.  So the
+    answers to pipelined requests leave in one ``send``, and a client that
+    has gone raises its ``ConnectionError`` in the handler, before the
+    request's access-log line is written, as a socket file's write would.
+    """
+
+    __slots__ = (
+        "sock", "address", "handler", "received", "pos", "need", "eof",
+        "unsent", "closing", "events", "active",
+    )
+
+    def __init__(self, sock: socket.socket, address, server: "_SelectorServer"):
+        self.sock = sock
+        self.address = address
+        self.handler = _Handler(self, address, server)
+        self.received = bytearray()
+        self.pos = 0
+        self.need = 1
+        self.eof = False
+        self.unsent = bytearray()
+        self.closing = False
+        self.events = selectors.EVENT_READ
+        self.active = time.monotonic()
+
+    def readline(self, limit: int) -> bytes:
+        received, pos = self.received, self.pos
+        end = received.find(b"\n", pos, pos + limit) + 1
+        if not end:
+            if len(received) - pos < limit and not self.eof:
+                self.need = len(received) + 1
+                raise _NeedMore
+            end = min(pos + limit, len(received))
+        self.pos = end
+        return bytes(received[pos:end])
+
+    def read(self, size: int) -> bytes:
+        pos = self.pos
+        end = pos + size
+        if end > len(self.received):
+            if not self.eof:
+                self.need = end
+                raise _NeedMore
+            end = len(self.received)
+        self.pos = end
+        return bytes(self.received[pos:end])
+
+    def write(self, data: bytes) -> int:
+        self.unsent += data
+        if self.pos == len(self.received):
+            self.send()
+        return len(data)
+
+    def send(self) -> None:
+        """Send what is unsent with one ``send``, as far as the socket takes it."""
+        if self.unsent:
+            with contextlib.suppress(BlockingIOError):
+                del self.unsent[: self.sock.send(self.unsent)]
+
+
+class _SelectorServer:
+    """The HTTP server: one :mod:`selectors` loop serves every connection.
+
+    :meth:`serve_forever` runs on the thread that calls it, and its
+    connections with it: each wake-up accepts every pending connection,
+    reads each ready one, answers the requests it has received through its
+    :class:`_Handler`, and sends what the socket takes.  A connection that
+    raises a ``ConnectionError`` is one access-log line; any other exception
+    raised while serving one is reported as ``socketserver`` reports it.
+    Either way only that connection closes.
+    """
+
+    def __init__(self, address: Tuple[str, int], app: ServeApp):
+        self.app = app
+        self.access_logger: Optional[logging.Logger] = None
+        self.socket = socket.create_server(address, backlog=_BACKLOG)
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        # shutdown() writes a byte to wake the loop from its select.
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._wake_reader.setblocking(False)
+        self._wake_writer.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._selector.register(self._wake_reader, selectors.EVENT_READ)
+        #: Open connections, least recently active first.
+        self._connections: "collections.OrderedDict[socket.socket, _Connection]" = (
+            collections.OrderedDict()
+        )
+        self._stop = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self) -> None:
+        """Serve until :meth:`shutdown` is called from another thread."""
+        self._stopped.clear()
+        try:
+            while not self._stop:
+                ready = self._selector.select(self._close_idle())
+                now = time.monotonic()
+                for key, events in ready:
+                    if key.data is not None:
+                        self._serve(key.data, events, now)
+                    elif key.fileobj is self.socket:
+                        self._accept()
+                    else:
+                        with contextlib.suppress(BlockingIOError):
+                            self._wake_reader.recv(64)
+        finally:
+            self._stop = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever`; return once it has returned."""
+        self._stop = True
+        with contextlib.suppress(OSError):
+            self._wake_writer.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        """Close the listening socket and every open connection."""
+        for connection in list(self._connections.values()):
+            self._close(connection)
+        self._selector.close()
+        for sock in (self.socket, self._wake_reader, self._wake_writer):
+            sock.close()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, address = self.socket.accept()
+            except OSError:  # none pending (or the next one failed)
+                return
+            try:
+                sock.setblocking(False)
+                # ``send_error`` writes the header and the body apart, and
+                # a ``100 Continue`` goes out before its answer; with Nagle
+                # on, the second small segment waits for the client's
+                # delayed ACK (~40 ms).
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:  # the client has already gone
+                sock.close()
+                continue
+            connection = _Connection(sock, address, self)
+            self._connections[sock] = connection
+            self._selector.register(sock, selectors.EVENT_READ, connection)
+
+    def _serve(self, connection: _Connection, events: int, now: float) -> None:
+        connection.active = now
+        self._connections.move_to_end(connection.sock)
+        try:
+            if events & selectors.EVENT_WRITE:
+                connection.send()
+            if events & selectors.EVENT_READ:
+                with contextlib.suppress(BlockingIOError):
+                    data = connection.sock.recv(_RECV_BYTES)
+                    connection.received += data
+                    connection.eof = not data
+            self._answer(connection)
+        except ConnectionError as error:
+            if self.access_logger is not None:
+                self.access_logger.info(
+                    "client=%s disconnected error=%s",
+                    connection.address[0],
+                    type(error).__name__,
+                )
+            self._close(connection)
+        except Exception:
+            print("-" * 40, file=sys.stderr)
+            print(
+                "Exception occurred during processing of request from",
+                connection.address,
+                file=sys.stderr,
             )
+            traceback.print_exc()
+            print("-" * 40, file=sys.stderr)
+            self._close(connection)
+
+    def _answer(self, connection: _Connection) -> None:
+        """Answer every complete request *connection* has received, in
+        order, while its unsent answers stay under :data:`_MAX_UNSENT`;
+        send them, then wait for what the connection needs next."""
+        handler = connection.handler
+        while not connection.closing and (
+            connection.eof or len(connection.received) >= connection.need
+        ):
+            if len(connection.unsent) > _MAX_UNSENT:
+                connection.send()
+                if len(connection.unsent) > _MAX_UNSENT:
+                    break
+            connection.pos = 0
+            try:
+                handler.handle_one_request()
+            except _NeedMore:
+                break
+            del connection.received[: connection.pos]
+            connection.need = 1
+            connection.closing = handler.close_connection
+            handler._continued = False
+        connection.send()
+        if connection.closing and not connection.unsent:
+            self._close(connection)
+            return
+        events = selectors.EVENT_WRITE if connection.unsent else 0
+        if not (connection.closing or connection.eof) and len(connection.unsent) <= _MAX_UNSENT:
+            events |= selectors.EVENT_READ
+        if events != connection.events:
+            self._selector.modify(connection.sock, events, connection)
+            connection.events = events
+
+    def _close_idle(self) -> float:
+        """Close every connection idle for :data:`_IDLE_TIMEOUT_S`; the
+        seconds until the next one can be."""
+        now = time.monotonic()
+        while self._connections:
+            connection = next(iter(self._connections.values()))
+            idle = now - connection.active
+            if idle < _IDLE_TIMEOUT_S:
+                return _IDLE_TIMEOUT_S - idle
+            if self.access_logger is not None:
+                self.access_logger.info(
+                    "client=%s timed out idle_s=%.1f", connection.address[0], idle
+                )
+            self._close(connection)
+        return _IDLE_TIMEOUT_S
+
+    def _close(self, connection: _Connection) -> None:
+        """Close *connection* as ``socketserver`` closes a request:
+        ``shutdown(SHUT_WR)``, then ``close``, so the peer reads the last
+        answer before the end of the stream."""
+        if self._connections.pop(connection.sock, None) is None:
+            return
+        self._selector.unregister(connection.sock)
+        with contextlib.suppress(OSError):
+            connection.sock.shutdown(socket.SHUT_WR)
+        connection.sock.close()
 
 
 def create_server(
@@ -923,11 +1199,13 @@ def create_server(
     host: str = "127.0.0.1",
     port: int = 8080,
     log_level: Optional[str] = None,
-) -> ThreadingHTTPServer:
+) -> _SelectorServer:
     """Build (but do not start) the HTTP server bound to ``host:port``.
 
     Pass ``port=0`` to bind an ephemeral port (``server.server_address[1]``
-    reports the one chosen) — the integration tests rely on this.
+    reports the one chosen) — the integration tests rely on this.  The
+    server has the stdlib server's ``serve_forever()``, ``shutdown()`` (from
+    another thread) and ``server_close()``.
 
     ``log_level`` (``"debug"`` / ``"info"`` / ``"warning"`` / ...) enables
     the structured access log on the ``repro.serve.access`` logger: one
@@ -935,9 +1213,7 @@ def create_server(
     plus stdlib HTTP diagnostics as warnings.  ``None`` keeps the server
     silent (the default, and what the benchmarks want).
     """
-    server = _Server((host, port), _Handler)
-    server.app = app  # type: ignore[attr-defined]
-    server.access_logger = None  # type: ignore[attr-defined]
+    logger = None
     if log_level is not None:
         level = getattr(logging, str(log_level).upper(), None)
         if not isinstance(level, int):
@@ -950,7 +1226,8 @@ def create_server(
                 logging.Formatter("%(asctime)s %(name)s %(levelname)s %(message)s")
             )
             logger.addHandler(handler)
-        server.access_logger = logger  # type: ignore[attr-defined]
+    server = _SelectorServer((host, port), app)
+    server.access_logger = logger
     return server
 
 

@@ -8,12 +8,15 @@ An answer without a status line (the stdlib answers HTTP/0.9, and request
 lines it cannot read a version from, with the body alone) is recorded as
 ``"no status line"``.  The table pins the server's behaviour on the stdlib's
 own request parser, so a request loop that replaces it must give every
-case the same transcript.  Three cases depart from the stdlib on purpose:
+case the same transcript.  Five cases depart from the stdlib on purpose:
 an HTTP/0.9 GET with ``Connection: keep-alive``, version-less or naming
 ``HTTP/0.9``, is closed after its answer (the stdlib holds it open, though
-a body with no status line or length ends only at the close), and a body
-cut short of its ``Content-Length`` by a half-close is refused with 400
-(the stdlib-era server answered the part that arrived).
+a body with no status line or length ends only at the close); a body cut
+short of its ``Content-Length`` by a half-close is refused with 400 (the
+stdlib-era server answered the part that arrived); and a ``Content-Length``
+with a sign or an underscore is refused with 400 (``int`` read both, but
+RFC 9110 allows digits only, and a proxy that frames the request
+differently is how request smuggling starts).
 """
 
 import json
@@ -77,6 +80,15 @@ _CASES = {
     ),
     "no-content-length": (
         _raw(_PREDICT, "Host: t"),
+        (["400"], "closed"),
+    ),
+    "signed-content-length": (
+        _raw(_PREDICT, "Host: t", f"Content-Length: +{len(_BODY)}", body=_BODY),
+        (["400"], "closed"),
+    ),
+    "underscored-content-length": (
+        _raw(_PREDICT, "Host: t", f"Content-Length: {len(_BODY) // 10}_{len(_BODY) % 10}",
+             body=_BODY),
         (["400"], "closed"),
     ),
     "duplicate-content-length": (

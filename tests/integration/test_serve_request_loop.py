@@ -12,6 +12,7 @@ import email.utils
 import http.client
 import io
 import json
+import socket
 import threading
 import types
 
@@ -168,21 +169,18 @@ def served(small_problem):
 
 @pytest.fixture()
 def writes(monkeypatch):
-    """Every write a handler makes to its connection, from now on."""
+    """The size of every ``send`` the server makes to a connection, from now
+    on (the client here sends with ``sendall``, on this thread)."""
     writes = []
-    setup = _Handler.setup
+    send = socket.socket.send
+    client = threading.current_thread()
 
-    def counting_setup(self):
-        setup(self)
-        write = self.wfile.write
-
-        def counted(data):
+    def counted(self, data, *flags):
+        if threading.current_thread() is not client:
             writes.append(len(data))
-            return write(data)
+        return send(self, data, *flags)
 
-        self.wfile.write = counted
-
-    monkeypatch.setattr(_Handler, "setup", counting_setup)
+    monkeypatch.setattr(socket.socket, "send", counted)
     return writes
 
 

@@ -280,6 +280,24 @@ class TestFromFile:
             pipeline.predict(small_problem["test_features"]),
         )
 
+    def test_the_archive_is_opened_once(self, small_problem, tmp_path, monkeypatch):
+        import repro.io
+        from repro.io import read_model_metadata, save_model
+
+        pipeline = fit_pipeline(small_problem, BaselineHDC(seed=0))
+        path = save_model(tmp_path / "m.npz", pipeline, strategy_name="baseline")
+        opened = []
+        load = np.load
+
+        def counted(*args, **kwargs):
+            opened.append(args[0])
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(repro.io.np, "load", counted)
+        engine = PackedInferenceEngine.from_file(path)
+        assert opened == [path]
+        assert engine.metadata == read_model_metadata(path)
+
 
 class TestPackedExportOnClassifiers:
     def test_packed_class_hypervectors_roundtrip(self, encoded_problem):
