@@ -143,8 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "per-tenant cap on in-flight requests; excess answers 429 "
-            "tenant_quota_exceeded + Retry-After"
+            "per-tenant cap on predicts in flight at once (429 "
+            "tenant_quota_exceeded + Retry-After past it); the server "
+            "answers one request at a time, so over HTTP it never trips"
         ),
     )
     serve.add_argument(

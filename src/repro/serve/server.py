@@ -17,9 +17,11 @@ reads the request line and header fields itself and keeps only what the
 routes read (method, path, version, ``Content-Length``, ``Connection`` and
 ``Expect``), with the stdlib's limits, keep-alive rules and error answers;
 the stdlib's email-based header parser never runs.  A request whose bytes
-have not all arrived is parsed again from its start once more arrive, so
-its limits (414, 431, 413) and its ``100 Continue`` apply as soon as the
-bytes that decide them are in.  Every routed answer is one write: status
+have not all arrived is parsed again from its start once the bytes it
+stopped at are in (the end of a line, a line at its limit, the whole
+body), so its limits (414, 431, 413) and its ``100 Continue`` apply as soon
+as the bytes that decide them arrive, and a head is parsed at most once a
+line however it is split.  Every routed answer is one write: status
 line, header fields and body in one ``send``.
 
 Routes
@@ -712,7 +714,7 @@ class _Handler(BaseHTTPRequestHandler):
         lines appended, line ends stripped.  As there, a line that is not a
         field ends the fields (the lines after it are still read).
         """
-        kept: Dict[bytes, bytes] = {}
+        kept: Dict[bytes, list] = {}  # each field's value, in parts
         extending = None  # the kept field a continuation line extends
         ended = False
         lines = 0
@@ -737,7 +739,7 @@ class _Handler(BaseHTTPRequestHandler):
                 break
             if line[0] in b" \t":
                 if extending is not None:
-                    kept[extending] += line
+                    kept[extending].append(line)
                 continue
             extending = None
             if ended or line.startswith(b"From "):  # an mbox envelope line
@@ -748,11 +750,11 @@ class _Handler(BaseHTTPRequestHandler):
                 continue
             name = line[: match.end() - 1].lower()
             if name in _KEPT_FIELDS and name not in kept:
-                kept[name] = line[match.end() :].lstrip(b" \t")
+                kept[name] = [line[match.end() :].lstrip(b" \t")]
                 extending = name
         self.headers = {
-            name.decode("ascii"): value.decode("iso-8859-1").rstrip("\r\n")
-            for name, value in kept.items()
+            name.decode("ascii"): b"".join(parts).decode("iso-8859-1").rstrip("\r\n")
+            for name, parts in kept.items()
         }
         return True
 
@@ -945,8 +947,8 @@ class _NeedMore(BaseException):
     """The bytes a connection has received end inside a request.
 
     Raised by :class:`_Connection`'s reads; the loop parses the request
-    again from its start once more bytes arrive.  A ``BaseException``, so
-    that ``do_POST``'s catch-all 500 lets it through.
+    again from its start once the bytes the read waits for arrive.  A
+    ``BaseException``, so that ``do_POST``'s catch-all 500 lets it through.
     """
 
 
@@ -955,17 +957,23 @@ class _Connection:
 
     ``received`` holds the bytes from the start of the request being parsed,
     and the parse reads them from ``pos`` on.  A read that runs past them
-    raises :class:`_NeedMore`, after noting in ``need`` how many bytes it
-    waits for, unless the peer has closed (``eof``): then it returns what
-    there is, as a socket file's read does.  A write joins ``unsent``, and
-    goes out at once when it answers the last request received.  So the
-    answers to pipelined requests leave in one ``send``, and a client that
-    has gone raises its ``ConnectionError`` in the handler, before the
-    request's access-log line is written, as a socket file's write would.
+    raises :class:`_NeedMore`, unless the peer has closed (``eof``): then it
+    returns what there is, as a socket file's read does.  Before it raises,
+    it notes what would let it finish: ``need`` bytes in all, or for a line,
+    a newline at ``scan`` or after (``scan`` is -1 for a body).  The loop
+    parses the request again only once :meth:`ready`, so a head that trickles
+    in is parsed at most once per line, not once per segment, and a body
+    once it is whole.
+
+    A write joins ``unsent``, and goes out at once when it answers the last
+    request received.  So the answers to pipelined requests leave in one
+    ``send``, and a client that has gone raises its ``ConnectionError`` in
+    the handler, before the request's access-log line is written, as a
+    socket file's write would.
     """
 
     __slots__ = (
-        "sock", "address", "handler", "received", "pos", "need", "eof",
+        "sock", "address", "handler", "received", "pos", "need", "scan", "eof",
         "unsent", "closing", "events", "active",
     )
 
@@ -976,6 +984,7 @@ class _Connection:
         self.received = bytearray()
         self.pos = 0
         self.need = 1
+        self.scan = -1
         self.eof = False
         self.unsent = bytearray()
         self.closing = False
@@ -987,7 +996,9 @@ class _Connection:
         end = received.find(b"\n", pos, pos + limit) + 1
         if not end:
             if len(received) - pos < limit and not self.eof:
-                self.need = len(received) + 1
+                # The line ends at its newline or at *limit* bytes.
+                self.need = pos + limit
+                self.scan = len(received)
                 raise _NeedMore
             end = min(pos + limit, len(received))
         self.pos = end
@@ -999,10 +1010,24 @@ class _Connection:
         if end > len(self.received):
             if not self.eof:
                 self.need = end
+                self.scan = -1
                 raise _NeedMore
             end = len(self.received)
         self.pos = end
         return bytes(self.received[pos:end])
+
+    def ready(self) -> bool:
+        """Whether the bytes received let the parse get past the read that
+        stopped it; each byte is searched for a newline once."""
+        received = self.received
+        if self.eof or len(received) >= self.need:
+            return True
+        if self.scan < 0:
+            return False
+        if received.find(b"\n", self.scan) >= 0:
+            return True
+        self.scan = len(received)
+        return False
 
     def write(self, data: bytes) -> int:
         self.unsent += data
@@ -1139,9 +1164,7 @@ class _SelectorServer:
         order, while its unsent answers stay under :data:`_MAX_UNSENT`;
         send them, then wait for what the connection needs next."""
         handler = connection.handler
-        while not connection.closing and (
-            connection.eof or len(connection.received) >= connection.need
-        ):
+        while not connection.closing and connection.ready():
             if len(connection.unsent) > _MAX_UNSENT:
                 connection.send()
                 if len(connection.unsent) > _MAX_UNSENT:
@@ -1152,7 +1175,7 @@ class _SelectorServer:
             except _NeedMore:
                 break
             del connection.received[: connection.pos]
-            connection.need = 1
+            connection.need, connection.scan = 1, -1
             connection.closing = handler.close_connection
             handler._continued = False
         connection.send()

@@ -3,8 +3,9 @@
 ``create_server``'s server runs every connection on the thread that calls
 ``serve_forever``.  These tests pin what that must not cost: a connection
 that is idle, half-sent, pipelining without reading or failing holds no
-thread and delays no other client; a limit applies as soon as the bytes
-that break it arrive; ``100 Continue`` is written once, before the body;
+thread and delays no other client; a head that trickles in is parsed at
+most once a line; a limit applies as soon as the bytes that break it
+arrive; ``100 Continue`` is written once, before the body;
 idle and half-sent connections close after ``_IDLE_TIMEOUT_S``; and
 ``shutdown()`` and ``server_close()`` end every connection.
 """
@@ -17,6 +18,7 @@ import random
 import socket
 import threading
 import time
+from http.client import _MAXLINE
 
 import pytest
 
@@ -233,6 +235,50 @@ class TestIsolation:
             slow.send(body)
             assert slow.answer()[0] == 200
 
+    def test_a_head_that_trickles_in_is_parsed_once_per_line(
+        self, server, engine, rows, monkeypatch
+    ):
+        # A 200 KB head, then one field line a byte a segment: the loop
+        # parses the head again when a line ends, not for each segment, and
+        # answers other clients meanwhile.
+        read_request = _Handler._read_request
+        parses = []
+
+        def counted(handler):
+            parses.append(handler.client_address[1])
+            return read_request(handler)
+
+        monkeypatch.setattr(_Handler, "_read_request", counted)
+        body = json.dumps({"features": rows[0].tolist()}).encode("utf-8")
+        lines = [b"POST /v1/predict HTTP/1.1", b"Content-Length: %d" % len(body)]
+        lines += [b"X-Pad-%d: %s" % (index, b"a" * 4096) for index in range(50)]
+        head = b"".join(line + b"\r\n" for line in lines) + b"X-Trickle: "
+        with _Client(_port(server)) as slow:
+            slow.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            slow.send(head)
+            for index in range(300):
+                slow.send(b"a")
+                time.sleep(0.002)
+                if index % 50 == 0:
+                    started = time.monotonic()
+                    assert _served_predict(_port(server), rows[1], timeout=1.0) == 200
+                    assert time.monotonic() - started < 1.0
+            # Each byte is searched for a newline once: the next search
+            # starts where the last one ended.
+            connection, sent = _server_side(server, slow), len(head) + 300
+            deadline = time.monotonic() + 5
+            while (connection.scan, len(connection.received)) != (sent, sent):
+                assert time.monotonic() < deadline, (connection.scan, sent)
+                time.sleep(0.01)
+            slow.send(b"\r\n\r\n" + body)
+            status, answer = slow.answer()
+            ours = parses.count(slow.sock.getsockname()[1])
+        assert status == 200
+        assert _labels(answer) == _expected_labels(engine, rows[0], 1)
+        # One parse per line at most: the 52 sent, the trickled one, the
+        # blank one, and one for the body.
+        assert ours <= len(lines) + 3, ours
+
     def test_an_exception_closes_only_its_connection(self, server, rows, monkeypatch, capfd):
         read_request = _Handler._read_request
         with _Client(_port(server)) as failing:
@@ -307,6 +353,28 @@ class TestIncrementalParse:
             assert client.rest().startswith(answer)
 
     @pytest.mark.parametrize(
+        "head, line, answer",
+        [
+            (b"", b"GET /", b"HTTP/1.1 414 "),
+            (b"GET /v1/healthz HTTP/1.1\r\n", b"X-Long: ", b"HTTP/1.1 431 "),
+        ],
+        ids=["request-line", "field-line"],
+    )
+    def test_a_line_is_refused_at_its_first_byte_over_the_limit(
+        self, server, head, line, answer
+    ):
+        # A line of _MAXLINE bytes without a newline may still end; the
+        # next byte makes it too long, and its answer leaves at once.
+        with _Client(_port(server), timeout=1.0) as client:
+            client.send(head + line + b"a" * (_MAXLINE - len(line)))
+            client.sock.settimeout(0.2)
+            with pytest.raises(socket.timeout):
+                client.sock.recv(1)
+            client.sock.settimeout(1.0)
+            client.send(b"a")
+            assert client.rest().startswith(answer)
+
+    @pytest.mark.parametrize(
         "request_bytes, answer",
         [
             (b"GET /v1/healthz HTTP/1.1", b"HTTP/1.1 200 "),
@@ -331,7 +399,8 @@ class TestIncrementalParse:
             client.send(head)
             assert client.stream.readline() == b"HTTP/1.1 100 Continue\r\n"
             assert client.stream.readline() == b"\r\n"
-            # The body in two parts: the head is parsed again for each.
+            # The body in two parts: the head is parsed again once it is
+            # whole, and must not answer 100 again.
             client.send(body[:10])
             time.sleep(0.05)
             client.send(body[10:])
