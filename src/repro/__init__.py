@@ -16,10 +16,10 @@ The package is organised as:
   text figures;
 * :mod:`repro.hardware` — the inference cost model behind the paper's
   zero-overhead claim;
-* :mod:`repro.serve` — the packed-inference serving stack: engine,
-  micro-batching, model registry and a stdlib JSON/HTTP front-end.  It is
-  imported on its own (``from repro.serve import PackedInferenceEngine``):
-  ``import repro`` leaves it, and the HTTP modules, unloaded.
+* :mod:`repro.serve` — the packed-inference serving stack: engine, model
+  registry and a stdlib JSON/HTTP front-end.  It is imported on its own
+  (``from repro.serve import PackedInferenceEngine``): ``import repro``
+  leaves it, and the HTTP modules, unloaded.
 
 Quickstart::
 

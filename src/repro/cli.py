@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--max-batch-size", type=int, default=64)
     serve.add_argument(
         "--tenant-rps",
         type=float,
@@ -139,23 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="token-bucket burst size (default: max(1, 2x --tenant-rps))",
     )
     serve.add_argument(
-        "--tenant-max-concurrent",
-        type=int,
-        default=None,
-        help=(
-            "per-tenant cap on predicts in flight at once (429 "
-            "tenant_quota_exceeded + Retry-After past it); the server "
-            "answers one request at a time, so over HTTP it never trips"
-        ),
-    )
-    serve.add_argument(
         "--tenant-quotas",
         default=None,
         metavar="FILE",
         help=(
             "JSON quota config with per-tenant overrides "
-            '({"defaults": {...}, "tenants": {name: {rps, burst, '
-            'max_concurrent}}}); flags above set the defaults'
+            '({"defaults": {...}, "tenants": {name: {rps, burst}}}); '
+            "flags above set the defaults"
         ),
     )
     serve.add_argument(
@@ -374,7 +363,6 @@ def command_serve(args) -> int:  # pragma: no cover - blocking server loop
         print(f"tracing to {args.trace} (sample rate {args.trace_sample:g})")
     app = ServeApp(
         registry,
-        max_batch_size=args.max_batch_size,
         default_deadline_ms=args.deadline_ms,
         tenant_quotas=tenant_quotas,
         tracer=tracer,
@@ -425,8 +413,6 @@ def _build_tenant_quotas(args):
         overrides["rps"] = args.tenant_rps
     if args.tenant_burst is not None:
         overrides["burst"] = args.tenant_burst
-    if args.tenant_max_concurrent is not None:
-        overrides["max_concurrent"] = args.tenant_max_concurrent
     if args.tenant_quotas:
         return TenantQuotas.from_file(args.tenant_quotas, **overrides)
     if not overrides:

@@ -108,21 +108,23 @@ def _open_archive(path: Path) -> Iterator[np.lib.npyio.NpzFile]:
     A file that is not a readable ``.npz`` archive (empty, truncated, text,
     a single ``.npy`` array), or an archive without an array the model needs,
     raises ``ValueError`` naming *path*; a file that cannot be opened stays
-    an ``OSError``.
+    an ``OSError``.  The file is opened here and closed on every path:
+    NumPy leaves a file it opened itself open when the archive is truncated.
     """
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (EOFError, zipfile.BadZipFile) as error:
-        raise ValueError(f"model {path}: not a readable .npz archive ({error})") from error
-    except ValueError as error:  # NumPy's message offers to unpickle the file
-        raise ValueError(f"model {path}: not an .npz archive") from error
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"model {path}: a single array, not an .npz archive")
-    with archive:
+    with open(path, "rb") as handle:
         try:
-            yield archive
-        except KeyError as error:  # an array the archive does not hold
-            raise ValueError(f"model {path}: {error.args[0]}") from error
+            archive = np.load(handle, allow_pickle=False)
+        except (EOFError, zipfile.BadZipFile) as error:
+            raise ValueError(f"model {path}: not a readable .npz archive ({error})") from error
+        except ValueError as error:  # NumPy's message offers to unpickle the file
+            raise ValueError(f"model {path}: not an .npz archive") from error
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError(f"model {path}: a single array, not an .npz archive")
+        with archive:
+            try:
+                yield archive
+            except KeyError as error:  # an array the archive does not hold
+                raise ValueError(f"model {path}: {error.args[0]}") from error
 
 
 def _read_verified_metadata(archive, path: Path) -> dict:

@@ -3,11 +3,8 @@
 Capabilities, each usable on its own and composed by the serving layer:
 
 * :mod:`repro.obs.trace` — request-scoped tracing: every sampled request
-  gets a trace ID and a span tree (validate → queue wait → batch execute →
-  respond) written as JSONL by a single writer; span
-  context is a small tuple handed explicitly to the micro-batch scheduler,
-  so a batch's spans stitch back into each request's trace whichever
-  caller's thread runs it;
+  gets a trace ID and a span tree (validate → batch execute → respond)
+  written as JSONL by a single writer;
 * :mod:`repro.obs.prometheus` — pure-function rendering of the serving
   metrics snapshot into Prometheus text exposition (served at
   ``GET /metrics``), with OpenMetrics trace exemplars on latency buckets;

@@ -135,11 +135,6 @@ def render_prometheus(snapshot: Dict) -> str:
             model=model,
         )
 
-        writer.declare(
-            "repro_batches_total", "counter", "Coalesced micro-batches executed."
-        )
-        writer.sample("repro_batches_total", metrics.get("batches", 0), model=model)
-
         _render_histogram(
             writer,
             "repro_request_latency_seconds",
@@ -151,21 +146,11 @@ def render_prometheus(snapshot: Dict) -> str:
             _render_histogram(
                 writer,
                 "repro_stage_latency_seconds",
-                "Per-stage latency (validate, queue_wait, batch_execute).",
+                "Per-stage latency (validate, batch_execute).",
                 latency,
                 model=model,
                 stage=stage,
             )
-
-    for model, scheduler in sorted(snapshot.get("schedulers", {}).items()):
-        writer.declare(
-            "repro_scheduler_queue_depth",
-            "gauge",
-            "Requests waiting in the micro-batch queue.",
-        )
-        writer.sample(
-            "repro_scheduler_queue_depth", scheduler["queue_depth"], model=model
-        )
 
     tenancy = snapshot.get("tenancy")
     if tenancy is not None:
@@ -189,24 +174,6 @@ def render_prometheus(snapshot: Dict) -> str:
                 "repro_tenant_rate_limited_total",
                 stats.get("rate_limited", 0),
                 tenant=tenant,
-            )
-            writer.declare(
-                "repro_tenant_quota_exceeded_total",
-                "counter",
-                "Requests shed at the tenant concurrency quota (429).",
-            )
-            writer.sample(
-                "repro_tenant_quota_exceeded_total",
-                stats.get("quota_exceeded", 0),
-                tenant=tenant,
-            )
-            writer.declare(
-                "repro_tenant_in_flight",
-                "gauge",
-                "Requests currently holding a tenant admission lease.",
-            )
-            writer.sample(
-                "repro_tenant_in_flight", stats.get("in_flight", 0), tenant=tenant
             )
 
     return "\n".join(writer.lines) + "\n" if writer.lines else ""

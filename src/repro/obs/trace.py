@@ -1,9 +1,7 @@
 """Request-scoped tracing: spans, context propagation, and the JSONL sink.
 
-One request through the serving stack can cross threads: a queued
-single-row request is scored in a micro-batch that the thread of another
-caller, queued ahead of it, runs.  This module gives every request a
-*trace*: a tree of timed spans that survives the hop.
+This module gives every request through the serving stack a *trace*: a tree
+of timed spans, written one line per span.
 
 Design constraints, in priority order:
 
@@ -25,8 +23,7 @@ Trace-file schema (one JSON object per line)::
 
 Configuration: build ``Tracer(JsonlSink(path), sample_rate)`` and hand it to
 the :class:`~repro.serve.server.ServeApp` (``repro serve --trace FILE
---trace-sample P`` does exactly that); the app passes it on to each model's
-scheduler.
+--trace-sample P`` does exactly that).
 """
 
 from __future__ import annotations
@@ -157,29 +154,6 @@ class Span:
         return False
 
 
-def _record(
-    trace_id: str,
-    span_id: str,
-    parent_id: Optional[str],
-    name: str,
-    start_time: float,
-    duration_s: float,
-    attrs: dict,
-) -> dict:
-    """One finished span in the trace-file schema."""
-    return {
-        "v": SCHEMA_VERSION,
-        "trace": trace_id,
-        "span": span_id,
-        "parent": parent_id,
-        "name": name,
-        "ts": start_time,
-        "dur_ms": duration_s * 1e3,
-        "pid": os.getpid(),
-        "attrs": attrs,
-    }
-
-
 class JsonlSink:
     """Append-only JSONL trace writer (thread-safe; one process only)."""
 
@@ -294,30 +268,6 @@ class Tracer:
             return NULL_SPAN
         raise TypeError(f"parent must be a SpanContext or None, got {type(parent)!r}")
 
-    def emit_span(
-        self,
-        name: str,
-        parent: Optional[SpanContext],
-        start_time: float,
-        duration_s: float,
-        attrs: Optional[dict] = None,
-    ) -> None:
-        """Record an already-timed span (e.g. queue wait measured after the
-        fact); no-op unless *parent* is a sampled context."""
-        if self.sink is None or parent is None:
-            return
-        self.sink.write(
-            _record(
-                parent.trace_id,
-                _new_id(),
-                parent.span_id,
-                name,
-                start_time,
-                duration_s,
-                dict(attrs) if attrs else {},
-            )
-        )
-
     def close(self) -> None:
         if self.sink is not None:
             self.sink.close()
@@ -337,19 +287,22 @@ class Tracer:
             stack.remove(span)
 
     def _emit(self, span: Span) -> None:
+        """Write one finished span in the trace-file schema."""
         sink = self.sink
         if sink is None:  # pragma: no cover - sink closed mid-span
             return
         sink.write(
-            _record(
-                span.trace_id,
-                span.span_id,
-                span.parent_id,
-                span.name,
-                span.start_time,
-                span.duration_s,
-                span.attrs,
-            )
+            {
+                "v": SCHEMA_VERSION,
+                "trace": span.trace_id,
+                "span": span.span_id,
+                "parent": span.parent_id,
+                "name": span.name,
+                "ts": span.start_time,
+                "dur_ms": span.duration_s * 1e3,
+                "pid": os.getpid(),
+                "attrs": span.attrs,
+            }
         )
 
 

@@ -29,12 +29,12 @@ quantiser's scaled values, the step ``Encoder.encode_packed`` (and so
 All of the bit-level machinery lives in :mod:`repro.kernels` — this module
 owns only serving concerns: compilation (packed when the classifier supports
 the shared scoring rule, dense otherwise), metadata, and thread-safety.  The
-engine is safe to share across threads — which is exactly how the batching
-scheduler and HTTP server use it.  The only mutable
-state it touches is the encoder's RNG (consumed for ``sgn(0)`` tie-breaks
-when the encoder was configured with ``tie_break="random"``); those draws are
-serialised behind an internal lock because ``np.random.Generator`` is not
-thread-safe.
+engine is safe to share across threads, so in-process callers of
+:class:`~repro.serve.server.ServeApp` on several threads need no lock of
+their own.  The only mutable state it touches is the encoder's RNG
+(consumed for ``sgn(0)`` tie-breaks when the encoder was configured with
+``tie_break="random"``); those draws are serialised behind an internal lock
+because ``np.random.Generator`` is not thread-safe.
 """
 
 from __future__ import annotations

@@ -114,14 +114,13 @@ class ModelMetrics:
     :meth:`record_outcome`: an answered one in ``requests`` and ``latency``
     (the latency its caller saw, from validation to response), a failed one
     in ``errors`` — admission sheds, deadline misses, engine-rejected
-    payloads and unexpected 500s alike (the tenant quotas count sheds by
-    cause) — and a 504 also in ``deadline_exceeded``.  ``samples`` counts
-    the rows the engine scored (micro-batched rows and 2-D requests), and
-    ``batches`` the micro-batches that scored them.
+    payloads and unexpected 500s alike (the tenant quotas count their
+    sheds) — and a 504 also in ``deadline_exceeded``.  ``samples`` counts
+    the rows the engine scored.
     Besides the end-to-end request latency, the model keeps one
     :class:`LatencyHistogram` per pipeline *stage* (``validate``,
-    ``queue_wait``, ``batch_execute``) so ``/metrics`` can answer "where
-    does a request spend its time" without a trace file.
+    ``batch_execute``) so ``/metrics`` can answer "where does a request
+    spend its time" without a trace file.
     """
 
     def __init__(self):
@@ -130,7 +129,6 @@ class ModelMetrics:
         self.samples = 0
         self.errors = 0
         self.deadline_exceeded = 0
-        self.batches = 0
         self.latency = LatencyHistogram()
         self._stages: Dict[str, LatencyHistogram] = {}
 
@@ -156,15 +154,9 @@ class ModelMetrics:
                 self.deadline_exceeded += 1
 
     def record_samples(self, num_samples: int) -> None:
-        """Record *num_samples* rows the engine scored outside a micro-batch."""
+        """Record *num_samples* rows the engine scored."""
         with self._lock:
             self.samples += int(num_samples)
-
-    def record_batch(self, batch_size: int) -> None:
-        """Record one coalesced micro-batch and the rows it scored."""
-        with self._lock:
-            self.batches += 1
-            self.samples += int(batch_size)
 
     def record_stage(self, stage: str, seconds: float) -> None:
         """Record one *stage* timing (histogram created on first use).
@@ -182,14 +174,13 @@ class ModelMetrics:
 
     def snapshot(self) -> Dict[str, object]:
         # All counters are read in one critical section so a concurrent
-        # record_batch can never yield a snapshot where e.g. ``samples``
-        # reflects a batch that ``batches`` does not.
+        # 504 can never yield a snapshot where ``errors`` counts it and
+        # ``deadline_exceeded`` does not.
         with self._lock:
             requests = self.requests
             samples = self.samples
             errors = self.errors
             deadline_exceeded = self.deadline_exceeded
-            batches = self.batches
             stages = dict(self._stages)
         return {
             "requests": requests,
@@ -197,7 +188,6 @@ class ModelMetrics:
             "errors": errors,
             "deadline_exceeded": deadline_exceeded,
             "latency": self.latency.snapshot(),
-            "batches": batches,
             "stages": {name: histogram.snapshot() for name, histogram in stages.items()},
         }
 

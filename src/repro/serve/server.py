@@ -5,11 +5,10 @@ serves every connection on the thread that calls ``serve_forever``.  It
 accepts without blocking, reads each ready connection into that
 connection's own buffer, answers every complete request there, in order,
 and sends the answers without blocking.  Python runs one handler at a time
-anyway (the GIL), so threads would buy no parallelism, only hand-offs.  A
-single-row predict is scored through its model's
-:class:`~repro.serve.batching.BatchScheduler`, as a lone caller.  A
-connection that receives no byte, and drains none of its answer, for
-:data:`_IDLE_TIMEOUT_S` is closed without an answer.
+anyway (the GIL), so threads would buy no parallelism, only hand-offs.
+Every predict, one row or a client batch, is one engine call on the thread
+that handles it.  A connection that receives no byte, and drains none of
+its answer, for :data:`_IDLE_TIMEOUT_S` is closed without an answer.
 
 :class:`_Handler` parses and answers one request at a time, reading from
 and writing to its connection's buffers: :meth:`_Handler.handle_one_request`
@@ -29,25 +28,24 @@ Routes
 ``GET  /v1/healthz``  liveness + model count;
 ``GET  /v1/readyz``   readiness — 200 while accepting work, 503 once a drain
                       (SIGTERM) has begun, so load balancers stop routing
-                      here before in-flight batches finish;
+                      here before in-flight requests finish;
 ``GET  /v1/models``   one row per model: name, path, strategy, dimension,
                       class count and ensemble size;
-``GET  /metrics``     per-model counters, latency histograms, queue depths
-                      and tenant admission counters in Prometheus text
-                      exposition;
+``GET  /metrics``     per-model counters, latency histograms and tenant
+                      admission counters in Prometheus text exposition;
 ``POST /v1/predict``  body ``{"model": name?, "features": [...], "top_k": k?,
                       "deadline_ms": ms?}`` — a 1-D ``features`` list is one
-                      sample and goes through the micro-batcher; a 2-D list
-                      is a client-side batch and runs directly on the engine.
-                      ``deadline_ms`` bounds the whole request: past it the
-                      server answers 504 instead of returning stale work.
+                      sample, a 2-D list a client-side batch; either is
+                      scored in one engine call.  ``deadline_ms`` bounds the
+                      whole request: past it the server answers 504 instead
+                      of returning stale work.
 
 Every error response is machine-readable: ``{"error": message, "code":
 slug}`` with ``Retry-After`` on 429/503.  The one admission limit is
-:class:`~repro.serve.tenancy.TenantQuotas`, keyed by model name; its two
-429 codes are ``tenant_rate_limited`` and ``tenant_quota_exceeded``.  The
-full retry taxonomy (which codes mean *back off*, *retry*, or *give up*) is
-documented in ``docs/robustness.md``.
+:class:`~repro.serve.tenancy.TenantQuotas`, a token bucket per model name;
+its 429 code is ``tenant_rate_limited``.  The full retry taxonomy (which
+codes mean *back off*, *retry*, or *give up*) is documented in
+``docs/robustness.md``.
 
 Example::
 
@@ -80,14 +78,9 @@ import numpy as np
 from repro.obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import NULL_SPAN, Tracer
-from repro.serve.batching import BatchScheduler, DeadlineExceededError
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.registry import ModelRegistry
-from repro.serve.tenancy import (
-    TenantAdmissionError,
-    TenantQuotas,
-    retry_after_header,
-)
+from repro.serve.tenancy import TenantQuotas, TenantRateLimitedError, retry_after_header
 from repro.utils.validation import check_finite
 
 #: Default machine-readable error codes by status; a more specific cause
@@ -198,10 +191,12 @@ class RequestError(Exception):
 
 
 class ServeApp:
-    """The serving application: registry + metrics + per-model schedulers.
+    """The serving application: registry + metrics + tenant quotas.
 
     Everything runs in one process, on the engines the registry compiled
-    before serving: every registered model stays loaded.
+    before serving: every registered model stays loaded.  Every predict is
+    one engine call on its caller's thread; the engine is safe to share
+    across threads, so in-process callers need no lock of their own.
 
     Parameters
     ----------
@@ -209,26 +204,19 @@ class ServeApp:
         The :class:`ModelRegistry` to resolve model names against.
     metrics:
         Optional shared :class:`MetricsRegistry` (created when omitted).
-    max_batch_size:
-        Micro-batch cap applied to every model's scheduler.
     tenant_quotas:
         Optional :class:`~repro.serve.tenancy.TenantQuotas`, the one
         admission limit: it gates every predict, single rows and client
         batches alike, on its tenant (model name).  An empty token bucket
-        answers 429 ``tenant_rate_limited``, a full concurrency quota 429
-        ``tenant_quota_exceeded``, both with a ``Retry-After`` hint.  A
-        model's scheduler runs one batch at a time, so every queued request
-        also holds its lease and the concurrency quota bounds the queue.
+        answers 429 ``tenant_rate_limited`` with a ``Retry-After`` hint.
     default_deadline_ms:
         Deadline applied to requests that do not send ``deadline_ms``
         themselves; ``None`` means no implicit deadline.
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer`, handed on to every
-        model's scheduler.  Each sampled ``/v1/predict`` request becomes one
-        trace: a ``request`` root span with ``validate`` / ``respond``
-        children here, stitched to the scheduler's ``queue_wait`` /
-        ``batch_execute`` spans, which the caller leading each batch records.
-        Without one, nothing is traced.
+        Optional :class:`~repro.obs.trace.Tracer`.  Each sampled
+        ``/v1/predict`` request becomes one trace: a ``request`` root span
+        with ``validate``, ``batch_execute`` (the engine call) and
+        ``respond`` children.  Without one, nothing is traced.
 
     Every predict that passes validation has its outcome recorded once, in
     :meth:`_predict`, by the model's
@@ -242,7 +230,6 @@ class ServeApp:
         self,
         registry: ModelRegistry,
         metrics: Optional[MetricsRegistry] = None,
-        max_batch_size: int = 64,
         tenant_quotas: Optional[TenantQuotas] = None,
         default_deadline_ms: Optional[float] = None,
         tracer: Optional[Tracer] = None,
@@ -250,11 +237,8 @@ class ServeApp:
         self.registry = registry
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
-        self.max_batch_size = max_batch_size
         self.tenant_quotas = tenant_quotas
         self.default_deadline_ms = default_deadline_ms
-        self._schedulers: Dict[str, BatchScheduler] = {}
-        self._lock = threading.Lock()
         self._draining = False
         self._inflight = 0
         self._inflight_cv = threading.Condition()
@@ -266,7 +250,7 @@ class ServeApp:
     def readyz(self) -> Tuple[int, dict]:
         """Readiness: ``(200, ...)`` while accepting work, ``(503, ...)``
         once a drain has begun (load balancers stop routing here while
-        in-flight batches finish)."""
+        in-flight requests finish)."""
         if self._draining:
             return 503, {"status": "draining", "inflight": self._inflight}
         return 200, {"status": "ready", "models": len(self.registry.names())}
@@ -276,13 +260,6 @@ class ServeApp:
 
     def metrics_snapshot(self) -> dict:
         snapshot = self.metrics.snapshot()
-        with self._lock:
-            schedulers = dict(self._schedulers)
-        if schedulers:
-            snapshot["schedulers"] = {
-                name: {"queue_depth": scheduler.queue_depth}
-                for name, scheduler in schedulers.items()
-            }
         if self.tenant_quotas is not None:
             snapshot["tenancy"] = self.tenant_quotas.snapshot()
         return snapshot
@@ -292,9 +269,8 @@ class ServeApp:
 
         Sampled requests become one trace: this opens the ``request`` root
         span (the sampling decision for the whole tree) and every stage
-        below — in this thread, or in that of the caller leading its
-        micro-batch — stitches under it.  Exceptions mark the root span
-        with an ``error`` attribute on the way out.
+        below, all on this thread, nests under it.  Exceptions mark the
+        root span with an ``error`` attribute on the way out.
         """
         with self._track_inflight():
             with self.tracer.start_span(
@@ -305,11 +281,11 @@ class ServeApp:
     @contextlib.contextmanager
     def _track_inflight(self):
         """Count requests between admission and response so :meth:`drain`
-        knows when the last in-flight batch has finished.
+        knows when the last in-flight request has finished.
 
         The draining check and the count share one lock, so a request is
-        either refused with 503 or counted before :meth:`drain` stops the
-        schedulers — never admitted into a scheduler that is stopping.
+        either refused with 503 or counted before :meth:`drain` waits —
+        never admitted behind a drain that has stopped waiting.
         """
         with self._inflight_cv:
             if self._draining:
@@ -408,23 +384,21 @@ class ServeApp:
         # which answers it 500.
         status = 500
         try:
-            # Tenant admission sheds *before* the request can touch the
-            # scheduler capacity the other tenants share.
-            lease = contextlib.nullcontext()
+            # Tenant admission sheds *before* the request reaches the engine
+            # the other callers share.
             if self.tenant_quotas is not None:
                 try:
-                    lease = self.tenant_quotas.admit(name)
-                except TenantAdmissionError as error:
+                    self.tenant_quotas.admit(name)
+                except TenantRateLimitedError as error:
                     raise RequestError(
                         429,
                         str(error),
                         code=error.code,
                         retry_after=retry_after_header(error.retry_after),
                     )
-            with lease:
-                response = self._execute(
-                    name, top_k, features, deadline, model_metrics, started, root
-                )
+            response = self._execute(
+                name, top_k, features, deadline, model_metrics, started, root
+            )
             status = 200
             return response
         except RequestError as error:
@@ -452,27 +426,25 @@ class ServeApp:
         started: float,
         root,
     ) -> dict:
+        """Score *features* (one row or a client batch) in one engine call.
+
+        A row whose width is not the model's is the engine's ``ValueError``,
+        answered 400.  An answer that arrives after *deadline* is a 504: a
+        deadline is a promise, so the caller never gets stale work.
+        """
+        if deadline is not None and time.monotonic() >= deadline:
+            raise RequestError(504, "deadline expired before execution")
+        rows = np.atleast_2d(features)
+        scoring = time.perf_counter()
         try:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise DeadlineExceededError("deadline expired before execution")
-            if features.ndim == 1:
-                # Another caller's thread may run this row's batch, so the
-                # root context is handed over explicitly.
-                labels, scores = self.scheduler_for(name).top_k(
-                    features, k=top_k, trace=root.context, deadline=deadline
-                )
-                labels, scores = labels[None, :], scores[None, :]
-            else:
-                labels, scores = self.engine_for(name).top_k(features, k=top_k)
-                model_metrics.record_samples(features.shape[0])
-            if deadline is not None and time.monotonic() >= deadline:
-                # The answer exists but arrived late — a deadline is a
-                # promise, so the caller gets 504, not stale work.
-                raise DeadlineExceededError("request completed after its deadline")
-        except DeadlineExceededError as error:
-            raise RequestError(504, str(error), code="deadline_exceeded")
+            with self.tracer.start_span("batch_execute") if root.sampled else NULL_SPAN:
+                labels, scores = self.engine_for(name).top_k(rows, k=top_k)
         except ValueError as error:
             raise RequestError(400, str(error))
+        model_metrics.record_stage("batch_execute", time.perf_counter() - scoring)
+        model_metrics.record_samples(len(rows))
+        if deadline is not None and time.monotonic() >= deadline:
+            raise RequestError(504, "request completed after its deadline")
         return self._respond(name, labels, scores, top_k, started, root)
 
     def _respond(
@@ -512,24 +484,9 @@ class ServeApp:
             response["scores"] = [float(row[0]) for row in scores]
         return response
 
-    # ------------------------------------------------------------- schedulers
-    def scheduler_for(self, name: str) -> BatchScheduler:
-        """The (lazily created) micro-batch scheduler for model *name*, on
-        the engine :meth:`engine_for` gives when it is built."""
-        with self._lock:
-            scheduler = self._schedulers.get(name)
-            if scheduler is None:
-                scheduler = BatchScheduler(
-                    self.engine_for(name),
-                    max_batch_size=self.max_batch_size,
-                    metrics=self.metrics.for_model(name),
-                    tracer=self.tracer,
-                )
-                self._schedulers[name] = scheduler
-            return scheduler
-
     def engine_for(self, name: str):
-        """The engine that scores *name*'s rows: the registry's."""
+        """The engine that scores *name*'s rows: the registry's.  Resolved
+        once per predict, so a test may swap it between predicts."""
         return self.registry.get(name)
 
     # ------------------------------------------------------------------- drain
@@ -546,12 +503,12 @@ class ServeApp:
         self._draining = True
 
     def drain(self, grace_seconds: float = 10.0) -> None:
-        """Graceful shutdown: refuse new work, wait out in-flight requests
-        (up to *grace_seconds*), then :meth:`close` everything.
+        """Graceful shutdown: refuse new work and wait out in-flight
+        requests (up to *grace_seconds*).
 
         The SIGTERM sequence: ``begin_drain`` flips ``/v1/readyz`` to 503 so
-        the balancer stops routing here, requests already admitted keep
-        their batches, and only then do the schedulers stop.
+        the balancer stops routing here, and requests already admitted are
+        answered before this returns.
         """
         self.begin_drain()
         deadline = time.monotonic() + float(grace_seconds)
@@ -561,14 +518,6 @@ class ServeApp:
                 if remaining <= 0:  # pragma: no cover - stuck in-flight work
                     break
                 self._inflight_cv.wait(timeout=remaining)
-        self.close()
-
-    def close(self) -> None:
-        """Stop every model's scheduler (queued requests still run)."""
-        with self._lock:
-            schedulers, self._schedulers = list(self._schedulers.values()), {}
-        for scheduler in schedulers:
-            scheduler.stop()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -1260,12 +1209,11 @@ def run_server(
     port: int = 8080,
     log_level: Optional[str] = None,
 ) -> None:  # pragma: no cover - blocking loop, exercised manually / by CLI
-    """Run the server until interrupted, then drain and flush schedulers.
+    """Run the server until interrupted, then drain.
 
     ``SIGTERM`` triggers a graceful drain: ``/v1/readyz`` flips to 503 so a
     load balancer stops routing here, new ``/v1/predict`` calls answer 503
-    ``draining``, in-flight requests finish, and only then do the
-    schedulers stop.
+    ``draining``, and in-flight requests finish.
     """
     server = create_server(app, host=host, port=port, log_level=log_level)
 

@@ -1,4 +1,4 @@
-"""Per-tenant admission control and degradation primitives.
+"""Per-tenant admission control.
 
 A multi-tenant fleet front-ends many models ("tenants") behind one server;
 one tenant's burst must not starve the others.  This module holds the two
@@ -7,24 +7,23 @@ small, independently testable pieces the server composes:
 * :class:`TokenBucket` — the classic leaky-bucket rate limiter.  Pure
   arithmetic over an injected monotonic clock, so tests never sleep;
 * :class:`TenantQuotas` — per-tenant (keyed by model name) admission: a
-  token bucket bounds sustained request rate and a concurrency counter
-  bounds in-flight work.  Rejections are *typed* —
-  :class:`TenantRateLimitedError` / :class:`TenantQuotaExceededError` each
-  carry a ``retry_after`` hint the HTTP layer forwards verbatim, so a
-  shed client learns *when* to come back, not just that it was shed.
+  token bucket bounds each tenant's sustained request rate.  A rejection
+  is *typed* — :class:`TenantRateLimitedError` carries a ``retry_after``
+  hint the HTTP layer forwards, so a shed client learns *when* to come
+  back, not just that it was shed.
 
 Quota configuration is plain JSON (see :meth:`TenantQuotas.from_file`)::
 
     {
-      "defaults": {"rps": 50, "burst": 100, "max_concurrent": 8},
+      "defaults": {"rps": 50, "burst": 100},
       "tenants": {
-        "premium": {"rps": 500, "burst": 1000, "max_concurrent": 64},
-        "batch":   {"rps": 5, "max_concurrent": 2}
+        "premium": {"rps": 500, "burst": 1000},
+        "batch":   {"rps": 5}
       }
     }
 
-Unset fields fall back to the defaults; a ``null`` field disables that
-limit for the tenant.
+Unset fields fall back to the defaults; a ``null`` ``rps`` disables the
+limit for the tenant.  Any other field is refused.
 """
 
 from __future__ import annotations
@@ -38,31 +37,18 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 
-class TenantAdmissionError(Exception):
-    """Base class for typed tenant-admission rejections.
+class TenantRateLimitedError(Exception):
+    """The tenant's token bucket is empty — back off ``retry_after``.
 
     ``retry_after`` is the suggested back-off in (fractional) seconds; the
-    HTTP layer rounds it up for the ``Retry-After`` header while load
-    generators may honour the precise value.
+    HTTP layer rounds it up for the ``Retry-After`` header.
     """
 
-    code = "tenant_rejected"
+    code = "tenant_rate_limited"
 
     def __init__(self, message: str, retry_after: float = 1.0):
         super().__init__(message)
         self.retry_after = float(retry_after)
-
-
-class TenantRateLimitedError(TenantAdmissionError):
-    """The tenant's token bucket is empty — back off ``retry_after``."""
-
-    code = "tenant_rate_limited"
-
-
-class TenantQuotaExceededError(TenantAdmissionError):
-    """The tenant is at its concurrency quota — finish something first."""
-
-    code = "tenant_quota_exceeded"
 
 
 class TokenBucket:
@@ -116,84 +102,42 @@ class TokenBucket:
 
 
 class _TenantState:
-    """Admission state for one tenant: bucket + concurrency + shed counts."""
+    """Admission state for one tenant: its bucket and its counts."""
 
-    __slots__ = (
-        "bucket",
-        "max_concurrent",
-        "in_flight",
-        "admitted",
-        "rate_limited",
-        "quota_exceeded",
-    )
+    __slots__ = ("bucket", "admitted", "rate_limited")
 
-    def __init__(self, bucket: Optional[TokenBucket], max_concurrent: Optional[int]):
+    def __init__(self, bucket: Optional[TokenBucket]):
         self.bucket = bucket
-        self.max_concurrent = max_concurrent
-        self.in_flight = 0
         self.admitted = 0
         self.rate_limited = 0
-        self.quota_exceeded = 0
 
 
-class TenantLease:
-    """One admitted request's hold on its tenant's concurrency quota.
-
-    ``release()`` is idempotent; use as a context manager or call it from a
-    ``finally`` so a failing request never leaks its slot.
-    """
-
-    __slots__ = ("_quotas", "_tenant", "_released")
-
-    def __init__(self, quotas: "TenantQuotas", tenant: str):
-        self._quotas = quotas
-        self._tenant = tenant
-        self._released = False
-
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        self._quotas._release(self._tenant)
-
-    def __enter__(self) -> "TenantLease":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
-_QUOTA_FIELDS = ("rps", "burst", "max_concurrent")
+_QUOTA_FIELDS = ("rps", "burst")
 
 
 def _check_limit(field: str, value, where: str) -> None:
     """Raise ``ValueError`` unless *value* is ``None`` (the limit is off) or a
-    usable *field* limit: a finite ``rps``/``burst`` above 0, a
-    ``max_concurrent`` of at least 1."""
+    finite number above 0."""
     if value is None:
         return
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if field == "max_concurrent":
-        if not (number and 1 <= value < math.inf):
-            raise ValueError(f"{where}max_concurrent must be >= 1, got {value!r}")
-    elif not (number and 0 < value < math.inf):
+    if not (number and 0 < value < math.inf):
         raise ValueError(f"{where}{field} must be a finite number > 0, got {value!r}")
 
 
 class TenantQuotas:
-    """Per-tenant token-bucket rate limiting plus concurrency quotas.
+    """Per-tenant token-bucket rate limiting.
 
     Parameters
     ----------
-    rps / burst / max_concurrent:
+    rps / burst:
         Fleet-wide defaults applied to every tenant without an override.
-        ``rps=None`` disables rate limiting, ``max_concurrent=None``
-        disables the concurrency quota; ``burst`` defaults to
+        ``rps=None`` disables rate limiting; ``burst`` defaults to
         ``max(1, 2 * rps)`` when unset.
     tenants:
-        Optional ``{name: {"rps": ..., "burst": ..., "max_concurrent": ...}}``
-        overrides; unset fields inherit the defaults, explicit ``None``
-        disables that limit for the tenant.
+        Optional ``{name: {"rps": ..., "burst": ...}}`` overrides; unset
+        fields inherit the defaults, an explicit ``"rps": None`` disables
+        the limit for the tenant.
     clock:
         Injectable monotonic clock shared by every bucket.
 
@@ -205,11 +149,10 @@ class TenantQuotas:
         self,
         rps: Optional[float] = None,
         burst: Optional[float] = None,
-        max_concurrent: Optional[int] = None,
         tenants: Optional[Dict[str, dict]] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        for field, value in zip(_QUOTA_FIELDS, (rps, burst, max_concurrent)):
+        for field, value in zip(_QUOTA_FIELDS, (rps, burst)):
             _check_limit(field, value, "")
         tenants = {} if tenants is None else tenants
         if not isinstance(tenants, dict):
@@ -226,7 +169,6 @@ class TenantQuotas:
                 _check_limit(field, value, f"tenant {name!r}: ")
         self.default_rps = rps
         self.default_burst = burst
-        self.default_max_concurrent = max_concurrent
         self._overrides = {str(name): dict(policy) for name, policy in tenants.items()}
         self._clock = clock
         self._states: Dict[str, _TenantState] = {}
@@ -252,33 +194,16 @@ class TenantQuotas:
         return cls(
             rps=kwargs.pop("rps", defaults.get("rps")),
             burst=kwargs.pop("burst", defaults.get("burst")),
-            max_concurrent=kwargs.pop(
-                "max_concurrent", defaults.get("max_concurrent")
-            ),
             tenants=raw.get("tenants"),
             **kwargs,
         )
 
     # -------------------------------------------------------------- admission
-    def admit(self, tenant: str) -> TenantLease:
-        """Admit one request for *tenant* or raise a typed rejection.
-
-        Checks the concurrency quota first (it is free to release), then
-        spends a rate token; on success the returned :class:`TenantLease`
-        must be released when the request finishes.
-        """
+    def admit(self, tenant: str) -> None:
+        """Spend one of *tenant*'s rate tokens, or raise
+        :class:`TenantRateLimitedError` when its bucket is empty."""
         state = self._state(tenant)
         with self._lock:
-            if (
-                state.max_concurrent is not None
-                and state.in_flight >= state.max_concurrent
-            ):
-                state.quota_exceeded += 1
-                raise TenantQuotaExceededError(
-                    f"tenant {tenant!r} is at its concurrency quota "
-                    f"({state.max_concurrent} in flight)",
-                    retry_after=1.0,
-                )
             if state.bucket is not None:
                 wait = state.bucket.try_acquire()
                 if wait is not None:
@@ -289,35 +214,18 @@ class TenantQuotas:
                         f"{state.bucket.burst:g})",
                         retry_after=max(wait, 1e-3),
                     )
-            state.in_flight += 1
             state.admitted += 1
-        return TenantLease(self, tenant)
-
-    def _release(self, tenant: str) -> None:
-        with self._lock:
-            state = self._states.get(tenant)
-            if state is not None and state.in_flight > 0:
-                state.in_flight -= 1
 
     # ---------------------------------------------------------------- queries
     def snapshot(self) -> Dict[str, object]:
         """Per-tenant admission counters for the ``/metrics`` exposition."""
         with self._lock:
             tenants = {
-                name: {
-                    "in_flight": state.in_flight,
-                    "admitted": state.admitted,
-                    "rate_limited": state.rate_limited,
-                    "quota_exceeded": state.quota_exceeded,
-                }
+                name: {"admitted": state.admitted, "rate_limited": state.rate_limited}
                 for name, state in sorted(self._states.items())
             }
         return {
-            "defaults": {
-                "rps": self.default_rps,
-                "burst": self.default_burst,
-                "max_concurrent": self.default_max_concurrent,
-            },
+            "defaults": {"rps": self.default_rps, "burst": self.default_burst},
             "tenants": tenants,
         }
 
@@ -333,15 +241,12 @@ class TenantQuotas:
         policy = self._overrides.get(tenant, {})
         rps = policy.get("rps", self.default_rps)
         burst = policy.get("burst", self.default_burst)
-        max_concurrent = policy.get("max_concurrent", self.default_max_concurrent)
         bucket = None
         if rps is not None:
             if burst is None:
                 burst = max(1.0, 2.0 * float(rps))
             bucket = TokenBucket(float(rps), float(burst), clock=self._clock)
-        if max_concurrent is not None:
-            max_concurrent = int(max_concurrent)
-        return _TenantState(bucket, max_concurrent)
+        return _TenantState(bucket)
 
 
 def retry_after_header(seconds: float) -> int:
@@ -350,11 +255,8 @@ def retry_after_header(seconds: float) -> int:
 
 
 __all__ = [
-    "TenantAdmissionError",
-    "TenantLease",
     "TenantQuotas",
     "TenantRateLimitedError",
-    "TenantQuotaExceededError",
     "TokenBucket",
     "retry_after_header",
 ]

@@ -74,7 +74,6 @@ class TestAccessLogTenantTrace:
         finally:
             server.shutdown()
             server.server_close()
-            app.close()
         lines = _access_lines(caplog, at_least=1)
         assert any(
             "status=200" in line
@@ -103,7 +102,6 @@ class TestAccessLogTenantTrace:
         finally:
             server.shutdown()
             server.server_close()
-            app.close()
         lines = _access_lines(caplog, at_least=1)
         assert any(
             "status=404" in line and "tenant=missing" in line for line in lines
@@ -140,7 +138,6 @@ class TestAccessLogRoutes:
         finally:
             server.shutdown()
             server.server_close()
-            app.close()
         assert answered == status
         (line,) = _access_lines(caplog, at_least=1)
         assert line.startswith(f"method={method} path={route} status={status} ")

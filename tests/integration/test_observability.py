@@ -1,10 +1,9 @@
 """Integration: tracing, Prometheus exposition, and the access log end to end.
 
 The acceptance check lives here: one request into a ``ServeApp`` must
-produce a *single* stitched trace — the handler thread's spans plus the
-queue wait and batch execution the scheduler records on whichever caller's
-thread leads the batch — all sharing the root's trace id, with every parent
-pointer resolving inside the file.
+produce a *single* stitched trace — validation, the engine call and the
+response, all on the caller's thread — sharing the root's trace id, with
+every parent pointer resolving inside the file.
 """
 
 from __future__ import annotations
@@ -55,18 +54,13 @@ def _traced_app(saved_model, **kwargs):
 class TestTracePropagation:
     def test_request_yields_one_stitched_trace(self, saved_model, small_problem):
         app, sink = _traced_app(saved_model)
-        try:
-            # A single-sample request rides the micro-batch scheduler (the
-            # production hot path: queue wait, then a coalesced batch run on
-            # the thread of the caller that leads it).
-            row = small_problem["test_features"][0]
-            single = app.predict({"features": row.tolist()})
-            # A client batch takes the direct path on the handler thread.
-            queries = small_problem["test_features"][:8]
-            batched = app.predict({"features": queries.tolist()})
-            assert "trace_id" in single and "trace_id" in batched
-        finally:
-            app.close()
+        # A single-sample request and a client batch take the same path: one
+        # engine call on the caller's thread.
+        row = small_problem["test_features"][0]
+        single = app.predict({"features": row.tolist()})
+        queries = small_problem["test_features"][:8]
+        batched = app.predict({"features": queries.tolist()})
+        assert "trace_id" in single and "trace_id" in batched
 
         spans = sink.records
         span_ids = {span["span"] for span in spans}
@@ -78,38 +72,29 @@ class TestTracePropagation:
                 assert span["parent"] in span_ids
         assert set(by_trace) == {single["trace_id"], batched["trace_id"]}
 
-        # The scheduler-path trace shows the full pipeline in one tree.
-        single_spans = by_trace[single["trace_id"]]
-        names = {span["name"] for span in single_spans}
-        for expected in ("request", "validate", "queue_wait", "batch_execute", "respond"):
-            assert expected in names, f"missing {expected!r} in {sorted(names)}"
-        roots = [s for s in single_spans if s["parent"] is None]
-        assert len(roots) == 1 and roots[0]["name"] == "request"
-        # The scheduler's spans hang off the request root, which they reach
-        # only through the context handed over with the request.
-        for span in single_spans:
-            if span["name"] in ("queue_wait", "batch_execute"):
-                assert span["parent"] == roots[0]["span"]
-
-        # The client batch skipped the scheduler and ran on the handler.
-        batched_names = {span["name"] for span in by_trace[batched["trace_id"]]}
-        assert {"request", "validate", "respond"} <= batched_names
-        assert not {"queue_wait", "batch_execute"} & batched_names
+        # Each trace is the full pipeline in one tree: the request root and
+        # one child per stage.
+        for answer in (single, batched):
+            trace_spans = by_trace[answer["trace_id"]]
+            roots = [s for s in trace_spans if s["parent"] is None]
+            assert len(roots) == 1 and roots[0]["name"] == "request"
+            children = sorted(s["name"] for s in trace_spans if s["parent"] is not None)
+            assert children == ["batch_execute", "respond", "validate"]
+            assert all(
+                s["parent"] == roots[0]["span"] for s in trace_spans if s is not roots[0]
+            )
 
     def test_unsampled_requests_record_nothing(self, saved_model, small_problem):
         sink = MemorySink()
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
         app = ServeApp(registry, tracer=Tracer(sink, sample_rate=0.0))
-        try:
-            row = small_problem["test_features"][0]
-            single = app.predict({"features": row.tolist()})
-            queries = small_problem["test_features"][:4]
-            batched = app.predict({"features": queries.tolist()})
-            assert "trace_id" not in single and "trace_id" not in batched
-            assert sink.records == []
-        finally:
-            app.close()
+        row = small_problem["test_features"][0]
+        single = app.predict({"features": row.tolist()})
+        queries = small_problem["test_features"][:4]
+        batched = app.predict({"features": queries.tolist()})
+        assert "trace_id" not in single and "trace_id" not in batched
+        assert sink.records == []
 
 
     @pytest.mark.parametrize(
@@ -133,11 +118,8 @@ class TestTracePropagation:
     ):
         app, sink = _traced_app(saved_model, **app_kwargs)
         payload = {"features": small_problem["test_features"][0].tolist()}
-        try:
-            with pytest.raises(RequestError) as info:
-                app.predict({**payload, **payload_extra})
-        finally:
-            app.close()
+        with pytest.raises(RequestError) as info:
+            app.predict({**payload, **payload_extra})
         assert (info.value.status, info.value.code) == (status, code)
         spans = sink.records
         # The failure is one trace — the one the error reports — and every
@@ -154,18 +136,14 @@ class TestTracePropagation:
 class TestPrometheusEndpoint:
     def test_snapshot_renders_valid_exposition(self, saved_model, small_problem):
         app, _ = _traced_app(saved_model)
-        try:
-            app.predict({"features": small_problem["test_features"][0].tolist()})
-            queries = small_problem["test_features"][:8]
-            app.predict({"features": queries.tolist()})
-            text = render_prometheus(app.metrics_snapshot())
-        finally:
-            app.close()
+        app.predict({"features": small_problem["test_features"][0].tolist()})
+        queries = small_problem["test_features"][:8]
+        app.predict({"features": queries.tolist()})
+        text = render_prometheus(app.metrics_snapshot())
         validate_exposition(text)
-        assert 'repro_requests_total{model="baseline"}' in text
-        assert 'repro_scheduler_queue_depth{model="baseline"}' in text
-        assert 'stage="queue_wait"' in text
-        assert 'stage="batch_execute"' in text
+        assert 'repro_requests_total{model="baseline"} 2' in text
+        assert 'repro_samples_total{model="baseline"} 9' in text
+        assert 'repro_stage_latency_seconds_count{model="baseline",stage="batch_execute"} 2' in text
         # Traced requests leave exemplars on the latency buckets.
         assert '# {trace_id="' in text
 
@@ -177,14 +155,11 @@ class TestPrometheusEndpoint:
             registry.register(name, saved_model)
         app = ServeApp(registry, tenant_quotas=TenantQuotas(rps=1.0, burst=1.0))
         row = small_problem["test_features"][0].tolist()
-        try:
+        app.predict({"features": row, "model": "a"})
+        with pytest.raises(RequestError):
             app.predict({"features": row, "model": "a"})
-            with pytest.raises(RequestError):
-                app.predict({"features": row, "model": "a"})
-            app.predict({"features": row, "model": "b"})
-            text = render_prometheus(app.metrics_snapshot())
-        finally:
-            app.close()
+        app.predict({"features": row, "model": "b"})
+        text = render_prometheus(app.metrics_snapshot())
         validate_exposition(text)
         lines = set(text.splitlines())
         assert 'repro_errors_total{model="a"} 1' in lines
@@ -212,15 +187,14 @@ class TestPrometheusEndpoint:
         finally:
             server.shutdown()
             server.server_close()
-            app.close()
 
 
 class TestRequestCounting:
     def test_concurrent_single_row_clients_are_each_counted_once(
         self, saved_model, small_problem
     ):
-        """Coalesced rows still count one request each, in the snapshot and
-        in Prometheus, and each still stitches into one whole trace."""
+        """Rows from concurrent callers count one request each, in the
+        snapshot and in Prometheus, and each stitches into one whole trace."""
         app, sink = _traced_app(saved_model)
         rows = small_problem["test_features"]
         clients, per_client = 8, 25
@@ -232,14 +206,11 @@ class TestRequestCounting:
                 answers[index].append(app.predict({"features": row.tolist()}))
 
         threads = [threading.Thread(target=client, args=(i,)) for i in range(clients)]
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            snapshot = app.metrics_snapshot()
-        finally:
-            app.close()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        snapshot = app.metrics_snapshot()
         answered = [answer for client_answers in answers for answer in client_answers]
         total = clients * per_client
         assert len(answered) == total
@@ -254,12 +225,11 @@ class TestRequestCounting:
         trace_ids = {answer["trace_id"] for answer in answered}
         exemplars = [b["exemplar"] for b in model["latency"]["buckets"] if "exemplar" in b]
         assert exemplars and {e["trace_id"] for e in exemplars} <= trace_ids
-        # The batches' queue_wait and batch_execute spans, written by
-        # whichever caller led each batch, reach every request's tree.
+        # Every request's tree holds its own engine call.
         summary = summarize_spans(sink.records)
         assert summary["traces"] == total
-        assert {"request", "queue_wait", "batch_execute"} <= set(summary["stages"])
-        assert summary["stages"]["queue_wait"]["count"] == total
+        assert set(summary["stages"]) == {"request", "validate", "batch_execute", "respond"}
+        assert summary["stages"]["batch_execute"]["count"] == total
         assert summary["orphans"] == 0
 
 
@@ -281,7 +251,6 @@ class TestAccessLog:
         finally:
             server.shutdown()
             server.server_close()
-            app.close()
         lines = [
             record.getMessage()
             for record in caplog.records
@@ -299,8 +268,5 @@ class TestAccessLog:
         registry = ModelRegistry()
         registry.register("baseline", saved_model)
         app = ServeApp(registry)
-        try:
-            with pytest.raises(ValueError, match="log level"):
-                create_server(app, port=0, log_level="loud")
-        finally:
-            app.close()
+        with pytest.raises(ValueError, match="log level"):
+            create_server(app, port=0, log_level="loud")

@@ -38,7 +38,7 @@ def served(small_problem, tmp_path_factory):
 
     registry = ModelRegistry()
     registry.register("har", path)
-    app = ServeApp(registry, max_batch_size=16)
+    app = ServeApp(registry)
     server = create_server(app, port=0)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -46,7 +46,6 @@ def served(small_problem, tmp_path_factory):
     yield {"port": port, "pipeline": pipeline}
     server.shutdown()
     server.server_close()
-    app.close()
 
 
 def _get(port, route):
@@ -197,10 +196,8 @@ class TestMetricsExposition:
             ("repro_samples_total", "counter"),
             ("repro_errors_total", "counter"),
             ("repro_deadline_exceeded_total", "counter"),
-            ("repro_batches_total", "counter"),
             ("repro_request_latency_seconds", "histogram"),
             ("repro_stage_latency_seconds", "histogram"),
-            ("repro_scheduler_queue_depth", "gauge"),
         ],
     )
     def test_declares_family_with_a_series_for_the_model(self, scraped, family, kind):
@@ -212,13 +209,32 @@ class TestMetricsExposition:
         )
 
     def test_stage_histograms_cover_the_served_pipeline(self, scraped):
-        # A single row is validated, waits in the micro-batch queue and runs
-        # in a batch: each stage has observations of its own.
+        # A single row is validated, then scored in one engine call: each
+        # stage has observations of its own, and no other stage exists.
         _, text = scraped
         samples = dict(line.rsplit(" ", 1) for line in text.splitlines() if line[:1] != "#")
-        for stage in ("validate", "queue_wait", "batch_execute"):
+        stages = {
+            key.split('stage="')[1].split('"')[0]
+            for key in samples
+            if key.startswith("repro_stage_latency_seconds_count")
+        }
+        assert stages == {"validate", "batch_execute"}
+        for stage in stages:
             key = f'repro_stage_latency_seconds_count{{model="har",stage="{stage}"}}'
             assert float(samples[key]) > 0
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "repro_batches_total",
+            "repro_scheduler_queue_depth",
+            "repro_tenant_quota_exceeded_total",
+            "repro_tenant_in_flight",
+        ],
+    )
+    def test_carries_no_series_of_the_deleted_batcher_or_quota(self, scraped, family):
+        _, text = scraped
+        assert family not in text
 
 
 #: Malformed predicts that must be refused with a 400 before they reach code
@@ -283,6 +299,7 @@ class TestPredictErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     @pytest.mark.parametrize("case", sorted(_MALFORMED))
@@ -396,7 +413,10 @@ class TestSocket:
 
 @pytest.fixture()
 def hardened(small_problem):
-    """A server with tenant quotas, deadlines, and the access log on."""
+    """A server with tenant quotas, deadlines, and the access log on.
+
+    Each tenant's bucket holds two tokens and its clock never advances, so
+    a test that spends both sees the next predict shed."""
     import logging
 
     from repro.serve import PackedInferenceEngine
@@ -406,8 +426,8 @@ def hardened(small_problem):
     pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
     registry = ModelRegistry()
     registry.register("har", PackedInferenceEngine(pipeline, name="har"))
-    quotas = TenantQuotas(max_concurrent=2)
-    app = ServeApp(registry, max_batch_size=16, tenant_quotas=quotas)
+    quotas = TenantQuotas(rps=1.0, burst=2.0, clock=lambda: 0.0)
+    app = ServeApp(registry, tenant_quotas=quotas)
     server = create_server(app, port=0, log_level="info")
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -415,7 +435,6 @@ def hardened(small_problem):
     yield {"port": port, "app": app, "server": server, "quotas": quotas}
     server.shutdown()
     server.server_close()
-    app.close()
     # Detach the handler create_server added so repeated fixtures don't stack.
     logging.getLogger("repro.serve.access").handlers.clear()
 
@@ -447,27 +466,24 @@ class TestRobustness:
         import logging
 
         row = small_problem["test_features"][0]
-        # Hold both of the tenant's slots so the next request must shed.
-        leases = [hardened["quotas"].admit("har") for _ in range(2)]
-        try:
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{hardened['port']}/v1/predict",
-                data=json.dumps({"features": row.tolist()}).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            with caplog.at_level(logging.INFO, logger="repro.serve.access"):
-                with pytest.raises(urllib.error.HTTPError) as excinfo:
-                    urllib.request.urlopen(request, timeout=10)
-            assert excinfo.value.code == 429
-            assert excinfo.value.headers["Retry-After"] == "1"
-            body = json.loads(excinfo.value.read())
-            assert body["code"] == "tenant_quota_exceeded"
-        finally:
-            for lease in leases:
-                lease.release()
+        # Spend both of the tenant's tokens so the next request must shed.
+        for _ in range(2):
+            hardened["quotas"].admit("har")
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{hardened['port']}/v1/predict",
+            data=json.dumps({"features": row.tolist()}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with caplog.at_level(logging.INFO, logger="repro.serve.access"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 429
+        assert excinfo.value.headers["Retry-After"] == "1"
+        body = json.loads(excinfo.value.read())
+        assert body["code"] == "tenant_rate_limited"
         # The structured access log must make the shed greppable by tenant.
         _wait_for_log_line(
-            caplog, "status=429", "code=tenant_quota_exceeded", "tenant=har"
+            caplog, "status=429", "code=tenant_rate_limited", "tenant=har"
         )
 
     def test_client_disconnect_is_one_access_log_line(
@@ -584,20 +600,13 @@ class TestRobustness:
 
 #: One case per error code a client can see: (app state, how to provoke it,
 #: status, code, Retry-After header or None).  The app state is "draining",
-#: or tenant quotas whose one token or slot a held lease takes.
+#: or tenant quotas whose one token the test spends first.
 _WIRE_ERRORS = {
     "bad_request": (None, {"top_k": 0}, 400, "bad_request", None),
     "invalid_json": (None, b"{", 400, "bad_request", None),
     "unknown_model": (None, {"model": "ghost"}, 404, "not_found", None),
     "unknown_route": (None, "/v1/nope", 404, "not_found", None),
     "payload_too_large": (None, "oversized", 413, "payload_too_large", None),
-    "tenant_quota_exceeded": (
-        {"max_concurrent": 1},
-        {},
-        429,
-        "tenant_quota_exceeded",
-        "1",
-    ),
     "tenant_rate_limited": (
         {"rps": 0.01, "burst": 1.0},
         {},
@@ -663,7 +672,6 @@ class TestErrorTaxonomyOnTheWire:
         finally:
             server.shutdown()
             server.server_close()
-            app.close()
         assert response.status == status
         assert payload["code"] == code
         assert isinstance(payload["error"], str) and payload["error"]

@@ -169,7 +169,6 @@ def port(small_problem):
     yield server.server_address[1]
     server.shutdown()
     server.server_close()
-    app.close()
 
 
 def _read_answer(stream) -> str:

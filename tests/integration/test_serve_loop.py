@@ -59,7 +59,6 @@ def _serving(engine, log_level=None):
     finally:
         server.shutdown()
         server.server_close()
-        app.close()
         logging.getLogger("repro.serve.access").handlers.clear()
 
 
@@ -498,4 +497,3 @@ class TestLifecycle:
         finally:
             for client in clients:
                 client.close()
-            app.close()

@@ -1,19 +1,18 @@
 """Integration: served answers are bit-identical to the offline engine.
 
-For every serving path a request can take in one process — a single row
-through the micro-batcher (alone or coalesced with other callers), a client
-batch straight on the engine, over keep-alive HTTP connections — the labels
-and scores ``ServeApp`` returns equal those of a ``PackedInferenceEngine``
-built from the same saved file, for shared-rule classifiers and ensemble
-banks alike.
+For every way a request reaches the engine in one process — a single row,
+a client batch, concurrent callers on their own threads, keep-alive HTTP
+connections — the labels and scores ``ServeApp`` returns equal those of a
+``PackedInferenceEngine`` built from the same saved file, for shared-rule
+classifiers and ensemble banks alike.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import sys
 import threading
-import time
 import urllib.request
 
 import numpy as np
@@ -70,16 +69,13 @@ def test_served_answers_match_offline_for_saved_models(
     queries = small_problem["test_features"][:12]
     labels, scores = _reference(saved_models[strategy]).top_k(queries, k=3)
     app = _app(saved_models[strategy])
-    try:
-        batch = app.predict({"features": queries.tolist(), "top_k": 3})
-        assert batch["top_k_labels"] == labels.tolist()
-        assert batch["top_k_scores"] == scores.astype(float).tolist()
-        for row, query in enumerate(queries[:6]):
-            single = app.predict({"features": query.tolist(), "top_k": 3})
-            assert single["top_k_labels"] == [labels[row].tolist()]
-            assert single["top_k_scores"] == [scores[row].astype(float).tolist()]
-    finally:
-        app.close()
+    batch = app.predict({"features": queries.tolist(), "top_k": 3})
+    assert batch["top_k_labels"] == labels.tolist()
+    assert batch["top_k_scores"] == scores.astype(float).tolist()
+    for row, query in enumerate(queries[:6]):
+        single = app.predict({"features": query.tolist(), "top_k": 3})
+        assert single["top_k_labels"] == [labels[row].tolist()]
+        assert single["top_k_scores"] == [scores[row].astype(float).tolist()]
 
 
 class TestTopKParity:
@@ -89,16 +85,13 @@ class TestTopKParity:
         queries = small_problem["test_features"][:5]
         labels, scores = _reference(saved_models["baseline"]).top_k(queries, k=k)
         app = _app(saved_models["baseline"])
-        try:
-            if shape == "batch":
-                answers = [app.predict({"features": queries.tolist(), "top_k": k})]
-            else:
-                answers = [
-                    app.predict({"features": query.tolist(), "top_k": k})
-                    for query in queries
-                ]
-        finally:
-            app.close()
+        if shape == "batch":
+            answers = [app.predict({"features": queries.tolist(), "top_k": k})]
+        else:
+            answers = [
+                app.predict({"features": query.tolist(), "top_k": k})
+                for query in queries
+            ]
         served_labels = [row for answer in answers for row in answer["labels"]]
         assert served_labels == labels[:, 0].tolist()
         if k == 1:
@@ -121,37 +114,26 @@ class TestTopKParity:
         assert labels.shape == (1, small_problem["num_classes"])
         features = query.tolist() if shape == "single" else [query.tolist()]
         app = _app(saved_models["baseline"])
-        try:
-            answer = app.predict({"features": features, "top_k": 10})
-        finally:
-            app.close()
+        answer = app.predict({"features": features, "top_k": 10})
         assert answer["top_k_labels"] == labels.tolist()
 
 
-class _HoldFirstBatch:
-    """Holds the first engine call until ``release`` is set, so requests
-    queued meanwhile coalesce into the next batch; records batch sizes."""
-
-    def __init__(self, engine):
-        self._engine = engine
-        self.num_features = engine.num_features
-        self.batch_sizes = []
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def top_k(self, features, k):
-        self.batch_sizes.append(features.shape[0])
-        self.entered.set()
-        self.release.wait(timeout=30)
-        return self._engine.top_k(features, k=k)
-
-
-def _wait_for_queue(scheduler, depth, timeout=10.0):
-    """Block until *depth* requests wait behind the held batch."""
-    deadline = time.monotonic() + timeout
-    while scheduler.queue_depth < depth:
-        assert time.monotonic() < deadline, f"queue stuck at {scheduler.queue_depth}"
-        time.sleep(0.001)
+def _run_concurrently(call, arguments):
+    """Call ``call(*args)`` for each tuple in *arguments*, each on a thread
+    of its own, all started before any is joined.  The threads share one
+    engine with no lock of the app's; switching as often as the interpreter
+    allows makes their engine calls interleave."""
+    threads = [threading.Thread(target=call, args=args) for args in arguments]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 @pytest.mark.parametrize("callers", [1, 2, 3, 5, 17])
@@ -160,42 +142,21 @@ def test_concurrent_callers_get_their_own_rows(saved_models, small_problem, call
     reference = _reference(saved_models["ensemble"])
     labels, scores = reference.top_k(queries, k=2)
     app = _app(saved_models["ensemble"])
-    held = _HoldFirstBatch(app.registry.get("m"))
-    app.engine_for = lambda name: held
     answers = [None] * callers
 
     def call(index):
         answers[index] = app.predict({"features": queries[index].tolist(), "top_k": 2})
 
-    first = threading.Thread(
-        target=app.predict, args=({"features": small_problem["test_features"][0].tolist()},)
-    )
-    first.start()
-    try:
-        assert held.entered.wait(timeout=30)
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
-        for thread in threads:
-            thread.start()
-        _wait_for_queue(app.scheduler_for("m"), callers)
-        held.release.set()
-        for thread in threads:
-            thread.join(timeout=30)
-        first.join(timeout=30)
-    finally:
-        held.release.set()
-        app.close()
-    assert held.batch_sizes == [1, callers]
+    _run_concurrently(call, [(index,) for index in range(callers)])
     for index, answer in enumerate(answers):
         assert answer["top_k_labels"] == [labels[index].tolist()]
         assert answer["top_k_scores"] == [scores[index].astype(float).tolist()]
 
 
-def test_bad_row_does_not_poison_its_batch(saved_models, small_problem):
+def test_a_bad_row_fails_alone_among_concurrent_callers(saved_models, small_problem):
     queries = small_problem["test_features"][1:5]
     expected = _reference(saved_models["baseline"]).predict(queries).tolist()
     app = _app(saved_models["baseline"])
-    held = _HoldFirstBatch(app.registry.get("m"))
-    app.engine_for = lambda name: held
     outcomes = {}
 
     def call(key, features):
@@ -204,34 +165,10 @@ def test_bad_row_does_not_poison_its_batch(saved_models, small_problem):
         except RequestError as error:
             outcomes[key] = error.status
 
-    first = threading.Thread(
-        target=call, args=("first", small_problem["test_features"][0].tolist())
-    )
-    first.start()
-    try:
-        assert held.entered.wait(timeout=30)
-        threads = [
-            threading.Thread(target=call, args=(index, query.tolist()))
-            for index, query in enumerate(queries)
-        ]
-        threads.append(
-            threading.Thread(target=call, args=("bad", queries[0][:-1].tolist()))
-        )
-        for thread in threads:
-            thread.start()
-        _wait_for_queue(app.scheduler_for("m"), len(threads))
-        held.release.set()
-        for thread in threads:
-            thread.join(timeout=30)
-        first.join(timeout=30)
-    finally:
-        held.release.set()
-        app.close()
+    arguments = [(index, query.tolist()) for index, query in enumerate(queries)]
+    _run_concurrently(call, arguments + [("bad", queries[0][:-1].tolist())])
     assert outcomes.pop("bad") == 400
-    outcomes.pop("first")
     assert [outcomes[index] for index in range(len(queries))] == expected
-    # The short row fails before the stack; the rest run as one batch.
-    assert held.batch_sizes == [1, len(queries)]
 
 
 def test_keepalive_clients_soak_the_http_endpoint(saved_models, small_problem):
@@ -282,7 +219,6 @@ def test_keepalive_clients_soak_the_http_endpoint(saved_models, small_problem):
     finally:
         server.shutdown()
         server.server_close()
-        app.close()
     assert errors == []
     assert [labels[index] for index in range(len(rows))] == [
         [label] for label in reference.predict(rows).tolist()

@@ -164,7 +164,6 @@ def served(small_problem):
     yield server.server_address[1], small_problem["test_features"][0].tolist()
     server.shutdown()
     server.server_close()
-    app.close()
 
 
 @pytest.fixture()

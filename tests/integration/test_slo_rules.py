@@ -104,37 +104,17 @@ def engine(small_problem):
 
 @pytest.fixture()
 def make_app(engine):
-    apps = []
-
     def build(**kwargs):
         registry = ModelRegistry()
         registry.register("m", engine)
-        app = ServeApp(registry, **kwargs)
-        apps.append(app)
-        return app
+        return ServeApp(registry, **kwargs)
 
-    yield build
-    for app in apps:
-        app.close()
+    return build
 
 
 @pytest.fixture()
 def row(small_problem):
     return small_problem["test_features"][0].tolist()
-
-
-class _Switch:
-    """Scores with ``target``, which a test replaces between predicts.
-
-    A model's scheduler resolves its engine once, at its first predict, so a
-    test that changes the engine after some answers installs this first.
-    """
-
-    def __init__(self, target):
-        self.target = target
-
-    def top_k(self, features, k):
-        return self.target.top_k(features, k=k)
 
 
 class _CrashingEngine:
@@ -204,19 +184,15 @@ class TestRecordingRules:
     @pytest.mark.parametrize(
         "outcome", ["429-tenant-shed", "500-engine-crash", "504-deadline"]
     )
-    def test_a_failed_predict_is_a_bad_event(
-        self, make_app, row, engine, window, outcome
-    ):
+    def test_a_failed_predict_is_a_bad_event(self, make_app, row, window, outcome):
         # A bucket of four tokens that never refills admits the four answers.
         quotas = TenantQuotas(rps=1e-3, burst=4.0) if outcome.startswith("429") else None
         app = make_app(tenant_quotas=quotas)
-        switch = _Switch(engine)
-        app.engine_for = lambda name: switch
         before = _scrape(app)
         _answer(app, row)
         payload = {"features": row}
         if outcome.startswith("500"):
-            switch.target = _CrashingEngine()
+            app.engine_for = lambda name: _CrashingEngine()
         if outcome.startswith("504"):
             payload["deadline_ms"] = 1e-6
         _fail(app, payload)
@@ -227,11 +203,9 @@ class TestRecordingRules:
     ):
         # Slow is the new down: answered, but after the le="0.5" bound.
         app = make_app()
-        switch = _Switch(engine)
-        app.engine_for = lambda name: switch
         before = _scrape(app)
         _answer(app, row)
-        switch.target = _SlowEngine(engine, 0.55)
+        app.engine_for = lambda name: _SlowEngine(engine, 0.55)
         _answer(app, row, count=1)
         assert _ratio(window, [(before, _scrape(app))]) == pytest.approx(1 / 5)
 

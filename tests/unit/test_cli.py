@@ -51,7 +51,7 @@ class TestParser:
             "train",
         ]
 
-    def test_serve_keeps_its_twelve_flags(self):
+    def test_serve_keeps_its_ten_flags(self):
         serve = _subparsers()["serve"]
         flags = {
             option
@@ -60,9 +60,9 @@ class TestParser:
             if option not in ("-h", "--help")
         }
         assert flags == {
-            "--model", "--host", "--port", "--max-batch-size", "--tenant-rps",
-            "--tenant-burst", "--tenant-max-concurrent", "--tenant-quotas",
-            "--deadline-ms", "--log-level", "--trace", "--trace-sample",
+            "--model", "--host", "--port", "--tenant-rps", "--tenant-burst",
+            "--tenant-quotas", "--deadline-ms", "--log-level", "--trace",
+            "--trace-sample",
         }
 
     def test_trace_summary_exemplars_flag(self):
@@ -108,16 +108,18 @@ class TestParser:
             _retired("serve", "verbose"),
             _retired("serve", "slo-config", "slo.json"),
             _retired("serve", "max-resident", "2"),
+            _retired("serve", "max-batch-size", "64"),
+            _retired("serve", "tenant-max-concurrent", "8"),
             pytest.param(["loadgen", "--quick"], "loadgen", id="loadgen"),
             pytest.param(["top", "--once"], "top", id="top"),
         ],
     )
     def test_retired_flags_and_commands_are_rejected(self, argv, retired, capsys):
-        # Serving runs in one process with tenant quotas as its one admission
-        # limit, every model loaded at start, no prediction cache and no SLO
-        # engine, the kernels have one NumPy executor, and perfbench is the
-        # only benchmark and the only load client: a stale script fails at
-        # parse time.
+        # Serving runs in one process with tenant rate quotas as its one
+        # admission limit, one engine call per predict, every model loaded
+        # at start, no prediction cache and no SLO engine, the kernels have
+        # one NumPy executor, and perfbench is the only benchmark and the
+        # only load client: a stale script fails at parse time.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
@@ -230,12 +232,10 @@ class TestTenantFlags:
             [
                 "serve", "--model", "m.npz",
                 "--tenant-rps", "50", "--tenant-burst", "100",
-                "--tenant-max-concurrent", "8",
             ]
         )
         assert args.tenant_rps == 50.0
         assert args.tenant_burst == 100.0
-        assert args.tenant_max_concurrent == 8
 
     def test_build_tenant_quotas_from_flags_and_file(self, tmp_path):
         import json
@@ -249,21 +249,22 @@ class TestTenantFlags:
         assert quotas() is None
         assert quotas("--tenant-rps", "5").default_rps == 5.0
         path = tmp_path / "quotas.json"
-        path.write_text(json.dumps({"defaults": {"rps": 9, "max_concurrent": 3}}))
+        path.write_text(json.dumps({"defaults": {"rps": 9, "burst": 3}}))
         from_file = quotas("--tenant-quotas", str(path))
         # File defaults survive when the flags are unset...
         assert from_file.default_rps == 9.0
-        assert from_file.default_max_concurrent == 3
+        assert from_file.default_burst == 3
         overridden = quotas("--tenant-quotas", str(path), "--tenant-rps", "2")
         # ...and explicit flags beat the file.
         assert overridden.default_rps == 2.0
-        assert overridden.default_max_concurrent == 3
+        assert overridden.default_burst == 3
 
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--tenant-quotas", '{"tenants": {"a": {"max_concurrent": 0}}}', "bad tenant quotas:"),
+            ("--tenant-quotas", '{"tenants": {"a": {"rps": 0}}}', "bad tenant quotas:"),
             ("--tenant-quotas", '{"defaults": {"rps": "abc"}}', "bad tenant quotas:"),
+            ("--tenant-quotas", '{"defaults": {"max_concurrent": 1}}', "bad tenant quotas:"),
             ("--trace-sample", "1.5", "--trace-sample must be in [0, 1], got 1.5"),
             ("--trace-sample", "-1", "--trace-sample must be in [0, 1], got -1"),
             ("--trace-sample", "nan", "--trace-sample must be in [0, 1], got nan"),
@@ -273,6 +274,7 @@ class TestTenantFlags:
         ids=[
             "quota-zero",
             "quota-not-a-number",
+            "quota-max-concurrent",
             "trace-sample-above-one",
             "trace-sample-negative",
             "trace-sample-nan",
@@ -343,8 +345,7 @@ class TestTenantFlags:
             argv += ["--model", spec]
         assert main(argv) == 0
         assert calls == registered
-        (app,) = served
-        app.close()
+        assert len(served) == 1
         assert "error:" not in capsys.readouterr().err
 
 
@@ -365,8 +366,8 @@ def _trace_spans():
             {"v": 1, "trace": trace, "span": root, "parent": None, "name": "request",
              "ts": 0.0, "dur_ms": request_ms, "attrs": {"model": "har"}}
         )
-        for stage, dur_ms in (("validate", 0.1), ("queue_wait", 0.5),
-                              ("batch_execute", 1.0)):
+        for stage, dur_ms in (("validate", 0.1), ("batch_execute", 1.0),
+                              ("respond", 0.5)):
             spans.append(
                 {"v": 1, "trace": trace, "span": f"{trace}-{stage}", "parent": root,
                  "name": stage, "ts": 0.0, "dur_ms": dur_ms, "attrs": {}}
@@ -467,7 +468,7 @@ class TestTraceSummary:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "Trace summary: 2 traces, 8 spans"
         stages = [line.split(" | ")[0].strip() for line in lines[3:]]
-        assert stages == ["request", "validate", "queue_wait", "batch_execute"]
+        assert stages == ["request", "validate", "batch_execute", "respond"]
 
     def test_orphan_spans_are_flagged(self, tmp_path, capsys):
         spans = _trace_spans()

@@ -16,7 +16,6 @@ def _snapshot():
                 "samples": 40,
                 "errors": 1,
                 "deadline_exceeded": 1,
-                "batches": 5,
                 "latency": {
                     "count": 12,
                     "sum_seconds": 0.06,
@@ -46,7 +45,7 @@ def _snapshot():
                 },
             },
         },
-        "schedulers": {"har": {"queue_depth": 3}},
+        "tenancy": {"tenants": {"har": {"admitted": 13, "rate_limited": 1}}},
     }
 
 
@@ -63,9 +62,6 @@ repro_errors_total{model="har"} 1
 # HELP repro_deadline_exceeded_total Requests that missed their deadline (HTTP 504).
 # TYPE repro_deadline_exceeded_total counter
 repro_deadline_exceeded_total{model="har"} 1
-# HELP repro_batches_total Coalesced micro-batches executed.
-# TYPE repro_batches_total counter
-repro_batches_total{model="har"} 5
 # HELP repro_request_latency_seconds End-to-end request latency.
 # TYPE repro_request_latency_seconds histogram
 repro_request_latency_seconds_bucket{model="har",le="0.001"} 2
@@ -73,15 +69,18 @@ repro_request_latency_seconds_bucket{model="har",le="0.01"} 10 # {trace_id="dead
 repro_request_latency_seconds_bucket{model="har",le="+Inf"} 12
 repro_request_latency_seconds_sum{model="har"} 0.06
 repro_request_latency_seconds_count{model="har"} 12
-# HELP repro_stage_latency_seconds Per-stage latency (validate, queue_wait, batch_execute).
+# HELP repro_stage_latency_seconds Per-stage latency (validate, batch_execute).
 # TYPE repro_stage_latency_seconds histogram
 repro_stage_latency_seconds_bucket{model="har",stage="validate",le="0.001"} 12
 repro_stage_latency_seconds_bucket{model="har",stage="validate",le="+Inf"} 12
 repro_stage_latency_seconds_sum{model="har",stage="validate"} 0.001
 repro_stage_latency_seconds_count{model="har",stage="validate"} 12
-# HELP repro_scheduler_queue_depth Requests waiting in the micro-batch queue.
-# TYPE repro_scheduler_queue_depth gauge
-repro_scheduler_queue_depth{model="har"} 3
+# HELP repro_tenant_admitted_total Requests admitted past tenant quotas.
+# TYPE repro_tenant_admitted_total counter
+repro_tenant_admitted_total{tenant="har"} 13
+# HELP repro_tenant_rate_limited_total Requests shed by the tenant token bucket (429).
+# TYPE repro_tenant_rate_limited_total counter
+repro_tenant_rate_limited_total{tenant="har"} 1
 """
 
 
@@ -99,16 +98,16 @@ class TestRender:
 
     def test_label_values_are_escaped(self):
         text = render_prometheus(
-            {"schedulers": {'m"odel\n': {"queue_depth": 1}}}
+            {"tenancy": {"tenants": {'m"odel\n': {"admitted": 1}}}}
         )
-        assert 'model="m\\"odel\\n"' in text
+        assert 'tenant="m\\"odel\\n"' in text
         validate_exposition(text)
 
     def test_content_type_is_prometheus_text(self):
         assert CONTENT_TYPE.startswith("text/plain; version=0.0.4")
 
     def test_tenant_series_render_one_per_tenant_in_name_order(self):
-        stats = {"admitted": 7, "rate_limited": 2, "quota_exceeded": 1, "in_flight": 0}
+        stats = {"admitted": 7, "rate_limited": 2}
         text = render_prometheus(
             {"tenancy": {"tenants": {"b": stats, "a": {"admitted": 1}}}}
         )
@@ -116,14 +115,9 @@ class TestRender:
         assert samples == [
             'repro_tenant_admitted_total{tenant="a"} 1',
             'repro_tenant_rate_limited_total{tenant="a"} 0',
-            'repro_tenant_quota_exceeded_total{tenant="a"} 0',
-            'repro_tenant_in_flight{tenant="a"} 0',
             'repro_tenant_admitted_total{tenant="b"} 7',
             'repro_tenant_rate_limited_total{tenant="b"} 2',
-            'repro_tenant_quota_exceeded_total{tenant="b"} 1',
-            'repro_tenant_in_flight{tenant="b"} 0',
         ]
-        assert "# TYPE repro_tenant_in_flight gauge" in text
         assert text.count("# TYPE repro_tenant_admitted_total counter") == 1
         validate_exposition(text)
 
@@ -147,8 +141,8 @@ class TestRender:
     def test_sample_values_render_as_exposition_numbers(self, value, rendered):
         # Integral values below 1e15 print without a decimal point; others
         # print as Python's shortest float repr, which Prometheus parses.
-        text = render_prometheus({"schedulers": {"m": {"queue_depth": value}}})
-        assert text.splitlines()[-1] == f'repro_scheduler_queue_depth{{model="m"}} {rendered}'
+        text = render_prometheus({"tenancy": {"tenants": {"m": {"rate_limited": value}}}})
+        assert text.splitlines()[-1] == f'repro_tenant_rate_limited_total{{tenant="m"}} {rendered}'
         validate_exposition(text)
 
     def test_histogram_without_buckets_is_not_rendered(self):

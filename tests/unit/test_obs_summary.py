@@ -113,8 +113,7 @@ class TestFormat:
         assert "orphan" in text
 
     def test_stage_order_covers_the_serving_pipeline(self):
-        for stage in ("validate", "queue_wait", "batch_execute"):
-            assert stage in STAGE_ORDER
+        assert STAGE_ORDER == ("request", "validate", "batch_execute", "respond")
 
 
 class TestSlowestExemplars:

@@ -1,7 +1,6 @@
 """Unit tests for repro.obs.trace: spans, sampling, sinks, stitching."""
 
 import json
-import os
 import threading
 
 import pytest
@@ -10,7 +9,6 @@ from repro.obs.trace import (
     NULL_SPAN,
     JsonlSink,
     MemorySink,
-    SpanContext,
     Tracer,
     parse_trace_file,
 )
@@ -47,13 +45,13 @@ class TestSpanLifecycle:
             ctx = root.context
 
             def worker():
-                with tracer.start_span("queue_wait", parent=ctx):
+                with tracer.start_span("batch_execute", parent=ctx):
                     pass
 
             thread = threading.Thread(target=worker)
             thread.start()
             thread.join()
-        child = next(r for r in sink.records if r["name"] == "queue_wait")
+        child = next(r for r in sink.records if r["name"] == "batch_execute")
         assert child["trace"] == root.trace_id
         assert child["parent"] == root.span_id
 
@@ -118,34 +116,6 @@ class TestSampling:
     def test_rejects_out_of_range_sample_rate(self):
         with pytest.raises(ValueError):
             Tracer(MemorySink(), sample_rate=1.5)
-
-
-class TestStitching:
-    def test_emit_span_stitches_under_an_explicit_parent(self):
-        sink = MemorySink()
-        tracer = Tracer(sink)
-        parent = SpanContext("a" * 16, "b" * 16)
-        tracer.emit_span(
-            "queue_wait", parent, start_time=123.0, duration_s=0.004,
-            attrs={"rows": 2},
-        )
-        (written,) = sink.records
-        assert written["trace"] == "a" * 16
-        assert written["parent"] == "b" * 16
-        assert written["ts"] == 123.0
-        assert written["dur_ms"] == pytest.approx(4.0)
-        assert written["pid"] == os.getpid()
-        assert written["attrs"] == {"rows": 2}
-
-    def test_emit_span_is_noop_without_parent(self):
-        sink = MemorySink()
-        tracer = Tracer(sink)
-        tracer.emit_span("queue_wait", None, start_time=0.0, duration_s=0.001)
-        assert sink.records == []
-        tracer.emit_span(
-            "queue_wait", SpanContext("t" * 16, "s" * 16), 0.0, 0.001
-        )
-        assert len(sink.records) == 1
 
 
 class TestJsonlSinkAndParsing:

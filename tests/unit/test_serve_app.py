@@ -1,5 +1,6 @@
 """Unit tests for ServeApp's request contract: the error taxonomy, payload
-validation, deadlines, tenant admission, outcome accounting and readiness."""
+validation, deadlines, tenant admission, outcome accounting, readiness and
+the one engine call each predict makes."""
 
 from __future__ import annotations
 
@@ -26,19 +27,13 @@ def engine(small_problem):
 
 @pytest.fixture()
 def make_app(engine):
-    apps = []
-
     def build(names=("m",), **kwargs):
         registry = ModelRegistry()
         for name in names:
             registry.register(name, engine)
-        app = ServeApp(registry, **kwargs)
-        apps.append(app)
-        return app
+        return ServeApp(registry, **kwargs)
 
-    yield build
-    for app in apps:
-        app.close()
+    return build
 
 
 @pytest.fixture()
@@ -57,6 +52,19 @@ class _HeldEngine:
     def top_k(self, features, k):
         self.entered.set()
         self.release.wait(timeout=30)
+        return self._engine.top_k(features, k=k)
+
+
+class _RecordingEngine:
+    """Wraps an engine; records the shape of each ``top_k`` call's rows and
+    the thread that made it."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.calls = []
+
+    def top_k(self, features, k):
+        self.calls.append((features.shape, threading.current_thread().name))
         return self._engine.top_k(features, k=k)
 
 
@@ -247,39 +255,12 @@ class TestRequestAccounting:
     def _model(app):
         return app.metrics_snapshot()["models"]["m"]
 
-    def test_coalesced_single_rows_count_one_request_each(self, make_app, row, engine):
-        app = make_app()
-        held = _HeldEngine(engine)
-        app.engine_for = lambda name: held
-        clients = [
-            threading.Thread(target=app.predict, args=({"features": row},))
-            for _ in range(3)
-        ]
-        clients[0].start()
-        try:
-            assert held.entered.wait(timeout=30)
-            for client in clients[1:]:
-                client.start()
-            scheduler = app.scheduler_for("m")
-            waited = time.monotonic() + 30
-            while scheduler.queue_depth < 2 and time.monotonic() < waited:
-                time.sleep(0.001)
-        finally:
-            held.release.set()
-            for client in clients:
-                client.join(timeout=30)
-        model = self._model(app)
-        # The held batch of one, then the two queued behind it in one batch.
-        assert model["batches"] == 2
-        assert (model["requests"], model["latency"]["count"]) == (3, 3)
-        assert model["samples"] == 3
-
     def test_single_row_latency_is_the_callers(self, make_app, row):
         app = make_app()
         answer = app.predict({"features": row})
         latency = self._model(app)["latency"]
         # Validation to response: it covers the answer's own latency_ms,
-        # queue wait and hand-offs included, not just the engine call.
+        # not just the engine call.
         assert latency["count"] == 1
         assert latency["sum_seconds"] * 1e3 >= answer["latency_ms"]
 
@@ -287,7 +268,7 @@ class TestRequestAccounting:
         app = make_app()
         answer = app.predict({"features": [row, row, row]})
         model = self._model(app)
-        assert (model["requests"], model["samples"], model["batches"]) == (1, 3, 0)
+        assert (model["requests"], model["samples"]) == (1, 3)
         assert model["latency"]["sum_seconds"] * 1e3 >= answer["latency_ms"]
 
     def test_repeated_payload_is_scored_every_time(self, make_app, row):
@@ -295,7 +276,7 @@ class TestRequestAccounting:
         first, second = (app.predict({"features": row}) for _ in range(2))
         assert second["labels"] == first["labels"]
         model = self._model(app)
-        assert (model["requests"], model["samples"], model["batches"]) == (2, 2, 2)
+        assert (model["requests"], model["samples"]) == (2, 2)
 
 
 class TestOutcomeAccounting:
@@ -353,55 +334,6 @@ class TestOutcomeAccounting:
         assert (model["requests"], model["errors"]) == (1, 0)
 
 
-class TestTenantAdmission:
-    """``TenantQuotas`` is the one admission limit, for both request shapes."""
-
-    @pytest.mark.parametrize(
-        "held, shed", [("batch", "single"), ("single", "batch")]
-    )
-    def test_request_in_the_engine_holds_the_one_slot(
-        self, make_app, row, engine, held, shed
-    ):
-        app = make_app(tenant_quotas=TenantQuotas(max_concurrent=1))
-        gate = _HeldEngine(engine)
-        app.engine_for = lambda name: gate
-        shapes = {"single": row, "batch": [row, row]}
-        thread = threading.Thread(
-            target=app.predict, args=({"features": shapes[held]},)
-        )
-        thread.start()
-        try:
-            assert gate.entered.wait(timeout=30)
-            error = _status(app, {"features": shapes[shed]})
-            assert (error.status, error.code) == (429, "tenant_quota_exceeded")
-            assert error.retry_after == 1
-        finally:
-            gate.release.set()
-            thread.join(timeout=30)
-        assert not thread.is_alive()
-        snapshot = app.metrics_snapshot()
-        assert snapshot["tenancy"]["tenants"]["m"]["quota_exceeded"] == 1
-        assert snapshot["models"]["m"]["errors"] == 1
-        assert snapshot["models"]["m"]["requests"] == 1
-
-    @pytest.mark.parametrize("failure, status", [("wrong-width", 400), ("deadline", 504)])
-    def test_failed_single_row_hands_its_lease_back(
-        self, make_app, row, engine, failure, status
-    ):
-        quotas = TenantQuotas(max_concurrent=1)
-        app = make_app(tenant_quotas=quotas)
-        payload = (
-            {"features": row[:-1]}
-            if failure == "wrong-width"
-            else {"features": row, "deadline_ms": 1e-6}
-        )
-        for _ in range(3):
-            assert _status(app, payload).status == status
-        assert quotas.snapshot()["tenants"]["m"]["in_flight"] == 0
-        answer = app.predict({"features": row})
-        assert answer["labels"] == engine.predict([row]).tolist()
-
-
 class TestReadiness:
     def test_healthz_counts_registered_models(self, make_app):
         assert make_app(names=("a", "b", "c")).healthz() == {
@@ -424,13 +356,6 @@ class TestReadiness:
         error = _status(app, {"features": row})
         assert (error.status, error.code, error.retry_after) == (503, "draining", 1)
 
-    def test_metrics_snapshot_lists_only_started_schedulers(self, make_app, row):
-        app = make_app(names=("a", "b"))
-        assert "schedulers" not in app.metrics_snapshot()
-        app.predict({"features": row, "model": "a"})
-        app.predict({"features": [row], "model": "b"})  # direct engine path
-        assert app.metrics_snapshot()["schedulers"] == {"a": {"queue_depth": 0}}
-
     def test_models_route_lists_one_row_per_name(self, make_app):
         app = make_app(names=("b", "a"))
         rows = app.models()["models"]
@@ -442,13 +367,33 @@ class TestReadiness:
         )
 
 
-def test_each_model_resolves_its_engine_once_for_its_single_rows(make_app, row):
-    # A model's scheduler takes its engine when it is built, not per batch.
-    app = make_app(names=("a", "b"))
-    resolved = []
-    resolve = app.engine_for
-    app.engine_for = lambda name: resolved.append(name) or resolve(name)
-    for _ in range(20):
-        for name in ("a", "b"):
-            app.predict({"features": row, "model": name})
-    assert sorted(resolved) == ["a", "b"]
+class TestOneEngineCall:
+    """Every predict, one row or a client batch, is one ``top_k`` call with a
+    2-D array of its rows, on the thread that called ``predict``."""
+
+    @pytest.mark.parametrize("shape, rows", [("1-d", 1), ("2-d", 1), ("2-d", 3)])
+    def test_each_predict_is_one_engine_call_on_its_callers_thread(
+        self, make_app, row, engine, shape, rows
+    ):
+        app = make_app()
+        recording = _RecordingEngine(engine)
+        app.engine_for = lambda name: recording
+        features = row if shape == "1-d" else [row] * rows
+        answer = app.predict({"features": features})
+        assert recording.calls == [((rows, len(row)), threading.current_thread().name)]
+        assert answer["labels"] == engine.predict([row] * rows).tolist()
+        model = app.metrics_snapshot()["models"]["m"]
+        assert model["samples"] == rows
+        assert model["stages"]["batch_execute"]["count"] == 1
+
+    def test_every_predict_resolves_its_engine_through_engine_for(self, make_app, row):
+        # engine_for is the seam a test swaps a fake engine in at; it is
+        # asked once per predict, so a swap takes effect on the next one.
+        app = make_app(names=("a", "b"))
+        resolved = []
+        resolve = app.engine_for
+        app.engine_for = lambda name: resolved.append(name) or resolve(name)
+        for features in (row, [row, row]):
+            for name in ("a", "b"):
+                app.predict({"features": features, "model": name})
+        assert resolved == ["a", "b", "a", "b"]

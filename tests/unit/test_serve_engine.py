@@ -290,12 +290,12 @@ class TestFromFile:
         load = np.load
 
         def counted(*args, **kwargs):
-            opened.append(args[0])
+            opened.append(args[0].name)
             return load(*args, **kwargs)
 
         monkeypatch.setattr(repro.io.np, "load", counted)
         engine = PackedInferenceEngine.from_file(path)
-        assert opened == [path]
+        assert opened == [str(path)]
         assert engine.metadata == read_model_metadata(path)
 
 

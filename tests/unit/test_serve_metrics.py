@@ -159,12 +159,12 @@ class TestModelMetrics:
     def test_stage_histograms_appear_on_first_use(self):
         metrics = ModelMetrics()
         assert metrics.snapshot()["stages"] == {}
-        metrics.record_stage("queue_wait", 0.0002)
-        metrics.record_stage("queue_wait", 0.0004)
+        metrics.record_stage("batch_execute", 0.0002)
+        metrics.record_stage("batch_execute", 0.0004)
         snapshot = metrics.snapshot()
-        assert list(snapshot["stages"]) == ["queue_wait"]
-        assert snapshot["stages"]["queue_wait"]["count"] == 2
-        assert snapshot["stages"]["queue_wait"]["sum_seconds"] == pytest.approx(0.0006)
+        assert list(snapshot["stages"]) == ["batch_execute"]
+        assert snapshot["stages"]["batch_execute"]["count"] == 2
+        assert snapshot["stages"]["batch_execute"]["sum_seconds"] == pytest.approx(0.0006)
         # A stage timing is not a request.
         assert (snapshot["requests"], snapshot["latency"]["count"]) == (0, 0)
 
@@ -192,17 +192,6 @@ class TestModelMetrics:
         assert [exemplar["trace_id"] for exemplar in exemplars] == ["ab" * 8]
         # The key set docs/observability.md documents and /metrics renders.
         assert set(exemplars[0]) == {"trace_id", "value", "timestamp"}
-        assert snapshot["batches"] == 0
-
-    def test_record_batch_counts_batches_and_their_rows(self):
-        metrics = ModelMetrics()
-        for size in (1, 8, 8, 16):
-            metrics.record_batch(size)
-        snapshot = metrics.snapshot()
-        assert snapshot["batches"] == metrics.batches == 4
-        # A batch's rows are scored samples; it answers no request itself.
-        assert snapshot["samples"] == 1 + 8 + 8 + 16
-        assert snapshot["requests"] == 0
 
 
 class TestMetricsRegistry:
@@ -216,7 +205,7 @@ class TestMetricsRegistry:
 
         registry = MetricsRegistry()
         registry.for_model("m").record_outcome(200, 0.001)
-        registry.for_model("m").record_batch(1)
+        registry.for_model("m").record_samples(1)
         payload = json.dumps(registry.snapshot())
         assert '"m"' in payload
         assert list(registry.snapshot()["models"]) == ["m"]
@@ -272,10 +261,10 @@ class TestSnapshotConsistency:
 
         def hammer():
             while not stop.is_set():
-                # Every batch carries exactly 3 samples, so any snapshot
-                # must observe samples == 3 * batches — a torn read (one
-                # counter updated, the other not yet) breaks the invariant.
-                metrics.record_batch(3)
+                # Every 504 is an error and a missed deadline, so any
+                # snapshot must observe errors == deadline_exceeded — a torn
+                # read (one counter updated, the other not yet) breaks it.
+                metrics.record_outcome(504, 0.001)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for thread in threads:
@@ -283,7 +272,7 @@ class TestSnapshotConsistency:
         try:
             for _ in range(200):
                 snapshot = metrics.snapshot()
-                assert snapshot["samples"] == 3 * snapshot["batches"]
+                assert snapshot["errors"] == snapshot["deadline_exceeded"]
         finally:
             stop.set()
             for thread in threads:

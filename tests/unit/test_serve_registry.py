@@ -180,12 +180,9 @@ def test_each_path_loads_once_inside_register(saved_models, small_problem, monke
     assert loads == ["a", "b"]
     app = ServeApp(registry)
     rows = small_problem["test_features"][:3].tolist()
-    try:
-        for name in ("a", "b"):
-            for index in range(20):
-                app.predict({"features": rows[index % 3], "model": name})
-            for _ in range(5):
-                app.predict({"features": rows, "model": name})
-    finally:
-        app.close()
+    for name in ("a", "b"):
+        for index in range(20):
+            app.predict({"features": rows[index % 3], "model": name})
+        for _ in range(5):
+            app.predict({"features": rows, "model": name})
     assert loads == ["a", "b"]

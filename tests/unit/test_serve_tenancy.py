@@ -8,7 +8,6 @@ import threading
 import pytest
 
 from repro.serve.tenancy import (
-    TenantQuotaExceededError,
     TenantQuotas,
     TenantRateLimitedError,
     TokenBucket,
@@ -67,113 +66,78 @@ class TestTenantQuotas:
     def test_rate_limit_is_per_tenant_and_typed(self):
         clock = FakeClock()
         quotas = TenantQuotas(rps=1.0, burst=1.0, clock=clock)
-        quotas.admit("a").release()
+        quotas.admit("a")
         with pytest.raises(TenantRateLimitedError) as info:
             quotas.admit("a")
         assert info.value.code == "tenant_rate_limited"
         assert info.value.retry_after > 0
         # Tenant "b" has its own bucket and is unaffected by "a"'s burst.
-        quotas.admit("b").release()
-
-    def test_concurrency_quota_and_lease_release(self):
-        quotas = TenantQuotas(max_concurrent=2)
-        first = quotas.admit("a")
-        second = quotas.admit("a")
-        with pytest.raises(TenantQuotaExceededError) as info:
-            quotas.admit("a")
-        assert info.value.code == "tenant_quota_exceeded"
-        first.release()
-        first.release()  # idempotent: must not free a second slot
-        third = quotas.admit("a")
-        with pytest.raises(TenantQuotaExceededError):
-            quotas.admit("a")
-        second.release()
-        third.release()
-
-    def test_lease_is_a_context_manager(self):
-        quotas = TenantQuotas(max_concurrent=1)
-        with quotas.admit("a"):
-            with pytest.raises(TenantQuotaExceededError):
-                quotas.admit("a")
-        quotas.admit("a").release()
+        quotas.admit("b")
 
     def test_rate_tokens_refill_admits_again(self):
         clock = FakeClock()
         quotas = TenantQuotas(rps=2.0, burst=1.0, clock=clock)
-        quotas.admit("a").release()
+        quotas.admit("a")
         with pytest.raises(TenantRateLimitedError):
             quotas.admit("a")
         clock.advance(0.5)
-        quotas.admit("a").release()
+        quotas.admit("a")
 
     def test_overrides_beat_defaults_and_none_disables(self):
         clock = FakeClock()
         quotas = TenantQuotas(
             rps=1.0,
             burst=1.0,
-            max_concurrent=1,
-            tenants={
-                "premium": {"rps": None, "max_concurrent": 3},
-                "batch": {"max_concurrent": None},
-            },
+            tenants={"premium": {"rps": None}, "batch": {"burst": 3.0}},
             clock=clock,
         )
-        # premium: no rate limit, 3 concurrent.
-        leases = [quotas.admit("premium") for _ in range(3)]
-        with pytest.raises(TenantQuotaExceededError):
+        # premium: no rate limit.
+        for _ in range(10):
             quotas.admit("premium")
-        for lease in leases:
-            lease.release()
-        # batch: inherits the 1 rps default but has no concurrency cap.
-        held = quotas.admit("batch")
+        # batch: inherits the 1 rps default with a deeper bucket.
+        for _ in range(3):
+            quotas.admit("batch")
         with pytest.raises(TenantRateLimitedError):
             quotas.admit("batch")
-        held.release()
+        # Any other tenant takes the defaults.
+        quotas.admit("other")
+        with pytest.raises(TenantRateLimitedError):
+            quotas.admit("other")
 
     def test_snapshot_counts_admissions_and_sheds(self):
         clock = FakeClock()
-        quotas = TenantQuotas(rps=1.0, burst=1.0, max_concurrent=1, clock=clock)
-        lease = quotas.admit("a")
-        with pytest.raises(TenantQuotaExceededError):
-            quotas.admit("a")
-        lease.release()
+        quotas = TenantQuotas(rps=1.0, burst=1.0, clock=clock)
+        quotas.admit("a")
         with pytest.raises(TenantRateLimitedError):
             quotas.admit("a")
         snap = quotas.snapshot()
-        assert snap["defaults"]["rps"] == 1.0
-        assert snap["tenants"]["a"] == {
-            "in_flight": 0,
-            "admitted": 1,
-            "rate_limited": 1,
-            "quota_exceeded": 1,
-        }
+        assert snap["defaults"] == {"rps": 1.0, "burst": 1.0}
+        assert snap["tenants"]["a"] == {"admitted": 1, "rate_limited": 1}
 
     def test_from_file_defaults_and_overrides(self, tmp_path):
         path = tmp_path / "quotas.json"
         path.write_text(
             json.dumps(
                 {
-                    "defaults": {"rps": 50, "burst": 100, "max_concurrent": 8},
-                    "tenants": {"batch": {"rps": 5, "max_concurrent": 2}},
+                    "defaults": {"rps": 50, "burst": 100},
+                    "tenants": {"batch": {"rps": 5, "burst": 2}},
                 }
             )
         )
-        quotas = TenantQuotas.from_file(path)
+        quotas = TenantQuotas.from_file(path, clock=FakeClock())
         assert quotas.default_rps == 50
         assert quotas.default_burst == 100
-        assert quotas.default_max_concurrent == 8
-        leases = [quotas.admit("batch"), quotas.admit("batch")]
-        with pytest.raises(TenantQuotaExceededError):
+        quotas.admit("batch")
+        quotas.admit("batch")
+        with pytest.raises(TenantRateLimitedError):
             quotas.admit("batch")
-        for lease in leases:
-            lease.release()
 
     def test_from_file_kwargs_override_file_defaults(self, tmp_path):
         path = tmp_path / "quotas.json"
-        path.write_text(json.dumps({"defaults": {"rps": 50}}))
-        quotas = TenantQuotas.from_file(path, rps=2.0, max_concurrent=4)
+        path.write_text(json.dumps({"defaults": {"rps": 50, "burst": 9}}))
+        quotas = TenantQuotas.from_file(path, rps=2.0)
         assert quotas.default_rps == 2.0
-        assert quotas.default_max_concurrent == 4
+        assert quotas.default_burst == 9
 
     @pytest.mark.parametrize(
         "payload",
@@ -183,9 +147,12 @@ class TestTenantQuotas:
             '{"tenants": []}',
             '{"tenants": {"a": 5}}',
             '{"tenants": {"a": {"rsp": 1}}}',
+            # The concurrency quota is gone: a file that still sets it is
+            # refused at start, not silently ignored.
+            '{"defaults": {"max_concurrent": 1}}',
+            '{"tenants": {"a": {"max_concurrent": 1}}}',
             # Limits the first request would only trip over, and the
             # non-numeric default that used to be a TypeError traceback.
-            '{"tenants": {"a": {"max_concurrent": 0}}}',
             '{"tenants": {"a": {"rps": 0}}}',
             '{"tenants": {"a": {"rps": -2.5}}}',
             '{"tenants": {"a": {"burst": "deep"}}}',
@@ -204,22 +171,22 @@ class TestTenantQuotas:
             TenantQuotas(rps=0)
         with pytest.raises(ValueError):
             TenantQuotas(burst=-1)
-        with pytest.raises(ValueError):
-            TenantQuotas(max_concurrent=0)
 
     def test_admission_is_thread_safe(self):
-        quotas = TenantQuotas(max_concurrent=4)
+        # Four tokens and a clock that never advances: exactly four of
+        # eight racing requests are admitted.
+        quotas = TenantQuotas(rps=1.0, burst=4.0, clock=FakeClock())
         admitted, shed = [], []
         barrier = threading.Barrier(8)
 
         def worker():
             barrier.wait()
             try:
-                lease = quotas.admit("a")
-            except TenantQuotaExceededError:
+                quotas.admit("a")
+            except TenantRateLimitedError:
                 shed.append(1)
             else:
-                admitted.append(lease)
+                admitted.append(1)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for thread in threads:
@@ -227,9 +194,7 @@ class TestTenantQuotas:
         for thread in threads:
             thread.join()
         assert len(admitted) == 4 and len(shed) == 4
-        for lease in admitted:
-            lease.release()
-        assert quotas.snapshot()["tenants"]["a"]["in_flight"] == 0
+        assert quotas.snapshot()["tenants"]["a"] == {"admitted": 4, "rate_limited": 4}
 
 
 def test_retry_after_header_rounds_up_to_at_least_one():
