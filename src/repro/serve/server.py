@@ -515,7 +515,7 @@ class ServeApp:
         with self._inflight_cv:
             while self._inflight > 0:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:  # pragma: no cover - stuck in-flight work
+                if remaining <= 0:  # the grace is spent: stop waiting
                     break
                 self._inflight_cv.wait(timeout=remaining)
 

@@ -132,6 +132,70 @@ class TestTracePropagation:
         assert roots[0]["attrs"]["error"] == "RequestError"
         assert "respond" not in {span["name"] for span in spans}
 
+    @pytest.mark.parametrize("case", ["wrong-width", "engine-crash"])
+    def test_a_failure_in_the_engine_is_marked_on_its_span(
+        self, saved_model, small_problem, case
+    ):
+        app, sink = _traced_app(saved_model)
+        row = small_problem["test_features"][0].tolist()
+        if case == "wrong-width":
+            with pytest.raises(RequestError) as info:
+                app.predict({"features": [row[:-1], row[:-1]]})
+            assert info.value.status == 400
+            engine_error, request_error = "ValueError", "RequestError"
+        else:
+
+            class _Crashing:
+                def top_k(self, features, k):
+                    raise RuntimeError("engine crashed")
+
+            resolve = app.engine_for
+            app.engine_for = lambda name: _Crashing()
+            with pytest.raises(RuntimeError):
+                app.predict({"features": [row, row]})
+            app.engine_for = resolve
+            engine_error = request_error = "RuntimeError"
+        by_name = {span["name"]: span for span in sink.records}
+        assert sorted(by_name) == ["batch_execute", "request", "validate"]
+        assert by_name["batch_execute"]["attrs"]["error"] == engine_error
+        assert by_name["request"]["attrs"]["error"] == request_error
+        assert "error" not in by_name["validate"]["attrs"]
+        # The failed request left nothing on this thread's span stack: the
+        # next request is a trace of its own.
+        answer = app.predict({"features": row})
+        later = [span for span in sink.records if span["trace"] == answer["trace_id"]]
+        assert len(later) == 4
+        assert [span["name"] for span in later if span["parent"] is None] == ["request"]
+
+    def test_concurrent_requests_each_get_their_own_trace(
+        self, saved_model, small_problem
+    ):
+        app, sink = _traced_app(saved_model)
+        queries = small_problem["test_features"][:8]
+        answers = [None] * len(queries)
+
+        def call(index):
+            features = queries[index].tolist() if index % 2 else queries[: index + 1].tolist()
+            answers[index] = app.predict({"features": features})
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(queries))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        by_trace = {}
+        for span in sink.records:
+            by_trace.setdefault(span["trace"], []).append(span)
+        assert set(by_trace) == {answer["trace_id"] for answer in answers}
+        for index, answer in enumerate(answers):
+            spans = by_trace[answer["trace_id"]]
+            (root,) = [span for span in spans if span["parent"] is None]
+            assert root["attrs"]["rows"] == (1 if index % 2 else index + 1)
+            children = sorted(span["name"] for span in spans if span is not root)
+            assert children == ["batch_execute", "respond", "validate"]
+            assert all(span["parent"] == root["span"] for span in spans if span is not root)
+
 
 class TestPrometheusEndpoint:
     def test_snapshot_renders_valid_exposition(self, saved_model, small_problem):

@@ -153,6 +153,55 @@ def test_concurrent_callers_get_their_own_rows(saved_models, small_problem, call
         assert answer["top_k_scores"] == [scores[index].astype(float).tolist()]
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 17])
+def test_concurrent_client_batches_get_their_own_rows_in_order(
+    saved_models, small_problem, rows
+):
+    # Four callers each send a client batch of *rows* different rows; each
+    # gets back exactly its rows' answers, in the order it sent them.
+    callers = 4
+    queries = small_problem["test_features"][: callers * rows]
+    labels, scores = _reference(saved_models["baseline"]).top_k(queries, k=1)
+    app = _app(saved_models["baseline"])
+    answers = [None] * callers
+
+    def call(index):
+        batch = queries[index * rows : (index + 1) * rows]
+        answers[index] = app.predict({"features": batch.tolist()})
+
+    _run_concurrently(call, [(index,) for index in range(callers)])
+    for index, answer in enumerate(answers):
+        mine = slice(index * rows, (index + 1) * rows)
+        assert answer["labels"] == labels[mine, 0].tolist()
+        assert answer["scores"] == scores[mine, 0].astype(float).tolist()
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_concurrent_callers_with_mixed_top_k_get_their_own_answers(
+    saved_models, small_problem, strategy
+):
+    queries = small_problem["test_features"][:8]
+    labels, scores = _reference(saved_models[strategy]).top_k(queries, k=4)
+    app = _app(saved_models[strategy])
+    ks = [1, 2, 3, 4, 4, 3, 2, 1]
+    answers = [None] * len(queries)
+
+    def call(index):
+        answers[index] = app.predict(
+            {"features": queries[index].tolist(), "top_k": ks[index]}
+        )
+
+    _run_concurrently(call, [(index,) for index in range(len(queries))])
+    for index, (answer, k) in enumerate(zip(answers, ks)):
+        assert answer["labels"] == [int(labels[index, 0])]
+        if k == 1:
+            assert "top_k_labels" not in answer
+            assert answer["scores"] == [float(scores[index, 0])]
+        else:
+            assert answer["top_k_labels"] == [labels[index, :k].tolist()]
+            assert answer["top_k_scores"] == [scores[index, :k].astype(float).tolist()]
+
+
 def test_a_bad_row_fails_alone_among_concurrent_callers(saved_models, small_problem):
     queries = small_problem["test_features"][1:5]
     expected = _reference(saved_models["baseline"]).predict(queries).tolist()

@@ -295,6 +295,94 @@ class TestTamperedLevelMemory:
         assert reloaded.predict(small_problem["test_features"]).shape == (80,)
 
 
+@pytest.fixture(scope="module")
+def saved_for_reading(small_problem, tmp_path_factory):
+    return save_model(
+        tmp_path_factory.mktemp("io-close") / "m.npz", make_fitted_pipeline(small_problem)
+    )
+
+
+class TestArchiveIsClosed:
+    """The loader opens the model file itself and closes it on every path,
+    whether the file loads or is refused (NumPy left a truncated archive's
+    file open when it opened the file itself)."""
+
+    @staticmethod
+    def _write(kind, saved, path):
+        """Write a model file of *kind* at *path* and return the message
+        the loaders refuse it with (``None`` for a file that loads)."""
+        if kind == "valid":
+            path.write_bytes(saved.read_bytes())
+            return None
+        if kind == "empty":
+            path.write_bytes(b"")
+            return "not a readable .npz archive"
+        if kind == "plain-text":
+            path.write_text("not a model\n")
+            return "not an .npz archive"
+        if kind == "truncated":
+            path.write_bytes(saved.read_bytes()[:200])
+            return "not a readable .npz archive"
+        if kind == "single-array":
+            with open(path, "wb") as handle:
+                np.save(handle, np.zeros(3))
+            return "a single array, not an .npz archive"
+        if kind == "no-level-vectors":
+            with np.load(saved) as archive:
+                arrays = {k: archive[k] for k in archive.files if k != "level_vectors"}
+            np.savez_compressed(path, **arrays)
+            return "level_vectors is not a file in the archive"
+        if kind == "bad-format-version":
+            _rewrite_metadata(saved, path, format_version=999)
+            return "unsupported model format version 999"
+        assert kind == "tampered-levels"
+        _flip_a_coordinate_twice(saved, path)
+        return "not nested"
+
+    @pytest.mark.parametrize("read", [load_model, read_model_metadata])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "valid",
+            "empty",
+            "plain-text",
+            "truncated",
+            "single-array",
+            "no-level-vectors",
+            "bad-format-version",
+            "tampered-levels",
+        ],
+    )
+    def test_the_model_file_is_closed_after_reading(
+        self, saved_for_reading, tmp_path, monkeypatch, kind, read
+    ):
+        import repro.io
+
+        path = tmp_path / "model.npz"
+        refused = self._write(kind, saved_for_reading, path)
+        opened = []
+
+        def recording(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(repro.io, "open", recording, raising=False)
+        if refused is None:
+            read(path)
+        else:
+            with pytest.raises(ValueError, match=refused) as info:
+                read(path)
+            assert str(path) in str(info.value)
+        assert [handle.name for handle in opened] == [str(path)]
+        assert opened[0].closed
+
+    @pytest.mark.parametrize("read", [load_model, read_model_metadata])
+    def test_a_file_that_cannot_be_opened_stays_an_os_error(self, tmp_path, read):
+        with pytest.raises(FileNotFoundError):
+            read(tmp_path / "absent.npz")
+
+
 class TestEnsembleRoundtrip:
     def fit_ensemble_pipeline(self, small_problem):
         from repro.classifiers.multimodel import MultiModelHDC

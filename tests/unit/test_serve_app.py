@@ -200,6 +200,19 @@ class TestPayloadValidation:
         assert error.status == 400
         assert app.metrics_snapshot()["models"]["m"]["errors"] == 1
 
+    @pytest.mark.parametrize("shape", ["single", "batch"])
+    def test_wrong_feature_width_is_never_scored(self, make_app, row, shape):
+        # The engine refuses the rows before it encodes them: no sample is
+        # counted and the engine-call stage records nothing.
+        app = make_app()
+        wide = row + [0.0]
+        features = wide if shape == "single" else [wide, wide, wide]
+        error = _status(app, {"features": features})
+        assert str(error) == f"features must have {len(row)} columns, got {len(wide)}"
+        model = app.metrics_snapshot()["models"]["m"]
+        assert model["samples"] == 0
+        assert "batch_execute" not in model["stages"]
+
 
 class TestDeadlines:
     @pytest.mark.parametrize("shape", ["single", "batch"])
@@ -245,6 +258,63 @@ class TestDeadlines:
         thread.join(timeout=30)
         assert result["error"].status == 504
         assert "after its deadline" in str(result["error"])
+
+    @pytest.mark.parametrize("shape", ["single", "batch"])
+    def test_expired_deadline_never_reaches_the_engine(
+        self, make_app, row, engine, shape
+    ):
+        app = make_app()
+        recording = _RecordingEngine(engine)
+        app.engine_for = lambda name: recording
+        features = row if shape == "single" else [row, row]
+        error = _status(app, {"features": features, "deadline_ms": 1e-6})
+        assert str(error) == "deadline expired before execution"
+        assert recording.calls == []
+        assert app.metrics_snapshot()["models"]["m"]["samples"] == 0
+
+    @pytest.mark.parametrize("shape", ["single", "batch"])
+    def test_live_deadline_answers_as_without_one(self, make_app, row, shape):
+        app = make_app()
+        features = row if shape == "single" else [row, row]
+        plain = app.predict({"features": features, "top_k": 2})
+        timed = app.predict({"features": features, "top_k": 2, "deadline_ms": 30_000})
+        del plain["latency_ms"], timed["latency_ms"]
+        assert timed == plain
+        model = app.metrics_snapshot()["models"]["m"]
+        assert (model["requests"], model["deadline_exceeded"]) == (2, 0)
+
+    def test_a_deadline_passing_in_the_engine_fails_only_its_caller(
+        self, make_app, row, engine
+    ):
+        # Caller "a" is held in the engine past its deadline; caller "b",
+        # without one, is answered meanwhile and keeps its answer.
+        app = make_app(names=("a", "b"))
+        held = _HeldEngine(engine)
+        app.engine_for = lambda name: held if name == "a" else engine
+        result = {}
+
+        def client():
+            try:
+                app.predict({"features": row, "model": "a", "deadline_ms": 300})
+            except RequestError as error:
+                result["error"] = error
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        try:
+            assert held.entered.wait(timeout=30)
+            # The deadline was set before "a" entered the engine.
+            entered = time.monotonic()
+            answer = app.predict({"features": row, "model": "b"})
+            time.sleep(max(0.0, entered + 0.35 - time.monotonic()))
+        finally:
+            held.release.set()
+            thread.join(timeout=30)
+        assert answer["labels"] == engine.predict([row]).tolist()
+        assert result["error"].status == 504
+        models = app.metrics_snapshot()["models"]
+        assert (models["a"]["deadline_exceeded"], models["a"]["requests"]) == (1, 0)
+        assert (models["b"]["deadline_exceeded"], models["b"]["requests"]) == (0, 1)
 
 
 class TestRequestAccounting:
@@ -356,6 +426,49 @@ class TestReadiness:
         error = _status(app, {"features": row})
         assert (error.status, error.code, error.retry_after) == (503, "draining", 1)
 
+    def test_readyz_counts_the_request_in_the_engine_while_draining(
+        self, make_app, row, engine
+    ):
+        app = make_app()
+        held = _HeldEngine(engine)
+        app.engine_for = lambda name: held
+        result = {}
+        thread = threading.Thread(
+            target=lambda: result.update(answer=app.predict({"features": row}))
+        )
+        thread.start()
+        try:
+            assert held.entered.wait(timeout=30)
+            app.begin_drain()
+            assert app.readyz() == (503, {"status": "draining", "inflight": 1})
+            # A request that arrives now is refused; the admitted one is not.
+            assert _status(app, {"features": row}).status == 503
+        finally:
+            held.release.set()
+            thread.join(timeout=30)
+        assert result["answer"]["labels"] == engine.predict([row]).tolist()
+        assert app.readyz() == (503, {"status": "draining", "inflight": 0})
+
+    def test_drain_gives_up_after_its_grace_on_a_stuck_request(
+        self, make_app, row, engine
+    ):
+        app = make_app()
+        held = _HeldEngine(engine)
+        app.engine_for = lambda name: held
+        thread = threading.Thread(target=app.predict, args=({"features": row},))
+        thread.start()
+        try:
+            assert held.entered.wait(timeout=30)
+            started = time.monotonic()
+            app.drain(grace_seconds=0.1)
+            waited = time.monotonic() - started
+            assert thread.is_alive()  # drain returned with the request still held
+            assert 0.1 <= waited < 10
+            assert app.readyz()[1]["inflight"] == 1
+        finally:
+            held.release.set()
+            thread.join(timeout=30)
+
     def test_models_route_lists_one_row_per_name(self, make_app):
         app = make_app(names=("b", "a"))
         rows = app.models()["models"]
@@ -397,3 +510,140 @@ class TestOneEngineCall:
             for name in ("a", "b"):
                 app.predict({"features": features, "model": name})
         assert resolved == ["a", "b", "a", "b"]
+
+    def test_a_caller_in_the_engine_does_not_hold_up_another(
+        self, make_app, row, engine
+    ):
+        # No lock of the app's spans the engine call: while one caller is
+        # still in the engine, another is scored and answered.
+        app = make_app(names=("a", "b"))
+        held = _HeldEngine(engine)
+        app.engine_for = lambda name: held if name == "a" else engine
+        result = {}
+        thread = threading.Thread(
+            target=lambda: result.update(
+                answer=app.predict({"features": [row, row], "model": "a"})
+            )
+        )
+        thread.start()
+        try:
+            assert held.entered.wait(timeout=30)
+            answer = app.predict({"features": row, "model": "b"})
+            assert thread.is_alive()
+        finally:
+            held.release.set()
+            thread.join(timeout=30)
+        assert answer["labels"] == engine.predict([row]).tolist()
+        assert result["answer"]["labels"] == engine.predict([row, row]).tolist()
+
+    def test_an_engine_crash_leaves_the_next_predict_answered(
+        self, make_app, row, engine
+    ):
+        app = make_app()
+        crashing = _CrashingEngine()
+        app.engine_for = lambda name: crashing
+        with pytest.raises(RuntimeError):
+            app.predict({"features": [row, row]})
+        app.engine_for = lambda name: engine
+        answer = app.predict({"features": row})
+        assert answer["labels"] == engine.predict([row]).tolist()
+        model = app.metrics_snapshot()["models"]["m"]
+        assert (model["requests"], model["errors"], model["samples"]) == (1, 1, 1)
+        app.begin_drain()
+        assert app.readyz()[1]["inflight"] == 0
+
+
+class _FrozenClock:
+    """A monotonic clock that never advances: a bucket never refills."""
+
+    def __call__(self) -> float:
+        return 0.0
+
+
+class TestTenantAdmission:
+    """``admit()`` spends one token per predict that passes validation, one
+    row or a client batch alike; a shed predict never reaches the engine."""
+
+    @staticmethod
+    def _tenants(app):
+        return app.metrics_snapshot()["tenancy"]["tenants"]
+
+    @pytest.mark.parametrize("rows", [1, 3, 17])
+    def test_a_client_batch_spends_one_token_whatever_its_rows(
+        self, make_app, row, rows
+    ):
+        app = make_app(tenant_quotas=TenantQuotas(rps=1.0, burst=2.0, clock=_FrozenClock()))
+        for _ in range(2):
+            assert len(app.predict({"features": [row] * rows})["labels"]) == rows
+        error = _status(app, {"features": [row] * rows})
+        assert (error.status, error.code) == (429, "tenant_rate_limited")
+        assert self._tenants(app)["m"] == {"admitted": 2, "rate_limited": 1}
+
+    @pytest.mark.parametrize("shape", ["single", "batch"])
+    def test_a_shed_predict_never_reaches_the_engine(
+        self, make_app, row, engine, shape
+    ):
+        # A bucket that never holds a whole token sheds every predict.
+        app = make_app(tenant_quotas=TenantQuotas(rps=1.0, burst=0.5))
+        recording = _RecordingEngine(engine)
+        app.engine_for = lambda name: recording
+        features = row if shape == "single" else [row, row]
+        error = _status(app, {"features": features})
+        assert (error.status, error.code, error.tenant) == (429, "tenant_rate_limited", "m")
+        assert recording.calls == []
+        model = app.metrics_snapshot()["models"]["m"]
+        assert (model["errors"], model["samples"]) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"top_k": 0}, {"features": [[[1.0]]]}, {"model": "ghost"}],
+        ids=["bad-top-k-400", "3-d-400", "unknown-model-404"],
+    )
+    def test_a_predict_that_fails_validation_spends_no_token(
+        self, make_app, row, payload
+    ):
+        app = make_app(tenant_quotas=TenantQuotas(rps=1.0, burst=1.0, clock=_FrozenClock()))
+        assert _status(app, {"features": row, **payload}).status in (400, 404)
+        # The one token is still there for the next, valid predict.
+        app.predict({"features": row})
+        assert self._tenants(app) == {"m": {"admitted": 1, "rate_limited": 0}}
+
+    @pytest.mark.parametrize("outcome", ["400-wrong-width", "500-engine-crash", "504-deadline"])
+    def test_a_predict_that_fails_after_admission_keeps_its_token_spent(
+        self, make_app, row, outcome
+    ):
+        app = make_app(tenant_quotas=TenantQuotas(rps=1.0, burst=1.0, clock=_FrozenClock()))
+        if outcome == "500-engine-crash":
+            crashing = _CrashingEngine()
+            resolve = app.engine_for
+            app.engine_for = lambda name: crashing
+            with pytest.raises(RuntimeError):
+                app.predict({"features": row})
+            app.engine_for = resolve
+        elif outcome == "400-wrong-width":
+            assert _status(app, {"features": row[:-1]}).status == 400
+        else:
+            assert _status(app, {"features": row, "deadline_ms": 1e-6}).status == 504
+        # Admission is a rate, not a slot: nothing is handed back.
+        assert _status(app, {"features": row}).status == 429
+        assert self._tenants(app)["m"] == {"admitted": 1, "rate_limited": 1}
+
+    def test_each_model_is_its_own_tenant(self, make_app, row):
+        app = make_app(
+            names=("a", "b"),
+            tenant_quotas=TenantQuotas(rps=1.0, burst=1.0, clock=_FrozenClock()),
+        )
+        app.predict({"features": row, "model": "a"})
+        assert _status(app, {"features": row, "model": "a"}).status == 429
+        assert app.predict({"features": row, "model": "b"})["model"] == "b"
+        assert self._tenants(app) == {
+            "a": {"admitted": 1, "rate_limited": 1},
+            "b": {"admitted": 1, "rate_limited": 0},
+        }
+
+    def test_a_shed_answer_says_when_a_token_will_be_back(self, make_app, row):
+        # One token every 4 s: the second predict is told to retry in 4 s.
+        app = make_app(tenant_quotas=TenantQuotas(rps=0.25, burst=1.0, clock=_FrozenClock()))
+        app.predict({"features": row})
+        error = _status(app, {"features": row})
+        assert (error.status, error.retry_after) == (429, 4)
