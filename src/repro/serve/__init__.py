@@ -16,7 +16,7 @@ serving stack:
 * :mod:`repro.serve.server` — a stdlib-only JSON-over-HTTP front-end
   (``POST /v1/predict`` and friends) that scores every predict in one
   engine call, with tenant rate quotas as its one admission limit,
-  deadlines and a graceful drain, all in one process.
+  deadlines and a SIGTERM drain that answers what it holds, in one process.
 
 Serving throughput and latency are measured end to end by perfbench's
 ``serve-keepalive`` workload (``perfbench/README.md``).

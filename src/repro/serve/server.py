@@ -26,9 +26,9 @@ line, header fields and body in one ``send``.
 Routes
 ------
 ``GET  /v1/healthz``  liveness + model count;
-``GET  /v1/readyz``   readiness — 200 while accepting work, 503 once a drain
-                      (SIGTERM) has begun, so load balancers stop routing
-                      here before in-flight requests finish;
+``GET  /v1/readyz``   readiness — 200 while accepting work, 503 once
+                      ``ServeApp.begin_drain`` has been called (in process:
+                      over HTTP a drain refuses the probe's connection);
 ``GET  /v1/models``   one row per model: name, path, strategy, dimension,
                       class count and ensemble size;
 ``GET  /metrics``     per-model counters, latency histograms and tenant
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import errno
 import json
 import logging
 import math
@@ -116,6 +117,9 @@ _MAX_UNSENT = 1024 * 1024
 #: of its answer, idle or in the middle of a request, before the loop closes
 #: it without an answer.
 _IDLE_TIMEOUT_S = 60.0
+#: Seconds a drain serves the connections that hold a partial request or
+#: unsent answers before it gives up on them.
+_DRAIN_GRACE_S = 10.0
 
 
 def _content_length(value: str) -> int:
@@ -240,8 +244,6 @@ class ServeApp:
         self.tenant_quotas = tenant_quotas
         self.default_deadline_ms = default_deadline_ms
         self._draining = False
-        self._inflight = 0
-        self._inflight_cv = threading.Condition()
 
     # ----------------------------------------------------------------- routes
     def healthz(self) -> dict:
@@ -249,10 +251,9 @@ class ServeApp:
 
     def readyz(self) -> Tuple[int, dict]:
         """Readiness: ``(200, ...)`` while accepting work, ``(503, ...)``
-        once a drain has begun (load balancers stop routing here while
-        in-flight requests finish)."""
+        once :meth:`begin_drain` has been called."""
         if self._draining:
-            return 503, {"status": "draining", "inflight": self._inflight}
+            return 503, {"status": "draining"}
         return 200, {"status": "ready", "models": len(self.registry.names())}
 
     def models(self) -> dict:
@@ -272,33 +273,12 @@ class ServeApp:
         below, all on this thread, nests under it.  Exceptions mark the
         root span with an ``error`` attribute on the way out.
         """
-        with self._track_inflight():
-            with self.tracer.start_span(
-                "request", attrs={"route": "/v1/predict"}
-            ) as root:
-                return self._predict(payload, root)
-
-    @contextlib.contextmanager
-    def _track_inflight(self):
-        """Count requests between admission and response so :meth:`drain`
-        knows when the last in-flight request has finished.
-
-        The draining check and the count share one lock, so a request is
-        either refused with 503 or counted before :meth:`drain` waits —
-        never admitted behind a drain that has stopped waiting.
-        """
-        with self._inflight_cv:
-            if self._draining:
-                raise RequestError(
-                    503, "server is draining; retry another replica", code="draining"
-                )
-            self._inflight += 1
-        try:
-            yield
-        finally:
-            with self._inflight_cv:
-                self._inflight -= 1
-                self._inflight_cv.notify_all()
+        if self._draining:
+            raise RequestError(
+                503, "server is draining; retry another replica", code="draining"
+            )
+        with self.tracer.start_span("request", attrs={"route": "/v1/predict"}) as root:
+            return self._predict(payload, root)
 
     @staticmethod
     def _validate_predict_payload(
@@ -489,35 +469,11 @@ class ServeApp:
         once per predict, so a test may swap it between predicts."""
         return self.registry.get(name)
 
-    # ------------------------------------------------------------------- drain
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     def begin_drain(self) -> None:
-        """Flip readiness off and start refusing new predict requests.
-
-        Idempotent and instant — the actual teardown happens in
-        :meth:`drain` once in-flight requests finish.
-        """
+        """Flip readiness off and answer every predict from now on 503
+        ``draining``.  Idempotent and instant; the server calls it when
+        its drain begins (:meth:`_SelectorServer.serve_forever`)."""
         self._draining = True
-
-    def drain(self, grace_seconds: float = 10.0) -> None:
-        """Graceful shutdown: refuse new work and wait out in-flight
-        requests (up to *grace_seconds*).
-
-        The SIGTERM sequence: ``begin_drain`` flips ``/v1/readyz`` to 503 so
-        the balancer stops routing here, and requests already admitted are
-        answered before this returns.
-        """
-        self.begin_drain()
-        deadline = time.monotonic() + float(grace_seconds)
-        with self._inflight_cv:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:  # the grace is spent: stop waiting
-                    break
-                self._inflight_cv.wait(timeout=remaining)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -1022,46 +978,93 @@ class _SelectorServer:
         )
         self._stop = False
         self._stopped = threading.Event()
+        #: Whether ``accept`` ran out of descriptors: the listener is not
+        #: selected until a connection closes (the next one waits in the backlog).
+        self._paused = False
 
     def serve_forever(self) -> None:
-        """Serve until :meth:`shutdown` is called from another thread."""
+        """Serve until :meth:`shutdown` (or SIGTERM under :func:`run_server`),
+        then drain and return.
+
+        The drain calls ``app.begin_drain()`` and closes the listener, so a
+        new connection is refused.  It closes each connection that holds no
+        partial request and no unsent answer, and serves the rest: a predict
+        that completes is answered 503 ``draining`` and its connection
+        closed, and any other connection is closed once it is idle.  It
+        returns when no connection is left, or after :data:`_DRAIN_GRACE_S`.
+        """
         self._stopped.clear()
         try:
             while not self._stop:
-                ready = self._selector.select(self._close_idle())
-                now = time.monotonic()
-                for key, events in ready:
-                    if key.data is not None:
-                        self._serve(key.data, events, now)
-                    elif key.fileobj is self.socket:
-                        self._accept()
-                    else:
-                        with contextlib.suppress(BlockingIOError):
-                            self._wake_reader.recv(64)
+                self._poll(self._close_idle())
+            self._drain()
         finally:
             self._stop = False
             self._stopped.set()
 
     def shutdown(self) -> None:
-        """Stop :meth:`serve_forever`; return once it has returned."""
-        self._stop = True
-        with contextlib.suppress(OSError):
-            self._wake_writer.send(b"\0")
+        """Make :meth:`serve_forever` drain and return, from another thread;
+        return once it has returned."""
+        self._request_stop()
         self._stopped.wait()
 
     def server_close(self) -> None:
         """Close the listening socket and every open connection."""
+        self._paused = False  # a connection closed below must not select the listener
         for connection in list(self._connections.values()):
             self._close(connection)
         self._selector.close()
         for sock in (self.socket, self._wake_reader, self._wake_writer):
             sock.close()
 
+    def _request_stop(self) -> None:
+        """Set the stop flag and wake the loop; safe in a signal handler."""
+        self._stop = True
+        with contextlib.suppress(OSError):
+            self._wake_writer.send(b"\0")
+
+    def _poll(self, timeout: float) -> None:
+        """Wait up to *timeout* seconds, then serve what is ready."""
+        ready = self._selector.select(timeout)
+        now = time.monotonic()
+        for key, events in ready:
+            if key.data is not None:
+                self._serve(key.data, events, now)
+            elif key.fileobj is self.socket:
+                self._accept()
+            else:
+                with contextlib.suppress(BlockingIOError):
+                    self._wake_reader.recv(64)
+
+    def _drain(self) -> None:
+        self.app.begin_drain()
+        if not self._paused:
+            self._selector.unregister(self.socket)
+        self._paused = False
+        self.socket.close()
+        deadline = time.monotonic() + _DRAIN_GRACE_S
+        timeout = 0.0  # first read what has arrived, then close the idle
+        while True:
+            self._poll(timeout)
+            for connection in list(self._connections.values()):
+                if not (connection.received or connection.unsent):
+                    self._close(connection)
+            remaining = deadline - time.monotonic()
+            if not self._connections or remaining <= 0:
+                return
+            timeout = min(remaining, self._close_idle())
+
     def _accept(self) -> None:
         while True:
             try:
                 sock, address = self.socket.accept()
-            except OSError:  # none pending (or the next one failed)
+            except OSError as error:
+                # None pending, or this one failed (ECONNABORTED, EPROTO): the
+                # next select finds the rest.  Out of descriptors, the listener
+                # would stay readable and wake the loop again and again.
+                if error.errno in (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM):
+                    self._selector.unregister(self.socket)
+                    self._paused = True
                 return
             try:
                 sock.setblocking(False)
@@ -1164,6 +1167,9 @@ class _SelectorServer:
         with contextlib.suppress(OSError):
             connection.sock.shutdown(socket.SHUT_WR)
         connection.sock.close()
+        if self._paused:  # a descriptor is free: accept what waits
+            self._paused = False
+            self._selector.register(self.socket, selectors.EVENT_READ)
 
 
 def create_server(
@@ -1209,21 +1215,15 @@ def run_server(
     port: int = 8080,
     log_level: Optional[str] = None,
 ) -> None:  # pragma: no cover - blocking loop, exercised manually / by CLI
-    """Run the server until interrupted, then drain.
+    """Run the server until ``SIGTERM`` or an interrupt.
 
-    ``SIGTERM`` triggers a graceful drain: ``/v1/readyz`` flips to 503 so a
-    load balancer stops routing here, new ``/v1/predict`` calls answer 503
-    ``draining``, and in-flight requests finish.
+    ``SIGTERM`` drains, as :meth:`_SelectorServer.serve_forever` says: a new
+    connection, a readiness probe's too, is refused, a predict is answered
+    503 ``draining``, and the server returns within :data:`_DRAIN_GRACE_S`.
+    An interrupt stops it at once.
     """
     server = create_server(app, host=host, port=port, log_level=log_level)
-
-    def _handle_sigterm(signum, frame):  # noqa: ARG001 - signal signature
-        app.begin_drain()
-        # shutdown() blocks until serve_forever returns, so it must run off
-        # the signal-handler (main) thread to avoid deadlocking the loop.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous_handler = signal.signal(signal.SIGTERM, _handle_sigterm)
+    previous_handler = signal.signal(signal.SIGTERM, lambda *_: server._request_stop())
     bound_host, bound_port = server.server_address[:2]
     print(f"repro.serve listening on http://{bound_host}:{bound_port}")
     for row in app.registry.list_models():
@@ -1235,7 +1235,6 @@ def run_server(
     finally:
         signal.signal(signal.SIGTERM, previous_handler)
         server.server_close()
-        app.drain()
 
 
 __all__ = ["ServeApp", "RequestError", "create_server", "run_server"]

@@ -6,25 +6,36 @@ that is idle, half-sent, pipelining without reading or failing holds no
 thread and delays no other client; a head that trickles in is parsed at
 most once a line; a limit applies as soon as the bytes that break it
 arrive; ``100 Continue`` is written once, before the body;
-idle and half-sent connections close after ``_IDLE_TIMEOUT_S``; and
-``shutdown()`` and ``server_close()`` end every connection.
+idle and half-sent connections close after ``_IDLE_TIMEOUT_S``; at the
+descriptor limit the loop waits for a close instead of spinning; and a
+drain (``shutdown()`` or SIGTERM) refuses new connections, answers a
+request still arriving, closes the idle and ends within ``_DRAIN_GRACE_S``.
 """
 
 import contextlib
+import errno
 import http.client
 import json
 import logging
+import os
 import random
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.client import _MAXLINE
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.hdc.encoders import RecordEncoder
+from repro.io import save_model
 from repro.serve import ModelRegistry, PackedInferenceEngine, ServeApp, create_server
 from repro.serve import server as server_module
 from repro.serve.server import RequestError, _content_length, _Handler
@@ -33,11 +44,22 @@ _HEALTHZ = b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n"
 
 
 @pytest.fixture(scope="module")
-def engine(small_problem):
+def pipeline(small_problem):
     encoder = RecordEncoder(dimension=256, num_levels=8, tie_break="positive", seed=0)
     pipeline = HDCPipeline(encoder, BaselineHDC(seed=0))
     pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
+    return pipeline
+
+
+@pytest.fixture(scope="module")
+def engine(pipeline):
     return PackedInferenceEngine(pipeline, name="har")
+
+
+@pytest.fixture(scope="module")
+def model_file(pipeline, tmp_path_factory):
+    path = tmp_path_factory.mktemp("serve-loop") / "har.npz"
+    return save_model(path, pipeline, strategy_name="baseline")
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +67,20 @@ def rows(small_problem):
     return small_problem["test_features"]
 
 
+def _start(engine, log_level=None):
+    """A server for *engine* and the thread its loop runs on."""
+    registry = ModelRegistry()
+    registry.register("har", engine)
+    server = create_server(ServeApp(registry), port=0, log_level=log_level)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
+
+
 @contextlib.contextmanager
 def _serving(engine, log_level=None):
     """A live server for *engine*, its loop on a thread of its own."""
-    registry = ModelRegistry()
-    registry.register("har", engine)
-    app = ServeApp(registry)
-    server = create_server(app, port=0, log_level=log_level)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server, _ = _start(engine, log_level)
     try:
         yield server
     finally:
@@ -146,6 +173,54 @@ def _server_side(server, client, timeout=5.0):
                 return connection
         assert time.monotonic() < deadline, "the connection was never accepted"
         time.sleep(0.01)
+
+
+@contextlib.contextmanager
+def _repro_serve(model_file, prelude=""):
+    """A ``repro serve`` process for *model_file* on a free port, and that
+    port; *prelude* is Python the process runs before the CLI."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = prelude + "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-c", code, "serve", "--model", f"har={model_file}", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    try:
+        for line in process.stdout:
+            if match := re.search(rb"listening on http://[\d.]+:(\d+)", line):
+                break
+        else:
+            raise AssertionError("repro serve exited before it listened")
+        yield process, int(match.group(1))
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.communicate(timeout=30)
+
+
+def _fail_the_next_accept(server, monkeypatch, name):
+    """Make the listener's next ``accept`` raise ``OSError`` *name* (an
+    ``errno`` name); the list returned holds *name* once it has."""
+    accept = socket.socket.accept
+    failed = []
+
+    def accept_or_fail(sock):
+        if sock is server.socket and not failed:
+            failed.append(name)
+            raise OSError(getattr(errno, name), name)
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept_or_fail)
+    return failed
+
+
+def _cpu_seconds(pid):
+    """The user and system CPU seconds process *pid* has used."""
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
 def _expected_labels(engine, row, top_k):
@@ -476,12 +551,7 @@ class TestIdleTimeout:
 
 class TestLifecycle:
     def test_shutdown_and_close_end_every_idle_connection(self, engine):
-        registry = ModelRegistry()
-        registry.register("har", engine)
-        app = ServeApp(registry)
-        server = create_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server, thread = _start(engine)
         clients = [_Client(_port(server), timeout=5.0) for _ in range(3)]
         try:
             for client in clients:
@@ -497,3 +567,153 @@ class TestLifecycle:
         finally:
             for client in clients:
                 client.close()
+
+    def test_shutdown_with_no_connection_open_returns_at_once(self, engine):
+        server, thread = _start(engine)
+        try:
+            started = time.monotonic()
+            server.shutdown()
+            assert time.monotonic() - started < 1.0
+            thread.join(timeout=1.0)
+            assert not thread.is_alive()
+        finally:
+            server.server_close()
+
+    def test_a_request_never_finished_holds_shutdown_only_for_the_grace(
+        self, engine, rows, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "_DRAIN_GRACE_S", 0.3)
+        head, body = _predict(rows[0])
+        server, thread = _start(engine)
+        with _Client(_port(server)) as client:
+            try:
+                client.send(head + body[:10])
+                _server_side(server, client)
+                started = time.monotonic()
+                server.shutdown()
+                assert 0.3 <= time.monotonic() - started < 2.0
+                thread.join(timeout=1.0)
+                assert not thread.is_alive()
+            finally:
+                server.server_close()
+            assert client.rest() == b""
+
+    def test_sigterm_answers_a_predict_still_arriving_and_closes_the_idle(
+        self, model_file, rows
+    ):
+        head, body = _predict(rows[0])
+        with _repro_serve(model_file) as (process, port):
+            with _Client(port) as idle, _Client(port) as arriving:
+                for client in (idle, arriving):
+                    client.send(_HEALTHZ)
+                    assert client.answer()[0] == 200
+                arriving.send(head + body[: len(body) // 2])
+                process.send_signal(signal.SIGTERM)
+                signalled = time.monotonic()
+                assert idle.rest() == b""
+                with pytest.raises(ConnectionRefusedError):
+                    socket.create_connection(("127.0.0.1", port), timeout=5).close()
+                arriving.send(body[len(body) // 2 :])
+                answer = arriving.rest()
+            output, _ = process.communicate(timeout=30)
+            exited = time.monotonic() - signalled
+        fields, _, payload = answer.partition(b"\r\n\r\n")
+        status, *fields = fields.decode("latin-1").split("\r\n")
+        fields = dict(field.split(": ", 1) for field in fields)
+        assert status == "HTTP/1.1 503 Service Unavailable", answer
+        assert (fields["Retry-After"], fields["Connection"]) == ("1", "close")
+        assert len(payload) == int(fields["Content-Length"])
+        assert json.loads(payload)["code"] == "draining"
+        assert process.returncode == 0, output
+        assert exited < server_module._DRAIN_GRACE_S
+
+
+class TestDescriptorLimit:
+    def test_at_the_limit_the_loop_waits_for_a_close_without_spinning(self, model_file):
+        # The limit is the process's own: a child lowers it for itself.
+        limit = 48
+        prelude = f"import resource; resource.setrlimit(resource.RLIMIT_NOFILE, ({limit}, {limit})); "
+        with _repro_serve(model_file, prelude) as (process, port):
+            descriptors = f"/proc/{process.pid}/fd"
+            held = limit - len(os.listdir(descriptors))  # the connections it can hold
+            clients = []
+            try:
+                for _ in range(60):
+                    clients.append(_Client(port))
+                deadline = time.monotonic() + 10
+                while len(os.listdir(descriptors)) < limit:
+                    assert time.monotonic() < deadline, "the server never reached its limit"
+                    time.sleep(0.01)
+                # The first connection left in the backlog asks, and waits.
+                waiting = clients[held]
+                waiting.send(_HEALTHZ)
+                used = _cpu_seconds(process.pid)
+                time.sleep(1.0)
+                assert _cpu_seconds(process.pid) - used < 0.1
+                waiting.sock.setblocking(False)
+                with pytest.raises(BlockingIOError):
+                    waiting.sock.recv(1)
+                waiting.sock.settimeout(10.0)
+                for client in clients[:20]:
+                    client.close()
+                assert waiting.answer()[0] == 200
+            finally:
+                for client in clients:
+                    client.close()
+            process.send_signal(signal.SIGTERM)
+            output, _ = process.communicate(timeout=30)
+        assert process.returncode == 0, output
+
+    @pytest.mark.parametrize("name", ["EMFILE", "ENFILE", "ENOBUFS", "ENOMEM"])
+    def test_out_of_descriptors_the_listener_waits_for_a_close(
+        self, server, monkeypatch, name
+    ):
+        with _Client(_port(server)) as open_:
+            open_.send(_HEALTHZ)
+            assert open_.answer()[0] == 200
+            failed = _fail_the_next_accept(server, monkeypatch, name)
+            with _Client(_port(server)) as next_:
+                next_.send(_HEALTHZ)
+                time.sleep(0.2)
+                # One failed accept, then the listener is not selected: not
+                # even the accept that would now succeed is tried.
+                assert failed == [name]
+                next_.sock.setblocking(False)
+                with pytest.raises(BlockingIOError):
+                    next_.sock.recv(1)
+                next_.sock.settimeout(10.0)
+                open_.close()
+                assert next_.answer()[0] == 200
+
+    def test_a_drain_at_the_descriptor_limit_closes_what_is_open(self, engine, monkeypatch):
+        server, thread = _start(engine)
+        with _Client(_port(server)) as open_, contextlib.ExitStack() as stack:
+            try:
+                open_.send(_HEALTHZ)
+                assert open_.answer()[0] == 200
+                failed = _fail_the_next_accept(server, monkeypatch, "EMFILE")
+                stack.enter_context(_Client(_port(server)))
+                deadline = time.monotonic() + 5
+                while not failed:
+                    assert time.monotonic() < deadline, "the loop never tried to accept"
+                    time.sleep(0.01)
+                started = time.monotonic()
+                server.shutdown()
+                assert time.monotonic() - started < 1.0
+                thread.join(timeout=1.0)
+                assert not thread.is_alive()
+                assert open_.rest() == b""
+            finally:
+                server.server_close()
+
+    @pytest.mark.parametrize("name", ["ECONNABORTED", "EPROTO"])
+    def test_a_failed_connection_leaves_the_listener_selected(
+        self, server, monkeypatch, name
+    ):
+        # No connection is open: a listener left unselected would never
+        # accept again.
+        failed = _fail_the_next_accept(server, monkeypatch, name)
+        with _Client(_port(server)) as client:
+            client.send(_HEALTHZ)
+            assert client.answer()[0] == 200
+        assert failed == [name]
