@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Using the library on your own data, with your own encoder choices.
+"""Using the library on your own data.
 
-LeHDC is encoder-agnostic (Sec. 2.1: "LeHDC does not modify the encoding
-process, and hence can work with any encoders").  This example shows the
-pieces you would assemble for a new sensing task:
+LeHDC does not modify the encoding process (Sec. 2.1), so a new sensing task
+needs only its own data in front of the record encoder of Eq. 1.  This
+example shows the pieces you would assemble:
 
 * a custom dataset — here a synthetic "machine-vibration" problem built
   directly with the generator API rather than the registry;
-* two different encoders (record-based and N-gram) with a quantile quantiser,
-  which is more robust for heavy-tailed sensor features;
-* the same LeHDC training applied on top of either encoder;
+* the record encoder, whose levels are fitted to the training features;
+* baseline HDC and LeHDC trained on the same encoding;
 * inspection of the training history (loss / accuracy per epoch) that the
   classifier records.
 """
@@ -18,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import LeHDCClassifier, LeHDCConfig, NGramEncoder, RecordEncoder
+from repro import LeHDCClassifier, LeHDCConfig, RecordEncoder
 from repro.classifiers.baseline import BaselineHDC
-from repro.datasets.base import Dataset, train_test_split
+from repro.datasets.base import Dataset
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.eval.figures import TrajectorySeries, render_trajectories
 
@@ -67,37 +66,26 @@ def main() -> None:
         validation_fraction=0.15,  # track held-out accuracy during training
     )
 
-    encoders = {
-        "record encoder (quantile levels)": RecordEncoder(
-            dimension=2000, num_levels=32, quantizer="quantile", seed=SEED
+    encoder = RecordEncoder(dimension=2000, num_levels=32, seed=SEED)
+    encoder.fit(data.train_features)
+    train_encoded = encoder.encode(data.train_features)
+    test_encoded = encoder.encode(data.test_features)
+
+    baseline = BaselineHDC(seed=SEED).fit(train_encoded, data.train_labels)
+    lehdc = LeHDCClassifier(config=config, seed=SEED)
+    lehdc.fit(train_encoded, data.train_labels)
+
+    print(f"baseline accuracy : {baseline.score(test_encoded, data.test_labels):.4f}")
+    print(f"LeHDC accuracy    : {lehdc.score(test_encoded, data.test_labels):.4f}")
+
+    history = lehdc.history_
+    series = [
+        TrajectorySeries("train accuracy", list(range(history.epochs)), history.train_accuracy),
+        TrajectorySeries(
+            "held-out accuracy", list(range(history.epochs)), history.validation_accuracy
         ),
-        "3-gram encoder (quantile levels)": NGramEncoder(
-            dimension=2000, num_levels=32, ngram=3, quantizer="quantile", seed=SEED
-        ),
-    }
-
-    for name, encoder in encoders.items():
-        encoder.fit(data.train_features)
-        train_encoded = encoder.encode(data.train_features)
-        test_encoded = encoder.encode(data.test_features)
-
-        baseline = BaselineHDC(seed=SEED).fit(train_encoded, data.train_labels)
-        lehdc = LeHDCClassifier(config=config, seed=SEED)
-        lehdc.fit(train_encoded, data.train_labels)
-
-        print(f"--- {name}")
-        print(f"    baseline accuracy : {baseline.score(test_encoded, data.test_labels):.4f}")
-        print(f"    LeHDC accuracy    : {lehdc.score(test_encoded, data.test_labels):.4f}")
-
-        history = lehdc.history_
-        series = [
-            TrajectorySeries("train accuracy", list(range(history.epochs)), history.train_accuracy),
-            TrajectorySeries(
-                "held-out accuracy", list(range(history.epochs)), history.validation_accuracy
-            ),
-        ]
-        print(render_trajectories(series, title="    LeHDC training history", x_label="epoch"))
-        print()
+    ]
+    print(render_trajectories(series, title="LeHDC training history", x_label="epoch"))
 
 
 if __name__ == "__main__":

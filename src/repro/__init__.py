@@ -3,13 +3,14 @@ Classifier" (Duan et al., DAC 2022).
 
 The package is organised as:
 
-* :mod:`repro.hdc` — hypervector algebra, item memories and encoders;
+* :mod:`repro.hdc` — hypervector algebra, item memories and the record
+  encoder of Eq. 1;
 * :mod:`repro.nn` — the NumPy neural-network substrate (Adam, dropout, binary
   linear layer with straight-through estimator);
 * :mod:`repro.classifiers` — baseline HDC and the heuristic training
-  strategies the paper compares against;
+  strategies the paper compares against (Table 1 and Fig. 3);
 * :mod:`repro.core` — LeHDC itself: class hypervectors trained as the weights
-  of an equivalent single-layer BNN;
+  of an equivalent single-layer BNN, and its non-binary variant (footnote 1);
 * :mod:`repro.datasets` — synthetic substitutes for the six paper benchmarks
   (plus loaders for the real files when present);
 * :mod:`repro.eval` — multi-seed experiments, dimension sweeps, tables and
@@ -32,13 +33,10 @@ Quickstart::
 """
 
 from repro.classifiers import (
-    AdaptHDC,
     BaselineHDC,
     EnhancedRetrainingHDC,
     HDCPipeline,
     MultiModelHDC,
-    NearestCentroidClassifier,
-    NonBinaryHDC,
     RetrainingHDC,
 )
 from repro.core import (
@@ -53,24 +51,20 @@ from repro.core import (
 from repro.core.configs import get_paper_config
 from repro.datasets import Dataset, get_dataset, list_datasets
 from repro.eval import run_dimension_sweep, run_strategy_comparison
-from repro.hdc import NGramEncoder, RecordEncoder
+from repro.hdc import RecordEncoder
 from repro.io import load_model, read_model_metadata, save_model
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    # encoders
+    # encoder
     "RecordEncoder",
-    "NGramEncoder",
     # classifiers
     "BaselineHDC",
     "RetrainingHDC",
     "EnhancedRetrainingHDC",
-    "AdaptHDC",
     "MultiModelHDC",
-    "NonBinaryHDC",
-    "NearestCentroidClassifier",
     "HDCPipeline",
     # LeHDC core
     "LeHDCClassifier",

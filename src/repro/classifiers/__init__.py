@@ -16,25 +16,18 @@ Strategies:
   "Retraining" row;
 * :class:`EnhancedRetrainingHDC` - the improved heuristic of the Sec. 3.3
   case study (Fig. 3);
-* :class:`AdaptHDC` - adaptive-learning-rate retraining (the paper's Ref. [6]);
 * :class:`MultiModelHDC` - SearcHD-style multi-model ensemble, the
-  "Multi-Model" row;
-* :class:`NonBinaryHDC` - non-binary (integer centroid) HDC with cosine
-  similarity, the "perceptron view" of Sec. 3.1;
-* :class:`NearestCentroidClassifier` - classical nearest-centroid reference in
-  raw feature space.
+  "Multi-Model" row.
 
-The learning-based strategy itself (LeHDC) lives in :mod:`repro.core`.
+The learning-based strategies themselves (LeHDC and footnote 1's non-binary
+LeHDC) live in :mod:`repro.core`.
 """
 
 from repro.classifiers.base import HDCClassifierBase
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.retraining import RetrainingHDC
 from repro.classifiers.enhanced import EnhancedRetrainingHDC
-from repro.classifiers.adapthd import AdaptHDC
 from repro.classifiers.multimodel import MultiModelHDC
-from repro.classifiers.nonbinary import NonBinaryHDC
-from repro.classifiers.nearest_centroid import NearestCentroidClassifier
 from repro.classifiers.pipeline import HDCPipeline
 
 __all__ = [
@@ -42,9 +35,6 @@ __all__ = [
     "BaselineHDC",
     "RetrainingHDC",
     "EnhancedRetrainingHDC",
-    "AdaptHDC",
     "MultiModelHDC",
-    "NonBinaryHDC",
-    "NearestCentroidClassifier",
     "HDCPipeline",
 ]

@@ -46,8 +46,7 @@ def cosine_scores(samples: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     A zero-norm row scores 0 against everything instead of dividing by zero.
     Norms and products are taken in the operands' own dtypes.  The one cosine
-    scorer of the non-binary classifiers, non-binary LeHDC's validation and
-    the nearest-centroid reference.
+    scorer: non-binary LeHDC predicts and validates with it.
     """
     sample_norms = np.linalg.norm(samples, axis=1, keepdims=True)
     centroid_norms = np.linalg.norm(centroids, axis=1, keepdims=True).T
@@ -136,8 +135,8 @@ class HDCClassifierBase(RngMixin, abc.ABC):
 
         By default that means the shared dot-similarity rule (classifiers
         that override :meth:`decision_scores` are assumed bespoke and the
-        packed paths fall back to dense for them, e.g. non-binary centroids
-        with cosine scoring).  A classifier whose bespoke rule *does* reduce
+        packed paths fall back to dense for them: non-binary LeHDC's cosine
+        scoring).  A classifier whose bespoke rule *does* reduce
         to XOR + popcount — the multi-model ensemble's max-over-sub-models —
         overrides this together with :meth:`packed_inference_bank`, whose
         best row per class :meth:`decision_scores_packed` scores.

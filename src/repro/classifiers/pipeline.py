@@ -8,12 +8,13 @@ and prediction.  This is the object the quickstart example builds.
 
 Prediction is *packed-native*: when the classifier scores with the shared
 dot-similarity rule, queries are encoded straight to bit-packed words
-(:meth:`~repro.hdc.encoders.Encoder.encode_packed` — the dense int8 matrix
-never exists) and scored with the XOR+popcount kernel, with no
+(:meth:`~repro.hdc.encoders.RecordEncoder.encode_packed` — the dense int8
+matrix never exists) and scored with the XOR+popcount kernel, with no
 unpack→repack round-trips anywhere.  The packed scores equal the dense ones
 exactly (``dot = D - 2 * differing_bits``), so predictions are bit-for-bit
-identical to the dense path; classifiers with bespoke scoring fall back to
-dense transparently.
+identical to the dense path.  Non-binary LeHDC (cosine similarity over real
+class hypervectors) is the one classifier without a packed twin; it scores
+on the dense path.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from typing import Optional
 import numpy as np
 
 from repro.classifiers.base import HDCClassifierBase, top_k_from_scores
-from repro.hdc.encoders import Encoder
+from repro.hdc.encoders import RecordEncoder
 from repro.utils.validation import check_labels, check_matrix
 
 
 class HDCPipeline:
-    """Couples an :class:`~repro.hdc.encoders.Encoder` with an HDC classifier.
+    """Couples a :class:`~repro.hdc.encoders.RecordEncoder` with an HDC classifier.
 
     Parameters
     ----------
@@ -38,12 +39,12 @@ class HDCPipeline:
         Any classifier following the :class:`HDCClassifierBase` interface,
         including :class:`repro.core.LeHDCClassifier`.
     encode_batch_size:
-        Batch size forwarded to :meth:`Encoder.encode` to bound memory.
+        Batch size forwarded to :meth:`RecordEncoder.encode` to bound memory.
     """
 
     def __init__(
         self,
-        encoder: Encoder,
+        encoder: RecordEncoder,
         classifier: HDCClassifierBase,
         encode_batch_size: int = 256,
     ):
@@ -73,11 +74,6 @@ class HDCPipeline:
         return self
 
     # ------------------------------------------------------------- inference
-    def _uses_packed_path(self) -> bool:
-        """Whether prediction can ride the packed kernels for this classifier."""
-        supports = getattr(self.classifier, "supports_packed_scoring", None)
-        return supports is not None and supports()
-
     def _decision_scores(self, features: np.ndarray) -> np.ndarray:
         """Encode raw *features* and return the ``(n, K)`` decision scores.
 
@@ -86,7 +82,7 @@ class HDCPipeline:
         if not self._fitted:
             raise RuntimeError("HDCPipeline is not fitted yet; call fit() first")
         features = check_matrix(features, "features", dtype=np.float64)
-        if self._uses_packed_path():
+        if self.classifier.supports_packed_scoring():
             packed = self.encoder.encode_packed(
                 features, batch_size=self.encode_batch_size
             )

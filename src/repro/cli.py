@@ -13,7 +13,7 @@ regenerated without writing any Python:
 * ``python -m repro predict --model model.npz --dataset ucihar`` — load a
   saved model and evaluate it on a dataset's test split;
 * ``python -m repro serve --model model.npz --port 8080`` — serve saved
-  models over JSON/HTTP with micro-batched packed inference in one process
+  models over JSON/HTTP with packed inference in one process
   (``--trace FILE`` writes JSONL request traces, ``--log-level info``
   enables the access log, and ``GET /metrics`` exposes Prometheus text
   format);
@@ -31,7 +31,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.classifiers.adapthd import AdaptHDC
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.enhanced import EnhancedRetrainingHDC
 from repro.classifiers.multimodel import MultiModelHDC
@@ -44,14 +43,13 @@ from repro.datasets.loaders import try_load_real_dataset
 from repro.datasets.registry import get_dataset, list_datasets
 from repro.eval.sweep import run_dimension_sweep
 from repro.eval.tables import format_table
-from repro.hdc.encoders import NGramEncoder, RecordEncoder
+from repro.hdc.encoders import RecordEncoder
 from repro.io import load_model, save_model
 
 STRATEGY_CHOICES = (
     "baseline",
     "multimodel",
     "retraining",
-    "adapthd",
     "enhanced",
     "lehdc",
     "lehdc-nonbinary",
@@ -73,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--dimension", type=int, default=2000)
         sub.add_argument("--num-levels", type=int, default=32)
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument(
-            "--encoder", default="record", choices=["record", "ngram"], help="encoder kind"
-        )
 
     # _build_classifier and command_sweep override Table 2's batch and rate.
     epochs_help = (
@@ -202,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_encoder(args) -> RecordEncoder:
-    encoder_cls = RecordEncoder if args.encoder == "record" else NGramEncoder
-    return encoder_cls(
+    return RecordEncoder(
         dimension=args.dimension, num_levels=args.num_levels, seed=args.seed
     )
 
@@ -216,7 +210,6 @@ def _build_classifier(name: str, dataset: str, args):
         "baseline": lambda: BaselineHDC(seed=args.seed),
         "multimodel": lambda: MultiModelHDC(models_per_class=8, iterations=2, seed=args.seed),
         "retraining": lambda: RetrainingHDC(iterations=args.iterations, seed=args.seed),
-        "adapthd": lambda: AdaptHDC(iterations=args.iterations, seed=args.seed),
         "enhanced": lambda: EnhancedRetrainingHDC(iterations=args.iterations, seed=args.seed),
         "lehdc": lambda: LeHDCClassifier(config=lehdc_config, seed=args.seed),
         "lehdc-nonbinary": lambda: NonBinaryLeHDCClassifier(config=lehdc_config, seed=args.seed),
@@ -235,9 +228,19 @@ def command_list_datasets() -> int:
 
 
 def command_train(args) -> int:
+    classifier = _build_classifier(args.strategy, args.dataset, args)
+    # A model file holds binary class hypervectors scored by Hamming
+    # distance; refuse a strategy that scores otherwise before training it.
+    if args.save and not classifier.supports_packed_scoring():
+        print(
+            f"error: --save cannot hold a {args.strategy} model "
+            f"({type(classifier).__name__} does not score by Hamming distance)",
+            file=sys.stderr,
+        )
+        return 1
     data = get_dataset(args.dataset, profile=args.profile, seed=args.seed)
     print(f"Dataset: {data.describe()}")
-    pipeline = HDCPipeline(_build_encoder(args), _build_classifier(args.strategy, args.dataset, args))
+    pipeline = HDCPipeline(_build_encoder(args), classifier)
     pipeline.fit(data.train_features, data.train_labels)
     train_accuracy = pipeline.score(data.train_features, data.train_labels)
     test_accuracy = pipeline.score(data.test_features, data.test_labels)
@@ -312,7 +315,11 @@ def command_sweep(args) -> int:
 
 
 def command_predict(args) -> int:
-    pipeline = load_model(args.model)
+    try:
+        pipeline = load_model(args.model)
+    except (OSError, ValueError) as error:
+        print(f"error: cannot load model {args.model!r}: {error}", file=sys.stderr)
+        return 1
     data = get_dataset(args.dataset, profile=args.profile, seed=args.seed)
     accuracy = pipeline.score(data.test_features, data.test_labels)
     print(f"Loaded model from {args.model}")

@@ -47,8 +47,7 @@ def strategy_accuracy(
     classifier's dense ``predict``.  Both paths yield identical predictions,
     so the reported accuracy is unchanged — only faster.
     """
-    supports = getattr(classifier, "supports_packed_scoring", None)
-    if packed is not None and supports is not None and supports():
+    if packed is not None and classifier.supports_packed_scoring():
         predictions = classifier.predict_packed(packed)
     else:
         predictions = classifier.predict(encoded)
@@ -65,8 +64,7 @@ def fit_strategy(classifier, encoded: np.ndarray, labels: np.ndarray, packed_tra
     Both paths produce bit-identical models, so experiment results do not
     depend on which one a strategy takes.
     """
-    supports = getattr(classifier, "supports_packed_training", None)
-    if packed_train is not None and supports is not None and supports():
+    if packed_train is not None and classifier.supports_packed_training():
         classifier.fit(encoded, labels, packed_train=packed_train)
     else:
         classifier.fit(encoded, labels)
@@ -157,7 +155,6 @@ def run_strategy_comparison(
     repetitions: int = 3,
     profile: str = "small",
     seed: SeedLike = 0,
-    encoder_kind: str = "record",
 ) -> ExperimentResult:
     """Fit every strategy on *repetitions* seeds of a dataset and aggregate.
 
@@ -174,8 +171,6 @@ def run_strategy_comparison(
     name = dataset.name if dataset is not None else dataset_name
     if strategies is None:
         strategies = default_strategy_factories(name)
-    if encoder_kind not in ("record", "ngram"):
-        raise ValueError(f"encoder_kind must be 'record' or 'ngram', got {encoder_kind!r}")
 
     root_rng = ensure_rng(seed)
     result = ExperimentResult(
@@ -191,7 +186,9 @@ def run_strategy_comparison(
             if dataset is not None
             else get_dataset(dataset_name, profile=profile, seed=repetition_seed)
         )
-        encoder = _build_encoder(encoder_kind, dimension, num_levels, repetition_seed)
+        encoder = RecordEncoder(
+            dimension=dimension, num_levels=num_levels, seed=repetition_seed
+        )
         encoder.fit(data.train_features)
         train_encoded = encoder.encode(data.train_features)
         test_encoded = encoder.encode(data.test_features)
@@ -226,14 +223,6 @@ def run_strategy_comparison(
 def _stable_offset(name: str) -> int:
     """Deterministic per-strategy seed offset (``hash()`` is randomised per process)."""
     return sum((index + 1) * ord(character) for index, character in enumerate(name)) % 10_000
-
-
-def _build_encoder(kind: str, dimension: int, num_levels: int, seed: int):
-    from repro.hdc.encoders import NGramEncoder
-
-    if kind == "record":
-        return RecordEncoder(dimension=dimension, num_levels=num_levels, seed=seed)
-    return NGramEncoder(dimension=dimension, num_levels=num_levels, seed=seed)
 
 
 __all__ = [

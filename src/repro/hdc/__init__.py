@@ -2,8 +2,8 @@
 
 This package implements the binary (bipolar) HDC machinery the paper builds
 on: hypervector algebra (Sec. 2), orthogonal position and correlated level
-item memories, the record-based encoder of Eq. 1, an N-gram encoder, feature
-quantisation, and a bit-packed backend used by the hardware cost model.
+item memories, equal-width feature quantisation, the record-based encoder of
+Eq. 1, and a bit-packed backend used by the hardware cost model.
 """
 
 from repro.hdc.hypervector import (
@@ -17,8 +17,8 @@ from repro.hdc.hypervector import (
     sign_with_ties,
 )
 from repro.hdc.itemmemory import LevelItemMemory, RandomItemMemory
-from repro.hdc.quantize import QuantileQuantizer, UniformQuantizer
-from repro.hdc.encoders import Encoder, NGramEncoder, RecordEncoder
+from repro.hdc.quantize import UniformQuantizer
+from repro.hdc.encoders import RecordEncoder
 from repro.kernels.packed import PackedHypervectors, pack_bipolar, unpack_bipolar
 
 __all__ = [
@@ -33,10 +33,7 @@ __all__ = [
     "RandomItemMemory",
     "LevelItemMemory",
     "UniformQuantizer",
-    "QuantileQuantizer",
-    "Encoder",
     "RecordEncoder",
-    "NGramEncoder",
     "PackedHypervectors",
     "pack_bipolar",
     "unpack_bipolar",

@@ -1,9 +1,9 @@
-"""Feature quantisers: map real-valued features to level indices.
+"""The feature quantiser: map real-valued features to level indices.
 
 The record-based encoder represents each feature value by a level hypervector
-from a :class:`~repro.hdc.itemmemory.LevelItemMemory`.  These quantisers learn
+from a :class:`~repro.hdc.itemmemory.LevelItemMemory`.  The quantiser learns
 the mapping from raw feature values to level indices on the training set and
-then apply it consistently to training and test data (clipping out-of-range
+then applies it consistently to training and test data (clipping out-of-range
 test values to the learned range, as a deployed HDC pipeline would).
 """
 
@@ -87,58 +87,4 @@ class UniformQuantizer:
         return self.fit(features).transform(features)
 
 
-class QuantileQuantizer:
-    """Equal-frequency binning: bin edges at training-set quantiles.
-
-    More robust than uniform binning when features have heavy-tailed
-    distributions (e.g. accelerometer magnitudes in the HAR/PAMAP-style
-    workloads); each level then receives roughly the same number of training
-    values.
-    """
-
-    def __init__(self, num_levels: int):
-        self.num_levels = check_positive_int(num_levels, "num_levels")
-        self._edges: Optional[np.ndarray] = None
-
-    def fit(self, features: np.ndarray) -> "QuantileQuantizer":
-        """Learn per-feature quantile edges from a ``(samples, features)`` matrix."""
-        features = check_matrix(features, "features", dtype=np.float64)
-        quantiles = np.linspace(0.0, 1.0, self.num_levels + 1)[1:-1]
-        # edges shape: (num_levels - 1, n_features)
-        self._edges = np.quantile(features, quantiles, axis=0)
-        if self._edges.ndim == 1:
-            self._edges = self._edges.reshape(-1, features.shape[1])
-        return self
-
-    def scale(self, features: np.ndarray) -> np.ndarray:
-        """The integer levels, without validating *features*.
-
-        A level is its own level coordinate (see
-        :meth:`UniformQuantizer.scale`): ``scale(x) >= t`` is the thermometer
-        bit.  ``searchsorted`` over the ``num_levels - 1`` edges already
-        lands in ``[0, num_levels)``.
-        """
-        levels = np.zeros(features.shape, dtype=np.int64)
-        if self.num_levels == 1:
-            return levels
-        for column in range(features.shape[1]):
-            levels[:, column] = np.searchsorted(
-                self._edges[:, column], features[:, column], side="right"
-            )
-        return levels
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        """Map features to integer level indices in ``[0, num_levels)``."""
-        check_fitted(self, "_edges")
-        n_features = self._edges.shape[1] if self._edges.size else None
-        features = check_matrix(
-            features, "features", dtype=np.float64, n_columns=n_features
-        )
-        return self.scale(features)
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        """Convenience: :meth:`fit` then :meth:`transform` on the same data."""
-        return self.fit(features).transform(features)
-
-
-__all__ = ["UniformQuantizer", "QuantileQuantizer"]
+__all__ = ["UniformQuantizer"]

@@ -32,8 +32,8 @@ import numpy as np
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.pipeline import HDCPipeline
-from repro.hdc.encoders import Encoder, NGramEncoder, RecordEncoder
-from repro.hdc.quantize import QuantileQuantizer, UniformQuantizer
+from repro.hdc.encoders import RecordEncoder
+from repro.hdc.quantize import UniformQuantizer
 from repro.kernels.encode import nested_flip_levels
 
 FORMAT_VERSION = 1
@@ -45,10 +45,9 @@ FORMAT_VERSION = 1
 ENSEMBLE_FORMAT_VERSION = 2
 SUPPORTED_FORMAT_VERSIONS = (FORMAT_VERSION, ENSEMBLE_FORMAT_VERSION)
 
-_ENCODER_KINDS = ("record", "ngram")
-#: The metadata fields :func:`load_model` reads to rebuild a model (an n-gram
-#: model also needs ``ngram``).
+#: The metadata fields :func:`load_model` reads to rebuild a model.
 _REQUIRED_FIELDS = (
+    "encoder_kind",
     "dimension",
     "num_levels",
     "num_features",
@@ -56,6 +55,9 @@ _REQUIRED_FIELDS = (
     "tie_break",
     "num_classes",
 )
+#: The one encoder and quantiser a model file may record.  Files keep
+#: naming them, so a build that also read other kinds still reads them.
+_KINDS = {"encoder_kind": "record", "quantizer_kind": "uniform"}
 
 
 def _package_version() -> str:
@@ -70,7 +72,8 @@ def _verify_metadata(metadata: dict, path: Path) -> None:
     Earlier revisions of this module silently accepted archives written by any
     package version and deferred encoder-kind mistakes and missing fields to
     an opaque ``KeyError`` deep in reconstruction; all are now checked up
-    front.
+    front.  A file that records an encoder or quantiser other than the
+    record encoder's uniform one is refused, naming the field.
     """
     if not isinstance(metadata, dict):
         raise ValueError(f"model {path}: metadata is not a JSON object")
@@ -89,16 +92,15 @@ def _verify_metadata(metadata: dict, path: Path) -> None:
                 f"incompatible with the installed repro {current} "
                 "(major versions differ); re-train or convert the model"
             )
-    encoder_kind = metadata.get("encoder_kind")
-    if encoder_kind not in _ENCODER_KINDS:
-        raise ValueError(
-            f"model {path} records unknown encoder kind {encoder_kind!r}; "
-            f"expected one of {_ENCODER_KINDS}"
-        )
-    required = _REQUIRED_FIELDS + (("ngram",) if encoder_kind == "ngram" else ())
-    missing = [field for field in required if field not in metadata]
+    missing = [field for field in _REQUIRED_FIELDS if field not in metadata]
     if missing:
         raise ValueError(f"model {path}: metadata lacks {', '.join(missing)}")
+    for field, kind in _KINDS.items():
+        if metadata[field] != kind:
+            raise ValueError(
+                f"model {path}: {field} is {metadata[field]!r}; this build reads "
+                f"{kind!r} only"
+            )
 
 
 @contextlib.contextmanager
@@ -130,18 +132,17 @@ def _open_archive(path: Path) -> Iterator[np.lib.npyio.NpzFile]:
 def _read_verified_metadata(archive, path: Path) -> dict:
     """The archive's metadata block, verified along with its level memory.
 
-    A record model's level memory must be nested (each coordinate flips
-    once), because the record encoder evaluates Eq. 1 through that
-    structure; a foreign or tampered one is rejected here, when the file is
-    loaded or registered, instead of on the first request.
+    The level memory must be nested (each coordinate flips once), because
+    the record encoder evaluates Eq. 1 through that structure; a foreign or
+    tampered one is rejected here, when the file is loaded or registered,
+    instead of on the first request.
     """
     metadata = json.loads(bytes(archive["metadata_json"].tobytes()).decode("utf-8"))
     _verify_metadata(metadata, path)
-    if metadata["encoder_kind"] == "record":
-        try:
-            nested_flip_levels(archive["level_vectors"])
-        except ValueError as error:
-            raise ValueError(f"model {path}: {error}") from error
+    try:
+        nested_flip_levels(archive["level_vectors"])
+    except ValueError as error:
+        raise ValueError(f"model {path}: {error}") from error
     return metadata
 
 
@@ -187,8 +188,9 @@ def save_model(
     path:
         Destination file; the ``.npz`` suffix is appended if missing.
     pipeline:
-        A fitted :class:`HDCPipeline` (any classifier that exposes
-        ``class_hypervectors_``).
+        A fitted :class:`HDCPipeline` whose classifier scores by the shared
+        XOR+popcount rule (:meth:`supports_packed_scoring`), the rule a
+        loaded model scores by; any other classifier raises ``ValueError``.
     strategy_name:
         Free-form label recording which training strategy produced the model.
     extra_metadata:
@@ -196,21 +198,14 @@ def save_model(
     """
     encoder = pipeline.encoder
     classifier = pipeline.classifier
+    if not classifier.supports_packed_scoring():
+        raise ValueError(
+            f"{type(classifier).__name__} cannot be saved: a model file holds "
+            "binary class hypervectors scored by Hamming distance, not its own "
+            "scoring rule"
+        )
     if classifier.class_hypervectors_ is None or encoder.num_features is None:
         raise ValueError("the pipeline must be fitted before it can be saved")
-
-    quantizer = encoder._quantizer
-    if isinstance(quantizer, UniformQuantizer):
-        quantizer_kind = "uniform"
-        quantizer_state = {
-            "minimums": quantizer._minimums,
-            "ranges": quantizer._ranges,
-        }
-    elif isinstance(quantizer, QuantileQuantizer):
-        quantizer_kind = "quantile"
-        quantizer_state = {"edges": quantizer._edges}
-    else:  # pragma: no cover - future quantisers
-        raise TypeError(f"unsupported quantizer type {type(quantizer).__name__}")
 
     model_bank = getattr(classifier, "model_hypervectors_", None)
     if model_bank is not None and np.ndim(model_bank) != 3:  # pragma: no cover
@@ -228,12 +223,11 @@ def save_model(
         "models_per_class": (
             int(model_bank.shape[1]) if model_bank is not None else None
         ),
-        "encoder_kind": "ngram" if isinstance(encoder, NGramEncoder) else "record",
-        "ngram": getattr(encoder, "ngram", None),
+        "encoder_kind": _KINDS["encoder_kind"],
         "dimension": encoder.dimension,
         "num_levels": encoder.num_levels,
         "num_features": encoder.num_features,
-        "quantizer_kind": quantizer_kind,
+        "quantizer_kind": _KINDS["quantizer_kind"],
         "tie_break": encoder.tie_break,
         "num_classes": int(classifier.class_hypervectors_.shape[0]),
         "extra": extra_metadata or {},
@@ -252,8 +246,8 @@ def save_model(
     }
     if model_bank is not None:
         arrays["model_hypervectors"] = model_bank
-    for key, value in quantizer_state.items():
-        arrays[f"quantizer_{key}"] = value
+    arrays["quantizer_minimums"] = encoder._quantizer._minimums
+    arrays["quantizer_ranges"] = encoder._quantizer._ranges
     np.savez_compressed(path, **arrays)
     return path
 
@@ -280,13 +274,10 @@ def _load(path: Path) -> Tuple[HDCPipeline, dict]:
             if "model_hypervectors" in archive.files
             else None
         )
-        quantizer_arrays = {
-            key[len("quantizer_") :]: archive[key]
-            for key in archive.files
-            if key.startswith("quantizer_")
-        }
+        minimums = archive["quantizer_minimums"]
+        ranges = archive["quantizer_ranges"]
 
-    encoder = _rebuild_encoder(metadata, position_vectors, level_vectors, quantizer_arrays)
+    encoder = _rebuild_encoder(metadata, position_vectors, level_vectors, minimums, ranges)
     if model_bank is not None:
         classifier = FrozenEnsembleClassifier(
             models_per_class=int(model_bank.shape[1])
@@ -305,28 +296,25 @@ def _load(path: Path) -> Tuple[HDCPipeline, dict]:
 def read_model_metadata(path: Union[str, Path]) -> dict:
     """Read and verify the metadata block of a saved model without loading it.
 
-    Cheap (the only arrays decompressed are the metadata entry and, for a
-    record model, the ``(L, D)`` level memory it checks is nested), for
-    tooling that inspects artefacts.
+    Cheap (the only arrays decompressed are the metadata entry and the
+    ``(L, D)`` level memory it checks is nested), for tooling that inspects
+    artefacts.
     """
     path = Path(path)
     with _open_archive(path) as archive:
         return _read_verified_metadata(archive, path)
 
 
-def _rebuild_encoder(metadata, position_vectors, level_vectors, quantizer_arrays) -> Encoder:
-    """Reconstruct an encoder object from its serialised state."""
-    common = dict(
+def _rebuild_encoder(
+    metadata, position_vectors, level_vectors, minimums, ranges
+) -> RecordEncoder:
+    """Reconstruct the encoder from its serialised state."""
+    encoder = RecordEncoder(
         dimension=metadata["dimension"],
         num_levels=metadata["num_levels"],
-        quantizer=metadata["quantizer_kind"],
         tie_break=metadata["tie_break"],
         seed=0,
     )
-    if metadata["encoder_kind"] == "ngram":
-        encoder: Encoder = NGramEncoder(ngram=metadata["ngram"], **common)
-    else:
-        encoder = RecordEncoder(**common)
 
     encoder.num_features = metadata["num_features"]
     # Overwrite the freshly constructed item memories with the saved codebooks.
@@ -341,13 +329,9 @@ def _rebuild_encoder(metadata, position_vectors, level_vectors, quantizer_arrays
     encoder.position_memory = position_memory
     encoder.level_memory = level_memory
 
-    if metadata["quantizer_kind"] == "uniform":
-        quantizer = UniformQuantizer(metadata["num_levels"])
-        quantizer._minimums = quantizer_arrays["minimums"]
-        quantizer._ranges = quantizer_arrays["ranges"]
-    else:
-        quantizer = QuantileQuantizer(metadata["num_levels"])
-        quantizer._edges = quantizer_arrays["edges"]
+    quantizer = UniformQuantizer(metadata["num_levels"])
+    quantizer._minimums = minimums
+    quantizer._ranges = ranges
     encoder._quantizer = quantizer
     return encoder
 

@@ -1,18 +1,18 @@
 """Shared hot-path compute kernels.
 
 ``repro.kernels`` is the single home for the computations every layer of the
-system competes on: bit-packed XOR+popcount scoring (:mod:`.packed`), fused
-encoder accumulation (:mod:`.encode`), packed training — centroid bundling,
-epoch scoring and ordered accumulator updates (:mod:`.train`) — and the
-float dtype and casts behind the NN substrate (:mod:`.linear`).  Each
+system competes on: bit-packed XOR+popcount scoring (:mod:`.packed`), the
+record encoder's fused accumulation (:mod:`.encode`), packed training —
+centroid bundling, epoch scoring and ordered accumulator updates
+(:mod:`.train`) — and the float dtype and casts behind the NN substrate
+(:mod:`.linear`).  Each
 kernel is one plain NumPy function; the only parallelism is the BLAS
 library's own threads.
 
 Layering: :mod:`repro.hdc`, :mod:`repro.classifiers`, :mod:`repro.nn`,
 :mod:`repro.core`, :mod:`repro.eval` and :mod:`repro.serve` all call *down*
-into this package; nothing here imports back up (the only exception is the
-lazy encoder-type dispatch inside :func:`~repro.kernels.encode.build_accumulator`).
-See ``docs/architecture.md`` for the full data-flow.
+into this package; nothing here imports back up.  See
+``docs/architecture.md`` for the full data-flow.
 """
 
 from repro.kernels.train import (
@@ -23,12 +23,7 @@ from repro.kernels.train import (
     flip_fraction_packed,
     score_epoch,
 )
-from repro.kernels.encode import (
-    NGramAccumulator,
-    RecordAccumulator,
-    build_accumulator,
-    nested_flip_levels,
-)
+from repro.kernels.encode import RecordAccumulator, nested_flip_levels
 from repro.kernels.linear import FLOAT_DTYPE, as_float, sign_bipolar
 from repro.kernels.packed import (
     PackedHypervectors,
@@ -48,7 +43,6 @@ from repro.kernels.packed import (
 __all__ = [
     "EnsembleScoreboard",
     "FLOAT_DTYPE",
-    "NGramAccumulator",
     "PackedHypervectors",
     "PackedTrainingSet",
     "RecordAccumulator",
@@ -56,7 +50,6 @@ __all__ = [
     "as_float",
     "bank_scores",
     "bit_differences_words",
-    "build_accumulator",
     "bundle_packed",
     "flip_fraction_packed",
     "flip_score_delta",

@@ -1,27 +1,21 @@
-"""Fused encoder kernels: pre-sign accumulation for record and n-gram encoders.
+"""The fused encoder kernel: Eq. 1's pre-sign accumulation as one GEMM.
 
-Both accumulators produce the exact integer accumulation the dense encoders
-define (Eq. 1), so signing the result reproduces ``Encoder.encode``
-bit-for-bit; they only reorganise the computation:
+:class:`RecordAccumulator` produces the exact integer accumulation the
+dense record encoder defines (Eq. 1), so signing the result reproduces
+``RecordEncoder.encode`` bit for bit; it only reorganises the computation.
+The level memory is nested — coordinate ``d`` of level ``l`` is the base
+level's coordinate, negated once ``l`` reaches the coordinate's flip level
+``t_d`` — so ``acc[b, d] = V_0[d] * (sum_f F_f[d] - 2 * sum_f F_f[d] *
+[q_bf >= t_d])``.  For each flip level ``t`` the second sum is the
+thermometer mask ``[q >= t]`` times the position columns that flip at
+``t``; coordinates that never flip are a per-coordinate constant.  Its
+:meth:`~RecordAccumulator.packed_signs` goes on from the GEMM straight to
+packed sign words, the one packed encode path of offline prediction and
+serving.
 
-* :class:`RecordAccumulator` evaluates Eq. 1 as one stacked float32 GEMM.
-  The level memory is nested — coordinate ``d`` of level ``l`` is the base
-  level's coordinate, negated once ``l`` reaches the coordinate's flip level
-  ``t_d`` — so ``acc[b, d] = V_0[d] * (sum_f F_f[d] - 2 * sum_f F_f[d] *
-  [q_bf >= t_d])``.  For each flip level ``t`` the second sum is the
-  thermometer mask ``[q >= t]`` times the position columns that flip at
-  ``t``; coordinates that never flip are a per-coordinate constant.  Its
-  :meth:`~RecordAccumulator.packed_signs` goes on from the GEMM straight to
-  packed sign words, the one packed encode path of offline prediction and
-  serving;
-* :class:`NGramAccumulator` hoists the per-call codebook permutations out of
-  the request path and evaluates all binding windows of a block at once with
-  a rolled gather per n-gram offset, instead of a Python loop over windows.
-
-The encoders in :mod:`repro.hdc.encoders` and the serving engine in
-:mod:`repro.serve.engine` both build their accumulator through
-:func:`build_accumulator`, so training, evaluation, and serving ride the same
-fused kernel.
+:class:`~repro.hdc.encoders.RecordEncoder` builds the accumulator and the
+serving engine in :mod:`repro.serve.engine` shares the encoder's, so
+training, evaluation, and serving ride the same fused kernel.
 """
 
 from __future__ import annotations
@@ -30,13 +24,6 @@ import contextlib
 from typing import ContextManager, Optional
 
 import numpy as np
-
-#: Byte cap on the int8 gather scratch of a single n-gram accumulation block.
-_SCRATCH_BYTES = 32 * 1024 * 1024
-
-#: A block's partial sums are reduced in int16; each gathered element is ±1,
-#: so at most this many may be summed per output element in one reduction.
-_INT16_HEADROOM = 32767
 
 #: float32 holds every even integer below 2**25 exactly, so GEMM sums of
 #: fewer ±2 terms than this are exact whatever order BLAS adds them in.
@@ -193,71 +180,4 @@ class RecordAccumulator:
         return np.packbits(bits, axis=1, bitorder="little").view(_WORD)
 
 
-class NGramAccumulator:
-    """Pre-sign accumulation for the n-gram encoder, fully vectorised.
-
-    The ``ngram`` permuted copies of the level codebook are built once; each
-    call then evaluates *all* binding windows of a block in one shot: for
-    offset ``o`` the rolled gather ``codebook[o][levels[:, o : o + W]]``
-    yields every window's ``o``-th factor at once (``W`` windows), the
-    factors multiply element-wise (products of ±1 stay ±1, so int8 never
-    overflows) and a single C-level reduction bundles the windows.  Window
-    blocks bound the ``(batch, W, D)`` int8 scratch.
-    """
-
-    def __init__(self, level_vectors: np.ndarray, ngram: int):
-        codebook = level_vectors.astype(np.int8)
-        self.ngram = int(ngram)
-        self._codebooks = [
-            np.roll(codebook, offset, axis=1) for offset in range(self.ngram)
-        ]
-        self._dimension = codebook.shape[1]
-        self.table_bytes = sum(book.nbytes for book in self._codebooks)
-
-    def __call__(self, level_indices: np.ndarray) -> np.ndarray:
-        batch, num_features = level_indices.shape
-        num_windows = num_features - self.ngram + 1
-        if num_windows < 1:
-            raise ValueError(
-                f"ngram={self.ngram} exceeds the number of features {num_features}"
-            )
-        accumulated = np.zeros((batch, self._dimension), dtype=np.int32)
-        block = max(1, _SCRATCH_BYTES // max(1, batch * self._dimension))
-        block = min(block, _INT16_HEADROOM)
-        for start in range(0, num_windows, block):
-            stop = min(start + block, num_windows)
-            gram = self._codebooks[0][level_indices[:, start:stop]]
-            for offset in range(1, self.ngram):
-                gram *= self._codebooks[offset][
-                    level_indices[:, start + offset : stop + offset]
-                ]
-            accumulated += gram.sum(axis=1, dtype=np.int16)
-            # Release the window-block scratch before the next gather so the
-            # allocator hands back the same hot, already-faulted buffer.
-            del gram
-        return accumulated
-
-
-def build_accumulator(encoder) -> Optional[object]:
-    """Compile the fused accumulator for a fitted encoder, or ``None``.
-
-    Dispatches on the encoder type; unknown encoder classes get ``None`` so
-    callers can fall back to ``encoder.encode``.
-    """
-    from repro.hdc.encoders import NGramEncoder, RecordEncoder
-
-    if isinstance(encoder, NGramEncoder):
-        return NGramAccumulator(encoder.level_memory.vectors, encoder.ngram)
-    if isinstance(encoder, RecordEncoder):
-        return RecordAccumulator(
-            encoder.position_memory.vectors, encoder.level_memory.vectors
-        )
-    return None
-
-
-__all__ = [
-    "NGramAccumulator",
-    "RecordAccumulator",
-    "build_accumulator",
-    "nested_flip_levels",
-]
+__all__ = ["RecordAccumulator", "nested_flip_levels"]

@@ -1,7 +1,7 @@
 """Packed training kernels: centroid bundling, epoch scoring, ordered updates.
 
 PR 2 made *inference* packed-native; this module does the same for the
-retraining loop (QuantHD-style Eq. 3, AdaptHD, the enhanced variant).  The
+retraining loop (QuantHD-style Eq. 3 and the enhanced variant).  The
 key structural fact it exploits: within one retraining pass the *binary*
 class hypervectors are fixed — they are re-signed only after the pass — and
 the ``± alpha · H`` accumulator updates are additive.  One epoch therefore

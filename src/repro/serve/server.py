@@ -986,8 +986,9 @@ class _SelectorServer:
         """Serve until :meth:`shutdown` (or SIGTERM under :func:`run_server`),
         then drain and return.
 
-        The drain calls ``app.begin_drain()`` and closes the listener, so a
-        new connection is refused.  It closes each connection that holds no
+        The drain calls ``app.begin_drain()``, accepts the connections
+        already in the backlog and closes the listener, so a new connection
+        is refused.  It closes each connection that holds no
         partial request and no unsent answer, and serves the rest: a predict
         that completes is answered 503 ``draining`` and its connection
         closed, and any other connection is closed once it is idle.  It
@@ -1038,7 +1039,11 @@ class _SelectorServer:
 
     def _drain(self) -> None:
         self.app.begin_drain()
+        # A connection in the accept backlog was made before the drain:
+        # serve it like any other instead of resetting it with the listener.
         if not self._paused:
+            self._accept()
+        if not self._paused:  # _accept pauses the listener when out of descriptors
             self._selector.unregister(self.socket)
         self._paused = False
         self.socket.close()

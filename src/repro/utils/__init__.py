@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG management, argument validation, run logging."""
+"""Shared utilities: seeded RNG management and argument validation."""
 
 from repro.utils.rng import RngMixin, ensure_rng, spawn_rngs
 from repro.utils.validation import (
@@ -8,7 +8,6 @@ from repro.utils.validation import (
     check_positive_int,
     check_probability,
 )
-from repro.utils.logging import RunLogger
 
 __all__ = [
     "RngMixin",
@@ -19,5 +18,4 @@ __all__ = [
     "check_matrix",
     "check_positive_int",
     "check_probability",
-    "RunLogger",
 ]

@@ -8,7 +8,6 @@ from repro import (
     HDCPipeline,
     LeHDCClassifier,
     LeHDCConfig,
-    NGramEncoder,
     RecordEncoder,
     RetrainingHDC,
     get_dataset,
@@ -39,17 +38,6 @@ class TestPipelineOnRegistryDatasets:
         # clusters each), so require a clear margin over chance rather than
         # the benchmark-scale accuracy.
         assert accuracy > 0.5
-
-    def test_ngram_encoder_end_to_end(self, small_problem):
-        pipeline = HDCPipeline(
-            NGramEncoder(dimension=2048, num_levels=16, ngram=3, seed=2),
-            BaselineHDC(seed=2),
-        )
-        pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
-        accuracy = pipeline.score(
-            small_problem["test_features"], small_problem["test_labels"]
-        )
-        assert accuracy > 0.6
 
 
 class TestEncodingSharedAcrossStrategies:

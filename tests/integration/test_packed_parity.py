@@ -4,23 +4,22 @@ The whole point of the kernel-layer refactor is that the packed XOR+popcount
 path is a *re-implementation*, not an approximation: for every classifier the
 packed ``predict``/``top_k`` must equal the dense results exactly — including
 the ensemble's max-over-sub-models rule (packed against its flat model
-bank), classifiers whose bespoke scoring forces the dense fallback (the
-non-binary cosine centroids), and the raw-feature nearest-centroid reference.
+bank).  Non-binary LeHDC's cosine scoring has no packed twin: the pipeline
+scores it on the dense path, and the packed paths and the engine refuse it.
 """
 
 import numpy as np
 import pytest
 
 import repro.kernels.packed as packed_kernels
-from repro.classifiers.adapthd import AdaptHDC
 from repro.classifiers.base import top_k_from_scores
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.multimodel import MultiModelHDC
-from repro.classifiers.nearest_centroid import NearestCentroidClassifier
-from repro.classifiers.nonbinary import NonBinaryHDC
 from repro.classifiers.pipeline import HDCPipeline
+from repro.classifiers.retraining import RetrainingHDC
 from repro.core.configs import DEFAULT_CONFIG
 from repro.core.lehdc import LeHDCClassifier
+from repro.core.nonbinary_lehdc import NonBinaryLeHDCClassifier
 from repro.hdc.encoders import RecordEncoder
 from repro.kernels.packed import pack_bipolar
 from repro.serve.engine import PackedInferenceEngine
@@ -31,10 +30,10 @@ FAST_LEHDC = DEFAULT_CONFIG.with_overrides(
 
 CLASSIFIER_FACTORIES = {
     "baseline": lambda: BaselineHDC(seed=0),
-    "adapthd": lambda: AdaptHDC(iterations=5, seed=0),
+    "retraining": lambda: RetrainingHDC(iterations=5, seed=0),
     "lehdc": lambda: LeHDCClassifier(config=FAST_LEHDC, seed=0),
+    "lehdc-nonbinary": lambda: NonBinaryLeHDCClassifier(config=FAST_LEHDC, seed=0),
     "multimodel": lambda: MultiModelHDC(models_per_class=4, iterations=2, seed=0),
-    "nonbinary": lambda: NonBinaryHDC(seed=0),
 }
 
 
@@ -64,8 +63,8 @@ class TestClassifierPackedParity:
             packed = classifier.predict_packed(pack_bipolar(fitted["test_encoded"]))
             np.testing.assert_array_equal(packed, dense)
         else:
-            # Bespoke scoring with no packed twin (non-binary cosine): the
-            # packed path must refuse rather than silently produce different
+            # Bespoke scoring with no packed twin (non-binary LeHDC's
+            # cosine): the packed path must refuse rather than silently produce different
             # predictions.
             with pytest.raises(ValueError, match="decision_scores"):
                 classifier.predict_packed(pack_bipolar(fitted["test_encoded"]))
@@ -124,6 +123,12 @@ class TestEnginePackedParity:
     def test_engine_matches_pipeline_bit_for_bit(self, fitted):
         pipeline = HDCPipeline(fitted["encoder"], fitted["classifier"])
         pipeline._fitted = True
+        if not fitted["classifier"].supports_packed_scoring():
+            # The engine serves XOR+popcount only: a classifier without a
+            # packed twin is refused, not scored some other way.
+            with pytest.raises(ValueError, match="NonBinaryLeHDCClassifier has no packed"):
+                PackedInferenceEngine(pipeline, name=fitted["name"])
+            return
         engine = PackedInferenceEngine(pipeline, name=fitted["name"])
         features = fitted["test_features"]
         np.testing.assert_array_equal(
@@ -132,29 +137,4 @@ class TestEnginePackedParity:
         engine_labels, _ = engine.top_k(features, k=3)
         pipeline_labels, _ = pipeline.top_k(features, k=3)
         np.testing.assert_array_equal(engine_labels, pipeline_labels)
-        expected_mode = (
-            "packed" if fitted["classifier"].supports_packed_scoring() else "dense"
-        )
-        assert engine.mode == expected_mode
 
-
-class TestNearestCentroidParity:
-    """The raw-feature reference classifier matches a direct computation."""
-
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-    def test_predict_matches_direct_computation(self, small_problem, metric):
-        classifier = NearestCentroidClassifier(metric=metric)
-        classifier.fit(small_problem["train_features"], small_problem["train_labels"])
-        features = small_problem["test_features"]
-        predictions = classifier.predict(features)
-        # Reference: direct float64 computation against the centroids.
-        centroids = classifier.centroids_
-        if metric == "euclidean":
-            distances = ((features[:, None, :] - centroids[None]) ** 2).sum(axis=2)
-            np.testing.assert_array_equal(predictions, np.argmin(distances, axis=1))
-        else:
-            cosines = (features[:, None, :] * centroids[None]).sum(axis=2) / (
-                np.linalg.norm(features, axis=1)[:, None]
-                * np.linalg.norm(centroids, axis=1)[None, :]
-            )
-            np.testing.assert_array_equal(predictions, np.argmax(cosines, axis=1))

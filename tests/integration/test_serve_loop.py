@@ -598,6 +598,54 @@ class TestLifecycle:
                 server.server_close()
             assert client.rest() == b""
 
+    @pytest.mark.parametrize(
+        "request_, status, field, value",
+        [
+            pytest.param("healthz", 200, "status", "ok", id="healthz"),
+            pytest.param("predict", 503, "code", "draining", id="predict"),
+        ],
+    )
+    def test_a_connection_in_the_accept_backlog_is_answered_at_the_drain(
+        self, engine, rows, monkeypatch, request_, status, field, value
+    ):
+        entered, release = threading.Event(), threading.Event()
+
+        class Held:
+            def top_k(self, features, k):
+                entered.set()
+                release.wait(timeout=30)
+                return engine.top_k(features, k=k)
+
+        head, body = _predict(rows[0])
+        server, thread = _start(engine)
+        monkeypatch.setattr(server.app, "engine_for", lambda name: Held())
+        stopping = threading.Thread(target=server.shutdown)
+        try:
+            with _Client(_port(server)) as held:
+                held.send(head + body)
+                assert entered.wait(timeout=10)
+                # The loop is inside the engine, so this connection waits in
+                # the accept backlog, its request sent, until the drain.
+                with _Client(_port(server)) as waiting:
+                    waiting.send(_HEALTHZ if request_ == "healthz" else head + body)
+                    stopping.start()
+                    deadline = time.monotonic() + 5
+                    while not server._stop:
+                        assert time.monotonic() < deadline, "shutdown() never asked to stop"
+                        time.sleep(0.01)
+                    release.set()
+                    assert held.answer()[0] == 200
+                    answered, payload = waiting.answer()
+                    assert (answered, json.loads(payload)[field]) == (status, value)
+                    assert waiting.rest() == b""
+                stopping.join(timeout=5)
+                assert not stopping.is_alive()
+                thread.join(timeout=1.0)
+                assert not thread.is_alive()
+        finally:
+            release.set()
+            server.server_close()
+
     def test_sigterm_answers_a_predict_still_arriving_and_closes_the_idle(
         self, model_file, rows
     ):
@@ -702,6 +750,59 @@ class TestDescriptorLimit:
                 assert time.monotonic() - started < 1.0
                 thread.join(timeout=1.0)
                 assert not thread.is_alive()
+                assert open_.rest() == b""
+            finally:
+                server.server_close()
+
+    def test_a_drain_at_the_descriptor_limit_leaves_the_backlog_alone(
+        self, engine, monkeypatch
+    ):
+        # At the limit every accept fails until a descriptor frees, so the
+        # drain does not try the backlog of a paused listener.
+        server, thread = _start(engine)
+        accept, tried = socket.socket.accept, []
+
+        def out_of_descriptors(sock):
+            if sock is server.socket:
+                tried.append(sock)
+                raise OSError(errno.EMFILE, "EMFILE")
+            return accept(sock)
+
+        with _Client(_port(server), timeout=2.0) as open_, contextlib.ExitStack() as stack:
+            try:
+                open_.send(_HEALTHZ)
+                assert open_.answer()[0] == 200
+                monkeypatch.setattr(socket.socket, "accept", out_of_descriptors)
+                stack.enter_context(_Client(_port(server)))
+                deadline = time.monotonic() + 5
+                while not tried:
+                    assert time.monotonic() < deadline, "the loop never tried to accept"
+                    time.sleep(0.01)
+                server.shutdown()
+                thread.join(timeout=1.0)
+                assert not thread.is_alive()
+                assert len(tried) == 1
+                assert open_.rest() == b""
+            finally:
+                server.server_close()
+
+    def test_a_drain_whose_accept_runs_out_of_descriptors_closes_what_is_open(
+        self, engine, monkeypatch
+    ):
+        # The drain's own accept of the backlog can pause the listener, which
+        # unregisters it: the drain must not unregister it a second time.
+        server, thread = _start(engine)
+        with _Client(_port(server), timeout=2.0) as open_:
+            try:
+                open_.send(_HEALTHZ)
+                assert open_.answer()[0] == 200
+                failed = _fail_the_next_accept(server, monkeypatch, "EMFILE")
+                started = time.monotonic()
+                server.shutdown()
+                assert time.monotonic() - started < 1.0
+                thread.join(timeout=1.0)
+                assert not thread.is_alive()
+                assert failed == ["EMFILE"]
                 assert open_.rest() == b""
             finally:
                 server.server_close()

@@ -18,8 +18,8 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.classifiers.adapthd import AdaptHDC
 from repro.classifiers.baseline import BaselineHDC
+from repro.classifiers.enhanced import EnhancedRetrainingHDC
 from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.classifiers.retraining import RetrainingHDC
@@ -34,7 +34,7 @@ STRATEGIES = {
     "baseline": lambda: BaselineHDC(seed=0),
     "ensemble": lambda: MultiModelHDC(models_per_class=4, iterations=1, seed=0),
     "retraining": lambda: RetrainingHDC(iterations=3, seed=0),
-    "adapthd": lambda: AdaptHDC(iterations=3, seed=0),
+    "enhanced": lambda: EnhancedRetrainingHDC(iterations=3, seed=0),
     "lehdc": lambda: LeHDCClassifier(config=LeHDCConfig(epochs=3, batch_size=32), seed=0),
 }
 

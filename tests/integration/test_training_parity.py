@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 import reference
-from repro.classifiers.adapthd import AdaptHDC
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.enhanced import EnhancedRetrainingHDC
 from repro.classifiers.multimodel import MultiModelHDC
@@ -36,16 +35,6 @@ RETRAINING_CASES = {
         RetrainingHDC,
         reference.SequentialRetrainingHDC,
         dict(iterations=6, epsilon=0.0, seed=3),
-    ),
-    "adapthd-data": (
-        AdaptHDC,
-        reference.SequentialAdaptHDC,
-        dict(iterations=5, mode="data", seed=4),
-    ),
-    "adapthd-iteration": (
-        AdaptHDC,
-        reference.SequentialAdaptHDC,
-        dict(iterations=5, mode="iteration", seed=5),
     ),
     "enhanced": (
         EnhancedRetrainingHDC,
@@ -63,7 +52,6 @@ def make_retraining(name, sequential=False, **overrides):
 #: name -> factory for each classifier whose training is packed-only
 PACKED_ONLY_TRAINERS = {
     "retraining": lambda: RetrainingHDC(iterations=2, seed=11),
-    "adapthd": lambda: AdaptHDC(iterations=2, seed=11),
     "enhanced": lambda: EnhancedRetrainingHDC(iterations=2, seed=11),
     "multimodel": lambda: MultiModelHDC(models_per_class=2, iterations=1, seed=11),
 }
@@ -337,7 +325,6 @@ class TestBaselinePackedParity:
     def test_supports_packed_training_flags(self, encoded_problem):
         assert BaselineHDC().supports_packed_training()
         assert RetrainingHDC().supports_packed_training()
-        assert AdaptHDC().supports_packed_training()
         assert EnhancedRetrainingHDC().supports_packed_training()
         assert MultiModelHDC().supports_packed_training()
 

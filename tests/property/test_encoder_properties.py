@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.hdc.hypervector import hamming_distance
 from repro.hdc.itemmemory import LevelItemMemory
-from repro.hdc.quantize import QuantileQuantizer, UniformQuantizer
+from repro.hdc.quantize import UniformQuantizer
 
 
 @settings(max_examples=40, deadline=None)
@@ -25,25 +25,6 @@ def test_uniform_quantizer_levels_in_range_and_monotone(features, num_levels):
     assert levels.min() >= 0
     assert levels.max() <= num_levels - 1
     # Within each feature column, larger values never get a smaller level.
-    for column in range(features.shape[1]):
-        order = np.argsort(features[:, column], kind="stable")
-        assert np.all(np.diff(levels[order, column]) >= 0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    arrays(
-        np.float64,
-        st.tuples(st.integers(8, 50), st.integers(1, 4)),
-        elements=st.floats(-50, 50, allow_nan=False, allow_infinity=False),
-    ),
-    st.integers(min_value=2, max_value=8),
-)
-def test_quantile_quantizer_levels_in_range_and_monotone(features, num_levels):
-    quantizer = QuantileQuantizer(num_levels)
-    levels = quantizer.fit_transform(features)
-    assert levels.min() >= 0
-    assert levels.max() <= num_levels - 1
     for column in range(features.shape[1]):
         order = np.argsort(features[:, column], kind="stable")
         assert np.all(np.diff(levels[order, column]) >= 0)

@@ -2,8 +2,6 @@
 
 * :func:`dense_record_accumulate` — Eq. 1 as the seed wrote it: one gather
   and multiply per feature, summed in int32.
-* :func:`dense_ngram_accumulate` — the seed n-gram encoder: a Python loop
-  over binding windows.
 * :func:`reference_cross_entropy` and :func:`reference_bnn_backward` — the
   LeHDC training step before the trainer dropped its dead work: the softmax
   gradient with no subnormal flush, the input-gradient matmul through the
@@ -20,7 +18,7 @@
 * :func:`reference_sign_with_ties` — ``sign_with_ties`` before the one-pass
   int8 rewrite: an int64 ``np.where``, a cast, and ties patched through a
   boolean mask.
-* :class:`SequentialRetrainingHDC`, :class:`SequentialAdaptHDC` and
+* :class:`SequentialRetrainingHDC` and
   :class:`SequentialEnhancedRetrainingHDC` — the retraining family on the
   seed's per-sample loop (:class:`SequentialRetraining`): one dense cast +
   matvec per sample and each strategy's per-sample ``_update``, where the
@@ -42,7 +40,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.classifiers.adapthd import AdaptHDC
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.enhanced import EnhancedRetrainingHDC
 from repro.classifiers.multimodel import MultiModelHDC
@@ -69,19 +66,6 @@ def dense_record_accumulate(
     accumulated = np.zeros((levels.shape[0], positions.shape[1]), dtype=np.int32)
     for feature_index in range(levels.shape[1]):
         accumulated += positions[feature_index] * level_table[levels[:, feature_index]]
-    return accumulated
-
-
-def dense_ngram_accumulate(encoder, levels: np.ndarray) -> np.ndarray:
-    """Pre-sign n-gram accumulation of a fitted ``NGramEncoder``, window by window."""
-    level_vectors = encoder.level_memory.vectors.astype(np.int32)
-    permuted = [np.roll(level_vectors, o, axis=1) for o in range(encoder.ngram)]
-    accumulated = np.zeros((levels.shape[0], encoder.dimension), dtype=np.int32)
-    for start in range(levels.shape[1] - encoder.ngram + 1):
-        gram = permuted[0][levels[:, start]].copy()
-        for offset in range(1, encoder.ngram):
-            gram *= permuted[offset][levels[:, start + offset]]
-        accumulated += gram
     return accumulated
 
 
@@ -262,33 +246,6 @@ class SequentialRetrainingHDC(SequentialRetraining, RetrainingHDC):
         """Eq. 3: push the true class toward the sample, the wrong class away."""
         nonbinary[true_label] += alpha * sample
         nonbinary[predicted] -= alpha * sample
-
-
-class SequentialAdaptHDC(SequentialRetraining, AdaptHDC):
-    """:class:`AdaptHDC` trained by the seed's per-sample loop."""
-
-    def _update(
-        self,
-        nonbinary: np.ndarray,
-        sample: np.ndarray,
-        true_label: int,
-        predicted: int,
-        alpha: float,
-        scores: np.ndarray,
-    ) -> None:
-        if self.mode == "iteration":
-            # Track a running error estimate within the pass and scale by it.
-            if self.history_ is not None and self.history_.train_accuracy:
-                self._current_error_rate = 1.0 - self.history_.train_accuracy[-1]
-            rate = self.max_learning_rate * max(self._current_error_rate, 0.05)
-        else:
-            dimension = sample.shape[0]
-            # Similarity gap between the winning wrong class and the true class,
-            # normalised to [0, 1]; larger gap -> larger corrective step.
-            gap = (scores[predicted] - scores[true_label]) / (2.0 * dimension)
-            rate = self.max_learning_rate * float(np.clip(gap * 2.0 + 0.1, 0.05, 1.0))
-        nonbinary[true_label] += rate * sample
-        nonbinary[predicted] -= rate * sample
 
 
 class SequentialEnhancedRetrainingHDC(SequentialRetraining, EnhancedRetrainingHDC):
@@ -535,13 +492,11 @@ class ReferenceNonBinaryLeHDC(HDCClassifierBase):
 
 __all__ = [
     "ReferenceNonBinaryLeHDC",
-    "SequentialAdaptHDC",
     "SequentialEnhancedRetrainingHDC",
     "SequentialMultiModelHDC",
     "SequentialRetraining",
     "SequentialRetrainingHDC",
     "count_subnormals",
-    "dense_ngram_accumulate",
     "dense_record_accumulate",
     "float64_keep_mask",
     "reference_bnn_backward",

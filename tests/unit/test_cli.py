@@ -110,6 +110,14 @@ class TestParser:
             _retired("serve", "max-resident", "2"),
             _retired("serve", "max-batch-size", "64"),
             _retired("serve", "tenant-max-concurrent", "8"),
+            _retired("train", "encoder", "ngram"),
+            _retired("compare", "encoder", "ngram"),
+            _retired("sweep", "encoder", "ngram"),
+            pytest.param(
+                ["train", "--strategy", "adapthd"],
+                "invalid choice: 'adapthd'",
+                id="train-strategy-adapthd",
+            ),
             pytest.param(["loadgen", "--quick"], "loadgen", id="loadgen"),
             pytest.param(["top", "--once"], "top", id="top"),
         ],
@@ -118,8 +126,9 @@ class TestParser:
         # Serving runs in one process with tenant rate quotas as its one
         # admission limit, one engine call per predict, every model loaded
         # at start, no prediction cache and no SLO engine, the kernels have
-        # one NumPy executor, and perfbench is the only benchmark and the
-        # only load client: a stale script fails at parse time.
+        # one NumPy executor, the record encoder is the one encoder, and
+        # perfbench is the only benchmark and the only load client: a stale
+        # script fails at parse time.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
@@ -186,6 +195,20 @@ class TestCommands:
         )
         output = capsys.readouterr().out
         assert "Test accuracy" in output
+
+    def test_train_refuses_to_save_a_model_a_file_cannot_hold(self, tmp_path, capsys):
+        # A model file holds binary class hypervectors scored by Hamming
+        # distance; non-binary LeHDC scores by cosine over real weights, so
+        # it is refused before it trains rather than saved to score
+        # differently once loaded.
+        path = tmp_path / "nb.npz"
+        argv = ["train", "--strategy", "lehdc-nonbinary", "--epochs", "1", "--save", str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --save cannot hold a lehdc-nonbinary model")
+        assert not path.exists()
 
     def test_compare_quick(self, capsys):
         code = main(
@@ -457,6 +480,22 @@ class TestServeModelFiles:
         assert main(argv) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: cannot load model {str(bad)!r}: ")
+
+
+class TestPredictModelFiles:
+    @pytest.mark.parametrize("kind", ["missing", "truncated"])
+    def test_a_model_that_cannot_load_is_one_error_line(
+        self, saved_model, tmp_path, capsys, kind
+    ):
+        # As `repro serve` does: one line, exit 1, no traceback.
+        path = tmp_path / "m.npz"
+        if kind == "truncated":
+            path.write_bytes(saved_model.read_bytes()[:200])
+        assert main(["predict", "--model", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot load model {str(path)!r}: ")
 
 
 class TestTraceSummary:

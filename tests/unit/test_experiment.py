@@ -105,28 +105,6 @@ class TestRunStrategyComparison:
         )
         assert result.dataset_name == "pamap"
 
-    def test_invalid_encoder_kind(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            run_strategy_comparison(
-                dataset=tiny_dataset,
-                strategies=FAST_STRATEGIES,
-                dimension=256,
-                encoder_kind="fourier",
-            )
-
-    def test_ngram_encoder_supported(self, tiny_dataset):
-        result = run_strategy_comparison(
-            dataset=tiny_dataset,
-            strategies={"baseline": FAST_STRATEGIES["baseline"]},
-            dimension=256,
-            num_levels=8,
-            repetitions=1,
-            seed=4,
-            encoder_kind="ngram",
-        )
-        assert result.strategies["baseline"].test_summary.mean > 0.3
-
-
 class TestDefaultStrategyFactories:
     def test_contains_table1_strategies(self):
         factories = default_strategy_factories("mnist")

@@ -7,7 +7,8 @@ from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.core.configs import LeHDCConfig
 from repro.core.lehdc import LeHDCClassifier
-from repro.hdc.encoders import NGramEncoder, RecordEncoder
+from repro.core.nonbinary_lehdc import NonBinaryLeHDCClassifier
+from repro.hdc.encoders import RecordEncoder
 from repro.io import load_model, read_model_metadata, save_model
 
 
@@ -42,30 +43,6 @@ class TestSaveLoadRoundtrip:
         reloaded = load_model(path)
         np.testing.assert_array_equal(
             reloaded.class_hypervectors_, pipeline.class_hypervectors_
-        )
-
-    def test_ngram_encoder_roundtrip(self, small_problem, tmp_path):
-        encoder = NGramEncoder(
-            dimension=256, num_levels=8, ngram=3, tie_break="positive", seed=2
-        )
-        pipeline = make_fitted_pipeline(small_problem, encoder=encoder)
-        path = save_model(tmp_path / "ngram.npz", pipeline)
-        reloaded = load_model(path)
-        np.testing.assert_array_equal(
-            reloaded.predict(small_problem["test_features"]),
-            pipeline.predict(small_problem["test_features"]),
-        )
-
-    def test_quantile_quantizer_roundtrip(self, small_problem, tmp_path):
-        encoder = RecordEncoder(
-            dimension=256, num_levels=8, quantizer="quantile", tie_break="positive", seed=3
-        )
-        pipeline = make_fitted_pipeline(small_problem, encoder=encoder)
-        path = save_model(tmp_path / "quantile.npz", pipeline)
-        reloaded = load_model(path)
-        np.testing.assert_array_equal(
-            reloaded.predict(small_problem["test_features"]),
-            pipeline.predict(small_problem["test_features"]),
         )
 
     def test_metadata_recorded(self, small_problem, tmp_path):
@@ -113,7 +90,9 @@ class TestMetadataVerification:
         metadata = read_model_metadata(path)
         assert metadata["strategy"] == "baseline"
         assert metadata["dimension"] == 512
-        assert metadata["encoder_kind"] == "record"
+        # Both kinds are still written, for builds that read other kinds.
+        assert (metadata["encoder_kind"], metadata["quantizer_kind"]) == ("record", "uniform")
+        assert "ngram" not in metadata
 
     def test_incompatible_package_version_rejected(self, small_problem, tmp_path):
         pipeline = make_fitted_pipeline(small_problem)
@@ -154,27 +133,22 @@ class TestMetadataVerification:
             load_model(bad)
 
     @pytest.mark.parametrize(
-        "encoder_kind, field",
+        "field",
         [
-            ("record", "dimension"),
-            ("record", "num_levels"),
-            ("record", "num_features"),
-            ("record", "quantizer_kind"),
-            ("record", "tie_break"),
-            ("record", "num_classes"),
-            ("ngram", "ngram"),
+            "encoder_kind",
+            "dimension",
+            "num_levels",
+            "num_features",
+            "quantizer_kind",
+            "tie_break",
+            "num_classes",
         ],
     )
-    def test_missing_field_rejected(self, small_problem, tmp_path, encoder_kind, field):
+    def test_missing_field_rejected(self, small_problem, tmp_path, field):
         # Every field the loader reads is checked with the archive open, so
         # a file without one is a ValueError naming it, not a KeyError from
         # rebuilding the encoder.
-        encoder = None
-        if encoder_kind == "ngram":
-            encoder = NGramEncoder(
-                dimension=256, num_levels=8, ngram=3, tie_break="positive", seed=2
-            )
-        pipeline = make_fitted_pipeline(small_problem, encoder=encoder)
+        pipeline = make_fitted_pipeline(small_problem)
         path = save_model(tmp_path / "m.npz", pipeline)
         bad = _rewrite_metadata(path, tmp_path / "bad.npz", drop=[field])
         with pytest.raises(ValueError, match=f"bad.npz: metadata lacks {field}"):
@@ -198,6 +172,20 @@ class TestSaveLoadErrors:
         pipeline = HDCPipeline(RecordEncoder(dimension=128, seed=0), BaselineHDC(seed=0))
         with pytest.raises(ValueError):
             save_model(tmp_path / "x.npz", pipeline)
+
+    def test_a_classifier_without_packed_scoring_is_not_saved(self, small_problem, tmp_path):
+        # A loaded model scores its binary class hypervectors by Hamming
+        # distance; non-binary LeHDC scores by cosine over real weights, so a
+        # file could not hold the model that was trained.
+        pipeline = make_fitted_pipeline(
+            small_problem,
+            classifier=NonBinaryLeHDCClassifier(
+                config=LeHDCConfig(epochs=2, batch_size=32), seed=0
+            ),
+        )
+        with pytest.raises(ValueError, match="NonBinaryLeHDCClassifier cannot be saved"):
+            save_model(tmp_path / "nb.npz", pipeline)
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_text_file_is_not_an_archive(self, tmp_path):
         # NumPy's own error for a file that is neither a zip nor an .npy
@@ -282,18 +270,6 @@ class TestTamperedLevelMemory:
         assert "not nested" in capsys.readouterr().err
         assert started == []
 
-    def test_ngram_model_needs_no_nesting(self, small_problem, tmp_path):
-        """Only the record encoder relies on nested levels."""
-        encoder = NGramEncoder(
-            dimension=256, num_levels=8, ngram=3, tie_break="positive", seed=2
-        )
-        path = save_model(
-            tmp_path / "ngram.npz", make_fitted_pipeline(small_problem, encoder=encoder)
-        )
-        tampered = _flip_a_coordinate_twice(path, tmp_path / "ngram-tampered.npz")
-        reloaded = load_model(tampered)
-        assert reloaded.predict(small_problem["test_features"]).shape == (80,)
-
 
 @pytest.fixture(scope="module")
 def saved_for_reading(small_problem, tmp_path_factory):
@@ -335,6 +311,16 @@ class TestArchiveIsClosed:
         if kind == "bad-format-version":
             _rewrite_metadata(saved, path, format_version=999)
             return "unsupported model format version 999"
+        # Kinds that an older build wrote and this one no longer reads.
+        if kind == "ngram-encoder":
+            _rewrite_metadata(saved, path, encoder_kind="ngram", ngram=3)
+            return "encoder_kind is 'ngram'; this build reads 'record' only"
+        if kind == "quantile-quantizer":
+            _rewrite_metadata(saved, path, quantizer_kind="quantile")
+            return "quantizer_kind is 'quantile'; this build reads 'uniform' only"
+        if kind == "no-encoder-kind":
+            _rewrite_metadata(saved, path, drop=["encoder_kind"])
+            return "metadata lacks encoder_kind"
         assert kind == "tampered-levels"
         _flip_a_coordinate_twice(saved, path)
         return "not nested"
@@ -351,6 +337,9 @@ class TestArchiveIsClosed:
             "no-level-vectors",
             "bad-format-version",
             "tampered-levels",
+            "ngram-encoder",
+            "quantile-quantizer",
+            "no-encoder-kind",
         ],
     )
     def test_the_model_file_is_closed_after_reading(
@@ -374,6 +363,35 @@ class TestArchiveIsClosed:
             with pytest.raises(ValueError, match=refused) as info:
                 read(path)
             assert str(path) in str(info.value)
+        assert [handle.name for handle in opened] == [str(path)]
+        assert opened[0].closed
+
+    @pytest.mark.parametrize("kind", ["ngram-encoder", "quantile-quantizer", "no-encoder-kind"])
+    def test_repro_serve_refuses_it_with_one_line(
+        self, saved_for_reading, tmp_path, monkeypatch, capsys, kind
+    ):
+        import repro.io
+        import repro.serve.server
+        from repro.cli import main
+
+        path = tmp_path / "model.npz"
+        refused = self._write(kind, saved_for_reading, path)
+        opened = []
+
+        def recording(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model that cannot load reached the server")
+
+        monkeypatch.setattr(repro.io, "open", recording, raising=False)
+        monkeypatch.setattr(repro.serve.server, "run_server", refuse)
+        assert main(["serve", "--model", str(path), "--port", "0"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot load model {str(path)!r}: model {path}: ")
+        assert line.endswith(refused)
         assert [handle.name for handle in opened] == [str(path)]
         assert opened[0].closed
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.classifiers.nonbinary import NonBinaryHDC
+from repro.classifiers.base import cosine_scores
 from repro.core.configs import LeHDCConfig
 from repro.core.nonbinary_lehdc import NonBinaryLeHDCClassifier
 
@@ -13,6 +13,13 @@ def fast_config():
     return LeHDCConfig(
         epochs=15, batch_size=32, dropout_rate=0.1, weight_decay=0.01, learning_rate=0.01
     )
+
+
+def _class_sums(hypervectors, labels):
+    """Plain non-binary centroids: each class's hypervectors summed in float64."""
+    centroids = np.zeros((int(labels.max()) + 1, hypervectors.shape[1]))
+    np.add.at(centroids, labels, hypervectors.astype(np.float64))
+    return centroids
 
 
 class TestNonBinaryLeHDC:
@@ -29,14 +36,16 @@ class TestNonBinaryLeHDC:
         assert set(np.unique(model.class_hypervectors_)) <= {-1, 1}
 
     def test_beats_plain_nonbinary_centroids(self, encoded_problem, fast_config):
-        centroids = NonBinaryHDC(seed=1).fit(
+        centroids = _class_sums(
             encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
         )
         learned = NonBinaryLeHDCClassifier(config=fast_config, seed=1).fit(
             encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
         )
-        centroid_accuracy = centroids.score(
-            encoded_problem["test_hypervectors"], encoded_problem["test_labels"]
+        test_hypervectors = encoded_problem["test_hypervectors"].astype(np.float64)
+        centroid_accuracy = np.mean(
+            np.argmax(cosine_scores(test_hypervectors, centroids), axis=1)
+            == encoded_problem["test_labels"]
         )
         learned_accuracy = learned.score(
             encoded_problem["test_hypervectors"], encoded_problem["test_labels"]
@@ -93,3 +102,24 @@ class TestNonBinaryLeHDC:
     def test_predict_before_fit(self, encoded_problem):
         with pytest.raises(RuntimeError):
             NonBinaryLeHDCClassifier(seed=7).predict(encoded_problem["test_hypervectors"])
+
+
+class TestCosineScores:
+    def test_zero_norm_rows_score_zero(self):
+        samples = np.array([[3.0, 4.0], [0.0, 0.0]])
+        centroids = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+        scores = cosine_scores(samples, centroids)
+        np.testing.assert_allclose(scores, [[0.6, 0.0, 0.8], [0.0, 0.0, 0.0]])
+
+    def test_every_cosine_classifier_scores_through_it(self, encoded_problem):
+        samples = encoded_problem["test_hypervectors"][:40]
+        centroids = _class_sums(
+            encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
+        )
+        # Non-binary LeHDC keeps float32 weights: norms stay float32 too.
+        lehdc = NonBinaryLeHDCClassifier(seed=0)
+        lehdc.nonbinary_class_hypervectors_ = centroids.astype(np.float32)
+        np.testing.assert_array_equal(
+            lehdc.decision_scores(samples),
+            cosine_scores(samples.astype(np.float64), centroids.astype(np.float32)),
+        )

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.hdc.quantize import QuantileQuantizer, UniformQuantizer
+from repro.hdc.quantize import UniformQuantizer
 
 
 class TestUniformQuantizer:
@@ -127,33 +127,3 @@ class TestUniformQuantizer:
         quantizer = UniformQuantizer(4).fit(np.zeros((5, 3)) + np.arange(3))
         with pytest.raises(ValueError):
             quantizer.transform(np.zeros((2, 4)))
-
-
-class TestQuantileQuantizer:
-    def test_equal_frequency_bins(self):
-        data = np.random.default_rng(1).normal(size=(1000, 1))
-        levels = QuantileQuantizer(4).fit_transform(data)
-        counts = np.bincount(levels[:, 0], minlength=4)
-        # Each of the four bins should hold roughly a quarter of the samples.
-        assert counts.min() > 200
-        assert counts.max() < 300
-
-    def test_levels_within_range(self):
-        data = np.random.default_rng(2).exponential(size=(200, 3))
-        levels = QuantileQuantizer(6).fit_transform(data)
-        assert levels.min() >= 0
-        assert levels.max() <= 5
-
-    def test_single_level(self):
-        data = np.random.default_rng(3).normal(size=(50, 2))
-        levels = QuantileQuantizer(1).fit_transform(data)
-        assert np.all(levels == 0)
-
-    def test_monotonic_in_value(self):
-        data = np.linspace(-3, 3, 100).reshape(-1, 1)
-        levels = QuantileQuantizer(5).fit_transform(data)
-        assert np.all(np.diff(levels[:, 0]) >= 0)
-
-    def test_transform_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            QuantileQuantizer(4).transform(np.zeros((2, 2)))

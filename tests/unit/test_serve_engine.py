@@ -5,23 +5,22 @@ import copy
 import numpy as np
 import pytest
 
-from repro.classifiers.adapthd import AdaptHDC
 from repro.classifiers.base import top_k_from_scores
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.enhanced import EnhancedRetrainingHDC
 from repro.classifiers.multimodel import MultiModelHDC
-from repro.classifiers.nonbinary import NonBinaryHDC
 from repro.classifiers.pipeline import HDCPipeline
 from repro.classifiers.retraining import RetrainingHDC
 from repro.core.configs import LeHDCConfig
 from repro.core.lehdc import LeHDCClassifier
-from repro.hdc.encoders import NGramEncoder, RecordEncoder
+from repro.core.nonbinary_lehdc import NonBinaryLeHDCClassifier
+from repro.hdc.encoders import RecordEncoder
 from repro.serve.engine import PackedInferenceEngine
+from repro.serve.registry import ModelRegistry
 
 BINARY_STRATEGIES = {
     "baseline": lambda: BaselineHDC(seed=0),
     "retraining": lambda: RetrainingHDC(iterations=3, seed=0),
-    "adapthd": lambda: AdaptHDC(iterations=3, seed=0),
     "enhanced": lambda: EnhancedRetrainingHDC(iterations=3, seed=0),
     "lehdc": lambda: LeHDCClassifier(
         config=LeHDCConfig(epochs=3, batch_size=32), seed=0
@@ -29,12 +28,15 @@ BINARY_STRATEGIES = {
 }
 
 
-def fit_pipeline(small_problem, classifier, encoder=None):
+def fit_pipeline(small_problem, classifier, encoder=None, num_features=None):
+    """*classifier* fitted on the small problem's first *num_features* columns."""
     encoder = encoder or RecordEncoder(
         dimension=512, num_levels=8, tie_break="positive", seed=0
     )
     pipeline = HDCPipeline(encoder, classifier)
-    pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
+    pipeline.fit(
+        small_problem["train_features"][:, :num_features], small_problem["train_labels"]
+    )
     return pipeline
 
 
@@ -43,7 +45,6 @@ class TestPackedEqualsDense:
     def test_packed_predictions_match_pipeline(self, small_problem, strategy):
         pipeline = fit_pipeline(small_problem, BINARY_STRATEGIES[strategy]())
         engine = PackedInferenceEngine(pipeline, name=strategy)
-        assert engine.mode == "packed"
         np.testing.assert_array_equal(
             engine.predict(small_problem["test_features"]),
             pipeline.predict(small_problem["test_features"]),
@@ -57,25 +58,6 @@ class TestPackedEqualsDense:
         np.testing.assert_array_equal(
             engine.decision_scores(features),
             pipeline.classifier.decision_scores(encoded),
-        )
-
-    def test_ngram_encoder_engine(self, small_problem):
-        encoder = NGramEncoder(
-            dimension=512, num_levels=8, ngram=3, tie_break="positive", seed=0
-        )
-        pipeline = fit_pipeline(small_problem, BaselineHDC(seed=0), encoder=encoder)
-        engine = PackedInferenceEngine(pipeline)
-        np.testing.assert_array_equal(
-            engine.predict(small_problem["test_features"]),
-            pipeline.predict(small_problem["test_features"]),
-        )
-
-    def test_encode_matches_encoder(self, small_problem):
-        pipeline = fit_pipeline(small_problem, BaselineHDC(seed=0))
-        engine = PackedInferenceEngine(pipeline)
-        features = small_problem["test_features"]
-        np.testing.assert_array_equal(
-            engine.encode(features), pipeline.encoder.encode(features)
         )
 
     def test_single_rows_match_batch(self, small_problem):
@@ -110,14 +92,28 @@ def _edge_rows(pipeline, features):
     return np.vstack(edges + outside + [features])[:64]
 
 
-_ENCODERS = {
-    "record": lambda tie_break: RecordEncoder(
-        dimension=512, num_levels=8, tie_break=tie_break, seed=0
+#: name -> (encoder dimension and levels, classifier factory, feature count);
+#: the small problem has 24 features, so Eq. 1 sums can tie at 0, and 23
+#: (an odd count) never do.
+_CASES = {
+    "record": ((512, 8), lambda: BaselineHDC(seed=0), 24),
+    "dimension-500": ((500, 8), lambda: BaselineHDC(seed=0), 24),
+    "one-level": ((512, 1), lambda: BaselineHDC(seed=0), 24),
+    "two-levels": ((512, 2), lambda: BaselineHDC(seed=0), 24),
+    "odd-features": ((512, 8), lambda: BaselineHDC(seed=0), 23),
+    "multimodel": (
+        (512, 8), lambda: MultiModelHDC(models_per_class=4, iterations=1, seed=0), 24
     ),
-    "ngram": lambda tie_break: NGramEncoder(
-        dimension=512, num_levels=8, ngram=3, tie_break=tie_break, seed=0
-    ),
+    "retraining": ((512, 8), lambda: RetrainingHDC(iterations=3, seed=0), 24),
 }
+
+
+def _case_pipeline(small_problem, case, tie_break):
+    (dimension, num_levels), classifier, num_features = _CASES[case]
+    encoder = RecordEncoder(
+        dimension=dimension, num_levels=num_levels, tie_break=tie_break, seed=0
+    )
+    return fit_pipeline(small_problem, classifier(), encoder, num_features)
 
 
 def _dense_top_k(pipeline, rows, k):
@@ -137,13 +133,11 @@ class TestEngineEqualsDenseReference:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("batch", [1, 2, 7, 64])
     @pytest.mark.parametrize("tie_break", ["positive", "random"])
-    @pytest.mark.parametrize("encoder", sorted(_ENCODERS))
-    def test_matches_dense_reference(self, small_problem, encoder, tie_break, batch, k):
-        pipeline = fit_pipeline(
-            small_problem, BaselineHDC(seed=0), encoder=_ENCODERS[encoder](tie_break)
-        )
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_matches_dense_reference(self, small_problem, case, tie_break, batch, k):
+        pipeline = _case_pipeline(small_problem, case, tie_break)
         engine = PackedInferenceEngine(pipeline)
-        rows = _edge_rows(pipeline, small_problem["test_features"])
+        rows = _edge_rows(pipeline, small_problem["test_features"][:, : _CASES[case][2]])
         for start in range(0, len(rows), batch):
             query = rows[start : start + batch]
             reference = copy.deepcopy(pipeline)
@@ -154,9 +148,7 @@ class TestEngineEqualsDenseReference:
 
     @pytest.mark.parametrize("tie_break", ["positive", "random"])
     def test_identical_classes_tie_to_the_lower_index(self, small_problem, tie_break):
-        pipeline = fit_pipeline(
-            small_problem, BaselineHDC(seed=0), encoder=_ENCODERS["record"](tie_break)
-        )
+        pipeline = _case_pipeline(small_problem, "record", tie_break)
         classes = pipeline.classifier.class_hypervectors_
         # Classes 1 and 3 are the same hypervector: every query ties them.
         pipeline.classifier.class_hypervectors_ = classes[[0, 1, 2, 1]].copy()
@@ -177,15 +169,25 @@ class TestEngineEqualsDenseReference:
         np.testing.assert_array_equal(labels, _dense_top_k(reference, rows, 3)[0])
 
 
-class TestDenseFallback:
-    def test_nonbinary_uses_dense_mode(self, small_problem):
-        pipeline = fit_pipeline(small_problem, NonBinaryHDC(seed=0))
-        engine = PackedInferenceEngine(pipeline)
-        assert engine.mode == "dense"
-        np.testing.assert_array_equal(
-            engine.predict(small_problem["test_features"]),
-            pipeline.predict(small_problem["test_features"]),
+class TestNonBinaryIsRefused:
+    """Non-binary LeHDC scores by cosine; the engine serves XOR+popcount only."""
+
+    @pytest.fixture(scope="class")
+    def nonbinary_pipeline(self, small_problem):
+        classifier = NonBinaryLeHDCClassifier(
+            config=LeHDCConfig(epochs=2, batch_size=32), seed=0
         )
+        return fit_pipeline(small_problem, classifier)
+
+    def test_the_engine_refuses_it(self, nonbinary_pipeline):
+        with pytest.raises(ValueError, match="NonBinaryLeHDCClassifier has no packed scoring"):
+            PackedInferenceEngine(nonbinary_pipeline)
+
+    def test_the_registry_refuses_it(self, nonbinary_pipeline):
+        registry = ModelRegistry()
+        with pytest.raises(ValueError, match="NonBinaryLeHDCClassifier has no packed scoring"):
+            registry.register("nonbinary", nonbinary_pipeline)
+        assert registry.names() == []
 
 
 class TestEnsemblePackedServing:
@@ -196,7 +198,6 @@ class TestEnsemblePackedServing:
             small_problem, MultiModelHDC(models_per_class=4, iterations=1, seed=0)
         )
         engine = PackedInferenceEngine(pipeline)
-        assert engine.mode == "packed"
         features = small_problem["test_features"]
         np.testing.assert_array_equal(
             engine.predict(features), pipeline.predict(features)
@@ -221,19 +222,6 @@ class TestEnsemblePackedServing:
 
 
 class TestEngineOutputs:
-    def test_predict_proba_rows_sum_to_one(self, small_problem):
-        pipeline = fit_pipeline(small_problem, BaselineHDC(seed=0))
-        engine = PackedInferenceEngine(pipeline)
-        proba = engine.predict_proba(small_problem["test_features"])
-        assert proba.shape == (
-            small_problem["test_features"].shape[0],
-            small_problem["num_classes"],
-        )
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
-        np.testing.assert_array_equal(
-            np.argmax(proba, axis=1), engine.predict(small_problem["test_features"])
-        )
-
     def test_top_k_is_sorted_and_clipped(self, small_problem):
         pipeline = fit_pipeline(small_problem, BaselineHDC(seed=0))
         engine = PackedInferenceEngine(pipeline)
@@ -249,14 +237,12 @@ class TestEngineOutputs:
         with pytest.raises(ValueError):
             engine.top_k(small_problem["test_features"], k=0)
 
-    def test_info_and_warmup(self, small_problem):
+    def test_info(self, small_problem):
         engine = PackedInferenceEngine(
             fit_pipeline(small_problem, BaselineHDC(seed=0)), name="m"
         )
-        engine.warmup()
         info = engine.info()
         assert info["name"] == "m"
-        assert info["mode"] == "packed"
         assert info["dimension"] == 512
         assert info["packed_storage_bytes"] == 4 * (512 // 64) * 8
 
