@@ -133,13 +133,16 @@ class HDCClassifierBase(RngMixin, abc.ABC):
     def supports_packed_scoring(self) -> bool:
         """True when this classifier's scoring has an exact packed twin.
 
-        By default that means the shared dot-similarity rule (classifiers
-        that override :meth:`decision_scores` are assumed bespoke and the
-        packed paths fall back to dense for them: non-binary LeHDC's cosine
-        scoring).  A classifier whose bespoke rule *does* reduce
-        to XOR + popcount — the multi-model ensemble's max-over-sub-models —
-        overrides this together with :meth:`packed_inference_bank`, whose
-        best row per class :meth:`decision_scores_packed` scores.
+        By default that means the shared dot-similarity rule.  A classifier
+        that overrides :meth:`decision_scores` is assumed bespoke (non-binary
+        LeHDC's cosine scoring): ``HDCPipeline`` and
+        :mod:`repro.eval.experiment` score it dense, while
+        ``PackedInferenceEngine`` and model files
+        (:func:`~repro.io.check_savable`) refuse it.  A classifier whose
+        bespoke rule *does* reduce to XOR + popcount — the multi-model
+        ensemble's max-over-sub-models — overrides this together with
+        :meth:`packed_inference_bank`, whose best row per class
+        :meth:`decision_scores_packed` scores.
         """
         return type(self).decision_scores is HDCClassifierBase.decision_scores
 

@@ -44,7 +44,7 @@ from repro.datasets.registry import get_dataset, list_datasets
 from repro.eval.sweep import run_dimension_sweep
 from repro.eval.tables import format_table
 from repro.hdc.encoders import RecordEncoder
-from repro.io import load_model, save_model
+from repro.io import check_savable, load_model, save_model
 
 STRATEGY_CHOICES = (
     "baseline",
@@ -229,15 +229,13 @@ def command_list_datasets() -> int:
 
 def command_train(args) -> int:
     classifier = _build_classifier(args.strategy, args.dataset, args)
-    # A model file holds binary class hypervectors scored by Hamming
-    # distance; refuse a strategy that scores otherwise before training it.
-    if args.save and not classifier.supports_packed_scoring():
-        print(
-            f"error: --save cannot hold a {args.strategy} model "
-            f"({type(classifier).__name__} does not score by Hamming distance)",
-            file=sys.stderr,
-        )
-        return 1
+    if args.save:
+        # Refuse a model that a file cannot hold before training it.
+        try:
+            check_savable(classifier)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
     data = get_dataset(args.dataset, profile=args.profile, seed=args.seed)
     print(f"Dataset: {data.describe()}")
     pipeline = HDCPipeline(_build_encoder(args), classifier)

@@ -175,6 +175,22 @@ class FrozenEnsembleClassifier(MultiModelHDC):
         )
 
 
+def check_savable(classifier) -> None:
+    """Raise ``ValueError`` unless a model file can hold *classifier*.
+
+    A model file holds binary class hypervectors, and a loaded model scores
+    them by the shared XOR+popcount rule; a classifier that scores by its
+    own rule (:meth:`supports_packed_scoring` false) would load as a
+    different model.
+    """
+    if not classifier.supports_packed_scoring():
+        raise ValueError(
+            f"{type(classifier).__name__} cannot be saved: a model file holds "
+            "binary class hypervectors scored by Hamming distance, not its own "
+            "scoring rule"
+        )
+
+
 def save_model(
     path: Union[str, Path],
     pipeline: HDCPipeline,
@@ -188,9 +204,9 @@ def save_model(
     path:
         Destination file; the ``.npz`` suffix is appended if missing.
     pipeline:
-        A fitted :class:`HDCPipeline` whose classifier scores by the shared
-        XOR+popcount rule (:meth:`supports_packed_scoring`), the rule a
-        loaded model scores by; any other classifier raises ``ValueError``.
+        A fitted :class:`HDCPipeline` whose classifier a model file can
+        hold (:func:`check_savable`); any other classifier raises
+        ``ValueError``.
     strategy_name:
         Free-form label recording which training strategy produced the model.
     extra_metadata:
@@ -198,12 +214,7 @@ def save_model(
     """
     encoder = pipeline.encoder
     classifier = pipeline.classifier
-    if not classifier.supports_packed_scoring():
-        raise ValueError(
-            f"{type(classifier).__name__} cannot be saved: a model file holds "
-            "binary class hypervectors scored by Hamming distance, not its own "
-            "scoring rule"
-        )
+    check_savable(classifier)
     if classifier.class_hypervectors_ is None or encoder.num_features is None:
         raise ValueError("the pipeline must be fitted before it can be saved")
 
@@ -339,6 +350,7 @@ def _rebuild_encoder(
 __all__ = [
     "FrozenClassifier",
     "FrozenEnsembleClassifier",
+    "check_savable",
     "save_model",
     "load_model",
     "read_model_metadata",

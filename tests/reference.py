@@ -182,9 +182,6 @@ class SequentialRetraining:
         samples = hypervectors.astype(np.float64)
 
         history = RetrainingHistory()
-        # Expose the history while training so adaptive subclasses can read
-        # the running statistics of completed iterations.
-        self.history_ = history
         for iteration in range(self.iterations):
             started = time.perf_counter()
             alpha = (

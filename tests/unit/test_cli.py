@@ -207,7 +207,7 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("error: --save cannot hold a lehdc-nonbinary model")
+        assert line.startswith("error: NonBinaryLeHDCClassifier cannot be saved")
         assert not path.exists()
 
     def test_compare_quick(self, capsys):

@@ -111,7 +111,7 @@ class TestCosineScores:
         scores = cosine_scores(samples, centroids)
         np.testing.assert_allclose(scores, [[0.6, 0.0, 0.8], [0.0, 0.0, 0.0]])
 
-    def test_every_cosine_classifier_scores_through_it(self, encoded_problem):
+    def test_nonbinary_lehdc_scores_through_it(self, encoded_problem):
         samples = encoded_problem["test_hypervectors"][:40]
         centroids = _class_sums(
             encoded_problem["train_hypervectors"], encoded_problem["train_labels"]
