@@ -17,7 +17,7 @@ from benchmarks.conftest import (
     BENCH_PROFILE,
     print_report,
 )
-from repro.core.configs import get_paper_config
+from repro.core.configs import reproduction_config
 from repro.core.lehdc import LeHDCClassifier
 from repro.datasets.registry import get_dataset
 from repro.eval.figures import TrajectorySeries, render_trajectories
@@ -28,10 +28,8 @@ FIG5_EPOCHS = max(BENCH_LEHDC_EPOCHS, 40)
 
 
 def fig5_variants():
-    """The three regularisation variants of Fig. 5 (batch/LR adapted as in Table 1)."""
-    paper = get_paper_config(FIG5_DATASET).with_overrides(
-        epochs=FIG5_EPOCHS, batch_size=64, learning_rate=0.01
-    )
+    """The three regularisation variants of Fig. 5, around the reproduction recipe."""
+    paper = reproduction_config(FIG5_DATASET, FIG5_EPOCHS)
     return {
         "with both": paper,
         "without dropout": paper.with_overrides(dropout_rate=0.0),

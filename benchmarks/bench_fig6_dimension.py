@@ -28,11 +28,7 @@ from benchmarks.conftest import (
     BENCH_RETRAIN_ITERS,
     print_report,
 )
-from repro.classifiers.baseline import BaselineHDC
-from repro.classifiers.multimodel import MultiModelHDC
-from repro.classifiers.retraining import RetrainingHDC
-from repro.core.configs import get_paper_config
-from repro.core.lehdc import LeHDCClassifier
+from repro.eval.experiment import default_strategy_factories
 from repro.eval.sweep import run_dimension_sweep
 from repro.eval.tables import format_table
 
@@ -46,18 +42,6 @@ def fig6_dimensions():
     return (1000, 2000, 4000)
 
 
-def fig6_strategies(dataset_name: str):
-    config = get_paper_config(dataset_name).with_overrides(
-        epochs=BENCH_LEHDC_EPOCHS, batch_size=64, learning_rate=0.01
-    )
-    return {
-        "baseline": lambda rng: BaselineHDC(seed=rng),
-        "multimodel": lambda rng: MultiModelHDC(models_per_class=8, iterations=2, seed=rng),
-        "retraining": lambda rng: RetrainingHDC(iterations=BENCH_RETRAIN_ITERS, seed=rng),
-        "lehdc": lambda rng: LeHDCClassifier(config=config, seed=rng),
-    }
-
-
 @pytest.mark.parametrize("dataset_name", FIG6_DATASETS)
 def test_fig6_dimension_sweep(benchmark, dataset_name):
     dimensions = fig6_dimensions()
@@ -66,7 +50,11 @@ def test_fig6_dimension_sweep(benchmark, dataset_name):
         return run_dimension_sweep(
             dataset_name=dataset_name,
             dimensions=dimensions,
-            strategies=fig6_strategies(dataset_name),
+            strategies=default_strategy_factories(
+                dataset_name,
+                lehdc_epochs=BENCH_LEHDC_EPOCHS,
+                retraining_iterations=BENCH_RETRAIN_ITERS,
+            ),
             num_levels=32,
             repetitions=1,
             profile=BENCH_PROFILE,

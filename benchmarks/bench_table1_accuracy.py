@@ -10,10 +10,11 @@ Scaled-down defaults (set in ``benchmarks/conftest.py``):
 * synthetic dataset substitutes at the ``small`` profile instead of the real
   60k-sample datasets;
 * ``D`` = 4 000 instead of 10 000 (raise via ``REPRO_BENCH_DIMENSION``);
-* LeHDC keeps the Table 2 weight decay / dropout per dataset but uses batch
-  size 64 and learning rate 0.01 so the number of Adam steps stays comparable
-  to the paper despite the ~30x smaller training sets;
-* Multi-Model uses 8 models/class and 2 passes instead of 64 models/class.
+* the strategies are :func:`repro.eval.experiment.default_strategy_factories`:
+  LeHDC trains by :func:`repro.core.configs.reproduction_config` (the
+  Table 2 weight decay / dropout per dataset at batch size 64 and learning
+  rate 0.01), and Multi-Model uses 8 models/class and 2 passes instead of 64
+  models/class.
 
 The qualitative shape to check against the paper: LeHDC wins on every
 dataset, retraining is second, multi-model is inconsistent (sometimes below
@@ -32,13 +33,8 @@ from benchmarks.conftest import (
     BENCH_RETRAIN_ITERS,
     print_report,
 )
-from repro.classifiers.baseline import BaselineHDC
-from repro.classifiers.multimodel import MultiModelHDC
-from repro.classifiers.retraining import RetrainingHDC
-from repro.core.configs import get_paper_config
-from repro.core.lehdc import LeHDCClassifier
 from repro.datasets.registry import PAPER_TABLE1, list_datasets
-from repro.eval.experiment import run_strategy_comparison
+from repro.eval.experiment import default_strategy_factories, run_strategy_comparison
 from repro.eval.metrics import average_increment
 from repro.eval.tables import format_table
 
@@ -49,33 +45,14 @@ STRATEGY_ORDER = ["baseline", "multimodel", "retraining", "lehdc"]
 _RESULTS: dict = {}
 
 
-def bench_lehdc_config(dataset_name: str):
-    """Table 2 regularisation with batch/LR adapted to the scaled-down data."""
-    paper = get_paper_config(dataset_name)
-    return paper.with_overrides(
-        epochs=BENCH_LEHDC_EPOCHS, batch_size=64, learning_rate=0.01
-    )
-
-
-def bench_strategies(dataset_name: str):
-    """The four Table 1 strategies at benchmark budgets."""
-    config = bench_lehdc_config(dataset_name)
-    return {
-        "baseline": lambda rng: BaselineHDC(seed=rng),
-        "multimodel": lambda rng: MultiModelHDC(
-            models_per_class=8, iterations=2, seed=rng
-        ),
-        "retraining": lambda rng: RetrainingHDC(
-            iterations=BENCH_RETRAIN_ITERS, seed=rng
-        ),
-        "lehdc": lambda rng: LeHDCClassifier(config=config, seed=rng),
-    }
-
-
 def run_dataset(dataset_name: str):
     return run_strategy_comparison(
         dataset_name=dataset_name,
-        strategies=bench_strategies(dataset_name),
+        strategies=default_strategy_factories(
+            dataset_name,
+            lehdc_epochs=BENCH_LEHDC_EPOCHS,
+            retraining_iterations=BENCH_RETRAIN_ITERS,
+        ),
         dimension=BENCH_DIMENSION,
         num_levels=32,
         repetitions=BENCH_REPETITIONS,

@@ -12,10 +12,12 @@ it:
   unclipped latent weights bounded by weight decay);
 * coupled vs decoupled weight decay (Eq. 10 literal vs AdamW-style).
 
-Every grid/ablation cell is fitted through
-:func:`repro.eval.sweep.run_fit_grid` on one shared
-:class:`repro.eval.sweep.PackedSplits`: the dataset is encoded and packed
-exactly once per module, no matter how many hyper-parameter cells run on it.
+Every cell varies :func:`repro.core.configs.reproduction_config`, the
+recipe Table 1 trains by.  Each grid is one
+:func:`repro.eval.experiment.run_strategy_comparison` call whose strategies
+are its cells, so the dataset is encoded and packed once per grid, however
+many cells run on it; every cell trains at the one seed :data:`GRID_SEED`,
+so cells differ only by configuration.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from benchmarks.conftest import (
     BENCH_PROFILE,
     print_report,
 )
-from repro.core.configs import PAPER_CONFIGS, get_paper_config
+from repro.core.configs import PAPER_CONFIGS, reproduction_config
 from repro.core.lehdc import LeHDCClassifier
 from repro.datasets.registry import get_dataset
-from repro.eval.sweep import PackedSplits, run_fit_grid
+from repro.eval.experiment import run_strategy_comparison
 from repro.eval.tables import format_table
-from repro.hdc.encoders import RecordEncoder
 
 GRID_DATASET = "ucihar"
+GRID_SEED = 22
 WEIGHT_DECAYS = (0.0, 0.05)
 DROPOUT_RATES = (0.0, 0.5)
 
@@ -65,29 +67,31 @@ def test_table2_configurations_printed(benchmark):
 
 
 @pytest.fixture(scope="module")
-def grid_splits():
-    """One encoded + packed split pair shared by every grid cell below."""
-    data = get_dataset(GRID_DATASET, profile=BENCH_PROFILE, seed=22)
-    encoder = RecordEncoder(dimension=BENCH_DIMENSION, num_levels=32, seed=22)
-    return PackedSplits.from_dataset(data, encoder)
+def grid_data():
+    """The one dataset split every grid below trains on."""
+    return get_dataset(GRID_DATASET, profile=BENCH_PROFILE, seed=GRID_SEED)
 
 
-def _accuracy_grid(splits, configs, seed=22):
-    """Fit one LeHDC per config cell on the shared packed split."""
+def _accuracy_grid(data, configs):
+    """Test accuracy of one LeHDC per config cell, all on one encoding of *data*."""
     cells = {
-        key: (lambda config=config: LeHDCClassifier(config=config, seed=seed))
+        str(key): (lambda seed, config=config: LeHDCClassifier(config=config, seed=GRID_SEED))
         for key, config in configs.items()
     }
-    return {
-        key: cell.test_accuracy for key, cell in run_fit_grid(splits, cells).items()
-    }
-
-
-def test_table2_regularisation_grid(benchmark, grid_splits):
-    """Weight-decay x dropout grid around the paper's UCIHAR/ISOLET/PAMAP row."""
-    base = get_paper_config(GRID_DATASET).with_overrides(
-        epochs=BENCH_LEHDC_EPOCHS, batch_size=64, learning_rate=0.01
+    result = run_strategy_comparison(
+        dataset=data,
+        strategies=cells,
+        dimension=BENCH_DIMENSION,
+        num_levels=32,
+        repetitions=1,
+        seed=GRID_SEED,
     )
+    return {key: result.strategies[str(key)].test_accuracies[0] for key in configs}
+
+
+def test_table2_regularisation_grid(benchmark, grid_data):
+    """Weight-decay x dropout grid around the paper's UCIHAR/ISOLET/PAMAP row."""
+    base = reproduction_config(GRID_DATASET, BENCH_LEHDC_EPOCHS)
 
     def run():
         configs = {
@@ -97,7 +101,7 @@ def test_table2_regularisation_grid(benchmark, grid_splits):
             for weight_decay in WEIGHT_DECAYS
             for dropout_rate in DROPOUT_RATES
         }
-        return _accuracy_grid(grid_splits, configs)
+        return _accuracy_grid(grid_data, configs)
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [
@@ -113,11 +117,9 @@ def test_table2_regularisation_grid(benchmark, grid_splits):
     assert paper_cell >= max(grid.values()) - 0.03
 
 
-def test_table2_latent_clip_and_decay_ablation(benchmark, grid_splits):
+def test_table2_latent_clip_and_decay_ablation(benchmark, grid_data):
     """Latent clipping and coupled/decoupled weight decay ablations."""
-    base = get_paper_config(GRID_DATASET).with_overrides(
-        epochs=BENCH_LEHDC_EPOCHS, batch_size=64, learning_rate=0.01
-    )
+    base = reproduction_config(GRID_DATASET, BENCH_LEHDC_EPOCHS)
     variants = {
         "clip=1.0, decoupled WD": base,
         "no clip, decoupled WD": base.with_overrides(latent_clip=None),
@@ -125,7 +127,7 @@ def test_table2_latent_clip_and_decay_ablation(benchmark, grid_splits):
     }
 
     def run():
-        return _accuracy_grid(grid_splits, variants)
+        return _accuracy_grid(grid_data, variants)
 
     accuracies = benchmark.pedantic(run, rounds=1, iterations=1)
     print_report(

@@ -21,17 +21,9 @@ from __future__ import annotations
 
 import sys
 
-from repro import (
-    BaselineHDC,
-    EnhancedRetrainingHDC,
-    LeHDCClassifier,
-    MultiModelHDC,
-    RecordEncoder,
-    RetrainingHDC,
-    get_dataset,
-    get_paper_config,
-)
+from repro import EnhancedRetrainingHDC, RecordEncoder, get_dataset
 from repro.datasets.registry import PAPER_TABLE1
+from repro.eval import default_strategy_factories
 from repro.eval.tables import format_table
 
 DIMENSION = 2000
@@ -40,15 +32,13 @@ SEED = 1
 
 def build_strategies(dataset_name: str):
     """All training strategies at quick-example budgets (order = report order)."""
-    lehdc_config = get_paper_config(dataset_name).with_overrides(
-        epochs=30, batch_size=64, learning_rate=0.01
-    )
+    table1 = default_strategy_factories(dataset_name, lehdc_epochs=30, retraining_iterations=25)
     return {
-        "baseline": BaselineHDC(seed=SEED),
-        "multimodel": MultiModelHDC(models_per_class=8, iterations=2, seed=SEED),
-        "retraining": RetrainingHDC(iterations=25, seed=SEED),
+        "baseline": table1["baseline"](SEED),
+        "multimodel": table1["multimodel"](SEED),
+        "retraining": table1["retraining"](SEED),
         "enhanced retraining": EnhancedRetrainingHDC(iterations=25, seed=SEED),
-        "lehdc": LeHDCClassifier(config=lehdc_config, seed=SEED),
+        "lehdc": table1["lehdc"](SEED),
     }
 
 

@@ -23,10 +23,7 @@ from __future__ import annotations
 import sys
 
 from repro import run_dimension_sweep
-from repro.classifiers.baseline import BaselineHDC
-from repro.classifiers.retraining import RetrainingHDC
-from repro.core.lehdc import LeHDCClassifier
-from repro.core.configs import get_paper_config
+from repro.eval import default_strategy_factories
 from repro.eval.figures import TrajectorySeries, render_trajectories
 from repro.eval.tables import format_table
 
@@ -36,14 +33,10 @@ SEED = 4
 
 def main() -> None:
     dataset_name = sys.argv[1] if len(sys.argv) > 1 else "isolet"
-    lehdc_config = get_paper_config(dataset_name).with_overrides(
-        epochs=25, batch_size=64, learning_rate=0.01
+    strategies = default_strategy_factories(
+        dataset_name, lehdc_epochs=25, retraining_iterations=20
     )
-    strategies = {
-        "baseline": lambda rng: BaselineHDC(seed=rng),
-        "retraining": lambda rng: RetrainingHDC(iterations=20, seed=rng),
-        "lehdc": lambda rng: LeHDCClassifier(config=lehdc_config, seed=rng),
-    }
+    del strategies["multimodel"]
 
     print(f"Sweeping D over {DIMENSIONS} on {dataset_name} (this takes a minute)...\n")
     result = run_dimension_sweep(

@@ -21,14 +21,8 @@ import time
 
 import numpy as np
 
-from repro import (
-    BaselineHDC,
-    LeHDCClassifier,
-    MultiModelHDC,
-    RecordEncoder,
-    get_dataset,
-    get_paper_config,
-)
+from repro import RecordEncoder, get_dataset
+from repro.eval import default_strategy_factories
 from repro.eval.tables import format_table
 from repro.hardware.cost_model import InferenceCostModel
 from repro.kernels import pack_bipolar
@@ -48,14 +42,10 @@ def main() -> None:
     test_encoded = encoder.encode(data.test_features)
 
     # ------------------------------------------------------------- training
-    config = get_paper_config(DATASET).with_overrides(
-        epochs=30, batch_size=64, learning_rate=0.01
-    )
-    lehdc = LeHDCClassifier(config=config, seed=SEED)
-    lehdc.fit(train_encoded, data.train_labels)
-    baseline = BaselineHDC(seed=SEED).fit(train_encoded, data.train_labels)
-    multimodel = MultiModelHDC(models_per_class=8, iterations=2, seed=SEED)
-    multimodel.fit(train_encoded, data.train_labels)
+    strategies = default_strategy_factories(DATASET, lehdc_epochs=30)
+    lehdc = strategies["lehdc"](SEED).fit(train_encoded, data.train_labels)
+    baseline = strategies["baseline"](SEED).fit(train_encoded, data.train_labels)
+    multimodel = strategies["multimodel"](SEED).fit(train_encoded, data.train_labels)
 
     print(f"LeHDC test accuracy     : {lehdc.score(test_encoded, data.test_labels):.4f}")
     print(f"Baseline test accuracy  : {baseline.score(test_encoded, data.test_labels):.4f}")

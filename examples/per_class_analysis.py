@@ -13,7 +13,13 @@ the discriminatively trained class hypervectors keep every class usable.
 
 from __future__ import annotations
 
-from repro import BaselineHDC, LeHDCClassifier, RecordEncoder, get_dataset, get_paper_config
+from repro import (
+    BaselineHDC,
+    LeHDCClassifier,
+    RecordEncoder,
+    get_dataset,
+    reproduction_config,
+)
 from repro.eval.reports import classification_report, compare_per_class
 
 DATASET = "pamap"
@@ -31,9 +37,7 @@ def main() -> None:
     test_encoded = encoder.encode(data.test_features)
 
     baseline = BaselineHDC(seed=SEED).fit(train_encoded, data.train_labels)
-    config = get_paper_config(DATASET).with_overrides(
-        epochs=30, batch_size=64, learning_rate=0.01
-    )
+    config = reproduction_config(DATASET, epochs=30)
     lehdc = LeHDCClassifier(config=config, seed=SEED).fit(train_encoded, data.train_labels)
 
     reports = {}

@@ -21,7 +21,7 @@ from repro import (
     LeHDCClassifier,
     RecordEncoder,
     get_dataset,
-    get_paper_config,
+    reproduction_config,
 )
 
 DATASET = "fashion_mnist"
@@ -43,11 +43,10 @@ def main() -> None:
 
     # --- LeHDC: same encoder, but the class hypervectors are trained as the
     # weights of the equivalent single-layer BNN (Adam + cross-entropy +
-    # weight decay + dropout).  The Table 2 regularisation for this dataset is
-    # kept; epochs are reduced so the example stays fast.
-    config = get_paper_config(DATASET).with_overrides(
-        epochs=30, batch_size=64, learning_rate=0.01
-    )
+    # weight decay + dropout).  The reproduction's recipe keeps the Table 2
+    # regularisation for this dataset; epochs are reduced so the example
+    # stays fast.
+    config = reproduction_config(DATASET, epochs=30)
     lehdc = HDCPipeline(
         RecordEncoder(dimension=DIMENSION, num_levels=32, seed=SEED),
         LeHDCClassifier(config=config, seed=SEED),

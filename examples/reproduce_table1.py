@@ -19,13 +19,8 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.classifiers.baseline import BaselineHDC
-from repro.classifiers.multimodel import MultiModelHDC
-from repro.classifiers.retraining import RetrainingHDC
-from repro.core.configs import get_paper_config
-from repro.core.lehdc import LeHDCClassifier
 from repro.datasets.registry import PAPER_TABLE1, list_datasets
-from repro.eval.experiment import run_strategy_comparison
+from repro.eval.experiment import default_strategy_factories, run_strategy_comparison
 from repro.eval.metrics import average_increment
 from repro.eval.tables import format_table
 
@@ -45,20 +40,6 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
-def strategies_for(dataset_name: str, args: argparse.Namespace):
-    config = get_paper_config(dataset_name).with_overrides(
-        epochs=args.lehdc_epochs, batch_size=64, learning_rate=0.01
-    )
-    return {
-        "baseline": lambda rng: BaselineHDC(seed=rng),
-        "multimodel": lambda rng: MultiModelHDC(models_per_class=8, iterations=2, seed=rng),
-        "retraining": lambda rng: RetrainingHDC(
-            iterations=args.retraining_iterations, seed=rng
-        ),
-        "lehdc": lambda rng: LeHDCClassifier(config=config, seed=rng),
-    }
-
-
 def main() -> None:
     args = parse_args()
     datasets = args.datasets or list_datasets()
@@ -68,7 +49,11 @@ def main() -> None:
         start = time.time()
         result = run_strategy_comparison(
             dataset_name=dataset_name,
-            strategies=strategies_for(dataset_name, args),
+            strategies=default_strategy_factories(
+                dataset_name,
+                lehdc_epochs=args.lehdc_epochs,
+                retraining_iterations=args.retraining_iterations,
+            ),
             dimension=args.dimension,
             num_levels=32,
             repetitions=args.repetitions,

@@ -48,7 +48,7 @@ from repro.core import (
     NonBinaryLeHDCClassifier,
     SingleLayerBNN,
 )
-from repro.core.configs import get_paper_config
+from repro.core.configs import get_paper_config, reproduction_config
 from repro.datasets import Dataset, get_dataset, list_datasets
 from repro.eval import run_dimension_sweep, run_strategy_comparison
 from repro.hdc import RecordEncoder
@@ -73,6 +73,7 @@ __all__ = [
     "PAPER_CONFIGS",
     "DEFAULT_CONFIG",
     "get_paper_config",
+    "reproduction_config",
     "SingleLayerBNN",
     "BNNTrainer",
     # datasets

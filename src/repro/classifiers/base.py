@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.hdc.hypervector import dot_similarity, hamming_distance
+from repro.hdc.hypervector import dot_similarity
 from repro.kernels.packed import PackedHypervectors, bank_scores, pack_bipolar
 from repro.utils.rng import RngMixin, SeedLike
 from repro.utils.validation import check_fitted, check_labels, check_matrix
@@ -116,14 +116,6 @@ class HDCClassifierBase(RngMixin, abc.ABC):
             hypervectors, "hypervectors", n_columns=self.class_hypervectors_.shape[1]
         )
         return dot_similarity(hypervectors, self.class_hypervectors_)
-
-    def hamming_distances(self, hypervectors: np.ndarray) -> np.ndarray:
-        """Normalised Hamming distance of each sample to each class hypervector."""
-        check_fitted(self, "class_hypervectors_")
-        hypervectors = check_matrix(
-            hypervectors, "hypervectors", n_columns=self.class_hypervectors_.shape[1]
-        )
-        return hamming_distance(hypervectors, self.class_hypervectors_)
 
     def predict(self, hypervectors: np.ndarray) -> np.ndarray:
         """Predict integer class labels for encoded samples (Eq. 4)."""

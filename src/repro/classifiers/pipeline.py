@@ -94,19 +94,6 @@ class HDCPipeline:
         """Encode raw *features* and predict class labels."""
         return np.argmax(self._decision_scores(features), axis=1)
 
-    def predict_batch(self, features: np.ndarray):
-        """Predict labels and winning-class scores for a batch of raw features.
-
-        Returns ``(labels, scores)`` where ``labels`` is the ``(n,)`` argmax
-        prediction and ``scores`` the corresponding decision score (the
-        integer dot similarity for binary classifiers).  This is the batched
-        label+score surface the serving and evaluation layers build on;
-        callers get both outputs from a single encode + similarity pass.
-        """
-        scores = self._decision_scores(features)
-        labels = np.argmax(scores, axis=1)
-        return labels, scores[np.arange(scores.shape[0]), labels]
-
     def top_k(self, features: np.ndarray, k: int = 5):
         """The ``k`` most similar classes per sample, best first.
 

@@ -31,16 +31,13 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.enhanced import EnhancedRetrainingHDC
-from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.pipeline import HDCPipeline
-from repro.classifiers.retraining import RetrainingHDC
-from repro.core.configs import get_paper_config
-from repro.core.lehdc import LeHDCClassifier
+from repro.core.configs import reproduction_config
 from repro.core.nonbinary_lehdc import NonBinaryLeHDCClassifier
 from repro.datasets.loaders import try_load_real_dataset
 from repro.datasets.registry import get_dataset, list_datasets
+from repro.eval.experiment import default_strategy_factories, run_strategy_comparison
 from repro.eval.sweep import run_dimension_sweep
 from repro.eval.tables import format_table
 from repro.hdc.encoders import RecordEncoder
@@ -72,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--num-levels", type=int, default=32)
         sub.add_argument("--seed", type=int, default=0)
 
-    # _build_classifier and command_sweep override Table 2's batch and rate.
+    # LeHDC trains by repro.core.configs.reproduction_config.
     epochs_help = (
         "LeHDC epochs; LeHDC trains at batch 64 and learning rate 0.01 on every "
         "dataset, with the rest of its Table 2 row, so fashion_mnist (256, 0.1) "
@@ -196,25 +193,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_encoder(args) -> RecordEncoder:
-    return RecordEncoder(
-        dimension=args.dimension, num_levels=args.num_levels, seed=args.seed
+def _strategy_factories(args):
+    """The four Table 1 strategies at the command's ``--epochs`` and ``--iterations``."""
+    return default_strategy_factories(
+        args.dataset, lehdc_epochs=args.epochs, retraining_iterations=args.iterations
     )
 
 
-def _build_classifier(name: str, dataset: str, args):
-    lehdc_config = get_paper_config(dataset).with_overrides(
-        epochs=args.epochs, batch_size=64, learning_rate=0.01
+def _build_classifier(args):
+    factories = _strategy_factories(args)
+    factories["enhanced"] = lambda seed: EnhancedRetrainingHDC(
+        iterations=args.iterations, seed=seed
     )
-    factories = {
-        "baseline": lambda: BaselineHDC(seed=args.seed),
-        "multimodel": lambda: MultiModelHDC(models_per_class=8, iterations=2, seed=args.seed),
-        "retraining": lambda: RetrainingHDC(iterations=args.iterations, seed=args.seed),
-        "enhanced": lambda: EnhancedRetrainingHDC(iterations=args.iterations, seed=args.seed),
-        "lehdc": lambda: LeHDCClassifier(config=lehdc_config, seed=args.seed),
-        "lehdc-nonbinary": lambda: NonBinaryLeHDCClassifier(config=lehdc_config, seed=args.seed),
-    }
-    return factories[name]()
+    factories["lehdc-nonbinary"] = lambda seed: NonBinaryLeHDCClassifier(
+        config=reproduction_config(args.dataset, args.epochs), seed=seed
+    )
+    return factories[args.strategy](args.seed)
 
 
 def command_list_datasets() -> int:
@@ -228,7 +222,7 @@ def command_list_datasets() -> int:
 
 
 def command_train(args) -> int:
-    classifier = _build_classifier(args.strategy, args.dataset, args)
+    classifier = _build_classifier(args)
     if args.save:
         # Refuse a model that a file cannot hold before training it.
         try:
@@ -238,7 +232,10 @@ def command_train(args) -> int:
             return 1
     data = get_dataset(args.dataset, profile=args.profile, seed=args.seed)
     print(f"Dataset: {data.describe()}")
-    pipeline = HDCPipeline(_build_encoder(args), classifier)
+    encoder = RecordEncoder(
+        dimension=args.dimension, num_levels=args.num_levels, seed=args.seed
+    )
+    pipeline = HDCPipeline(encoder, classifier)
     pipeline.fit(data.train_features, data.train_labels)
     train_accuracy = pipeline.score(data.train_features, data.train_labels)
     test_accuracy = pipeline.score(data.test_features, data.test_labels)
@@ -252,23 +249,18 @@ def command_train(args) -> int:
 def command_compare(args) -> int:
     data = get_dataset(args.dataset, profile=args.profile, seed=args.seed)
     print(f"Dataset: {data.describe()}")
-    encoder = _build_encoder(args)
-    encoder.fit(data.train_features)
-    train_encoded = encoder.encode(data.train_features)
-    test_encoded = encoder.encode(data.test_features)
-
-    rows = []
-    for strategy in ("baseline", "multimodel", "retraining", "lehdc"):
-        classifier = _build_classifier(strategy, args.dataset, args)
-        classifier.fit(train_encoded, data.train_labels)
-        rows.append(
-            [
-                strategy,
-                f"{classifier.score(train_encoded, data.train_labels):.4f}",
-                f"{classifier.score(test_encoded, data.test_labels):.4f}",
-            ]
-        )
-        print(f"  trained {strategy}")
+    result = run_strategy_comparison(
+        dataset=data,
+        strategies=_strategy_factories(args),
+        dimension=args.dimension,
+        num_levels=args.num_levels,
+        repetitions=1,
+        seed=args.seed,
+    )
+    rows = [
+        [name, f"{strategy.train_accuracies[0]:.4f}", f"{strategy.test_accuracies[0]:.4f}"]
+        for name, strategy in result.strategies.items()
+    ]
     print(
         format_table(
             ["strategy", "train acc", "test acc"],
@@ -280,14 +272,8 @@ def command_compare(args) -> int:
 
 
 def command_sweep(args) -> int:
-    lehdc_config = get_paper_config(args.dataset).with_overrides(
-        epochs=args.epochs, batch_size=64, learning_rate=0.01
-    )
-    strategies = {
-        "baseline": lambda rng: BaselineHDC(seed=rng),
-        "retraining": lambda rng: RetrainingHDC(iterations=args.iterations, seed=rng),
-        "lehdc": lambda rng: LeHDCClassifier(config=lehdc_config, seed=rng),
-    }
+    strategies = _strategy_factories(args)
+    del strategies["multimodel"]
     result = run_dimension_sweep(
         dataset_name=args.dataset,
         dimensions=args.dimensions,

@@ -110,4 +110,23 @@ def get_paper_config(dataset_name: str) -> LeHDCConfig:
     return PAPER_CONFIGS.get(dataset_name.lower().replace("-", "_"), DEFAULT_CONFIG)
 
 
-__all__ = ["LeHDCConfig", "PAPER_CONFIGS", "DEFAULT_CONFIG", "get_paper_config"]
+def reproduction_config(dataset_name: str, epochs: int) -> LeHDCConfig:
+    """The reproduction's LeHDC recipe for *dataset_name*, at *epochs* epochs.
+
+    Table 2's weight decay and dropout for the dataset, at batch size 64 and
+    learning rate 0.01 on every dataset: the synthetic substitutes are about
+    30x smaller than the paper's training sets, and batch 64 with LR 0.01
+    keeps the number of Adam steps comparable to the paper's.
+    """
+    return get_paper_config(dataset_name).with_overrides(
+        epochs=epochs, batch_size=64, learning_rate=0.01
+    )
+
+
+__all__ = [
+    "LeHDCConfig",
+    "PAPER_CONFIGS",
+    "DEFAULT_CONFIG",
+    "get_paper_config",
+    "reproduction_config",
+]

@@ -15,10 +15,10 @@ It serves two purposes in the reproduction:
 
 * it completes the paper's claim space (binary and non-binary HDC both map to
   single-layer networks trainable in a principled way);
-* it provides an informative upper reference in experiments: binarising its
-  weights (``to_binary()``) shows how much accuracy the binary constraint
-  itself costs, separating the effect of the training strategy from the effect
-  of quantisation.
+* it provides an informative upper reference in experiments: its binarised
+  weights (``class_hypervectors_``) show how much accuracy the binary
+  constraint itself costs, separating the effect of the training strategy
+  from the effect of quantisation.
 """
 
 from __future__ import annotations
@@ -88,11 +88,6 @@ class NonBinaryLeHDCClassifier(LeHDCClassifier):
         return cosine_scores(
             hypervectors.astype(np.float64), self.nonbinary_class_hypervectors_
         )
-
-    def to_binary(self) -> np.ndarray:
-        """Return the binarised (``sgn``) class hypervectors for a binary datapath."""
-        check_fitted(self, "nonbinary_class_hypervectors_")
-        return self.class_hypervectors_.copy()
 
 
 __all__ = ["NonBinaryLeHDCClassifier"]

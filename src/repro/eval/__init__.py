@@ -5,8 +5,10 @@ This package turns the classifiers into the numbers the paper reports:
 * :mod:`repro.eval.metrics` - accuracy, confusion matrices, ``mean±std``
   aggregation (Table 1 is reported as mean±std over repetitions);
 * :mod:`repro.eval.experiment` - run a set of training strategies on a
-  dataset over multiple seeds with one shared encoding per seed;
-* :mod:`repro.eval.sweep` - parameter sweeps (the dimension sweep of Fig. 6);
+  dataset over multiple seeds with one shared encoding per seed (Table 1
+  and the Table 2 grids), at the reproduction's budgets by default;
+* :mod:`repro.eval.sweep` - the dimension sweep of Fig. 6, through the same
+  shared step;
 * :mod:`repro.eval.tables` / :mod:`repro.eval.figures` - plain-text rendering
   of tables and accuracy-trajectory "figures" (no plotting dependency).
 """
@@ -18,13 +20,7 @@ from repro.eval.experiment import (
     default_strategy_factories,
     run_strategy_comparison,
 )
-from repro.eval.sweep import (
-    DimensionSweepResult,
-    GridCellResult,
-    PackedSplits,
-    run_dimension_sweep,
-    run_fit_grid,
-)
+from repro.eval.sweep import DimensionSweepResult, run_dimension_sweep
 from repro.eval.tables import format_table
 from repro.eval.figures import TrajectorySeries, render_trajectories, sparkline
 from repro.eval.reports import (
@@ -49,10 +45,7 @@ __all__ = [
     "run_strategy_comparison",
     "default_strategy_factories",
     "DimensionSweepResult",
-    "GridCellResult",
-    "PackedSplits",
     "run_dimension_sweep",
-    "run_fit_grid",
     "format_table",
     "TrajectorySeries",
     "render_trajectories",

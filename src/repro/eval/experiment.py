@@ -3,72 +3,34 @@
 For each repetition (seed), the dataset is (re)generated, encoded **once**,
 and every training strategy is fitted on the same encoded hypervectors —
 mirroring the paper's setup where all strategies share the same encoder and
-only the class-hypervector training differs.  Accuracies are aggregated to
-``mean±std`` across repetitions.
+only the class-hypervector training differs.  :func:`fit_strategies` is that
+one step, shared with the dimension sweep of :mod:`repro.eval.sweep`.
+Accuracies are aggregated to ``mean±std`` across repetitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.classifiers.baseline import BaselineHDC
 from repro.classifiers.multimodel import MultiModelHDC
 from repro.classifiers.retraining import RetrainingHDC
-from repro.core.configs import LeHDCConfig, get_paper_config
+from repro.core.configs import reproduction_config
 from repro.core.lehdc import LeHDCClassifier
 from repro.datasets.base import Dataset
 from repro.datasets.registry import get_dataset
 from repro.eval.metrics import MeanStd, aggregate_mean_std
 from repro.hdc.encoders import RecordEncoder
-from repro.kernels.packed import PackedHypervectors, pack_bipolar
+from repro.kernels.packed import pack_bipolar
 from repro.kernels.train import PackedTrainingSet
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
-#: A strategy factory takes a per-repetition seed and returns an unfitted classifier.
-StrategyFactory = Callable[[np.random.Generator], object]
-
-
-def strategy_accuracy(
-    classifier,
-    encoded: np.ndarray,
-    labels: np.ndarray,
-    packed: Optional[PackedHypervectors] = None,
-) -> float:
-    """Accuracy of a fitted classifier, scored through the kernel layer.
-
-    When the classifier uses the shared dot-similarity rule and a bit-packed
-    copy of the encoded samples is supplied, prediction runs on the packed
-    XOR+popcount kernel (one pack of the evaluation set is shared across all
-    strategies by the experiment loops); otherwise it falls back to the
-    classifier's dense ``predict``.  Both paths yield identical predictions,
-    so the reported accuracy is unchanged — only faster.
-    """
-    if packed is not None and classifier.supports_packed_scoring():
-        predictions = classifier.predict_packed(packed)
-    else:
-        predictions = classifier.predict(encoded)
-    return float(np.mean(predictions == np.asarray(labels)))
-
-
-def fit_strategy(classifier, encoded: np.ndarray, labels: np.ndarray, packed_train=None):
-    """Fit a classifier, sharing a pre-packed training set when it can ride it.
-
-    Strategies in the centroid/retraining family accept a
-    :class:`~repro.kernels.train.PackedTrainingSet` and train over packed
-    words (encode + pack once, reuse across every retraining iteration *and*
-    across strategies); everything else falls back to the plain ``fit``.
-    Both paths produce bit-identical models, so experiment results do not
-    depend on which one a strategy takes.
-    """
-    if packed_train is not None and classifier.supports_packed_training():
-        classifier.fit(encoded, labels, packed_train=packed_train)
-    else:
-        classifier.fit(encoded, labels)
-    return classifier
+#: A strategy factory takes a seed (or generator) and returns an unfitted classifier.
+StrategyFactory = Callable[[SeedLike], object]
 
 
 @dataclass
@@ -114,36 +76,72 @@ class ExperimentResult:
 
 
 def default_strategy_factories(
-    dataset_name: str,
-    lehdc_epochs: Optional[int] = None,
-    retraining_iterations: int = 30,
-    multimodel_models_per_class: int = 16,
-    multimodel_iterations: int = 3,
-    lehdc_config: Optional[LeHDCConfig] = None,
+    dataset_name: str, lehdc_epochs: int = 30, retraining_iterations: int = 30
 ) -> Dict[str, StrategyFactory]:
-    """The four Table 1 strategies with laptop-scale default budgets.
+    """The four Table 1 strategies at the reproduction's budgets.
 
-    The paper uses 150 retraining iterations, 64 models per class and the
-    Table 2 epoch counts; those are reachable by passing larger budgets, but
-    the defaults here converge on the scaled-down synthetic benchmarks and
-    keep the full Table 1 run in minutes on a CPU.
+    LeHDC trains by :func:`~repro.core.configs.reproduction_config` for
+    *lehdc_epochs* epochs, retraining runs *retraining_iterations* passes,
+    and the multi-model ensemble keeps 8 models per class for 2 passes.  The
+    paper uses 150 retraining iterations, 64 models per class and the Table 2
+    epoch counts; these budgets converge on the scaled-down synthetic
+    substitutes and keep the full Table 1 run in minutes on a CPU.
     """
-    config = lehdc_config if lehdc_config is not None else get_paper_config(dataset_name)
-    if lehdc_epochs is not None:
-        config = config.with_overrides(epochs=int(lehdc_epochs))
-
+    config = reproduction_config(dataset_name, lehdc_epochs)
     return {
-        "baseline": lambda rng: BaselineHDC(seed=rng),
-        "multimodel": lambda rng: MultiModelHDC(
-            models_per_class=multimodel_models_per_class,
-            iterations=multimodel_iterations,
-            seed=rng,
+        "baseline": lambda seed: BaselineHDC(seed=seed),
+        "multimodel": lambda seed: MultiModelHDC(
+            models_per_class=8, iterations=2, seed=seed
         ),
-        "retraining": lambda rng: RetrainingHDC(
-            iterations=retraining_iterations, seed=rng
-        ),
-        "lehdc": lambda rng: LeHDCClassifier(config=config, seed=rng),
+        "retraining": lambda seed: RetrainingHDC(iterations=retraining_iterations, seed=seed),
+        "lehdc": lambda seed: LeHDCClassifier(config=config, seed=seed),
     }
+
+
+def fit_strategies(
+    data: Dataset,
+    strategies: Dict[str, StrategyFactory],
+    dimension: int,
+    num_levels: int,
+    seed: int,
+) -> Dict[str, Tuple[float, float]]:
+    """Encode *data* once and fit every strategy on it.
+
+    The encoder is seeded with *seed*, and each strategy's factory is given a
+    generator seeded with ``seed + _stable_offset(name)``.  One
+    :class:`~repro.kernels.train.PackedTrainingSet` of the training split and
+    one packed copy of the test split are shared by every strategy: the
+    centroid, retraining and ensemble strategies train on the set, every
+    strategy with packed scoring is scored on the packed splits, and the
+    rest take the dense arrays; both paths give identical models and
+    predictions.  Returns ``{name: (test accuracy, train accuracy)}``.
+    """
+    encoder = RecordEncoder(dimension=dimension, num_levels=num_levels, seed=seed)
+    encoder.fit(data.train_features)
+    train_encoded = encoder.encode(data.train_features)
+    test_encoded = encoder.encode(data.test_features)
+    train_set = PackedTrainingSet.from_dense(train_encoded)
+    test_packed = pack_bipolar(test_encoded)
+
+    def accuracy(classifier, encoded, packed, labels) -> float:
+        if classifier.supports_packed_scoring():
+            predictions = classifier.predict_packed(packed)
+        else:
+            predictions = classifier.predict(encoded)
+        return float(np.mean(predictions == np.asarray(labels)))
+
+    accuracies = {}
+    for name, factory in strategies.items():
+        classifier = factory(np.random.default_rng(seed + _stable_offset(name)))
+        if classifier.supports_packed_training():
+            classifier.fit(train_encoded, data.train_labels, packed_train=train_set)
+        else:
+            classifier.fit(train_encoded, data.train_labels)
+        accuracies[name] = (
+            accuracy(classifier, test_encoded, test_packed, data.test_labels),
+            accuracy(classifier, train_encoded, train_set.packed, data.train_labels),
+        )
+    return accuracies
 
 
 def run_strategy_comparison(
@@ -160,7 +158,8 @@ def run_strategy_comparison(
 
     Exactly one of *dataset* (a pre-built :class:`Dataset`, reused for every
     repetition) or *dataset_name* (regenerated per repetition with a fresh
-    seed, matching how the paper reports mean±std) must be given.
+    seed, matching how the paper reports mean±std) must be given.  Without
+    *strategies*, the four of :func:`default_strategy_factories` run.
 
     Returns an :class:`ExperimentResult` whose ``summary_percent()`` rows are
     directly comparable to Table 1.
@@ -174,11 +173,11 @@ def run_strategy_comparison(
 
     root_rng = ensure_rng(seed)
     result = ExperimentResult(
-        dataset_name=name, dimension=dimension, repetitions=repetitions
+        dataset_name=name,
+        dimension=dimension,
+        repetitions=repetitions,
+        strategies={key: StrategyResult(name=key) for key in strategies},
     )
-    for strategy_name in strategies:
-        result.strategies[strategy_name] = StrategyResult(name=strategy_name)
-
     for repetition in range(repetitions):
         repetition_seed = int(root_rng.integers(0, 2**31 - 1))
         data = (
@@ -186,36 +185,10 @@ def run_strategy_comparison(
             if dataset is not None
             else get_dataset(dataset_name, profile=profile, seed=repetition_seed)
         )
-        encoder = RecordEncoder(
-            dimension=dimension, num_levels=num_levels, seed=repetition_seed
-        )
-        encoder.fit(data.train_features)
-        train_encoded = encoder.encode(data.train_features)
-        test_encoded = encoder.encode(data.test_features)
-        # One packed copy of each split, shared by every strategy: the
-        # training set rides both packed *training* (fit_strategy) and the
-        # packed train-accuracy scoring; the test split rides packed scoring.
-        train_set = PackedTrainingSet.from_dense(train_encoded)
-        test_packed = pack_bipolar(test_encoded)
-
-        for strategy_name, factory in strategies.items():
-            strategy_rng = np.random.default_rng(
-                repetition_seed + _stable_offset(strategy_name)
-            )
-            classifier = factory(strategy_rng)
-            fit_strategy(
-                classifier, train_encoded, data.train_labels, packed_train=train_set
-            )
-            result.strategies[strategy_name].test_accuracies.append(
-                strategy_accuracy(
-                    classifier, test_encoded, data.test_labels, packed=test_packed
-                )
-            )
-            result.strategies[strategy_name].train_accuracies.append(
-                strategy_accuracy(
-                    classifier, train_encoded, data.train_labels, packed=train_set.packed
-                )
-            )
+        accuracies = fit_strategies(data, strategies, dimension, num_levels, repetition_seed)
+        for strategy_name, (test, train) in accuracies.items():
+            result.strategies[strategy_name].test_accuracies.append(test)
+            result.strategies[strategy_name].train_accuracies.append(train)
 
     return result
 
@@ -230,7 +203,6 @@ __all__ = [
     "ExperimentResult",
     "StrategyFactory",
     "default_strategy_factories",
-    "fit_strategy",
+    "fit_strategies",
     "run_strategy_comparison",
-    "strategy_accuracy",
 ]

@@ -1,40 +1,21 @@
-"""Parameter sweeps: the dimension sweep of Fig. 6 and grid-fit harnesses.
+"""The dimension sweep of Fig. 6.
 
 Fig. 6 plots inference accuracy against the hypervector dimension
 ``D ∈ {10 000, 8 000, 6 000, 4 000, 2 000}`` for every training strategy on
 Fashion-MNIST and ISOLET.  :func:`run_dimension_sweep` regenerates that
 series for any dataset: one encoding per (dimension, repetition), shared
-across strategies.
-
-:class:`PackedSplits` / :func:`run_fit_grid` factor the "encode + pack once,
-fit many" pattern out of the loops: a hyper-parameter grid (the Table 2
-sensitivity studies) fits dozens of classifiers on the *same* encoded split,
-so the encoding, the shared :class:`~repro.kernels.train.PackedTrainingSet`
-and the packed copy of the evaluation split are built exactly once and every
-grid cell rides them.
+across strategies through :func:`repro.eval.experiment.fit_strategies`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.datasets.base import Dataset
 from repro.datasets.registry import get_dataset
-from repro.eval.experiment import (
-    StrategyFactory,
-    _stable_offset,
-    default_strategy_factories,
-    fit_strategy,
-    strategy_accuracy,
-)
+from repro.eval.experiment import StrategyFactory, default_strategy_factories, fit_strategies
 from repro.eval.metrics import MeanStd, aggregate_mean_std
-from repro.hdc.encoders import RecordEncoder
-from repro.kernels.packed import PackedHypervectors, pack_bipolar
-from repro.kernels.train import PackedTrainingSet
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -77,103 +58,6 @@ class DimensionSweepResult:
         return min(matching) if matching else None
 
 
-@dataclass
-class PackedSplits:
-    """Encode-once, pack-once view of one train/test split pair.
-
-    Built once per split and handed to every fit that shares it: the train
-    side carries the shared :class:`~repro.kernels.train.PackedTrainingSet`
-    (packed words + int8 samples) that packed-native ``fit()`` consumes, the
-    test side the packed words that packed scoring consumes.  Strategies
-    that support neither transparently fall back to the dense arrays, which
-    are kept alongside.
-    """
-
-    train_encoded: np.ndarray
-    train_labels: np.ndarray
-    test_encoded: np.ndarray
-    test_labels: np.ndarray
-    train_set: PackedTrainingSet
-    test_packed: PackedHypervectors
-
-    @classmethod
-    def from_encoded(
-        cls,
-        train_encoded: np.ndarray,
-        train_labels: np.ndarray,
-        test_encoded: np.ndarray,
-        test_labels: np.ndarray,
-    ) -> "PackedSplits":
-        """Pack already-encoded bipolar splits."""
-        return cls(
-            train_encoded=train_encoded,
-            train_labels=np.asarray(train_labels),
-            test_encoded=test_encoded,
-            test_labels=np.asarray(test_labels),
-            train_set=PackedTrainingSet.from_dense(train_encoded),
-            test_packed=pack_bipolar(test_encoded),
-        )
-
-    @classmethod
-    def from_dataset(cls, data: Dataset, encoder) -> "PackedSplits":
-        """Fit *encoder* on the train split, encode both splits, pack once."""
-        encoder.fit(data.train_features)
-        return cls.from_encoded(
-            encoder.encode(data.train_features),
-            data.train_labels,
-            encoder.encode(data.test_features),
-            data.test_labels,
-        )
-
-
-@dataclass
-class GridCellResult:
-    """One fitted grid cell: the classifier, its accuracy, its fit time."""
-
-    classifier: object
-    test_accuracy: float
-    fit_seconds: float
-
-
-def run_fit_grid(
-    splits: PackedSplits,
-    cells: Mapping[Hashable, Callable[[], object]],
-) -> Dict[Hashable, GridCellResult]:
-    """Fit every grid cell on one shared packed split and score it.
-
-    ``cells`` maps a cell key (e.g. a ``(weight_decay, dropout)`` tuple) to a
-    zero-argument factory returning an unfitted classifier.  Each cell is
-    fitted through :func:`~repro.eval.experiment.fit_strategy` — so packed
-    training rides the one shared :class:`PackedTrainingSet` — and scored
-    through :func:`~repro.eval.experiment.strategy_accuracy` on the one
-    shared packed test split.  The grid therefore pays for encoding and
-    packing exactly once, no matter how many cells it has.
-    """
-    if not cells:
-        raise ValueError("cells must be non-empty")
-    results: Dict[Hashable, GridCellResult] = {}
-    for key, factory in cells.items():
-        classifier = factory()
-        started = time.perf_counter()
-        fit_strategy(
-            classifier,
-            splits.train_encoded,
-            splits.train_labels,
-            packed_train=splits.train_set,
-        )
-        fit_seconds = time.perf_counter() - started
-        accuracy = strategy_accuracy(
-            classifier,
-            splits.test_encoded,
-            splits.test_labels,
-            packed=splits.test_packed,
-        )
-        results[key] = GridCellResult(
-            classifier=classifier, test_accuracy=accuracy, fit_seconds=fit_seconds
-        )
-    return results
-
-
 def run_dimension_sweep(
     dataset: Optional[Dataset] = None,
     dataset_name: Optional[str] = None,
@@ -187,7 +71,9 @@ def run_dimension_sweep(
     """Measure accuracy of every strategy across hypervector dimensions.
 
     Exactly one of *dataset* / *dataset_name* must be given, as in
-    :func:`repro.eval.experiment.run_strategy_comparison`.
+    :func:`repro.eval.experiment.run_strategy_comparison`; without
+    *strategies*, the four of
+    :func:`~repro.eval.experiment.default_strategy_factories` run.
     """
     if (dataset is None) == (dataset_name is None):
         raise ValueError("provide exactly one of dataset or dataset_name")
@@ -213,37 +99,10 @@ def run_dimension_sweep(
             else get_dataset(dataset_name, profile=profile, seed=repetition_seed)
         )
         for dimension in result.dimensions:
-            encoder = RecordEncoder(
-                dimension=dimension, num_levels=num_levels, seed=repetition_seed
-            )
-            encoder.fit(data.train_features)
-            train_encoded = encoder.encode(data.train_features)
-            test_encoded = encoder.encode(data.test_features)
-            # One packed copy of each split per (dimension, repetition):
-            # the training set feeds packed training for every strategy that
-            # rides it, the test split feeds packed XOR+popcount scoring.
-            train_set = PackedTrainingSet.from_dense(train_encoded)
-            test_packed = pack_bipolar(test_encoded)
-            for strategy_name, factory in strategies.items():
-                strategy_rng = np.random.default_rng(
-                    repetition_seed + _stable_offset(strategy_name)
-                )
-                classifier = factory(strategy_rng)
-                fit_strategy(
-                    classifier, train_encoded, data.train_labels, packed_train=train_set
-                )
-                result.accuracies[strategy_name][dimension].append(
-                    strategy_accuracy(
-                        classifier, test_encoded, data.test_labels, packed=test_packed
-                    )
-                )
+            accuracies = fit_strategies(data, strategies, dimension, num_levels, repetition_seed)
+            for strategy_name, (test, _) in accuracies.items():
+                result.accuracies[strategy_name][dimension].append(test)
     return result
 
 
-__all__ = [
-    "DimensionSweepResult",
-    "GridCellResult",
-    "PackedSplits",
-    "run_dimension_sweep",
-    "run_fit_grid",
-]
+__all__ = ["DimensionSweepResult", "run_dimension_sweep"]

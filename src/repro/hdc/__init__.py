@@ -9,10 +9,8 @@ Eq. 1, and a bit-packed backend used by the hardware cost model.
 from repro.hdc.hypervector import (
     bind,
     bundle,
-    cosine_similarity,
     dot_similarity,
     hamming_distance,
-    permute,
     random_hypervectors,
     sign_with_ties,
 )
@@ -24,10 +22,8 @@ from repro.kernels.packed import PackedHypervectors, pack_bipolar, unpack_bipola
 __all__ = [
     "bind",
     "bundle",
-    "cosine_similarity",
     "dot_similarity",
     "hamming_distance",
-    "permute",
     "random_hypervectors",
     "sign_with_ties",
     "RandomItemMemory",

@@ -124,15 +124,6 @@ class RecordEncoder(RngMixin):
             self._quantizer.scale(features), self.tie_break, self.rng, lock
         )
 
-    def accumulate(self, features: np.ndarray) -> np.ndarray:
-        """Pre-sign integer accumulation for raw *features* (``(n, D)`` int32).
-
-        This is the thread-safe half of encoding — it touches only immutable
-        compiled tables, no RNG.
-        """
-        features = self._validate(features)
-        return self._get_accumulator()(self._quantizer.scale(features))
-
     def encode(self, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Encode a ``(samples, features)`` matrix to ``(samples, D)`` int8."""
         features = self._validate(features)
@@ -163,14 +154,6 @@ class RecordEncoder(RngMixin):
             stop = min(start + batch_size, features.shape[0])
             words[start:stop] = self._pack(features[start:stop])
         return PackedHypervectors(words=words, dimension=self.dimension)
-
-    def fit_encode(self, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Convenience: :meth:`fit` then :meth:`encode` on the same data."""
-        return self.fit(features).encode(features, batch_size=batch_size)
-
-    def encode_one(self, feature_vector: np.ndarray) -> np.ndarray:
-        """Encode a single sample; returns a 1-D hypervector of length ``D``."""
-        return self.encode(np.atleast_2d(feature_vector))[0]
 
 
 __all__ = ["RecordEncoder"]

@@ -11,10 +11,9 @@ The key operations are:
 * :func:`bundle` - element-wise summation followed by :func:`sign_with_ties`,
   used both inside the record encoder (Eq. 1) and in centroid training
   (Eq. 2);
-* :func:`hamming_distance` / :func:`cosine_similarity` / :func:`dot_similarity`
-  - the three equivalent similarity measures related by
-  ``cosine = 1 - 2*hamming`` and ``dot = D * cosine`` (Sec. 3.1), which is the
-  identity the BNN equivalence rests on.
+* :func:`hamming_distance` / :func:`dot_similarity` - equivalent similarity
+  measures related by ``dot = D * (1 - 2*hamming)`` (Sec. 3.1; the cosine of
+  Eq. 5 is ``dot / D``), which is the identity the BNN equivalence rests on.
 """
 
 from __future__ import annotations
@@ -111,17 +110,6 @@ def bundle(
     return sign_with_ties(accumulated, rng=rng, tie_break=tie_break)
 
 
-def permute(hypervector: np.ndarray, shifts: int = 1) -> np.ndarray:
-    """Cyclically permute (rotate) a hypervector.
-
-    Permutation encodes sequence position in N-gram encoders: it is
-    distance-preserving and (for shifts != 0 mod D) maps a vector to one
-    quasi-orthogonal to itself.
-    """
-    hypervector = np.asarray(hypervector)
-    return np.roll(hypervector, shifts, axis=-1)
-
-
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Normalised Hamming distance between bipolar hypervectors.
 
@@ -138,23 +126,6 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # For bipolar vectors: dot = (#equal - #different) and #equal + #different = D,
     # hence #different = (D - dot) / 2.
     return (dimension - dots) / (2.0 * dimension)
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine similarity between bipolar hypervectors (Eq. 5).
-
-    For strictly bipolar inputs this equals ``1 - 2 * hamming_distance``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    dots = _pairwise_dot(a, b)
-    norm_a = np.linalg.norm(np.atleast_2d(a), axis=-1)
-    norm_b = np.linalg.norm(np.atleast_2d(b), axis=-1)
-    denom = np.outer(norm_a, norm_b)
-    result = np.asarray(dots, dtype=np.float64).reshape(norm_a.size, norm_b.size) / denom
-    return _match_output_shape(result, a, b)
 
 
 def dot_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from repro.obs.trace import (
     JsonlSink,
     MemorySink,
     Span,
-    SpanContext,
     Tracer,
     parse_trace_file,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "Span",
-    "SpanContext",
     "Tracer",
     "format_trace_summary",
     "parse_trace_file",

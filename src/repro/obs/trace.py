@@ -1,4 +1,4 @@
-"""Request-scoped tracing: spans, context propagation, and the JSONL sink.
+"""Request-scoped tracing: spans, per-thread nesting, and the JSONL sink.
 
 This module gives every request through the serving stack a *trace*: a tree
 of timed spans, written one line per span.
@@ -11,9 +11,9 @@ Design constraints, in priority order:
    the serving benchmarks run with tracing compiled in.
 2. **One writer.**  The JSONL file is written by one sink behind a thread
    lock.
-3. **Explicit parents beat ambient magic across boundaries.**  Within a
-   thread, spans nest through a thread-local stack; across threads, a
-   :class:`SpanContext` is handed over explicitly.
+3. **Spans nest per thread.**  Every stage of a request runs on the thread
+   that handles it, so spans nest through a thread-local stack and no span
+   is handed to another thread.
 
 Trace-file schema (one JSON object per line)::
 
@@ -35,16 +35,9 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, Optional
 
 SCHEMA_VERSION = 1
-
-
-class SpanContext(NamedTuple):
-    """The address of a span: enough to parent a child in any thread."""
-
-    trace_id: str
-    span_id: str
 
 
 def _new_id() -> str:
@@ -58,7 +51,6 @@ class _NullSpan:
 
     trace_id = None
     span_id = None
-    context = None
     sampled = False
 
     def __enter__(self) -> "_NullSpan":
@@ -132,10 +124,6 @@ class Span:
         self.start_time = time.time()
         self.duration_s = 0.0
         self._start_perf = time.perf_counter()
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
 
     def set(self, key: str, value) -> None:
         """Attach one attribute (must be JSON-serialisable)."""
@@ -239,34 +227,26 @@ class Tracer:
         self._suppressed_span = _SuppressedSpan(self)
 
     # ------------------------------------------------------------------ spans
-    def start_span(self, name: str, parent=None, attrs: Optional[dict] = None):
+    def start_span(self, name: str, attrs: Optional[dict] = None):
         """Open a span; use the result as a context manager.
 
-        ``parent`` may be a :class:`SpanContext` (explicit cross-thread
-        parenting) or ``None``, in which case the span nests
-        under the calling thread's current span — or starts a new trace
-        (root), which is where the sampling decision is made.
+        The span nests under the calling thread's current span, or starts a
+        new trace (root), which is where the sampling decision is made.
         """
         if self.sink is None:
             return NULL_SPAN
-        if parent is None:
-            stack = getattr(self._local, "stack", None)
-            if stack:
-                current = stack[-1]
-                return Span(self, name, current.trace_id, current.span_id, attrs)
-            if getattr(self._local, "suppressed", 0):
-                # Inside an unsampled request: stay suppressed rather than
-                # minting an orphan root trace.
-                return self._suppressed_span
-            # Root span: the one place the sampling coin is flipped.
-            if self.sample_rate < 1.0 and self._rng.random() >= self.sample_rate:
-                return self._suppressed_span
-            return Span(self, name, _new_id(), None, attrs)
-        if isinstance(parent, SpanContext):
-            return Span(self, name, parent.trace_id, parent.span_id, attrs)
-        if parent is NULL_SPAN or parent is None:  # pragma: no cover - defensive
-            return NULL_SPAN
-        raise TypeError(f"parent must be a SpanContext or None, got {type(parent)!r}")
+        stack = getattr(self._local, "stack", None)
+        if stack:
+            current = stack[-1]
+            return Span(self, name, current.trace_id, current.span_id, attrs)
+        if getattr(self._local, "suppressed", 0):
+            # Inside an unsampled request: stay suppressed rather than
+            # minting an orphan root trace.
+            return self._suppressed_span
+        # Root span: the one place the sampling coin is flipped.
+        if self.sample_rate < 1.0 and self._rng.random() >= self.sample_rate:
+            return self._suppressed_span
+        return Span(self, name, _new_id(), None, attrs)
 
     def close(self) -> None:
         if self.sink is not None:
@@ -337,7 +317,6 @@ __all__ = [
     "MemorySink",
     "NULL_SPAN",
     "Span",
-    "SpanContext",
     "Tracer",
     "parse_trace_file",
 ]

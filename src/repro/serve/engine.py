@@ -149,10 +149,6 @@ class PackedInferenceEngine:
             words, self._packed_classes.words, self.dimension, self.num_classes
         )
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predict integer class labels for a batch of raw feature rows."""
-        return np.argmax(self.decision_scores(features), axis=1)
-
     def top_k(self, features: np.ndarray, k: int = 5) -> Tuple[np.ndarray, np.ndarray]:
         """The ``k`` best classes per sample, best first.
 

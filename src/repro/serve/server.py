@@ -14,14 +14,15 @@ its answer, for :data:`_IDLE_TIMEOUT_S` is closed without an answer.
 and writing to its connection's buffers: :meth:`_Handler.handle_one_request`
 reads the request line and header fields itself and keeps only what the
 routes read (method, path, version, ``Content-Length``, ``Connection`` and
-``Expect``), with the stdlib's limits, keep-alive rules and error answers;
-the stdlib's email-based header parser never runs.  A request whose bytes
-have not all arrived is parsed again from its start once the bytes it
-stopped at are in (the end of a line, a line at its limit, the whole
-body), so its limits (414, 431, 413) and its ``100 Continue`` apply as soon
-as the bytes that decide them arrive, and a head is parsed at most once a
-line however it is split.  Every routed answer is one write: status
-line, header fields and body in one ``send``.
+``Expect``, and ``Transfer-Encoding`` to refuse it), with the stdlib's
+limits and keep-alive rules; the stdlib's email-based header parser never
+runs.  A request whose bytes have not all arrived is parsed again from its
+start once the bytes it stopped at are in (the end of a line, a line at its
+limit, the whole body), so its limits (414, 431, 413) and its
+``100 Continue`` apply as soon as the bytes that decide them arrive, and a
+head is parsed at most once a line however it is split.  Every answer,
+routed or refused by the parser, is one write: status line, header fields
+and body in one ``send``.
 
 Routes
 ------
@@ -90,14 +91,19 @@ _DEFAULT_CODES = {
     400: "bad_request",
     404: "not_found",
     413: "payload_too_large",
+    414: "uri_too_long",
+    431: "header_fields_too_large",
     500: "internal",
+    501: "not_implemented",
     503: "unavailable",
     504: "deadline_exceeded",
+    505: "http_version_not_supported",
 }
 
-#: The request header fields the routes read, by lower-case name; every
-#: other field is read off the socket and dropped.
-_KEPT_FIELDS = (b"content-length", b"connection", b"expect")
+#: The request header fields the server reads, by lower-case name; every
+#: other field is read off the socket and dropped.  A request that carries
+#: ``Transfer-Encoding`` is refused: only a ``Content-Length`` frames a body.
+_KEPT_FIELDS = (b"content-length", b"connection", b"expect", b"transfer-encoding")
 #: A header field's name and its colon, as the email parser behind the
 #: stdlib's header read matches them: a line that is neither a field nor a
 #: continuation ends the fields.
@@ -128,7 +134,7 @@ def _content_length(value: str) -> int:
     RFC 9110 §8.6 allows ASCII digits only, so a sign, an underscore or any
     other digit ``int`` would read is refused (a proxy that frames the
     request differently is how request smuggling starts).  Blanks around
-    the value, including a folded line's, are allowed.
+    the value are allowed.
     """
     digits = value.strip(" \t\r\n")
     try:
@@ -484,7 +490,8 @@ class _Handler(BaseHTTPRequestHandler):
     the stdlib's ``setup``, ``handle`` and ``finish`` never run.
 
     ``headers`` holds the fields in :data:`_KEPT_FIELDS` only, by lower-case
-    name (the first of each wins, as ``email.message.Message.get`` has it).
+    name (the first of each wins, as ``email.message.Message.get`` has it,
+    but differing ``Content-Length`` values are refused).
     """
 
     protocol_version = "HTTP/1.1"
@@ -534,8 +541,11 @@ class _Handler(BaseHTTPRequestHandler):
         request line over 64 KiB; 400 for a line it cannot read, a bad
         version, or a version-less (HTTP/0.9) request other than GET; 505
         from HTTP/2.0 on; 431 for a header line over 64 KiB, or for more
-        than 100 lines counting the blank one.  An answer sent before the
-        version is read is the body alone, as an HTTP/0.9 answer is.
+        than 100 lines counting the blank one.  Beyond the stdlib (RFC 9112
+        §5.2 and §6), 400 for differing ``Content-Length`` values or a kept
+        field folded over lines, and 501 for any ``Transfer-Encoding``.  An
+        answer sent before the version is read is the body alone, as an
+        HTTP/0.9 answer is.
         HTTP/1.1 keeps the connection open; HTTP/1.0 closes it unless it
         sends ``Connection: keep-alive``; ``Connection: close`` closes either.
         An HTTP/0.9 request, named or version-less, always closes: its
@@ -591,6 +601,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
         if not self._read_fields():
             return False
+        if "transfer-encoding" in self.headers:
+            self.send_error(HTTPStatus.NOT_IMPLEMENTED, "Transfer-Encoding is not supported")
+            return False
         connection = self.headers.get("connection", "").lower()
         if connection == "close":
             self.close_connection = True
@@ -615,38 +628,35 @@ class _Handler(BaseHTTPRequestHandler):
         """Read the header fields up to the blank line into ``headers``.
 
         Keeps the first value of each field in :data:`_KEPT_FIELDS`, read as
-        the email parser reads it: leading blanks stripped, continuation
-        lines appended, line ends stripped.  As there, a line that is not a
-        field ends the fields (the lines after it are still read).
+        the email parser reads it: leading blanks and the line end
+        stripped.  As there, a line that is not a field ends the fields (the
+        lines after it are still read), and a continuation line of a dropped
+        field is skipped; one that continues a kept field is refused, as is a
+        ``Content-Length`` repeated with a different value.
         """
-        kept: Dict[bytes, list] = {}  # each field's value, in parts
-        extending = None  # the kept field a continuation line extends
+        kept: Dict[bytes, bytes] = {}
+        folding = None  # the kept field a continuation line would extend
         ended = False
         lines = 0
         while True:
             line = self.rfile.readline(_MAXLINE + 1)
             if len(line) > _MAXLINE:
-                self.send_error(
-                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                    "Line too long",
-                    f"got more than {_MAXLINE} bytes when reading header line",
-                )
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long")
                 return False
             lines += 1
             if lines > _MAXHEADERS:
-                self.send_error(
-                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                    "Too many headers",
-                    f"got more than {_MAXHEADERS} headers",
-                )
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers")
                 return False
             if line in (b"\r\n", b"\n", b""):
                 break
             if line[0] in b" \t":
-                if extending is not None:
-                    kept[extending].append(line)
+                if folding is not None:
+                    self.send_error(
+                        HTTPStatus.BAD_REQUEST, f"folded {folding.decode('ascii')} field"
+                    )
+                    return False
                 continue
-            extending = None
+            folding = None
             if ended or line.startswith(b"From "):  # an mbox envelope line
                 continue
             match = _FIELD_NAME.match(line)
@@ -654,14 +664,29 @@ class _Handler(BaseHTTPRequestHandler):
                 ended = True
                 continue
             name = line[: match.end() - 1].lower()
-            if name in _KEPT_FIELDS and name not in kept:
-                kept[name] = [line[match.end() :].lstrip(b" \t")]
-                extending = name
+            if name not in _KEPT_FIELDS:
+                continue
+            folding = name
+            value = line[match.end() :].lstrip(b" \t")
+            first = kept.setdefault(name, value)
+            if name == b"content-length" and first.strip() != value.strip():
+                self.send_error(HTTPStatus.BAD_REQUEST, "differing Content-Length values")
+                return False
         self.headers = {
-            name.decode("ascii"): b"".join(parts).decode("iso-8859-1").rstrip("\r\n")
-            for name, parts in kept.items()
+            name.decode("ascii"): value.decode("iso-8859-1").rstrip("\r\n")
+            for name, value in kept.items()
         }
         return True
+
+    def send_error(self, code, message=None) -> None:
+        """Answer a request the parser refused: ``{"error": message, "code":
+        slug}`` in one write with ``Connection: close``, as every other error
+        answer (the stdlib's writes an HTML page after its head).  Logs the
+        stdlib's line."""
+        code = int(code)
+        message = message or self.responses[code][0]
+        self.log_error("code %d, message %s", code, message)
+        self._send_json(code, {"error": message, "code": _DEFAULT_CODES.get(code, "error")})
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # Stdlib diagnostics (malformed request lines, broken pipes) used to
@@ -821,7 +846,8 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> int:
         """Answer with *body* in one write (one ``send``): the status
         line and header fields the stdlib's ``send_response`` would send,
-        then the body.  An HTTP/0.9 request gets the body alone."""
+        then the body.  An HTTP/0.9 request gets the body alone, and a HEAD
+        request (answered 501) the fields alone (RFC 9110 §9.3.2)."""
         if status >= 400:
             # The request body may not have been (fully) read on error paths;
             # on a keep-alive connection the leftover bytes would be parsed as
@@ -844,6 +870,8 @@ class _Handler(BaseHTTPRequestHandler):
             head += f"Retry-After: {int(retry_after)}\r\n"
         if status >= 400:
             head += "Connection: close\r\n"
+        if self.command == "HEAD":
+            body = b""
         self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
         return status
 
@@ -1073,9 +1101,8 @@ class _SelectorServer:
                 return
             try:
                 sock.setblocking(False)
-                # ``send_error`` writes the header and the body apart, and
-                # a ``100 Continue`` goes out before its answer; with Nagle
-                # on, the second small segment waits for the client's
+                # A ``100 Continue`` goes out before its answer; with Nagle
+                # on, that second small segment waits for the client's
                 # delayed ACK (~40 ms).
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:  # the client has already gone

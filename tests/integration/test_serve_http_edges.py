@@ -8,15 +8,19 @@ An answer without a status line (the stdlib answers HTTP/0.9, and request
 lines it cannot read a version from, with the body alone) is recorded as
 ``"no status line"``.  The table pins the server's behaviour on the stdlib's
 own request parser, so a request loop that replaces it must give every
-case the same transcript.  Five cases depart from the stdlib on purpose:
+case the same transcript.  Some cases depart from the stdlib on purpose:
 an HTTP/0.9 GET with ``Connection: keep-alive``, version-less or naming
 ``HTTP/0.9``, is closed after its answer (the stdlib holds it open, though
 a body with no status line or length ends only at the close); a body cut
 short of its ``Content-Length`` by a half-close is refused with 400 (the
-stdlib-era server answered the part that arrived); and a ``Content-Length``
-with a sign or an underscore is refused with 400 (``int`` read both, but
-RFC 9110 allows digits only, and a proxy that frames the request
-differently is how request smuggling starts).
+stdlib-era server answered the part that arrived); and a request whose
+framing a proxy could read differently, which is how request smuggling
+starts, is refused and closed: a ``Content-Length`` with a sign or an
+underscore (``int`` read both, but RFC 9110 allows digits only), two
+differing ``Content-Length`` values (the stdlib took the first), or a kept
+field folded over lines (RFC 9112 §5.2; the stdlib joined the lines) with
+400, and any ``Transfer-Encoding`` with 501 (RFC 9112 §6.1: only a
+``Content-Length`` frames a body here; the stdlib ignored the field).
 """
 
 import json
@@ -93,11 +97,32 @@ _CASES = {
     ),
     "duplicate-content-length": (
         _raw(_PREDICT, "Host: t", _LENGTH, "Content-Length: 3", body=_BODY),
+        (["400"], "closed"),
+    ),
+    "repeated-content-length": (
+        _raw(_PREDICT, "Host: t", _LENGTH, _LENGTH, body=_BODY),
         (["200"], "open"),
     ),
     "folded-content-length": (
         _raw(_PREDICT, "Host: t", "Content-Length:", f"  {len(_BODY)}", body=_BODY),
-        (["200"], "open"),
+        (["400"], "closed"),
+    ),
+    "folded-connection": (
+        _raw(_PREDICT, "Host: t", "Connection:", "  keep-alive", _LENGTH, body=_BODY),
+        (["400"], "closed"),
+    ),
+    "transfer-encoding-with-length": (
+        _raw(_PREDICT, "Host: t", "Transfer-Encoding: chunked", _LENGTH, body=_BODY),
+        (["501"], "closed"),
+    ),
+    "transfer-encoding-without-length": (
+        _raw(
+            _PREDICT,
+            "Host: t",
+            "Transfer-Encoding: chunked",
+            body=b"%x\r\n%s\r\n0\r\n\r\n" % (len(_BODY), _BODY),
+        ),
+        (["501"], "closed"),
     ),
     "expect-100-continue": (
         _raw(_PREDICT, "Host: t", "Expect: 100-continue", _LENGTH, body=_BODY),

@@ -401,10 +401,10 @@ class TestIncrementalParse:
                 b"POST /v1/predict HTTP/1.1\r\nContent-Length: 67108865\r\n\r\n",
                 b"HTTP/1.1 413 ",
             ),
-            (b"GARBAGE\r\n", b"<!DOCTYPE HTML>"),
-            (b"GET /v1/healthz HTTP/x.y\r\n", b"<!DOCTYPE HTML>"),
-            (b"GET /v1/healthz HTTP/2.0\r\n", b"<!DOCTYPE HTML>"),
-            (b"POST /v1/predict\r\n", b"<!DOCTYPE HTML>"),
+            (b"GARBAGE\r\n", b'{"error": '),
+            (b"GET /v1/healthz HTTP/x.y\r\n", b'{"error": '),
+            (b"GET /v1/healthz HTTP/2.0\r\n", b'{"error": '),
+            (b"POST /v1/predict\r\n", b'{"error": '),
         ],
         ids=[
             "request-line-over-64-kib",
@@ -425,6 +425,50 @@ class TestIncrementalParse:
         with _Client(_port(server), timeout=1.0) as client:
             client.send(request_bytes)
             assert client.rest().startswith(answer)
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, code",
+        [
+            (b"GET /" + b"a" * 70_000, 414, "uri_too_long"),
+            (
+                b"GET /v1/healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000,
+                431,
+                "header_fields_too_large",
+            ),
+            (
+                b"GET /v1/healthz HTTP/1.1\r\n" + b"X-Field: value\r\n" * 101,
+                431,
+                "header_fields_too_large",
+            ),
+            (b"PUT /v1/predict HTTP/1.1\r\nHost: t\r\n\r\n", 501, "not_implemented"),
+            (
+                b"POST /v1/predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+                501,
+                "not_implemented",
+            ),
+        ],
+        ids=[
+            "request-line-over-64-kib",
+            "header-line-over-64-kib",
+            "101st-header-line",
+            "put",
+            "transfer-encoding",
+        ],
+    )
+    def test_a_refused_request_gets_the_json_error_body(
+        self, server, request_bytes, status, code
+    ):
+        # As every other error answer: the machine-readable body, in the
+        # one write that carries the head, and the close.
+        with _Client(_port(server), timeout=1.0) as client:
+            client.send(request_bytes)
+            head, _, body = client.rest().partition(b"\r\n\r\n")
+        status_line, *fields = head.decode("latin-1").split("\r\n")
+        assert status_line.startswith(f"HTTP/1.1 {status} ")
+        fields = dict(field.split(": ", 1) for field in fields)
+        assert (fields["Content-Type"], fields["Connection"]) == ("application/json", "close")
+        assert int(fields["Content-Length"]) == len(body)
+        assert json.loads(body)["code"] == code
 
     @pytest.mark.parametrize(
         "head, line, answer",

@@ -204,7 +204,7 @@ def test_concurrent_callers_with_mixed_top_k_get_their_own_answers(
 
 def test_a_bad_row_fails_alone_among_concurrent_callers(saved_models, small_problem):
     queries = small_problem["test_features"][1:5]
-    expected = _reference(saved_models["baseline"]).predict(queries).tolist()
+    expected = _reference(saved_models["baseline"]).top_k(queries, 1)[0][:, 0].tolist()
     app = _app(saved_models["baseline"])
     outcomes = {}
 
@@ -270,7 +270,7 @@ def test_keepalive_clients_soak_the_http_endpoint(saved_models, small_problem):
         server.server_close()
     assert errors == []
     assert [labels[index] for index in range(len(rows))] == [
-        [label] for label in reference.predict(rows).tolist()
+        [label] for label in reference.top_k(rows, 1)[0][:, 0].tolist()
     ]
     (counted,) = [
         float(line.rsplit(" ", 1)[1])

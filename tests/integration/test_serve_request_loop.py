@@ -1,10 +1,11 @@
 """Integration test: the server's own request loop.
 
 ``_Handler`` reads the request line and header fields itself and answers a
-routed request in one write.  These tests pin what that loop keeps of a
-request (``test_serve_http_edges.py`` pins its answers to malformed ones),
-that every routed answer is one write carrying the stdlib's ``Server`` and
-``Date`` fields, and that the stdlib's ``parse_request`` and its email-based
+request in one write.  These tests pin what that loop keeps of a request
+and what framing it refuses (``test_serve_http_edges.py`` pins its answers
+to malformed requests), that every answer is one write carrying the
+stdlib's ``Server`` and ``Date`` fields, a refusal with the JSON error body,
+and that the stdlib's ``parse_request`` and its email-based
 ``http.client.parse_headers`` are never reached.
 """
 
@@ -15,6 +16,7 @@ import json
 import socket
 import threading
 import types
+from http import HTTPStatus
 
 import pytest
 
@@ -74,16 +76,66 @@ class TestReadRequest:
 
     def test_names_match_in_any_case_and_the_first_value_wins(self):
         handler = _read(
-            "POST / HTTP/1.1", "CONTENT-length: 12", "Content-Length: 99", "connection: Close"
+            "POST / HTTP/1.1",
+            "CONTENT-length: 12",
+            "Content-Length: 12 ",
+            "connection: Close",
+            "Connection: keep-alive",
         )
         assert handler.headers == {"content-length": "12", "connection": "Close"}
         assert handler.close_connection is True
 
-    def test_a_folded_value_keeps_its_continuation_lines(self):
-        handler = _read("POST / HTTP/1.1", "Content-Length:", "  12", "X-Note: a", " b")
-        # As email.message.Message.get reads it; int() strips the blanks.
-        assert handler.headers == {"content-length": "\r\n  12"}
-        assert int(handler.headers["content-length"]) == 12
+    def test_a_folded_dropped_field_is_skipped(self):
+        handler = _read("POST / HTTP/1.1", "X-Note: a", " b", "\tc", "Content-Length: 12")
+        assert handler.headers == {"content-length": "12"}
+
+    @pytest.mark.parametrize(
+        "fields, status, answer",
+        [
+            (
+                ["Content-Length: 12", "Content-Length: 3"],
+                400,
+                {"error": "differing Content-Length values", "code": "bad_request"},
+            ),
+            (
+                ["Content-Length:", "  12"],
+                400,
+                {"error": "folded content-length field", "code": "bad_request"},
+            ),
+            (
+                ["Connection: keep-alive", "\tclose", "Content-Length: 12"],
+                400,
+                {"error": "folded connection field", "code": "bad_request"},
+            ),
+            (
+                ["Transfer-Encoding: chunked"],
+                501,
+                {"error": "Transfer-Encoding is not supported", "code": "not_implemented"},
+            ),
+            (
+                ["Content-Length: 12", "transfer-encoding: identity"],
+                501,
+                {"error": "Transfer-Encoding is not supported", "code": "not_implemented"},
+            ),
+        ],
+        ids=[
+            "differing-lengths",
+            "folded-length",
+            "folded-connection",
+            "transfer-encoding",
+            "transfer-encoding-with-length",
+        ],
+    )
+    def test_a_framing_a_proxy_could_read_otherwise_is_refused(self, fields, status, answer):
+        lines = ("POST /v1/predict HTTP/1.1", *fields, "", "")
+        handler = _handler("\r\n".join(lines).encode("latin-1"))
+        assert not handler._read_request()
+        (write,) = handler.wfile.writes
+        head, _, body = write.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode("latin-1"))
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body) == answer
+        assert handler.close_connection is True
 
     @pytest.mark.parametrize(
         "line", ["no colon here", "Content Length: 5", "Bad\x7fName: 5"]
@@ -146,6 +198,50 @@ class TestSendBody:
         handler = _read("GET /v1/healthz")
         handler._send_json(200, {"status": "ok"})
         assert handler.wfile.writes == [b'{"status": "ok"}']
+
+    def test_a_refusal_is_one_write_with_the_json_error_body(self):
+        handler = _read("GET /v1/healthz HTTP/1.1", "Host: t")
+        handler.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long")
+        (write,) = handler.wfile.writes
+        head, _, body = write.partition(b"\r\n\r\n")
+        status, *fields = head.decode("latin-1").split("\r\n")
+        assert status == "HTTP/1.1 431 Request Header Fields Too Large"
+        fields = dict(field.split(": ", 1) for field in fields)
+        assert list(fields) == ["Server", "Date", "Content-Type", "Content-Length", "Connection"]
+        assert (fields["Content-Type"], fields["Connection"]) == ("application/json", "close")
+        assert json.loads(body) == {"error": "Line too long", "code": "header_fields_too_large"}
+        assert handler.close_connection is True
+
+    def test_a_head_request_gets_its_fields_without_the_body(self):
+        # As the stdlib's send_error: a HEAD answer has no content.
+        handler = _handler(b"HEAD /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        handler.handle_one_request()
+        (write,) = handler.wfile.writes
+        head, _, body = write.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert b"\r\nContent-Length: " in head
+        assert body == b""
+
+    @pytest.mark.parametrize(
+        "request_line, answer",
+        [
+            (
+                "GET /v1/healthz HTTP/x.y",
+                {"error": "Bad request version ('HTTP/x.y')", "code": "bad_request"},
+            ),
+            (
+                "GET /v1/healthz HTTP/2.0",
+                {"error": "Invalid HTTP version (2.0)", "code": "http_version_not_supported"},
+            ),
+        ],
+        ids=["bad-version", "http-2.0"],
+    )
+    def test_a_refusal_before_the_version_is_read_is_the_body_alone(self, request_line, answer):
+        handler = _handler(f"{request_line}\r\n\r\n".encode("latin-1"))
+        assert not handler._read_request()
+        (write,) = handler.wfile.writes
+        assert json.loads(write) == answer
+        assert handler.close_connection is True
 
 
 @pytest.fixture(scope="module")

@@ -58,7 +58,7 @@ def test_record_encoder_output_always_bipolar(num_features, num_samples, seed):
     rng = np.random.default_rng(seed)
     features = rng.uniform(0, 1, size=(num_samples, num_features))
     encoder = RecordEncoder(dimension=256, num_levels=4, seed=seed)
-    encoded = encoder.fit_encode(features)
+    encoded = encoder.fit(features).encode(features)
     assert encoded.shape == (num_samples, 256)
     assert set(np.unique(encoded)) <= {-1, 1}
 
@@ -72,5 +72,5 @@ def test_record_encoder_identical_samples_identical_codes(seed):
     row = rng.uniform(0, 1, size=(1, 8))
     features = np.vstack([row, row, rng.uniform(0, 1, size=(3, 8))])
     encoder = RecordEncoder(dimension=512, num_levels=8, tie_break="positive", seed=seed)
-    encoded = encoder.fit_encode(features)
+    encoded = encoder.fit(features).encode(features)
     np.testing.assert_array_equal(encoded[0], encoded[1])

@@ -11,9 +11,14 @@ import numpy as np
 import pytest
 
 import repro
+from repro import cli
 from repro.classifiers.baseline import BaselineHDC
+from repro.classifiers.enhanced import EnhancedRetrainingHDC
 from repro.classifiers.pipeline import HDCPipeline
-from repro.cli import build_parser, main
+from repro.cli import STRATEGY_CHOICES, build_parser, main
+from repro.core.configs import reproduction_config
+from repro.core.nonbinary_lehdc import NonBinaryLeHDCClassifier
+from repro.eval.experiment import default_strategy_factories
 from repro.hdc.encoders import RecordEncoder
 from repro.io import save_model
 
@@ -247,6 +252,44 @@ class TestCommands:
         assert code == 0
         output = capsys.readouterr().out
         assert "256" in output and "512" in output
+
+
+def _settings(classifier):
+    """A classifier's type, seed and constructor settings (its public,
+    unfitted attributes)."""
+    public = {
+        name: value
+        for name, value in vars(classifier).items()
+        if not name.startswith("_") and not name.endswith("_")
+    }
+    return type(classifier), classifier._seed, public
+
+
+class TestTrainStrategies:
+    @pytest.mark.parametrize("strategy", STRATEGY_CHOICES)
+    def test_train_builds_the_classifier_the_factories_build(self, strategy, monkeypatch):
+        built = []
+
+        class Untrained(HDCPipeline):
+            def fit(self, features, labels):
+                built.append(self.classifier)
+                return self
+
+            def score(self, features, labels):
+                return 0.0
+
+        monkeypatch.setattr(cli, "HDCPipeline", Untrained)
+        argv = ["train", "--dataset", "pamap", "--strategy", strategy, "--epochs", "3"]
+        assert main(argv + ["--iterations", "4", "--seed", "5"]) == 0
+        factories = default_strategy_factories(
+            "pamap", lehdc_epochs=3, retraining_iterations=4
+        )
+        factories["enhanced"] = lambda seed: EnhancedRetrainingHDC(iterations=4, seed=seed)
+        factories["lehdc-nonbinary"] = lambda seed: NonBinaryLeHDCClassifier(
+            config=reproduction_config("pamap", 3), seed=seed
+        )
+        (classifier,) = built
+        assert _settings(classifier) == _settings(factories[strategy](5))
 
 
 class TestTenantFlags:

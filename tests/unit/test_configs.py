@@ -4,7 +4,13 @@ import dataclasses
 
 import pytest
 
-from repro.core.configs import DEFAULT_CONFIG, PAPER_CONFIGS, LeHDCConfig, get_paper_config
+from repro.core.configs import (
+    DEFAULT_CONFIG,
+    PAPER_CONFIGS,
+    LeHDCConfig,
+    get_paper_config,
+    reproduction_config,
+)
 
 
 class TestLeHDCConfig:
@@ -100,3 +106,18 @@ class TestPaperConfigs:
 
     def test_get_paper_config_fallback(self):
         assert get_paper_config("unknown-dataset") == DEFAULT_CONFIG
+
+
+class TestReproductionConfig:
+    @pytest.mark.parametrize("dataset", sorted(PAPER_CONFIGS))
+    def test_table2_regularisation_at_batch_64_and_rate_0_01(self, dataset):
+        # Only the batch, the rate and the epochs depart from Table 2.
+        assert reproduction_config(dataset, 12) == PAPER_CONFIGS[dataset].with_overrides(
+            epochs=12, batch_size=64, learning_rate=0.01
+        )
+
+    def test_names_resolve_as_get_paper_config_resolves_them(self):
+        assert reproduction_config("Fashion-MNIST", 5) == reproduction_config("fashion_mnist", 5)
+        assert reproduction_config("unknown-dataset", 5) == DEFAULT_CONFIG.with_overrides(
+            epochs=5
+        )

@@ -16,7 +16,7 @@ def features():
 class TestRecordEncoder:
     def test_output_shape_and_values(self, features):
         encoder = RecordEncoder(dimension=512, num_levels=8, seed=0)
-        encoded = encoder.fit_encode(features)
+        encoded = encoder.fit(features).encode(features)
         assert encoded.shape == (60, 512)
         assert set(np.unique(encoded)) <= {-1, 1}
 
@@ -41,12 +41,6 @@ class TestRecordEncoder:
         assert hamming_distance(encoded[0], encoded[1]) < hamming_distance(
             encoded[0], encoded[2]
         )
-
-    def test_encode_one(self, features):
-        encoder = RecordEncoder(dimension=256, num_levels=8, seed=4)
-        encoder.fit(features)
-        single = encoder.encode_one(features[0])
-        assert single.shape == (256,)
 
     def test_batching_does_not_change_result(self, features):
         encoder = RecordEncoder(

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from repro.classifiers.baseline import BaselineHDC
-from repro.core.configs import LeHDCConfig
+from repro.classifiers.multimodel import MultiModelHDC
+from repro.classifiers.retraining import RetrainingHDC
+from repro.core.configs import PAPER_CONFIGS, LeHDCConfig, reproduction_config
 from repro.core.lehdc import LeHDCClassifier
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.eval.experiment import (
     ExperimentResult,
     StrategyResult,
+    _stable_offset,
     default_strategy_factories,
+    fit_strategies,
     run_strategy_comparison,
 )
+from repro.hdc.encoders import RecordEncoder
+from repro.kernels.train import PackedTrainingSet
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +111,132 @@ class TestRunStrategyComparison:
         )
         assert result.dataset_name == "pamap"
 
+class TestFitStrategies:
+    """The one step every experiment loop runs: encode once, fit every strategy."""
+
+    @staticmethod
+    def _recording(factory, fitted, name):
+        """*factory*, keeping each classifier it builds under *name*."""
+
+        def build(rng):
+            fitted[name] = factory(rng)
+            return fitted[name]
+
+        return build
+
+    def test_one_packed_training_set_per_repetition(self, tiny_dataset, monkeypatch):
+        built = []
+        from_dense = PackedTrainingSet.from_dense
+        monkeypatch.setattr(
+            PackedTrainingSet,
+            "from_dense",
+            lambda encoded: built.append(encoded.shape) or from_dense(encoded),
+        )
+        strategies = {
+            "baseline": FAST_STRATEGIES["baseline"],
+            "retraining": lambda rng: RetrainingHDC(iterations=2, seed=rng),
+            "multimodel": lambda rng: MultiModelHDC(models_per_class=2, iterations=1, seed=rng),
+        }
+        run_strategy_comparison(
+            dataset=tiny_dataset,
+            strategies=strategies,
+            dimension=256,
+            num_levels=8,
+            repetitions=2,
+            seed=3,
+        )
+        assert built == [(tiny_dataset.train_features.shape[0], 256)] * 2
+
+    def test_a_strategy_fits_as_it_would_alone_at_its_seed(self, tiny_dataset):
+        fitted = {}
+        strategies = {
+            name: self._recording(factory, fitted, name)
+            for name, factory in {
+                "baseline": FAST_STRATEGIES["baseline"],
+                "retraining": lambda rng: RetrainingHDC(iterations=3, seed=rng),
+                "lehdc": FAST_STRATEGIES["lehdc"],
+            }.items()
+        }
+        accuracies = fit_strategies(tiny_dataset, strategies, dimension=256, num_levels=8, seed=11)
+        assert list(accuracies) == ["baseline", "retraining", "lehdc"]
+
+        encoder = RecordEncoder(dimension=256, num_levels=8, seed=11)
+        encoder.fit(tiny_dataset.train_features)
+        train_encoded = encoder.encode(tiny_dataset.train_features)
+        test_encoded = encoder.encode(tiny_dataset.test_features)
+        for name, factory in strategies.items():
+            shared = fitted[name]
+            standalone = factory(np.random.default_rng(11 + _stable_offset(name)))
+            standalone.fit(train_encoded, tiny_dataset.train_labels)
+            np.testing.assert_array_equal(
+                shared.class_hypervectors_, standalone.class_hypervectors_
+            )
+            assert accuracies[name] == (
+                standalone.score(test_encoded, tiny_dataset.test_labels),
+                standalone.score(train_encoded, tiny_dataset.train_labels),
+            )
+
+    def test_the_ensemble_trains_on_the_shared_set(self, tiny_dataset, monkeypatch):
+        shared = []
+        from_dense = PackedTrainingSet.from_dense
+        monkeypatch.setattr(
+            PackedTrainingSet,
+            "from_dense",
+            lambda encoded: shared.append(from_dense(encoded)) or shared[-1],
+        )
+        seen = []
+
+        class Recording(MultiModelHDC):
+            def fit(self, hypervectors, labels, packed_train=None):
+                seen.append(packed_train)
+                return super().fit(hypervectors, labels, packed_train=packed_train)
+
+        fitted = {}
+        strategies = {
+            "ensemble": self._recording(
+                lambda rng: Recording(models_per_class=2, iterations=1, seed=rng),
+                fitted,
+                "ensemble",
+            ),
+            "baseline": FAST_STRATEGIES["baseline"],
+        }
+        fit_strategies(tiny_dataset, strategies, dimension=256, num_levels=8, seed=2)
+        (train_set,) = shared
+        assert seen == [train_set]
+        assert fitted["ensemble"].model_hypervectors_ is not None
+
+
 class TestDefaultStrategyFactories:
     def test_contains_table1_strategies(self):
         factories = default_strategy_factories("mnist")
         assert set(factories) == {"baseline", "multimodel", "retraining", "lehdc"}
+
+    @pytest.mark.parametrize("dataset", sorted(PAPER_CONFIGS))
+    def test_lehdc_trains_by_the_reproduction_recipe(self, dataset):
+        classifier = default_strategy_factories(dataset, lehdc_epochs=7)["lehdc"](0)
+        paper = PAPER_CONFIGS[dataset]
+        assert classifier.config == reproduction_config(dataset, 7)
+        assert (classifier.config.batch_size, classifier.config.learning_rate) == (64, 0.01)
+        assert classifier.config.weight_decay == paper.weight_decay
+        assert classifier.config.dropout_rate == paper.dropout_rate
+        assert classifier.config.epochs == 7
+
+    def test_multimodel_keeps_8_models_per_class_for_2_passes(self):
+        classifier = default_strategy_factories("ucihar")["multimodel"](0)
+        assert (classifier.models_per_class, classifier.iterations) == (8, 2)
+
+    def test_retraining_runs_the_given_iterations(self):
+        assert default_strategy_factories("ucihar")["retraining"](0).iterations == 30
+        factories = default_strategy_factories("ucihar", retraining_iterations=4)
+        assert factories["retraining"](0).iterations == 4
+
+    def test_default_budget_is_30_epochs(self):
+        classifier = default_strategy_factories("isolet")["lehdc"](0)
+        assert classifier.config == reproduction_config("isolet", 30)
+
+    def test_each_factory_seeds_its_classifier_with_what_it_is_given(self):
+        for factory in default_strategy_factories("pamap").values():
+            assert factory(3)._seed == 3
 
     def test_epoch_override(self):
         factories = default_strategy_factories("mnist", lehdc_epochs=5)

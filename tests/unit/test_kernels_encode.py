@@ -25,7 +25,8 @@ class TestRecordAccumulator:
         np.testing.assert_array_equal(encoder._get_accumulator()(levels), expected)
         # The encoder feeds the accumulator the quantiser's level coordinates,
         # not the integer levels: the sums are the same.
-        np.testing.assert_array_equal(encoder.accumulate(features), expected)
+        scaled = encoder._quantizer.scale(features)
+        np.testing.assert_array_equal(encoder._get_accumulator()(scaled), expected)
 
 
 class TestEncoderIntegration:
@@ -49,9 +50,9 @@ class TestEncoderIntegration:
         np.testing.assert_array_equal(packed.words, expected.words)
         assert packed.dimension == expected.dimension
 
-    def test_accumulate_public_surface(self, features):
+    def test_accumulator_returns_int32_sums_per_row(self, features):
         encoder = RecordEncoder(dimension=64, num_levels=4, seed=0).fit(features)
-        raw = encoder.accumulate(features)
+        raw = encoder._get_accumulator()(encoder._quantizer.scale(features))
         assert raw.shape == (features.shape[0], 64)
         assert raw.dtype == np.int32
 

@@ -59,11 +59,6 @@ class TestNonBinaryLeHDC:
         assert np.all(scores <= 1.0 + 1e-9)
         assert np.all(scores >= -1.0 - 1e-9)
 
-    def test_to_binary_matches_exposed_class_hypervectors(self, encoded_problem, fast_config):
-        model = NonBinaryLeHDCClassifier(config=fast_config, seed=3)
-        model.fit(encoded_problem["train_hypervectors"], encoded_problem["train_labels"])
-        np.testing.assert_array_equal(model.to_binary(), model.class_hypervectors_)
-
     def test_inference_matches_network_predict(self, encoded_problem, fast_config):
         # Footnote 1's equivalence: cosine inference over the non-binary class
         # hypervectors is the trained network's own prediction rule.

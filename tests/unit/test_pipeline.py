@@ -61,22 +61,6 @@ class TestHDCPipeline:
             encoder.position_memory.vectors, position_vectors_before
         )
 
-    def test_predict_batch_labels_and_scores(self, small_problem):
-        pipeline = HDCPipeline(
-            RecordEncoder(dimension=512, num_levels=8, tie_break="positive", seed=6),
-            BaselineHDC(seed=6),
-        )
-        pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
-        labels, scores = pipeline.predict_batch(small_problem["test_features"])
-        np.testing.assert_array_equal(
-            labels, pipeline.predict(small_problem["test_features"])
-        )
-        assert scores.shape == labels.shape
-        # The winning score must be each sample's row maximum.
-        encoded = pipeline.encoder.encode(small_problem["test_features"])
-        all_scores = pipeline.classifier.decision_scores(encoded)
-        np.testing.assert_array_equal(scores, all_scores.max(axis=1))
-
     def test_top_k_ordering_and_clipping(self, small_problem):
         pipeline = HDCPipeline(
             RecordEncoder(dimension=512, num_levels=8, tie_break="positive", seed=7),
@@ -98,7 +82,7 @@ class TestHDCPipeline:
     def test_batch_apis_require_fit(self, small_problem):
         pipeline = HDCPipeline(RecordEncoder(dimension=256, seed=8), BaselineHDC(seed=8))
         with pytest.raises(RuntimeError):
-            pipeline.predict_batch(small_problem["test_features"])
+            pipeline.predict(small_problem["test_features"])
         with pytest.raises(RuntimeError):
             pipeline.top_k(small_problem["test_features"])
 

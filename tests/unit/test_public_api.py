@@ -48,7 +48,6 @@ def test_obs_exports_tracing_exposition_and_trace_summary_only():
         "JsonlSink",
         "MemorySink",
         "Span",
-        "SpanContext",
         "Tracer",
         "format_trace_summary",
         "parse_trace_file",

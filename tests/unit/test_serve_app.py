@@ -150,7 +150,7 @@ class TestPayloadValidation:
     def test_sole_model_is_the_default(self, make_app, row, engine):
         answer = make_app(names=("only",)).predict({"features": row})
         assert answer["model"] == "only"
-        assert answer["labels"] == engine.predict([row]).tolist()
+        assert answer["labels"] == engine.top_k([row], 1)[0][:, 0].tolist()
 
     @pytest.mark.parametrize(
         "model", [["m"], {"name": "m"}, 7], ids=["list", "object", "int"]
@@ -235,7 +235,7 @@ class TestDeadlines:
     def test_request_deadline_overrides_the_default(self, make_app, row, engine):
         app = make_app(default_deadline_ms=1e-6)
         answer = app.predict({"features": row, "deadline_ms": 30_000})
-        assert answer["labels"] == engine.predict([row]).tolist()
+        assert answer["labels"] == engine.top_k([row], 1)[0][:, 0].tolist()
 
     def test_answer_arriving_after_the_deadline_is_504(self, make_app, row, engine):
         app = make_app()
@@ -310,7 +310,7 @@ class TestDeadlines:
         finally:
             held.release.set()
             thread.join(timeout=30)
-        assert answer["labels"] == engine.predict([row]).tolist()
+        assert answer["labels"] == engine.top_k([row], 1)[0][:, 0].tolist()
         assert result["error"].status == 504
         models = app.metrics_snapshot()["models"]
         assert (models["a"]["deadline_exceeded"], models["a"]["requests"]) == (1, 0)
@@ -450,7 +450,7 @@ class TestOneEngineCall:
         features = row if shape == "1-d" else [row] * rows
         answer = app.predict({"features": features})
         assert recording.calls == [((rows, len(row)), threading.current_thread().name)]
-        assert answer["labels"] == engine.predict([row] * rows).tolist()
+        assert answer["labels"] == engine.top_k([row] * rows, 1)[0][:, 0].tolist()
         model = app.metrics_snapshot()["models"]["m"]
         assert model["samples"] == rows
         assert model["stages"]["batch_execute"]["count"] == 1
@@ -489,8 +489,8 @@ class TestOneEngineCall:
         finally:
             held.release.set()
             thread.join(timeout=30)
-        assert answer["labels"] == engine.predict([row]).tolist()
-        assert result["answer"]["labels"] == engine.predict([row, row]).tolist()
+        assert answer["labels"] == engine.top_k([row], 1)[0][:, 0].tolist()
+        assert result["answer"]["labels"] == engine.top_k([row, row], 1)[0][:, 0].tolist()
 
     def test_an_engine_crash_leaves_the_next_predict_answered(
         self, make_app, row, engine
@@ -502,7 +502,7 @@ class TestOneEngineCall:
             app.predict({"features": [row, row]})
         app.engine_for = lambda name: engine
         answer = app.predict({"features": row})
-        assert answer["labels"] == engine.predict([row]).tolist()
+        assert answer["labels"] == engine.top_k([row], 1)[0][:, 0].tolist()
         model = app.metrics_snapshot()["models"]["m"]
         assert (model["requests"], model["errors"], model["samples"]) == (1, 1, 1)
         app.begin_drain()

@@ -46,7 +46,7 @@ class TestPackedEqualsDense:
         pipeline = fit_pipeline(small_problem, BINARY_STRATEGIES[strategy]())
         engine = PackedInferenceEngine(pipeline, name=strategy)
         np.testing.assert_array_equal(
-            engine.predict(small_problem["test_features"]),
+            np.argmax(engine.decision_scores(small_problem["test_features"]), axis=1),
             pipeline.predict(small_problem["test_features"]),
         )
 
@@ -200,7 +200,7 @@ class TestEnsemblePackedServing:
         engine = PackedInferenceEngine(pipeline)
         features = small_problem["test_features"]
         np.testing.assert_array_equal(
-            engine.predict(features), pipeline.predict(features)
+            np.argmax(engine.decision_scores(features), axis=1), pipeline.predict(features)
         )
         # Dense-path scores match exactly too (max over sub-models both ways).
         encoded = pipeline.encoder.encode(features)
@@ -229,7 +229,7 @@ class TestEngineOutputs:
         assert labels.shape[1] == small_problem["num_classes"]
         assert np.all(np.diff(scores, axis=1) <= 0)
         np.testing.assert_array_equal(
-            labels[:, 0], engine.predict(small_problem["test_features"])
+            labels[:, 0], np.argmax(engine.decision_scores(small_problem["test_features"]), axis=1)
         )
 
     def test_top_k_rejects_bad_k(self, small_problem):
@@ -262,7 +262,7 @@ class TestFromFile:
         assert engine.name == "m"
         assert engine.metadata["strategy"] == "baseline"
         np.testing.assert_array_equal(
-            engine.predict(small_problem["test_features"]),
+            np.argmax(engine.decision_scores(small_problem["test_features"]), axis=1),
             pipeline.predict(small_problem["test_features"]),
         )
 

@@ -39,8 +39,8 @@ class TestRegisterAndResolve:
         assert registry.register("har", saved_models["baseline"]) is None
         engine = registry.get("har")
         assert isinstance(engine, PackedInferenceEngine)
-        predictions = engine.predict(small_problem["test_features"])
-        assert predictions.shape == (small_problem["test_features"].shape[0],)
+        labels, _ = engine.top_k(small_problem["test_features"], 1)
+        assert labels.shape == (small_problem["test_features"].shape[0], 1)
 
     def test_register_pipeline_directly(self, small_problem):
         encoder = RecordEncoder(dimension=256, num_levels=8, tie_break="positive", seed=0)
@@ -48,7 +48,7 @@ class TestRegisterAndResolve:
         pipeline.fit(small_problem["train_features"], small_problem["train_labels"])
         registry = ModelRegistry()
         registry.register("inmem", pipeline)
-        assert registry.get("inmem").predict(small_problem["test_features"]) is not None
+        assert registry.get("inmem").top_k(small_problem["test_features"], 1) is not None
 
     def test_register_keeps_an_engine_as_given(self, saved_models):
         engine = PackedInferenceEngine.from_file(saved_models["baseline"], name="x")
